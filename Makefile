@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory resume-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory bench-gate bench-tiny-smoke resume-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
@@ -124,6 +124,43 @@ bench-compare-allocs:
 bench-compare-advisory:
 	$(GO) run ./cmd/precinct-bench -compare -advisory -tolerance $(TOLERANCE)
 
+# The repository benchmark (bench/, BENCHMARK.json) as a before/after
+# gate for a performance change: the tree of BENCH_PARENT (default: the
+# last commit, so the working tree is "the change") is unpacked into a
+# temporary directory, both sides run `go run ./bench -json` with the
+# same -seed and -reps — BENCH_PAIRS times, alternating which side goes
+# first so neither always runs on a cold or a throttled host — and each
+# pair goes through `-compare`, which applies BENCHMARK.json's bounds
+# and exits non-zero on a metric that got worse or a run that failed.
+# About 2 minutes per pair; run on a quiet machine.
+#
+#	make bench-gate BENCH_PARENT=HEAD~1 BENCH_SEED=2 BENCH_PAIRS=4
+BENCH_PARENT ?= HEAD
+BENCH_SEED ?= 1
+BENCH_REPS ?= 3
+BENCH_PAIRS ?= 2
+bench-gate:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	mkdir "$$dir/parent" && git archive $(BENCH_PARENT) | tar -x -C "$$dir/parent" && \
+	args="-seed $(BENCH_SEED) -reps $(BENCH_REPS)" && \
+	run_parent() { (cd "$$dir/parent" && $(GO) run ./bench $$args -json "$$dir/parent_$$1.json" > /dev/null); } && \
+	run_change() { $(GO) run ./bench $$args -json "$$dir/change_$$1.json" > /dev/null; } && \
+	for i in $$(seq 1 $(BENCH_PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then \
+			echo "bench-gate: pair $$i, parent first" && run_parent $$i && run_change $$i; \
+		else \
+			echo "bench-gate: pair $$i, change first" && run_change $$i && run_parent $$i; \
+		fi && \
+		$(GO) run ./bench -compare "$$dir/parent_$$i.json" "$$dir/change_$$i.json" || exit 1; \
+	done
+
+# The benchmark's own smoke size (N <= 200, ~2 s) with the traced pass:
+# every workload, the per-layer drives and the sharded digest check run
+# once, so a change that breaks what bench/ compiles against or a digest
+# contract fails ci, not the next measurement.
+bench-tiny-smoke:
+	$(GO) run ./bench -scale tiny -traced > /dev/null
+
 # Per-package coverage floors. Baselines recorded at PR 4 (2026-08):
 # internal/cache 86.6%, internal/node 82.5% of statements; the floor is
 # the baseline minus 1 point of slack for coverage-neutral churn. Raise
@@ -224,4 +261,4 @@ soak:
 soak-100k:
 	$(GO) test -tags soak -run Soak100k -timeout 60m -v .
 
-ci: vet build test race race-parallel check cover bench-smoke fuzz-smoke resume-smoke scale-smoke workload-smoke policy-smoke bench-parallel-smoke bench-compare-allocs bench-compare-advisory
+ci: vet build test race race-parallel check cover bench-smoke fuzz-smoke resume-smoke scale-smoke workload-smoke policy-smoke bench-parallel-smoke bench-tiny-smoke bench-compare-allocs bench-compare-advisory

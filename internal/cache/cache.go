@@ -441,6 +441,7 @@ func (c *Cache) Entries() []Entry {
 // key this peer is home for.
 type Store struct {
 	items map[workload.Key]*StoredItem
+	mods  uint64
 }
 
 // StoredItem is the authoritative copy of a key at its home (or replica)
@@ -469,6 +470,11 @@ func NewStore() *Store { return &Store{} }
 // Len returns the number of stored keys.
 func (s *Store) Len() int { return len(s.items) }
 
+// Mods counts the changes to the store's key set and items made through
+// Put, Remove and RestoreState. Two equal readings mean no key was
+// added, replaced or removed in between.
+func (s *Store) Mods() uint64 { return s.mods }
+
 // Put inserts or replaces an item.
 func (s *Store) Put(it StoredItem) {
 	if s.items == nil {
@@ -476,6 +482,7 @@ func (s *Store) Put(it StoredItem) {
 	}
 	cp := it
 	s.items[it.Key] = &cp
+	s.mods++
 }
 
 // Get returns the stored item for a key.
@@ -490,6 +497,7 @@ func (s *Store) Remove(k workload.Key) bool {
 		return false
 	}
 	delete(s.items, k)
+	s.mods++
 	return true
 }
 

@@ -65,12 +65,12 @@ type Network struct {
 	// loc adapts this replica's channel to the workload.Locator the
 	// geo-aware sources consult; built once so the per-event Ctx carries
 	// an interface copy, not a fresh allocation.
-	loc  workload.Locator
-	coll *metrics.Collector
-	meter   *energy.Meter
-	rng     *sim.RNG
-	tracer  trace.Tracer
-	probe   Probe
+	loc    workload.Locator
+	coll   *metrics.Collector
+	meter  *energy.Meter
+	rng    *sim.RNG
+	tracer trace.Tracer
+	probe  Probe
 
 	// router holds GPSR forwarding scratch so steady-state routing
 	// allocates nothing. The simulation core is single-threaded, so one
@@ -85,6 +85,9 @@ type Network struct {
 	// and finished on their origin peer's shard, so in a sharded run
 	// each replica's freelist stays shard-local.
 	reqFree []*pendingReq
+	// inRegion is the scratch the custodian queries collect a region's
+	// occupants into (see forLivePeersIn).
+	inRegion []radio.NodeID
 
 	peers []*Peer
 	// tables is the region-table version history: index 0 is the
@@ -338,6 +341,34 @@ func (n *Network) peerNearestCenter(t *region.Table, id region.ID) *Peer {
 	return n.peerNearestCenterExcluding(t, id, nil)
 }
 
+// forLivePeersIn calls fn, in ascending node order, for every live peer
+// currently inside region r of table t, with the peer's position. A
+// rectangular region is a rectangle query on the radio's spatial index
+// when the channel can answer one; a Voronoi cell, and any region under
+// LinearRadio or beaconing, is found by testing every peer. fn must not
+// start another custodian query.
+func (n *Network) forLivePeersIn(t *region.Table, r region.Region, fn func(p *Peer, pos geo.Point)) {
+	if !t.Voronoi() {
+		if ids, ok := n.ch.AppendInRect(n.inRegion[:0], r.Bounds); ok {
+			n.inRegion = ids
+			for _, id := range ids {
+				if p := n.peers[id]; p.alive {
+					fn(p, n.ch.Position(id))
+				}
+			}
+			return
+		}
+	}
+	for _, p := range n.peers {
+		if !p.alive {
+			continue
+		}
+		if pos := n.ch.Position(p.id); t.Contains(r.ID, pos) {
+			fn(p, pos)
+		}
+	}
+}
+
 // peerNearestCenterExcluding is peerNearestCenter skipping one peer.
 func (n *Network) peerNearestCenterExcluding(t *region.Table, id region.ID, exclude *Peer) *Peer {
 	r, ok := t.Region(id)
@@ -346,19 +377,15 @@ func (n *Network) peerNearestCenterExcluding(t *region.Table, id region.ID, excl
 	}
 	var best *Peer
 	bestD := 0.0
-	for _, p := range n.peers {
-		if !p.alive || p == exclude {
-			continue
-		}
-		pos := n.ch.Position(p.id)
-		if !t.Contains(id, pos) {
-			continue
+	n.forLivePeersIn(t, r, func(p *Peer, pos geo.Point) {
+		if p == exclude {
+			return
 		}
 		d := pos.Dist2(r.Center())
 		if best == nil || d < bestD {
 			best, bestD = p, d
 		}
-	}
+	})
 	return best
 }
 
@@ -375,20 +402,13 @@ func (n *Network) peerLeastLoaded(t *region.Table, id region.ID) *Peer {
 	var best *Peer
 	bestLoad := 0
 	bestD := 0.0
-	for _, p := range n.peers {
-		if !p.alive {
-			continue
-		}
-		pos := n.ch.Position(p.id)
-		if !t.Contains(id, pos) {
-			continue
-		}
+	n.forLivePeersIn(t, r, func(p *Peer, pos geo.Point) {
 		load := p.store.Len()
 		d := pos.Dist2(r.Center())
 		if best == nil || load < bestLoad || (load == bestLoad && d < bestD) {
 			best, bestLoad, bestD = p, load, d
 		}
-	}
+	})
 	return best
 }
 

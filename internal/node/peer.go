@@ -62,6 +62,26 @@ type Peer struct {
 	// nextID feeds newID; per-peer so ID assignment is independent of
 	// cross-peer event interleaving.
 	nextID uint64
+
+	// settled records the state in which a re-homing pass last found
+	// every stored copy where it belongs (see rehomeKeys).
+	settled rehomeMark
+}
+
+// rehomeMark is what a re-homing pass's outcome depends on besides other
+// peers: the peer's region, the partition, and the store's contents.
+// While a peer's mark still matches, a non-evacuating pass would look at
+// the same copies, compute the same proper regions and again find
+// nothing to move — so it is skipped.
+type rehomeMark struct {
+	store    *cache.Store // nil: no clean pass yet, or a copy is waiting for a custodian
+	mods     uint64
+	regionID region.ID
+	version  uint64
+}
+
+func (p *Peer) rehomeMarkNow() rehomeMark {
+	return rehomeMark{store: p.store, mods: p.store.Mods(), regionID: p.regionID, version: p.table().Version()}
 }
 
 // newID hands out a fresh message/flood/request identifier, unique
@@ -264,14 +284,25 @@ func (p *Peer) properRegion(it *cache.StoredItem) (region.Region, bool) {
 // center are least likely to leave soon). Copies with no reachable
 // custodian stay here and are retried at the next mobility check. When
 // evacuate is true (graceful quit), copies belonging to the peer's own
-// region are transferred too.
+// region are transferred too. A pass that moves nothing and leaves
+// nothing waiting records the state it saw (settled); until that state
+// changes, later non-evacuating passes return at once.
 func (p *Peer) rehomeKeys(evacuate bool) {
+	if !evacuate && p.settled == p.rehomeMarkNow() {
+		// Nothing the last clean pass looked at has changed: it would draw
+		// no message ID, emit nothing and send nothing.
+		if p.net.probe != nil {
+			p.net.probe.AfterRehome(p, evacuate)
+		}
+		return
+	}
 	type group struct {
 		target *Peer
 		region region.ID
 		items  []handoffItem
 	}
 	groups := make(map[region.ID]*group)
+	waiting := false // a copy stayed behind for want of a custodian
 	for _, k := range p.store.Keys() {
 		it, _ := p.store.Get(k)
 		proper, ok := p.properRegion(it)
@@ -290,6 +321,7 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 					p.net.stats.LostKeys++
 					p.store.Remove(k)
 				}
+				waiting = true
 				continue
 			}
 			g = &group{target: target, region: proper.ID}
@@ -326,6 +358,10 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 			continue
 		}
 		p.net.forwardWithRetry(p, m)
+	}
+	p.settled = rehomeMark{}
+	if !waiting {
+		p.settled = p.rehomeMarkNow()
 	}
 	if p.net.probe != nil {
 		p.net.probe.AfterRehome(p, evacuate)

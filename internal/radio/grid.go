@@ -33,6 +33,10 @@
 // invalidates the snapshot, so the next query rebuilds — batched beacon
 // refreshes cost one rebuild.
 //
+// The same snapshot answers rectangle queries (AppendInRect: which nodes
+// are inside this region's bounds right now), which is how the node
+// layer finds a region's custodian without testing every peer.
+//
 // Determinism contract: Neighbors returns exactly the nodes the retained
 // linear scan (Config.LinearScan) returns, in the same order (ascending
 // NodeID), and both paths touch mobility state identically — runs are
@@ -282,7 +286,8 @@ func (g *grid) linIdxAt(p geo.Point) int {
 //
 // Matches are marked in a node-indexed scratch bitset and emitted by
 // iterating its set bits, which yields ascending-ID output without a
-// sort, without data-dependent branches, and without allocating.
+// sort and without allocating. Only the span of words that received a
+// mark is swept, so the emit costs what the match set spans, not N/64.
 func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point) []Neighbor {
 	g := ch.grid
 	r := ch.cfg.Range + g.drift
@@ -304,6 +309,7 @@ func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point
 	selfI := int(id)
 
 	mark := ch.markBuf
+	lo, hi := len(mark), -1 // span of mark words touched
 	for cy := cy0; cy <= cy1; cy++ {
 		rowBase := int(cy-g.minCy) * int(g.w)
 		// The row's vertical distance to self is constant; hoist it out
@@ -337,15 +343,15 @@ func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point
 				if self.Dist2(p) > r2 || !alive(NodeID(i)) {
 					continue
 				}
-				mark[i>>6] |= 1 << (uint(i) & 63)
+				w := i >> 6
+				mark[w] |= 1 << (uint(i) & 63)
+				lo, hi = min(lo, w), max(hi, w)
 			}
 		}
 	}
 
-	for w, m := range mark {
-		if m == 0 {
-			continue
-		}
+	for w := lo; w <= hi; w++ {
+		m := mark[w]
 		mark[w] = 0
 		base := w << 6
 		for ; m != 0; m &= m - 1 {
@@ -358,6 +364,60 @@ func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point
 		}
 	}
 	return buf
+}
+
+// AppendInRect appends to buf, in ascending NodeID order, every node —
+// live or not — whose current position lies inside the closed rectangle
+// r. It reports false, appending nothing, when the channel keeps no index
+// of true positions to answer from: under Config.LinearScan there is no
+// grid, and with beaconing the grid files nodes under their last beacon.
+// The caller then scans all nodes itself.
+//
+// Candidates come from the cells intersecting r grown by the snapshot's
+// drift bound (a node inside r now was within drift of it at the
+// snapshot); membership is decided on current epoch-cached positions, so
+// the result is exactly what testing every node would give.
+func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
+	if ch.grid == nil || ch.beaconAt != nil {
+		return buf, false
+	}
+	ch.ensureGrid()
+	g := ch.grid
+	// Clamp to the occupied box in float: r comes from a region table and
+	// may lie far outside anything an int32 cell coordinate can hold.
+	cx0 := math.Max(math.Floor((r.Min.X-g.drift)*g.invCell), float64(g.minCx))
+	cx1 := math.Min(math.Floor((r.Max.X+g.drift)*g.invCell), float64(g.minCx+g.w-1))
+	cy0 := math.Max(math.Floor((r.Min.Y-g.drift)*g.invCell), float64(g.minCy))
+	cy1 := math.Min(math.Floor((r.Max.Y+g.drift)*g.invCell), float64(g.minCy+g.h-1))
+	if !(cx0 <= cx1 && cy0 <= cy1) {
+		return buf, true
+	}
+
+	mark := ch.markBuf
+	lo, hi := len(mark), -1
+	for cy := int32(cy0); cy <= int32(cy1); cy++ {
+		rowBase := int(cy-g.minCy) * int(g.w)
+		first := g.cellStart[rowBase+int(int32(cx0)-g.minCx)]
+		last := g.cellStart[rowBase+int(int32(cx1)-g.minCx)+1]
+		// A row's cells are adjacent in CSR order: one run of occupants.
+		for _, j := range g.nodes[first:last] {
+			i := int(j)
+			if !r.Contains(ch.position(i)) {
+				continue
+			}
+			w := i >> 6
+			mark[w] |= 1 << (uint(i) & 63)
+			lo, hi = min(lo, w), max(hi, w)
+		}
+	}
+	for w := lo; w <= hi; w++ {
+		m := mark[w]
+		mark[w] = 0
+		for base := w << 6; m != 0; m &= m - 1 {
+			buf = append(buf, NodeID(base+bits.TrailingZeros64(m)))
+		}
+	}
+	return buf, true
 }
 
 func clamp(v, lo, hi float64) float64 {

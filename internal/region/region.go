@@ -12,6 +12,7 @@ package region
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"precinct/internal/geo"
@@ -56,6 +57,84 @@ type Table struct {
 	nextID  ID
 	version uint64
 	voronoi bool
+
+	// grid is the lookup index: set exactly while the regions are the
+	// untouched output of NewGrid over the current area, zero otherwise.
+	// Every constructor and mutator ends in reindex, never a reader — one
+	// table is shared read-only by every peer and every shard.
+	grid gridIndex
+}
+
+// gridIndex is the geometry of a uniform rows×cols grid: enough to name
+// the cell a point falls in by arithmetic, and with it the handful of
+// regions Locate and the nearest-center hash have to examine. cols is 0
+// when the table has no index and lookups scan.
+type gridIndex struct {
+	rows, cols int
+	cw, ch     float64 // cell width and height, as NewGrid derives them
+}
+
+// gridBounds is the rectangle NewGrid gives the cell in row r, column c.
+func gridBounds(area geo.Rect, cw, ch float64, r, c int) geo.Rect {
+	lo := geo.Pt(area.Min.X+float64(c)*cw, area.Min.Y+float64(r)*ch)
+	hi := geo.Pt(area.Min.X+float64(c+1)*cw, area.Min.Y+float64(r+1)*ch)
+	return geo.NewRect(lo, hi)
+}
+
+// reindex rebuilds or drops the grid index to match the regions. The
+// index is kept only when the table is observably a NewGrid partition:
+// region i has ID i and, bit for bit, the bounds NewGrid computes for
+// row i/cols, column i%cols of the current area. The remaining checks
+// bound the float error the 3×3 lookup tolerates: cells within a
+// millionth of their nominal size (so the arithmetic cell is off by at
+// most one and neighbouring centers are evenly spaced) and spans whose
+// squares neither overflow nor vanish. Anything else — Voronoi, a table
+// after Add/Delete/Merge/Separate — has no index and scans.
+func (t *Table) reindex() {
+	t.grid = gridIndex{}
+	n := len(t.regions)
+	if t.voronoi || n == 0 {
+		return
+	}
+	cols := 1
+	for cols < n && t.regions[cols].Bounds.Min.Y == t.regions[0].Bounds.Min.Y {
+		cols++
+	}
+	if n%cols != 0 {
+		return
+	}
+	rows := n / cols
+	w, h := t.area.Width(), t.area.Height()
+	cw, ch := w/float64(cols), h/float64(rows)
+	const tiny, huge = 1e-100, 1e100
+	if !(cw >= tiny && ch >= tiny && w <= huge && h <= huge) {
+		return
+	}
+	for i, r := range t.regions {
+		b := gridBounds(t.area, cw, ch, i/cols, i%cols)
+		if r.ID != ID(i) || r.Bounds != b ||
+			!(math.Abs(b.Width()-cw) <= 1e-6*cw && math.Abs(b.Height()-ch) <= 1e-6*ch) {
+			return
+		}
+	}
+	t.grid = gridIndex{rows: rows, cols: cols, cw: cw, ch: ch}
+}
+
+// block returns the regions a lookup at p has to examine, as rows
+// r0..r1 of t.regions[r*stride+c0 : r*stride+c1+1], in ascending ID. On
+// an indexed table, for a point inside the area, that is the (at most)
+// 3×3 block of cells centred on p's arithmetic cell: it holds every
+// region whose closed bounds contain p, and the nearest and
+// second-nearest region centers to p. Otherwise it is the whole table
+// as a single row.
+func (t *Table) block(p geo.Point) (r0, r1, c0, c1, stride int) {
+	g := &t.grid
+	if g.cols == 0 || !t.area.Contains(p) {
+		return 0, 0, 0, len(t.regions) - 1, 0
+	}
+	c := min(int((p.X-t.area.Min.X)/g.cw), g.cols-1)
+	r := min(int((p.Y-t.area.Min.Y)/g.ch), g.rows-1)
+	return max(r-1, 0), min(r+1, g.rows-1), max(c-1, 0), min(c+1, g.cols-1), g.cols
 }
 
 // NewGrid partitions the area into rows×cols equal regions — the paper's
@@ -70,15 +149,14 @@ func NewGrid(area geo.Rect, rows, cols int) (*Table, error) {
 	}
 	t := &Table{area: area}
 	cw := area.Width() / float64(cols)
-	chh := area.Height() / float64(rows)
+	ch := area.Height() / float64(rows)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			min := geo.Pt(area.Min.X+float64(c)*cw, area.Min.Y+float64(r)*chh)
-			max := geo.Pt(area.Min.X+float64(c+1)*cw, area.Min.Y+float64(r+1)*chh)
-			t.regions = append(t.regions, Region{ID: t.nextID, Bounds: geo.NewRect(min, max)})
+			t.regions = append(t.regions, Region{ID: t.nextID, Bounds: gridBounds(area, cw, ch, r, c)})
 			t.nextID++
 		}
 	}
+	t.reindex()
 	return t, nil
 }
 
@@ -123,11 +201,11 @@ func (t *Table) Contains(id ID, p geo.Point) bool {
 	return ok && r.Bounds.Contains(p)
 }
 
-// NewGridN partitions the area into approximately n equal regions using
-// the squarest rows×cols factorization with rows*cols >= n... it actually
-// uses the smallest square grid holding n and trims nothing, yielding
-// ceil(sqrt(n))² regions when n is not a perfect square. Scenario code
-// that sweeps "number of regions" (Figure 9b) passes perfect squares.
+// NewGridN partitions the area into exactly n equal regions whenever n
+// factors: a √n×√n grid for a perfect square, otherwise rows×(n/rows)
+// with rows the largest divisor of n not above ⌈√n⌉ — which is 1 for a
+// prime, giving a single row of n strips. Scenario code that sweeps
+// "number of regions" (Figure 9b) passes perfect squares.
 func NewGridN(area geo.Rect, n int) (*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("region: need at least one region, got %d", n)
@@ -173,6 +251,11 @@ func (t *Table) Region(id ID) (Region, bool) {
 }
 
 func (t *Table) indexOf(id ID) int {
+	// IDs are dense until the first Delete/Merge/Separate: probe the slot
+	// the ID names before searching.
+	if i := int(id); i >= 0 && i < len(t.regions) && t.regions[i].ID == id {
+		return i
+	}
 	i := sort.Search(len(t.regions), func(i int) bool { return t.regions[i].ID >= id })
 	if i < len(t.regions) && t.regions[i].ID == id {
 		return i
@@ -181,10 +264,14 @@ func (t *Table) indexOf(id ID) int {
 }
 
 // Locate returns the region containing the point. Grid partitions use
-// bounds (lowest ID wins on transient overlap after Add; points outside
-// every region fall back to the nearest center so that nodes that wander
-// off the partition still have a home); Voronoi partitions are
-// nearest-center by definition.
+// bounds, and the boundary rule is fixed: rectangles are closed, so a
+// point on a shared edge or corner lies in every region touching it, and
+// the lowest ID among them wins (the same rule settles transient overlap
+// after Add). Points outside every region fall back to the nearest
+// center so that nodes that wander off the partition still have a home;
+// Voronoi partitions are nearest-center by definition. On an indexed
+// table only the 3×3 block of cells around the point is examined, in the
+// same ascending-ID order with the same containment test.
 func (t *Table) Locate(p geo.Point) (Region, bool) {
 	if len(t.regions) == 0 {
 		return Region{}, false
@@ -192,9 +279,12 @@ func (t *Table) Locate(p geo.Point) (Region, bool) {
 	if t.voronoi {
 		return t.nearestCenter(p, Invalid), true
 	}
-	for _, r := range t.regions {
-		if r.Bounds.Contains(p) {
-			return r, true
+	r0, r1, c0, c1, stride := t.block(p)
+	for r := r0; r <= r1; r++ {
+		for _, reg := range t.regions[r*stride+c0 : r*stride+c1+1] {
+			if reg.Bounds.Contains(p) {
+				return reg, true
+			}
 		}
 	}
 	return t.nearestCenter(p, Invalid), true
@@ -202,17 +292,22 @@ func (t *Table) Locate(p geo.Point) (Region, bool) {
 
 // nearestCenter returns the region whose center is closest to p,
 // excluding the given ID (pass Invalid to exclude none). Ties break to
-// the lower ID.
+// the lower ID. On an indexed table, for a point inside the area, the
+// candidates are the 3×3 block of cells around the point, visited in
+// ascending ID like the full scan.
 func (t *Table) nearestCenter(p geo.Point, exclude ID) Region {
 	best := Region{ID: Invalid}
 	bestD := 0.0
-	for _, r := range t.regions {
-		if r.ID == exclude {
-			continue
-		}
-		d := r.Center().Dist2(p)
-		if best.ID == Invalid || d < bestD {
-			best, bestD = r, d
+	r0, r1, c0, c1, stride := t.block(p)
+	for r := r0; r <= r1; r++ {
+		for _, reg := range t.regions[r*stride+c0 : r*stride+c1+1] {
+			if reg.ID == exclude {
+				continue
+			}
+			d := reg.Center().Dist2(p)
+			if best.ID == Invalid || d < bestD {
+				best, bestD = reg, d
+			}
 		}
 	}
 	return best
@@ -284,6 +379,12 @@ func (t *Table) ReplicaRegionAt(k workload.Key, rank int) (Region, bool) {
 // region whose center is closest to p among those not listed. Ties break
 // to the lower ID. The caller guarantees at least one region remains.
 func (t *Table) nearestCenterExcluding(p geo.Point, exclude []ID) Region {
+	switch len(exclude) {
+	case 0:
+		return t.nearestCenter(p, Invalid)
+	case 1:
+		return t.nearestCenter(p, exclude[0])
+	}
 	best := Region{ID: Invalid}
 	bestD := 0.0
 	for _, r := range t.regions {
@@ -319,6 +420,7 @@ func (t *Table) Add(bounds geo.Rect) (Region, error) {
 	t.regions = append(t.regions, r) // nextID is monotone, so order by ID is kept
 	t.area = t.area.Union(bounds)
 	t.version++
+	t.reindex()
 	return r, nil
 }
 
@@ -333,6 +435,7 @@ func (t *Table) Delete(id ID) error {
 	}
 	t.regions = append(t.regions[:i], t.regions[i+1:]...)
 	t.version++
+	t.reindex()
 	return nil
 }
 
@@ -367,6 +470,7 @@ func (t *Table) Merge(a, b ID) (Region, error) {
 	t.regions = append(t.regions[:ib], t.regions[ib+1:]...)
 	t.regions = append(t.regions, merged)
 	t.version++
+	t.reindex()
 	return merged, nil
 }
 
@@ -397,12 +501,13 @@ func (t *Table) Separate(id ID) (Region, Region, error) {
 	t.regions = append(t.regions[:i], t.regions[i+1:]...)
 	t.regions = append(t.regions, r1, r2)
 	t.version++
+	t.reindex()
 	return r1, r2, nil
 }
 
 // Clone returns an independent copy of the table.
 func (t *Table) Clone() *Table {
-	cp := &Table{area: t.area, nextID: t.nextID, version: t.version, voronoi: t.voronoi}
+	cp := &Table{area: t.area, nextID: t.nextID, version: t.version, voronoi: t.voronoi, grid: t.grid}
 	cp.regions = make([]Region, len(t.regions))
 	copy(cp.regions, t.regions)
 	return cp

@@ -49,5 +49,6 @@ func FromState(st TableState) (*Table, error) {
 	if err := t.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("region: snapshot table invalid: %w", err)
 	}
+	t.reindex()
 	return t, nil
 }

@@ -1,0 +1,198 @@
+package sim
+
+// The pending-event queue: a 4-ary min-heap of inline keys over a slab of
+// event boxes (DESIGN.md section 12a).
+//
+// A heap entry carries the whole canonical key (time, creator, cseq) next
+// to the slot of its box, so ordering never leaves the heap array: a
+// sift compares 24-byte values that sit side by side, where the previous
+// container/heap queue chased one pointer per operand through an
+// interface call. Four children per node halve the depth of a binary
+// heap (8 levels at 35 000 pending events instead of 16) and a node's
+// children share two cache lines, so a pop touches about half the memory
+// for the same number of comparisons. Canonical keys are unique, so the
+// pop order is the sorted order of the keys whatever the heap's shape —
+// replacing the heap cannot reorder a run.
+//
+// Everything the comparator does not read lives in a box: the callback,
+// its Proc tag, the insertion sequence number. Boxes sit in fixed-size
+// chunks addressed by slot and never move; the per-slot bookkeeping that
+// sifts write (heap position) and Cancel probes (generation) is a
+// separate flat array, eight bytes a slot, which stays cache-resident
+// when the boxes do not.
+
+// entry is one pending event as the heap orders it.
+type entry struct {
+	time    float64
+	cseq    uint64
+	creator int32
+	slot    int32
+}
+
+// before reports whether a precedes b in canonical (time, creator, cseq)
+// order — the same order as EventKey.Less.
+func (a *entry) before(b *entry) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.creator != b.creator {
+		return a.creator < b.creator
+	}
+	return a.cseq < b.cseq
+}
+
+func (a *entry) key() EventKey {
+	return EventKey{Time: a.time, Creator: a.creator, Cseq: a.cseq}
+}
+
+// box is the part of a pending event that ordering never reads. Exactly
+// one of fn and fnCtx is set: fn is the closure form, fnCtx+ctx the
+// allocation-free form used by hot paths (see AtCtx). proc.Kind is empty
+// for untagged (transient) events.
+type box struct {
+	fn     func()
+	fnCtx  func(any)
+	ctx    any
+	proc   Proc
+	seq    uint64 // insertion order (for snapshots; not an ordering key)
+	execAs int32  // execution context the callback runs under
+}
+
+// slotMeta is the per-slot bookkeeping: where the slot's entry sits in
+// its heap (-1 while the slot is not pending) and how many times the
+// slot has been released. A Handle names (slot, gen), so a handle kept
+// past its event's firing or cancellation stops matching the moment the
+// slot is released, whoever occupies it next.
+type slotMeta struct {
+	pos int32
+	gen uint32
+}
+
+const (
+	chunkShift = 10
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
+func makeHandle(slot int32, gen uint32) Handle {
+	return Handle(uint64(gen)<<32 | uint64(uint32(slot)+1))
+}
+
+// slotOf decodes a handle's slot; the zero Handle yields -1.
+func (h Handle) slotOf() int32 { return int32(uint32(h)) - 1 }
+
+func (h Handle) genOf() uint32 { return uint32(h >> 32) }
+
+// box returns the slot's event box.
+func (s *Scheduler) box(slot int32) *box {
+	return &s.chunks[slot>>chunkShift][slot&chunkMask]
+}
+
+// takeSlot hands out a free slot: the most recently released one, or a
+// never-used one at the end of the slab.
+func (s *Scheduler) takeSlot() int32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		return slot
+	}
+	slot := int32(len(s.meta))
+	s.meta = append(s.meta, slotMeta{pos: -1})
+	if int(slot>>chunkShift) == len(s.chunks) {
+		s.chunks = append(s.chunks, new([chunkSize]box))
+	}
+	return slot
+}
+
+// releaseSlot retires a popped or cancelled event's box. The box is
+// cleared so the slab never pins a payload or leaks a Proc tag into the
+// next occupant, and the generation is bumped so every handle to the
+// previous incarnation is dead for good. With recycling off the slot is
+// never handed out again; a chunk whose slots have all been retired is
+// dropped, so the reference path's memory stays bounded by what is
+// pending (plus eight bytes of slotMeta per event ever scheduled).
+func (s *Scheduler) releaseSlot(slot int32) {
+	*s.box(slot) = box{}
+	s.meta[slot].gen++
+	if !s.noRecycle {
+		s.free = append(s.free, slot)
+		return
+	}
+	c := int(slot >> chunkShift)
+	for len(s.retired) <= c {
+		s.retired = append(s.retired, 0)
+	}
+	s.retired[c]++
+	if s.retired[c] == chunkSize {
+		s.chunks[c] = nil
+	}
+}
+
+// heapPush inserts e into the heap *q.
+func (s *Scheduler) heapPush(q *[]entry, e entry) {
+	*q = append(*q, e)
+	s.siftUp(*q, len(*q)-1, e)
+}
+
+// heapRemove deletes the entry at index i of the heap *q and marks its
+// slot as no longer pending.
+func (s *Scheduler) heapRemove(q *[]entry, i int) {
+	h := *q
+	s.meta[h[i].slot].pos = -1
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	*q = h
+	if i == n {
+		return
+	}
+	// The displaced last entry belongs at or below i when i is the root
+	// (every pop), and may belong above it after a mid-heap cancel.
+	if i > 0 && last.before(&h[(i-1)>>2]) {
+		s.siftUp(h, i, last)
+		return
+	}
+	s.siftDown(h, i, last)
+}
+
+// siftUp places e, starting from the hole at index i, by moving smaller
+// ancestors' holes up. The parent of node i is (i-1)/4.
+func (s *Scheduler) siftUp(h []entry, i int, e entry) {
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.meta[h[i].slot].pos = int32(i)
+		i = p
+	}
+	h[i] = e
+	s.meta[e.slot].pos = int32(i)
+}
+
+// siftDown places e, starting from the hole at index i, by pulling the
+// least of each node's (up to four) children up while it precedes e.
+func (s *Scheduler) siftDown(h []entry, i int, e entry) {
+	n := len(h)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if h[k].before(&h[m]) {
+				m = k
+			}
+		}
+		if !h[m].before(&e) {
+			break
+		}
+		h[i] = h[m]
+		s.meta[h[i].slot].pos = int32(i)
+		i = m
+	}
+	h[i] = e
+	s.meta[e.slot].pos = int32(i)
+}

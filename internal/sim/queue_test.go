@@ -1,0 +1,460 @@
+package sim
+
+import (
+	"container/heap"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// refEvent and refQueue are the oracle the slab-backed 4-ary heap is
+// replayed against: the container/heap queue over boxed events that the
+// scheduler used before, reduced to what ordering needs. It lives in test
+// code only; the production package does not import container/heap.
+type refEvent struct {
+	key    EventKey
+	id     int // the test's name for the event
+	seq    uint64
+	execAs int32
+	proc   Proc
+	index  int
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].key.Less(q[j].key) }
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *refQueue) Push(x any) {
+	ev := x.(*refEvent)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
+}
+
+// refSched mirrors the Scheduler's observable contract: per-creator cseq
+// counters, an insertion sequence, two queues under split mode, a pending
+// set keyed by event id.
+type refSched struct {
+	q       [2]refQueue // 0 local, 1 global (split mode only)
+	split   bool
+	pending map[int]*refEvent
+	cseq    map[int32]uint64
+	seq     uint64
+	now     float64
+}
+
+func newRefSched(split bool) *refSched {
+	return &refSched{split: split, pending: map[int]*refEvent{}, cseq: map[int32]uint64{}}
+}
+
+func (r *refSched) reserve(cur int32) (int32, uint64) {
+	v := r.cseq[cur]
+	r.cseq[cur]++
+	return cur, v
+}
+
+func (r *refSched) queueOf(execAs int32) *refQueue {
+	if r.split && execAs < 0 {
+		return &r.q[1]
+	}
+	return &r.q[0]
+}
+
+func (r *refSched) insert(id int, t float64, creator int32, cseq uint64, execAs int32, proc Proc) {
+	ev := &refEvent{key: EventKey{t, creator, cseq}, id: id, seq: r.seq, execAs: execAs, proc: proc}
+	r.seq++
+	heap.Push(r.queueOf(execAs), ev)
+	r.pending[id] = ev
+}
+
+func (r *refSched) cancel(id int) bool {
+	ev, ok := r.pending[id]
+	if !ok {
+		return false
+	}
+	delete(r.pending, id)
+	heap.Remove(r.queueOf(ev.execAs), ev.index)
+	return true
+}
+
+// min returns the queue index holding the canonically least event, or -1.
+func (r *refSched) min() int {
+	best := -1
+	for i := range r.q {
+		if len(r.q[i]) > 0 && (best < 0 || r.q[i][0].key.Less(r.q[best][0].key)) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refSched) pop(qi int) *refEvent {
+	ev := heap.Pop(&r.q[qi]).(*refEvent)
+	delete(r.pending, ev.id)
+	r.now = ev.key.Time
+	return ev
+}
+
+func (r *refSched) procs() []ProcEvent {
+	out := []ProcEvent{}
+	for _, ev := range r.pending {
+		if ev.proc.Kind != "" {
+			out = append(out, ProcEvent{Proc: ev.proc, Time: ev.key.Time, Seq: ev.seq, Creator: int(ev.key.Creator)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// spawn is a scheduling request made from inside the callback of the
+// event named parent.
+type spawn struct {
+	parent, id int
+	dt         float64
+	execAs     int32
+}
+
+// diffHarness drives a Scheduler and the reference in lockstep.
+type diffHarness struct {
+	t       *testing.T
+	s       *Scheduler
+	ref     *refSched
+	rng     *rand.Rand
+	handles []Handle // by event id
+	nextID  int
+	fired   []int   // ids the Scheduler fired, in order
+	spawns  []spawn // made by callbacks, not yet replayed onto the reference
+}
+
+func (h *diffHarness) newID() int {
+	id := h.nextID
+	h.nextID++
+	h.handles = append(h.handles, 0)
+	return id
+}
+
+// callback is what every scheduled event runs: log the firing and, for
+// every third event, schedule a child from inside the callback — the
+// path on which a new event takes over the slot its parent just vacated.
+func (h *diffHarness) callback(id int) {
+	h.fired = append(h.fired, id)
+	if id%3 != 0 {
+		return
+	}
+	sp := spawn{parent: id, id: h.newID(), dt: []float64{0, 0.25, 1}[id%9/3], execAs: int32(id%5) - 1}
+	if h.ref.split && sp.execAs < 0 {
+		// A shard worker's window never creates global work due inside the
+		// window (the lookahead guarantees it); keep children local.
+		sp.execAs = 0
+	}
+	h.spawns = append(h.spawns, sp)
+	cid := sp.id
+	h.handles[cid] = h.s.AfterCtxAs(sp.dt, func(any) { h.callback(cid) }, nil, int(sp.execAs))
+}
+
+// schedule issues one scheduling call, picked at random among the forms
+// the simulator uses, to both sides.
+func (h *diffHarness) schedule() {
+	id := h.newID()
+	cur := int32(h.rng.Intn(6)) - 1
+	execAs := int32(h.rng.Intn(5)) - 1
+	// A small set of delays, so equal-time ties across creators are the
+	// rule rather than the exception.
+	t := h.s.Now() + []float64{0, 0.5, 0.5, 1, 1, 2, h.rng.Float64() * 3}[h.rng.Intn(7)]
+	h.s.SetCur(int(cur))
+	fn := func() { h.callback(id) }
+	var proc Proc
+	switch h.rng.Intn(4) {
+	case 0:
+		execAs = cur // At inherits the scheduling context
+		h.handles[id] = h.s.At(t, fn)
+		c, k := h.ref.reserve(cur)
+		h.ref.insert(id, t, c, k, execAs, proc)
+	case 1:
+		h.handles[id] = h.s.AtCtxAs(t, func(any) { h.callback(id) }, nil, int(execAs))
+		c, k := h.ref.reserve(cur)
+		h.ref.insert(id, t, c, k, execAs, proc)
+	case 2:
+		proc = Proc{Kind: "tick", Owner: id}
+		h.handles[id] = h.s.AtProcAs(proc, t, fn, int(execAs))
+		c, k := h.ref.reserve(cur)
+		h.ref.insert(id, t, c, k, execAs, proc)
+	case 3:
+		// A cross-shard delivery: the key is reserved first, other events
+		// may be scheduled in between, and the event is injected later.
+		c, k := h.s.ReserveKey()
+		rc, rk := h.ref.reserve(cur)
+		if c != rc || k != rk {
+			h.t.Fatalf("ReserveKey = (%d,%d), reference (%d,%d)", c, k, rc, rk)
+		}
+		h.handles[id] = h.s.InjectAtCtx(t, func(any) { h.callback(id) }, nil, int(execAs), c, k)
+		h.ref.insert(id, t, c, k, execAs, proc)
+	}
+	h.s.SetCur(-1)
+}
+
+// cancel cancels a random event ever issued — pending, fired, cancelled,
+// or one whose slot has long since been handed to another event.
+func (h *diffHarness) cancel() {
+	if h.nextID == 0 {
+		return
+	}
+	id := h.rng.Intn(h.nextID)
+	got, want := h.s.Cancel(h.handles[id]), h.ref.cancel(id)
+	if got != want {
+		h.t.Fatalf("Cancel(event %d) = %v, reference %v", id, got, want)
+	}
+}
+
+// replay pops from the reference one event for every firing the
+// Scheduler logged from position `from` on — from the local queue for a
+// shard-worker drain, else from whichever queue holds the canonical
+// minimum — and checks identity, due time and clock; each popped event's
+// spawns are then scheduled on the reference under its execAs, the
+// context its callback ran in.
+func (h *diffHarness) replay(from int, local bool, horizon float64) {
+	for _, id := range h.fired[from:] {
+		qi := 0
+		if !local {
+			qi = h.ref.min()
+		}
+		if qi < 0 || len(h.ref.q[qi]) == 0 {
+			h.t.Fatalf("fired event %d, the reference has nothing to fire", id)
+		}
+		ev := h.ref.pop(qi)
+		if ev.id != id {
+			h.t.Fatalf("fired event %d, reference order says %d (key %+v)", id, ev.id, ev.key)
+		}
+		if ev.key.Time >= horizon {
+			h.t.Fatalf("fired event %d due at %v, at or past the horizon %v", id, ev.key.Time, horizon)
+		}
+		for len(h.spawns) > 0 && h.spawns[0].parent == id {
+			sp := h.spawns[0]
+			h.spawns = h.spawns[1:]
+			c, k := h.ref.reserve(ev.execAs)
+			h.ref.insert(sp.id, h.ref.now+sp.dt, c, k, sp.execAs, Proc{})
+		}
+	}
+	if len(h.spawns) != 0 {
+		h.t.Fatalf("%d spawns belong to no fired event", len(h.spawns))
+	}
+	if len(h.fired) > from && h.s.Now() != h.ref.now {
+		h.t.Fatalf("clock %v after firing, reference %v", h.s.Now(), h.ref.now)
+	}
+}
+
+func (h *diffHarness) step() {
+	n := len(h.fired)
+	if fired, want := h.s.Step(math.Inf(1)), h.ref.min() >= 0; fired != want {
+		h.t.Fatalf("Step = %v, reference has an event to fire: %v", fired, want)
+	}
+	h.replay(n, false, math.Inf(1))
+}
+
+// runBefore drains the local queue below a horizon the way a shard
+// worker does.
+func (h *diffHarness) runBefore(horizon float64) {
+	n := len(h.fired)
+	if got := h.s.RunBefore(horizon); int(got) != len(h.fired)-n {
+		h.t.Fatalf("RunBefore returned %d, %d callbacks ran", got, len(h.fired)-n)
+	}
+	h.replay(n, true, horizon)
+	if q := h.ref.q[0]; len(q) > 0 && q[0].key.Time < horizon {
+		h.t.Fatalf("RunBefore(%v) left a local event due at %v", horizon, q[0].key.Time)
+	}
+}
+
+func (h *diffHarness) check() {
+	if err := h.s.CheckConsistency(); err != nil {
+		h.t.Fatal(err)
+	}
+	if h.s.Len() != len(h.ref.pending) {
+		h.t.Fatalf("Len = %d, reference %d", h.s.Len(), len(h.ref.pending))
+	}
+	got, want := h.s.PendingProcs(), h.ref.procs()
+	if !reflect.DeepEqual(got, want) {
+		h.t.Fatalf("PendingProcs = %+v\nreference      %+v", got, want)
+	}
+	if q := h.s.Quiescent(); q != (len(want) == len(h.ref.pending)) {
+		h.t.Fatalf("Quiescent = %v with %d tagged of %d pending", q, len(want), len(h.ref.pending))
+	}
+	key, ok := h.s.PeekKey()
+	qi := h.ref.min()
+	if ok != (qi >= 0) || (ok && key != h.ref.q[qi][0].key) {
+		h.t.Fatalf("PeekKey = %+v,%v; reference queue %d", key, ok, qi)
+	}
+	if h.ref.split {
+		lt, lok := h.s.PeekLocal()
+		gt, gok := h.s.PeekGlobal()
+		if lok != (len(h.ref.q[0]) > 0) || (lok && lt != h.ref.q[0][0].key.Time) ||
+			gok != (len(h.ref.q[1]) > 0) || (gok && gt != h.ref.q[1][0].key.Time) {
+			h.t.Fatalf("PeekLocal/PeekGlobal = %v,%v / %v,%v disagree with the reference", lt, lok, gt, gok)
+		}
+	}
+}
+
+// TestQueueMatchesContainerHeap replays fuzzed schedule / cancel / step
+// streams against the container/heap reference: every firing, every
+// Cancel verdict, the clock, Len, Quiescent, PendingProcs and the peeks
+// must agree, with the two-queue split on and off and with slot
+// recycling on and off.
+func TestQueueMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		for _, split := range []bool{false, true} {
+			for _, noRecycle := range []bool{false, true} {
+				s := NewScheduler()
+				if split {
+					s.SplitGlobal()
+				}
+				if noRecycle {
+					s.DisableRecycling()
+				}
+				h := &diffHarness{t: t, s: s, ref: newRefSched(split), rng: rand.New(rand.NewSource(seed))}
+				ops := 1500
+				if noRecycle {
+					ops = 4000 // past one chunk of retired slots
+				}
+				for op := 0; op < ops; op++ {
+					switch r := h.rng.Intn(10); {
+					case r < 4:
+						h.schedule()
+					case r < 6:
+						h.cancel()
+					case r < 9:
+						h.step()
+					default:
+						if split {
+							// As the barrier protocol guarantees, the window
+							// ends no later than the next global event.
+							horizon := h.s.Now() + 0.5
+							if g, ok := h.s.PeekGlobal(); ok {
+								horizon = math.Min(horizon, g)
+							}
+							h.runBefore(horizon)
+						} else {
+							h.step()
+						}
+					}
+					if op%16 == 0 {
+						h.check()
+					}
+				}
+				for h.s.Len() > 0 {
+					h.step()
+				}
+				h.check()
+				if len(h.ref.pending) != 0 {
+					t.Fatalf("seed %d: scheduler drained, reference still holds %d events", seed, len(h.ref.pending))
+				}
+			}
+		}
+	}
+}
+
+// TestCancelZeroAndStaleHandles pins the two handle edge cases the slab
+// introduces: the zero Handle names no slot, and a handle whose slot has
+// been handed to a later event must not cancel that event.
+func TestCancelZeroAndStaleHandles(t *testing.T) {
+	s := NewScheduler()
+	if s.Cancel(0) {
+		t.Fatal("Cancel of the zero Handle returned true on an empty scheduler")
+	}
+	first := s.At(1, func() {})
+	if first == 0 {
+		t.Fatal("a scheduled event received the zero Handle")
+	}
+	if s.Cancel(0) {
+		t.Fatal("Cancel of the zero Handle returned true with an event pending")
+	}
+	s.Run(1)
+
+	// The freelist is LIFO, so the next event takes the slot `first` had.
+	ran := false
+	second := s.At(2, func() { ran = true })
+	if second.slotOf() != first.slotOf() {
+		t.Fatalf("slot %d was not reused (got %d); the stale-handle case is not being exercised",
+			first.slotOf(), second.slotOf())
+	}
+	if second == first {
+		t.Fatal("a reused slot issued the same Handle twice")
+	}
+	if s.Cancel(first) {
+		t.Fatal("a fired event's stale Handle cancelled the slot's next occupant")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d after a refused Cancel, want 1", s.Len())
+	}
+
+	// Same through the cancel path: cancel, reuse, cancel the old handle.
+	if !s.Cancel(second) {
+		t.Fatal("Cancel of a pending event returned false")
+	}
+	third := s.At(3, func() { ran = true })
+	if s.Cancel(second) {
+		t.Fatal("a cancelled event's stale Handle cancelled the slot's next occupant")
+	}
+	s.RunAll()
+	if !ran {
+		t.Fatal("the live event did not run")
+	}
+	if s.Cancel(third) {
+		t.Fatal("Cancel after firing returned true")
+	}
+	// A handle naming a slot the slab never had.
+	if s.Cancel(makeHandle(1<<20, 0)) {
+		t.Fatal("Cancel of an out-of-range slot returned true")
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckConsistencyCatchesCorruption breaks the bookkeeping in each of
+// the ways the checker names and expects it to notice.
+func TestCheckConsistencyCatchesCorruption(t *testing.T) {
+	build := func() *Scheduler {
+		s := NewScheduler()
+		for i := 0; i < 40; i++ {
+			s.At(float64(40-i), func() {})
+		}
+		s.AtProc(Proc{Kind: "tick", Owner: 1}, 5, func() {})
+		h := s.At(100, func() {})
+		s.Cancel(h) // one slot on the freelist
+		return s
+	}
+	if err := build().CheckConsistency(); err != nil {
+		t.Fatalf("intact scheduler: %v", err)
+	}
+	cases := map[string]func(s *Scheduler){
+		"heap order": func(s *Scheduler) {
+			s.queue[0], s.queue[7] = s.queue[7], s.queue[0]
+			s.meta[s.queue[0].slot].pos = 0
+			s.meta[s.queue[7].slot].pos = 7
+		},
+		"stale position":   func(s *Scheduler) { s.meta[s.queue[3].slot].pos = 9 },
+		"tagged count":     func(s *Scheduler) { s.tagged++ },
+		"pending on free":  func(s *Scheduler) { s.free = append(s.free, s.queue[2].slot) },
+		"dirty free box":   func(s *Scheduler) { s.box(s.free[0]).proc = Proc{Kind: "leak"} },
+		"lost slot":        func(s *Scheduler) { s.free = s.free[:0] },
+		"before the clock": func(s *Scheduler) { s.now = 50 },
+		"empty box":        func(s *Scheduler) { s.box(s.queue[1].slot).fn = nil },
+	}
+	for name, corrupt := range cases {
+		s := build()
+		corrupt(s)
+		if s.CheckConsistency() == nil {
+			t.Errorf("%s: corruption not detected", name)
+		}
+	}
+}

@@ -19,14 +19,16 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
 )
 
 // Handle identifies a scheduled event so it can be cancelled before it
-// fires. The zero Handle is invalid.
+// fires: the event's slot in the scheduler's slab plus the slot's
+// generation when the event was scheduled, so a handle kept after its
+// event fired or was cancelled matches nothing, even once the slot holds
+// a later event. The zero Handle is invalid.
 type Handle uint64
 
 // Proc names a re-armable recurring process. Events carry closures,
@@ -66,28 +68,6 @@ type SchedulerState struct {
 	Procs     []ProcEvent
 }
 
-// event is a pending callback on the event queue. Exactly one of fn and
-// fnCtx is set: fn is the closure form, fnCtx+ctx the allocation-free
-// form used by hot paths (see AtCtx). Popped and cancelled events are
-// recycled through the scheduler's freelist; gen counts reuses so a
-// stale *event pointer from a previous incarnation is detectable — the
-// pending map (keyed by the never-reused Handle) stays the authoritative
-// cancellation guard, and gen is the belt-and-suspenders check that a
-// recycled box can never masquerade as a live one.
-type event struct {
-	time    float64
-	seq     uint64 // insertion order (for snapshots; not an ordering key)
-	creator int32  // execution context that scheduled this event
-	cseq    uint64 // per-creator sequence; (time, creator, cseq) is total
-	execAs  int32  // execution context the callback runs under
-	handle  Handle
-	fn      func()
-	fnCtx   func(any)
-	ctx     any
-	gen     uint64 // incremented every time the box is recycled
-	index   int    // heap index; -1 once popped or cancelled
-}
-
 // EventKey is the canonical total order over events: (Time, Creator,
 // Cseq). It is identical in sequential and sharded runs, which is what
 // lets a sharded run's merged trace reproduce the sequential one.
@@ -106,47 +86,6 @@ func (k EventKey) Less(o EventKey) bool {
 		return k.Creator < o.Creator
 	}
 	return k.Cseq < o.Cseq
-}
-
-func (ev *event) key() EventKey {
-	return EventKey{Time: ev.time, Creator: ev.creator, Cseq: ev.cseq}
-}
-
-// eventQueue implements heap.Interface ordered by the canonical key.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	if q[i].creator != q[j].creator {
-		return q[i].creator < q[j].creator
-	}
-	return q[i].cseq < q[j].cseq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
 }
 
 // Counters hands out per-creator sequence numbers. Index creator+1
@@ -181,13 +120,17 @@ func (k *Counters) next(creator int32) uint64 {
 // Scheduler owns the simulation clock and the pending event queue.
 // The zero value is not usable; call NewScheduler.
 type Scheduler struct {
-	queue     eventQueue
-	gqueue    eventQueue // global (execAs -1) events, when splitGlobal
-	pending   map[Handle]*event
-	procs     map[Handle]Proc // tags on pending re-armable events
+	// The pending events (see queue.go): two 4-ary heaps of inline keys,
+	// the slab of event boxes their entries point into, and the per-slot
+	// bookkeeping behind Handle.
+	queue  []entry
+	gqueue []entry // global (execAs -1) events, when splitGlobal
+	chunks []*[chunkSize]box
+	meta   []slotMeta
+	tagged int // pending events carrying a Proc tag
+
 	now       float64
 	seq       uint64
-	nextID    Handle
 	executed  uint64
 	cancelled uint64
 	stopped   bool
@@ -205,13 +148,17 @@ type Scheduler struct {
 	// leave it off and pay nothing for the second queue.
 	splitGlobal bool
 
-	// free is the event-box freelist: popped and cancelled events are
-	// returned here and Schedule takes them back out, so the steady-state
-	// Schedule→fire→recycle cycle allocates nothing. noRecycle disables
-	// the freelist (every event is a fresh allocation) for the NoPooling
-	// reference path that equivalence proofs compare against.
-	free      []*event
+	// free is the slot freelist: the slots of popped and cancelled events
+	// are returned here and scheduling takes them back out, most recent
+	// first, so the steady-state Schedule→fire→recycle cycle allocates
+	// nothing and keeps reusing the same few warm boxes. noRecycle
+	// disables the freelist (every event gets a never-used slot; retired
+	// counts released slots per chunk so dead chunks can be dropped) for
+	// the NoPooling reference path that equivalence proofs compare
+	// against.
+	free      []int32
 	noRecycle bool
+	retired   []int32
 
 	// execCounts, when non-nil, tallies fired events per execution
 	// context at index execAs+1 (index 0 is network-global work). The
@@ -238,13 +185,7 @@ func NewScheduler() *Scheduler {
 // NewSchedulerWithCounters returns an empty scheduler drawing cseq
 // numbers from the given (possibly shared) counter set.
 func NewSchedulerWithCounters(k *Counters) *Scheduler {
-	return &Scheduler{
-		pending:  make(map[Handle]*event),
-		procs:    make(map[Handle]Proc),
-		nextID:   1,
-		cur:      -1,
-		counters: k,
-	}
+	return &Scheduler{cur: -1, counters: k}
 }
 
 // Counters exposes the scheduler's counter set so shard schedulers can
@@ -312,109 +253,119 @@ func (s *Scheduler) notifyAfterEvent() {
 	}
 }
 
-// CheckConsistency verifies the scheduler's internal bookkeeping: the
-// pending map and the heaps must describe the same event set, heap
-// indices must be self-consistent, the heap property must hold, and no
-// pending event may be scheduled before the current clock. It is O(n)
-// over the queue and intended for invariant sweeps, not hot paths.
+// CheckConsistency verifies the scheduler's internal bookkeeping: both
+// heaps satisfy the 4-ary heap property (no entry precedes its parent at
+// (i-1)/4), every entry's slot records the entry's own position and
+// holds exactly one callback, global events sit in the global heap and
+// nowhere else, the tagged count matches the Proc tags actually pending,
+// no pending event is scheduled before the current clock, every
+// freelist slot is cleared and not pending, and (with recycling on) the
+// slab is exactly the pending slots plus the free ones. It is O(n) over
+// the slab and intended for invariant sweeps, not hot paths.
 func (s *Scheduler) CheckConsistency() error {
-	if len(s.pending) != len(s.queue)+len(s.gqueue) {
-		return fmt.Errorf("sim: pending map has %d events but queues have %d",
-			len(s.pending), len(s.queue)+len(s.gqueue))
-	}
-	for _, q := range []eventQueue{s.queue, s.gqueue} {
-		for i, ev := range q {
-			if ev.index != i {
-				return fmt.Errorf("sim: event %d carries heap index %d at position %d", ev.handle, ev.index, i)
+	tagged := 0
+	for qi, q := range [2][]entry{s.queue, s.gqueue} {
+		for i := range q {
+			e := &q[i]
+			if e.slot < 0 || int(e.slot) >= len(s.meta) {
+				return fmt.Errorf("sim: heap entry %d names slot %d outside the slab of %d", i, e.slot, len(s.meta))
 			}
-			if s.pending[ev.handle] != ev {
-				return fmt.Errorf("sim: queued event %d missing from pending map", ev.handle)
+			if pos := s.meta[e.slot].pos; int(pos) != i {
+				return fmt.Errorf("sim: slot %d records heap position %d, its entry is at %d", e.slot, pos, i)
 			}
-			if ev.time < s.now {
-				return fmt.Errorf("sim: pending event %d at t=%v is before now=%v", ev.handle, ev.time, s.now)
+			if s.chunks[e.slot>>chunkShift] == nil {
+				return fmt.Errorf("sim: pending slot %d lies in a dropped chunk", e.slot)
 			}
-			if i > 0 {
-				parent := (i - 1) / 2
-				if q.Less(i, parent) {
-					return fmt.Errorf("sim: heap property violated at index %d (parent %d)", i, parent)
-				}
+			b := s.box(e.slot)
+			if (b.fn == nil) == (b.fnCtx == nil) {
+				return fmt.Errorf("sim: pending slot %d does not hold exactly one callback", e.slot)
+			}
+			if global := s.splitGlobal && b.execAs < 0; global != (qi == 1) {
+				return fmt.Errorf("sim: slot %d (execAs %d) is queued in the wrong heap", e.slot, b.execAs)
+			}
+			if b.proc.Kind != "" {
+				tagged++
+			}
+			if e.time < s.now {
+				return fmt.Errorf("sim: pending slot %d at t=%v is before now=%v", e.slot, e.time, s.now)
+			}
+			if i > 0 && e.before(&q[(i-1)>>2]) {
+				return fmt.Errorf("sim: heap property violated at index %d (parent %d)", i, (i-1)>>2)
 			}
 		}
 	}
-	for i, ev := range s.free {
-		if ev.fn != nil || ev.fnCtx != nil || ev.ctx != nil {
-			return fmt.Errorf("sim: freelist slot %d retains a callback reference", i)
+	if tagged != s.tagged {
+		return fmt.Errorf("sim: %d pending events carry a Proc tag, tagged count is %d", tagged, s.tagged)
+	}
+	// Every heap entry's slot is marked pending, at the entry's own index
+	// in the one heap its execAs selects (above), so entries and pending
+	// slots pair up one to one as long as no other slot claims to be
+	// pending.
+	pending := 0
+	for _, m := range s.meta {
+		if m.pos >= 0 {
+			pending++
 		}
-		if live, ok := s.pending[ev.handle]; ok && live == ev {
-			return fmt.Errorf("sim: freelist slot %d (handle %d) is still pending", i, ev.handle)
+	}
+	if pending != s.Len() {
+		return fmt.Errorf("sim: %d slots are marked pending but the heaps hold %d entries", pending, s.Len())
+	}
+	for i, slot := range s.free {
+		if slot < 0 || int(slot) >= len(s.meta) {
+			return fmt.Errorf("sim: freelist entry %d names slot %d outside the slab of %d", i, slot, len(s.meta))
 		}
+		if s.meta[slot].pos >= 0 {
+			return fmt.Errorf("sim: freelist slot %d is still pending", slot)
+		}
+		if b := s.box(slot); b.fn != nil || b.fnCtx != nil || b.ctx != nil || b.proc != (Proc{}) {
+			return fmt.Errorf("sim: freelist slot %d retains a callback, context or Proc tag", slot)
+		}
+	}
+	if !s.noRecycle && pending+len(s.free) != len(s.meta) {
+		return fmt.Errorf("sim: slab of %d slots, %d pending + %d free: a slot is lost or listed twice",
+			len(s.meta), pending, len(s.free))
 	}
 	return nil
 }
 
-// DisableRecycling turns off the event freelist so every scheduled
-// event is a fresh allocation. The NoPooling reference path uses this to
-// prove the freelist changes nothing observable.
+// DisableRecycling turns off the slot freelist so every scheduled event
+// gets a never-used slot and a handle can never meet a reused one. The
+// NoPooling reference path uses this to prove the freelist changes
+// nothing observable.
 func (s *Scheduler) DisableRecycling() {
 	s.noRecycle = true
 	s.free = nil
 }
 
-// takeEvent pops an event box off the freelist or allocates one.
-func (s *Scheduler) takeEvent() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// recycleEvent returns a popped or cancelled event box to the freelist.
-// Callback references are cleared so the freelist never pins payloads,
-// and gen is bumped so the box's previous incarnation is dead for good.
-func (s *Scheduler) recycleEvent(ev *event) {
-	ev.fn = nil
-	ev.fnCtx = nil
-	ev.ctx = nil
-	ev.gen++
-	if !s.noRecycle {
-		s.free = append(s.free, ev)
-	}
-}
-
 // queueOf returns the heap an event with the given execAs lives in.
-func (s *Scheduler) queueOf(execAs int32) *eventQueue {
+func (s *Scheduler) queueOf(execAs int32) *[]entry {
 	if s.splitGlobal && execAs < 0 {
 		return &s.gqueue
 	}
 	return &s.queue
 }
 
-// schedule inserts a filled-in event box at absolute time t, drawing a
-// fresh canonical key under the current execution context.
-func (s *Scheduler) schedule(t float64, ev *event, execAs int32) Handle {
-	ev.creator = s.cur
-	ev.cseq = s.counters.next(s.cur)
-	return s.scheduleKeyed(t, ev, execAs)
+// schedule queues an event at absolute time t under a canonical key
+// freshly drawn in the current execution context. The caller fills the
+// returned (cleared) box with the callback before control returns to
+// the event loop.
+func (s *Scheduler) schedule(t float64, execAs int32) (*box, Handle) {
+	return s.scheduleKeyed(t, execAs, s.cur, s.counters.next(s.cur))
 }
 
-// scheduleKeyed inserts an event whose creator/cseq are already set
-// (either freshly drawn or reserved on another shard).
-func (s *Scheduler) scheduleKeyed(t float64, ev *event, execAs int32) Handle {
+// scheduleKeyed is schedule under a given canonical key (freshly drawn,
+// or reserved on another shard).
+func (s *Scheduler) scheduleKeyed(t float64, execAs, creator int32, cseq uint64) (*box, Handle) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	ev.time = t
-	ev.execAs = execAs
-	ev.seq = s.seq
-	ev.handle = s.nextID
+	slot := s.takeSlot()
+	b := s.box(slot)
+	b.seq = s.seq
+	b.execAs = execAs
 	s.seq++
-	s.nextID++
-	heap.Push(s.queueOf(execAs), ev)
-	s.pending[ev.handle] = ev
-	return ev.handle
+	s.heapPush(s.queueOf(execAs), entry{time: t, cseq: cseq, creator: creator, slot: slot})
+	return b, makeHandle(slot, s.meta[slot].gen)
 }
 
 // At schedules fn to run at absolute simulation time t, executing under
@@ -425,9 +376,9 @@ func (s *Scheduler) At(t float64, fn func()) Handle {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := s.takeEvent()
-	ev.fn = fn
-	return s.schedule(t, ev, s.cur)
+	b, h := s.schedule(t, s.cur)
+	b.fn = fn
+	return h
 }
 
 // AtCtx schedules fn(ctx) at absolute time t. Unlike At, the callback is
@@ -447,10 +398,10 @@ func (s *Scheduler) AtCtxAs(t float64, fn func(any), ctx any, execAs int) Handle
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := s.takeEvent()
-	ev.fnCtx = fn
-	ev.ctx = ctx
-	return s.schedule(t, ev, int32(execAs))
+	b, h := s.schedule(t, int32(execAs))
+	b.fnCtx = fn
+	b.ctx = ctx
+	return h
 }
 
 // After schedules fn to run d seconds from now.
@@ -498,10 +449,10 @@ func (s *Scheduler) AtProcAs(p Proc, t float64, fn func(), execAs int) Handle {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := s.takeEvent()
-	ev.fn = fn
-	h := s.schedule(t, ev, int32(execAs))
-	s.procs[h] = p
+	b, h := s.schedule(t, int32(execAs))
+	b.fn = fn
+	b.proc = p
+	s.tagged++
 	return h
 }
 
@@ -522,26 +473,25 @@ func (s *Scheduler) InjectAtCtx(t float64, fn func(any), ctx any, execAs int, cr
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := s.takeEvent()
-	ev.fnCtx = fn
-	ev.ctx = ctx
-	ev.creator = creator
-	ev.cseq = cseq
-	return s.scheduleKeyed(t, ev, int32(execAs))
+	b, h := s.scheduleKeyed(t, int32(execAs), creator, cseq)
+	b.fnCtx = fn
+	b.ctx = ctx
+	return h
 }
 
 // Quiescent reports whether every pending event is a tagged re-armable
 // process — i.e. no transient work (frame deliveries, request timeouts,
 // retries) is in flight and the run can be checkpointed.
-func (s *Scheduler) Quiescent() bool { return s.Len() == len(s.procs) }
+func (s *Scheduler) Quiescent() bool { return s.Len() == s.tagged }
 
 // PendingProcs returns the pending tagged events in ascending Seq order.
 func (s *Scheduler) PendingProcs() []ProcEvent {
-	out := make([]ProcEvent, 0, len(s.procs))
-	for _, q := range []eventQueue{s.queue, s.gqueue} {
-		for _, ev := range q {
-			if p, ok := s.procs[ev.handle]; ok {
-				out = append(out, ProcEvent{Proc: p, Time: ev.time, Seq: ev.seq, Creator: int(ev.creator)})
+	out := make([]ProcEvent, 0, s.tagged)
+	for _, q := range [2][]entry{s.queue, s.gqueue} {
+		for i := range q {
+			e := &q[i]
+			if b := s.box(e.slot); b.proc.Kind != "" {
+				out = append(out, ProcEvent{Proc: b.proc, Time: e.time, Seq: b.seq, Creator: int(e.creator)})
 			}
 		}
 	}
@@ -556,12 +506,14 @@ func (s *Scheduler) StateSnapshot() (SchedulerState, error) {
 	if !s.Quiescent() {
 		return SchedulerState{}, fmt.Errorf(
 			"sim: not quiescent: %d pending events, only %d re-armable",
-			s.Len(), len(s.procs))
+			s.Len(), s.tagged)
 	}
 	return SchedulerState{
-		Now:       s.now,
-		Seq:       s.seq,
-		NextID:    uint64(s.nextID),
+		Now: s.now,
+		Seq: s.seq,
+		// Handles are (slot, generation) pairs now; the field keeps the
+		// value the handle counter it used to record always had.
+		NextID:    s.seq + 1,
 		Executed:  s.executed,
 		Cancelled: s.cancelled,
 		Procs:     s.PendingProcs(),
@@ -585,69 +537,81 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 	}
 	s.now = st.Now
 	s.seq = st.Seq
-	s.nextID = Handle(st.NextID)
 	s.executed = st.Executed
 	s.cancelled = st.Cancelled
 	return nil
 }
 
 // Cancel removes a pending event. It returns false when the event already
-// fired or was cancelled.
+// fired or was cancelled — including when its slot has since been handed
+// to another event, which the handle's generation tells apart — and for
+// the zero Handle.
 func (s *Scheduler) Cancel(h Handle) bool {
-	ev, ok := s.pending[h]
-	if !ok {
+	slot := h.slotOf()
+	if slot < 0 || int(slot) >= len(s.meta) {
 		return false
 	}
-	delete(s.pending, h)
-	delete(s.procs, h)
-	heap.Remove(s.queueOf(ev.execAs), ev.index)
+	m := s.meta[slot]
+	if m.gen != h.genOf() || m.pos < 0 {
+		return false
+	}
+	s.remove(s.queueOf(s.box(slot).execAs), int(m.pos))
 	s.cancelled++
-	s.recycleEvent(ev)
+	s.releaseSlot(slot)
 	return true
 }
 
-// fire runs one popped event: the callback fields are copied out and the
-// box recycled BEFORE the callback executes, so a callback that schedules
-// new events reuses the box it just vacated. The execution context is
-// the event's execAs for the duration of the callback.
-func (s *Scheduler) fire(next *event) {
-	fn, fnCtx, ctx := next.fn, next.fnCtx, next.ctx
-	s.cur = next.execAs
+// remove takes the entry at index i out of the heap *q, keeping the
+// tagged count in step. The slot stays allocated; the caller releases it.
+func (s *Scheduler) remove(q *[]entry, i int) entry {
+	e := (*q)[i]
+	if s.box(e.slot).proc.Kind != "" {
+		s.tagged--
+	}
+	s.heapRemove(q, i)
+	return e
+}
+
+// fireHead pops the head of the heap *q and runs it with the clock at its
+// due time. The callback fields are copied out and the slot released
+// BEFORE the callback executes, so a callback that schedules new events
+// reuses the box it just vacated. The execution context is the event's
+// execAs for the duration of the callback.
+func (s *Scheduler) fireHead(q *[]entry) {
+	e := s.remove(q, 0)
+	s.now = e.time
+	b := s.box(e.slot)
+	fn, fnCtx, ctx, execAs := b.fn, b.fnCtx, b.ctx, b.execAs
+	s.cur = execAs
 	if s.execCounts != nil {
-		if i := int(next.execAs) + 1; i >= 0 && i < len(s.execCounts) {
+		if i := int(execAs) + 1; i >= 0 && i < len(s.execCounts) {
 			s.execCounts[i]++
 		}
 	}
-	s.recycleEvent(next)
+	s.releaseSlot(e.slot)
 	if fn != nil {
 		fn()
 	} else {
 		fnCtx(ctx)
 	}
 	s.cur = -1
+	s.executed++
 }
 
-// peekMin returns the canonically-least pending event across both
-// queues, or nil.
-func (s *Scheduler) peekMin() *event {
-	var best *event
-	if len(s.queue) > 0 {
-		best = s.queue[0]
-	}
-	if len(s.gqueue) > 0 {
-		if g := s.gqueue[0]; best == nil || g.key().Less(best.key()) {
-			best = g
+// minQueue returns the heap whose head is the canonically-least pending
+// event across both queues, or nil when nothing is pending.
+func (s *Scheduler) minQueue() *[]entry {
+	switch {
+	case len(s.gqueue) == 0:
+		if len(s.queue) == 0 {
+			return nil
 		}
+		return &s.queue
+	case len(s.queue) == 0 || s.gqueue[0].before(&s.queue[0]):
+		return &s.gqueue
+	default:
+		return &s.queue
 	}
-	return best
-}
-
-// pop removes an event (known to be a queue head) from its queue and
-// the bookkeeping maps.
-func (s *Scheduler) pop(ev *event) {
-	heap.Remove(s.queueOf(ev.execAs), ev.index)
-	delete(s.pending, ev.handle)
-	delete(s.procs, ev.handle)
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -661,14 +625,11 @@ func (s *Scheduler) Run(until float64) uint64 {
 	s.stopped = false
 	var n uint64
 	for !s.stopped {
-		next := s.peekMin()
-		if next == nil || next.time > until {
+		q := s.minQueue()
+		if q == nil || (*q)[0].time > until {
 			break
 		}
-		s.pop(next)
-		s.now = next.time
-		s.fire(next)
-		s.executed++
+		s.fireHead(q)
 		n++
 		s.notifyAfterEvent()
 	}
@@ -686,14 +647,11 @@ func (s *Scheduler) Run(until float64) uint64 {
 // lockstep comparison of two runs (replay bisection), where the caller
 // needs to observe state between individual events.
 func (s *Scheduler) Step(until float64) bool {
-	next := s.peekMin()
-	if next == nil || next.time > until {
+	q := s.minQueue()
+	if q == nil || (*q)[0].time > until {
 		return false
 	}
-	s.pop(next)
-	s.now = next.time
-	s.fire(next)
-	s.executed++
+	s.fireHead(q)
 	s.notifyAfterEvent()
 	return true
 }
@@ -705,14 +663,11 @@ func (s *Scheduler) RunAll() uint64 {
 	s.stopped = false
 	var n uint64
 	for !s.stopped {
-		next := s.peekMin()
-		if next == nil {
+		q := s.minQueue()
+		if q == nil {
 			break
 		}
-		s.pop(next)
-		s.now = next.time
-		s.fire(next)
-		s.executed++
+		s.fireHead(q)
 		n++
 		s.notifyAfterEvent()
 	}
@@ -727,15 +682,8 @@ func (s *Scheduler) RunAll() uint64 {
 // queue heads, so the clock only ever reflects fired events.
 func (s *Scheduler) RunBefore(h float64) uint64 {
 	var n uint64
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.time >= h {
-			break
-		}
-		s.pop(next)
-		s.now = next.time
-		s.fire(next)
-		s.executed++
+	for len(s.queue) > 0 && s.queue[0].time < h {
+		s.fireHead(&s.queue)
 		n++
 	}
 	return n
@@ -746,14 +694,11 @@ func (s *Scheduler) RunBefore(h float64) uint64 {
 // same-time barrier batches with it, interleaving shards in canonical
 // order.
 func (s *Scheduler) StepAt(t float64) bool {
-	next := s.peekMin()
-	if next == nil || next.time != t {
+	q := s.minQueue()
+	if q == nil || (*q)[0].time != t {
 		return false
 	}
-	s.pop(next)
-	s.now = next.time
-	s.fire(next)
-	s.executed++
+	s.fireHead(q)
 	return true
 }
 
@@ -776,11 +721,11 @@ func (s *Scheduler) PeekGlobal() (float64, bool) {
 // PeekKey returns the canonical key of the earliest pending event
 // across both queues.
 func (s *Scheduler) PeekKey() (EventKey, bool) {
-	next := s.peekMin()
-	if next == nil {
+	q := s.minQueue()
+	if q == nil {
 		return EventKey{}, false
 	}
-	return next.key(), true
+	return (*q)[0].key(), true
 }
 
 // AdvanceTo moves the clock forward to t without firing anything; the
