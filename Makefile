@@ -165,12 +165,17 @@ bench-tiny-smoke:
 # internal/cache 86.6%, internal/node 82.5% of statements; the floor is
 # the baseline minus 1 point of slack for coverage-neutral churn. Raise
 # the floors when coverage improves; never lower them to admit a drop.
+# internal/radio and internal/mobility joined with ISSUE 15 (2026-09), which
+# rewrote their hot paths: 80.5% and 76.0% before it, 88.2% and 81.3%
+# with its tests, floors from the latter.
 COVER_FLOOR_CACHE ?= 85.6
 COVER_FLOOR_NODE ?= 81.5
 COVER_FLOOR_REGION ?= 85.0
+COVER_FLOOR_RADIO ?= 87.0
+COVER_FLOOR_MOBILITY ?= 80.2
 cover:
 	@fail=0; \
-	for spec in "internal/cache $(COVER_FLOOR_CACHE)" "internal/node $(COVER_FLOOR_NODE)" "internal/region $(COVER_FLOOR_REGION)"; do \
+	for spec in "internal/cache $(COVER_FLOOR_CACHE)" "internal/node $(COVER_FLOOR_NODE)" "internal/region $(COVER_FLOOR_REGION)" "internal/radio $(COVER_FLOOR_RADIO)" "internal/mobility $(COVER_FLOOR_MOBILITY)"; do \
 		set -- $$spec; pkg=$$1; floor=$$2; \
 		pct=$$($(GO) test -cover ./$$pkg/ | awk -F'coverage: ' '/coverage:/{split($$2,a,"%"); print a[1]}'); \
 		if [ -z "$$pct" ]; then echo "cover: $$pkg: no coverage output"; fail=1; continue; fi; \

@@ -249,6 +249,42 @@ func (c *ConservationChecker) Finalize(ctx *Context) []string {
 	return out
 }
 
+// LivenessChecker verifies that the radio reads the network's liveness
+// table (every channel agrees with node.Peer.Alive on every peer), and
+// that the neighbor query honors it: no node's neighbor list names a
+// dead node or the node itself. The neighbor half is skipped under
+// beaconing, where a query refreshes stale beacons and so would not be a
+// pure observation.
+type LivenessChecker struct{}
+
+// Name implements Checker.
+func (*LivenessChecker) Name() string { return "liveness" }
+
+// Sweep implements Checker.
+func (*LivenessChecker) Sweep(ctx *Context) []string {
+	if err := ctx.Net.CheckLiveness(); err != nil {
+		return []string{err.Error()}
+	}
+	if ctx.Ch.Config().BeaconInterval > 0 {
+		return nil
+	}
+	var out []string
+	for i := 0; i < ctx.Net.Peers(); i++ {
+		id := radio.NodeID(i)
+		for _, nb := range ctx.Ch.Neighbors(id) {
+			if nb.ID == id {
+				out = append(out, fmt.Sprintf("peer %d is listed as its own neighbor", i))
+			} else if !ctx.Net.Peer(nb.ID).Alive() {
+				out = append(out, fmt.Sprintf("dead peer %d is listed as a neighbor of peer %d", nb.ID, i))
+			}
+		}
+	}
+	return out
+}
+
+// Finalize implements Checker.
+func (c *LivenessChecker) Finalize(ctx *Context) []string { return c.Sweep(ctx) }
+
 // SchedulerChecker verifies the event-queue bookkeeping every sweep and,
 // once the run ends, that no request leaks: with a drained event queue
 // every issued request must have completed or timed out.

@@ -4,8 +4,8 @@
 // (cache admission control, Equation 2 TTR smoothing, key re-homing),
 // sweeps global state periodically on the simulation clock (cache bounds,
 // key custody multiplicity, region-table sanity, scheduler bookkeeping,
-// message conservation), and finalizes conservation laws once the run
-// completes. The checkers never mutate protocol state, schedule protocol
+// message conservation, radio liveness), and finalizes conservation laws
+// once the run completes. The checkers never mutate protocol state, schedule protocol
 // events or consume randomness, so a checked run produces bit-identical
 // results to an unchecked one — a property the test suite asserts.
 //
@@ -124,6 +124,7 @@ func DefaultCheckers() []Checker {
 		&CustodyChecker{},
 		&TTRChecker{},
 		&ConservationChecker{},
+		&LivenessChecker{},
 		&SchedulerChecker{},
 		&RegionChecker{},
 	}

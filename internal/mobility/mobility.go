@@ -13,7 +13,9 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 
 	"precinct/internal/geo"
 	"precinct/internal/sim"
@@ -144,20 +146,53 @@ func DefaultWaypointConfig() WaypointConfig {
 // the start of its current leg (or pause); positions between boundaries
 // are computed analytically from the anchor, never stored, so a query's
 // result does not depend on which intermediate times were queried.
+//
+// arrival and invLen are per-leg constants derived from the anchor by
+// anchorLeg — never serialized, recomputed wherever pos, dest, speed, at
+// or pauseUntil change — so a mid-leg query costs one compare and a few
+// multiply-adds instead of a hypot and two divides.
 type waypointNode struct {
-	pos        geo.Point // anchor: where the node was at time at
-	at         float64   // anchor time: the last leg/pause boundary crossed
-	seen       float64   // latest query time (monotonicity contract)
-	dest       geo.Point
-	speed      float64
+	// What a mid-leg query reads comes first.
+	seen float64 // latest query time (monotonicity contract)
+	// arrival is when the current leg reaches dest; notMoving while the
+	// node is anchored at a pause or on a zero-length leg, so that
+	// `now < arrival` alone decides the mid-leg fast path.
+	arrival float64
+	at      float64 // anchor time: the last leg/pause boundary crossed
+	speed   float64
+	invLen  float64   // 1 / |dest - pos|; meaningful iff arrival != notMoving
+	pos     geo.Point // anchor: where the node was at time at
+	dest    geo.Point
+
 	pauseUntil float64 // > at while the node is pausing at pos
-	rng        *rand.Rand
+}
+
+// notMoving is the arrival sentinel of a node with no leg under way.
+var notMoving = math.Inf(-1)
+
+// anchorLeg derives the leg constants from the anchor state. It must run
+// after every change to pos, dest, speed, at or pauseUntil.
+func (nd *waypointNode) anchorLeg() {
+	nd.arrival = notMoving
+	if nd.pauseUntil > nd.at {
+		return
+	}
+	remaining := nd.pos.Dist(nd.dest)
+	if remaining <= 1e-12 {
+		return
+	}
+	nd.arrival = nd.at + remaining/nd.speed
+	nd.invLen = 1 / remaining
 }
 
 // Waypoint implements the random waypoint model.
 type Waypoint struct {
 	cfg   WaypointConfig
 	nodes []waypointNode
+	// rngs holds each node's stream beside, not inside, its state: the
+	// nodes array then carries no pointers and the collector never scans
+	// it.
+	rngs []*rand.Rand
 }
 
 // NewWaypoint creates n nodes placed uniformly in the area, each starting
@@ -176,14 +211,15 @@ func NewWaypoint(n int, cfg WaypointConfig, rng *sim.RNG) (*Waypoint, error) {
 	if cfg.Pause < 0 {
 		return nil, fmt.Errorf("mobility: negative pause %v", cfg.Pause)
 	}
-	w := &Waypoint{cfg: cfg, nodes: make([]waypointNode, n)}
+	w := &Waypoint{cfg: cfg, nodes: make([]waypointNode, n), rngs: make([]*rand.Rand, n)}
+	name := append(make([]byte, 0, 32), "mobility/"...)
 	for i := range w.nodes {
-		s := rng.Stream(fmt.Sprintf("mobility/%d", i))
+		s := rng.Stream(string(strconv.AppendInt(name, int64(i), 10)))
+		w.rngs[i] = s
 		nd := &w.nodes[i]
-		nd.rng = s
 		nd.pos = w.randomPoint(s)
 		nd.at = 0
-		w.newLeg(nd)
+		w.newLeg(nd, s)
 	}
 	return w, nil
 }
@@ -199,18 +235,20 @@ func (w *Waypoint) randomPoint(rng *rand.Rand) geo.Point {
 // coinciding with the current position are resampled; should resampling
 // ever fail (probability zero for non-degenerate areas) the node simply
 // pauses in place for one more pause period.
-func (w *Waypoint) newLeg(nd *waypointNode) {
+func (w *Waypoint) newLeg(nd *waypointNode, rng *rand.Rand) {
 	for attempt := 0; attempt < 8; attempt++ {
-		dest := w.randomPoint(nd.rng)
+		dest := w.randomPoint(rng)
 		if dest.Dist(nd.pos) > 1e-9 {
 			nd.dest = dest
-			nd.speed = w.cfg.MinSpeed + nd.rng.Float64()*(w.cfg.MaxSpeed-w.cfg.MinSpeed)
+			nd.speed = w.cfg.MinSpeed + rng.Float64()*(w.cfg.MaxSpeed-w.cfg.MinSpeed)
+			nd.anchorLeg()
 			return
 		}
 	}
 	nd.dest = nd.pos
 	nd.speed = w.cfg.MinSpeed
 	nd.pauseUntil = nd.at + w.cfg.Pause + 1e-3
+	nd.anchorLeg()
 }
 
 // Len implements Model.
@@ -229,38 +267,38 @@ func (w *Waypoint) Position(node int, now float64) geo.Point {
 	}
 	nd.seen = now
 	for {
+		if now < nd.arrival {
+			// Mid-leg: analytic position from the anchor; no mutation.
+			dir := nd.dest.Sub(nd.pos).Scale(nd.invLen)
+			return nd.pos.Add(dir.Scale(nd.speed * (now - nd.at)))
+		}
 		if nd.pauseUntil > nd.at { // anchored at a pause
 			if now < nd.pauseUntil {
 				return nd.pos
 			}
 			nd.at = nd.pauseUntil
-			w.newLeg(nd)
+			w.newLeg(nd, w.rngs[node])
 			continue
 		}
-		remaining := nd.pos.Dist(nd.dest)
-		if remaining <= 1e-12 {
+		if nd.arrival == notMoving {
 			// Zero-length leg: pause in place. A degenerate newLeg
 			// (resampling failed) schedules its own pause, so the loop
 			// always progresses even with Pause == 0.
 			nd.pauseUntil = nd.at + w.cfg.Pause
 			if w.cfg.Pause == 0 {
-				w.newLeg(nd)
+				w.newLeg(nd, w.rngs[node])
 			}
 			continue
 		}
-		arrival := nd.at + remaining/nd.speed
-		if arrival <= now {
-			nd.pos = nd.dest
-			nd.at = arrival
-			nd.pauseUntil = arrival + w.cfg.Pause
-			if w.cfg.Pause == 0 {
-				w.newLeg(nd)
-			}
-			continue
+		// Arrived: anchor at the destination and start its pause.
+		nd.pos = nd.dest
+		nd.at = nd.arrival
+		nd.pauseUntil = nd.arrival + w.cfg.Pause
+		if w.cfg.Pause == 0 {
+			w.newLeg(nd, w.rngs[node])
+		} else {
+			nd.anchorLeg()
 		}
-		// Mid-leg: analytic position from the anchor; no mutation.
-		dir := nd.dest.Sub(nd.pos).Scale(1 / remaining)
-		return nd.pos.Add(dir.Scale(nd.speed * (now - nd.at)))
 	}
 }
 

@@ -107,7 +107,8 @@ func (w *Waypoint) StateSnapshot() State {
 }
 
 // RestoreState implements Stateful. The per-node streams keep their live
-// identity (restored separately through sim.RNG).
+// identity (restored separately through sim.RNG); the per-leg constants
+// are not on the wire and are re-derived from the restored anchor.
 func (w *Waypoint) RestoreState(st State) error {
 	if err := checkState(st, KindWaypoint, len(w.nodes)); err != nil {
 		return err
@@ -116,6 +117,7 @@ func (w *Waypoint) RestoreState(st State) error {
 		nd, s := &w.nodes[i], st.Nodes[i]
 		nd.pos, nd.at, nd.seen = s.Pos, s.At, s.Seen
 		nd.dest, nd.speed, nd.pauseUntil = s.Dest, s.Speed, s.PauseUntil
+		nd.anchorLeg()
 	}
 	return nil
 }

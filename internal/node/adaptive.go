@@ -105,7 +105,7 @@ func (n *Network) regionPopulation() map[region.ID]int {
 		pop[r.ID] = 0
 	}
 	for _, p := range n.peers {
-		if !p.alive {
+		if !p.Alive() {
 			continue
 		}
 		if r, ok := n.table.Locate(n.ch.Position(p.id)); ok {

@@ -58,12 +58,13 @@ func (n *Network) CloneForShard(w ShardWorld) (*Network, error) {
 		rng:     n.rng,
 		tracer:  w.Tracer,
 		peers:   n.peers,
+		live:    n.live,
 		tables:  n.tables,
 		truth:   n.truth,
 		started: true,
 	}
 	c.loc = chanLocator{c.ch}
-	c.ch.SetAlive(func(id radio.NodeID) bool { return c.peers[id].alive })
+	c.ch.SetLiveness(n.live)
 	c.ch.SetHandler(c.handleFrame)
 	c.pool.disabled = n.pool.disabled
 	c.pool.poison = n.pool.poison

@@ -14,7 +14,7 @@ import (
 // configured consistency scheme.
 func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 	p := n.peers[origin]
-	if !p.alive {
+	if !p.Alive() {
 		return
 	}
 	n.truth[k]++

@@ -44,7 +44,7 @@ func (n *Network) CustodiansByScanForTest(t *region.Table, id region.ID, exclude
 	var near, least *Peer
 	nearD, leastD, leastLoad := 0.0, 0.0, 0
 	for _, p := range n.peers {
-		if !p.alive {
+		if !p.Alive() {
 			continue
 		}
 		pos := n.ch.Position(p.id)

@@ -90,6 +90,11 @@ type Network struct {
 	inRegion []radio.NodeID
 
 	peers []*Peer
+	// live is the dense liveness table, one byte per peer: the only
+	// record of who is alive, read by Peer.Alive and — handed to every
+	// shard replica's channel — by the radio. setAlive is its only
+	// writer.
+	live []bool
 	// tables is the region-table version history: index 0 is the
 	// initial partition, each Separate/Merge appends a clone. Peers
 	// reference a version index and switch when the dissemination
@@ -102,9 +107,10 @@ type Network struct {
 	started  bool
 
 	// clones lists every shard's Network replica (index = shard) in a
-	// sharded run; nil in sequential runs. The replicas share peers,
-	// tables, truth and the catalog, and each owns its scheduler,
-	// channel, collector, meter, router, message pool and counters.
+	// sharded run; nil in sequential runs. The replicas share peers, the
+	// liveness table, tables, truth and the catalog, and each owns its
+	// scheduler, channel, collector, meter, router, message pool and
+	// counters.
 	// Every peer's net field binds it to its owner shard's replica.
 	clones []*Network
 	shard  int32
@@ -157,6 +163,7 @@ func New(opts Options) (*Network, error) {
 	n.loc = chanLocator{n.ch}
 	n.tables = []*region.Table{opts.Regions}
 	n.peers = make([]*Peer, n.ch.N())
+	n.live = make([]bool, n.ch.N())
 	// The SoA layout allocates all peers as one slab: dense node indices
 	// become dense memory, and peer headers stop being 100k scattered
 	// heap objects. Pointer identity (p == exclude, p.net binding) is
@@ -176,7 +183,6 @@ func New(opts Options) (*Network, error) {
 			id:    radio.NodeID(i),
 			net:   n,
 			store: cache.NewStore(),
-			alive: true,
 			rng:   n.rng.Stream(fmt.Sprintf("peer/%d", i)),
 		}
 		if n.cfg.LegacyLayout {
@@ -198,8 +204,9 @@ func New(opts Options) (*Network, error) {
 		}
 		p.regionID = r.ID
 		n.peers[i] = p
+		n.live[i] = true
 	}
-	n.ch.SetAlive(func(id radio.NodeID) bool { return n.peers[id].alive })
+	n.ch.SetLiveness(n.live)
 	n.ch.SetHandler(n.handleFrame)
 	n.pool.disabled = n.cfg.NoPooling
 	n.pool.poison = os.Getenv("PRECINCT_DEBUG") == "poison"
@@ -352,7 +359,7 @@ func (n *Network) forLivePeersIn(t *region.Table, r region.Region, fn func(p *Pe
 		if ids, ok := n.ch.AppendInRect(n.inRegion[:0], r.Bounds); ok {
 			n.inRegion = ids
 			for _, id := range ids {
-				if p := n.peers[id]; p.alive {
+				if p := n.peers[id]; p.Alive() {
 					fn(p, n.ch.Position(id))
 				}
 			}
@@ -360,7 +367,7 @@ func (n *Network) forLivePeersIn(t *region.Table, r region.Region, fn func(p *Pe
 		}
 	}
 	for _, p := range n.peers {
-		if !p.alive {
+		if !p.Alive() {
 			continue
 		}
 		if pos := n.ch.Position(p.id); t.Contains(r.ID, pos) {
@@ -589,7 +596,7 @@ func (n *Network) forwardWithRetry(p *Peer, m *message) {
 	m.Route = routing.State{} // fresh geometry on the next attempt
 	m.Hops = 0
 	n.sched.After(0.5, func() {
-		if p.alive {
+		if p.Alive() {
 			n.forwardWithRetry(p, m)
 		} else {
 			n.releaseMsg(m) // the forwarder died holding the message
@@ -602,7 +609,7 @@ func (n *Network) forwardWithRetry(p *Peer, m *message) {
 // consume it exactly once (release, stash, or retransmit).
 func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 	p := n.peers[to]
-	if !p.alive {
+	if !p.Alive() {
 		// Unreachable through the radio (dead receivers resolve as
 		// DeadDrops before the handler), but direct callers exist in
 		// tests; settle ownership either way.
@@ -752,23 +759,45 @@ func (l chanLocator) Locate(peer int) (x, y float64) {
 	return p.X, p.Y
 }
 
-// noteTopologyChange invalidates cached planarizations on every shard's
-// channel — liveness is shared state, so all replicas observe the change.
-func (n *Network) noteTopologyChange() {
+// replicas returns every shard's replica of the network: itself alone in
+// a sequential run.
+func (n *Network) replicas() []*Network {
 	if n.clones == nil {
-		n.ch.NoteTopologyChange()
-		return
+		return []*Network{n}
 	}
-	for _, c := range n.clones {
-		c.ch.NoteTopologyChange()
+	return n.clones
+}
+
+// setAlive is the single writer of peer liveness. It goes through every
+// shard's channel: they all hold the network's table, so the byte is the
+// same, but each bumps its own topology generation (dropping cached
+// planarizations and its remembered neighbor query) — liveness is shared
+// state, so all replicas observe the change.
+func (n *Network) setAlive(p *Peer, alive bool) {
+	for _, c := range n.replicas() {
+		c.ch.SetNodeAlive(p.id, alive)
 	}
+}
+
+// CheckLiveness verifies that every replica's channel sees each peer as
+// the network does, i.e. that each was handed the network's table and
+// none was given another since.
+func (n *Network) CheckLiveness() error {
+	for shard, c := range n.replicas() {
+		for _, p := range n.peers {
+			if c.ch.Alive(p.id) != p.Alive() {
+				return fmt.Errorf("node: peer %d alive=%v but shard %d's channel says %v",
+					p.id, p.Alive(), shard, c.ch.Alive(p.id))
+			}
+		}
+	}
+	return nil
 }
 
 // Crash kills a peer immediately: no handoff, its keys become unavailable
 // until a replica or relocation covers them.
 func (n *Network) Crash(id radio.NodeID) {
-	n.peers[id].alive = false
-	n.noteTopologyChange()
+	n.setAlive(n.peers[id], false)
 	n.emit(trace.Event{Kind: trace.NodeCrashed, Node: int(id)})
 }
 
@@ -776,23 +805,21 @@ func (n *Network) Crash(id radio.NodeID) {
 // in its region first (the paper's assumption ii).
 func (n *Network) Quit(id radio.NodeID) {
 	p := n.peers[id]
-	if !p.alive {
+	if !p.Alive() {
 		return
 	}
 	p.rehomeKeys(true)
-	p.alive = false
-	n.noteTopologyChange()
+	n.setAlive(p, false)
 	n.emit(trace.Event{Kind: trace.NodeQuit, Node: int(id)})
 }
 
 // Revive brings a crashed peer back with empty stores.
 func (n *Network) Revive(id radio.NodeID) {
 	p := n.peers[id]
-	if p.alive {
+	if p.Alive() {
 		return
 	}
-	p.alive = true
-	n.noteTopologyChange()
+	n.setAlive(p, true)
 	p.store = cache.NewStore()
 	if p.cache != nil {
 		c, err := n.newCache()
@@ -899,7 +926,7 @@ func (n *Network) anyLivePeerNear(id region.ID) *Peer {
 		}
 	}
 	for _, p := range n.peers {
-		if p.alive {
+		if p.Alive() {
 			return p
 		}
 	}

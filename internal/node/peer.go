@@ -39,7 +39,6 @@ type Peer struct {
 	// tableIdx is the region-table version this peer has received.
 	tableIdx int
 
-	alive bool
 	// Flood-wave dedup: flood ID -> expiry time. Entries are pruned
 	// periodically; a flood wave is over within seconds, so a short
 	// retention bounds memory on long runs. The SoA layout keeps the
@@ -104,7 +103,7 @@ const seenRetention = 120
 func (p *Peer) ID() radio.NodeID { return p.id }
 
 // Alive reports liveness.
-func (p *Peer) Alive() bool { return p.alive }
+func (p *Peer) Alive() bool { return p.net.live[p.id] }
 
 // RegionID returns the peer's region as of its last mobility check.
 func (p *Peer) RegionID() region.ID { return p.regionID }
@@ -200,7 +199,7 @@ func (p *Peer) scheduleNextRequest() {
 // fire time.
 func (p *Peer) armRequest(at float64) {
 	p.net.sched.AtProcAs(sim.Proc{Kind: procRequest, Owner: int(p.id)}, at, func() {
-		if p.alive {
+		if p.Alive() {
 			k := p.net.src.PickKey(p.srcCtx())
 			p.net.RequestFrom(p.id, k)
 		}
@@ -220,7 +219,7 @@ func (p *Peer) scheduleNextUpdate() {
 // worker is parked.
 func (p *Peer) armUpdate(at float64) {
 	p.net.sched.AtProcAs(sim.Proc{Kind: procUpdate, Owner: int(p.id)}, at, func() {
-		if p.alive {
+		if p.Alive() {
 			k := p.net.src.PickUpdateKey(p.srcCtx())
 			p.net.UpdateFrom(p.id, k)
 		}
@@ -238,7 +237,7 @@ func (p *Peer) scheduleMobilityCheck() {
 // pinned to the peer's own execution context.
 func (p *Peer) armMobilityCheck(at float64) {
 	p.net.sched.AtProcAs(sim.Proc{Kind: procMobility, Owner: int(p.id)}, at, func() {
-		if p.alive {
+		if p.Alive() {
 			p.checkMobility()
 		}
 		p.scheduleMobilityCheck()

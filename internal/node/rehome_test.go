@@ -22,7 +22,7 @@ func (c *rehomeCounter) AfterRehome(*Peer, bool)                                
 func custodianWithKeys(t *testing.T, h *harness) *Peer {
 	t.Helper()
 	for _, p := range h.net.peers {
-		if p.alive && p.store.Len() > 0 {
+		if p.Alive() && p.store.Len() > 0 {
 			return p
 		}
 	}

@@ -75,7 +75,7 @@ func (n *Network) armReqTimeout(req *pendingReq, at float64) {
 // peer at the current simulation time (Figure 1's Search procedure).
 func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 	p := n.peers[origin]
-	if !p.alive {
+	if !p.Alive() {
 		return
 	}
 	now := n.sched.Now()
@@ -255,7 +255,7 @@ func (n *Network) onTimeout(id uint64) {
 	if !ok {
 		return
 	}
-	if !p.alive {
+	if !p.Alive() {
 		n.fail(req)
 		return
 	}

@@ -113,7 +113,7 @@ func (n *Network) StateSnapshot() (NetworkState, error) {
 			ID:        int(p.id),
 			RegionID:  p.regionID,
 			TableIdx:  p.tableIdx,
-			Alive:     p.alive,
+			Alive:     p.Alive(),
 			NextPrune: p.nextPrune,
 			NextID:    p.nextID,
 			Seen:      make([]SeenEntry, 0, p.seenLen()),
@@ -195,7 +195,7 @@ func (n *Network) RestoreState(st NetworkState) error {
 		p := n.peers[i]
 		p.regionID = ps.RegionID
 		p.tableIdx = ps.TableIdx
-		p.alive = ps.Alive
+		n.setAlive(p, ps.Alive)
 		p.nextPrune = ps.NextPrune
 		p.nextID = ps.NextID
 		p.seenReset(len(ps.Seen))

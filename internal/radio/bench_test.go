@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -106,6 +107,44 @@ func BenchmarkNeighborsWaypoint(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkNeighborsScale holds density at the paper's (80 nodes per
+// 1200 m square, about 11 neighbors) and grows N, which benchSizes cannot
+// do: they fill one fixed square, so they raise density, not N. Every
+// query is at its own instant, so none is served from the remembered
+// answer, and the clock moves 0.1/N s per query — a run's event rate at
+// this density (scale_10k: 2.5M events in 30 s) — so the O(N) rebuild is
+// amortized as a run amortizes it. Nothing in a query is sized by N, so
+// ns/op should stay flat from 1k to 100k, within 1.5x for the working
+// set leaving the cache; allocs/op must be 0.
+func BenchmarkNeighborsScale(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			wcfg := mobility.DefaultWaypointConfig()
+			side := 1200 * math.Sqrt(float64(n)/80)
+			wcfg.Area = geo.NewRect(geo.Pt(0, 0), geo.Pt(side, side))
+			mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched := sim.NewScheduler()
+			ch, err := New(DefaultConfig(), sched, mob, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ch.Neighbors(0) // first build and scratch buffers
+			dt := 0.1 / float64(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.Run(sched.Now() + dt)
+				// A stride coprime to every n, so successive queries land
+				// far apart in ID and, IDs being placed at random, in space.
+				ch.Neighbors(NodeID(i * 7919 % n))
+			}
+		})
 	}
 }
 

@@ -17,21 +17,34 @@
 //     grid.cellStart, indexed densely by cell coordinate — no per-cell
 //     allocations, no map lookups in the hot loop. A neighbor query
 //     inspects only the cells intersecting the query disk instead of all
-//     N nodes.
+//     N nodes, one run of slots per cell row.
 //
 // Mobility makes the grid stale the moment it is built. Rather than
 // rebuilding per event, the index exploits mobility.SpeedBounded: a node
 // can have drifted at most maxSpeed·age meters since the snapshot, so a
 // query with radius Range+drift over snapshot positions provably
-// includes every true neighbor; exact membership is then decided with
-// current (epoch-cached) positions of the few candidates. The grid is
-// rebuilt only when drift exceeds a slack of Range/4. Models with
-// unbounded speeds fall back to a rebuild per distinct event time, which
-// still amortizes all same-instant queries. With beaconing enabled the
-// grid indexes *observed* (beacon) positions, which change only at
+// includes every true neighbor. The rebuild keeps each node's snapshot
+// position next to its slot (grid.snap, in float32), so the query
+// applies that radius per candidate, not just per cell, before it looks
+// at anything else: a candidate further than Range+drift (plus snapGuard
+// and snapSlack, which cover the rounding) from the querier at the
+// snapshot cannot be in range now and costs one load and a compare.
+// Exact membership is then decided with current (epoch-cached) positions
+// of the few that remain. The grid is rebuilt only when drift exceeds a
+// slack of Range/4. Models with unbounded speeds fall back to a rebuild
+// per distinct event time, which still amortizes all same-instant
+// queries. With beaconing enabled
+// the grid indexes *observed* (beacon) positions, which change only at
 // beacon refreshes; a refresh that moves a node across a cell boundary
 // invalidates the snapshot, so the next query rebuilds — batched beacon
-// refreshes cost one rebuild.
+// refreshes cost one rebuild. A refresh that stays inside the cell moves
+// the node with no bound the snapshot knows of, so beaconed grids keep
+// no snapshot positions and skip the per-candidate pre-filter.
+//
+// Matches are node indices collected in a scratch list and put in
+// ascending order by sortMatches — an insertion sort for the dozen a
+// query finds at paper density — so the emit costs what the match set
+// holds and nothing in a query is sized by N.
 //
 // The same snapshot answers rectangle queries (AppendInRect: which nodes
 // are inside this region's bounds right now), which is how the node
@@ -39,8 +52,11 @@
 //
 // Determinism contract: Neighbors returns exactly the nodes the retained
 // linear scan (Config.LinearScan) returns, in the same order (ascending
-// NodeID), and both paths touch mobility state identically — runs are
-// bit-for-bit identical with the index on or off. The equivalence suite
+// NodeID). The two paths ask the mobility model about different nodes —
+// the grid only about candidates that pass the pre-filter — which is
+// sound because positions are anchored (mobility.Model): what a node's
+// position is at t does not depend on who was asked before. Runs are
+// bit-for-bit identical with the index on or off; the equivalence suite
 // at the repository root (TestGridLinearEquivalence) enforces this.
 package radio
 
@@ -83,27 +99,53 @@ type grid struct {
 	// so the index carries no per-node bookkeeping array at all.
 	cellStart []int32
 	nodes     []int32
-	cursor    []int32 // scatter scratch for rebuilds
+	// snap is slot-parallel to nodes: snap[s] is the position nodes[s]
+	// was filed under at builtAt. A node has moved at most drift meters
+	// since, so the cell walk rejects far candidates on this array alone,
+	// without touching the epoch cache or the mobility model. It only
+	// ever rejects, so float32 will do — half the bytes to stream through
+	// — as long as the rounding is allowed for: snapSlack bounds how far
+	// an entry can lie from the position it rounds, for the coordinates
+	// of the current build. Nil under beaconing, where observed
+	// positions move inside a cell between rebuilds with no drift bound.
+	snap      []snapPos
+	snapSlack float64
 
 	builtAt float64
 	built   bool
 	drift   float64 // staleness bound of the current snapshot, meters
 }
 
-func newGrid(n int, rng, maxSpeed float64) *grid {
+func newGrid(n int, rng, maxSpeed float64, beacon bool) *grid {
 	// Half-range cells keep the candidate-to-neighbor overcount low: the
 	// cells intersecting the query disk hug it much tighter than
 	// full-range cells would, at the price of a few more (dense, cheap)
 	// cell inspections.
 	cell := rng / 2
-	return &grid{
+	g := &grid{
 		cell:     cell,
 		invCell:  1 / cell,
 		slack:    rng / 4,
 		maxSpeed: maxSpeed,
 		nodes:    make([]int32, n),
 	}
+	if !beacon {
+		g.snap = make([]snapPos, n)
+	}
+	return g
 }
+
+// snapPos is a snapshot position rounded to float32.
+type snapPos struct{ x, y float32 }
+
+// snapGuard widens the candidate radius — the cell rows a query walks
+// and the snapshot pre-filter — by an absolute margin, in meters. The
+// drift bound is exact in real arithmetic; positions are computed in
+// float64, whose rounding, at any coordinate a run uses, is many orders
+// of magnitude below this, so the pre-filter can never reject a node the
+// exact test would accept. (The rounding of grid.snap to float32 is not
+// that small, and has its own margin: grid.snapSlack.)
+const snapGuard = 1e-6
 
 func (g *grid) cellAt(p geo.Point) cellKey {
 	return keyOf(int32(math.Floor(p.X*g.invCell)), int32(math.Floor(p.Y*g.invCell)))
@@ -136,8 +178,20 @@ func (g *grid) noteMove(old, new geo.Point) {
 // position in O(1).
 func (ch *Channel) syncEpoch() {
 	if now := ch.sched.Now(); now != ch.epochAt {
-		ch.epoch++
+		ch.advanceEpoch()
 		ch.epochAt = now
+	}
+}
+
+// advanceEpoch moves to a fresh position epoch, orphaning every cached
+// position. Entries are stamped with the low half of their epoch (half
+// the bytes per node); when that wraps, every stamp is forgotten, and the
+// value 0, which marks "never computed", is skipped.
+func (ch *Channel) advanceEpoch() {
+	ch.epoch++
+	if uint32(ch.epoch) == 0 {
+		clear(ch.posEpoch)
+		ch.epoch++
 	}
 }
 
@@ -146,9 +200,9 @@ func (ch *Channel) syncEpoch() {
 // per (node, event-time).
 func (ch *Channel) position(i int) geo.Point {
 	ch.syncEpoch()
-	if ch.posEpoch[i] != ch.epoch {
+	if ch.posEpoch[i] != uint32(ch.epoch) {
 		ch.posCache[i] = ch.mob.Position(i, ch.epochAt)
-		ch.posEpoch[i] = ch.epoch
+		ch.posEpoch[i] = uint32(ch.epoch)
 	}
 	return ch.posCache[i]
 }
@@ -221,21 +275,29 @@ func (ch *Channel) rebuildGrid(now float64) {
 		if w*h <= maxGridCells {
 			g.minCx, g.minCy = minCx, minCy
 			g.w, g.h = int32(w), int32(h)
+			if g.snap != nil {
+				// float32 keeps 24 bits: each axis rounds by at most
+				// 2^-24 of its magnitude, the two together by less than
+				// 2^-23 of the largest coordinate in the occupied box.
+				far := max(-float64(minCx), float64(maxCx)+1, -float64(minCy), float64(maxCy)+1)
+				g.snapSlack = far * g.cell * 0x1p-23
+			}
 			break
 		}
 		g.cell *= 2
 		g.invCell = 1 / g.cell
 	}
 
-	// Pass 2: counting sort into CSR. cellStart[k] counts, then prefix
-	// sums to starts; cursor tracks the scatter position per cell.
+	// Pass 2: counting sort into CSR. cellStart[k+1] counts cell k, then
+	// prefix sums turn counts into starts. The scatter advances each
+	// cell's start as it files a node, leaving cellStart[k] at the cell's
+	// end — the next cell's start — so shifting the array up by one slot
+	// restores it without a second cursor array.
 	cells := int(g.w) * int(g.h)
 	if cap(g.cellStart) < cells+1 {
 		g.cellStart = make([]int32, cells+1)
-		g.cursor = make([]int32, cells+1)
 	} else {
 		g.cellStart = g.cellStart[:cells+1]
-		g.cursor = g.cursor[:cells+1]
 		clear(g.cellStart)
 	}
 	for i := 0; i < n; i++ {
@@ -244,12 +306,18 @@ func (ch *Channel) rebuildGrid(now float64) {
 	for k := 1; k <= cells; k++ {
 		g.cellStart[k] += g.cellStart[k-1]
 	}
-	copy(g.cursor, g.cellStart)
 	for i := 0; i < n; i++ {
-		k := g.linIdxAt(ch.indexedPos(i, beacon))
-		g.nodes[g.cursor[k]] = int32(i)
-		g.cursor[k]++
+		p := ch.indexedPos(i, beacon)
+		k := g.linIdxAt(p)
+		slot := g.cellStart[k]
+		g.nodes[slot] = int32(i)
+		if g.snap != nil {
+			g.snap[slot] = snapPos{float32(p.X), float32(p.Y)}
+		}
+		g.cellStart[k] = slot + 1
 	}
+	copy(g.cellStart[1:], g.cellStart)
+	g.cellStart[0] = 0
 
 	g.builtAt = now
 	g.built = true
@@ -280,90 +348,131 @@ func (g *grid) linIdxAt(p geo.Point) int {
 
 // appendGridNeighbors appends all live nodes within radio range of self
 // (excluding id) to buf, sorted by NodeID — the same set, in the same
-// order, as the linear reference scan. Candidate cells are those
-// intersecting the disk of radius Range+drift around self; exact
-// membership uses current positions.
+// order, as the linear reference scan.
 //
-// Matches are marked in a node-indexed scratch bitset and emitted by
-// iterating its set bits, which yields ascending-ID output without a
-// sort and without allocating. Only the span of words that received a
-// mark is swept, so the emit costs what the match set spans, not N/64.
+// A node in range now was within Range+drift of self at the snapshot, so
+// candidates come from the cells intersecting the disk of that radius
+// (widened by snapGuard and snapSlack) around self. The disk cuts each
+// cell row in one interval, and a row's cells are adjacent in CSR order,
+// so a row is one run of slots. A candidate is first tested on its snapshot position
+// (see grid.snap): only those inside the disk can be in range now, and
+// only they pay for a current position; exact membership uses that.
+//
+// Matches are collected as node indices, ordered by sortMatches and then
+// emitted with their (by now cached) positions, so the emit costs what
+// the match set holds, whatever N is.
 func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point) []Neighbor {
 	g := ch.grid
-	r := ch.cfg.Range + g.drift
+	r := ch.cfg.Range + g.drift + snapGuard + g.snapSlack
 	r2cand := r * r
 	r2 := ch.cfg.Range * ch.cfg.Range
-	cx0 := int32(math.Floor((self.X - r) * g.invCell))
-	cx1 := int32(math.Floor((self.X + r) * g.invCell))
-	cy0 := int32(math.Floor((self.Y - r) * g.invCell))
-	cy1 := int32(math.Floor((self.Y + r) * g.invCell))
-	cx0, cx1 = max(cx0, g.minCx), min(cx1, g.minCx+g.w-1)
-	cy0, cy1 = max(cy0, g.minCy), min(cy1, g.minCy+g.h-1)
+	cy0 := max(int32(math.Floor((self.Y-r)*g.invCell)), g.minCy)
+	cy1 := min(int32(math.Floor((self.Y+r)*g.invCell)), g.minCy+g.h-1)
 
 	// Hoisted epoch state: position() would re-check the clock per
 	// candidate; one sync up front covers the whole query.
 	ch.syncEpoch()
-	epoch, now := ch.epoch, ch.epochAt
+	epoch, now := uint32(ch.epoch), ch.epochAt
 	beacon := ch.beaconAt != nil
-	alive := ch.alive
-	selfI := int(id)
+	live, snap, nodes := ch.live, g.snap, g.nodes
+	selfI := int32(id)
+	ids := ch.matchBuf[:0]
 
-	mark := ch.markBuf
-	lo, hi := len(mark), -1 // span of mark words touched
 	for cy := cy0; cy <= cy1; cy++ {
-		rowBase := int(cy-g.minCy) * int(g.w)
-		// The row's vertical distance to self is constant; hoist it out
-		// of the per-cell disk test.
-		ny := clamp(self.Y, float64(cy)*g.cell, float64(cy+1)*g.cell)
-		dy := self.Y - ny
-		dy2 := dy * dy
-		for cx := cx0; cx <= cx1; cx++ {
-			// Skip cells entirely outside the search disk.
-			nx := clamp(self.X, float64(cx)*g.cell, float64(cx+1)*g.cell)
-			dx := self.X - nx
-			if dx*dx+dy2 > r2cand {
+		// Half-width of the disk across this row, measured on the row's
+		// horizontal line nearest to self.
+		dy := self.Y - clamp(self.Y, float64(cy)*g.cell, float64(cy+1)*g.cell)
+		hx := math.Sqrt(max(r2cand-dy*dy, 0))
+		cx0 := max(int32(math.Floor((self.X-hx)*g.invCell)), g.minCx)
+		cx1 := min(int32(math.Floor((self.X+hx)*g.invCell)), g.minCx+g.w-1)
+		if cx0 > cx1 {
+			continue
+		}
+		rowBase := int(cy-g.minCy)*int(g.w) - int(g.minCx)
+		end := g.cellStart[rowBase+int(cx1)+1]
+		for slot := g.cellStart[rowBase+int(cx0)]; slot < end; slot++ {
+			if snap != nil {
+				sx, sy := self.X-float64(snap[slot].x), self.Y-float64(snap[slot].y)
+				if sx*sx+sy*sy > r2cand {
+					continue
+				}
+			}
+			i := nodes[slot]
+			if i == selfI {
 				continue
 			}
-			k := rowBase + int(cx-g.minCx)
-			for _, j := range g.nodes[g.cellStart[k]:g.cellStart[k+1]] {
-				i := int(j)
-				if i == selfI {
-					continue
+			var p geo.Point
+			if beacon {
+				p = ch.beaconPos[i]
+			} else {
+				if ch.posEpoch[i] != epoch {
+					ch.posCache[i] = ch.mob.Position(int(i), now)
+					ch.posEpoch[i] = epoch
 				}
-				var p geo.Point
-				if beacon {
-					p = ch.beaconPos[i]
-				} else {
-					if ch.posEpoch[i] != epoch {
-						ch.posCache[i] = ch.mob.Position(i, now)
-						ch.posEpoch[i] = epoch
-					}
-					p = ch.posCache[i]
-				}
-				if self.Dist2(p) > r2 || !alive(NodeID(i)) {
-					continue
-				}
-				w := i >> 6
-				mark[w] |= 1 << (uint(i) & 63)
-				lo, hi = min(lo, w), max(hi, w)
+				p = ch.posCache[i]
 			}
+			if self.Dist2(p) > r2 || !live[i] {
+				continue
+			}
+			ids = append(ids, i)
 		}
 	}
-
-	for w := lo; w <= hi; w++ {
-		m := mark[w]
-		mark[w] = 0
-		base := w << 6
-		for ; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			if beacon {
-				buf = append(buf, Neighbor{ID: NodeID(i), Pos: ch.beaconPos[i]})
-			} else {
-				buf = append(buf, Neighbor{ID: NodeID(i), Pos: ch.posCache[i]})
-			}
+	ch.matchBuf = ids
+	ch.sortMatches(ids)
+	for _, i := range ids {
+		if beacon {
+			buf = append(buf, Neighbor{ID: NodeID(i), Pos: ch.beaconPos[i]})
+		} else {
+			buf = append(buf, Neighbor{ID: NodeID(i), Pos: ch.posCache[i]})
 		}
 	}
 	return buf
+}
+
+// insertionMax is the most matches sortMatches hands to insertion sort
+// as they are. Every query at paper density (a dozen neighbors, a dozen
+// peers in a region) is well below it.
+const insertionMax = 24
+
+// sortMatches orders one query's matches — node indices — ascending.
+// The cost depends on the number of matches only, never on N.
+//
+// Cells list their occupants in ascending order, so a query's matches
+// arrive as a few sorted runs and an insertion sort moves little. A
+// dense topology matches a hundred nodes and more; there insertion (and
+// any comparison sort: one mispredicted branch per compare) costs more
+// than the rest of the query, so the matches are first dealt, stably,
+// into 64 buckets by their high bits. That leaves every index within a
+// bucket's width of its place, and the insertion pass has next to
+// nothing left to do.
+func (ch *Channel) sortMatches(s []int32) {
+	if len(s) > insertionMax {
+		shift := max(bits.Len(uint(len(ch.live)-1))-6, 0)
+		var start [65]int32
+		for _, v := range s {
+			start[v>>shift+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		if cap(ch.dealBuf) < len(s) {
+			ch.dealBuf = make([]int32, len(s), 2*len(s))
+		}
+		dealt := ch.dealBuf[:len(s)]
+		for _, v := range s {
+			dealt[start[v>>shift]] = v
+			start[v>>shift]++
+		}
+		copy(s, dealt)
+	}
+	for i := 1; i < len(s); i++ {
+		v := s[i]
+		j := i
+		for ; j > 0 && s[j-1] > v; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
+	}
 }
 
 // AppendInRect appends to buf, in ascending NodeID order, every node —
@@ -376,7 +485,8 @@ func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point
 // Candidates come from the cells intersecting r grown by the snapshot's
 // drift bound (a node inside r now was within drift of it at the
 // snapshot); membership is decided on current epoch-cached positions, so
-// the result is exactly what testing every node would give.
+// the result is exactly what testing every node would give, in the same
+// order (sortMatches, as for a neighbor query).
 func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
 	if ch.grid == nil || ch.beaconAt != nil {
 		return buf, false
@@ -393,29 +503,22 @@ func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
 		return buf, true
 	}
 
-	mark := ch.markBuf
-	lo, hi := len(mark), -1
+	ids := ch.matchBuf[:0]
 	for cy := int32(cy0); cy <= int32(cy1); cy++ {
 		rowBase := int(cy-g.minCy) * int(g.w)
 		first := g.cellStart[rowBase+int(int32(cx0)-g.minCx)]
 		last := g.cellStart[rowBase+int(int32(cx1)-g.minCx)+1]
 		// A row's cells are adjacent in CSR order: one run of occupants.
-		for _, j := range g.nodes[first:last] {
-			i := int(j)
-			if !r.Contains(ch.position(i)) {
-				continue
+		for _, i := range g.nodes[first:last] {
+			if r.Contains(ch.position(int(i))) {
+				ids = append(ids, i)
 			}
-			w := i >> 6
-			mark[w] |= 1 << (uint(i) & 63)
-			lo, hi = min(lo, w), max(hi, w)
 		}
 	}
-	for w := lo; w <= hi; w++ {
-		m := mark[w]
-		mark[w] = 0
-		for base := w << 6; m != 0; m &= m - 1 {
-			buf = append(buf, NodeID(base+bits.TrailingZeros64(m)))
-		}
+	ch.matchBuf = ids
+	ch.sortMatches(ids)
+	for _, i := range ids {
+		buf = append(buf, NodeID(i))
 	}
 	return buf, true
 }

@@ -26,6 +26,28 @@ func orderChannel(t *testing.T, n int, cfg Config, seed int64) (*Channel, *sim.S
 	return ch, sched
 }
 
+// requireSameNeighbors holds the grid channel to the linear one for every
+// node at the current instant: same set, strictly ascending by NodeID,
+// no dead node and never the querier.
+func requireSameNeighbors(t *testing.T, grid, lin *Channel, n int) {
+	t.Helper()
+	at := grid.sched.Now()
+	for id := NodeID(0); int(id) < n; id++ {
+		g := grid.Neighbors(id)
+		for i, nb := range g {
+			if i > 0 && g[i-1].ID >= nb.ID {
+				t.Fatalf("t=%v node %d: neighbors not strictly ascending by ID: %v", at, id, g)
+			}
+			if nb.ID == id || !grid.Alive(nb.ID) {
+				t.Fatalf("t=%v node %d: dead node or the querier listed: %v", at, id, g)
+			}
+		}
+		if l := lin.Neighbors(id); fmt.Sprint(g) != fmt.Sprint(l) {
+			t.Fatalf("t=%v node %d: grid %v != linear %v", at, id, g, l)
+		}
+	}
+}
+
 // TestNeighborsDeterministicOrder is the regression test for the neighbor
 // ordering contract: under the spatial grid index, Neighbors must return
 // exactly the set the retained linear scan returns, sorted by ascending
@@ -47,40 +69,215 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 			grid, gridSched := orderChannel(t, n, cfg, 42)
 			lin, linSched := orderChannel(t, n, linCfg, 42)
 
-			// Kill a few nodes mid-run on both channels.
-			dead := map[NodeID]bool{}
-			alive := func(id NodeID) bool { return !dead[id] }
-			grid.SetAlive(alive)
-			lin.SetAlive(alive)
-
-			for step, at := range []float64{0, 1, 5, 5, 13.5, 30, 90} {
-				gridSched.At(at, func() {})
-				linSched.At(at, func() {})
+			for _, at := range []float64{0, 1, 5, 5, 13.5, 30, 90} {
 				gridSched.Run(at)
 				linSched.Run(at)
 				if at == 5 {
-					dead[7] = true
-					dead[23] = true
-				}
-				for id := NodeID(0); id < n; id++ {
-					g := grid.Neighbors(id)
-					for i := 1; i < len(g); i++ {
-						if g[i-1].ID >= g[i].ID {
-							t.Fatalf("t=%v node %d: neighbors not strictly ascending by ID: %v", at, id, g)
-						}
-					}
-					l := lin.Neighbors(id)
-					if fmt.Sprint(g) != fmt.Sprint(l) {
-						t.Fatalf("t=%v (step %d) node %d: grid %v != linear %v", at, step, id, g, l)
-					}
-					for _, nb := range g {
-						if dead[nb.ID] {
-							t.Fatalf("t=%v node %d: dead node %d listed as neighbor", at, id, nb.ID)
-						}
+					// Kill a few nodes mid-run on both channels.
+					for _, ch := range []*Channel{grid, lin} {
+						ch.SetNodeAlive(7, false)
+						ch.SetNodeAlive(23, false)
 					}
 				}
+				requireSameNeighbors(t, grid, lin, n)
 			}
 		})
+	}
+
+	// The snapshot pre-filter at its limit: every node moves at MaxSpeed
+	// all the time, and the clock creeps up to, onto and past the instant
+	// the drift bound reaches Range/4 and the grid rebuilds. A guard band
+	// that let rounding reject a true neighbor would show here as a node
+	// the linear scan lists and the grid does not.
+	t.Run("full-speed-across-rebuilds", func(t *testing.T) {
+		const n, speed = 240, 20.0
+		wcfg := mobility.DefaultWaypointConfig()
+		wcfg.MinSpeed, wcfg.MaxSpeed, wcfg.Pause = speed, speed, 0
+		build := func(cfg Config) *Channel {
+			mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := New(cfg, sim.NewScheduler(), mob, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ch
+		}
+		linCfg := DefaultConfig()
+		linCfg.LinearScan = true
+		grid, lin := build(DefaultConfig()), build(linCfg)
+
+		slack := grid.grid.slack
+		full := slack / speed // seconds from a rebuild to drift == Range/4
+		var justUnder, atSlack, rebuilds int
+		for cycle := 0; cycle < 4; cycle++ {
+			requireSameNeighbors(t, grid, lin, n) // first query of the cycle rebuilds
+			built := grid.grid.builtAt
+			for _, dt := range []float64{full / 2, full - 1e-3, full - 1e-9, full, full + 1e-9} {
+				grid.sched.Run(built + dt)
+				lin.sched.Run(built + dt)
+				requireSameNeighbors(t, grid, lin, n)
+				switch d := grid.grid.drift; {
+				case grid.grid.builtAt != built:
+					rebuilds++
+				case d == slack:
+					atSlack++
+				case d > slack-1e-6:
+					justUnder++
+				}
+			}
+		}
+		if justUnder == 0 || atSlack == 0 || rebuilds == 0 {
+			t.Fatalf("drift limit not straddled: %d queries just under Range/4, %d at it, %d rebuilds past it",
+				justUnder, atSlack, rebuilds)
+		}
+	})
+}
+
+// approach is a two-node model built to sit on the pre-filter's edge:
+// node 0 stands still and node 1 closes in on it along the x axis at
+// exactly MaxSpeed, so its distance from its snapshot position equals the
+// drift bound at every instant.
+type approach struct{ from, speed float64 }
+
+func (approach) Len() int            { return 2 }
+func (a approach) MaxSpeed() float64 { return a.speed }
+func (a approach) Position(node int, now float64) geo.Point {
+	if node == 0 {
+		return geo.Pt(0, 0)
+	}
+	return geo.Pt(a.from-a.speed*now, 0)
+}
+
+// TestSnapshotPrefilterKeepsEdgeNeighbor puts a node exactly Range away
+// whose snapshot position is exactly Range+drift away — the one pair the
+// pre-filter may not lose — for several speeds and starting offsets.
+func TestSnapshotPrefilterKeepsEdgeNeighbor(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, speed := range []float64{0.3, 1, 7, 20} {
+		for _, lead := range []float64{1e-9, 0.1, 17.3, cfg.Range / 4} {
+			// Node 1 starts lead meters out of range and is in range from
+			// t = lead/speed on.
+			sched := sim.NewScheduler()
+			ch, err := New(cfg, sched, approach{from: cfg.Range + lead, speed: speed}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nb := ch.Neighbors(0); len(nb) != 0 {
+				t.Fatalf("speed %v lead %v: in range before the approach: %v", speed, lead, nb)
+			}
+			sched.Run(lead / speed)
+			want := ch.Position(1).Dist2(geo.Pt(0, 0)) <= cfg.Range*cfg.Range
+			if got := len(ch.Neighbors(0)) == 1; got != want {
+				t.Fatalf("speed %v lead %v: at the range boundary the grid lists node 1: %v, exact test: %v (drift %v)",
+					speed, lead, got, want, ch.grid.drift)
+			}
+			if ch.grid.builtAt != 0 {
+				t.Fatalf("speed %v lead %v: the grid rebuilt; the snapshot was not exercised", speed, lead)
+			}
+		}
+	}
+}
+
+// TestNeighborsSameInstantReuse holds the remembered query to its rule: a
+// repeat for the same node at the same instant is served from the buffer,
+// and anything that could change the answer — a liveness change, a beacon
+// refresh, a state restore, the clock — makes the next answer fresh, even
+// when it happens between two calls at one instant. Freshness is observed
+// by scribbling on the returned buffer, which a recomputation overwrites.
+func TestNeighborsSameInstantReuse(t *testing.T) {
+	const poison = NodeID(-1)
+	ids := func(nbrs []Neighbor) string {
+		var out []NodeID
+		for _, nb := range nbrs {
+			out = append(out, nb.ID)
+		}
+		return fmt.Sprint(out)
+	}
+	// fresh queries id, requires the answer to be recomputed and returns it
+	// poisoned for the next check.
+	fresh := func(t *testing.T, ch *Channel, id NodeID, why string) []Neighbor {
+		t.Helper()
+		nb := ch.Neighbors(id)
+		if len(nb) == 0 {
+			t.Fatalf("%s: node %d has no neighbors; nothing to observe", why, id)
+		}
+		if nb[0].ID == poison {
+			t.Fatalf("%s: Neighbors(%d) served the remembered answer", why, id)
+		}
+		got := append([]Neighbor(nil), nb...)
+		nb[0].ID = poison
+		return got
+	}
+
+	t.Run("liveness", func(t *testing.T) {
+		ch, sched, _ := newChannel(t, DefaultConfig(), lineTopology(t, 3, 100), false)
+		sched.Run(4)
+		if got := ids(fresh(t, ch, 1, "first query")); got != "[0 2]" {
+			t.Fatalf("neighbors of 1: %s", got)
+		}
+		if nb := ch.Neighbors(1); nb[0].ID != poison {
+			t.Fatal("a same-instant repeat was recomputed")
+		}
+		ch.SetNodeAlive(2, false)
+		if got := ids(fresh(t, ch, 1, "after a kill")); got != "[0]" {
+			t.Fatalf("neighbors of 1 with 2 dead: %s", got)
+		}
+		ch.SetNodeAlive(2, true)
+		if got := ids(fresh(t, ch, 1, "after a revive")); got != "[0 2]" {
+			t.Fatalf("neighbors of 1 with 2 back: %s", got)
+		}
+		fresh(t, ch, 0, "another node")
+		fresh(t, ch, 1, "back to the first node")
+		sched.Run(5)
+		fresh(t, ch, 1, "after the clock moved")
+	})
+
+	t.Run("beacon-and-restore", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.BeaconInterval = 2
+		ch, sched := orderChannel(t, 60, cfg, 42)
+		ch.SetNodeAlive(9, false) // dead: its beacon is never refreshed by a query
+		sched.Run(3)
+		st, err := ch.StateSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ids(fresh(t, ch, 0, "first query"))
+		ch.ObservedPosition(9) // refreshes the dead node's stale beacon
+		if got := ids(fresh(t, ch, 0, "after a beacon refresh")); got != want {
+			t.Fatalf("neighbors changed across a dead node's beacon: %s, was %s", got, want)
+		}
+		if err := ch.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(fresh(t, ch, 0, "after RestoreState")); got != want {
+			t.Fatalf("neighbors changed across a same-instant restore: %s, was %s", got, want)
+		}
+	})
+}
+
+// TestPositionEpochWrap drives the epoch counter across the point where
+// its low half — all a cached position is stamped with — wraps: no stamp
+// from before may pass for current after.
+func TestPositionEpochWrap(t *testing.T) {
+	grid, _ := orderChannel(t, 60, DefaultConfig(), 42)
+	linCfg := DefaultConfig()
+	linCfg.LinearScan = true
+	lin, _ := orderChannel(t, 60, linCfg, 42)
+	grid.epoch = 1<<32 - 3
+	for step := 1; step <= 6; step++ {
+		at := float64(step) * 2.5
+		grid.sched.Run(at)
+		lin.sched.Run(at)
+		requireSameNeighbors(t, grid, lin, 60)
+		if uint32(grid.epoch) == 0 {
+			t.Fatal("epoch 0 marks a position never computed and must be skipped")
+		}
+	}
+	if grid.epoch <= 1<<32 {
+		t.Fatalf("epoch %d: the wrap was not crossed", grid.epoch)
 	}
 }
 
@@ -100,8 +297,8 @@ func TestNeighborsBufferReuse(t *testing.T) {
 // has drifted (no rebuild between them), for rectangles inside, across
 // and far outside the populated area; and checks it declines where the
 // grid does not index true positions. Interleaved Neighbors calls share
-// the mark bitset, so a query that left a bit behind would show up in
-// the next one.
+// the match scratch, so a query that left something behind would show up
+// in the next one.
 func TestAppendInRectMatchesScan(t *testing.T) {
 	const n = 300
 	ch, sched := orderChannel(t, n, DefaultConfig(), 11)
@@ -145,12 +342,6 @@ func TestAppendInRectMatchesScan(t *testing.T) {
 	if !drifted {
 		t.Fatal("no query was answered from a drifted snapshot; the drift margin went untested")
 	}
-	for _, w := range ch.markBuf {
-		if w != 0 {
-			t.Fatal("the mark bitset was left dirty")
-		}
-	}
-
 	// Appending keeps what the buffer already held.
 	if got, _ := ch.AppendInRect([]NodeID{-7}, rects[3]); len(got) != 1 || got[0] != -7 {
 		t.Fatalf("AppendInRect over an empty rectangle returned %v", got)

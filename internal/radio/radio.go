@@ -7,7 +7,11 @@
 // Neighbor queries — the hottest operation in the simulator — are served
 // by a uniform-grid spatial index with an epoch-based position cache (see
 // grid.go). A retained linear scan (Config.LinearScan) is the
-// correctness oracle: both paths are bit-identical by contract.
+// correctness oracle: both paths are bit-identical by contract. The last
+// query's answer is remembered and served again to a repeat for the same
+// node at the same instant (see Neighbors), and liveness is a dense
+// table of one byte per node with a single writer (SetNodeAlive), shared
+// between the channels of a sharded run (SetLiveness).
 //
 // The model is deliberately simpler than a packet-level 802.11 PHY — no
 // carrier sense across nodes, no collisions — because the paper's metrics
@@ -162,7 +166,12 @@ type Channel struct {
 	meter   *energy.Meter
 	handler Handler
 	onDrop  DropHandler
-	alive   func(NodeID) bool
+	// live is the dense liveness table, one byte per node: dead nodes
+	// neither transmit nor receive (nor pay energy). The channel starts
+	// with its own all-alive table; a node layer shares one table among
+	// its shard replicas' channels through SetLiveness. Written only by
+	// SetNodeAlive.
+	live []bool
 	// loss holds one RNG stream per sender, so loss draws depend only on
 	// the sender's own transmission history — a sharded run, where each
 	// sender transmits from its own shard, consumes the streams exactly
@@ -190,10 +199,10 @@ type Channel struct {
 	inFlight    uint64 // receptions scheduled but not yet resolved
 
 	// Position epoch cache: posCache[i] is valid iff posEpoch[i] equals
-	// epoch, and epoch is bumped lazily whenever the clock moves past
-	// epochAt. See grid.go.
+	// the low half of epoch, and epoch is bumped lazily (advanceEpoch)
+	// whenever the clock moves past epochAt. See grid.go.
 	posCache []geo.Point
-	posEpoch []uint64
+	posEpoch []uint32
 	epoch    uint64
 	epochAt  float64
 
@@ -203,10 +212,19 @@ type Channel struct {
 	// steady-state queries allocate nothing. The returned slice is only
 	// valid until the next Neighbors/Broadcast/Unicast call.
 	nbrBuf []Neighbor
-	// markBuf is the node-indexed match bitset grid queries use to emit
-	// neighbors in ascending NodeID order without sorting. Always fully
-	// zero between queries.
-	markBuf []uint64
+	// matchBuf collects a grid query's matches (node indices) before they
+	// are ordered and emitted; dealBuf is sortMatches' scratch. Both are
+	// reused, and sized by the largest match set seen, not by N.
+	matchBuf, dealBuf []int32
+	// nbrMemo names the query nbrBuf currently answers. A routed hop asks
+	// for the sender's neighbors twice at one instant (the routing
+	// decision, then Unicast's overhearing charge); the repeat is served
+	// from the buffer. See Neighbors for the validity rule.
+	nbrMemo struct {
+		id    NodeID
+		key   PlanarKey
+		valid bool
+	}
 
 	// topoGen counts liveness changes (crash/quit/revive). Together with
 	// the position epoch it forms PlanarKey: as long as neither moves,
@@ -251,10 +269,10 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 		mob:         mob,
 		meter:       meter,
 		loss:        loss,
-		alive:       func(NodeID) bool { return true },
+		live:        allAlive(mob.Len()),
 		txBusyUntil: make([]float64, mob.Len()),
 		posCache:    make([]geo.Point, mob.Len()),
-		posEpoch:    make([]uint64, mob.Len()),
+		posEpoch:    make([]uint32, mob.Len()),
 		epoch:       1,  // posEpoch is zeroed, so every entry starts invalid
 		epochAt:     -1, // simulation time is >= 0: first query misses
 	}
@@ -273,10 +291,17 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 		if sb, ok := mob.(mobility.SpeedBounded); ok {
 			maxSpeed = sb.MaxSpeed()
 		}
-		ch.grid = newGrid(mob.Len(), cfg.Range, maxSpeed)
-		ch.markBuf = make([]uint64, (mob.Len()+63)/64)
+		ch.grid = newGrid(mob.Len(), cfg.Range, maxSpeed, cfg.BeaconInterval > 0)
 	}
 	return ch, nil
+}
+
+func allAlive(n int) []bool {
+	live := make([]bool, n)
+	for i := range live {
+		live[i] = true
+	}
+	return live
 }
 
 // collided applies the receiver-side collision model at delivery time.
@@ -316,10 +341,30 @@ func (ch *Channel) DisableRecycling() {
 	ch.freeDeliveries = nil
 }
 
-// NoteTopologyChange must be called whenever node liveness changes
-// (crash, quit, revive): it invalidates every cached planarization even
-// when the clock — and so the position epoch — has not moved.
-func (ch *Channel) NoteTopologyChange() { ch.topoGen++ }
+// SetLiveness replaces the channel's liveness table with one the caller
+// owns, so that several channels (a sharded run's replicas) read the same
+// bytes. The table must hold one entry per node and must only ever be
+// written through SetNodeAlive — on every channel that shares it, since
+// each keeps its own topology generation.
+func (ch *Channel) SetLiveness(table []bool) {
+	if len(table) != ch.mob.Len() {
+		panic(fmt.Sprintf("radio: liveness table has %d entries, channel has %d nodes", len(table), ch.mob.Len()))
+	}
+	ch.live = table
+	ch.topoGen++
+}
+
+// SetNodeAlive is the single writer of node liveness (crash, quit,
+// revive). It bumps the topology generation, which invalidates every
+// cached planarization and the remembered neighbor query even when the
+// clock — and so the position epoch — has not moved.
+func (ch *Channel) SetNodeAlive(id NodeID, alive bool) {
+	ch.live[id] = alive
+	ch.topoGen++
+}
+
+// Alive reports whether the channel considers the node live.
+func (ch *Channel) Alive(id NodeID) bool { return ch.live[id] }
 
 // PlanarKey identifies an instant of the connectivity graph: the
 // position epoch (bumped when the clock moves) plus the topology
@@ -472,7 +517,7 @@ func (d *delivery) fire() {
 	ch, to, f, air := d.ch, d.to, d.f, d.air
 	ch.recycleDelivery(d)
 	ch.inFlight--
-	if !ch.alive(to) {
+	if !ch.live[to] {
 		ch.stats.DeadDrops++
 		if ch.onDrop != nil {
 			ch.onDrop(to, f)
@@ -487,15 +532,6 @@ func (d *delivery) fire() {
 	}
 	ch.stats.Handled++
 	ch.handler(to, f)
-}
-
-// SetAlive installs a liveness predicate; dead nodes neither transmit nor
-// receive (nor pay energy).
-func (ch *Channel) SetAlive(f func(NodeID) bool) {
-	if f == nil {
-		f = func(NodeID) bool { return true }
-	}
-	ch.alive = f
 }
 
 // Config returns the channel parameters.
@@ -546,6 +582,7 @@ func (ch *Channel) refreshBeacon(i int, now float64) {
 	}
 	ch.beaconPos[i] = p
 	ch.beaconAt[i] = now
+	ch.nbrMemo.valid = false
 }
 
 // refreshStaleBeacons refreshes the beacon of every live node whose last
@@ -559,7 +596,7 @@ func (ch *Channel) refreshStaleBeacons() {
 	}
 	now := ch.sched.Now()
 	for i := range ch.beaconAt {
-		if !ch.alive(NodeID(i)) {
+		if !ch.live[i] {
 			continue
 		}
 		if ch.beaconAt[i] < 0 || now-ch.beaconAt[i] >= ch.cfg.BeaconInterval {
@@ -583,8 +620,20 @@ type Neighbor struct {
 //
 // The returned slice is a reusable buffer owned by the Channel: it is
 // valid only until the next Neighbors, Broadcast, Unicast or
-// ConnectedComponent call. Copy it to retain it.
+// ConnectedComponent call, and must not be written to. Copy it to retain
+// it.
+//
+// Asking again for the same node at the same instant returns the same
+// slice without recomputing it. "Same instant" is the PlanarKey — the
+// position epoch, which moves with the clock and on RestoreState, and
+// the topology generation, which moves on every liveness change — and a
+// beacon refresh in between drops the remembered answer too, so the
+// repeat is exactly what a fresh query would have produced.
 func (ch *Channel) Neighbors(id NodeID) []Neighbor {
+	key := ch.PlanarKey()
+	if m := &ch.nbrMemo; m.valid && m.id == id && m.key == key {
+		return ch.nbrBuf
+	}
 	ch.refreshStaleBeacons()
 	self := ch.position(int(id))
 	buf := ch.nbrBuf[:0]
@@ -595,6 +644,7 @@ func (ch *Channel) Neighbors(id NodeID) []Neighbor {
 		buf = ch.appendLinearNeighbors(buf, id, self)
 	}
 	ch.nbrBuf = buf
+	ch.nbrMemo.id, ch.nbrMemo.key, ch.nbrMemo.valid = id, key, true
 	return buf
 }
 
@@ -609,7 +659,7 @@ func (ch *Channel) appendLinearNeighbors(buf []Neighbor, id NodeID, self geo.Poi
 			continue
 		}
 		p := ch.observedCached(i)
-		if !ch.alive(NodeID(i)) {
+		if !ch.live[i] {
 			continue
 		}
 		if self.Dist2(p) <= r2 {
@@ -659,7 +709,7 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 	if ch.handler == nil {
 		panic("radio: Broadcast before SetHandler")
 	}
-	if !ch.alive(from) {
+	if !ch.live[from] {
 		return 0
 	}
 	onAir := size + ch.cfg.HeaderBytes
@@ -698,10 +748,10 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	if ch.handler == nil {
 		panic("radio: Unicast before SetHandler")
 	}
-	if !ch.alive(from) {
+	if !ch.live[from] {
 		return false
 	}
-	if !ch.alive(to) || !ch.InRange(from, to) {
+	if !ch.live[to] || !ch.InRange(from, to) {
 		ch.stats.Undeliverable++
 		return false
 	}

@@ -117,12 +117,44 @@ func TestNeighborsUnitDisk(t *testing.T) {
 func TestNeighborsExcludeDead(t *testing.T) {
 	mob := lineTopology(t, 3, 100)
 	ch, _, _ := newChannel(t, DefaultConfig(), mob, false)
-	ch.SetAlive(func(id NodeID) bool { return id != 1 })
+	ch.SetNodeAlive(1, false)
 	for _, nb := range ch.Neighbors(0) {
 		if nb.ID == 1 {
 			t.Fatal("dead node listed as neighbor")
 		}
 	}
+}
+
+// TestSharedLivenessTable: the channels of a sharded run read one table.
+// A death written through every channel's SetNodeAlive is seen by all of
+// them, remembered answers included; a table of the wrong size is
+// refused.
+func TestSharedLivenessTable(t *testing.T) {
+	a, _, _ := newChannel(t, DefaultConfig(), lineTopology(t, 3, 100), false)
+	b, _, _ := newChannel(t, DefaultConfig(), lineTopology(t, 3, 100), false)
+	table := []bool{true, true, true}
+	a.SetLiveness(table)
+	b.SetLiveness(table)
+	if len(a.Neighbors(1)) != 2 || len(b.Neighbors(1)) != 2 {
+		t.Fatal("middle node should see both ends")
+	}
+	for _, ch := range []*Channel{a, b} {
+		ch.SetNodeAlive(2, false)
+	}
+	if table[2] {
+		t.Fatal("SetNodeAlive did not write the shared table")
+	}
+	for name, ch := range map[string]*Channel{"a": a, "b": b} {
+		if nb := ch.Neighbors(1); len(nb) != 1 || nb[0].ID != 0 || ch.Alive(2) {
+			t.Errorf("channel %s still sees node 2: %v", name, nb)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a liveness table of the wrong length was accepted")
+		}
+	}()
+	a.SetLiveness(make([]bool, 2))
 }
 
 func TestBroadcastDelivery(t *testing.T) {
@@ -146,7 +178,7 @@ func TestBroadcastFromDeadNode(t *testing.T) {
 	mob := lineTopology(t, 2, 100)
 	ch, sched, _ := newChannel(t, DefaultConfig(), mob, false)
 	ch.SetHandler(func(NodeID, Frame) { t.Fatal("unexpected delivery") })
-	ch.SetAlive(func(id NodeID) bool { return id != 0 })
+	ch.SetNodeAlive(0, false)
 	if n := ch.Broadcast(0, 100, nil); n != 0 {
 		t.Fatalf("dead node broadcast delivered to %d", n)
 	}
@@ -192,7 +224,7 @@ func TestUnicastToDeadNode(t *testing.T) {
 	mob := lineTopology(t, 2, 100)
 	ch, sched, _ := newChannel(t, DefaultConfig(), mob, false)
 	ch.SetHandler(func(NodeID, Frame) { t.Fatal("unexpected delivery") })
-	ch.SetAlive(func(id NodeID) bool { return id != 1 })
+	ch.SetNodeAlive(1, false)
 	if ch.Unicast(0, 1, 100, nil) {
 		t.Fatal("unicast to dead node returned true")
 	}
@@ -362,12 +394,10 @@ func TestDeadReceiverSkippedAtDeliveryTime(t *testing.T) {
 	// A node that dies between send and delivery must not get the frame.
 	mob := lineTopology(t, 2, 100)
 	ch, sched, _ := newChannel(t, DefaultConfig(), mob, false)
-	dead := false
-	ch.SetAlive(func(id NodeID) bool { return !(dead && id == 1) })
 	got := 0
 	ch.SetHandler(func(NodeID, Frame) { got++ })
 	ch.Unicast(0, 1, 100, nil)
-	dead = true
+	ch.SetNodeAlive(1, false)
 	sched.RunAll()
 	if got != 0 {
 		t.Fatal("frame delivered to node that died in flight")

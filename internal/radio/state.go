@@ -82,9 +82,11 @@ func (ch *Channel) RestoreState(st State) error {
 	}
 	ch.stats = st.Stats
 	ch.inFlight = 0
-	// Invalidate the derived caches: epochAt=-1 forces the first query to
-	// miss, and an unbuilt grid rebuilds from scratch at that point.
-	ch.epoch++
+	// Invalidate the derived caches: the epoch bump orphans every cached
+	// position and the remembered neighbor query, epochAt=-1 forces the
+	// first query to miss, and an unbuilt grid rebuilds from scratch at
+	// that point.
+	ch.advanceEpoch()
 	ch.epochAt = -1
 	if ch.grid != nil {
 		ch.grid.invalidate()

@@ -265,6 +265,22 @@ func TestInvariantDetectsBrokenCache(t *testing.T) {
 	}
 }
 
+// TestInvariantDetectsSplitLiveness: a radio that reads another liveness
+// table than the network's must trip the liveness checker.
+func TestInvariantDetectsSplitLiveness(t *testing.T) {
+	t.Setenv("PRECINCT_DEBUG_BREAK", "split-liveness")
+	_, inv, err := precinct.RunChecked(brokenCacheScenario())
+	if err != nil {
+		t.Fatalf("RunChecked: %v", err)
+	}
+	for _, v := range inv.Violations {
+		if v.Checker == "liveness" {
+			return
+		}
+	}
+	t.Fatalf("expected a liveness violation, got: %s", inv)
+}
+
 // TestInvariantDebugBreakUnknownMode: an unknown sabotage mode is a
 // configuration error, not a silent no-op.
 func TestInvariantDebugBreakUnknownMode(t *testing.T) {

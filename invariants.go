@@ -50,6 +50,8 @@ func (r InvariantReport) String() string {
 //
 //	no-evict — disable cache eviction on every peer (violates the
 //	           capacity bound).
+//	split-liveness — hand the radio a liveness table of its own, in
+//	           which peer 0 is dead, in place of the network's.
 //
 // Unset or empty means no sabotage. Unknown values are an error.
 func debugBreakEnv(b *built) error {
@@ -62,6 +64,13 @@ func debugBreakEnv(b *built) error {
 				c.SetEvictionDisabledForTest(true)
 			}
 		}
+		return nil
+	case "split-liveness":
+		own := make([]bool, b.network.Peers())
+		for i := 1; i < len(own); i++ {
+			own[i] = true
+		}
+		b.channel.SetLiveness(own)
 		return nil
 	default:
 		return fmt.Errorf("precinct: unknown PRECINCT_DEBUG_BREAK mode %q", mode)
