@@ -132,17 +132,21 @@ bench-compare-advisory:
 # first so neither always runs on a cold or a throttled host — and each
 # pair goes through `-compare`, which applies BENCHMARK.json's bounds
 # and exits non-zero on a metric that got worse or a run that failed.
-# About 2 minutes per pair; run on a quiet machine.
+# About 2 minutes per pair; run on a quiet machine. BENCH_WORKLOADS (a
+# comma-separated list, default all) goes to both sides as -workloads,
+# so a claim about one workload is gated in about a minute per pair.
 #
 #	make bench-gate BENCH_PARENT=HEAD~1 BENCH_SEED=2 BENCH_PAIRS=4
+#	make bench-gate BENCH_WORKLOADS=paper_80 BENCH_PAIRS=10
 BENCH_PARENT ?= HEAD
 BENCH_SEED ?= 1
 BENCH_REPS ?= 3
 BENCH_PAIRS ?= 2
+BENCH_WORKLOADS ?=
 bench-gate:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	mkdir "$$dir/parent" && git archive $(BENCH_PARENT) | tar -x -C "$$dir/parent" && \
-	args="-seed $(BENCH_SEED) -reps $(BENCH_REPS)" && \
+	args="-seed $(BENCH_SEED) -reps $(BENCH_REPS) -workloads=$(BENCH_WORKLOADS)" && \
 	run_parent() { (cd "$$dir/parent" && $(GO) run ./bench $$args -json "$$dir/parent_$$1.json" > /dev/null); } && \
 	run_change() { $(GO) run ./bench $$args -json "$$dir/change_$$1.json" > /dev/null; } && \
 	for i in $$(seq 1 $(BENCH_PAIRS)); do \

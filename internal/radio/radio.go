@@ -232,12 +232,14 @@ type Channel struct {
 	// is provably unchanged, so GPSR may reuse a cached planar set.
 	topoGen uint64
 
-	// freeDeliveries recycles the per-reception delivery boxes that carry
-	// a scheduled frame to its fire time; combined with the scheduler's
-	// event freelist this makes steady-state frame delivery
-	// allocation-free. noRecycle (the NoPooling reference path) disables
-	// the freelist so every delivery is a fresh allocation.
+	// freeDeliveries recycles the delivery boxes that carry a unicast or
+	// cross-shard frame to its fire time, freeReceptions the reception
+	// objects that carry a broadcast to its same-shard receivers; combined
+	// with the scheduler's event freelist this makes steady-state frame
+	// delivery allocation-free. noRecycle (the NoPooling reference path)
+	// disables both freelists so every one of them is a fresh allocation.
 	freeDeliveries []*delivery
+	freeReceptions []*reception
 	noRecycle      bool
 }
 
@@ -333,12 +335,13 @@ func (ch *Channel) SetHandler(h Handler) { ch.handler = h }
 // SetDropHandler installs the lost-frame observer (may be nil).
 func (ch *Channel) SetDropHandler(h DropHandler) { ch.onDrop = h }
 
-// DisableRecycling turns off the delivery-box freelist; the NoPooling
-// reference path uses it so the pooled path can be proven equivalent to
-// a fresh-allocation run.
+// DisableRecycling turns off the delivery-box and reception freelists;
+// the NoPooling reference path uses it so the pooled path can be proven
+// equivalent to a fresh-allocation run.
 func (ch *Channel) DisableRecycling() {
 	ch.noRecycle = true
 	ch.freeDeliveries = nil
+	ch.freeReceptions = nil
 }
 
 // SetLiveness replaces the channel's liveness table with one the caller
@@ -381,9 +384,10 @@ func (ch *Channel) PlanarKey() PlanarKey {
 	return PlanarKey{Epoch: ch.epoch, Topo: ch.topoGen}
 }
 
-// delivery carries one scheduled reception from send to fire time. The
-// box is recycled through the channel's freelist before the handler
-// runs, so a handler that transmits reuses the box it arrived in.
+// delivery carries one scheduled reception — a unicast frame's, or one
+// that crossed shards — from send to fire time. The box is recycled
+// through the channel's freelist before the handler runs, so a handler
+// that transmits reuses the box it arrived in.
 type delivery struct {
 	ch  *Channel
 	to  NodeID
@@ -412,29 +416,81 @@ func (ch *Channel) recycleDelivery(d *delivery) {
 	}
 }
 
-// scheduleDelivery books one reception for `to` after `delay`. The
-// delivery event executes under the receiver's context, so a sharded
-// run can route it to the receiver's shard. It reports whether the
-// reception stayed on this channel (false: parked in the outbox for a
-// remote shard — for broadcasts, with a deep-copied payload, since the
-// local receivers share the original by reference count).
-func (ch *Channel) scheduleDelivery(delay float64, to NodeID, f Frame, air float64) bool {
-	if ch.shardOf != nil && ch.shardOf[to] != ch.selfShard {
-		if f.Broadcast && ch.clonePayload != nil {
-			f.Payload = ch.clonePayload(f.Payload)
-		}
-		creator, cseq := ch.sched.ReserveKey()
-		ch.outbox = append(ch.outbox, RemoteDelivery{
-			At: ch.sched.Now() + delay, To: to, F: f, Air: air,
-			Creator: creator, Cseq: cseq,
-		})
-		return false
+// reception carries one broadcast to all of its same-shard receivers:
+// the frame once, and a fan (sim.Fan) with one member per receiver whose
+// execution context is the receiver's NodeID, so the receiver list is
+// the member list. It is recycled when its last member fires, before
+// that member's handler runs.
+type reception struct {
+	fan sim.Fan // Ctx is the reception itself
+	ch  *Channel
+	f   Frame
+	air float64
+}
+
+// fireReception is the AtFan trampoline, called once per receiver.
+func fireReception(x any) {
+	r := x.(*reception)
+	ch, to, f, air := r.ch, NodeID(r.fan.Fired().ExecAs), r.f, r.air
+	if r.fan.Done() {
+		ch.recycleReception(r)
+	}
+	ch.resolve(to, f, air)
+}
+
+func (ch *Channel) takeReception() *reception {
+	if n := len(ch.freeReceptions); n > 0 {
+		r := ch.freeReceptions[n-1]
+		ch.freeReceptions[n-1] = nil
+		ch.freeReceptions = ch.freeReceptions[:n-1]
+		r.fan.Reset()
+		return r
+	}
+	r := &reception{ch: ch}
+	r.fan.Ctx = r
+	return r
+}
+
+func (ch *Channel) recycleReception(r *reception) {
+	r.f = Frame{} // never pin a payload from the freelist
+	if !ch.noRecycle {
+		ch.freeReceptions = append(ch.freeReceptions, r)
+	}
+}
+
+// remote reports whether a reception for `to` belongs to another shard's
+// channel.
+func (ch *Channel) remote(to NodeID) bool {
+	return ch.shardOf != nil && ch.shardOf[to] != ch.selfShard
+}
+
+// park books a reception for a receiver on another shard: into the
+// outbox, under a canonical key reserved here — broadcasts with a
+// deep-copied payload, since the local receivers share the original by
+// reference count.
+func (ch *Channel) park(delay float64, to NodeID, f Frame, air float64) {
+	if f.Broadcast && ch.clonePayload != nil {
+		f.Payload = ch.clonePayload(f.Payload)
+	}
+	creator, cseq := ch.sched.ReserveKey()
+	ch.outbox = append(ch.outbox, RemoteDelivery{
+		At: ch.sched.Now() + delay, To: to, F: f, Air: air,
+		Creator: creator, Cseq: cseq,
+	})
+}
+
+// scheduleDelivery books a unicast frame's reception for `to` after
+// `delay`. The delivery event executes under the receiver's context, so
+// a sharded run can route it to the receiver's shard.
+func (ch *Channel) scheduleDelivery(delay float64, to NodeID, f Frame, air float64) {
+	if ch.remote(to) {
+		ch.park(delay, to, f, air)
+		return
 	}
 	ch.inFlight++
 	d := ch.takeDelivery()
 	d.to, d.f, d.air = to, f, air
 	ch.sched.AfterCtxAs(delay, fireDelivery, d, int(to))
-	return true
 }
 
 // RemoteDelivery is a reception crossing shards: everything the
@@ -508,14 +564,19 @@ func (c Config) Lookahead() float64 {
 	return minAir + c.Propagation - 1e-9
 }
 
-// fire resolves a reception at its delivery time, preserving the exact
+// fire recycles the box, then resolves the reception it carried.
+func (d *delivery) fire() {
+	ch, to, f, air := d.ch, d.to, d.f, d.air
+	ch.recycleDelivery(d)
+	ch.resolve(to, f, air)
+}
+
+// resolve settles a reception at its delivery time, preserving the exact
 // order of the pre-pooling closure: alive check first (collided is not
 // consulted for dead receivers — their radio is off, not garbled), then
 // the collision model, then the handler. Dropped frames are reported to
 // the drop handler so payload ownership is settled exactly once.
-func (d *delivery) fire() {
-	ch, to, f, air := d.ch, d.to, d.f, d.air
-	ch.recycleDelivery(d)
+func (ch *Channel) resolve(to NodeID, f Frame, air float64) {
 	ch.inFlight--
 	if !ch.live[to] {
 		ch.stats.DeadDrops++
@@ -719,8 +780,14 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 		ch.meter.Charge(int(from), energy.BroadcastSend, onAir)
 	}
 	delay := ch.txDelay(from, size) + ch.cfg.Propagation
+	air := ch.airtime(size)
 	f := Frame{From: from, Broadcast: true, Size: onAir, Payload: payload}
-	delivered := 0
+	// Every receiver hears the frame at the same instant and draws its
+	// canonical key here, in neighbor order, whichever shard it lives on.
+	// The same-shard receivers become the members of one fan — one
+	// scheduler entry for the whole broadcast; the others are parked.
+	var r *reception
+	creator := int32(ch.sched.Cur()) // the context every key below is drawn under
 	for _, nb := range ch.Neighbors(from) {
 		if ch.meter != nil {
 			ch.meter.Charge(int(nb.ID), energy.BroadcastRecv, onAir)
@@ -730,13 +797,26 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 			continue
 		}
 		ch.stats.Deliveries++
-		// In sharded mode only same-shard receivers count toward the
-		// return value: they share the payload by reference, while
-		// remote receivers got an owned deep copy via the outbox.
-		if ch.scheduleDelivery(delay, nb.ID, f, ch.airtime(size)) {
-			delivered++
+		if ch.remote(nb.ID) {
+			ch.park(delay, nb.ID, f, air)
+			continue
 		}
+		if r == nil {
+			r = ch.takeReception()
+		}
+		_, cseq := ch.sched.ReserveKey()
+		r.fan.Add(cseq, int(nb.ID))
 	}
+	if r == nil {
+		return 0
+	}
+	// In sharded mode only same-shard receivers count toward the return
+	// value: they share the payload by reference, while remote receivers
+	// got an owned deep copy via the outbox.
+	delivered := r.fan.Len()
+	r.f, r.air = f, air
+	ch.inFlight += uint64(delivered)
+	ch.sched.AtFan(ch.sched.Now()+delay, creator, fireReception, &r.fan)
 	return delivered
 }
 

@@ -20,6 +20,13 @@ package sim
 // sifts write (heap position) and Cancel probes (generation) is a
 // separate flat array, eight bytes a slot, which stays cache-resident
 // when the boxes do not.
+//
+// A fan (see Fan) is a run of events under one entry and one box. The
+// entry's key is always the key of the fan's next unfired member, which
+// no other pending key equals, so the heap still orders unique keys and
+// the pop order is still their sorted order: the members fire where k
+// single events would have, and whatever sorts between two of them fires
+// between them.
 
 // entry is one pending event as the heap orders it.
 type entry struct {
@@ -48,7 +55,8 @@ func (a *entry) key() EventKey {
 // box is the part of a pending event that ordering never reads. Exactly
 // one of fn and fnCtx is set: fn is the closure form, fnCtx+ctx the
 // allocation-free form used by hot paths (see AtCtx). proc.Kind is empty
-// for untagged (transient) events.
+// for untagged (transient) events. In a fan's box ctx is the *Fan, fnCtx
+// is called with the fan's Ctx, and execAs is the next unfired member's.
 type box struct {
 	fn     func()
 	fnCtx  func(any)
@@ -56,7 +64,54 @@ type box struct {
 	proc   Proc
 	seq    uint64 // insertion order (for snapshots; not an ordering key)
 	execAs int32  // execution context the callback runs under
+	fan    bool   // sits in execAs's padding: the box is 72 bytes either way
 }
+
+// FanMember is one event of a fan: the cseq of its canonical key and the
+// execution context its callback runs under.
+type FanMember struct {
+	Cseq   uint64
+	ExecAs int32
+}
+
+// Fan is a run of events that share a due time, a creator, a callback
+// and a context, and differ in cseq and execution context — a broadcast's
+// receptions. Scheduled with AtFan it occupies one heap entry and one
+// slot however many members it has, where the same events scheduled one
+// by one would each pay a push and a pop through the whole heap.
+//
+// The caller owns the Fan and may pool it: fill it with Reset and Add,
+// hand it to AtFan, and leave it alone until Done reports that the last
+// member has fired (the callback of the last member may already refill
+// it). A fan has no Handle; its members cannot be cancelled.
+type Fan struct {
+	// Ctx is passed to the callback on every member's firing.
+	Ctx any
+
+	members []FanMember
+	next    int // index of the next unfired member
+}
+
+// Reset empties the member list, keeping its storage.
+func (f *Fan) Reset() {
+	f.members = f.members[:0]
+	f.next = 0
+}
+
+// Add appends a member. Members are added in ascending cseq order, the
+// order keys are drawn in.
+func (f *Fan) Add(cseq uint64, execAs int) {
+	f.members = append(f.members, FanMember{Cseq: cseq, ExecAs: int32(execAs)})
+}
+
+// Len returns the number of members.
+func (f *Fan) Len() int { return len(f.members) }
+
+// Fired returns the member whose callback is running (or ran last).
+func (f *Fan) Fired() FanMember { return f.members[f.next-1] }
+
+// Done reports whether every member has fired.
+func (f *Fan) Done() bool { return f.next == len(f.members) }
 
 // slotMeta is the per-slot bookkeeping: where the slot's entry sits in
 // its heap (-1 while the slot is not pending) and how many times the
@@ -130,6 +185,7 @@ func (s *Scheduler) releaseSlot(slot int32) {
 
 // heapPush inserts e into the heap *q.
 func (s *Scheduler) heapPush(q *[]entry, e entry) {
+	s.pushes++
 	*q = append(*q, e)
 	s.siftUp(*q, len(*q)-1, e)
 }

@@ -125,16 +125,42 @@ type spawn struct {
 	execAs     int32
 }
 
+// reservedKey is a canonical key drawn between two members of a fan and
+// not yet attached to an event — the position a cross-shard delivery of
+// the same broadcast occupies in a sharded run.
+type reservedKey struct {
+	t       float64
+	creator int32
+	cseq    uint64
+}
+
+// fanRec is one scheduled fan as the harness sees it: the Fan handed to
+// the subject, and the ids under which the reference holds its members
+// as single events.
+type fanRec struct {
+	h       *diffHarness
+	fan     Fan
+	members []FanMember
+	ids     []int
+	n       int // members fired so far
+}
+
 // diffHarness drives a Scheduler and the reference in lockstep.
 type diffHarness struct {
 	t       *testing.T
 	s       *Scheduler
 	ref     *refSched
 	rng     *rand.Rand
-	handles []Handle // by event id
+	handles []Handle // by event id; zero for a fan's members, which have none
 	nextID  int
 	fired   []int   // ids the Scheduler fired, in order
 	spawns  []spawn // made by callbacks, not yet replayed onto the reference
+
+	reserved   []reservedKey // drawn inside fans, injected by a later op
+	stopIn     int           // when positive: call Stop from the stopIn-th callback from now
+	observed   int           // after-event observer calls
+	wantObs    int           // firings made through Run and Step, which notify observers
+	execCounts []uint64      // per execution context, from the reference's pops
 }
 
 func (h *diffHarness) newID() int {
@@ -149,6 +175,11 @@ func (h *diffHarness) newID() int {
 // path on which a new event takes over the slot its parent just vacated.
 func (h *diffHarness) callback(id int) {
 	h.fired = append(h.fired, id)
+	if h.stopIn > 0 {
+		if h.stopIn--; h.stopIn == 0 {
+			h.s.Stop()
+		}
+	}
 	if id%3 != 0 {
 		return
 	}
@@ -193,24 +224,106 @@ func (h *diffHarness) schedule() {
 	case 3:
 		// A cross-shard delivery: the key is reserved first, other events
 		// may be scheduled in between, and the event is injected later.
-		c, k := h.s.ReserveKey()
-		rc, rk := h.ref.reserve(cur)
-		if c != rc || k != rk {
-			h.t.Fatalf("ReserveKey = (%d,%d), reference (%d,%d)", c, k, rc, rk)
-		}
+		c, k := h.reserveBoth(cur)
 		h.handles[id] = h.s.InjectAtCtx(t, func(any) { h.callback(id) }, nil, int(execAs), c, k)
 		h.ref.insert(id, t, c, k, execAs, proc)
 	}
 	h.s.SetCur(-1)
 }
 
+// fireFanMember is the callback of every fan: the next member in order
+// is the one firing, under its own execution context, and the Fan says so.
+func fireFanMember(x any) {
+	r := x.(*fanRec)
+	i := r.n
+	r.n++
+	if i >= len(r.ids) {
+		r.h.t.Fatalf("a fan of %d members fired %d times", len(r.ids), r.n)
+	}
+	if got := r.fan.Fired(); got != r.members[i] {
+		r.h.t.Fatalf("fan member %d: Fired() = %+v, want %+v", i, got, r.members[i])
+	}
+	if r.h.s.Cur() != int(r.members[i].ExecAs) {
+		r.h.t.Fatalf("fan member %d runs under context %d, want %d", i, r.h.s.Cur(), r.members[i].ExecAs)
+	}
+	if r.fan.Done() != (r.n == len(r.ids)) {
+		r.h.t.Fatalf("fan member %d of %d: Done() = %v", i, len(r.ids), r.fan.Done())
+	}
+	r.h.callback(r.ids[i])
+}
+
+// scheduleFan gives the subject one fan where the reference gets one
+// single event per member. Keys are drawn member by member, as a
+// broadcast draws them per receiver; now and then an extra key is drawn
+// in between (a receiver on another shard), which leaves the members'
+// cseqs non-consecutive and is injected later — at once, or by a later
+// op when the fan may be half fired — to land between two members.
+func (h *diffHarness) scheduleFan() {
+	cur := int32(h.rng.Intn(6)) - 1
+	t := h.s.Now() + []float64{0, 0.5, 0.5, 1, 1, 2}[h.rng.Intn(6)]
+	h.s.SetCur(int(cur))
+	r := &fanRec{h: h}
+	r.fan.Ctx = r
+	for i, k := 0, 1+h.rng.Intn(7); i < k; i++ {
+		execAs := int32(h.rng.Intn(5)) - 1
+		if h.ref.split && execAs < 0 {
+			execAs = 0 // a fan lives in the local heap
+		}
+		c, cseq := h.reserveBoth(cur)
+		id := h.newID()
+		r.fan.Add(cseq, int(execAs))
+		r.members = append(r.members, FanMember{Cseq: cseq, ExecAs: execAs})
+		r.ids = append(r.ids, id)
+		h.ref.insert(id, t, c, cseq, execAs, Proc{})
+		if h.rng.Intn(3) == 0 {
+			c, cseq := h.reserveBoth(cur)
+			h.reserved = append(h.reserved, reservedKey{t, c, cseq})
+		}
+	}
+	h.s.AtFan(t, cur, fireFanMember, &r.fan)
+	h.s.SetCur(-1)
+	if h.rng.Intn(2) == 0 {
+		h.injectReserved()
+	}
+}
+
+func (h *diffHarness) reserveBoth(cur int32) (int32, uint64) {
+	c, k := h.s.ReserveKey()
+	rc, rk := h.ref.reserve(cur)
+	if c != rc || k != rk {
+		h.t.Fatalf("ReserveKey = (%d,%d), reference (%d,%d)", c, k, rc, rk)
+	}
+	return c, k
+}
+
+// injectReserved attaches events to the keys drawn inside fans. A key
+// whose instant has passed is injected at the present one, where it still
+// sorts among whatever is due now.
+func (h *diffHarness) injectReserved() {
+	for _, k := range h.reserved {
+		id := h.newID()
+		t := math.Max(k.t, h.s.Now())
+		execAs := int32(h.rng.Intn(4))
+		h.handles[id] = h.s.InjectAtCtx(t, func(any) { h.callback(id) }, nil, int(execAs), k.creator, k.cseq)
+		h.ref.insert(id, t, k.creator, k.cseq, execAs, Proc{})
+	}
+	h.reserved = h.reserved[:0]
+}
+
 // cancel cancels a random event ever issued — pending, fired, cancelled,
-// or one whose slot has long since been handed to another event.
+// or one whose slot has long since been handed to another event (a fan
+// included).
 func (h *diffHarness) cancel() {
 	if h.nextID == 0 {
 		return
 	}
 	id := h.rng.Intn(h.nextID)
+	if h.handles[id] == 0 {
+		if h.s.Cancel(0) {
+			h.t.Fatal("Cancel of the zero Handle returned true")
+		}
+		return
+	}
 	got, want := h.s.Cancel(h.handles[id]), h.ref.cancel(id)
 	if got != want {
 		h.t.Fatalf("Cancel(event %d) = %v, reference %v", id, got, want)
@@ -220,7 +333,7 @@ func (h *diffHarness) cancel() {
 // replay pops from the reference one event for every firing the
 // Scheduler logged from position `from` on — from the local queue for a
 // shard-worker drain, else from whichever queue holds the canonical
-// minimum — and checks identity, due time and clock; each popped event's
+// minimum — and checks identity and due time; each popped event's
 // spawns are then scheduled on the reference under its execAs, the
 // context its callback ran in.
 func (h *diffHarness) replay(from int, local bool, horizon float64) {
@@ -239,6 +352,7 @@ func (h *diffHarness) replay(from int, local bool, horizon float64) {
 		if ev.key.Time >= horizon {
 			h.t.Fatalf("fired event %d due at %v, at or past the horizon %v", id, ev.key.Time, horizon)
 		}
+		h.execCounts[ev.execAs+1]++
 		for len(h.spawns) > 0 && h.spawns[0].parent == id {
 			sp := h.spawns[0]
 			h.spawns = h.spawns[1:]
@@ -249,9 +363,6 @@ func (h *diffHarness) replay(from int, local bool, horizon float64) {
 	if len(h.spawns) != 0 {
 		h.t.Fatalf("%d spawns belong to no fired event", len(h.spawns))
 	}
-	if len(h.fired) > from && h.s.Now() != h.ref.now {
-		h.t.Fatalf("clock %v after firing, reference %v", h.s.Now(), h.ref.now)
-	}
 }
 
 func (h *diffHarness) step() {
@@ -259,7 +370,53 @@ func (h *diffHarness) step() {
 	if fired, want := h.s.Step(math.Inf(1)), h.ref.min() >= 0; fired != want {
 		h.t.Fatalf("Step = %v, reference has an event to fire: %v", fired, want)
 	}
+	h.wantObs += len(h.fired) - n
 	h.replay(n, false, math.Inf(1))
+	h.checkStep()
+}
+
+// stepAt asks for one event at the head's own instant (it must fire:
+// the coordinator's barrier drain) or at an instant nothing is due at.
+func (h *diffHarness) stepAt() {
+	key, ok := h.s.PeekKey()
+	if !ok {
+		return
+	}
+	n := len(h.fired)
+	if h.rng.Intn(4) == 0 {
+		if h.s.StepAt(key.Time + 0.125) {
+			h.t.Fatalf("StepAt fired an event due at %v for the instant %v", key.Time, key.Time+0.125)
+		}
+	} else if !h.s.StepAt(key.Time) {
+		h.t.Fatalf("StepAt(%v) did not fire the head event %+v", key.Time, key)
+	}
+	h.replay(n, false, math.Inf(1))
+	h.checkStep()
+}
+
+// runStop runs to a horizon inclusive of its instant, with a Stop from
+// inside one of the first few callbacks half of the time — mid-fan, when
+// a fan is what is firing.
+func (h *diffHarness) runStop() {
+	until := h.s.Now() + []float64{0, 0.5, 1}[h.rng.Intn(3)]
+	if h.rng.Intn(2) == 0 {
+		h.stopIn = 1 + h.rng.Intn(6)
+	}
+	n := len(h.fired)
+	if got := h.s.Run(until); int(got) != len(h.fired)-n {
+		h.t.Fatalf("Run returned %d, %d callbacks ran", got, len(h.fired)-n)
+	}
+	stopped := h.stopIn == 0 && h.s.stopped
+	h.stopIn = 0
+	h.wantObs += len(h.fired) - n
+	h.replay(n, false, math.Nextafter(until, math.Inf(1)))
+	if !stopped {
+		if qi := h.ref.min(); qi >= 0 && h.ref.q[qi][0].key.Time <= until {
+			h.t.Fatalf("Run(%v) left an event due at %v", until, h.ref.q[qi][0].key.Time)
+		}
+		h.ref.now = math.Max(h.ref.now, until)
+	}
+	h.checkStep()
 }
 
 // runBefore drains the local queue below a horizon the way a shard
@@ -273,14 +430,41 @@ func (h *diffHarness) runBefore(horizon float64) {
 	if q := h.ref.q[0]; len(q) > 0 && q[0].key.Time < horizon {
 		h.t.Fatalf("RunBefore(%v) left a local event due at %v", horizon, q[0].key.Time)
 	}
+	h.checkStep()
+}
+
+// checkStep is what must agree after every firing op: the clock, the
+// counts of fired and of pending events, and the next key.
+func (h *diffHarness) checkStep() {
+	if h.s.Now() != h.ref.now {
+		h.t.Fatalf("clock %v, reference %v", h.s.Now(), h.ref.now)
+	}
+	if h.s.Executed() != uint64(len(h.fired)) {
+		h.t.Fatalf("Executed = %d, %d callbacks ran", h.s.Executed(), len(h.fired))
+	}
+	if h.observed != h.wantObs {
+		h.t.Fatalf("after-event observers ran %d times for %d firings", h.observed, h.wantObs)
+	}
+	if h.s.Len() != len(h.ref.pending) {
+		h.t.Fatalf("Len = %d, reference %d", h.s.Len(), len(h.ref.pending))
+	}
+	key, ok := h.s.PeekKey()
+	qi := h.ref.min()
+	if ok != (qi >= 0) || (ok && key != h.ref.q[qi][0].key) {
+		h.t.Fatalf("PeekKey = %+v,%v; reference queue %d", key, ok, qi)
+	}
 }
 
 func (h *diffHarness) check() {
 	if err := h.s.CheckConsistency(); err != nil {
 		h.t.Fatal(err)
 	}
-	if h.s.Len() != len(h.ref.pending) {
-		h.t.Fatalf("Len = %d, reference %d", h.s.Len(), len(h.ref.pending))
+	h.checkStep()
+	if h.s.seq != h.ref.seq {
+		h.t.Fatalf("insertion sequence at %d, reference %d", h.s.seq, h.ref.seq)
+	}
+	if !reflect.DeepEqual(h.s.ExecCounts(), h.execCounts) {
+		h.t.Fatalf("ExecCounts = %v, reference %v", h.s.ExecCounts(), h.execCounts)
 	}
 	got, want := h.s.PendingProcs(), h.ref.procs()
 	if !reflect.DeepEqual(got, want) {
@@ -288,11 +472,6 @@ func (h *diffHarness) check() {
 	}
 	if q := h.s.Quiescent(); q != (len(want) == len(h.ref.pending)) {
 		h.t.Fatalf("Quiescent = %v with %d tagged of %d pending", q, len(want), len(h.ref.pending))
-	}
-	key, ok := h.s.PeekKey()
-	qi := h.ref.min()
-	if ok != (qi >= 0) || (ok && key != h.ref.q[qi][0].key) {
-		h.t.Fatalf("PeekKey = %+v,%v; reference queue %d", key, ok, qi)
 	}
 	if h.ref.split {
 		lt, lok := h.s.PeekLocal()
@@ -304,11 +483,14 @@ func (h *diffHarness) check() {
 	}
 }
 
-// TestQueueMatchesContainerHeap replays fuzzed schedule / cancel / step
-// streams against the container/heap reference: every firing, every
-// Cancel verdict, the clock, Len, Quiescent, PendingProcs and the peeks
-// must agree, with the two-queue split on and off and with slot
-// recycling on and off.
+// TestQueueMatchesContainerHeap replays fuzzed schedule / fan / cancel /
+// step / run streams against the container/heap reference, which holds
+// one single event for every member of a fan: every firing, every Cancel
+// verdict, and after every firing op the clock, Executed, Len, the next
+// key and what the observers saw must agree — Quiescent, PendingProcs,
+// the insertion sequence, the per-context tallies and the peeks every
+// few ops — with the two-queue split on and off and with slot recycling
+// on and off.
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		for _, split := range []bool{false, true} {
@@ -321,18 +503,29 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 					s.DisableRecycling()
 				}
 				h := &diffHarness{t: t, s: s, ref: newRefSched(split), rng: rand.New(rand.NewSource(seed))}
+				s.CountExec(5) // contexts -1..4
+				h.execCounts = make([]uint64, 6)
+				s.AddAfterEvent(func(float64) { h.observed++ })
 				ops := 1500
 				if noRecycle {
 					ops = 4000 // past one chunk of retired slots
 				}
 				for op := 0; op < ops; op++ {
-					switch r := h.rng.Intn(10); {
+					switch r := h.rng.Intn(16); {
 					case r < 4:
 						h.schedule()
 					case r < 6:
+						h.scheduleFan()
+					case r < 8:
 						h.cancel()
-					case r < 9:
+					case r < 12:
 						h.step()
+					case r < 13:
+						h.stepAt()
+					case r < 14:
+						h.runStop()
+					case r < 15:
+						h.injectReserved()
 					default:
 						if split {
 							// As the barrier protocol guarantees, the window
@@ -350,6 +543,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 						h.check()
 					}
 				}
+				h.injectReserved()
 				for h.s.Len() > 0 {
 					h.step()
 				}
@@ -429,10 +623,18 @@ func TestCheckConsistencyCatchesCorruption(t *testing.T) {
 			s.At(float64(40-i), func() {})
 		}
 		s.AtProc(Proc{Kind: "tick", Owner: 1}, 5, func() {})
+		// A fan of four at the head of the queue, its first member fired.
+		f := &Fan{}
+		for _, cseq := range []uint64{3, 5, 6, 9} {
+			f.Add(cseq, 2)
+		}
+		s.AtFan(0.5, 7, func(any) {}, f)
+		s.Step(1)
 		h := s.At(100, func() {})
 		s.Cancel(h) // one slot on the freelist
 		return s
 	}
+	fanOf := func(s *Scheduler) *Fan { return s.box(s.queue[0].slot).ctx.(*Fan) }
 	if err := build().CheckConsistency(); err != nil {
 		t.Fatalf("intact scheduler: %v", err)
 	}
@@ -449,6 +651,14 @@ func TestCheckConsistencyCatchesCorruption(t *testing.T) {
 		"lost slot":        func(s *Scheduler) { s.free = s.free[:0] },
 		"before the clock": func(s *Scheduler) { s.now = 50 },
 		"empty box":        func(s *Scheduler) { s.box(s.queue[1].slot).fn = nil },
+		// The fan entry must carry its next member's key, the cursor must
+		// name an unfired member, and the members still to fire must ascend.
+		"fan key":        func(s *Scheduler) { s.queue[0].cseq = 4 },
+		"fan context":    func(s *Scheduler) { s.box(s.queue[0].slot).execAs = 1 },
+		"fan cursor":     func(s *Scheduler) { fanOf(s).next = 4 },
+		"fan descending": func(s *Scheduler) { fanOf(s).members[3].Cseq = 6 },
+		"fan count":      func(s *Scheduler) { s.fanExtra-- },
+		"fan mark":       func(s *Scheduler) { s.box(s.queue[1].slot).fan = true },
 	}
 	for name, corrupt := range cases {
 		s := build()

@@ -128,12 +128,19 @@ type Scheduler struct {
 	chunks []*[chunkSize]box
 	meta   []slotMeta
 	tagged int // pending events carrying a Proc tag
+	// fanExtra is the number of pending events that have no heap entry of
+	// their own: every unfired member of a pending fan but its next one.
+	fanExtra int
 
 	now       float64
 	seq       uint64
 	executed  uint64
 	cancelled uint64
 	stopped   bool
+	// pushes counts heap entries pushed, fanFired events fired as fan
+	// members (of which only a fan's first paid a push, its last a pop).
+	pushes   uint64
+	fanFired uint64
 
 	// cur is the execution context of the in-flight event: the peer id
 	// whose callback is running, or -1 outside callbacks and for
@@ -205,11 +212,19 @@ func (s *Scheduler) SplitGlobal() {
 // Now returns the current simulation time in seconds.
 func (s *Scheduler) Now() float64 { return s.now }
 
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue) + len(s.gqueue) }
+// Len returns the number of pending events, a fan counting once per
+// unfired member.
+func (s *Scheduler) Len() int { return len(s.queue) + len(s.gqueue) + s.fanExtra }
 
 // Executed returns the number of events that have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
+
+// HeapPushes returns the number of heap entries pushed so far: one per
+// scheduled event, but one per fan.
+func (s *Scheduler) HeapPushes() uint64 { return s.pushes }
+
+// FanFired returns the number of events that fired as members of a fan.
+func (s *Scheduler) FanFired() uint64 { return s.fanFired }
 
 // Cur returns the current execution context (-1 outside callbacks).
 func (s *Scheduler) Cur() int { return int(s.cur) }
@@ -258,12 +273,14 @@ func (s *Scheduler) notifyAfterEvent() {
 // (i-1)/4), every entry's slot records the entry's own position and
 // holds exactly one callback, global events sit in the global heap and
 // nowhere else, the tagged count matches the Proc tags actually pending,
+// every fan entry carries its next unfired member's key (see checkFan)
+// and the fans' remaining members add up to the count Len relies on,
 // no pending event is scheduled before the current clock, every
 // freelist slot is cleared and not pending, and (with recycling on) the
 // slab is exactly the pending slots plus the free ones. It is O(n) over
 // the slab and intended for invariant sweeps, not hot paths.
 func (s *Scheduler) CheckConsistency() error {
-	tagged := 0
+	tagged, fanExtra := 0, 0
 	for qi, q := range [2][]entry{s.queue, s.gqueue} {
 		for i := range q {
 			e := &q[i]
@@ -286,6 +303,13 @@ func (s *Scheduler) CheckConsistency() error {
 			if b.proc.Kind != "" {
 				tagged++
 			}
+			if b.fan {
+				f, err := s.checkFan(e, b)
+				if err != nil {
+					return err
+				}
+				fanExtra += len(f.members) - f.next - 1
+			}
 			if e.time < s.now {
 				return fmt.Errorf("sim: pending slot %d at t=%v is before now=%v", e.slot, e.time, s.now)
 			}
@@ -297,6 +321,9 @@ func (s *Scheduler) CheckConsistency() error {
 	if tagged != s.tagged {
 		return fmt.Errorf("sim: %d pending events carry a Proc tag, tagged count is %d", tagged, s.tagged)
 	}
+	if fanExtra != s.fanExtra {
+		return fmt.Errorf("sim: pending fans hold %d members beyond their entries, the count is %d", fanExtra, s.fanExtra)
+	}
 	// Every heap entry's slot is marked pending, at the entry's own index
 	// in the one heap its execAs selects (above), so entries and pending
 	// slots pair up one to one as long as no other slot claims to be
@@ -307,8 +334,8 @@ func (s *Scheduler) CheckConsistency() error {
 			pending++
 		}
 	}
-	if pending != s.Len() {
-		return fmt.Errorf("sim: %d slots are marked pending but the heaps hold %d entries", pending, s.Len())
+	if entries := len(s.queue) + len(s.gqueue); pending != entries {
+		return fmt.Errorf("sim: %d slots are marked pending but the heaps hold %d entries", pending, entries)
 	}
 	for i, slot := range s.free {
 		if slot < 0 || int(slot) >= len(s.meta) {
@@ -317,13 +344,50 @@ func (s *Scheduler) CheckConsistency() error {
 		if s.meta[slot].pos >= 0 {
 			return fmt.Errorf("sim: freelist slot %d is still pending", slot)
 		}
-		if b := s.box(slot); b.fn != nil || b.fnCtx != nil || b.ctx != nil || b.proc != (Proc{}) {
-			return fmt.Errorf("sim: freelist slot %d retains a callback, context or Proc tag", slot)
+		if b := s.box(slot); b.fn != nil || b.fnCtx != nil || b.ctx != nil || b.proc != (Proc{}) || b.fan {
+			return fmt.Errorf("sim: freelist slot %d retains a callback, context, Proc tag or fan mark", slot)
 		}
 	}
 	if !s.noRecycle && pending+len(s.free) != len(s.meta) {
 		return fmt.Errorf("sim: slab of %d slots, %d pending + %d free: a slot is lost or listed twice",
 			len(s.meta), pending, len(s.free))
+	}
+	return nil
+}
+
+// checkFan verifies a fan entry against its Fan: the box holds a *Fan and
+// no Proc tag, the cursor names an unfired member, the entry's cseq and
+// the box's execAs are that member's, and the unfired members' cseqs
+// ascend, so every advance moves the entry's key forward.
+func (s *Scheduler) checkFan(e *entry, b *box) (*Fan, error) {
+	f, ok := b.ctx.(*Fan)
+	if !ok || b.fnCtx == nil || b.proc.Kind != "" {
+		return nil, fmt.Errorf("sim: fan slot %d does not hold a *Fan, a context callback and no Proc tag", e.slot)
+	}
+	if f.next < 0 || f.next >= len(f.members) {
+		return nil, fmt.Errorf("sim: fan slot %d: cursor %d outside its %d members", e.slot, f.next, len(f.members))
+	}
+	if m := f.members[f.next]; e.cseq != m.Cseq || b.execAs != m.ExecAs {
+		return nil, fmt.Errorf("sim: fan slot %d is keyed (cseq %d, execAs %d), its next member is (%d, %d)",
+			e.slot, e.cseq, b.execAs, m.Cseq, m.ExecAs)
+	}
+	if err := s.checkMembers(f, f.next); err != nil {
+		return nil, fmt.Errorf("sim: fan slot %d: %w", e.slot, err)
+	}
+	return f, nil
+}
+
+// checkMembers verifies that f's members from index `from` on ascend in
+// cseq and, under SplitGlobal, are local work: a fan lives in one heap.
+func (s *Scheduler) checkMembers(f *Fan, from int) error {
+	for i := from; i < len(f.members); i++ {
+		m := f.members[i]
+		if i > from && m.Cseq <= f.members[i-1].Cseq {
+			return fmt.Errorf("fan member %d's cseq %d does not exceed its predecessor's %d", i, m.Cseq, f.members[i-1].Cseq)
+		}
+		if s.splitGlobal && m.ExecAs < 0 {
+			return fmt.Errorf("fan member %d is global work under SplitGlobal", i)
+		}
 	}
 	return nil
 }
@@ -479,6 +543,34 @@ func (s *Scheduler) InjectAtCtx(t float64, fn func(any), ctx any, execAs int, cr
 	return h
 }
 
+// AtFan schedules fn(f.Ctx) once per member of f at absolute time t: the
+// same firings, in the same places of the canonical order, as one
+// InjectAtCtx(t, fn, f.Ctx, m.ExecAs, creator, m.Cseq) per member m, for
+// one heap entry and one slot. The members' keys were drawn (ReserveKey)
+// under creator, in member order, so their cseqs ascend. Under
+// SplitGlobal every member must be local work (ExecAs >= 0): a fan lives
+// in one heap. See Fan for who owns f and for how long.
+func (s *Scheduler) AtFan(t float64, creator int32, fn func(any), f *Fan) {
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+	if len(f.members) == 0 {
+		panic("sim: scheduling a fan without members")
+	}
+	if err := s.checkMembers(f, 0); err != nil {
+		panic("sim: " + err.Error())
+	}
+	f.next = 0
+	first := f.members[0]
+	b, _ := s.scheduleKeyed(t, first.ExecAs, creator, first.Cseq)
+	b.fnCtx = fn
+	b.ctx = f
+	b.fan = true
+	extra := len(f.members) - 1
+	s.seq += uint64(extra) // one insertion number per member
+	s.fanExtra += extra
+}
+
 // Quiescent reports whether every pending event is a tagged re-armable
 // process — i.e. no transient work (frame deliveries, request timeouts,
 // retries) is in flight and the run can be checkpointed.
@@ -563,32 +655,59 @@ func (s *Scheduler) Cancel(h Handle) bool {
 
 // remove takes the entry at index i out of the heap *q, keeping the
 // tagged count in step. The slot stays allocated; the caller releases it.
-func (s *Scheduler) remove(q *[]entry, i int) entry {
-	e := (*q)[i]
-	if s.box(e.slot).proc.Kind != "" {
+func (s *Scheduler) remove(q *[]entry, i int) {
+	if s.box((*q)[i].slot).proc.Kind != "" {
 		s.tagged--
 	}
 	s.heapRemove(q, i)
-	return e
 }
 
-// fireHead pops the head of the heap *q and runs it with the clock at its
-// due time. The callback fields are copied out and the slot released
-// BEFORE the callback executes, so a callback that schedules new events
-// reuses the box it just vacated. The execution context is the event's
-// execAs for the duration of the callback.
+// advanceFan takes the firing member off the fan at the head of *q and
+// returns the context its callback runs with. While members remain, the
+// entry stays where it is under its next member's key — a larger key, so
+// it can only need to move down, and normally does not move at all: the
+// root's children are due later. The last member removes the entry and
+// releases the slot like any other event.
+func (s *Scheduler) advanceFan(q *[]entry, e entry, b *box) any {
+	f := b.ctx.(*Fan)
+	f.next++
+	s.fanFired++
+	if f.next < len(f.members) {
+		m := f.members[f.next]
+		e.cseq = m.Cseq
+		b.execAs = m.ExecAs
+		s.fanExtra--
+		s.siftDown(*q, 0, e)
+	} else {
+		s.heapRemove(q, 0)
+		s.releaseSlot(e.slot)
+	}
+	return f.Ctx
+}
+
+// fireHead fires the head of the heap *q with the clock at its due time.
+// The callback fields are copied out and the entry popped and its slot
+// released (or, for a fan, moved on to its next member) BEFORE the
+// callback executes, so a callback that schedules new events reuses the
+// box it just vacated and sees a consistent queue. The execution context
+// is the event's execAs for the duration of the callback.
 func (s *Scheduler) fireHead(q *[]entry) {
-	e := s.remove(q, 0)
+	e := (*q)[0]
 	s.now = e.time
 	b := s.box(e.slot)
 	fn, fnCtx, ctx, execAs := b.fn, b.fnCtx, b.ctx, b.execAs
+	if b.fan {
+		ctx = s.advanceFan(q, e, b)
+	} else {
+		s.remove(q, 0)
+		s.releaseSlot(e.slot)
+	}
 	s.cur = execAs
 	if s.execCounts != nil {
 		if i := int(execAs) + 1; i >= 0 && i < len(s.execCounts) {
 			s.execCounts[i]++
 		}
 	}
-	s.releaseSlot(e.slot)
 	if fn != nil {
 		fn()
 	} else {

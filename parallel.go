@@ -517,11 +517,13 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 	}
 	p.run(s.Duration)
 
-	var events uint64
+	var events, pushes, fanMembers uint64
 	shardEvents := make([]uint64, len(p.scheds))
 	for k, sc := range p.scheds {
 		shardEvents[k] = sc.Executed()
 		events += sc.Executed()
+		pushes += sc.HeapPushes()
+		fanMembers += sc.FanFired()
 	}
 	for k := 1; k < len(p.clones); k++ {
 		p.b.coll.Merge(p.colls[k])
@@ -554,6 +556,8 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 		Radio:    fromRadio(radioStats),
 	}, RunStats{
 		Events:            events,
+		HeapPushes:        pushes,
+		FanMembers:        fanMembers,
 		Windows:           p.stats.windows,
 		EmptyShardWindows: p.stats.emptyShardWindows,
 		BarrierDrains:     p.stats.barrierDrains,

@@ -141,6 +141,26 @@ func TestParallelRunStats(t *testing.T) {
 	if sum != stats.Events {
 		t.Errorf("ShardEvents sum %d != Events %d", sum, stats.Events)
 	}
+	// The scheduler-cost counts: every fired event was a fan member or had
+	// a heap entry of its own, fans make pushes fewer than events, and a
+	// sharded run turns exactly its cross-shard broadcast receptions from
+	// fan members back into single events.
+	seq := s
+	seq.Shards = 0
+	_, seqStats, err := precinct.RunWithStats(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]precinct.RunStats{"sequential": seqStats, "sharded": stats} {
+		if st.FanMembers == 0 || st.HeapPushes >= st.Events || st.HeapPushes < st.Events-st.FanMembers {
+			t.Errorf("%s: %d events, %d heap pushes, %d fan members", name, st.Events, st.HeapPushes, st.FanMembers)
+		}
+	}
+	if stats.Events != seqStats.Events || stats.FanMembers >= seqStats.FanMembers ||
+		seqStats.FanMembers-stats.FanMembers > stats.RemoteDeliveries {
+		t.Errorf("sharded: %d events / %d fan members / %d remote deliveries, sequential %d / %d",
+			stats.Events, stats.FanMembers, stats.RemoteDeliveries, seqStats.Events, seqStats.FanMembers)
+	}
 	if len(stats.ShardLoads) != 4 {
 		t.Fatalf("ShardLoads = %v, want 4 entries under the load split", stats.ShardLoads)
 	}

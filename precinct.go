@@ -895,6 +895,12 @@ func run(s Scenario, tracer trace.Tracer) (Result, error) {
 type RunStats struct {
 	// Events is the number of discrete events the scheduler executed.
 	Events uint64
+	// HeapPushes is the number of entries pushed onto the scheduler's
+	// heap, FanMembers the number of events that fired as members of a
+	// fan: a broadcast's same-shard receptions share one entry, so only
+	// the first of them pays a push and only the last a pop.
+	HeapPushes uint64
+	FanMembers uint64
 
 	// Parallel-run protocol counters, all zero for sequential runs.
 	// Windows is the number of concurrent execution windows;
@@ -932,10 +938,15 @@ func runWithStats(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 		return Result{}, RunStats{}, err
 	}
 	rep := b.network.Run(s.Duration)
+	stats := RunStats{
+		Events:     b.sched.Executed(),
+		HeapPushes: b.sched.HeapPushes(),
+		FanMembers: b.sched.FanFired(),
+	}
 	return Result{
 		Scenario: s,
 		Report:   fromMetrics(rep),
 		Protocol: fromStats(b.network.Stats()),
 		Radio:    fromRadio(b.channel.Stats()),
-	}, RunStats{Events: b.sched.Executed()}, nil
+	}, stats, nil
 }
