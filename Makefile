@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory bench-gate bench-tiny-smoke resume-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory bench-gate bench-tiny-smoke resume-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
@@ -58,6 +58,20 @@ fuzz-smoke:
 # itself are caught without waiting for full measurement runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# A CPU profile of one Go benchmark, one iteration, without a throw-away
+# main: the top of the cumulative listing is printed and nothing is left
+# behind. The default is paper_80's shape, the benchmark's workload with
+# writes; PROFILE_PKG names the package of any other benchmark
+# (-cpuprofile takes one package per run).
+#
+#	make profile PROFILE_BENCH=BenchmarkFanBurst PROFILE_PKG=./internal/sim
+PROFILE_BENCH ?= BenchmarkRunScenario/updates
+PROFILE_PKG ?= .
+profile:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 1x -cpuprofile "$$dir/cpu.prof" -o "$$dir/bench.test" $(PROFILE_PKG) && \
+	$(GO) tool pprof -top -cum "$$dir/bench.test" "$$dir/cpu.prof" | head -40
 
 # Regenerate the committed radio hot-path numbers (BENCH_radio.json).
 # Run on a quiet machine; takes a few minutes at paper scale.

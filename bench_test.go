@@ -133,8 +133,24 @@ func BenchmarkExtRetrievalSchemes(b *testing.B) {
 // BenchmarkRunScenario measures one full end-to-end simulation at
 // growing node counts — the macro view of the radio hot path. The
 // spatial grid index is on by default; the "/linear" variants run the
-// retained reference scan for comparison.
+// retained reference scan for comparison. "updates" is the benchmark's
+// paper_80 workload at seed 1 (bench/workloads.go): the default
+// scenario's 1000 items with every peer pushing an update a minute, the
+// one shape in which stores are written while their holders re-home.
+// `make profile` profiles it.
 func BenchmarkRunScenario(b *testing.B) {
+	b.Run("updates", func(b *testing.B) {
+		s := DefaultScenario()
+		s.Consistency = "push-adaptive-pull"
+		s.UpdateInterval = 60
+		s.Duration = 5000
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, linear := range []bool{false, true} {
 		for _, n := range []int{80, 160, 320, 640} {
 			name := fmt.Sprintf("grid/n=%d", n)

@@ -1,6 +1,11 @@
 package precinct
 
-import "precinct/internal/node"
+import (
+	"precinct/internal/cache"
+	"precinct/internal/node"
+	"precinct/internal/radio"
+	"precinct/internal/trace"
+)
 
 // ShardAssignmentForTest exposes the peer→shard split a sharded run of
 // the scenario would use, so tests can aim faults at one shard's whole
@@ -32,11 +37,43 @@ func RunProbedForTest(s Scenario, pr node.Probe) (Result, error) {
 		return Result{}, err
 	}
 	b.network.SetProbe(pr)
-	rep := b.network.Run(s.Duration)
+	return b.runToResult(), nil
+}
+
+func (b *built) runToResult() Result {
+	rep := b.network.Run(b.scenario.Duration)
 	return Result{
-		Scenario: s,
+		Scenario: b.scenario,
 		Report:   fromMetrics(rep),
 		Protocol: fromStats(b.network.Stats()),
 		Radio:    fromRadio(b.channel.Stats()),
-	}, nil
+	}
+}
+
+// ObservedRun is everything a sequential run leaves behind that a test
+// can hold a second run to: the Result, the complete event trace, every
+// peer's final static store (by node ID) and the re-homing pass counts.
+type ObservedRun struct {
+	Result       Result
+	Trace        []trace.Event
+	Stores       [][]cache.StoredItem
+	RehomePasses uint64
+	RehomeSkips  uint64
+}
+
+// RunObservedForTest executes the scenario traced into memory, with the
+// probe that probeFor builds for the assembled network attached.
+func RunObservedForTest(s Scenario, probeFor func(*node.Network) node.Probe) (ObservedRun, error) {
+	buf := &trace.Buffer{}
+	b, err := s.buildTraced(buf)
+	if err != nil {
+		return ObservedRun{}, err
+	}
+	b.network.SetProbe(probeFor(b.network))
+	out := ObservedRun{Result: b.runToResult(), Trace: buf.Events}
+	for i := 0; i < b.network.Peers(); i++ {
+		out.Stores = append(out.Stores, b.network.Peer(radio.NodeID(i)).Store().StateSnapshot())
+	}
+	out.RehomePasses, out.RehomeSkips = b.network.RehomeCounts()
+	return out, nil
 }

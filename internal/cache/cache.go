@@ -19,7 +19,7 @@ package cache
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"precinct/internal/workload"
 )
@@ -422,7 +422,7 @@ func (c *Cache) Keys() []workload.Key {
 	for k := range c.entries {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -435,13 +435,20 @@ func (c *Cache) Entries() []Entry {
 	return out
 }
 
-// Store is the static cache space: the values of keys assigned to the
-// peer's current region. It is unbounded (the paper sizes only the
-// dynamic space) and tracks the authoritative version and TTR of each
-// key this peer is home for.
+// Store is the static cache space: the copies this peer is custodian of,
+// one per key, each at one replica rank. It is unbounded (the paper sizes
+// only the dynamic space) and carries the authoritative version and TTR
+// of every copy.
+//
+// The store has two kinds of reader. Lookups read a copy's value
+// (Version, TTR, UpdatedAt, Size). The re-homing pass reads only which
+// (key, rank) pairs are held: a copy's proper region is a function of its
+// key, its rank and the region table, so writing a new value over a held
+// copy cannot change where the copy belongs. CustodyGen moves with the
+// second kind of change and not with the first.
 type Store struct {
 	items map[workload.Key]*StoredItem
-	mods  uint64
+	gen   uint64
 }
 
 // StoredItem is the authoritative copy of a key at its home (or replica)
@@ -470,19 +477,30 @@ func NewStore() *Store { return &Store{} }
 // Len returns the number of stored keys.
 func (s *Store) Len() int { return len(s.items) }
 
-// Mods counts the changes to the store's key set and items made through
-// Put, Remove and RestoreState. Two equal readings mean no key was
-// added, replaced or removed in between.
-func (s *Store) Mods() uint64 { return s.mods }
+// CustodyGen is the store's custody generation: it moves whenever the
+// set of (key, replica rank) pairs held changes, which is a key
+// inserted, a key removed, a held key Put at another rank, or
+// RestoreState. Two equal readings mean the store holds the same copies
+// at the same ranks, whatever was written to their values in between.
+func (s *Store) CustodyGen() uint64 { return s.gen }
 
-// Put inserts or replaces an item.
+// Put inserts an item, or overwrites the held copy of its key in place:
+// a pointer Get returned earlier sees the new value, so callers must not
+// keep one across a Put they mean to compare against.
 func (s *Store) Put(it StoredItem) {
+	if cur, ok := s.items[it.Key]; ok {
+		if cur.ReplicaRank != it.ReplicaRank {
+			s.gen++
+		}
+		*cur = it
+		return
+	}
 	if s.items == nil {
 		s.items = make(map[workload.Key]*StoredItem)
 	}
 	cp := it
 	s.items[it.Key] = &cp
-	s.mods++
+	s.gen++
 }
 
 // Get returns the stored item for a key.
@@ -497,7 +515,7 @@ func (s *Store) Remove(k workload.Key) bool {
 		return false
 	}
 	delete(s.items, k)
-	s.mods++
+	s.gen++
 	return true
 }
 
@@ -507,7 +525,7 @@ func (s *Store) Keys() []workload.Key {
 	for k := range s.items {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -389,6 +389,63 @@ func TestStoreBasics(t *testing.T) {
 	}
 }
 
+// TestStoreCustodyGen: the generation moves exactly when the set of
+// (key, rank) pairs held changes, and never for a value written over a
+// held copy, which lands in the copy a Get pointer already refers to.
+func TestStoreCustodyGen(t *testing.T) {
+	held := StoredItem{Key: 1, Size: 100, Version: 1, TTR: 30}
+	steps := []struct {
+		name  string
+		do    func(s *Store) error
+		moves bool
+	}{
+		{"insert", func(s *Store) error { s.Put(StoredItem{Key: 2, Size: 1}); return nil }, true},
+		{"overwrite at the same rank", func(s *Store) error {
+			s.Put(StoredItem{Key: 1, Size: 200, Version: 9, TTR: 5, UpdatedAt: 40})
+			return nil
+		}, false},
+		{"overwrite at another rank", func(s *Store) error {
+			s.Put(StoredItem{Key: 1, Size: 100, Version: 1, TTR: 30, ReplicaRank: 1})
+			return nil
+		}, true},
+		{"remove a held key", func(s *Store) error { s.Remove(1); return nil }, true},
+		{"remove an absent key", func(s *Store) error { s.Remove(7); return nil }, false},
+		{"restore the same contents", func(s *Store) error { return s.RestoreState(s.StateSnapshot()) }, true},
+		{"restore to empty", func(s *Store) error { return s.RestoreState(nil) }, true},
+	}
+	for _, st := range steps {
+		t.Run(st.name, func(t *testing.T) {
+			s := NewStore()
+			s.Put(held)
+			before := s.CustodyGen()
+			if err := st.do(s); err != nil {
+				t.Fatal(err)
+			}
+			if moved := s.CustodyGen() != before; moved != st.moves {
+				t.Errorf("generation %d -> %d, want moved = %v", before, s.CustodyGen(), st.moves)
+			}
+		})
+	}
+
+	s := NewStore()
+	if s.CustodyGen() != 0 {
+		t.Errorf("a fresh store starts at generation %d", s.CustodyGen())
+	}
+	s.Put(held)
+	if s.CustodyGen() == 0 {
+		t.Error("the first insert, into the lazily built map, did not move the generation")
+	}
+	got, _ := s.Get(1)
+	s.Put(StoredItem{Key: 1, Size: 100, Version: 2, TTR: 12})
+	if got.Version != 2 || got.TTR != 12 {
+		t.Errorf("an earlier Get pointer reads %+v after an overwrite: not in place", *got)
+	}
+	s.Put(StoredItem{Key: 1, Size: 100, Version: 3, ReplicaRank: 2})
+	if again, _ := s.Get(1); again != got || got.ReplicaRank != 2 {
+		t.Errorf("a rank change replaced the copy instead of overwriting it: %+v", *got)
+	}
+}
+
 func TestStoreOverwrite(t *testing.T) {
 	s := NewStore()
 	s.Put(StoredItem{Key: 1, Version: 1})

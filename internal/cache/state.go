@@ -94,7 +94,7 @@ func (s *Store) StateSnapshot() []StoredItem {
 // empty snapshot restores to the lazy (nil-map) state, so a restored
 // large-N run pays for only the stores that actually hold keys.
 func (s *Store) RestoreState(items []StoredItem) error {
-	s.mods++
+	s.gen++
 	if len(items) == 0 {
 		s.items = nil
 		return nil

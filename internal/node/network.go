@@ -105,6 +105,11 @@ type Network struct {
 	stats    Stats
 	adaptive AdaptiveStats
 	started  bool
+	// rehomePasses and rehomeSkips count rehomeKeys calls by whether the
+	// pass ran or was skipped on an unchanged mark. Skipping is not
+	// behaviour, so they stay out of Stats, which checkpoints and result
+	// digests cover.
+	rehomePasses, rehomeSkips uint64
 
 	// clones lists every shard's Network replica (index = shard) in a
 	// sharded run; nil in sequential runs. The replicas share peers, the
@@ -430,6 +435,13 @@ func (n *Network) Truth(k workload.Key) uint64 { return n.truth[k] }
 
 // Stats returns protocol-layer counters.
 func (n *Network) Stats() Stats { return n.stats }
+
+// RehomeCounts returns how many re-homing passes this replica's peers
+// ran in full and how many they skipped because nothing a pass reads had
+// changed since a clean one. Every rehomeKeys call is one or the other.
+func (n *Network) RehomeCounts() (passes, skips uint64) {
+	return n.rehomePasses, n.rehomeSkips
+}
 
 // PendingRequests returns the number of requests still awaiting an answer
 // or a timeout. After the event queue drains it must be zero — every

@@ -2,7 +2,7 @@ package node
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"precinct/internal/cache"
 	"precinct/internal/radio"
@@ -67,20 +67,26 @@ type Peer struct {
 	settled rehomeMark
 }
 
-// rehomeMark is what a re-homing pass's outcome depends on besides other
-// peers: the peer's region, the partition, and the store's contents.
-// While a peer's mark still matches, a non-evacuating pass would look at
-// the same copies, compute the same proper regions and again find
-// nothing to move — so it is skipped.
+// rehomeMark covers everything a non-evacuating re-homing pass reads
+// about its own peer. The pass walks the store's keys and, for each copy,
+// compares the peer's region with the copy's proper region, which is a
+// function of the copy's key, its replica rank and the peer's table
+// version. So the mark is the store's identity (Revive swaps in a fresh
+// one), its custody generation (which (key, rank) pairs it holds), the
+// peer's region and the table version. A copy's Version, TTR, UpdatedAt
+// and Size are not in it: the pass only copies them into a handoff, and
+// a pass that builds a handoff is not clean. Whether another region has a
+// custodian to offer is the one input that belongs to other peers; a pass
+// that found none leaves the zero mark, which matches nothing.
 type rehomeMark struct {
 	store    *cache.Store // nil: no clean pass yet, or a copy is waiting for a custodian
-	mods     uint64
+	gen      uint64
 	regionID region.ID
 	version  uint64
 }
 
 func (p *Peer) rehomeMarkNow() rehomeMark {
-	return rehomeMark{store: p.store, mods: p.store.Mods(), regionID: p.regionID, version: p.table().Version()}
+	return rehomeMark{store: p.store, gen: p.store.CustodyGen(), regionID: p.regionID, version: p.table().Version()}
 }
 
 // newID hands out a fresh message/flood/request identifier, unique
@@ -290,17 +296,22 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 	if !evacuate && p.settled == p.rehomeMarkNow() {
 		// Nothing the last clean pass looked at has changed: it would draw
 		// no message ID, emit nothing and send nothing.
+		p.net.rehomeSkips++
 		if p.net.probe != nil {
 			p.net.probe.AfterRehome(p, evacuate)
 		}
 		return
 	}
+	p.net.rehomePasses++
 	type group struct {
 		target *Peer
 		region region.ID
 		items  []handoffItem
 	}
-	groups := make(map[region.ID]*group)
+	// groups and order are allocated at the first misplaced copy: most
+	// passes find none.
+	var groups map[region.ID]*group
+	var order []region.ID
 	waiting := false // a copy stayed behind for want of a custodian
 	for _, k := range p.store.Keys() {
 		it, _ := p.store.Get(k)
@@ -323,8 +334,12 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 				waiting = true
 				continue
 			}
+			if groups == nil {
+				groups = make(map[region.ID]*group)
+			}
 			g = &group{target: target, region: proper.ID}
 			groups[proper.ID] = g
+			order = append(order, proper.ID)
 		}
 		g.items = append(g.items, handoffItem{
 			Key: it.Key, Size: it.Size, Version: it.Version,
@@ -332,13 +347,9 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 		})
 		p.store.Remove(k)
 	}
-	// Send in ascending region order: map iteration order is random, and
-	// message order must be deterministic for runs to be reproducible.
-	order := make([]region.ID, 0, len(groups))
-	for id := range groups {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	// Send in ascending region order (the order every recorded trace
+	// has), not in the order the keys happened to name their regions.
+	slices.Sort(order)
 	for _, id := range order {
 		g := groups[id]
 		m := p.net.newMsg(message{

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"runtime"
 	"testing"
 
 	"precinct/internal/cache"
@@ -30,70 +29,111 @@ func custodianWithKeys(t *testing.T, h *harness) *Peer {
 	return nil
 }
 
-// ranPass reports whether one checkMobility call did the work of a
-// re-homing pass. Skipping is unobservable in the simulation by design;
-// what tells the two apart is that a real pass builds the sorted key list
-// and the group map while a skipped one allocates nothing.
-func ranPass(p *Peer) bool {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// ranPass reports whether one checkMobility call ran a re-homing pass
+// in full. Skipping is unobservable in the simulation by design; the
+// network counts the two outcomes, and every check of a peer that stores
+// something must be exactly one of them.
+func ranPass(t *testing.T, p *Peer) bool {
+	t.Helper()
+	passes, skips := p.net.RehomeCounts()
 	p.checkMobility()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs > before.Mallocs
+	nowPasses, nowSkips := p.net.RehomeCounts()
+	if (nowPasses-passes)+(nowSkips-skips) != 1 {
+		t.Fatalf("one check counted %d passes and %d skips", nowPasses-passes, nowSkips-skips)
+	}
+	return nowPasses > passes
 }
 
 // TestRehomeSkipsOnlyProvablyCleanPasses walks one custodian through
 // every input a re-homing pass depends on: a clean pass is skipped until
-// the store, the peer's region or the partition changes, a pass that
-// leaves a copy waiting for a custodian is never skipped, evacuation
-// never skips, and the probe hears about skipped passes too.
+// the copies held (which keys, at which ranks), the peer's region or the
+// partition change, new values written over held copies change nothing,
+// and the probe hears about skipped passes too. Copies left waiting for
+// a custodian and evacuation have tests of their own below.
 func TestRehomeSkipsOnlyProvablyCleanPasses(t *testing.T) {
 	h := build(t, defaultHarnessOpts())
 	probe := &rehomeCounter{}
 	h.net.SetProbe(probe)
 	p := custodianWithKeys(t, h)
 
-	if !ranPass(p) {
+	if !ranPass(t, p) {
 		t.Fatal("the first pass was skipped")
 	}
 	if p.settled != p.rehomeMarkNow() {
 		t.Fatal("a pass over a custodian's own keys left copies waiting")
 	}
 	before := probe.passes
-	if ranPass(p) {
+	if ranPass(t, p) {
 		t.Fatal("a pass with nothing changed since a clean one was not skipped")
 	}
 	if probe.passes == before {
 		t.Fatal("the probe did not hear about the skipped pass")
 	}
 
-	// A Put — even of a key already held — re-opens the question.
+	// Writing a new value over a held copy, which is all a pushed update
+	// does, is not a custody change: the copy belongs where it belonged.
 	k := p.store.Keys()[0]
 	it, _ := p.store.Get(k)
-	p.store.Put(*it)
-	if !ranPass(p) {
-		t.Fatal("a pass after a store.Put was skipped")
+	rewritten := *it
+	rewritten.Version += 2
+	rewritten.TTR = 17
+	rewritten.UpdatedAt = h.sched.Now()
+	p.store.Put(rewritten)
+	applied := h.net.stats.UpdatesApplied
+	h.net.applyStoredUpdate(p, k, rewritten.Version+1, h.sched.Now()+1)
+	if h.net.stats.UpdatesApplied != applied+1 {
+		t.Fatal("setup: the update was not applied")
 	}
-	if ranPass(p) {
+	if ranPass(t, p) {
+		t.Fatal("a version and TTR rewrite of a held copy re-opened the question")
+	}
+
+	// Each custody change runs the pass once, and the check after it is
+	// skipped again. A remove and re-insert leaves the store as it was,
+	// but the pass cannot know that.
+	p.store.Remove(k)
+	p.store.Put(rewritten)
+	if !ranPass(t, p) {
+		t.Fatal("a pass after a remove and re-insert was skipped")
+	}
+	if ranPass(t, p) {
 		t.Fatal("the pass after that one was not skipped")
 	}
 
-	// A key that belongs to another region, arriving by Put: it must leave
-	// at the next check.
+	// A held key Put at another rank belongs to another region: the copy
+	// must leave at the next check.
+	rewritten.ReplicaRank = 1
+	p.store.Put(rewritten)
+	handoffs := h.net.stats.Handoffs
+	if !ranPass(t, p) {
+		t.Fatal("a pass after a held key changed rank was skipped")
+	}
+	if h.net.stats.Handoffs != handoffs+1 {
+		t.Fatalf("a copy at the wrong rank did not trigger a handoff (%d -> %d)", handoffs, h.net.stats.Handoffs)
+	}
+	if ranPass(t, p) {
+		t.Fatal("the pass after that one was not skipped")
+	}
+
+	// An insert: a key that belongs to another region, arriving by Put.
 	foreign := h.keyHomedIn(t, p.regionID, false)
 	p.store.Put(cache.StoredItem{Key: foreign, Size: 1024, Version: 1})
-	handoffs := h.net.stats.Handoffs
-	p.checkMobility()
+	handoffs = h.net.stats.Handoffs
+	if !ranPass(t, p) {
+		t.Fatal("a pass after an insert was skipped")
+	}
 	if h.net.stats.Handoffs != handoffs+1 {
 		t.Fatalf("a foreign key did not trigger a handoff (%d -> %d)", handoffs, h.net.stats.Handoffs)
+	}
+	if ranPass(t, p) {
+		t.Fatal("the pass after that one was not skipped")
 	}
 	h.sched.Run(h.sched.Now() + 5)
 
 	// The peer's region changes under it (as checkMobility records on a
 	// crossing): every copy it holds is now misplaced.
 	p.checkMobility()
-	if ranPass(p) {
+	if ranPass(t, p) {
 		t.Fatal("setup: peer did not settle before the region change")
 	}
 	home := p.regionID
@@ -111,7 +151,7 @@ func TestRehomeSkipsOnlyProvablyCleanPasses(t *testing.T) {
 	// the region ID are what they were.
 	q := custodianWithKeys(t, h)
 	q.checkMobility()
-	if ranPass(q) {
+	if ranPass(t, q) {
 		t.Fatal("setup: peer did not settle before the table change")
 	}
 	if err := h.net.Separate(q.regionID); err != nil {
@@ -148,7 +188,7 @@ func TestRehomeRetriesWhileACopyWaits(t *testing.T) {
 	p.store.Put(cache.StoredItem{Key: foreign, Size: 1024, Version: 1})
 
 	for i := 0; i < 3; i++ {
-		if !ranPass(p) {
+		if !ranPass(t, p) {
 			t.Fatalf("check %d was skipped with a copy waiting for a custodian", i)
 		}
 		if p.settled != (rehomeMark{}) {
@@ -176,7 +216,7 @@ func TestRehomeNeverSkipsEvacuationOrARevivedStore(t *testing.T) {
 	h := build(t, defaultHarnessOpts())
 	p := custodianWithKeys(t, h)
 	p.checkMobility()
-	if ranPass(p) {
+	if ranPass(t, p) {
 		t.Fatal("setup: peer did not settle")
 	}
 	mark := p.settled
@@ -187,13 +227,17 @@ func TestRehomeNeverSkipsEvacuationOrARevivedStore(t *testing.T) {
 	h.sched.Run(h.sched.Now() + 5)
 
 	h.net.Revive(p.id)
-	// Bring the fresh store to the same mutation count the old mark saw.
+	// Bring the fresh store to the custody generation the old mark saw,
+	// holding a key that must leave.
 	foreign := h.keyHomedIn(t, p.regionID, false)
-	for p.store.Mods() < mark.mods {
-		p.store.Put(cache.StoredItem{Key: foreign, Size: 1024, Version: 1})
+	item := cache.StoredItem{Key: foreign, Size: 1024, Version: 1}
+	p.store.Put(item)
+	for p.store.CustodyGen() < mark.gen {
+		p.store.Remove(foreign)
+		p.store.Put(item)
 	}
 	p.settled = mark // as if nothing had recorded the revive
-	p.settled.mods = p.store.Mods()
+	p.settled.gen = p.store.CustodyGen()
 	handoffs := h.net.stats.Handoffs
 	p.checkMobility()
 	if h.net.stats.Handoffs == handoffs {

@@ -535,9 +535,13 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 	}
 	var protoStats node.Stats
 	var radioStats radio.Stats
+	var rehomePasses, rehomeSkips uint64
 	for k := range p.clones {
 		protoStats = protoStats.Add(p.clones[k].Stats())
 		radioStats = radioStats.Add(p.channels[k].Stats())
+		passes, skips := p.clones[k].RehomeCounts()
+		rehomePasses += passes
+		rehomeSkips += skips
 	}
 	if p.bufs != nil {
 		var all []trace.Event
@@ -558,6 +562,8 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 		Events:            events,
 		HeapPushes:        pushes,
 		FanMembers:        fanMembers,
+		RehomePasses:      rehomePasses,
+		RehomeSkips:       rehomeSkips,
 		Windows:           p.stats.windows,
 		EmptyShardWindows: p.stats.emptyShardWindows,
 		BarrierDrains:     p.stats.barrierDrains,

@@ -161,6 +161,14 @@ func TestParallelRunStats(t *testing.T) {
 		t.Errorf("sharded: %d events / %d fan members / %d remote deliveries, sequential %d / %d",
 			stats.Events, stats.FanMembers, stats.RemoteDeliveries, seqStats.Events, seqStats.FanMembers)
 	}
+	// Re-homing passes are counted on the replica of the peer that runs
+	// them; summed, the sharded run made the sequential run's passes and
+	// skipped the same ones.
+	if seqStats.RehomePasses == 0 || seqStats.RehomeSkips == 0 ||
+		stats.RehomePasses != seqStats.RehomePasses || stats.RehomeSkips != seqStats.RehomeSkips {
+		t.Errorf("sharded: %d re-homing passes / %d skipped, sequential %d / %d",
+			stats.RehomePasses, stats.RehomeSkips, seqStats.RehomePasses, seqStats.RehomeSkips)
+	}
 	if len(stats.ShardLoads) != 4 {
 		t.Fatalf("ShardLoads = %v, want 4 entries under the load split", stats.ShardLoads)
 	}

@@ -901,6 +901,12 @@ type RunStats struct {
 	// the first of them pays a push and only the last a pop.
 	HeapPushes uint64
 	FanMembers uint64
+	// RehomePasses is the number of key re-homing passes that ran in
+	// full, RehomeSkips the number skipped because nothing a pass reads
+	// had changed since a clean one; their sum is the number of passes
+	// the protocol asked for.
+	RehomePasses uint64
+	RehomeSkips  uint64
 
 	// Parallel-run protocol counters, all zero for sequential runs.
 	// Windows is the number of concurrent execution windows;
@@ -943,6 +949,7 @@ func runWithStats(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 		HeapPushes: b.sched.HeapPushes(),
 		FanMembers: b.sched.FanFired(),
 	}
+	stats.RehomePasses, stats.RehomeSkips = b.network.RehomeCounts()
 	return Result{
 		Scenario: s,
 		Report:   fromMetrics(rep),
