@@ -20,10 +20,11 @@ race:
 	$(GO) test -race ./...
 
 # The sharded scheduler's dedicated race gate (DESIGN.md section 13):
-# the pooling and grid/linear equivalence suites, the canonical-trace
-# tests and the parallel-equivalence suite — every scenario of which
-# runs across the fuzzgen shard axis (2, 3, 4, 5, 8 shards) — under the
-# race detector, at both GOMAXPROCS=1 (forced interleaving through one
+# the golden whole-run recordings (TestWorkloadDefaultGolden and the four
+# *Equivalence suites that share testdata/workload_golden.json), the
+# resume-equivalence suites, the canonical-trace tests and the
+# parallel-equivalence suite — every scenario of which runs across the
+# fuzzgen shard axis (2, 3, 4, 5, 8 shards) — under the race detector, at both GOMAXPROCS=1 (forced interleaving through one
 # OS thread: every barrier handoff and park/wake path runs) and
 # GOMAXPROCS=4 (true concurrency where the host has the cores; on a
 # smaller host the runtime multiplexes, which still schedules
@@ -31,8 +32,8 @@ race:
 # run race-free in `test`; under race the parallel suite caps itself
 # the same way via the race build tag).
 race-parallel:
-	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'Parallel|Pooling|Equivalence|Canonicalize|Shuffle' .
-	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'Parallel|Pooling|Equivalence|Canonicalize|Shuffle' .
+	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'Parallel|Golden|Equivalence|Canonicalize|Shuffle' .
+	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'Parallel|Golden|Equivalence|Canonicalize|Shuffle' .
 	$(GO) test -race -count=1 ./internal/pool ./internal/trace
 
 # The runtime invariant suite (DESIGN.md section 9) under the race
@@ -270,9 +271,8 @@ policy-smoke:
 
 # The build-tagged endurance tier (soak_test.go): one 2000-node, 30%
 # loss scenario for a long horizon under the invariant catalog, plus
-# checkpoint/resume and heap/linear equivalence at that scale. Minutes,
-# not seconds — run explicitly, not from ci. The 100k memory soak has
-# its own target below.
+# checkpoint/resume at that scale. Minutes, not seconds — run
+# explicitly, not from ci. The 100k memory soak has its own target below.
 soak:
 	$(GO) test -tags soak -run Soak -skip Soak100k -timeout 60m -v .
 

@@ -131,13 +131,11 @@ func BenchmarkExtRetrievalSchemes(b *testing.B) {
 }
 
 // BenchmarkRunScenario measures one full end-to-end simulation at
-// growing node counts — the macro view of the radio hot path. The
-// spatial grid index is on by default; the "/linear" variants run the
-// retained reference scan for comparison. "updates" is the benchmark's
-// paper_80 workload at seed 1 (bench/workloads.go): the default
-// scenario's 1000 items with every peer pushing an update a minute, the
-// one shape in which stores are written while their holders re-home.
-// `make profile` profiles it.
+// growing node counts — the macro view of the radio hot path. "updates"
+// is the benchmark's paper_80 workload at seed 1 (bench/workloads.go):
+// the default scenario's 1000 items with every peer pushing an update a
+// minute, the one shape in which stores are written while their holders
+// re-home. `make profile` profiles it.
 func BenchmarkRunScenario(b *testing.B) {
 	b.Run("updates", func(b *testing.B) {
 		s := DefaultScenario()
@@ -151,27 +149,20 @@ func BenchmarkRunScenario(b *testing.B) {
 			}
 		}
 	})
-	for _, linear := range []bool{false, true} {
-		for _, n := range []int{80, 160, 320, 640} {
-			name := fmt.Sprintf("grid/n=%d", n)
-			if linear {
-				name = fmt.Sprintf("linear/n=%d", n)
-			}
-			b.Run(name, func(b *testing.B) {
-				s := DefaultScenario()
-				s.Nodes = n
-				s.Items = 200
-				s.Duration = 120
-				s.Warmup = 30
-				s.LinearRadio = linear
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(s); err != nil {
-						b.Fatal(err)
-					}
+	for _, n := range []int{80, 160, 320, 640} {
+		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
+			s := DefaultScenario()
+			s.Nodes = n
+			s.Items = 200
+			s.Duration = 120
+			s.Warmup = 30
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(s); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -96,9 +96,7 @@ func snapHasSweep(snap *checkpoint.Snapshot) bool {
 // sweep process and must be nil-checked by the caller otherwise.
 func restoreSnapshot(snap *checkpoint.Snapshot, tracer trace.Tracer, runner *invariant.Runner) (*built, error) {
 	var s Scenario
-	dec := json.NewDecoder(bytes.NewReader(snap.Meta.Scenario))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeScenario(snap.Meta.Scenario, &s); err != nil {
 		return nil, fmt.Errorf("precinct: snapshot scenario: %w", err)
 	}
 	if s.Shards > 1 {

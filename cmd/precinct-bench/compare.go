@@ -116,7 +116,7 @@ func runBenchCompare(baseRadio, baseScale, baseWorkloads, basePolicies, basePara
 		bench func(b *testing.B)
 	}{
 		{"neighbors/static/grid/n=320", func(b *testing.B) {
-			ch, _ := staticChannel(320, false)
+			ch, _ := staticChannel(320)
 			ch.Neighbors(0)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -125,7 +125,7 @@ func runBenchCompare(baseRadio, baseScale, baseWorkloads, basePolicies, basePara
 			}
 		}},
 		{"neighbors/waypoint/grid/n=320", func(b *testing.B) {
-			ch, sched := waypointChannel(320, false)
+			ch, sched := waypointChannel(320)
 			ch.Neighbors(0)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,11 +1,11 @@
 package main
 
 // Radio hot-path benchmark suite, run via -radiojson. It measures the
-// spatial grid index against the retained linear reference scan
-// (Scenario.LinearRadio / radio.Config.LinearScan) and emits a
+// neighbor query, broadcast fan-out and whole runs, and emits a
 // machine-readable JSON report so performance can be tracked across
 // commits (BENCH_radio.json at the repository root holds the committed
-// numbers; see DESIGN.md §Performance).
+// numbers; see DESIGN.md §Performance). The grid-vs-linear-scan ratio is
+// `go test -bench Neighbors ./internal/radio`.
 
 import (
 	"encoding/json"
@@ -24,7 +24,7 @@ import (
 )
 
 type benchEntry struct {
-	// Name is "<benchmark>/<path>/n=<nodes>", e.g.
+	// Name is "<benchmark>/grid/n=<nodes>", e.g.
 	// "neighbors/static/grid/n=320".
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -38,16 +38,13 @@ type radioBenchReport struct {
 	GOOS    string       `json:"goos"`
 	GOARCH  string       `json:"goarch"`
 	Results []benchEntry `json:"results"`
-	// Summary holds the headline ratios the acceptance criteria track:
-	// linear-scan ns/op divided by grid ns/op per benchmark family.
-	Summary map[string]float64 `json:"summary"`
 }
 
 var radioBenchSizes = []int{80, 160, 320, 640}
 
 // staticChannel mirrors the internal/radio benchmark topology: uniform
 // random nodes in the paper's 1200x1200 m area.
-func staticChannel(n int, linear bool) (*radio.Channel, *sim.Scheduler) {
+func staticChannel(n int) (*radio.Channel, *sim.Scheduler) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geo.Point, n)
 	for i := range pts {
@@ -57,10 +54,8 @@ func staticChannel(n int, linear bool) (*radio.Channel, *sim.Scheduler) {
 	if err != nil {
 		panic(err)
 	}
-	cfg := radio.DefaultConfig()
-	cfg.LinearScan = linear
 	sched := sim.NewScheduler()
-	ch, err := radio.New(cfg, sched, mob, nil, nil)
+	ch, err := radio.New(radio.DefaultConfig(), sched, mob, nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -68,15 +63,13 @@ func staticChannel(n int, linear bool) (*radio.Channel, *sim.Scheduler) {
 	return ch, sched
 }
 
-func waypointChannel(n int, linear bool) (*radio.Channel, *sim.Scheduler) {
+func waypointChannel(n int) (*radio.Channel, *sim.Scheduler) {
 	mob, err := mobility.NewWaypoint(n, mobility.DefaultWaypointConfig(), sim.NewRNG(1))
 	if err != nil {
 		panic(err)
 	}
-	cfg := radio.DefaultConfig()
-	cfg.LinearScan = linear
 	sched := sim.NewScheduler()
-	ch, err := radio.New(cfg, sched, mob, nil, nil)
+	ch, err := radio.New(radio.DefaultConfig(), sched, mob, nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -98,94 +91,80 @@ func record(results *[]benchEntry, name string, r testing.BenchmarkResult) {
 // writeRadioBench runs the suite and writes the JSON report to path.
 func writeRadioBench(path string) error {
 	rep := radioBenchReport{
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Summary: map[string]float64{},
+		Go:     runtime.Version(),
+		GOOS:   runtime.GOOS,
+		GOARCH: runtime.GOARCH,
 	}
 
 	// Neighbor query, static topology (pure query cost, warm caches).
 	fmt.Println("neighbor query, static topology:")
-	for _, linear := range []bool{false, true} {
-		for _, n := range radioBenchSizes {
-			n, linear := n, linear
-			r := testing.Benchmark(func(b *testing.B) {
-				ch, _ := staticChannel(n, linear)
-				ch.Neighbors(0) // warm scratch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ch.Neighbors(radio.NodeID(i % n))
-				}
-			})
-			record(&rep.Results, fmt.Sprintf("neighbors/static/%s/n=%d", pathName(linear), n), r)
-		}
+	for _, n := range radioBenchSizes {
+		r := testing.Benchmark(func(b *testing.B) {
+			ch, _ := staticChannel(n)
+			ch.Neighbors(0) // warm scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.Neighbors(radio.NodeID(i % n))
+			}
+		})
+		record(&rep.Results, fmt.Sprintf("neighbors/static/grid/n=%d", n), r)
 	}
 
 	// Neighbor query under waypoint mobility (includes amortized grid
 	// rebuilds as the clock advances).
 	fmt.Println("neighbor query, waypoint mobility:")
-	for _, linear := range []bool{false, true} {
-		for _, n := range radioBenchSizes {
-			n, linear := n, linear
-			r := testing.Benchmark(func(b *testing.B) {
-				ch, sched := waypointChannel(n, linear)
-				ch.Neighbors(0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%64 == 0 {
-						at := sched.Now() + 0.25
-						sched.At(at, func() {})
-						sched.Run(at)
-					}
-					ch.Neighbors(radio.NodeID(i % n))
+	for _, n := range radioBenchSizes {
+		r := testing.Benchmark(func(b *testing.B) {
+			ch, sched := waypointChannel(n)
+			ch.Neighbors(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					at := sched.Now() + 0.25
+					sched.At(at, func() {})
+					sched.Run(at)
 				}
-			})
-			record(&rep.Results, fmt.Sprintf("neighbors/waypoint/%s/n=%d", pathName(linear), n), r)
-		}
+				ch.Neighbors(radio.NodeID(i % n))
+			}
+		})
+		record(&rep.Results, fmt.Sprintf("neighbors/waypoint/grid/n=%d", n), r)
 	}
 
 	// Broadcast: one-hop delivery fan-out through the same query.
 	fmt.Println("broadcast:")
-	for _, linear := range []bool{false, true} {
-		for _, n := range []int{80, 320} {
-			n, linear := n, linear
-			r := testing.Benchmark(func(b *testing.B) {
-				ch, sched := staticChannel(n, linear)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ch.Broadcast(radio.NodeID(i%n), 512, nil)
-					if sched.Len() > 4096 {
-						sched.RunAll()
-					}
+	for _, n := range []int{80, 320} {
+		r := testing.Benchmark(func(b *testing.B) {
+			ch, sched := staticChannel(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.Broadcast(radio.NodeID(i%n), 512, nil)
+				if sched.Len() > 4096 {
+					sched.RunAll()
 				}
-			})
-			record(&rep.Results, fmt.Sprintf("broadcast/%s/n=%d", pathName(linear), n), r)
-		}
+			}
+		})
+		record(&rep.Results, fmt.Sprintf("broadcast/grid/n=%d", n), r)
 	}
 
 	// End-to-end simulation runs.
 	fmt.Println("end-to-end Run:")
-	for _, linear := range []bool{false, true} {
-		for _, n := range radioBenchSizes {
-			n, linear := n, linear
-			r := testing.Benchmark(func(b *testing.B) {
-				s := precinct.DefaultScenario()
-				s.Nodes = n
-				s.Items = 200
-				s.Duration = 120
-				s.Warmup = 30
-				s.LinearRadio = linear
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := precinct.Run(s); err != nil {
-						b.Fatal(err)
-					}
+	for _, n := range radioBenchSizes {
+		r := testing.Benchmark(func(b *testing.B) {
+			s := precinct.DefaultScenario()
+			s.Nodes = n
+			s.Items = 200
+			s.Duration = 120
+			s.Warmup = 30
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := precinct.Run(s); err != nil {
+					b.Fatal(err)
 				}
-			})
-			record(&rep.Results, fmt.Sprintf("run/%s/n=%d", pathName(linear), n), r)
-		}
+			}
+		})
+		record(&rep.Results, fmt.Sprintf("run/grid/n=%d", n), r)
 	}
 
 	// Figure 4/5 wall clock at quick scale, for tracking the figure
@@ -205,21 +184,6 @@ func writeRadioBench(path string) error {
 	})
 	fmt.Printf("  %-36s %12v\n", "fig4and5/quick", fig45.Round(time.Millisecond))
 
-	// Headline ratios: linear / grid per benchmark family and size.
-	byName := map[string]float64{}
-	for _, e := range rep.Results {
-		byName[e.Name] = e.NsPerOp
-	}
-	for _, fam := range []string{"neighbors/static", "neighbors/waypoint", "broadcast", "run"} {
-		for _, n := range radioBenchSizes {
-			lin := byName[fmt.Sprintf("%s/linear/n=%d", fam, n)]
-			grid := byName[fmt.Sprintf("%s/grid/n=%d", fam, n)]
-			if grid > 0 && lin > 0 {
-				rep.Summary[fmt.Sprintf("%s_speedup_n%d", fam, n)] = lin / grid
-			}
-		}
-	}
-
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -230,11 +194,4 @@ func writeRadioBench(path string) error {
 	}
 	fmt.Printf("\nwrote %s\n", path)
 	return nil
-}
-
-func pathName(linear bool) string {
-	if linear {
-		return "linear"
-	}
-	return "grid"
 }

@@ -36,19 +36,33 @@ func SaveScenarioFile(s Scenario, path string) error {
 
 // LoadScenario reads a JSON scenario. Fields absent from the document
 // keep the DefaultScenario values, so a config file only needs to list
-// what it changes; unknown fields are rejected to catch typos.
+// what it changes; unknown fields are rejected to catch typos, and so is
+// anything but whitespace after the object.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return Scenario{}, fmt.Errorf("precinct: reading scenario: %w", err)
 	}
 	s := DefaultScenario()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeScenario(data, &s); err != nil {
 		return Scenario{}, fmt.Errorf("precinct: decoding scenario: %w", err)
 	}
 	return s, nil
+}
+
+// decodeScenario decodes exactly one JSON object over s, strictly: a
+// field Scenario does not have is an error, and so is a second value or
+// any other non-whitespace byte after the object.
+func decodeScenario(data []byte, s *Scenario) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(s); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the scenario object at offset %d", dec.InputOffset())
+	}
+	return nil
 }
 
 // LoadScenarioFile reads a JSON scenario from a file.

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"precinct/internal/checkpoint"
 )
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
@@ -54,6 +56,64 @@ func TestLoadScenarioRejectsUnknownFields(t *testing.T) {
 func TestLoadScenarioRejectsGarbage(t *testing.T) {
 	if _, err := LoadScenario(strings.NewReader("{nope")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestLoadScenarioRejectsTrailingData: one object, then only whitespace.
+// A second object must not be silently dropped.
+func TestLoadScenarioRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{
+		`{"Nodes":10} {"Nodes":99999} garbage`,
+		`{"Nodes":10} {"Nodes":99999}`,
+		`{"Nodes":10} garbage`,
+		`{"Nodes":10}]`,
+		`{"Nodes":10},`,
+	} {
+		_, err := LoadScenario(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), "after the scenario object") {
+			t.Errorf("%s: err = %v, want a trailing-data error", doc, err)
+		}
+	}
+	s, err := LoadScenario(strings.NewReader("  {\"Nodes\":10}\n\t \r\n"))
+	if err != nil || s.Nodes != 10 {
+		t.Errorf("surrounding whitespace: Nodes = %d, err = %v", s.Nodes, err)
+	}
+}
+
+// TestRetiredScenarioKeysRejected: the four switches that selected the
+// retired reference implementations are gone from Scenario, so a config
+// file that still carries one fails by name instead of silently running
+// the only path left, and so does a snapshot whose embedded scenario
+// does (as every format-version-5 snapshot's did).
+func TestRetiredScenarioKeysRejected(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Nodes, sc.Items, sc.Warmup, sc.Duration = 20, 60, 10, 60
+	dir := t.TempDir()
+	if _, err := RunCheckpointed(sc, CheckpointOptions{Dir: dir, Label: "run", Interval: 10, StopAfter: 30}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.ReadFile(filepath.Join(dir, "run.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded := snap.Meta.Scenario
+
+	for _, key := range []string{"LinearRadio", "LinearCache", "NoPooling", "LegacyLayout"} {
+		wantMsg := `unknown field "` + key + `"`
+		_, err := LoadScenario(strings.NewReader(`{"Nodes":10,"` + key + `":false}`))
+		if err == nil || !strings.Contains(err.Error(), wantMsg) {
+			t.Errorf("%s in a config file: err = %v, want %s", key, err, wantMsg)
+		}
+
+		snap.Meta.Scenario = append([]byte(`{"`+key+`":false,`), embedded[1:]...)
+		old := filepath.Join(dir, key+".ckpt")
+		if err := checkpoint.WriteFile(old, snap); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Replay(old, ReplayOptions{})
+		if err == nil || !strings.Contains(err.Error(), wantMsg) {
+			t.Errorf("%s in a snapshot's scenario: err = %v, want %s", key, err, wantMsg)
+		}
 	}
 }
 

@@ -27,29 +27,6 @@ func ShardAssignmentForTest(s Scenario) ([]int32, error) {
 	return shardAssignment(b, s.Shards, weights), nil
 }
 
-// RunProbedForTest executes the scenario with a node-layer probe
-// attached — the hook the cache equivalence suite uses to observe whole
-// runs' eviction sequences. Probes are pure observers, so the run is
-// bit-identical to Run on the same scenario.
-func RunProbedForTest(s Scenario, pr node.Probe) (Result, error) {
-	b, err := s.build()
-	if err != nil {
-		return Result{}, err
-	}
-	b.network.SetProbe(pr)
-	return b.runToResult(), nil
-}
-
-func (b *built) runToResult() Result {
-	rep := b.network.Run(b.scenario.Duration)
-	return Result{
-		Scenario: b.scenario,
-		Report:   fromMetrics(rep),
-		Protocol: fromStats(b.network.Stats()),
-		Radio:    fromRadio(b.channel.Stats()),
-	}
-}
-
 // ObservedRun is everything a sequential run leaves behind that a test
 // can hold a second run to: the Result, the complete event trace, every
 // peer's final static store (by node ID) and the re-homing pass counts.
@@ -70,7 +47,13 @@ func RunObservedForTest(s Scenario, probeFor func(*node.Network) node.Probe) (Ob
 		return ObservedRun{}, err
 	}
 	b.network.SetProbe(probeFor(b.network))
-	out := ObservedRun{Result: b.runToResult(), Trace: buf.Events}
+	rep := b.network.Run(b.scenario.Duration)
+	out := ObservedRun{Trace: buf.Events, Result: Result{
+		Scenario: b.scenario,
+		Report:   fromMetrics(rep),
+		Protocol: fromStats(b.network.Stats()),
+		Radio:    fromRadio(b.channel.Stats()),
+	}}
 	for i := 0; i < b.network.Peers(); i++ {
 		out.Stores = append(out.Stores, b.network.Peer(radio.NodeID(i)).Store().StateSnapshot())
 	}

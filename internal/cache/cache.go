@@ -163,9 +163,7 @@ type Cache struct {
 	hits      uint64
 	misses    uint64
 
-	// index is the heap-based victim index (heap.go). In linear mode
-	// (NewLinear) it is nil and victim selection falls back to the
-	// retained reference scan, minUtility.
+	// index is the heap-based victim index (heap.go).
 	index *victimIndex
 	// evictScratch backs the slice Put returns, reused across calls so
 	// steady-state eviction does not allocate. Its contents are valid
@@ -185,32 +183,19 @@ type Cache struct {
 // New returns an empty cache with the given byte capacity, using the
 // heap victim index (heap.go) to find eviction victims in O(log n).
 func New(capacity int64, policy Policy) (*Cache, error) {
-	c, err := NewLinear(capacity, policy)
-	if err != nil {
-		return nil, err
-	}
-	c.index = newVictimIndex()
-	return c, nil
-}
-
-// NewLinear returns an empty cache whose victim selection uses the
-// reference O(n) linear scan (minUtility) instead of the heap index.
-// It is retained as the executable specification the heap is proven
-// equivalent to, exactly as the radio layer keeps Config.LinearScan
-// beside the grid index.
-func NewLinear(capacity int64, policy Policy) (*Cache, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("cache: negative capacity %d", capacity)
 	}
 	if policy == nil {
 		return nil, fmt.Errorf("cache: nil policy")
 	}
-	return &Cache{capacity: capacity, entries: make(map[workload.Key]*Entry), policy: policy}, nil
+	return &Cache{
+		capacity: capacity,
+		entries:  make(map[workload.Key]*Entry),
+		policy:   policy,
+		index:    newVictimIndex(),
+	}, nil
 }
-
-// Linear reports whether the cache uses the reference linear victim
-// scan instead of the heap index.
-func (c *Cache) Linear() bool { return c.index == nil }
 
 // Capacity returns the configured capacity in bytes.
 func (c *Cache) Capacity() int64 { return c.capacity }
@@ -254,9 +239,7 @@ func (c *Cache) Get(k workload.Key, now float64) (*Entry, bool) {
 	e.AccessCount++
 	e.LastAccess = now
 	c.refresh(e)
-	if c.index != nil {
-		c.index.fix(e.Key)
-	}
+	c.index.fix(e.Key)
 	return e, true
 }
 
@@ -284,12 +267,10 @@ func (c *Cache) Put(e Entry, now float64) (evicted []Entry, ok bool) {
 		e.AccessCount += old.AccessCount
 		c.used -= int64(old.Size)
 		delete(c.entries, e.Key)
-		if c.index != nil {
-			c.index.remove(old.Key)
-		}
+		c.index.remove(old.Key)
 	}
 	for c.used+int64(e.Size) > c.capacity && !c.evictionDisabled {
-		victim := c.victim()
+		victim := c.index.min()
 		if victim == nil {
 			break // cannot happen while used > 0; defensive
 		}
@@ -301,9 +282,7 @@ func (c *Cache) Put(e Entry, now float64) (evicted []Entry, ok bool) {
 		}
 		c.used -= int64(victim.Size)
 		delete(c.entries, victim.Key)
-		if c.index != nil {
-			c.index.remove(victim.Key)
-		}
+		c.index.remove(victim.Key)
 		c.evictions++
 		evicted = append(evicted, *victim)
 	}
@@ -313,24 +292,12 @@ func (c *Cache) Put(e Entry, now float64) (evicted []Entry, ok bool) {
 	stored := e
 	c.entries[e.Key] = &stored
 	c.used += int64(e.Size)
-	if c.index != nil {
-		c.index.push(&stored)
-	}
+	c.index.push(&stored)
 	c.evictScratch = evicted[:0]
 	if len(evicted) == 0 {
 		return nil, true
 	}
 	return evicted, true
-}
-
-// victim returns the next eviction victim: the minimum-(Utility, Key)
-// entry, found by the heap index or — in linear mode — by the reference
-// scan. Both select exactly the same entry; see DESIGN.md section 11.
-func (c *Cache) victim() *Entry {
-	if c.index != nil {
-		return c.index.min()
-	}
-	return c.minUtility()
 }
 
 // SetEvictionDisabledForTest turns the eviction loop in Put off (or back
@@ -362,31 +329,7 @@ func (c *Cache) CheckInvariants() error {
 	if c.policy.Aged() && (math.IsNaN(c.inflate) || c.inflate < 0) {
 		return fmt.Errorf("cache: invalid aging floor L=%g", c.inflate)
 	}
-	if c.index != nil {
-		if err := c.index.check(c.entries); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// minUtility returns the entry with the minimum utility; ties break to
-// the smaller key for determinism. It is the reference victim scan the
-// heap index (heap.go) is proven equivalent to, and the live selection
-// path in linear mode.
-func (c *Cache) minUtility() *Entry {
-	var victim *Entry
-	for _, e := range c.entries {
-		if victim == nil {
-			victim = e
-			continue
-		}
-		if e.Utility < victim.Utility ||
-			(e.Utility == victim.Utility && e.Key < victim.Key) {
-			victim = e
-		}
-	}
-	return victim
+	return c.index.check(c.entries)
 }
 
 // Remove drops a key (consistency invalidation). It reports whether the
@@ -398,9 +341,7 @@ func (c *Cache) Remove(k workload.Key) bool {
 	}
 	c.used -= int64(e.Size)
 	delete(c.entries, k)
-	if c.index != nil {
-		c.index.remove(k)
-	}
+	c.index.remove(k)
 	return true
 }
 

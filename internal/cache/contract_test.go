@@ -113,23 +113,16 @@ func TestPolicyContract(t *testing.T) {
 
 			// Strict (Utility, Key) victim order: entries with identical
 			// bookkeeping have identical utilities under every pure
-			// policy, so the victim must be the lowest key — on both
-			// backends.
-			for _, linear := range []bool{false, true} {
-				tie, err := New(1<<20, p)
-				if linear {
-					tie, err = NewLinear(1<<20, p)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []workload.Key{9, 3, 7, 5} {
-					tie.Put(Entry{Key: k, Size: 1024, RegionDist: 200}, 10)
-				}
-				v := tie.victim()
-				if v == nil || v.Key != 3 {
-					t.Fatalf("linear=%v: victim among equal utilities is %+v, want key 3", linear, v)
-				}
+			// policy, so the victim must be the lowest key.
+			tie, err := New(1<<20, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []workload.Key{9, 3, 7, 5} {
+				tie.Put(Entry{Key: k, Size: 1024, RegionDist: 200}, 10)
+			}
+			if v := tie.index.min(); v == nil || v.Key != 3 {
+				t.Fatalf("victim among equal utilities is %+v, want key 3", v)
 			}
 		})
 	}
@@ -148,10 +141,9 @@ func seedOffset(name string) int {
 	return h % 1000
 }
 
-// TestPolicyContractHeapLinearVictimAgreement cross-checks that on a
-// fuzzed stream the two backends agree on the victim choice for every
-// registered policy at every step — the per-step sharpening of the
-// sequence-level equivalence in TestHeapLinearOpEquivalence.
+// TestPolicyContractHeapLinearVictimAgreement holds the heap index to
+// the linear scan (replay, heap_test.go) on the contract battery's own
+// stream, for every registered policy.
 func TestPolicyContractHeapLinearVictimAgreement(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -159,21 +151,7 @@ func TestPolicyContractHeapLinearVictimAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for opIdx, o := range genOps(4242, 1200) {
-				switch o.kind {
-				case 0:
-					c.Put(Entry{Key: o.key, Size: o.size, RegionDist: o.dist}, o.now)
-				case 1:
-					c.Get(o.key, o.now)
-				case 2:
-					c.Remove(o.key)
-				case 3:
-					c.Update(o.key, o.version, o.now+30)
-				}
-				if heapMin, scanMin := c.victim(), c.minUtility(); heapMin != scanMin {
-					t.Fatalf("op %d: heap victim %+v, reference scan %+v", opIdx, heapMin, scanMin)
-				}
-			}
+			replay(t, c, genOps(4242, 1200))
 		})
 	}
 }

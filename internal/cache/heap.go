@@ -2,17 +2,16 @@ package cache
 
 // Victim index: a binary min-heap over the cache's entries ordered by
 // (Utility, Key). Because keys are unique, that order is a strict total
-// order, so the heap minimum is always exactly the entry the reference
-// linear scan (minUtility) would pick — the heap changes the cost of
-// finding the victim from O(n) to O(log n) without changing which entry
-// is the victim. DESIGN.md section 11 gives the full equivalence
-// argument; TestHeapLinearOpEquivalence and TestCacheIndexEquivalence
-// prove it over fuzzed operation streams and whole scenarios.
+// order, so the heap minimum is always exactly the entry a linear scan
+// for the minimum would pick — the heap changes the cost of finding the
+// victim from O(n) to O(log n) without changing which entry is the
+// victim. DESIGN.md section 11 gives the full equivalence argument;
+// TestHeapLinearOpEquivalence holds min() to that scan after every
+// operation of fuzzed streams.
 //
-// Entry positions live in a side map rather than in Entry itself so the
-// public Entry struct (serialized into checkpoints, compared with
-// DeepEqual by the equivalence suites) is bit-identical between the
-// heap-indexed and linear modes.
+// Entry positions live in a side map rather than in Entry itself, so the
+// public Entry struct (serialized into checkpoints) carries no index
+// state.
 
 import (
 	"fmt"
@@ -21,7 +20,7 @@ import (
 )
 
 // victimLess is the eviction order: minimum utility first, ties broken
-// to the smaller key. It must match minUtility exactly.
+// to the smaller key.
 func victimLess(a, b *Entry) bool {
 	return a.Utility < b.Utility ||
 		(a.Utility == b.Utility && a.Key < b.Key)

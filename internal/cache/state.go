@@ -67,15 +67,13 @@ func (c *Cache) RestoreState(st CacheState) error {
 	c.misses = st.Misses
 	c.evictions = st.Evictions
 	c.inflateRegressed = false
-	if c.index != nil {
-		// Rebuild the victim index in the snapshot's (sorted) entry
-		// order. The heap's internal layout is irrelevant to behavior —
-		// victims are popped in (Utility, Key) order regardless — but a
-		// deterministic rebuild keeps restored state reproducible.
-		c.index.reset(len(st.Entries))
-		for i := range st.Entries {
-			c.index.push(entries[st.Entries[i].Key])
-		}
+	// Rebuild the victim index in the snapshot's (sorted) entry order.
+	// The heap's internal layout is irrelevant to behavior — victims are
+	// popped in (Utility, Key) order regardless — but a deterministic
+	// rebuild keeps restored state reproducible.
+	c.index.reset(len(st.Entries))
+	for i := range st.Entries {
+		c.index.push(entries[st.Entries[i].Key])
 	}
 	return nil
 }

@@ -59,7 +59,12 @@ const Magic = "PRCNCKPT"
 // Version 5: stored items and pending requests carry integer replica
 // ranks (StoredItem.ReplicaRank, PendingReqState.ReplicaRank) instead of
 // the boolean replica flag, supporting k > 1 replica regions per key.
-const Version = 5
+//
+// Version 6: the scenario in the meta section lost the four fields that
+// selected retired reference implementations (DESIGN.md section 10); it
+// is decoded strictly, so a version-5 scenario no longer parses. No
+// other section changed.
+const Version = 6
 
 // sectionNames is the canonical section order. Decode enforces it
 // exactly: a reordered or renamed section means the file was not written

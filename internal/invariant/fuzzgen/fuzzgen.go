@@ -6,8 +6,8 @@
 // reproducible bug report.
 //
 // The package also provides the metamorphic transformations the suite
-// uses: relabeling, radio-backend toggling and fault-order shuffling all
-// must leave a run's Report bit-identical.
+// uses: relabeling and fault-order shuffling must leave a run's Report
+// bit-identical.
 package fuzzgen
 
 import (
@@ -176,22 +176,6 @@ func ExpandScale(seed int64, maxNodes int) precinct.Scenario {
 // affect the run at all.
 func Relabel(s precinct.Scenario, name string) precinct.Scenario {
 	s.Name = name
-	return s
-}
-
-// ToggleLinearRadio flips the neighbor-query backend between the spatial
-// grid index and the reference linear scan; the two are bit-identical by
-// contract.
-func ToggleLinearRadio(s precinct.Scenario) precinct.Scenario {
-	s.LinearRadio = !s.LinearRadio
-	return s
-}
-
-// ToggleLinearCache flips cache victim selection between the heap index
-// and the reference linear scan; like ToggleLinearRadio, the two are
-// bit-identical by contract (DESIGN.md section 11).
-func ToggleLinearCache(s precinct.Scenario) precinct.Scenario {
-	s.LinearCache = !s.LinearCache
 	return s
 }
 

@@ -66,12 +66,9 @@ func (n *Network) CloneForShard(w ShardWorld) (*Network, error) {
 	c.loc = chanLocator{c.ch}
 	c.ch.SetLiveness(n.live)
 	c.ch.SetHandler(c.handleFrame)
-	c.pool.disabled = n.pool.disabled
 	c.pool.poison = n.pool.poison
-	if !c.cfg.NoPooling {
-		c.ch.SetDropHandler(c.handleDrop)
-		c.router.EnablePlanarCache(c.ch.N())
-	}
+	c.ch.SetDropHandler(c.handleDrop)
+	c.router.EnablePlanarCache(c.ch.N())
 	return c, nil
 }
 

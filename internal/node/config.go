@@ -67,26 +67,6 @@ type Config struct {
 	// CacheBytes is the dynamic cache capacity per peer in bytes.
 	// Zero disables dynamic caching (the Section 5 validation setup).
 	CacheBytes int64
-	// LinearCache selects the retained O(n) reference victim scan for
-	// eviction instead of the default heap index. Both pick identical
-	// victims (DESIGN.md section 11); the flag exists so the equivalence
-	// can be re-proven on whole scenarios at any time.
-	LinearCache bool
-	// NoPooling disables the message freelist and the planar-set cache:
-	// every message is a fresh allocation, forwarding clones at every
-	// hop, and GPSR re-planarizes on every perimeter decision — the
-	// pre-pooling reference path. Both paths are bit-identical by
-	// contract (DESIGN.md section 12); the flag exists so the pooled
-	// lifecycle can be re-proven equivalent on whole scenarios.
-	NoPooling bool
-	// LegacyLayout selects the retained map-backed per-peer containers
-	// (flood-dedup map, pending-request map, individually allocated
-	// peers) instead of the default struct-of-arrays layout (peer slab,
-	// open-addressed seen table, pending slice with a request freelist).
-	// Both layouts are bit-identical by contract (DESIGN.md section 14);
-	// the flag exists so the equivalence can be re-proven on whole
-	// scenarios at any time.
-	LegacyLayout bool
 
 	// EnRoute lets peers on the path to the home region answer requests
 	// from their caches (Section 3.1).

@@ -56,7 +56,6 @@ func buildWorld(t *testing.T, s precinct.Scenario, replicas int) *world {
 	rc := radio.DefaultConfig()
 	rc.Range = s.Range
 	rc.BeaconInterval = s.BeaconInterval
-	rc.LinearScan = s.LinearRadio
 	ch, err := radio.New(rc, sched, mob, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -122,15 +121,15 @@ func (w *world) compare(t *testing.T, when string, dead radio.NodeID) {
 // TestCustodianQueriesMatchFullScan runs the rectangle-fed custodian
 // queries against the whole-population scan over the fuzzgen seed set
 // (grid and Voronoi partitions, beaconing on and off, all four mobility
-// models), with each scenario also flipped to the linear radio, at
-// several instants of a run in which peers die, a region is split (so
-// peers hold the original table and a mutated Clone of it at once) and a
-// region nobody stands in is added.
+// models), each scenario under two replica counts, at several instants of
+// a run in which peers die, a region is split (so peers hold the original
+// table and a mutated Clone of it at once) and a region nobody stands in
+// is added.
 func TestCustodianQueriesMatchFullScan(t *testing.T) {
 	var cases []precinct.Scenario
 	for seed := int64(1); seed <= 24; seed++ {
 		s := fuzzgen.Expand(seed)
-		cases = append(cases, s, fuzzgen.ToggleLinearRadio(s))
+		cases = append(cases, s, s) // the case index picks the replica count
 	}
 	// The scale tier's shape: hundreds of regions, a handful of peers in
 	// each, some of them empty at any instant.

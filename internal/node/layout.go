@@ -1,14 +1,10 @@
 package node
 
-// Struct-of-arrays peer containers (DESIGN.md section 14). The default
-// layout replaces the per-peer maps with index-friendly storage: flood
-// dedup lives in an open-addressed linear-probing table (two flat
-// slices, no per-entry boxes), outstanding requests live in a small
-// slice searched linearly (a peer rarely has more than a handful), and
-// request boxes recycle through a per-network freelist. The legacy
-// map-backed containers remain selectable via Config.LegacyLayout as
-// the reference path; every access below dispatches on which container
-// a peer carries, and both behave identically by contract.
+// Struct-of-arrays peer containers (DESIGN.md section 14): flood dedup
+// lives in an open-addressed linear-probing table (two flat slices, no
+// per-entry boxes), outstanding requests live in a small slice searched
+// linearly (a peer rarely has more than a handful), and request boxes
+// recycle through a per-network freelist.
 
 // seenTable is an open-addressed linear-probing hash table from flood
 // ID to expiry time. Message IDs are never zero (newID ORs a counter
@@ -95,8 +91,8 @@ func (t *seenTable) grow() {
 }
 
 // prune drops every entry whose expiry is at or before now, rehashing
-// the survivors into a right-sized table (the same semantics as the
-// legacy map prune: strictly-later expiries survive).
+// the survivors into a right-sized table: strictly-later expiries
+// survive.
 func (t *seenTable) prune(now float64) {
 	live := 0
 	for i, k := range t.keys {
@@ -113,79 +109,19 @@ func (t *seenTable) prune(now float64) {
 	}
 }
 
-// seenLookup returns the recorded expiry for a flood ID.
-func (p *Peer) seenLookup(id uint64) (float64, bool) {
-	if p.seen != nil {
-		exp, ok := p.seen[id]
-		return exp, ok
-	}
-	return p.seenTab.lookup(id)
-}
-
-// seenStore records (or refreshes) a flood ID's expiry.
-func (p *Peer) seenStore(id uint64, exp float64) {
-	if p.seen != nil {
-		p.seen[id] = exp
-		return
-	}
-	p.seenTab.store(id, exp)
-}
-
-// seenPrune drops every dedup entry expired at now.
-func (p *Peer) seenPrune(now float64) {
-	if p.seen != nil {
-		for k, exp := range p.seen {
-			if exp <= now {
-				delete(p.seen, k)
-			}
-		}
-		return
-	}
-	p.seenTab.prune(now)
-}
-
-// seenLen counts recorded dedup entries (including not-yet-pruned
-// expired ones, matching the legacy map).
-func (p *Peer) seenLen() int {
-	if p.seen != nil {
-		return len(p.seen)
-	}
-	return p.seenTab.used
-}
-
-// seenEach visits every dedup entry in container order (callers that
-// need determinism sort afterwards, as with map iteration).
-func (p *Peer) seenEach(fn func(id uint64, exp float64)) {
-	if p.seen != nil {
-		for id, exp := range p.seen {
-			fn(id, exp)
-		}
-		return
-	}
-	for i, k := range p.seenTab.keys {
+// each visits every entry in table order (callers that need determinism
+// sort afterwards).
+func (t *seenTable) each(fn func(id uint64, exp float64)) {
+	for i, k := range t.keys {
 		if k != 0 {
-			fn(k, p.seenTab.exps[i])
+			fn(k, t.exps[i])
 		}
 	}
-}
-
-// seenReset replaces the dedup container with an empty one sized for n
-// entries, keeping the peer's configured layout.
-func (p *Peer) seenReset(n int) {
-	if p.seen != nil {
-		p.seen = make(map[uint64]float64, n)
-		return
-	}
-	p.seenTab.init(n)
 }
 
 // pendingGet returns the outstanding request with the given ID.
 func (p *Peer) pendingGet(id uint64) (*pendingReq, bool) {
-	if p.pending != nil {
-		req, ok := p.pending[id]
-		return req, ok
-	}
-	for _, req := range p.pendingS {
+	for _, req := range p.pending {
 		if req.id == id {
 			return req, true
 		}
@@ -193,70 +129,22 @@ func (p *Peer) pendingGet(id uint64) (*pendingReq, bool) {
 	return nil, false
 }
 
-// pendingPut registers an outstanding request. The caller guarantees
-// the ID is not already present (request IDs are unique per peer).
-func (p *Peer) pendingPut(req *pendingReq) {
-	if p.pending != nil {
-		p.pending[req.id] = req
-		return
-	}
-	p.pendingS = append(p.pendingS, req)
-}
-
 // pendingDelete removes an outstanding request by ID (no-op when
-// absent), swap-deleting in the slice layout.
+// absent) by swap-delete.
 func (p *Peer) pendingDelete(id uint64) {
-	if p.pending != nil {
-		delete(p.pending, id)
-		return
-	}
-	for i, req := range p.pendingS {
+	for i, req := range p.pending {
 		if req.id == id {
-			last := len(p.pendingS) - 1
-			p.pendingS[i] = p.pendingS[last]
-			p.pendingS[last] = nil
-			p.pendingS = p.pendingS[:last]
+			last := len(p.pending) - 1
+			p.pending[i] = p.pending[last]
+			p.pending[last] = nil
+			p.pending = p.pending[:last]
 			return
 		}
 	}
 }
 
-// pendingLen counts outstanding requests.
-func (p *Peer) pendingLen() int {
-	if p.pending != nil {
-		return len(p.pending)
-	}
-	return len(p.pendingS)
-}
-
-// pendingEach visits every outstanding request in container order.
-func (p *Peer) pendingEach(fn func(*pendingReq)) {
-	if p.pending != nil {
-		for _, req := range p.pending {
-			fn(req)
-		}
-		return
-	}
-	for _, req := range p.pendingS {
-		fn(req)
-	}
-}
-
-// pendingReset empties the pending container, keeping the layout.
-func (p *Peer) pendingReset() {
-	if p.pending != nil {
-		p.pending = make(map[uint64]*pendingReq)
-		return
-	}
-	for i := range p.pendingS {
-		p.pendingS[i] = nil
-	}
-	p.pendingS = p.pendingS[:0]
-}
-
-// acquireReq takes a request box for RequestFrom. The SoA layout
-// recycles boxes through a freelist; the legacy reference path
-// allocates one per request, as the pre-SoA implementation did.
+// acquireReq takes a request box for RequestFrom, recycled through the
+// network's freelist.
 func (n *Network) acquireReq() *pendingReq {
 	if last := len(n.reqFree) - 1; last >= 0 {
 		req := n.reqFree[last]
@@ -273,9 +161,6 @@ func (n *Network) acquireReq() *pendingReq {
 // request ID by value — a stale fire after recycling misses the pending
 // lookup and no-ops.
 func (n *Network) releaseReq(req *pendingReq) {
-	if n.cfg.LegacyLayout {
-		return
-	}
 	*req = pendingReq{}
 	n.reqFree = append(n.reqFree, req)
 }

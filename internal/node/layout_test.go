@@ -1,13 +1,12 @@
 package node
 
 import (
-	"sort"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// The layout accessors are proven behaviorally equivalent at the
-// whole-scenario level by the root-package TestLayoutEquivalence suite;
-// the tests below pin the container semantics directly — collision
+// The tests below pin the container semantics directly — collision
 // probing, load-factor growth, prune-as-rebuild, swap-delete and the
 // freelist — where a scenario run would only exercise them implicitly.
 
@@ -57,8 +56,7 @@ func TestSeenTablePrune(t *testing.T) {
 	for id := uint64(1); id <= 100; id++ {
 		tab.store(id, float64(id))
 	}
-	// Prune drops expiries <= now and keeps strictly-later ones, the
-	// same boundary the legacy map prune used.
+	// Prune drops expiries <= now and keeps strictly-later ones.
 	tab.prune(50)
 	if tab.used != 50 {
 		t.Fatalf("used = %d after pruning at 50, want 50", tab.used)
@@ -80,103 +78,122 @@ func TestSeenTablePrune(t *testing.T) {
 	}
 }
 
-// layoutPeers returns one peer per layout: the SoA default (seen table
-// + pending slice) and the legacy reference (maps), matching how
-// Network.Add configures them.
-func layoutPeers() map[string]*Peer {
-	soa := &Peer{}
-	soa.seenTab.init(0)
-	legacy := &Peer{
-		seen:    map[uint64]float64{},
-		pending: map[uint64]*pendingReq{},
+// collidingIDs returns n nonzero flood IDs whose hashes share their top
+// 16 bits, so they contend for one home slot at every table size the
+// tests reach.
+func collidingIDs(n int) []uint64 {
+	mul := hashID(1)
+	inv := uint64(1) // mul's inverse mod 2^64; Newton doubles the correct low bits per round
+	for i := 0; i < 6; i++ {
+		inv *= 2 - mul*inv
 	}
-	return map[string]*Peer{"soa": soa, "legacy": legacy}
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = inv * (0xABCD<<48 | uint64(i+1))
+	}
+	return ids
 }
 
-func TestPeerSeenAccessorsBothLayouts(t *testing.T) {
-	for name, p := range layoutPeers() {
-		t.Run(name, func(t *testing.T) {
-			for id := uint64(1); id <= 40; id++ {
-				p.seenStore(id, float64(id))
+// TestSeenTableMatchesMapModel drives fuzzed store / lookup / prune /
+// reset / iterate streams through a seenTable and a plain map, with a
+// third of the IDs colliding on one probe chain and whole-number
+// expiries so prunes land exactly on them, and requires the two to
+// agree after every operation.
+func TestSeenTableMatchesMapModel(t *testing.T) {
+	clash := collidingIDs(48)
+	for _, id := range clash[1:] {
+		if id == 0 || hashID(id)>>48 != hashID(clash[0])>>48 {
+			t.Fatalf("ID %#x does not share a home slot with %#x", id, clash[0])
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tab seenTable
+		model := map[uint64]float64{}
+		now := 0.0
+		pick := func() uint64 {
+			if rng.Intn(3) == 0 {
+				return clash[rng.Intn(len(clash))]
 			}
-			if got := p.seenLen(); got != 40 {
-				t.Fatalf("seenLen = %d, want 40", got)
+			return uint64(1 + rng.Intn(300))
+		}
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 10:
+				id, exp := pick(), now+float64(rng.Intn(12))
+				tab.store(id, exp)
+				model[id] = exp
+			case r < 16:
+				id := pick()
+				exp, ok := tab.lookup(id)
+				if want, wantOK := model[id]; ok != wantOK || exp != want {
+					t.Fatalf("seed %d op %d: lookup(%#x) = %v, %v; the map holds %v, %v", seed, op, id, exp, ok, want, wantOK)
+				}
+			case r < 18:
+				now += float64(rng.Intn(5))
+				tab.prune(now)
+				for id, exp := range model {
+					if exp <= now {
+						delete(model, id)
+					}
+				}
+			case r < 19:
+				tab.init(rng.Intn(40))
+				clear(model)
+			default:
+				seen := map[uint64]float64{}
+				tab.each(func(id uint64, exp float64) {
+					if _, dup := seen[id]; dup {
+						t.Fatalf("seed %d op %d: each visited %#x twice", seed, op, id)
+					}
+					seen[id] = exp
+				})
+				if !reflect.DeepEqual(seen, model) {
+					t.Fatalf("seed %d op %d: each visited %v, the map holds %v", seed, op, seen, model)
+				}
 			}
-			if exp, ok := p.seenLookup(17); !ok || exp != 17 {
-				t.Fatalf("seenLookup(17) = %v, %v", exp, ok)
+			if tab.used != len(model) {
+				t.Fatalf("seed %d op %d: %d entries, the map holds %d", seed, op, tab.used, len(model))
 			}
-			if _, ok := p.seenLookup(1000); ok {
-				t.Fatalf("seenLookup reported a hit for an absent ID")
-			}
-			var ids []uint64
-			var sum float64
-			p.seenEach(func(id uint64, exp float64) {
-				ids = append(ids, id)
-				sum += exp
-			})
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			if len(ids) != 40 || ids[0] != 1 || ids[39] != 40 || sum != 820 {
-				t.Fatalf("seenEach visited ids %v (sum %v)", ids, sum)
-			}
-			p.seenPrune(20)
-			if got := p.seenLen(); got != 20 {
-				t.Fatalf("seenLen = %d after pruning at 20, want 20", got)
-			}
-			if _, ok := p.seenLookup(20); ok {
-				t.Fatalf("entry at the prune boundary survived")
-			}
-			if _, ok := p.seenLookup(21); !ok {
-				t.Fatalf("entry past the prune boundary was dropped")
-			}
-			p.seenReset(8)
-			if got := p.seenLen(); got != 0 {
-				t.Fatalf("seenLen = %d after reset", got)
-			}
-			p.seenStore(3, 4)
-			if exp, ok := p.seenLookup(3); !ok || exp != 4 {
-				t.Fatalf("store after reset: seenLookup(3) = %v, %v", exp, ok)
-			}
-		})
+		}
 	}
 }
 
-func TestPeerPendingAccessorsBothLayouts(t *testing.T) {
-	for name, p := range layoutPeers() {
-		t.Run(name, func(t *testing.T) {
-			reqs := make([]*pendingReq, 5)
-			for i := range reqs {
-				reqs[i] = &pendingReq{id: uint64(i + 1)}
-				p.pendingPut(reqs[i])
+// TestPendingSliceMatchesMapModel does the same for a peer's outstanding
+// requests: append, pendingGet and the swap-deleting pendingDelete
+// against a map from request ID to box.
+func TestPendingSliceMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := &Peer{}
+		model := map[uint64]*pendingReq{}
+		next := uint64(0)
+		for op := 0; op < 2000; op++ {
+			id := uint64(1 + rng.Intn(int(next)+2)) // mostly live or dead IDs, sometimes one never issued
+			switch r := rng.Intn(10); {
+			case r < 4:
+				next++
+				req := &pendingReq{id: next}
+				p.pending = append(p.pending, req)
+				model[next] = req
+			case r < 7:
+				p.pendingDelete(id)
+				delete(model, id)
+			default:
+				req, ok := p.pendingGet(id)
+				if want, wantOK := model[id]; ok != wantOK || req != want {
+					t.Fatalf("seed %d op %d: pendingGet(%d) = %p, %v; the map holds %p, %v", seed, op, id, req, ok, want, wantOK)
+				}
 			}
-			if got := p.pendingLen(); got != 5 {
-				t.Fatalf("pendingLen = %d, want 5", got)
+			if len(p.pending) != len(model) {
+				t.Fatalf("seed %d op %d: %d requests pending, the map holds %d", seed, op, len(p.pending), len(model))
 			}
-			if req, ok := p.pendingGet(3); !ok || req != reqs[2] {
-				t.Fatalf("pendingGet(3) = %v, %v", req, ok)
+			for _, req := range p.pending {
+				if model[req.id] != req {
+					t.Fatalf("seed %d op %d: the slice holds request %d, the map does not", seed, op, req.id)
+				}
 			}
-			if _, ok := p.pendingGet(99); ok {
-				t.Fatalf("pendingGet reported a hit for an absent ID")
-			}
-			// Delete from the middle (swap-delete in the slice layout)
-			// and from the end, plus an absent-ID no-op.
-			p.pendingDelete(2)
-			p.pendingDelete(5)
-			p.pendingDelete(99)
-			if got := p.pendingLen(); got != 3 {
-				t.Fatalf("pendingLen = %d after deletes, want 3", got)
-			}
-			var ids []uint64
-			p.pendingEach(func(req *pendingReq) { ids = append(ids, req.id) })
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 4 {
-				t.Fatalf("pendingEach visited ids %v, want [1 3 4]", ids)
-			}
-			p.pendingReset()
-			if got := p.pendingLen(); got != 0 {
-				t.Fatalf("pendingLen = %d after reset", got)
-			}
-			p.pendingEach(func(*pendingReq) { t.Fatalf("pendingEach visited an entry after reset") })
-		})
+		}
 	}
 }
 
@@ -202,14 +219,5 @@ func TestRequestFreelist(t *testing.T) {
 	c := n.acquireReq()
 	if c == b {
 		t.Fatalf("empty-freelist acquire returned a live box")
-	}
-
-	// The legacy reference path allocates per request: release must not
-	// recycle (the pre-SoA implementation never reused boxes).
-	legacy := &Network{cfg: Config{LegacyLayout: true}}
-	r := legacy.acquireReq()
-	legacy.releaseReq(r)
-	if len(legacy.reqFree) != 0 {
-		t.Fatalf("legacy release recycled a box into the freelist")
 	}
 }

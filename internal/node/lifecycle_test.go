@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 
 	"precinct/internal/consistency"
@@ -117,7 +118,8 @@ func TestLifecyclePoisonQuiescence(t *testing.T) {
 // path directly: a shared broadcast payload delivered to a receiver that
 // has already seen the flood must drop exactly one reference without
 // taking a header copy, and a fresh receiver must exchange its reference
-// for a copy that its handler then releases.
+// for a copy that its handler then releases, leaving the shared payload
+// as it found it for the receivers still to come.
 func TestLifecycleDedupFastPathReleases(t *testing.T) {
 	h := build(t, defaultHarnessOpts())
 	n := h.net
@@ -130,7 +132,7 @@ func TestLifecycleDedupFastPathReleases(t *testing.T) {
 
 	base := n.MsgPoolLive()
 	m := n.newMsg(message{Kind: kindSearchFlood, ID: 1, FloodID: 42, Key: key, Origin: 0, TTL: 1})
-	m.refs = 2 // as if the broadcast scheduled two receivers
+	m.refs = 3 // as if the broadcast scheduled three receivers
 
 	n.Peer(1).markSeen(42)
 	n.handleFrame(1, radio.Frame{From: 0, Broadcast: true, Payload: m})
@@ -143,7 +145,17 @@ func TestLifecycleDedupFastPathReleases(t *testing.T) {
 
 	// Fresh receiver: header copy acquired, shared ref released, TTL=1 so
 	// the handler releases the copy instead of rebroadcasting.
+	want := *m
+	want.refs--
 	n.handleFrame(2, radio.Frame{From: 0, Broadcast: true, Payload: m})
+	if got := n.MsgPoolLive(); got != base+1 {
+		t.Fatalf("after a fresh delivery: %d live messages, want %d (the copy released, one shared ref left)", got, base+1)
+	}
+	if !reflect.DeepEqual(*m, want) {
+		t.Fatalf("a receiver wrote to the shared payload:\n got  %+v\n want %+v", *m, want)
+	}
+
+	n.handleFrame(1, radio.Frame{From: 0, Broadcast: true, Payload: m})
 	if got := n.MsgPoolLive(); got != base {
 		t.Fatalf("after final delivery: %d live messages, want %d", got, base)
 	}

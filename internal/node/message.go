@@ -112,8 +112,6 @@ type handoffItem struct {
 // reference (duplicate fast path, mid-flight loss) or exchanges it for a
 // private header copy. Every handler consumes its message exactly once:
 // release it, stash it (pendingReply), or hand it to broadcast/unicast.
-// Under Config.NoPooling, release is a no-op and delivery clones per
-// receiver — the reference path the equivalence suite compares against.
 type message struct {
 	Kind msgKind
 	// ID identifies the request for matching replies to pending
@@ -201,31 +199,14 @@ func (m *message) wireSize(controlBytes int) int {
 	}
 }
 
-// clone returns a deep copy of the message. The pooled hot path never
-// calls it; it serves the NoPooling reference path (clone at every
-// forwarding hop, exactly as the pre-pooling implementation did) and
-// tests.
-func (m *message) clone() *message {
-	cp := *m
-	if m.Items != nil {
-		cp.Items = append([]handoffItem(nil), m.Items...)
-	}
-	cp.refs = 1
-	cp.released = false
-	return &cp
-}
-
 // msgPool is the sim-local message freelist. One pool serves one Network
 // (the simulation core is single-threaded, so no sync.Pool machinery is
 // needed — and sim-local reuse keeps runs deterministic and boxes warm
-// in cache). disabled (Config.NoPooling) turns every acquire into a
-// fresh allocation and every release into a no-op. poison
-// (PRECINCT_DEBUG=poison) scrambles released messages so use-after-
-// release fails loudly instead of silently corrupting a run.
+// in cache). poison (PRECINCT_DEBUG=poison) scrambles released messages
+// so use-after-release fails loudly instead of silently corrupting a run.
 type msgPool struct {
-	free     []*message
-	disabled bool
-	poison   bool
+	free   []*message
+	poison bool
 
 	acquired uint64 // messages handed out (newMsg + delivery header copies)
 	released uint64 // messages whose last reference was dropped
@@ -249,9 +230,6 @@ func (pl *msgPool) acquire() *message {
 // when the last reference is gone. Releasing an already-released message
 // panics — that is a lifecycle bug (double release), never load.
 func (pl *msgPool) unref(m *message) {
-	if pl.disabled {
-		return
-	}
 	if m.released {
 		panic("node: pooled message released twice")
 	}

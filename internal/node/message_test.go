@@ -64,17 +64,32 @@ func TestWireSize(t *testing.T) {
 	}
 }
 
+// clonePayloadForTest deep-copies m through a bare network's pool, the
+// way a broadcast crossing to another shard does.
+func clonePayloadForTest(t *testing.T, m *message) *message {
+	t.Helper()
+	cp, ok := new(Network).clonePayload(m).(*message)
+	if !ok || cp == m {
+		t.Fatalf("clonePayload returned %T %p for %p", cp, cp, m)
+	}
+	if cp.refs != 1 || cp.released {
+		t.Fatalf("clone carries refs=%d released=%v, want one live reference", cp.refs, cp.released)
+	}
+	return cp
+}
+
 func TestMessageCloneIndependence(t *testing.T) {
 	m := &message{
 		Kind: kindHandoff, ID: 1, TTL: 5,
 		Route: routing.State{Mode: routing.Perimeter},
 		Items: []handoffItem{{Key: 1, Size: 100}},
+		refs:  7,
 	}
-	cp := m.clone()
+	cp := clonePayloadForTest(t, m)
 	cp.TTL = 4
 	cp.Route.Mode = routing.Greedy
 	cp.Items[0].Size = 999
-	if m.TTL != 5 || m.Route.Mode != routing.Perimeter || m.Items[0].Size != 100 {
+	if m.TTL != 5 || m.Route.Mode != routing.Perimeter || m.Items[0].Size != 100 || m.refs != 7 {
 		t.Error("clone shares state with the original")
 	}
 }
@@ -86,7 +101,7 @@ func TestClonePreservesFields(t *testing.T) {
 			Kind: kindReply, ID: id, FloodID: flood,
 			TTL: int(ttl), Hops: int(hops), Version: version,
 		}
-		cp := m.clone()
+		cp := clonePayloadForTest(t, m)
 		return cp.ID == m.ID && cp.FloodID == m.FloodID &&
 			cp.TTL == m.TTL && cp.Hops == m.Hops && cp.Version == m.Version
 	}

@@ -77,13 +77,12 @@ type Network struct {
 	// router per network suffices.
 	router routing.Router
 
-	// pool is the message freelist (DESIGN.md section 12). Disabled
-	// under Config.NoPooling, poisoning under PRECINCT_DEBUG=poison.
+	// pool is the message freelist (DESIGN.md section 12), poisoning
+	// under PRECINCT_DEBUG=poison.
 	pool msgPool
-	// reqFree is the pendingReq freelist (DESIGN.md section 14); unused
-	// (never appended to) under Config.LegacyLayout. Requests are born
-	// and finished on their origin peer's shard, so in a sharded run
-	// each replica's freelist stays shard-local.
+	// reqFree is the pendingReq freelist (DESIGN.md section 14).
+	// Requests are born and finished on their origin peer's shard, so in
+	// a sharded run each replica's freelist stays shard-local.
 	reqFree []*pendingReq
 	// inRegion is the scratch the custodian queries collect a region's
 	// occupants into (see forLivePeersIn).
@@ -169,35 +168,21 @@ func New(opts Options) (*Network, error) {
 	n.tables = []*region.Table{opts.Regions}
 	n.peers = make([]*Peer, n.ch.N())
 	n.live = make([]bool, n.ch.N())
-	// The SoA layout allocates all peers as one slab: dense node indices
-	// become dense memory, and peer headers stop being 100k scattered
-	// heap objects. Pointer identity (p == exclude, p.net binding) is
-	// unaffected — n.peers still hands out stable *Peer values.
-	var slab []Peer
-	if !n.cfg.LegacyLayout {
-		slab = make([]Peer, n.ch.N())
-	}
+	// All peers are one slab: dense node indices become dense memory,
+	// and peer headers stop being 100k scattered heap objects. n.peers
+	// hands out stable *Peer values into it.
+	slab := make([]Peer, n.ch.N())
 	for i := range n.peers {
-		var p *Peer
-		if slab != nil {
-			p = &slab[i]
-		} else {
-			p = &Peer{}
-		}
+		p := &slab[i]
 		*p = Peer{
 			id:    radio.NodeID(i),
 			net:   n,
 			store: cache.NewStore(),
 			rng:   n.rng.Stream(fmt.Sprintf("peer/%d", i)),
 		}
-		if n.cfg.LegacyLayout {
-			p.seen = make(map[uint64]float64)
-			p.pending = make(map[uint64]*pendingReq)
-		} else {
-			p.seenTab.init(0)
-		}
+		p.seenTab.init(0)
 		if n.cfg.CacheBytes > 0 {
-			c, err := n.newCache()
+			c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy)
 			if err != nil {
 				return nil, err
 			}
@@ -213,14 +198,10 @@ func New(opts Options) (*Network, error) {
 	}
 	n.ch.SetLiveness(n.live)
 	n.ch.SetHandler(n.handleFrame)
-	n.pool.disabled = n.cfg.NoPooling
 	n.pool.poison = os.Getenv("PRECINCT_DEBUG") == "poison"
-	if !n.cfg.NoPooling {
-		// Lost frames must settle payload ownership, and GPSR may reuse
-		// cached planarizations; both belong to the pooled fast path.
-		n.ch.SetDropHandler(n.handleDrop)
-		n.router.EnablePlanarCache(n.ch.N())
-	}
+	// Lost frames must settle payload ownership.
+	n.ch.SetDropHandler(n.handleDrop)
+	n.router.EnablePlanarCache(n.ch.N())
 	n.placeKeys()
 	return n, nil
 }
@@ -238,11 +219,11 @@ func (n *Network) newMsg(proto message) *message {
 }
 
 // releaseMsg drops one ownership reference to m, returning the box to
-// the pool when the last reference is gone. No-op under NoPooling.
+// the pool when the last reference is gone.
 func (n *Network) releaseMsg(m *message) { n.pool.unref(m) }
 
 // MsgPoolLive returns the number of pooled messages currently owned by
-// the run (0 under NoPooling). At a quiescent boundary it must equal the
+// the run. At a quiescent boundary it must equal the
 // number of stashed pendingReply messages — the lifecycle tests and the
 // poison mode hold the protocol to that. Boxes migrate between shard
 // replicas with their frames, so in a sharded run only the sum over all
@@ -264,16 +245,6 @@ func (n *Network) handleDrop(to radio.NodeID, f radio.Frame) {
 	if m, ok := f.Payload.(*message); ok {
 		n.releaseMsg(m)
 	}
-}
-
-// newCache builds one peer's dynamic cache with the configured victim
-// selection backend (heap index by default, reference linear scan under
-// Config.LinearCache).
-func (n *Network) newCache() (*cache.Cache, error) {
-	if n.cfg.LinearCache {
-		return cache.NewLinear(n.cfg.CacheBytes, n.cfg.Policy)
-	}
-	return cache.New(n.cfg.CacheBytes, n.cfg.Policy)
 }
 
 // placeKeys stores each key at a peer inside its home region (the peer
@@ -357,8 +328,8 @@ func (n *Network) peerNearestCenter(t *region.Table, id region.ID) *Peer {
 // currently inside region r of table t, with the peer's position. A
 // rectangular region is a rectangle query on the radio's spatial index
 // when the channel can answer one; a Voronoi cell, and any region under
-// LinearRadio or beaconing, is found by testing every peer. fn must not
-// start another custodian query.
+// beaconing, is found by testing every peer. fn must not start another
+// custodian query.
 func (n *Network) forLivePeersIn(t *region.Table, r region.Region, fn func(p *Peer, pos geo.Point)) {
 	if !t.Voronoi() {
 		if ids, ok := n.ch.AppendInRect(n.inRegion[:0], r.Bounds); ok {
@@ -449,7 +420,7 @@ func (n *Network) RehomeCounts() (passes, skips uint64) {
 func (n *Network) PendingRequests() int {
 	total := 0
 	for _, p := range n.peers {
-		total += p.pendingLen()
+		total += len(p.pending)
 	}
 	return total
 }
@@ -501,9 +472,6 @@ func (n *Network) account(m *message) {
 // caller must not touch m afterwards.
 func (n *Network) broadcast(from radio.NodeID, m *message) {
 	delivered := n.ch.Broadcast(from, m.wireSize(n.cfg.ControlBytes), m)
-	if n.pool.disabled {
-		return
-	}
 	if delivered == 0 {
 		n.releaseMsg(m)
 		return
@@ -643,24 +611,18 @@ func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 		n.releaseMsg(m)
 		return
 	}
-	switch {
-	case n.pool.disabled:
-		// Reference path: every receiver clones, as the pre-pooling
-		// implementation did for broadcast and unicast alike.
-		m = m.clone()
-	case f.Broadcast:
+	if f.Broadcast {
 		// Broadcast payloads are shared: exchange this receiver's
 		// reference for a private header copy (Items, handoff-only and
-		// never broadcast, would ride along copy-on-write).
+		// never broadcast, would ride along copy-on-write). A unicast's
+		// single reference came through the channel to this receiver and
+		// is mutated in place.
 		cp := n.pool.acquire()
 		*cp = *m
 		cp.refs = 1
 		cp.released = false
 		n.releaseMsg(m)
 		m = cp
-	default:
-		// Unicast: the single reference came through the channel to
-		// this receiver; mutate in place, no copy.
 	}
 	m.Hops++
 	n.account(m)
@@ -834,8 +796,7 @@ func (n *Network) Revive(id radio.NodeID) {
 	n.setAlive(p, true)
 	p.store = cache.NewStore()
 	if p.cache != nil {
-		c, err := n.newCache()
-		if err == nil {
+		if c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy); err == nil {
 			p.cache = c
 		}
 	}

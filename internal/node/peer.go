@@ -41,23 +41,16 @@ type Peer struct {
 
 	// Flood-wave dedup: flood ID -> expiry time. Entries are pruned
 	// periodically; a flood wave is over within seconds, so a short
-	// retention bounds memory on long runs. The SoA layout keeps the
-	// records in seenTab (flat open-addressed arrays); the legacy
-	// reference layout keeps them in the seen map. Exactly one is live
-	// per run — a non-nil map selects the legacy path everywhere (see
-	// layout.go).
-	seen      map[uint64]float64
+	// retention bounds memory on long runs (see layout.go).
 	seenTab   seenTable
 	nextPrune float64
 	rng       *rand.Rand
 
 	// Outstanding requests by ID. Requester state lives with the
 	// requester (not the network) so a sharded run touches it only on
-	// the peer's own shard. The SoA layout keeps the handful of live
-	// requests in the pendingS slice (linear search, swap delete); the
-	// legacy layout keeps the pending map.
-	pending  map[uint64]*pendingReq
-	pendingS []*pendingReq
+	// the peer's own shard. A peer has a handful at most: linear search,
+	// swap delete (see layout.go).
+	pending []*pendingReq
 	// nextID feeds newID; per-peer so ID assignment is independent of
 	// cross-peer event interleaving.
 	nextID uint64
@@ -166,19 +159,19 @@ func dedupID(m *message) (uint64, bool) {
 // a true result here means the full handler would drop the message
 // without mutating anything.
 func (p *Peer) alreadySeen(id uint64) bool {
-	exp, ok := p.seenLookup(id)
+	exp, ok := p.seenTab.lookup(id)
 	return ok && exp > p.net.sched.Now()
 }
 
 // markSeen records a flood ID, reporting whether it was already seen.
 func (p *Peer) markSeen(id uint64) bool {
 	now := p.net.sched.Now()
-	if exp, ok := p.seenLookup(id); ok && exp > now {
+	if exp, ok := p.seenTab.lookup(id); ok && exp > now {
 		return true
 	}
-	p.seenStore(id, now+seenRetention)
+	p.seenTab.store(id, now+seenRetention)
 	if now >= p.nextPrune {
-		p.seenPrune(now)
+		p.seenTab.prune(now)
 		p.nextPrune = now + seenRetention
 	}
 	return false

@@ -107,7 +107,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 				return
 			}
 			// Stale-suspect copy: validate with the home region.
-			p.pendingPut(req)
+			p.pending = append(p.pending, req)
 			req.phase = phasePoll
 			req.cachedVersion = e.Version
 			if n.sendPoll(p, req) {
@@ -119,7 +119,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 		}
 	}
 
-	p.pendingPut(req)
+	p.pending = append(p.pending, req)
 	switch n.cfg.Retrieval {
 	case PReCinCt:
 		// Without cooperative caching there is nothing to find in the

@@ -116,10 +116,10 @@ func (n *Network) StateSnapshot() (NetworkState, error) {
 			Alive:     p.Alive(),
 			NextPrune: p.nextPrune,
 			NextID:    p.nextID,
-			Seen:      make([]SeenEntry, 0, p.seenLen()),
+			Seen:      make([]SeenEntry, 0, p.seenTab.used),
 			Store:     p.store.StateSnapshot(),
 		}
-		p.seenEach(func(id uint64, exp float64) {
+		p.seenTab.each(func(id uint64, exp float64) {
 			ps.Seen = append(ps.Seen, SeenEntry{ID: id, Expiry: exp})
 		})
 		sort.Slice(ps.Seen, func(a, b int) bool { return ps.Seen[a].ID < ps.Seen[b].ID })
@@ -198,9 +198,9 @@ func (n *Network) RestoreState(st NetworkState) error {
 		n.setAlive(p, ps.Alive)
 		p.nextPrune = ps.NextPrune
 		p.nextID = ps.NextID
-		p.seenReset(len(ps.Seen))
+		p.seenTab.init(len(ps.Seen))
 		for _, se := range ps.Seen {
-			p.seenStore(se.ID, se.Expiry)
+			p.seenTab.store(se.ID, se.Expiry)
 		}
 		if err := p.store.RestoreState(ps.Store); err != nil {
 			return fmt.Errorf("node: peer %d store: %w", i, err)
@@ -212,7 +212,8 @@ func (n *Network) RestoreState(st NetworkState) error {
 		}
 	}
 	for _, p := range n.peers {
-		p.pendingReset()
+		clear(p.pending)
+		p.pending = p.pending[:0]
 	}
 	for i, ps := range st.Pending {
 		if ps.Origin < 0 || ps.Origin >= len(n.peers) {
@@ -256,7 +257,8 @@ func (n *Network) RestoreState(st NetworkState) error {
 			reply.released = false
 			req.pendingReply = &reply
 		}
-		n.peers[ps.Origin].pendingPut(req)
+		origin := n.peers[ps.Origin]
+		origin.pending = append(origin.pending, req)
 	}
 	n.started = true
 	return nil
@@ -267,7 +269,7 @@ func (n *Network) RestoreState(st NetworkState) error {
 func (n *Network) allPending() []*pendingReq {
 	out := make([]*pendingReq, 0, n.PendingRequests())
 	for _, p := range n.peers {
-		p.pendingEach(func(req *pendingReq) { out = append(out, req) })
+		out = append(out, p.pending...)
 	}
 	return out
 }

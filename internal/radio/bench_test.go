@@ -56,24 +56,29 @@ func benchWaypointChannel(b *testing.B, n int, cfg Config) (*Channel, *sim.Sched
 // benchSizes spans the scaling range the end-to-end benchmarks use.
 var benchSizes = []int{80, 160, 320, 640}
 
-// BenchmarkNeighbors compares the spatial grid index against the retained
-// linear scan on static topologies. allocs/op must be 0 for both paths in
-// steady state.
+// neighborPaths are the two arms of the neighbor-query benchmarks: the
+// spatial grid index, and the O(N) scan order_test.go holds it to.
+var neighborPaths = []struct {
+	name  string
+	query func(ch *Channel, buf []Neighbor, id NodeID) []Neighbor
+}{
+	{"grid", func(ch *Channel, _ []Neighbor, id NodeID) []Neighbor { return ch.Neighbors(id) }},
+	{"linear", func(ch *Channel, buf []Neighbor, id NodeID) []Neighbor { return appendLinearNeighbors(ch, buf[:0], id) }},
+}
+
+// BenchmarkNeighbors compares the spatial grid index against the linear
+// scan on static topologies. allocs/op must be 0 for both paths in steady
+// state.
 func BenchmarkNeighbors(b *testing.B) {
-	for _, path := range []struct {
-		name   string
-		linear bool
-	}{{"grid", false}, {"linear", true}} {
+	for _, path := range neighborPaths {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.LinearScan = path.linear
-				ch, _ := benchChannel(b, n, cfg)
-				ch.Neighbors(0) // warm caches and scratch buffers
+				ch, _ := benchChannel(b, n, DefaultConfig())
+				buf := path.query(ch, nil, 0) // warm caches and scratch buffers
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ch.Neighbors(NodeID(i % n))
+					buf = path.query(ch, buf, NodeID(i%n))
 				}
 			})
 		}
@@ -83,16 +88,11 @@ func BenchmarkNeighbors(b *testing.B) {
 // BenchmarkNeighborsWaypoint measures the moving-node query path,
 // including amortized grid rebuilds as simulation time advances.
 func BenchmarkNeighborsWaypoint(b *testing.B) {
-	for _, path := range []struct {
-		name   string
-		linear bool
-	}{{"grid", false}, {"linear", true}} {
+	for _, path := range neighborPaths {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.LinearScan = path.linear
-				ch, sched := benchWaypointChannel(b, n, cfg)
-				ch.Neighbors(0)
+				ch, sched := benchWaypointChannel(b, n, DefaultConfig())
+				buf := path.query(ch, nil, 0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -103,7 +103,7 @@ func BenchmarkNeighborsWaypoint(b *testing.B) {
 						sched.At(at, func() {})
 						sched.Run(at)
 					}
-					ch.Neighbors(NodeID(i % n))
+					buf = path.query(ch, buf, NodeID(i%n))
 				}
 			})
 		}
@@ -151,24 +151,17 @@ func BenchmarkNeighborsScale(b *testing.B) {
 // BenchmarkBroadcast measures one-hop delivery fan-out, which funnels
 // through the same neighbor query.
 func BenchmarkBroadcast(b *testing.B) {
-	for _, path := range []struct {
-		name   string
-		linear bool
-	}{{"grid", false}, {"linear", true}} {
-		for _, n := range []int{80, 320} {
-			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.LinearScan = path.linear
-				ch, sched := benchChannel(b, n, cfg)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ch.Broadcast(NodeID(i%n), 512, nil)
-					if sched.Len() > 4096 {
-						sched.RunAll()
-					}
+	for _, n := range []int{80, 320} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ch, sched := benchChannel(b, n, DefaultConfig())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.Broadcast(NodeID(i%n), 512, nil)
+				if sched.Len() > 4096 {
+					sched.RunAll()
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -104,12 +104,12 @@ type fanWorld struct {
 }
 
 type fanVariant struct {
-	sharded, collisions, noRecycle bool
-	loss                           float64
+	sharded, collisions bool
+	loss                float64
 }
 
 func (v fanVariant) String() string {
-	return fmt.Sprintf("sharded=%v/collisions=%v/loss=%v/noRecycle=%v", v.sharded, v.collisions, v.loss, v.noRecycle)
+	return fmt.Sprintf("sharded=%v/collisions=%v/loss=%v", v.sharded, v.collisions, v.loss)
 }
 
 const fanNodes = 36
@@ -153,9 +153,6 @@ func newFanWorld(t *testing.T, v fanVariant, reference bool) *fanWorld {
 			w.all = append(w.all, &c)
 			return &c
 		})
-	}
-	if v.noRecycle && !reference {
-		w.ch.DisableRecycling()
 	}
 	w.bcast = w.ch.Broadcast
 	if reference {
@@ -271,7 +268,6 @@ func TestBroadcastFanMatchesPerReceiverEvents(t *testing.T) {
 		{loss: 0.3},
 		{collisions: true},
 		{sharded: true, collisions: true, loss: 0.2},
-		{sharded: true, loss: 0.2, noRecycle: true},
 	} {
 		t.Run(v.String(), func(t *testing.T) {
 			sub, ref := newFanWorld(t, v, false), newFanWorld(t, v, true)
@@ -305,10 +301,6 @@ func TestBroadcastFanMatchesPerReceiverEvents(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sub.meter.StateSnapshot(), ref.meter.StateSnapshot()) {
 				t.Errorf("energy differs from the reference")
-			}
-			if v.noRecycle && len(sub.ch.freeReceptions)+len(sub.ch.freeDeliveries) != 0 {
-				t.Errorf("DisableRecycling kept %d receptions and %d delivery boxes",
-					len(sub.ch.freeReceptions), len(sub.ch.freeDeliveries))
 			}
 		})
 	}

@@ -50,14 +50,12 @@
 // are inside this region's bounds right now), which is how the node
 // layer finds a region's custodian without testing every peer.
 //
-// Determinism contract: Neighbors returns exactly the nodes the retained
-// linear scan (Config.LinearScan) returns, in the same order (ascending
-// NodeID). The two paths ask the mobility model about different nodes —
-// the grid only about candidates that pass the pre-filter — which is
-// sound because positions are anchored (mobility.Model): what a node's
-// position is at t does not depend on who was asked before. Runs are
-// bit-for-bit identical with the index on or off; the equivalence suite
-// at the repository root (TestGridLinearEquivalence) enforces this.
+// Determinism contract: Neighbors returns exactly the nodes a test of
+// every node against the range returns, in ascending NodeID order
+// (order_test.go holds it to that scan). The index asks the mobility
+// model only about candidates that pass the pre-filter, which is sound
+// because positions are anchored (mobility.Model): what a node's
+// position is at t does not depend on who was asked before.
 package radio
 
 import (
@@ -205,17 +203,6 @@ func (ch *Channel) position(i int) geo.Point {
 		ch.posEpoch[i] = uint32(ch.epoch)
 	}
 	return ch.posCache[i]
-}
-
-// observedCached returns the position queries should compare against:
-// the last-beacon position when beaconing is on (already refreshed by
-// refreshStaleBeacons at query start), the epoch-cached true position
-// otherwise.
-func (ch *Channel) observedCached(i int) geo.Point {
-	if ch.beaconAt != nil {
-		return ch.beaconPos[i]
-	}
-	return ch.position(i)
 }
 
 // ensureGrid guarantees the snapshot can serve a query: fresh enough
@@ -478,9 +465,8 @@ func (ch *Channel) sortMatches(s []int32) {
 // AppendInRect appends to buf, in ascending NodeID order, every node —
 // live or not — whose current position lies inside the closed rectangle
 // r. It reports false, appending nothing, when the channel keeps no index
-// of true positions to answer from: under Config.LinearScan there is no
-// grid, and with beaconing the grid files nodes under their last beacon.
-// The caller then scans all nodes itself.
+// of true positions to answer from: with beaconing the grid files nodes
+// under their last beacon. The caller then scans all nodes itself.
 //
 // Candidates come from the cells intersecting r grown by the snapshot's
 // drift bound (a node inside r now was within drift of it at the
@@ -488,7 +474,7 @@ func (ch *Channel) sortMatches(s []int32) {
 // the result is exactly what testing every node would give, in the same
 // order (sortMatches, as for a neighbor query).
 func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
-	if ch.grid == nil || ch.beaconAt != nil {
+	if ch.beaconAt != nil {
 		return buf, false
 	}
 	ch.ensureGrid()

@@ -11,7 +11,7 @@ import (
 )
 
 // orderChannel builds a waypoint-mobility channel for the determinism
-// tests; grid vs linear scan is the only difference between invocations.
+// tests.
 func orderChannel(t *testing.T, n int, cfg Config, seed int64) (*Channel, *sim.Scheduler) {
 	t.Helper()
 	sched := sim.NewScheduler()
@@ -26,9 +26,38 @@ func orderChannel(t *testing.T, n int, cfg Config, seed int64) (*Channel, *sim.S
 	return ch, sched
 }
 
-// requireSameNeighbors holds the grid channel to the linear one for every
-// node at the current instant: same set, strictly ascending by NodeID,
-// no dead node and never the querier.
+// appendLinearNeighbors is the O(N) scan the grid index replaced: after
+// the time-driven beacon refresh every query starts with, test every
+// node against the range. It reads every node's position, dead ones
+// included, as a grid rebuild at the same instant does.
+func appendLinearNeighbors(ch *Channel, buf []Neighbor, id NodeID) []Neighbor {
+	ch.refreshStaleBeacons()
+	self := ch.position(int(id))
+	r2 := ch.cfg.Range * ch.cfg.Range
+	for i := 0; i < ch.mob.Len(); i++ {
+		if i == int(id) {
+			continue
+		}
+		var p geo.Point
+		if ch.beaconAt != nil {
+			p = ch.beaconPos[i] // refreshed above where stale
+		} else {
+			p = ch.position(i)
+		}
+		if !ch.live[i] {
+			continue
+		}
+		if self.Dist2(p) <= r2 {
+			buf = append(buf, Neighbor{ID: NodeID(i), Pos: p})
+		}
+	}
+	return buf
+}
+
+// requireSameNeighbors holds grid's index to the linear scan over lin, a
+// second channel in the same state, for every node at the current
+// instant: same set, strictly ascending by NodeID, no dead node and never
+// the querier.
 func requireSameNeighbors(t *testing.T, grid, lin *Channel, n int) {
 	t.Helper()
 	at := grid.sched.Now()
@@ -42,17 +71,16 @@ func requireSameNeighbors(t *testing.T, grid, lin *Channel, n int) {
 				t.Fatalf("t=%v node %d: dead node or the querier listed: %v", at, id, g)
 			}
 		}
-		if l := lin.Neighbors(id); fmt.Sprint(g) != fmt.Sprint(l) {
+		if l := appendLinearNeighbors(lin, nil, id); fmt.Sprint(g) != fmt.Sprint(l) {
 			t.Fatalf("t=%v node %d: grid %v != linear %v", at, id, g, l)
 		}
 	}
 }
 
 // TestNeighborsDeterministicOrder is the regression test for the neighbor
-// ordering contract: under the spatial grid index, Neighbors must return
-// exactly the set the retained linear scan returns, sorted by ascending
-// NodeID, at every query time — including with stale beacons and dead
-// nodes in play.
+// ordering contract: Neighbors must return exactly the set the linear
+// scan returns, sorted by ascending NodeID, at every query time —
+// including with stale beacons and dead nodes in play.
 func TestNeighborsDeterministicOrder(t *testing.T) {
 	const n = 60
 	configs := map[string]func(*Config){
@@ -63,11 +91,8 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			mut(&cfg)
-			linCfg := cfg
-			linCfg.LinearScan = true
-
 			grid, gridSched := orderChannel(t, n, cfg, 42)
-			lin, linSched := orderChannel(t, n, linCfg, 42)
+			lin, linSched := orderChannel(t, n, cfg, 42)
 
 			for _, at := range []float64{0, 1, 5, 5, 13.5, 30, 90} {
 				gridSched.Run(at)
@@ -93,20 +118,18 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 		const n, speed = 240, 20.0
 		wcfg := mobility.DefaultWaypointConfig()
 		wcfg.MinSpeed, wcfg.MaxSpeed, wcfg.Pause = speed, speed, 0
-		build := func(cfg Config) *Channel {
+		build := func() *Channel {
 			mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, err := New(cfg, sim.NewScheduler(), mob, nil, nil)
+			ch, err := New(DefaultConfig(), sim.NewScheduler(), mob, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ch
 		}
-		linCfg := DefaultConfig()
-		linCfg.LinearScan = true
-		grid, lin := build(DefaultConfig()), build(linCfg)
+		grid, lin := build(), build()
 
 		slack := grid.grid.slack
 		full := slack / speed // seconds from a rebuild to drift == Range/4
@@ -263,9 +286,7 @@ func TestNeighborsSameInstantReuse(t *testing.T) {
 // from before may pass for current after.
 func TestPositionEpochWrap(t *testing.T) {
 	grid, _ := orderChannel(t, 60, DefaultConfig(), 42)
-	linCfg := DefaultConfig()
-	linCfg.LinearScan = true
-	lin, _ := orderChannel(t, 60, linCfg, 42)
+	lin, _ := orderChannel(t, 60, DefaultConfig(), 42)
 	grid.epoch = 1<<32 - 3
 	for step := 1; step <= 6; step++ {
 		at := float64(step) * 2.5
@@ -347,14 +368,10 @@ func TestAppendInRectMatchesScan(t *testing.T) {
 		t.Fatalf("AppendInRect over an empty rectangle returned %v", got)
 	}
 
-	lin := DefaultConfig()
-	lin.LinearScan = true
 	beaconed := DefaultConfig()
 	beaconed.BeaconInterval = 2
-	for name, cfg := range map[string]Config{"linear scan": lin, "beaconing": beaconed} {
-		c, _ := orderChannel(t, n, cfg, 11)
-		if got, ok := c.AppendInRect(nil, rects[0]); ok || len(got) != 0 {
-			t.Errorf("%s: AppendInRect answered (%d nodes, ok=%v) without an index of true positions", name, len(got), ok)
-		}
+	c, _ := orderChannel(t, n, beaconed, 11)
+	if got, ok := c.AppendInRect(nil, rects[0]); ok || len(got) != 0 {
+		t.Errorf("beaconing: AppendInRect answered (%d nodes, ok=%v) without an index of true positions", len(got), ok)
 	}
 }

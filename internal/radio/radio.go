@@ -6,9 +6,8 @@
 //
 // Neighbor queries — the hottest operation in the simulator — are served
 // by a uniform-grid spatial index with an epoch-based position cache (see
-// grid.go). A retained linear scan (Config.LinearScan) is the
-// correctness oracle: both paths are bit-identical by contract. The last
-// query's answer is remembered and served again to a repeat for the same
+// grid.go); order_test.go holds it to an O(N) scan. The last query's
+// answer is remembered and served again to a repeat for the same
 // node at the same instant (see Neighbors), and liveness is a dense
 // table of one byte per node with a single writer (SetNodeAlive), shared
 // between the channels of a sharded run (SetLiveness).
@@ -82,13 +81,6 @@ type Config struct {
 	// broadcast storms self-damaging the way a shared 802.11 channel
 	// does.
 	Collisions bool
-	// LinearScan serves neighbor queries with the reference O(N) scan
-	// instead of the spatial grid index. The two paths return identical
-	// results in identical order and touch mobility state identically,
-	// so runs are bit-for-bit equal either way; the linear path is
-	// retained as the correctness oracle for the equivalence suite and
-	// as a benchmark baseline.
-	LinearScan bool
 }
 
 // DefaultConfig mirrors the paper's radio parameters.
@@ -206,7 +198,7 @@ type Channel struct {
 	epoch    uint64
 	epochAt  float64
 
-	// grid is the spatial neighbor index; nil under Config.LinearScan.
+	// grid is the spatial neighbor index.
 	grid *grid
 	// nbrBuf is the reusable neighbor buffer returned by Neighbors, so
 	// steady-state queries allocate nothing. The returned slice is only
@@ -236,11 +228,9 @@ type Channel struct {
 	// cross-shard frame to its fire time, freeReceptions the reception
 	// objects that carry a broadcast to its same-shard receivers; combined
 	// with the scheduler's event freelist this makes steady-state frame
-	// delivery allocation-free. noRecycle (the NoPooling reference path)
-	// disables both freelists so every one of them is a fresh allocation.
+	// delivery allocation-free.
 	freeDeliveries []*delivery
 	freeReceptions []*reception
-	noRecycle      bool
 }
 
 // New creates a channel over the mobility model. The meter may be nil to
@@ -288,13 +278,11 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 	if cfg.Collisions {
 		ch.rxBusyUntil = make([]float64, mob.Len())
 	}
-	if !cfg.LinearScan {
-		maxSpeed := math.Inf(1)
-		if sb, ok := mob.(mobility.SpeedBounded); ok {
-			maxSpeed = sb.MaxSpeed()
-		}
-		ch.grid = newGrid(mob.Len(), cfg.Range, maxSpeed, cfg.BeaconInterval > 0)
+	maxSpeed := math.Inf(1)
+	if sb, ok := mob.(mobility.SpeedBounded); ok {
+		maxSpeed = sb.MaxSpeed()
 	}
+	ch.grid = newGrid(mob.Len(), cfg.Range, maxSpeed, cfg.BeaconInterval > 0)
 	return ch, nil
 }
 
@@ -334,15 +322,6 @@ func (ch *Channel) SetHandler(h Handler) { ch.handler = h }
 
 // SetDropHandler installs the lost-frame observer (may be nil).
 func (ch *Channel) SetDropHandler(h DropHandler) { ch.onDrop = h }
-
-// DisableRecycling turns off the delivery-box and reception freelists;
-// the NoPooling reference path uses it so the pooled path can be proven
-// equivalent to a fresh-allocation run.
-func (ch *Channel) DisableRecycling() {
-	ch.noRecycle = true
-	ch.freeDeliveries = nil
-	ch.freeReceptions = nil
-}
 
 // SetLiveness replaces the channel's liveness table with one the caller
 // owns, so that several channels (a sharded run's replicas) read the same
@@ -411,9 +390,7 @@ func (ch *Channel) takeDelivery() *delivery {
 
 func (ch *Channel) recycleDelivery(d *delivery) {
 	d.f = Frame{} // never pin a payload from the freelist
-	if !ch.noRecycle {
-		ch.freeDeliveries = append(ch.freeDeliveries, d)
-	}
+	ch.freeDeliveries = append(ch.freeDeliveries, d)
 }
 
 // reception carries one broadcast to all of its same-shard receivers:
@@ -453,9 +430,7 @@ func (ch *Channel) takeReception() *reception {
 
 func (ch *Channel) recycleReception(r *reception) {
 	r.f = Frame{} // never pin a payload from the freelist
-	if !ch.noRecycle {
-		ch.freeReceptions = append(ch.freeReceptions, r)
-	}
+	ch.freeReceptions = append(ch.freeReceptions, r)
 }
 
 // remote reports whether a reception for `to` belongs to another shard's
@@ -531,13 +506,7 @@ func (ch *Channel) Outbox() []RemoteDelivery { return ch.outbox }
 // steady-state window exchange parks entries into already-owned
 // storage instead of growing a fresh slice every flush. Entries are
 // zeroed first: a retained array must never pin a delivered payload.
-// The NoPooling reference path releases the array instead, keeping its
-// allocation behavior honest.
 func (ch *Channel) ResetOutbox() {
-	if ch.noRecycle {
-		ch.outbox = nil
-		return
-	}
 	for i := range ch.outbox {
 		ch.outbox[i] = RemoteDelivery{}
 	}
@@ -635,12 +604,10 @@ func (ch *Channel) ObservedPosition(id NodeID) geo.Point {
 // mode) when the node crossed a cell boundary.
 func (ch *Channel) refreshBeacon(i int, now float64) {
 	p := ch.position(i)
-	if ch.grid != nil {
-		// The grid addresses cells implicitly: the node's old cell is
-		// recomputed from the beacon position being replaced, so the old
-		// value must be read before the overwrite below.
-		ch.grid.noteMove(ch.beaconPos[i], p)
-	}
+	// The grid addresses cells implicitly: the node's old cell is
+	// recomputed from the beacon position being replaced, so the old
+	// value must be read before the overwrite below.
+	ch.grid.noteMove(ch.beaconPos[i], p)
 	ch.beaconPos[i] = p
 	ch.beaconAt[i] = now
 	ch.nbrMemo.valid = false
@@ -649,8 +616,7 @@ func (ch *Channel) refreshBeacon(i int, now float64) {
 // refreshStaleBeacons refreshes the beacon of every live node whose last
 // beacon is at least one interval old. GPSR beacons are time-driven, so
 // this runs at the start of every neighbor query regardless of which
-// nodes the query will touch — it is what keeps stale-beacon membership
-// identical between the grid index and the linear reference scan.
+// nodes the query will touch.
 func (ch *Channel) refreshStaleBeacons() {
 	if ch.beaconAt == nil {
 		return
@@ -697,36 +663,10 @@ func (ch *Channel) Neighbors(id NodeID) []Neighbor {
 	}
 	ch.refreshStaleBeacons()
 	self := ch.position(int(id))
-	buf := ch.nbrBuf[:0]
-	if ch.grid != nil {
-		ch.ensureGrid()
-		buf = ch.appendGridNeighbors(buf, id, self)
-	} else {
-		buf = ch.appendLinearNeighbors(buf, id, self)
-	}
+	ch.ensureGrid()
+	buf := ch.appendGridNeighbors(ch.nbrBuf[:0], id, self)
 	ch.nbrBuf = buf
 	ch.nbrMemo.id, ch.nbrMemo.key, ch.nbrMemo.valid = id, key, true
-	return buf
-}
-
-// appendLinearNeighbors is the retained O(N) reference scan. It computes
-// every node's position (through the epoch cache) even for dead nodes so
-// that its mobility access pattern matches a grid rebuild at the same
-// instant — part of the bit-identical contract between the two paths.
-func (ch *Channel) appendLinearNeighbors(buf []Neighbor, id NodeID, self geo.Point) []Neighbor {
-	r2 := ch.cfg.Range * ch.cfg.Range
-	for i := 0; i < ch.mob.Len(); i++ {
-		if i == int(id) {
-			continue
-		}
-		p := ch.observedCached(i)
-		if !ch.live[i] {
-			continue
-		}
-		if self.Dist2(p) <= r2 {
-			buf = append(buf, Neighbor{ID: NodeID(i), Pos: p})
-		}
-	}
 	return buf
 }
 

@@ -88,8 +88,6 @@ func (ch *Channel) RestoreState(st State) error {
 	// that point.
 	ch.advanceEpoch()
 	ch.epochAt = -1
-	if ch.grid != nil {
-		ch.grid.invalidate()
-	}
+	ch.grid.invalidate()
 	return nil
 }

@@ -175,8 +175,8 @@ func rightHand(self geo.Point, planar []radio.Neighbor, refAngle float64, prev r
 // + topology generation): perimeter forwards through the same node at
 // the same key reuse the planar set instead of re-filtering. Because the
 // key pins both positions and liveness, the cached set is provably what
-// a re-filter would compute — the NoPooling equivalence suite holds the
-// cache to that contract.
+// a re-filter would compute; the whole-run recordings in
+// testdata/workload_golden.json were reproduced without the cache.
 type Router struct {
 	planar []radio.Neighbor
 

@@ -162,25 +162,11 @@ func (s *Scheduler) takeSlot() int32 {
 // releaseSlot retires a popped or cancelled event's box. The box is
 // cleared so the slab never pins a payload or leaks a Proc tag into the
 // next occupant, and the generation is bumped so every handle to the
-// previous incarnation is dead for good. With recycling off the slot is
-// never handed out again; a chunk whose slots have all been retired is
-// dropped, so the reference path's memory stays bounded by what is
-// pending (plus eight bytes of slotMeta per event ever scheduled).
+// previous incarnation is dead for good.
 func (s *Scheduler) releaseSlot(slot int32) {
 	*s.box(slot) = box{}
 	s.meta[slot].gen++
-	if !s.noRecycle {
-		s.free = append(s.free, slot)
-		return
-	}
-	c := int(slot >> chunkShift)
-	for len(s.retired) <= c {
-		s.retired = append(s.retired, 0)
-	}
-	s.retired[c]++
-	if s.retired[c] == chunkSize {
-		s.chunks[c] = nil
-	}
+	s.free = append(s.free, slot)
 }
 
 // heapPush inserts e into the heap *q.

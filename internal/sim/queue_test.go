@@ -489,68 +489,58 @@ func (h *diffHarness) check() {
 // verdict, and after every firing op the clock, Executed, Len, the next
 // key and what the observers saw must agree — Quiescent, PendingProcs,
 // the insertion sequence, the per-context tallies and the peeks every
-// few ops — with the two-queue split on and off and with slot recycling
-// on and off.
+// few ops — with the two-queue split on and off.
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		for _, split := range []bool{false, true} {
-			for _, noRecycle := range []bool{false, true} {
-				s := NewScheduler()
-				if split {
-					s.SplitGlobal()
-				}
-				if noRecycle {
-					s.DisableRecycling()
-				}
-				h := &diffHarness{t: t, s: s, ref: newRefSched(split), rng: rand.New(rand.NewSource(seed))}
-				s.CountExec(5) // contexts -1..4
-				h.execCounts = make([]uint64, 6)
-				s.AddAfterEvent(func(float64) { h.observed++ })
-				ops := 1500
-				if noRecycle {
-					ops = 4000 // past one chunk of retired slots
-				}
-				for op := 0; op < ops; op++ {
-					switch r := h.rng.Intn(16); {
-					case r < 4:
-						h.schedule()
-					case r < 6:
-						h.scheduleFan()
-					case r < 8:
-						h.cancel()
-					case r < 12:
-						h.step()
-					case r < 13:
-						h.stepAt()
-					case r < 14:
-						h.runStop()
-					case r < 15:
-						h.injectReserved()
-					default:
-						if split {
-							// As the barrier protocol guarantees, the window
-							// ends no later than the next global event.
-							horizon := h.s.Now() + 0.5
-							if g, ok := h.s.PeekGlobal(); ok {
-								horizon = math.Min(horizon, g)
-							}
-							h.runBefore(horizon)
-						} else {
-							h.step()
-						}
-					}
-					if op%16 == 0 {
-						h.check()
-					}
-				}
-				h.injectReserved()
-				for h.s.Len() > 0 {
+			s := NewScheduler()
+			if split {
+				s.SplitGlobal()
+			}
+			h := &diffHarness{t: t, s: s, ref: newRefSched(split), rng: rand.New(rand.NewSource(seed))}
+			s.CountExec(5) // contexts -1..4
+			h.execCounts = make([]uint64, 6)
+			s.AddAfterEvent(func(float64) { h.observed++ })
+			for op := 0; op < 1500; op++ {
+				switch r := h.rng.Intn(16); {
+				case r < 4:
+					h.schedule()
+				case r < 6:
+					h.scheduleFan()
+				case r < 8:
+					h.cancel()
+				case r < 12:
 					h.step()
+				case r < 13:
+					h.stepAt()
+				case r < 14:
+					h.runStop()
+				case r < 15:
+					h.injectReserved()
+				default:
+					if split {
+						// As the barrier protocol guarantees, the window
+						// ends no later than the next global event.
+						horizon := h.s.Now() + 0.5
+						if g, ok := h.s.PeekGlobal(); ok {
+							horizon = math.Min(horizon, g)
+						}
+						h.runBefore(horizon)
+					} else {
+						h.step()
+					}
 				}
-				h.check()
-				if len(h.ref.pending) != 0 {
-					t.Fatalf("seed %d: scheduler drained, reference still holds %d events", seed, len(h.ref.pending))
+				if op%16 == 0 {
+					h.check()
 				}
+			}
+			h.injectReserved()
+			for h.s.Len() > 0 {
+				h.step()
+			}
+			h.check()
+			if len(h.ref.pending) != 0 {
+				t.Fatalf("seed %d: scheduler drained, reference still holds %d events", seed, len(h.ref.pending))
 			}
 		}
 	}

@@ -158,14 +158,8 @@ type Scheduler struct {
 	// free is the slot freelist: the slots of popped and cancelled events
 	// are returned here and scheduling takes them back out, most recent
 	// first, so the steady-state Schedule→fire→recycle cycle allocates
-	// nothing and keeps reusing the same few warm boxes. noRecycle
-	// disables the freelist (every event gets a never-used slot; retired
-	// counts released slots per chunk so dead chunks can be dropped) for
-	// the NoPooling reference path that equivalence proofs compare
-	// against.
-	free      []int32
-	noRecycle bool
-	retired   []int32
+	// nothing and keeps reusing the same few warm boxes.
+	free []int32
 
 	// execCounts, when non-nil, tallies fired events per execution
 	// context at index execAs+1 (index 0 is network-global work). The
@@ -276,7 +270,7 @@ func (s *Scheduler) notifyAfterEvent() {
 // every fan entry carries its next unfired member's key (see checkFan)
 // and the fans' remaining members add up to the count Len relies on,
 // no pending event is scheduled before the current clock, every
-// freelist slot is cleared and not pending, and (with recycling on) the
+// freelist slot is cleared and not pending, and the
 // slab is exactly the pending slots plus the free ones. It is O(n) over
 // the slab and intended for invariant sweeps, not hot paths.
 func (s *Scheduler) CheckConsistency() error {
@@ -289,9 +283,6 @@ func (s *Scheduler) CheckConsistency() error {
 			}
 			if pos := s.meta[e.slot].pos; int(pos) != i {
 				return fmt.Errorf("sim: slot %d records heap position %d, its entry is at %d", e.slot, pos, i)
-			}
-			if s.chunks[e.slot>>chunkShift] == nil {
-				return fmt.Errorf("sim: pending slot %d lies in a dropped chunk", e.slot)
 			}
 			b := s.box(e.slot)
 			if (b.fn == nil) == (b.fnCtx == nil) {
@@ -348,7 +339,7 @@ func (s *Scheduler) CheckConsistency() error {
 			return fmt.Errorf("sim: freelist slot %d retains a callback, context, Proc tag or fan mark", slot)
 		}
 	}
-	if !s.noRecycle && pending+len(s.free) != len(s.meta) {
+	if pending+len(s.free) != len(s.meta) {
 		return fmt.Errorf("sim: slab of %d slots, %d pending + %d free: a slot is lost or listed twice",
 			len(s.meta), pending, len(s.free))
 	}
@@ -390,15 +381,6 @@ func (s *Scheduler) checkMembers(f *Fan, from int) error {
 		}
 	}
 	return nil
-}
-
-// DisableRecycling turns off the slot freelist so every scheduled event
-// gets a never-used slot and a handle can never meet a reused one. The
-// NoPooling reference path uses this to prove the freelist changes
-// nothing observable.
-func (s *Scheduler) DisableRecycling() {
-	s.noRecycle = true
-	s.free = nil
 }
 
 // queueOf returns the heap an event with the given execAs lives in.

@@ -96,28 +96,6 @@ func TestInvariantScaleScenarios(t *testing.T) {
 	}
 }
 
-// TestInvariantMetamorphicLinearCache: the heap victim index and the
-// retained linear scan pick identical victims by contract (DESIGN.md
-// section 11), so toggling the backend is output-preserving — the cache
-// counterpart of TestInvariantMetamorphicLinearRadio.
-func TestInvariantMetamorphicLinearCache(t *testing.T) {
-	for _, seed := range []int64{4, 9, 17} {
-		sc := fuzzgen.Expand(seed)
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			base, err := precinct.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			toggled, err := precinct.Run(fuzzgen.ToggleLinearCache(sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "linear-cache", base, toggled)
-		})
-	}
-}
-
 // TestInvariantCheckedRunMatchesUnchecked asserts the checkers are pure
 // observers: attaching them must not change any run output.
 func TestInvariantCheckedRunMatchesUnchecked(t *testing.T) {
@@ -174,27 +152,6 @@ func TestInvariantMetamorphicRelabel(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, "relabel", base, relabeled)
-		})
-	}
-}
-
-// TestInvariantMetamorphicLinearRadio: the spatial-grid and linear-scan
-// neighbor backends are bit-identical by contract, so toggling the
-// backend is output-preserving.
-func TestInvariantMetamorphicLinearRadio(t *testing.T) {
-	for _, seed := range []int64{3, 7, 13} {
-		sc := fuzzgen.Expand(seed)
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			base, err := precinct.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			toggled, err := precinct.Run(fuzzgen.ToggleLinearRadio(sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "linear-radio", base, toggled)
 		})
 	}
 }

@@ -296,15 +296,11 @@ func (s Scenario) buildParallel(tracer trace.Tracer) (*parallelRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.NoPooling {
-			sched.DisableRecycling()
-			ch.DisableRecycling()
-		}
 		var tr trace.Tracer
 		if bufs != nil {
 			tr = bufs[k]
 		}
-		coll := newCollector(s)
+		coll := newCollector()
 		clone, err := b.network.CloneForShard(node.ShardWorld{
 			Scheduler: sched,
 			Channel:   ch,

@@ -145,21 +145,6 @@ func TestParallelEquivalence(t *testing.T) {
 	})
 }
 
-// TestParallelUnpooledEquivalence pins the sharded scheduler to the
-// NoPooling reference path on a couple of seeds: freelists off on every
-// shard must not change anything.
-func TestParallelUnpooledEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 8} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			s := fuzzgen.Expand(seed)
-			s.NoPooling = true
-			compareModes(t, s, 3, 4)
-		})
-	}
-}
-
 // TestParallelScenarioValidation pins the sharded-execution envelope.
 func TestParallelScenarioValidation(t *testing.T) {
 	base := precinct.DefaultScenario()

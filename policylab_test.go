@@ -125,28 +125,6 @@ func TestInvariantMetamorphicReplicaRelabel(t *testing.T) {
 	}
 }
 
-// TestInvariantMetamorphicReplicaLinearCache: the heap/linear cache
-// equivalence (DESIGN.md section 11) must keep holding with the
-// multi-rank replica layer active — replica custody changes what is
-// stored where, not how victims are chosen.
-func TestInvariantMetamorphicReplicaLinearCache(t *testing.T) {
-	for _, seed := range []int64{4, 9, 17} {
-		sc := fuzzgen.WithReplicas(fuzzgen.Expand(seed), 2)
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			base, err := precinct.Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			toggled, err := precinct.Run(fuzzgen.ToggleLinearCache(sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "replica-linear-cache", base, toggled)
-		})
-	}
-}
-
 // TestInvariantPolicySweep runs one fuzzed scenario per registered
 // policy under the full invariant catalog. Iterating PolicyNames()
 // makes the sweep self-extending: registering a policy enrolls it in

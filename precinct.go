@@ -85,32 +85,6 @@ type Scenario struct {
 	// (0 = perfect location knowledge). Tests the paper's robustness
 	// claim for routing-to-regions under location error.
 	BeaconInterval float64
-	// LinearRadio serves neighbor queries with the retained O(N) linear
-	// scan instead of the spatial grid index. The two are bit-identical
-	// by contract (see DESIGN.md); this switch exists for equivalence
-	// testing and benchmarking, not for normal use.
-	LinearRadio bool
-	// LinearCache selects the retained O(n) linear victim scan for cache
-	// eviction instead of the default heap index. Like LinearRadio, the
-	// two backends are bit-identical by contract (DESIGN.md section 11)
-	// and the switch exists for equivalence testing and benchmarking.
-	LinearCache bool
-	// NoPooling disables the zero-allocation hot path: the scheduler
-	// event freelist, the radio delivery freelist, the message pool
-	// (forwarding clones at every hop) and the GPSR planar-set cache.
-	// Pooled and unpooled runs are bit-identical by contract (DESIGN.md
-	// section 12); the switch exists for equivalence testing and
-	// benchmarking, not for normal use.
-	NoPooling bool
-	// LegacyLayout selects the retained pointer/map-heavy per-node state
-	// layout: individually allocated peers, map-backed flood-dedup and
-	// pending-request containers, and an unbounded exact metrics
-	// collector. The default struct-of-arrays layout (peer slab,
-	// open-addressed seen table, pending slice, capped streaming
-	// collector) is bit-identical by contract at every scale the
-	// equivalence suites cover (DESIGN.md section 14); the switch exists
-	// so that can be re-proven on whole scenarios at any time.
-	LegacyLayout bool
 
 	// Items, MinItemSize and MaxItemSize describe the shared catalog.
 	Items       int
@@ -496,7 +470,6 @@ func (s Scenario) radioConfig() radio.Config {
 	cfg.LossRate = s.LossRate
 	cfg.BeaconInterval = s.BeaconInterval
 	cfg.Collisions = s.Collisions
-	cfg.LinearScan = s.LinearRadio
 	return cfg
 }
 
@@ -721,12 +694,6 @@ func (s Scenario) buildFull(tracer trace.Tracer, arm bool) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.NoPooling {
-		// The reference path allocates fresh events, deliveries and
-		// messages everywhere the pooled path recycles them.
-		sched.DisableRecycling()
-		ch.DisableRecycling()
-	}
 
 	var table *region.Table
 	if s.VoronoiRegions {
@@ -775,9 +742,6 @@ func (s Scenario) buildFull(tracer trace.Tracer, arm bool) (*built, error) {
 		InitialTTR: s.RequestInterval,
 	}
 	cfg.Policy = policy
-	cfg.LinearCache = s.LinearCache
-	cfg.NoPooling = s.NoPooling
-	cfg.LegacyLayout = s.LegacyLayout
 	cfg.EnRoute = s.EnRoute
 	cfg.Replication = s.Replication
 	cfg.Replicas = s.Replicas
@@ -803,7 +767,7 @@ func (s Scenario) buildFull(tracer trace.Tracer, arm bool) (*built, error) {
 		cfg.CacheBytes = s.CacheBytes
 	}
 
-	coll := newCollector(s)
+	coll := newCollector()
 	if s.RequestInterval > 0 {
 		// Pre-size the latency buffer for the expected measured-request
 		// volume so large-N runs do not regrow it inside the event loop

@@ -10,19 +10,14 @@ import (
 
 // DefaultSampleCap is the latency-reservoir size of the streaming
 // collector (DESIGN.md section 14). Below the cap the collector is
-// bit-identical to the unbounded exact one — every scenario the
-// equivalence suites replay, and every committed benchmark cell, stays
-// under it — and past the cap memory holds constant while the mean, max
-// and per-class aggregates remain exact (only the percentiles become
-// reservoir estimates).
+// bit-identical to the unbounded exact one — every pinned scenario, and
+// every committed benchmark cell, stays under it — and past the cap
+// memory holds constant while the mean, max and per-class aggregates
+// remain exact (only the percentiles become reservoir estimates).
 const DefaultSampleCap = 1 << 20
 
 // newCollector isolates the internal metrics type from the public API.
-// The legacy layout keeps the unbounded exact reference collector.
-func newCollector(s Scenario) *metrics.Collector {
-	if s.LegacyLayout {
-		return metrics.NewCollector()
-	}
+func newCollector() *metrics.Collector {
 	return metrics.NewCollectorCapped(DefaultSampleCap)
 }
 

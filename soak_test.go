@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"precinct"
-	"precinct/internal/invariant/fuzzgen"
 )
 
 // soakScenario is the fixed endurance workload: 2000 peers at the
@@ -96,33 +95,5 @@ func TestSoakCheckpointResume(t *testing.T) {
 	if !reflect.DeepEqual(resumed, full) {
 		t.Errorf("resumed result differs from uninterrupted run:\n resumed: %+v\n full:    %+v",
 			resumed.Report, full.Report)
-	}
-}
-
-// TestSoakHeapLinearEquivalence re-proves the victim-index contract at
-// soak scale: the 2000-node run must be bit-identical with the heap
-// index and with the retained linear reference scan. One scenario, but
-// millions of cache operations — the longest equivalence chain the
-// suite exercises.
-func TestSoakHeapLinearEquivalence(t *testing.T) {
-	sc := soakScenario()
-	heap, err := precinct.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := precinct.Run(fuzzgen.ToggleLinearCache(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scenario differs by the toggle itself; everything observable must
-	// not.
-	if !reflect.DeepEqual(heap.Report, linear.Report) {
-		t.Errorf("Report diverged:\n heap:   %+v\n linear: %+v", heap.Report, linear.Report)
-	}
-	if !reflect.DeepEqual(heap.Protocol, linear.Protocol) {
-		t.Errorf("ProtocolStats diverged:\n heap:   %+v\n linear: %+v", heap.Protocol, linear.Protocol)
-	}
-	if !reflect.DeepEqual(heap.Radio, linear.Radio) {
-		t.Errorf("RadioStats diverged:\n heap:   %+v\n linear: %+v", heap.Radio, linear.Radio)
 	}
 }
