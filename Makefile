@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory bench-gate bench-tiny-smoke resume-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory bench-gate bench-tiny-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
@@ -20,10 +20,9 @@ race:
 	$(GO) test -race ./...
 
 # The sharded scheduler's dedicated race gate (DESIGN.md section 13):
-# the golden whole-run recordings (TestWorkloadDefaultGolden and the four
+# the golden whole-run recordings (TestWorkloadDefaultGolden and the
 # *Equivalence suites that share testdata/workload_golden.json), the
-# resume-equivalence suites, the canonical-trace tests and the
-# parallel-equivalence suite — every scenario of which runs across the
+# canonical-trace tests and the parallel-equivalence suite — every scenario of which runs across the
 # fuzzgen shard axis (2, 3, 4, 5, 8 shards) — under the race detector, at both GOMAXPROCS=1 (forced interleaving through one
 # OS thread: every barrier handoff and park/wake path runs) and
 # GOMAXPROCS=4 (true concurrency where the host has the cores; on a
@@ -53,7 +52,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfRank$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 
 # One fast pass over every benchmark so regressions in the bench code
 # itself are caught without waiting for full measurement runs.
@@ -204,38 +202,15 @@ cover:
 		fi; \
 	done; exit $$fail
 
-# End-to-end checkpoint/resume proof through the real CLI (DESIGN.md
-# section 10): run a scenario to completion, run it again interrupted at
-# a checkpoint boundary, resume from the snapshot on disk, and require
-# the two reports to be byte-identical.
-resume-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	flags="-nodes 30 -warmup 10 -duration 120" && \
-	$(GO) run ./cmd/precinct-sim $$flags > "$$dir/full.txt" && \
-	$(GO) run ./cmd/precinct-sim $$flags -checkpoint-dir "$$dir" -checkpoint-interval 15 -stop-after 60 > /dev/null && \
-	test -n "$$(ls "$$dir"/*.ckpt)" && \
-	$(GO) run ./cmd/precinct-sim $$flags -checkpoint-dir "$$dir" -resume > "$$dir/resumed.txt" && \
-	diff "$$dir/full.txt" "$$dir/resumed.txt" && \
-	echo "resume-smoke: resumed run identical to uninterrupted run"
-
 # Scale-tier smoke: a 1000-node, lossy scenario (paper density: the
-# area grows with sqrt(N), ~400 m regions) must (1) complete under the
-# full runtime invariant catalog and (2) survive an interrupted
-# checkpoint/resume round-trip bit-identically to an uninterrupted run.
-# A second, 10000-node cell (the SoA layout's first big tier, DESIGN.md
-# section 14) runs the invariant catalog at a smoke-sized horizon.
+# area grows with sqrt(N), ~400 m regions) and a 10000-node cell (the
+# SoA layout's first big tier, DESIGN.md section 14) must each complete
+# under the full runtime invariant catalog at a smoke-sized horizon.
 scale-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	flags="-nodes 1000 -area 4243 -regions 121 -loss 0.1 -warmup 30 -duration 180" && \
-	$(GO) run ./cmd/precinct-sim $$flags -check > "$$dir/checked.txt" && \
-	$(GO) run ./cmd/precinct-sim $$flags > "$$dir/full.txt" && \
-	$(GO) run ./cmd/precinct-sim $$flags -checkpoint-dir "$$dir" -checkpoint-interval 30 -stop-after 90 > /dev/null && \
-	test -n "$$(ls "$$dir"/*.ckpt)" && \
-	$(GO) run ./cmd/precinct-sim $$flags -checkpoint-dir "$$dir" -resume > "$$dir/resumed.txt" && \
-	diff "$$dir/full.txt" "$$dir/resumed.txt" && \
-	echo "scale-smoke: 1000-node lossy run passed the invariant catalog and resumed bit-identically" && \
-	$(GO) run ./cmd/precinct-sim -nodes 10000 -area 13416 -regions 1156 -loss 0.1 -warmup 30 -duration 120 -check > "$$dir/checked10k.txt" && \
-	echo "scale-smoke: 10000-node lossy run passed the invariant catalog"
+	$(GO) run ./cmd/precinct-sim -nodes 1000 -area 4243 -regions 121 -loss 0.1 -warmup 30 -duration 180 -check > /dev/null
+	@echo "scale-smoke: 1000-node lossy run passed the invariant catalog"
+	$(GO) run ./cmd/precinct-sim -nodes 10000 -area 13416 -regions 1156 -loss 0.1 -warmup 30 -duration 120 -check > /dev/null
+	@echo "scale-smoke: 10000-node lossy run passed the invariant catalog"
 
 # Workload-lab smoke (DESIGN.md section 15): every workload source —
 # the non-stationary ones plus a replay of the committed sample trace —
@@ -270,9 +245,8 @@ policy-smoke:
 	echo "policy-smoke: every policy passed the invariant catalog"
 
 # The build-tagged endurance tier (soak_test.go): one 2000-node, 30%
-# loss scenario for a long horizon under the invariant catalog, plus
-# checkpoint/resume at that scale. Minutes, not seconds — run
-# explicitly, not from ci. The 100k memory soak has its own target below.
+# loss scenario for a long horizon under the invariant catalog.
+# Minutes, not seconds — run explicitly, not from ci. The 100k memory soak has its own target below.
 soak:
 	$(GO) test -tags soak -run Soak -skip Soak100k -timeout 60m -v .
 
@@ -284,4 +258,4 @@ soak:
 soak-100k:
 	$(GO) test -tags soak -run Soak100k -timeout 60m -v .
 
-ci: vet build test race race-parallel check cover bench-smoke fuzz-smoke resume-smoke scale-smoke workload-smoke policy-smoke bench-parallel-smoke bench-tiny-smoke bench-compare-allocs bench-compare-advisory
+ci: vet build test race race-parallel check cover bench-smoke fuzz-smoke scale-smoke workload-smoke policy-smoke bench-parallel-smoke bench-tiny-smoke bench-compare-allocs bench-compare-advisory

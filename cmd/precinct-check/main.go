@@ -7,13 +7,10 @@
 //	precinct-check                  # seeds 1..20
 //	precinct-check -seeds 100       # seeds 1..100
 //	precinct-check -start 42 -seeds 1 -v
-//	precinct-check -seeds 50 -checkpoint-dir ckpt -resume
 //	precinct-check -scale -seeds 6  # large-N lossy corpus (ExpandScale)
 //	precinct-check -scale -max-nodes 500 -seeds 4
 //
-// With -checkpoint-dir every scenario runs checkpointed; a re-run of the
-// same batch with -resume skips finished scenarios and resumes
-// interrupted ones from their last snapshot. The process exits with
+// An interrupted batch restarts at -start <seed>. The process exits with
 // status 2 when any scenario violates an invariant and 1 on
 // configuration errors.
 package main
@@ -33,8 +30,6 @@ func main() {
 	start := flag.Int64("start", 1, "first seed")
 	seeds := flag.Int64("seeds", 20, "number of consecutive seeds to run")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent scenario runs")
-	ckptDir := flag.String("checkpoint-dir", "", "run each scenario checkpointed, snapshots in this directory (must exist)")
-	resume := flag.Bool("resume", false, "skip finished scenarios and resume interrupted ones from -checkpoint-dir")
 	scale := flag.Bool("scale", false, "expand seeds with the large-N lossy scale generator instead of the regular fuzzer")
 	maxNodes := flag.Int("max-nodes", 2000, "node-count cap for -scale scenarios")
 	verbose := flag.Bool("v", false, "print every scenario result, not only failures")
@@ -50,18 +45,6 @@ func main() {
 	expand := fuzzgen.Expand
 	if *scale {
 		expand = func(seed int64) precinct.Scenario { return fuzzgen.ExpandScale(seed, *maxNodes) }
-	}
-	if *resume && *ckptDir == "" {
-		die(fmt.Errorf("-resume requires -checkpoint-dir"))
-	}
-	if *ckptDir != "" {
-		info, err := os.Stat(*ckptDir)
-		if err != nil {
-			die(fmt.Errorf("-checkpoint-dir: %w", err))
-		}
-		if !info.IsDir() {
-			die(fmt.Errorf("-checkpoint-dir: %s is not a directory", *ckptDir))
-		}
 	}
 
 	type outcome struct {
@@ -80,17 +63,7 @@ func main() {
 			for i := range jobs {
 				seed := *start + i
 				sc := expand(seed)
-				var inv precinct.InvariantReport
-				var err error
-				if *ckptDir != "" {
-					_, inv, err = precinct.RunCheckpointedChecked(sc, precinct.CheckpointOptions{
-						Dir:    *ckptDir,
-						Resume: *resume,
-						Label:  fmt.Sprintf("seed%d", seed),
-					})
-				} else {
-					_, inv, err = precinct.RunChecked(sc)
-				}
+				_, inv, err := precinct.RunChecked(sc)
 				results[i] = outcome{seed: seed, sc: sc, inv: inv, err: err}
 			}
 		}()
@@ -121,9 +94,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(2)
 	}
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "precinct-check: "+err.Error())
-	os.Exit(1)
 }

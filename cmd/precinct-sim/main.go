@@ -12,15 +12,12 @@
 //	precinct-sim -config scenario.json -seed 7
 //	precinct-sim -save-config scenario.json -nodes 120
 //	precinct-sim -check -nodes 40 -duration 300
-//	precinct-sim -checkpoint-dir ckpt -duration 3600
-//	precinct-sim -checkpoint-dir ckpt -resume
 //
 // With -check the run executes under the full runtime invariant catalog
 // (DESIGN.md section 9); any violation is printed and the process exits
-// with status 2. With -checkpoint-dir the run writes periodic snapshots
-// (DESIGN.md section 10) that -resume continues from after an
-// interruption — the resumed run is bit-identical to an uninterrupted
-// one.
+// with status 2. A run is a deterministic function of its scenario, so
+// the file -save-config writes is the resume token: -config re-runs it
+// bit-identically (DESIGN.md section 10).
 package main
 
 import (
@@ -112,10 +109,6 @@ func main() {
 	churnGraceful := flag.Float64("churn-graceful", 0.8, "fraction of graceful departures")
 	traceFile := flag.String("trace", "", "write a JSONL protocol event trace to this file")
 	check := flag.Bool("check", false, "run with runtime invariant checkers; exit 2 on any violation")
-	ckptDir := flag.String("checkpoint-dir", "", "write periodic snapshots to this directory (must exist)")
-	ckptInterval := flag.Float64("checkpoint-interval", 0, "target simulated seconds between snapshots (0 = 60)")
-	resume := flag.Bool("resume", false, "resume from a snapshot in -checkpoint-dir if one exists")
-	stopAfter := flag.Float64("stop-after", 0, "interrupt at the first snapshot boundary at or after this simulated time")
 	verbose := flag.Bool("v", false, "print protocol and radio counters too")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
@@ -126,10 +119,6 @@ func main() {
 			fmt.Println(name)
 		}
 		return
-	}
-
-	if err := validateCheckpointFlags(*ckptDir, *ckptInterval, *resume, *stopAfter); err != nil {
-		die(err)
 	}
 
 	s := def
@@ -220,21 +209,6 @@ func main() {
 	var inv precinct.InvariantReport
 	var err error
 	switch {
-	case *ckptDir != "":
-		opts := precinct.CheckpointOptions{
-			Dir:       *ckptDir,
-			Interval:  *ckptInterval,
-			Resume:    *resume,
-			StopAfter: *stopAfter,
-		}
-		if traceW != nil {
-			opts.TraceWriter = traceW
-		}
-		if *check {
-			res, inv, err = precinct.RunCheckpointedChecked(s, opts)
-		} else {
-			res, err = precinct.RunCheckpointed(s, opts)
-		}
 	case *check:
 		res, inv, err = precinct.RunChecked(s)
 	case traceW != nil:
@@ -263,37 +237,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-}
-
-// validateCheckpointFlags rejects inconsistent or unusable checkpoint
-// flag combinations up front, with a descriptive error instead of a
-// mid-run failure.
-func validateCheckpointFlags(dir string, interval float64, resume bool, stopAfter float64) error {
-	if dir == "" {
-		switch {
-		case resume:
-			return fmt.Errorf("-resume requires -checkpoint-dir")
-		case stopAfter != 0:
-			return fmt.Errorf("-stop-after requires -checkpoint-dir")
-		case interval != 0:
-			return fmt.Errorf("-checkpoint-interval requires -checkpoint-dir")
-		}
-		return nil
-	}
-	info, err := os.Stat(dir)
-	if err != nil {
-		return fmt.Errorf("-checkpoint-dir: %w", err)
-	}
-	if !info.IsDir() {
-		return fmt.Errorf("-checkpoint-dir: %s is not a directory", dir)
-	}
-	if interval < 0 {
-		return fmt.Errorf("-checkpoint-interval must not be negative")
-	}
-	if stopAfter < 0 {
-		return fmt.Errorf("-stop-after must not be negative")
-	}
-	return nil
 }
 
 func die(err error) {

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"precinct/internal/checkpoint"
 )
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
@@ -83,36 +81,13 @@ func TestLoadScenarioRejectsTrailingData(t *testing.T) {
 // TestRetiredScenarioKeysRejected: the four switches that selected the
 // retired reference implementations are gone from Scenario, so a config
 // file that still carries one fails by name instead of silently running
-// the only path left, and so does a snapshot whose embedded scenario
-// does (as every format-version-5 snapshot's did).
+// the only path left.
 func TestRetiredScenarioKeysRejected(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Nodes, sc.Items, sc.Warmup, sc.Duration = 20, 60, 10, 60
-	dir := t.TempDir()
-	if _, err := RunCheckpointed(sc, CheckpointOptions{Dir: dir, Label: "run", Interval: 10, StopAfter: 30}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.ReadFile(filepath.Join(dir, "run.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	embedded := snap.Meta.Scenario
-
 	for _, key := range []string{"LinearRadio", "LinearCache", "NoPooling", "LegacyLayout"} {
 		wantMsg := `unknown field "` + key + `"`
 		_, err := LoadScenario(strings.NewReader(`{"Nodes":10,"` + key + `":false}`))
 		if err == nil || !strings.Contains(err.Error(), wantMsg) {
 			t.Errorf("%s in a config file: err = %v, want %s", key, err, wantMsg)
-		}
-
-		snap.Meta.Scenario = append([]byte(`{"`+key+`":false,`), embedded[1:]...)
-		old := filepath.Join(dir, key+".ckpt")
-		if err := checkpoint.WriteFile(old, snap); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = Replay(old, ReplayOptions{})
-		if err == nil || !strings.Contains(err.Error(), wantMsg) {
-			t.Errorf("%s in a snapshot's scenario: err = %v, want %s", key, err, wantMsg)
 		}
 	}
 }

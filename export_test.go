@@ -20,7 +20,7 @@ func ShardAssignmentForTest(s Scenario) ([]int32, error) {
 		}
 		weights = w
 	}
-	b, err := s.buildFull(nil, false)
+	b, err := s.build()
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,13 @@ func RunObservedForTest(s Scenario, probeFor func(*node.Network) node.Probe) (Ob
 		Radio:    fromRadio(b.channel.Stats()),
 	}}
 	for i := 0; i < b.network.Peers(); i++ {
-		out.Stores = append(out.Stores, b.network.Peer(radio.NodeID(i)).Store().StateSnapshot())
+		st := b.network.Peer(radio.NodeID(i)).Store()
+		items := []cache.StoredItem{}
+		for _, k := range st.Keys() {
+			it, _ := st.Get(k)
+			items = append(items, *it)
+		}
+		out.Stores = append(out.Stores, items)
 	}
 	out.RehomePasses, out.RehomeSkips = b.network.RehomeCounts()
 	return out, nil

@@ -420,9 +420,9 @@ func (s *Store) Len() int { return len(s.items) }
 
 // CustodyGen is the store's custody generation: it moves whenever the
 // set of (key, replica rank) pairs held changes, which is a key
-// inserted, a key removed, a held key Put at another rank, or
-// RestoreState. Two equal readings mean the store holds the same copies
-// at the same ranks, whatever was written to their values in between.
+// inserted, a key removed or a held key Put at another rank. Two equal
+// readings mean the store holds the same copies at the same ranks,
+// whatever was written to their values in between.
 func (s *Store) CustodyGen() uint64 { return s.gen }
 
 // Put inserts an item, or overwrites the held copy of its key in place:

@@ -396,31 +396,25 @@ func TestStoreCustodyGen(t *testing.T) {
 	held := StoredItem{Key: 1, Size: 100, Version: 1, TTR: 30}
 	steps := []struct {
 		name  string
-		do    func(s *Store) error
+		do    func(s *Store)
 		moves bool
 	}{
-		{"insert", func(s *Store) error { s.Put(StoredItem{Key: 2, Size: 1}); return nil }, true},
-		{"overwrite at the same rank", func(s *Store) error {
+		{"insert", func(s *Store) { s.Put(StoredItem{Key: 2, Size: 1}) }, true},
+		{"overwrite at the same rank", func(s *Store) {
 			s.Put(StoredItem{Key: 1, Size: 200, Version: 9, TTR: 5, UpdatedAt: 40})
-			return nil
 		}, false},
-		{"overwrite at another rank", func(s *Store) error {
+		{"overwrite at another rank", func(s *Store) {
 			s.Put(StoredItem{Key: 1, Size: 100, Version: 1, TTR: 30, ReplicaRank: 1})
-			return nil
 		}, true},
-		{"remove a held key", func(s *Store) error { s.Remove(1); return nil }, true},
-		{"remove an absent key", func(s *Store) error { s.Remove(7); return nil }, false},
-		{"restore the same contents", func(s *Store) error { return s.RestoreState(s.StateSnapshot()) }, true},
-		{"restore to empty", func(s *Store) error { return s.RestoreState(nil) }, true},
+		{"remove a held key", func(s *Store) { s.Remove(1) }, true},
+		{"remove an absent key", func(s *Store) { s.Remove(7) }, false},
 	}
 	for _, st := range steps {
 		t.Run(st.name, func(t *testing.T) {
 			s := NewStore()
 			s.Put(held)
 			before := s.CustodyGen()
-			if err := st.do(s); err != nil {
-				t.Fatal(err)
-			}
+			st.do(s)
 			if moved := s.CustodyGen() != before; moved != st.moves {
 				t.Errorf("generation %d -> %d, want moved = %v", before, s.CustodyGen(), st.moves)
 			}

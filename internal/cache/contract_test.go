@@ -93,10 +93,6 @@ func TestPolicyContract(t *testing.T) {
 					c.Remove(o.key)
 				case 3:
 					c.Update(o.key, o.version, o.now+30)
-				case 4:
-					if err := c.RestoreState(c.StateSnapshot()); err != nil {
-						t.Fatal(err)
-					}
 				}
 				l := c.Inflation()
 				if !p.Aged() && l != 0 {

@@ -10,8 +10,7 @@ package cache
 // operation of fuzzed streams.
 //
 // Entry positions live in a side map rather than in Entry itself, so the
-// public Entry struct (serialized into checkpoints) carries no index
-// state.
+// public Entry struct carries no index state.
 
 import (
 	"fmt"
@@ -78,12 +77,6 @@ func (v *victimIndex) fix(k workload.Key) {
 	if !v.down(i) {
 		v.up(i)
 	}
-}
-
-// reset empties the index, dropping the backing array.
-func (v *victimIndex) reset(capacityHint int) {
-	v.heap = make([]*Entry, 0, capacityHint)
-	v.pos = make(map[workload.Key]int, capacityHint)
 }
 
 func (v *victimIndex) swap(i, j int) {

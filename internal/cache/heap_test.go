@@ -23,7 +23,7 @@ func policyForTest(t *testing.T, name string) Policy {
 
 // cacheOp is one step of a fuzzed operation stream.
 type cacheOp struct {
-	kind    int // 0 put, 1 get, 2 remove, 3 update, 4 restore round-trip
+	kind    int // 0 put, 1 get, 2 remove, 3 update
 	key     workload.Key
 	size    int
 	dist    float64
@@ -55,9 +55,6 @@ func genOps(seed int64, n int) []cacheOp {
 		default:
 			o.kind = 3
 			o.version = uint64(rng.Intn(10))
-		}
-		if rng.Intn(97) == 0 {
-			o.kind = 4 // occasional snapshot/restore round-trip
 		}
 		ops = append(ops, o)
 	}
@@ -109,10 +106,6 @@ func replay(t *testing.T, c *Cache, ops []cacheOp) {
 			c.Remove(o.key)
 		case 3:
 			c.Update(o.key, o.version, o.now+30)
-		case 4:
-			if err := c.RestoreState(c.StateSnapshot()); err != nil {
-				t.Fatalf("op %d: restore round-trip: %v", i, err)
-			}
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", i, err)

@@ -245,40 +245,6 @@ func (mt *Meter) Merge(o *Meter) error {
 	return nil
 }
 
-// State is the serializable accumulator state of a Meter: the integer
-// (bytes, messages) observations per node and class, node-major. The
-// model is configuration and is not part of the snapshot.
-type State struct {
-	SizeSums []int64
-	Counts   []uint64
-}
-
-// StateSnapshot captures the meter's accumulators.
-func (mt *Meter) StateSnapshot() State {
-	st := State{
-		SizeSums: make([]int64, len(mt.cells)),
-		Counts:   make([]uint64, len(mt.cells)),
-	}
-	for i, cell := range mt.cells {
-		st.SizeSums[i] = cell.sizeSum
-		st.Counts[i] = cell.count
-	}
-	return st
-}
-
-// RestoreState overwrites the accumulators from a snapshot, validating
-// that the node count and class layout match this meter's configuration.
-func (mt *Meter) RestoreState(st State) error {
-	if len(st.SizeSums) != len(mt.cells) || len(st.Counts) != len(mt.cells) {
-		return fmt.Errorf("energy: snapshot has %d/%d cells, meter has %d",
-			len(st.SizeSums), len(st.Counts), len(mt.cells))
-	}
-	for i := range mt.cells {
-		mt.cells[i] = acc{sizeSum: st.SizeSums[i], count: st.Counts[i]}
-	}
-	return nil
-}
-
 // Reset zeroes all accumulators; the model and node count are kept.
 func (mt *Meter) Reset() {
 	for i := range mt.cells {

@@ -130,38 +130,23 @@ func DefaultCheckers() []Checker {
 	}
 }
 
-// ProcSweep is the scheduler Proc kind of the runner's recurring sweep
-// tick. Checked runs remain checkpointable: a restore re-arms the sweep
-// through ArmSweepAt when the snapshot carries this kind.
-const ProcSweep = "invariant-sweep"
-
 // Attach wires the runner into an assembled simulation: it installs
 // itself as the network's probe and the scheduler's after-event observer,
 // and schedules the recurring sweep. Call before the first Run.
 func (r *Runner) Attach(ctx Context) {
-	r.AttachObservers(ctx)
-	r.ArmSweepAt(ctx.Sched.Now() + r.cfg.SweepInterval)
-}
-
-// AttachObservers installs the probe and after-event hooks without
-// arming the sweep tick — the checkpoint restore path re-arms the tick
-// at the snapshot's recorded time via ArmSweepAt instead.
-func (r *Runner) AttachObservers(ctx Context) {
 	c := ctx
 	r.ctx = &c
 	r.lastEvent = c.Sched.Now()
 	c.Net.SetProbe(r)
 	c.Sched.SetAfterEvent(r.afterEvent)
+	r.armSweep()
 }
 
-// SweepInterval returns the configured sweep period in simulated seconds.
-func (r *Runner) SweepInterval() float64 { return r.cfg.SweepInterval }
-
-// ArmSweepAt schedules the next recurring sweep at an absolute time.
-func (r *Runner) ArmSweepAt(at float64) {
-	r.ctx.Sched.AtProc(sim.Proc{Kind: ProcSweep, Owner: -1}, at, func() {
+// armSweep schedules the next recurring sweep one interval from now.
+func (r *Runner) armSweep() {
+	r.ctx.Sched.After(r.cfg.SweepInterval, func() {
 		r.Sweep()
-		r.ArmSweepAt(r.ctx.Sched.Now() + r.cfg.SweepInterval)
+		r.armSweep()
 	})
 }
 

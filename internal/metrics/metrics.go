@@ -224,123 +224,6 @@ func (c *Collector) Completed() uint64 {
 	return total
 }
 
-// State is the serializable state of a Collector: every accumulator,
-// with the fixed-size per-class arrays flattened to slices so the layout
-// is explicit in the serialized form.
-type State struct {
-	Latencies    []float64
-	LatClasses   []uint8
-	ByClass      []uint64
-	StaleByClass []uint64
-
-	BytesRequested int64
-	BytesFromCache int64
-
-	ControlMessages     uint64
-	SearchMessages      uint64
-	MaintenanceMessages uint64
-
-	ValidHits uint64
-	StaleHits uint64
-
-	UpdatesIssued uint64
-	PollsIssued   uint64
-
-	// Streaming-mode accumulators (checkpoint container version 3).
-	// SamplesSeen > len(Latencies) marks a collector whose buffer has
-	// become a reservoir; the sums reproduce the continued run exactly.
-	SampleCap   int
-	SamplesSeen uint64
-	LatSum      float64
-	LatSumC     float64
-	LatMax      float64
-	ClassSum    []float64
-	ClassSumC   []float64
-	RNGState    uint64
-}
-
-// StateSnapshot captures the collector's accumulators.
-func (c *Collector) StateSnapshot() State {
-	return State{
-		Latencies:           append([]float64(nil), c.latencies...),
-		LatClasses:          append([]uint8(nil), c.latClasses...),
-		ByClass:             append([]uint64(nil), c.byClass[:]...),
-		StaleByClass:        append([]uint64(nil), c.staleByClass[:]...),
-		SampleCap:           c.cap,
-		SamplesSeen:         c.seen,
-		LatSum:              c.latSum,
-		LatSumC:             c.latSumC,
-		LatMax:              c.latMax,
-		ClassSum:            append([]float64(nil), c.classSum[:]...),
-		ClassSumC:           append([]float64(nil), c.classSumC[:]...),
-		RNGState:            c.rngState,
-		BytesRequested:      c.bytesRequested,
-		BytesFromCache:      c.bytesFromCache,
-		ControlMessages:     c.controlMessages,
-		SearchMessages:      c.searchMessages,
-		MaintenanceMessages: c.maintenanceMessages,
-		ValidHits:           c.validHits,
-		StaleHits:           c.staleHits,
-		UpdatesIssued:       c.updatesIssued,
-		PollsIssued:         c.pollsIssued,
-	}
-}
-
-// RestoreState overwrites the accumulators from a snapshot, validating
-// that the per-class layout matches this build's class set.
-func (c *Collector) RestoreState(st State) error {
-	if len(st.ByClass) != int(numClasses) || len(st.StaleByClass) != int(numClasses) {
-		return fmt.Errorf("metrics: snapshot has %d/%d class buckets, want %d",
-			len(st.ByClass), len(st.StaleByClass), int(numClasses))
-	}
-	if len(st.LatClasses) != len(st.Latencies) {
-		return fmt.Errorf("metrics: snapshot has %d latency classes for %d samples",
-			len(st.LatClasses), len(st.Latencies))
-	}
-	for _, cl := range st.LatClasses {
-		if cl >= uint8(numClasses) || HitClass(cl) == Failure {
-			return fmt.Errorf("metrics: snapshot latency sample carries class %d", cl)
-		}
-	}
-	if st.SampleCap != c.cap {
-		return fmt.Errorf("metrics: snapshot collector retains %d samples, this run retains %d",
-			st.SampleCap, c.cap)
-	}
-	if st.SamplesSeen < uint64(len(st.Latencies)) {
-		return fmt.Errorf("metrics: snapshot saw %d samples but retains %d",
-			st.SamplesSeen, len(st.Latencies))
-	}
-	if c.cap > 0 && len(st.Latencies) > c.cap {
-		return fmt.Errorf("metrics: snapshot retains %d samples over the %d cap",
-			len(st.Latencies), c.cap)
-	}
-	if len(st.ClassSum) != int(numClasses) || len(st.ClassSumC) != int(numClasses) {
-		return fmt.Errorf("metrics: snapshot has %d/%d class sums, want %d",
-			len(st.ClassSum), len(st.ClassSumC), int(numClasses))
-	}
-	c.latencies = append([]float64(nil), st.Latencies...)
-	c.latClasses = append([]uint8(nil), st.LatClasses...)
-	copy(c.byClass[:], st.ByClass)
-	copy(c.staleByClass[:], st.StaleByClass)
-	c.seen = st.SamplesSeen
-	c.latSum = st.LatSum
-	c.latSumC = st.LatSumC
-	c.latMax = st.LatMax
-	copy(c.classSum[:], st.ClassSum)
-	copy(c.classSumC[:], st.ClassSumC)
-	c.rngState = st.RNGState
-	c.bytesRequested = st.BytesRequested
-	c.bytesFromCache = st.BytesFromCache
-	c.controlMessages = st.ControlMessages
-	c.searchMessages = st.SearchMessages
-	c.maintenanceMessages = st.MaintenanceMessages
-	c.validHits = st.ValidHits
-	c.staleHits = st.StaleHits
-	c.updatesIssued = st.UpdatesIssued
-	c.pollsIssued = st.PollsIssued
-	return nil
-}
-
 // Report is an immutable summary of a run.
 type Report struct {
 	Requests  uint64

@@ -148,8 +148,8 @@ func DefaultWaypointConfig() WaypointConfig {
 // result does not depend on which intermediate times were queried.
 //
 // arrival and invLen are per-leg constants derived from the anchor by
-// anchorLeg — never serialized, recomputed wherever pos, dest, speed, at
-// or pauseUntil change — so a mid-leg query costs one compare and a few
+// anchorLeg — recomputed wherever pos, dest, speed, at or pauseUntil
+// change — so a mid-leg query costs one compare and a few
 // multiply-adds instead of a hypot and two divides.
 type waypointNode struct {
 	// What a mid-leg query reads comes first.

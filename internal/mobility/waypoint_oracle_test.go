@@ -3,12 +3,11 @@ package mobility
 // The reference oracle for Waypoint.Position: the body the model had
 // before the per-leg constants (arrival, dir) were hoisted out of the
 // query, kept here verbatim. The production model must agree with it
-// bit for bit — same floats, same wire state, same random draws — over
-// any non-decreasing query pattern and across snapshot/restore.
+// bit for bit — same floats, same anchors, same random draws — over any
+// non-decreasing query pattern.
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -113,38 +112,23 @@ func (w *refWaypoint) Speed(node int, now float64) float64 {
 	return nd.speed
 }
 
-// wire returns the node's state as the pre-change StateSnapshot wrote it.
-func (nd *refWaypointNode) wire() NodeState {
-	return NodeState{
-		Pos: nd.pos, At: nd.at, Seen: nd.seen,
-		Dest: nd.dest, Speed: nd.speed, PauseUntil: nd.pauseUntil,
-	}
-}
-
-// roundTrip snapshots w, requires the wire state to equal the
-// reference's field for field, trashes the derived leg constants and
-// restores: RestoreState alone must rebuild them.
-func roundTrip(t *testing.T, w *Waypoint, ref *refWaypoint) {
+// requireSameAnchors holds every node's anchor (where it was, when, where
+// it is going, how fast, until when it pauses) to the reference's, field
+// for field.
+func requireSameAnchors(t *testing.T, w *Waypoint, ref *refWaypoint) {
 	t.Helper()
-	st := w.StateSnapshot()
 	for i := range ref.nodes {
-		if st.Nodes[i] != ref.nodes[i].wire() {
-			t.Fatalf("node %d wire state diverged:\n got  %+v\n want %+v", i, st.Nodes[i], ref.nodes[i].wire())
+		nd, r := &w.nodes[i], &ref.nodes[i]
+		if nd.pos != r.pos || nd.at != r.at || nd.seen != r.seen ||
+			nd.dest != r.dest || nd.speed != r.speed || nd.pauseUntil != r.pauseUntil {
+			t.Fatalf("node %d anchor diverged:\n got  %+v\n want %+v", i, *nd, *r)
 		}
-		w.nodes[i].arrival = math.NaN()
-		w.nodes[i].invLen = math.NaN()
-	}
-	if err := w.RestoreState(st); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestWaypointMatchesReference(t *testing.T) {
 	const nodes, steps = 6, 500
 	for _, pause := range []float64{0, 5} {
-		// Snapshot classes that must each be hit: some node mid-leg,
-		// mid-pause, and anchored exactly at the snapshot instant.
-		var midLeg, midPause, atArrival int
 		for seed := int64(1); seed <= 24; seed++ {
 			cfg := WaypointConfig{Area: testArea, MinSpeed: 0.5, MaxSpeed: 20, Pause: pause}
 			w := waypointFor(t, nodes, cfg, seed)
@@ -167,9 +151,6 @@ func TestWaypointMatchesReference(t *testing.T) {
 						now = a
 					}
 				}
-				if pat.Intn(4) == 0 {
-					roundTrip(t, w, ref)
-				}
 				// A random subset, so nodes fall behind each other.
 				for i := 0; i < nodes; i++ {
 					if pat.Intn(3) == 0 {
@@ -187,25 +168,10 @@ func TestWaypointMatchesReference(t *testing.T) {
 					}
 				}
 				if pat.Intn(4) == 0 {
-					for i := range w.nodes {
-						switch nd := &w.nodes[i]; {
-						case nd.seen != now:
-						case nd.at == now:
-							atArrival++
-						case now < nd.arrival:
-							midLeg++
-						case now < nd.pauseUntil:
-							midPause++
-						}
-					}
-					roundTrip(t, w, ref)
+					requireSameAnchors(t, w, ref)
 				}
 			}
-			roundTrip(t, w, ref)
-		}
-		if midLeg == 0 || atArrival == 0 || (pause > 0 && midPause == 0) {
-			t.Errorf("pause %v: snapshot classes not all exercised: mid-leg %d, mid-pause %d, at-arrival %d",
-				pause, midLeg, midPause, atArrival)
+			requireSameAnchors(t, w, ref)
 		}
 	}
 }

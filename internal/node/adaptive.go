@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"precinct/internal/region"
-	"precinct/internal/sim"
 )
 
 // AdaptiveConfig parameterizes the dynamic region controller.
@@ -83,18 +82,12 @@ type AdaptiveStats struct {
 // AdaptiveStats returns the controller counters.
 func (n *Network) AdaptiveStats() AdaptiveStats { return n.adaptive }
 
-// startAdaptiveController arms the periodic reshape check.
+// startAdaptiveController arms the periodic reshape check; each tick
+// inspects first, then re-arms.
 func (n *Network) startAdaptiveController() {
-	n.armAdaptive(n.sched.Now() + n.cfg.Adaptive.Interval)
-}
-
-// armAdaptive registers the next inspection at an absolute time; the
-// tick inspects first, then re-arms (so the rearm draw order matches an
-// uninterrupted run exactly).
-func (n *Network) armAdaptive(at float64) {
-	n.sched.AtProc(sim.Proc{Kind: procAdaptive, Owner: -1}, at, func() {
+	n.sched.After(n.cfg.Adaptive.Interval, func() {
 		n.inspectRegions()
-		n.armAdaptive(n.sched.Now() + n.cfg.Adaptive.Interval)
+		n.startAdaptiveController()
 	})
 }
 

@@ -109,16 +109,6 @@ func (t *seenTable) prune(now float64) {
 	}
 }
 
-// each visits every entry in table order (callers that need determinism
-// sort afterwards).
-func (t *seenTable) each(fn func(id uint64, exp float64)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			fn(k, t.exps[i])
-		}
-	}
-}
-
 // pendingGet returns the outstanding request with the given ID.
 func (p *Peer) pendingGet(id uint64) (*pendingReq, bool) {
 	for _, req := range p.pending {

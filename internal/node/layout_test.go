@@ -10,6 +10,16 @@ import (
 // probing, load-factor growth, prune-as-rebuild, swap-delete and the
 // freelist — where a scenario run would only exercise them implicitly.
 
+// each visits every entry in table order: the map model's view of the
+// table's contents.
+func (t *seenTable) each(fn func(id uint64, exp float64)) {
+	for i, k := range t.keys {
+		if k != 0 {
+			fn(k, t.exps[i])
+		}
+	}
+}
+
 func TestSeenTableStoreLookupGrow(t *testing.T) {
 	var tab seenTable
 	if _, ok := tab.lookup(42); ok {

@@ -15,19 +15,24 @@ import (
 // the probe: unref panics on a double release, so live == 0 at a
 // quiescent point proves exactly-once.
 
-// drainTo runs the network to the horizon and then steps until the
-// scheduler reaches a quiescent boundary: only the autonomous driver
-// processes remain pending, so every in-flight message, timeout chain
-// and retry has fully resolved.
-func drainTo(t *testing.T, h *harness, run float64) {
+// startDrivers arms the autonomous driver processes and returns how many
+// there are. Each is one pending event that re-arms itself whenever it
+// fires (the harness has no warmup, so no one-shot meter reset), which
+// makes the count a constant of the run.
+func startDrivers(h *harness) int {
+	h.net.Run(0)
+	return h.sched.Len()
+}
+
+// drainTo runs the network to the horizon and then steps until it
+// reaches a quiescent boundary: no request is outstanding and only the
+// drivers remain pending, so every in-flight message, timeout chain and
+// retry has fully resolved.
+func drainTo(t *testing.T, h *harness, drivers int, run float64) {
 	t.Helper()
 	h.net.Run(run)
-	// Quiescent() alone is not enough: request timeouts are proc-tagged
-	// (they survive checkpoints), so also wait for the pending table to
-	// empty. Between a request completing and the next driver firing both
-	// conditions hold and every non-driver event has resolved.
 	deadline := run + 4000
-	for h.net.PendingRequests() != 0 || !h.sched.Quiescent() {
+	for h.net.PendingRequests() != 0 || h.sched.Len() != drivers {
 		if !h.sched.Step(deadline) {
 			t.Fatalf("no quiescent point before t=%v", deadline)
 		}
@@ -47,7 +52,7 @@ func TestLifecycleLossyQuiescence(t *testing.T) {
 		c.Consistency = consistency.DefaultConfig(consistency.PullEveryTime)
 	}
 	h := build(t, o)
-	drainTo(t, h, 400)
+	drainTo(t, h, startDrivers(h), 400)
 
 	if n := h.net.PendingRequests(); n != 0 {
 		t.Fatalf("%d pending requests after drain", n)
@@ -74,12 +79,13 @@ func TestLifecycleCrashQuiescence(t *testing.T) {
 	o.updateInt = 60
 	o.loss = 0.1
 	h := build(t, o)
+	drivers := startDrivers(h)
 
 	h.net.Run(100)
 	for id := radio.NodeID(0); id < 12; id++ {
 		h.net.Crash(id)
 	}
-	drainTo(t, h, 400)
+	drainTo(t, h, drivers, 400)
 
 	if n := h.net.PendingRequests(); n != 0 {
 		t.Fatalf("%d pending requests after drain", n)
@@ -108,7 +114,7 @@ func TestLifecyclePoisonQuiescence(t *testing.T) {
 	if !h.net.pool.poison {
 		t.Fatal("poison mode did not arm")
 	}
-	drainTo(t, h, 400)
+	drainTo(t, h, startDrivers(h), 400)
 	if live := h.net.MsgPoolLive(); live != 0 {
 		t.Fatalf("%d live pooled messages at quiescence", live)
 	}

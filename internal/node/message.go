@@ -173,7 +173,7 @@ type message struct {
 
 	// refs counts outstanding ownership references: 1 for owned/unicast
 	// messages, the delivered-receiver count for shared broadcast
-	// payloads. Unexported, so gob-based checkpoints never serialize it.
+	// payloads.
 	refs int32
 	// released marks a message currently sitting in the pool's freelist;
 	// releasing it again is a lifecycle bug and panics.

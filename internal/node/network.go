@@ -106,8 +106,7 @@ type Network struct {
 	started  bool
 	// rehomePasses and rehomeSkips count rehomeKeys calls by whether the
 	// pass ran or was skipped on an unchanged mark. Skipping is not
-	// behaviour, so they stay out of Stats, which checkpoints and result
-	// digests cover.
+	// behaviour, so they stay out of Stats, which result digests cover.
 	rehomePasses, rehomeSkips uint64
 
 	// clones lists every shard's Network replica (index = shard) in a
@@ -691,7 +690,7 @@ func (n *Network) Report() metrics.Report {
 // The reset is network-global work: a sharded run executes it at a
 // barrier and zeroes every shard replica's meter.
 func (n *Network) armMeterReset(at float64) {
-	n.sched.AtProcAs(sim.Proc{Kind: procMeterReset, Owner: -1}, at, n.resetMeters, -1)
+	n.sched.AtAs(at, n.resetMeters, -1)
 }
 
 // resetMeters zeroes the energy meter — every shard replica's, in a

@@ -649,11 +649,20 @@ func TestNoReplicationFailsAfterHomeRegionCrash(t *testing.T) {
 			break
 		}
 	}
+	h.sched.CountExec(h.net.Peers())
 	h.net.RequestFrom(requester.ID(), k)
 	h.sched.Run(30)
 	report := h.net.Report()
 	if report.Failures != 1 {
 		t.Fatalf("expected failure without replication: %+v", report)
+	}
+	// The request was issued from outside the event loop (context -1) and
+	// died by its timeouts, which run under the requester whoever armed
+	// them: nothing here is network-global work.
+	counts := h.sched.ExecCounts()
+	if counts[0] != 0 || counts[requester.ID()+1] == 0 {
+		t.Errorf("%d events ran as global work and %d under the requester, want 0 and some",
+			counts[0], counts[requester.ID()+1])
 	}
 }
 

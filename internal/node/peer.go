@@ -7,20 +7,8 @@ import (
 	"precinct/internal/cache"
 	"precinct/internal/radio"
 	"precinct/internal/region"
-	"precinct/internal/sim"
 	"precinct/internal/trace"
 	"precinct/internal/workload"
-)
-
-// Proc kinds for the node layer's re-armable recurring processes. The
-// checkpoint restore path dispatches on these (see Network.Rearm).
-const (
-	procRequest    = "request"
-	procUpdate     = "update"
-	procMobility   = "mobility"
-	procAdaptive   = "adaptive"
-	procMeterReset = "meter-reset"
-	procReqTimeout = "req-timeout"
 )
 
 // Peer is one mobile node's protocol state.
@@ -184,20 +172,12 @@ func (p *Peer) srcCtx() workload.Ctx {
 	return workload.Ctx{Peer: int(p.id), Now: p.net.sched.Now(), RNG: p.rng, Loc: p.net.loc}
 }
 
-// scheduleNextRequest arms the peer's request process: the gap to the
-// next request is drawn now, so the stream state at a checkpoint
-// boundary already accounts for every armed event.
+// scheduleNextRequest arms the peer's request process one drawn gap from
+// now, pinned to the peer's own execution context so a sharded run fires
+// it on the peer's shard.
 func (p *Peer) scheduleNextRequest() {
 	gap := p.net.src.NextRequestGap(p.srcCtx())
-	p.armRequest(p.net.sched.Now() + gap)
-}
-
-// armRequest registers the request event at an absolute time, pinned to
-// the peer's own execution context so a sharded run fires it on the
-// peer's shard. Restore calls this directly with the snapshot's recorded
-// fire time.
-func (p *Peer) armRequest(at float64) {
-	p.net.sched.AtProcAs(sim.Proc{Kind: procRequest, Owner: int(p.id)}, at, func() {
+	p.net.sched.AtAs(p.net.sched.Now()+gap, func() {
 		if p.Alive() {
 			k := p.net.src.PickKey(p.srcCtx())
 			p.net.RequestFrom(p.id, k)
@@ -206,18 +186,13 @@ func (p *Peer) armRequest(at float64) {
 	}, int(p.id))
 }
 
-// scheduleNextUpdate arms the peer's update process.
-func (p *Peer) scheduleNextUpdate() {
-	gap := p.net.src.NextUpdateGap(p.srcCtx())
-	p.armUpdate(p.net.sched.Now() + gap)
-}
-
-// armUpdate registers the update event at an absolute time. Updates are
+// scheduleNextUpdate arms the peer's update process. Updates are
 // network-global work (execAs -1): an update bumps the shared ground
 // truth, so a sharded run executes it at a barrier while every shard
 // worker is parked.
-func (p *Peer) armUpdate(at float64) {
-	p.net.sched.AtProcAs(sim.Proc{Kind: procUpdate, Owner: int(p.id)}, at, func() {
+func (p *Peer) scheduleNextUpdate() {
+	gap := p.net.src.NextUpdateGap(p.srcCtx())
+	p.net.sched.AtAs(p.net.sched.Now()+gap, func() {
 		if p.Alive() {
 			k := p.net.src.PickUpdateKey(p.srcCtx())
 			p.net.UpdateFrom(p.id, k)
@@ -227,15 +202,10 @@ func (p *Peer) armUpdate(at float64) {
 }
 
 // scheduleMobilityCheck arms the periodic inter-region mobility detector
-// (Section 2.3: "peers check their positions periodically").
+// (Section 2.3: "peers check their positions periodically"), pinned to
+// the peer's own execution context.
 func (p *Peer) scheduleMobilityCheck() {
-	p.armMobilityCheck(p.net.sched.Now() + p.net.cfg.MobilityCheckInterval)
-}
-
-// armMobilityCheck registers the mobility check at an absolute time,
-// pinned to the peer's own execution context.
-func (p *Peer) armMobilityCheck(at float64) {
-	p.net.sched.AtProcAs(sim.Proc{Kind: procMobility, Owner: int(p.id)}, at, func() {
+	p.net.sched.AtAs(p.net.sched.Now()+p.net.cfg.MobilityCheckInterval, func() {
 		if p.Alive() {
 			p.checkMobility()
 		}

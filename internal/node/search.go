@@ -55,20 +55,14 @@ type pendingReq struct {
 }
 
 // armReqTimeout schedules (or re-schedules) a pending request's timeout
-// at an absolute time. The event is tagged with the request ID so a
-// checkpoint can capture it while the request is outstanding and a
-// restore can re-arm it against the deserialized pending map — without
-// this, any in-flight request would block the quiescence a snapshot
-// needs, which in lossy networks can starve checkpointing entirely.
+// at an absolute time, to run under the requester's execution context.
 func (n *Network) armReqTimeout(req *pendingReq, at float64) {
 	// The closure captures the request ID by value, never the box: the
 	// box recycles through the freelist when the request closes, and a
 	// canceled-then-stale fire must miss the pending lookup, not read a
 	// reused box.
 	id := req.id
-	req.timeout = n.sched.AtProcAs(sim.Proc{Kind: procReqTimeout, Owner: int(id)}, at, func() {
-		n.onTimeout(id)
-	}, int(req.origin))
+	req.timeout = n.sched.AtAs(at, func() { n.onTimeout(id) }, int(req.origin))
 }
 
 // RequestFrom runs the full search process for key k issued by the given

@@ -299,7 +299,7 @@ func TestBroadcastFanMatchesPerReceiverEvents(t *testing.T) {
 					t.Errorf("sender %d's loss stream is at a different point than the reference's", i)
 				}
 			}
-			if !reflect.DeepEqual(sub.meter.StateSnapshot(), ref.meter.StateSnapshot()) {
+			if !reflect.DeepEqual(sub.meter, ref.meter) {
 				t.Errorf("energy differs from the reference")
 			}
 		})

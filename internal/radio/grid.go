@@ -149,11 +149,6 @@ func (g *grid) cellAt(p geo.Point) cellKey {
 	return keyOf(int32(math.Floor(p.X*g.invCell)), int32(math.Floor(p.Y*g.invCell)))
 }
 
-// invalidate discards the current snapshot so the next query rebuilds
-// from scratch (used after a checkpoint restore, when indexed positions
-// may have nothing to do with the snapshot's).
-func (g *grid) invalidate() { g.built = false }
-
 // noteMove records that a node's indexed (observed) position changed
 // from old to new. Crossing a cell boundary invalidates the snapshot;
 // the next query rebuilds. The old cell is computed from the old

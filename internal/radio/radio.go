@@ -652,8 +652,8 @@ type Neighbor struct {
 //
 // Asking again for the same node at the same instant returns the same
 // slice without recomputing it. "Same instant" is the PlanarKey — the
-// position epoch, which moves with the clock and on RestoreState, and
-// the topology generation, which moves on every liveness change — and a
+// position epoch, which moves with the clock, and the topology
+// generation, which moves on every liveness change — and a
 // beacon refresh in between drops the remembered answer too, so the
 // repeat is exactly what a fresh query would have produced.
 func (ch *Channel) Neighbors(id NodeID) []Neighbor {

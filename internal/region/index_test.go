@@ -208,8 +208,8 @@ func TestGridIndexMatchesScans(t *testing.T) {
 
 // TestGridIndexFollowsMutations: every mutator must leave the index
 // matching the regions — which for a table that is no longer NewGrid's
-// output means dropping it — and Clone and FromState must carry it. A
-// stale index would answer for the partition before the change.
+// output means dropping it — and Clone must carry it. A stale index
+// would answer for the partition before the change.
 func TestGridIndexFollowsMutations(t *testing.T) {
 	fresh := func() *Table {
 		tab, err := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(1500, 1500)), 15, 15)
@@ -218,19 +218,12 @@ func TestGridIndexFollowsMutations(t *testing.T) {
 		}
 		return tab
 	}
-	restored := func(tab *Table) *Table {
-		r, err := FromState(tab.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
 	settle := func(name string, tab *Table, indexed bool) {
 		t.Helper()
 		for _, v := range []struct {
 			how string
 			tab *Table
-		}{{"", tab}, {" (clone)", tab.Clone()}, {" (restored)", restored(tab)}} {
+		}{{"", tab}, {" (clone)", tab.Clone()}} {
 			if (v.tab.grid.cols > 0) != indexed {
 				t.Fatalf("%s%s: index present = %v, want %v", name, v.how, v.tab.grid.cols > 0, indexed)
 			}

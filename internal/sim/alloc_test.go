@@ -94,12 +94,12 @@ func TestFanScheduleFireRecycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestBoxSize pins the event box at 72 bytes: releaseSlot clears one per
+// TestBoxSize pins the event box at 40 bytes: releaseSlot clears one per
 // fired event and the slab holds one per pending event, so a field added
 // for a rare kind of event is paid by all of them (the fan mark sits in
 // padding; the fan's state is behind ctx).
 func TestBoxSize(t *testing.T) {
-	if got := unsafe.Sizeof(box{}); got != 72 {
-		t.Errorf("sim.box is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(box{}); got != 40 {
+		t.Errorf("sim.box is %d bytes, want 40", got)
 	}
 }

@@ -15,7 +15,7 @@ package sim
 // replacing the heap cannot reorder a run.
 //
 // Everything the comparator does not read lives in a box: the callback,
-// its Proc tag, the insertion sequence number. Boxes sit in fixed-size
+// its context and its execution context. Boxes sit in fixed-size
 // chunks addressed by slot and never move; the per-slot bookkeeping that
 // sifts write (heap position) and Cancel probes (generation) is a
 // separate flat array, eight bytes a slot, which stays cache-resident
@@ -54,17 +54,15 @@ func (a *entry) key() EventKey {
 
 // box is the part of a pending event that ordering never reads. Exactly
 // one of fn and fnCtx is set: fn is the closure form, fnCtx+ctx the
-// allocation-free form used by hot paths (see AtCtx). proc.Kind is empty
-// for untagged (transient) events. In a fan's box ctx is the *Fan, fnCtx
-// is called with the fan's Ctx, and execAs is the next unfired member's.
+// allocation-free form used by hot paths (see AtCtx). In a fan's box ctx
+// is the *Fan, fnCtx is called with the fan's Ctx, and execAs is the next
+// unfired member's.
 type box struct {
 	fn     func()
 	fnCtx  func(any)
 	ctx    any
-	proc   Proc
-	seq    uint64 // insertion order (for snapshots; not an ordering key)
-	execAs int32  // execution context the callback runs under
-	fan    bool   // sits in execAs's padding: the box is 72 bytes either way
+	execAs int32 // execution context the callback runs under
+	fan    bool  // sits in execAs's padding: the box is 40 bytes either way
 }
 
 // FanMember is one event of a fan: the cseq of its canonical key and the
@@ -160,8 +158,7 @@ func (s *Scheduler) takeSlot() int32 {
 }
 
 // releaseSlot retires a popped or cancelled event's box. The box is
-// cleared so the slab never pins a payload or leaks a Proc tag into the
-// next occupant, and the generation is bumped so every handle to the
+// cleared so the slab never pins a payload, and the generation is bumped so every handle to the
 // previous incarnation is dead for good.
 func (s *Scheduler) releaseSlot(slot int32) {
 	*s.box(slot) = box{}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -16,9 +15,7 @@ import (
 type refEvent struct {
 	key    EventKey
 	id     int // the test's name for the event
-	seq    uint64
 	execAs int32
-	proc   Proc
 	index  int
 }
 
@@ -43,14 +40,12 @@ func (q *refQueue) Pop() any {
 }
 
 // refSched mirrors the Scheduler's observable contract: per-creator cseq
-// counters, an insertion sequence, two queues under split mode, a pending
-// set keyed by event id.
+// counters, two queues under split mode, a pending set keyed by event id.
 type refSched struct {
 	q       [2]refQueue // 0 local, 1 global (split mode only)
 	split   bool
 	pending map[int]*refEvent
 	cseq    map[int32]uint64
-	seq     uint64
 	now     float64
 }
 
@@ -71,9 +66,8 @@ func (r *refSched) queueOf(execAs int32) *refQueue {
 	return &r.q[0]
 }
 
-func (r *refSched) insert(id int, t float64, creator int32, cseq uint64, execAs int32, proc Proc) {
-	ev := &refEvent{key: EventKey{t, creator, cseq}, id: id, seq: r.seq, execAs: execAs, proc: proc}
-	r.seq++
+func (r *refSched) insert(id int, t float64, creator int32, cseq uint64, execAs int32) {
+	ev := &refEvent{key: EventKey{t, creator, cseq}, id: id, execAs: execAs}
 	heap.Push(r.queueOf(execAs), ev)
 	r.pending[id] = ev
 }
@@ -104,17 +98,6 @@ func (r *refSched) pop(qi int) *refEvent {
 	delete(r.pending, ev.id)
 	r.now = ev.key.Time
 	return ev
-}
-
-func (r *refSched) procs() []ProcEvent {
-	out := []ProcEvent{}
-	for _, ev := range r.pending {
-		if ev.proc.Kind != "" {
-			out = append(out, ProcEvent{Proc: ev.proc, Time: ev.key.Time, Seq: ev.seq, Creator: int(ev.key.Creator)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }
 
 // spawn is a scheduling request made from inside the callback of the
@@ -203,32 +186,30 @@ func (h *diffHarness) schedule() {
 	// A small set of delays, so equal-time ties across creators are the
 	// rule rather than the exception.
 	t := h.s.Now() + []float64{0, 0.5, 0.5, 1, 1, 2, h.rng.Float64() * 3}[h.rng.Intn(7)]
-	h.s.SetCur(int(cur))
+	h.s.cur = cur
 	fn := func() { h.callback(id) }
-	var proc Proc
 	switch h.rng.Intn(4) {
 	case 0:
 		execAs = cur // At inherits the scheduling context
 		h.handles[id] = h.s.At(t, fn)
 		c, k := h.ref.reserve(cur)
-		h.ref.insert(id, t, c, k, execAs, proc)
+		h.ref.insert(id, t, c, k, execAs)
 	case 1:
 		h.handles[id] = h.s.AtCtxAs(t, func(any) { h.callback(id) }, nil, int(execAs))
 		c, k := h.ref.reserve(cur)
-		h.ref.insert(id, t, c, k, execAs, proc)
+		h.ref.insert(id, t, c, k, execAs)
 	case 2:
-		proc = Proc{Kind: "tick", Owner: id}
-		h.handles[id] = h.s.AtProcAs(proc, t, fn, int(execAs))
+		h.handles[id] = h.s.AtAs(t, fn, int(execAs))
 		c, k := h.ref.reserve(cur)
-		h.ref.insert(id, t, c, k, execAs, proc)
+		h.ref.insert(id, t, c, k, execAs)
 	case 3:
 		// A cross-shard delivery: the key is reserved first, other events
 		// may be scheduled in between, and the event is injected later.
 		c, k := h.reserveBoth(cur)
 		h.handles[id] = h.s.InjectAtCtx(t, func(any) { h.callback(id) }, nil, int(execAs), c, k)
-		h.ref.insert(id, t, c, k, execAs, proc)
+		h.ref.insert(id, t, c, k, execAs)
 	}
-	h.s.SetCur(-1)
+	h.s.cur = -1
 }
 
 // fireFanMember is the callback of every fan: the next member in order
@@ -261,7 +242,7 @@ func fireFanMember(x any) {
 func (h *diffHarness) scheduleFan() {
 	cur := int32(h.rng.Intn(6)) - 1
 	t := h.s.Now() + []float64{0, 0.5, 0.5, 1, 1, 2}[h.rng.Intn(6)]
-	h.s.SetCur(int(cur))
+	h.s.cur = cur
 	r := &fanRec{h: h}
 	r.fan.Ctx = r
 	for i, k := 0, 1+h.rng.Intn(7); i < k; i++ {
@@ -274,14 +255,14 @@ func (h *diffHarness) scheduleFan() {
 		r.fan.Add(cseq, int(execAs))
 		r.members = append(r.members, FanMember{Cseq: cseq, ExecAs: execAs})
 		r.ids = append(r.ids, id)
-		h.ref.insert(id, t, c, cseq, execAs, Proc{})
+		h.ref.insert(id, t, c, cseq, execAs)
 		if h.rng.Intn(3) == 0 {
 			c, cseq := h.reserveBoth(cur)
 			h.reserved = append(h.reserved, reservedKey{t, c, cseq})
 		}
 	}
 	h.s.AtFan(t, cur, fireFanMember, &r.fan)
-	h.s.SetCur(-1)
+	h.s.cur = -1
 	if h.rng.Intn(2) == 0 {
 		h.injectReserved()
 	}
@@ -305,7 +286,7 @@ func (h *diffHarness) injectReserved() {
 		t := math.Max(k.t, h.s.Now())
 		execAs := int32(h.rng.Intn(4))
 		h.handles[id] = h.s.InjectAtCtx(t, func(any) { h.callback(id) }, nil, int(execAs), k.creator, k.cseq)
-		h.ref.insert(id, t, k.creator, k.cseq, execAs, Proc{})
+		h.ref.insert(id, t, k.creator, k.cseq, execAs)
 	}
 	h.reserved = h.reserved[:0]
 }
@@ -357,7 +338,7 @@ func (h *diffHarness) replay(from int, local bool, horizon float64) {
 			sp := h.spawns[0]
 			h.spawns = h.spawns[1:]
 			c, k := h.ref.reserve(ev.execAs)
-			h.ref.insert(sp.id, h.ref.now+sp.dt, c, k, sp.execAs, Proc{})
+			h.ref.insert(sp.id, h.ref.now+sp.dt, c, k, sp.execAs)
 		}
 	}
 	if len(h.spawns) != 0 {
@@ -460,18 +441,8 @@ func (h *diffHarness) check() {
 		h.t.Fatal(err)
 	}
 	h.checkStep()
-	if h.s.seq != h.ref.seq {
-		h.t.Fatalf("insertion sequence at %d, reference %d", h.s.seq, h.ref.seq)
-	}
 	if !reflect.DeepEqual(h.s.ExecCounts(), h.execCounts) {
 		h.t.Fatalf("ExecCounts = %v, reference %v", h.s.ExecCounts(), h.execCounts)
-	}
-	got, want := h.s.PendingProcs(), h.ref.procs()
-	if !reflect.DeepEqual(got, want) {
-		h.t.Fatalf("PendingProcs = %+v\nreference      %+v", got, want)
-	}
-	if q := h.s.Quiescent(); q != (len(want) == len(h.ref.pending)) {
-		h.t.Fatalf("Quiescent = %v with %d tagged of %d pending", q, len(want), len(h.ref.pending))
 	}
 	if h.ref.split {
 		lt, lok := h.s.PeekLocal()
@@ -487,9 +458,8 @@ func (h *diffHarness) check() {
 // step / run streams against the container/heap reference, which holds
 // one single event for every member of a fan: every firing, every Cancel
 // verdict, and after every firing op the clock, Executed, Len, the next
-// key and what the observers saw must agree — Quiescent, PendingProcs,
-// the insertion sequence, the per-context tallies and the peeks every
-// few ops — with the two-queue split on and off.
+// key and what the observer saw must agree — the per-context tallies and
+// the peeks every few ops — with the two-queue split on and off.
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		for _, split := range []bool{false, true} {
@@ -500,7 +470,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 			h := &diffHarness{t: t, s: s, ref: newRefSched(split), rng: rand.New(rand.NewSource(seed))}
 			s.CountExec(5) // contexts -1..4
 			h.execCounts = make([]uint64, 6)
-			s.AddAfterEvent(func(float64) { h.observed++ })
+			s.SetAfterEvent(func(float64) { h.observed++ })
 			for op := 0; op < 1500; op++ {
 				switch r := h.rng.Intn(16); {
 				case r < 4:
@@ -612,7 +582,6 @@ func TestCheckConsistencyCatchesCorruption(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			s.At(float64(40-i), func() {})
 		}
-		s.AtProc(Proc{Kind: "tick", Owner: 1}, 5, func() {})
 		// A fan of four at the head of the queue, its first member fired.
 		f := &Fan{}
 		for _, cseq := range []uint64{3, 5, 6, 9} {
@@ -635,9 +604,8 @@ func TestCheckConsistencyCatchesCorruption(t *testing.T) {
 			s.meta[s.queue[7].slot].pos = 7
 		},
 		"stale position":   func(s *Scheduler) { s.meta[s.queue[3].slot].pos = 9 },
-		"tagged count":     func(s *Scheduler) { s.tagged++ },
 		"pending on free":  func(s *Scheduler) { s.free = append(s.free, s.queue[2].slot) },
-		"dirty free box":   func(s *Scheduler) { s.box(s.free[0]).proc = Proc{Kind: "leak"} },
+		"dirty free box":   func(s *Scheduler) { s.box(s.free[0]).ctx = "leak" },
 		"lost slot":        func(s *Scheduler) { s.free = s.free[:0] },
 		"before the clock": func(s *Scheduler) { s.now = 50 },
 		"empty box":        func(s *Scheduler) { s.box(s.queue[1].slot).fn = nil },

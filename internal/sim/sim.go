@@ -21,7 +21,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Handle identifies a scheduled event so it can be cancelled before it
@@ -30,43 +29,6 @@ import (
 // event fired or was cancelled matches nothing, even once the slot holds
 // a later event. The zero Handle is invalid.
 type Handle uint64
-
-// Proc names a re-armable recurring process. Events carry closures,
-// which cannot be serialized — so checkpointing is only possible at a
-// quiescent boundary where every pending event is tagged with a Proc the
-// restore path knows how to rebuild (a peer's request loop, a fault, the
-// churn tick, ...). Kind selects the re-arm recipe; Owner is the peer or
-// fault index it applies to (-1 for network-wide processes).
-type Proc struct {
-	Kind  string
-	Owner int
-}
-
-// ProcEvent is one pending tagged event: what to re-arm, when it was due
-// to fire, its insertion sequence number, and the execution context that
-// scheduled it. Restore re-registers ProcEvents in ascending Seq order
-// with the scheduler's context set to Creator, so same-time events keep
-// their canonical tie-break order across a checkpoint boundary.
-type ProcEvent struct {
-	Proc    Proc
-	Time    float64
-	Seq     uint64
-	Creator int
-}
-
-// SchedulerState is the serializable scheduler state at a quiescent
-// boundary: the clock and counters, plus every pending tagged event.
-// The per-creator cseq counters are NOT serialized: re-arming in
-// ascending Seq order with the saved Creator reproduces every relative
-// cseq order that the canonical comparator can observe.
-type SchedulerState struct {
-	Now       float64
-	Seq       uint64
-	NextID    uint64
-	Executed  uint64
-	Cancelled uint64
-	Procs     []ProcEvent
-}
 
 // EventKey is the canonical total order over events: (Time, Creator,
 // Cseq). It is identical in sequential and sharded runs, which is what
@@ -127,13 +89,11 @@ type Scheduler struct {
 	gqueue []entry // global (execAs -1) events, when splitGlobal
 	chunks []*[chunkSize]box
 	meta   []slotMeta
-	tagged int // pending events carrying a Proc tag
 	// fanExtra is the number of pending events that have no heap entry of
 	// their own: every unfired member of a pending fan but its next one.
 	fanExtra int
 
 	now       float64
-	seq       uint64
 	executed  uint64
 	cancelled uint64
 	stopped   bool
@@ -173,9 +133,6 @@ type Scheduler struct {
 	// clock at that event's time. Observers (the invariant runner) hang
 	// off this; the hook must not schedule or cancel events.
 	afterEvent func(now float64)
-	// extraAfter are additional after-event observers (the checkpoint
-	// boundary detector) that coexist with the primary one.
-	extraAfter []func(now float64)
 }
 
 // NewScheduler returns an empty scheduler with the clock at zero.
@@ -223,12 +180,6 @@ func (s *Scheduler) FanFired() uint64 { return s.fanFired }
 // Cur returns the current execution context (-1 outside callbacks).
 func (s *Scheduler) Cur() int { return int(s.cur) }
 
-// SetCur overrides the execution context for subsequent scheduling
-// calls. Checkpoint restore uses it to re-arm saved events under their
-// original creator so canonical tie-breaks survive the boundary. Pass
-// -1 to return to the neutral context.
-func (s *Scheduler) SetCur(c int) { s.cur = int32(c) }
-
 // CountExec enables per-context fired-event tallies for n peer
 // contexts (plus the -1 global context at index 0). Counting starts
 // from the call; events fired earlier are not represented.
@@ -242,23 +193,10 @@ func (s *Scheduler) ExecCounts() []uint64 { return s.execCounts }
 // Pass nil to remove it. The observer must not mutate the queue.
 func (s *Scheduler) SetAfterEvent(fn func(now float64)) { s.afterEvent = fn }
 
-// AddAfterEvent appends an additional after-event observer, leaving the
-// primary SetAfterEvent slot untouched so multiple subsystems (invariant
-// runner, checkpoint boundary detection) can observe the same run. The
-// same no-mutation contract applies.
-func (s *Scheduler) AddAfterEvent(fn func(now float64)) {
-	if fn != nil {
-		s.extraAfter = append(s.extraAfter, fn)
-	}
-}
-
-// notifyAfterEvent runs every observer with the clock at the event time.
+// notifyAfterEvent runs the observer with the clock at the event time.
 func (s *Scheduler) notifyAfterEvent() {
 	if s.afterEvent != nil {
 		s.afterEvent(s.now)
-	}
-	for _, fn := range s.extraAfter {
-		fn(s.now)
 	}
 }
 
@@ -266,15 +204,14 @@ func (s *Scheduler) notifyAfterEvent() {
 // heaps satisfy the 4-ary heap property (no entry precedes its parent at
 // (i-1)/4), every entry's slot records the entry's own position and
 // holds exactly one callback, global events sit in the global heap and
-// nowhere else, the tagged count matches the Proc tags actually pending,
-// every fan entry carries its next unfired member's key (see checkFan)
-// and the fans' remaining members add up to the count Len relies on,
-// no pending event is scheduled before the current clock, every
-// freelist slot is cleared and not pending, and the
-// slab is exactly the pending slots plus the free ones. It is O(n) over
-// the slab and intended for invariant sweeps, not hot paths.
+// nowhere else, every fan entry carries its next unfired member's key
+// (see checkFan) and the fans' remaining members add up to the count Len
+// relies on, no pending event is scheduled before the current clock,
+// every freelist slot is cleared and not pending, and the slab is exactly
+// the pending slots plus the free ones. It is O(n) over the slab and
+// intended for invariant sweeps, not hot paths.
 func (s *Scheduler) CheckConsistency() error {
-	tagged, fanExtra := 0, 0
+	fanExtra := 0
 	for qi, q := range [2][]entry{s.queue, s.gqueue} {
 		for i := range q {
 			e := &q[i]
@@ -291,9 +228,6 @@ func (s *Scheduler) CheckConsistency() error {
 			if global := s.splitGlobal && b.execAs < 0; global != (qi == 1) {
 				return fmt.Errorf("sim: slot %d (execAs %d) is queued in the wrong heap", e.slot, b.execAs)
 			}
-			if b.proc.Kind != "" {
-				tagged++
-			}
 			if b.fan {
 				f, err := s.checkFan(e, b)
 				if err != nil {
@@ -308,9 +242,6 @@ func (s *Scheduler) CheckConsistency() error {
 				return fmt.Errorf("sim: heap property violated at index %d (parent %d)", i, (i-1)>>2)
 			}
 		}
-	}
-	if tagged != s.tagged {
-		return fmt.Errorf("sim: %d pending events carry a Proc tag, tagged count is %d", tagged, s.tagged)
 	}
 	if fanExtra != s.fanExtra {
 		return fmt.Errorf("sim: pending fans hold %d members beyond their entries, the count is %d", fanExtra, s.fanExtra)
@@ -335,8 +266,8 @@ func (s *Scheduler) CheckConsistency() error {
 		if s.meta[slot].pos >= 0 {
 			return fmt.Errorf("sim: freelist slot %d is still pending", slot)
 		}
-		if b := s.box(slot); b.fn != nil || b.fnCtx != nil || b.ctx != nil || b.proc != (Proc{}) || b.fan {
-			return fmt.Errorf("sim: freelist slot %d retains a callback, context, Proc tag or fan mark", slot)
+		if b := s.box(slot); b.fn != nil || b.fnCtx != nil || b.ctx != nil || b.fan {
+			return fmt.Errorf("sim: freelist slot %d retains a callback, context or fan mark", slot)
 		}
 	}
 	if pending+len(s.free) != len(s.meta) {
@@ -346,14 +277,14 @@ func (s *Scheduler) CheckConsistency() error {
 	return nil
 }
 
-// checkFan verifies a fan entry against its Fan: the box holds a *Fan and
-// no Proc tag, the cursor names an unfired member, the entry's cseq and
+// checkFan verifies a fan entry against its Fan: the box holds a *Fan,
+// the cursor names an unfired member, the entry's cseq and
 // the box's execAs are that member's, and the unfired members' cseqs
 // ascend, so every advance moves the entry's key forward.
 func (s *Scheduler) checkFan(e *entry, b *box) (*Fan, error) {
 	f, ok := b.ctx.(*Fan)
-	if !ok || b.fnCtx == nil || b.proc.Kind != "" {
-		return nil, fmt.Errorf("sim: fan slot %d does not hold a *Fan, a context callback and no Proc tag", e.slot)
+	if !ok || b.fnCtx == nil {
+		return nil, fmt.Errorf("sim: fan slot %d does not hold a *Fan and a context callback", e.slot)
 	}
 	if f.next < 0 || f.next >= len(f.members) {
 		return nil, fmt.Errorf("sim: fan slot %d: cursor %d outside its %d members", e.slot, f.next, len(f.members))
@@ -407,9 +338,7 @@ func (s *Scheduler) scheduleKeyed(t float64, execAs, creator int32, cseq uint64)
 	}
 	slot := s.takeSlot()
 	b := s.box(slot)
-	b.seq = s.seq
 	b.execAs = execAs
-	s.seq++
 	s.heapPush(s.queueOf(execAs), entry{time: t, cseq: cseq, creator: creator, slot: slot})
 	return b, makeHandle(slot, s.meta[slot].gen)
 }
@@ -419,10 +348,18 @@ func (s *Scheduler) scheduleKeyed(t float64, execAs, creator int32, cseq uint64)
 // now"). Scheduling in the past panics: it would silently reorder
 // causality and every such call is a protocol bug.
 func (s *Scheduler) At(t float64, fn func()) Handle {
+	return s.AtAs(t, fn, int(s.cur))
+}
+
+// AtAs is At with an explicit execution context for the callback: the
+// peer that owns a recurring process, or -1 for network-global work
+// (churn, faults, the warmup meter reset) that a sharded run executes
+// single-threaded at barriers.
+func (s *Scheduler) AtAs(t float64, fn func(), execAs int) Handle {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	b, h := s.schedule(t, s.cur)
+	b, h := s.schedule(t, int32(execAs))
 	b.fn = fn
 	return h
 }
@@ -475,33 +412,6 @@ func (s *Scheduler) AfterCtxAs(d float64, fn func(any), ctx any, execAs int) Han
 	return s.AtCtxAs(s.now+d, fn, ctx, execAs)
 }
 
-// AtProc schedules fn at absolute time t, tagged as a re-armable
-// process, executing under the scheduling context. Tagged events are
-// what make a boundary quiescent: they can be rebuilt from (Proc, Time)
-// alone, so a checkpoint taken while only tagged events are pending can
-// be restored exactly.
-func (s *Scheduler) AtProc(p Proc, t float64, fn func()) Handle {
-	return s.AtProcAs(p, t, fn, int(s.cur))
-}
-
-// AtProcAs is AtProc with an explicit execution context: the peer that
-// owns the recurring process, or -1 for network-global processes
-// (churn, faults, updates, the warmup meter reset) that a sharded run
-// executes single-threaded at barriers.
-func (s *Scheduler) AtProcAs(p Proc, t float64, fn func(), execAs int) Handle {
-	if p.Kind == "" {
-		panic("sim: AtProc with empty proc kind")
-	}
-	if fn == nil {
-		panic("sim: scheduling nil callback")
-	}
-	b, h := s.schedule(t, int32(execAs))
-	b.fn = fn
-	b.proc = p
-	s.tagged++
-	return h
-}
-
 // ReserveKey draws a canonical key under the current context without
 // scheduling anything. A shard uses it for a cross-shard delivery: the
 // key is drawn on the sender's shard — exactly when the sequential run
@@ -548,72 +458,7 @@ func (s *Scheduler) AtFan(t float64, creator int32, fn func(any), f *Fan) {
 	b.fnCtx = fn
 	b.ctx = f
 	b.fan = true
-	extra := len(f.members) - 1
-	s.seq += uint64(extra) // one insertion number per member
-	s.fanExtra += extra
-}
-
-// Quiescent reports whether every pending event is a tagged re-armable
-// process — i.e. no transient work (frame deliveries, request timeouts,
-// retries) is in flight and the run can be checkpointed.
-func (s *Scheduler) Quiescent() bool { return s.Len() == s.tagged }
-
-// PendingProcs returns the pending tagged events in ascending Seq order.
-func (s *Scheduler) PendingProcs() []ProcEvent {
-	out := make([]ProcEvent, 0, s.tagged)
-	for _, q := range [2][]entry{s.queue, s.gqueue} {
-		for i := range q {
-			e := &q[i]
-			if b := s.box(e.slot); b.proc.Kind != "" {
-				out = append(out, ProcEvent{Proc: b.proc, Time: e.time, Seq: b.seq, Creator: int(e.creator)})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// StateSnapshot captures the scheduler at a quiescent boundary. It fails
-// when any pending event is untagged — such an event's closure cannot be
-// rebuilt, so a snapshot taken now could not be restored faithfully.
-func (s *Scheduler) StateSnapshot() (SchedulerState, error) {
-	if !s.Quiescent() {
-		return SchedulerState{}, fmt.Errorf(
-			"sim: not quiescent: %d pending events, only %d re-armable",
-			s.Len(), s.tagged)
-	}
-	return SchedulerState{
-		Now: s.now,
-		Seq: s.seq,
-		// Handles are (slot, generation) pairs now; the field keeps the
-		// value the handle counter it used to record always had.
-		NextID:    s.seq + 1,
-		Executed:  s.executed,
-		Cancelled: s.cancelled,
-		Procs:     s.PendingProcs(),
-	}, nil
-}
-
-// RestoreState rewinds the clock and counters to a snapshot. The queue
-// must be empty — the caller re-arms the snapshot's Procs afterwards (in
-// ascending Seq order, under SetCur(Creator), so same-time events keep
-// their relative canonical order). Re-armed events receive fresh
-// sequence numbers at or above Seq; within each creator the re-arm
-// order matches the original insertion order, so every relative cseq
-// comparison the canonical order can make is preserved even though the
-// counters restart from zero.
-func (s *Scheduler) RestoreState(st SchedulerState) error {
-	if s.Len() != 0 {
-		return fmt.Errorf("sim: RestoreState on a scheduler with %d pending events", s.Len())
-	}
-	if st.Now < 0 {
-		return fmt.Errorf("sim: negative snapshot clock %v", st.Now)
-	}
-	s.now = st.Now
-	s.seq = st.Seq
-	s.executed = st.Executed
-	s.cancelled = st.Cancelled
-	return nil
+	s.fanExtra += len(f.members) - 1
 }
 
 // Cancel removes a pending event. It returns false when the event already
@@ -629,19 +474,10 @@ func (s *Scheduler) Cancel(h Handle) bool {
 	if m.gen != h.genOf() || m.pos < 0 {
 		return false
 	}
-	s.remove(s.queueOf(s.box(slot).execAs), int(m.pos))
+	s.heapRemove(s.queueOf(s.box(slot).execAs), int(m.pos))
 	s.cancelled++
 	s.releaseSlot(slot)
 	return true
-}
-
-// remove takes the entry at index i out of the heap *q, keeping the
-// tagged count in step. The slot stays allocated; the caller releases it.
-func (s *Scheduler) remove(q *[]entry, i int) {
-	if s.box((*q)[i].slot).proc.Kind != "" {
-		s.tagged--
-	}
-	s.heapRemove(q, i)
 }
 
 // advanceFan takes the firing member off the fan at the head of *q and
@@ -681,7 +517,7 @@ func (s *Scheduler) fireHead(q *[]entry) {
 	if b.fan {
 		ctx = s.advanceFan(q, e, b)
 	} else {
-		s.remove(q, 0)
+		s.heapRemove(q, 0)
 		s.releaseSlot(e.slot)
 	}
 	s.cur = execAs
@@ -745,8 +581,7 @@ func (s *Scheduler) Run(until float64) uint64 {
 // Step executes exactly one event if the next one is due at or before
 // `until`, and reports whether an event fired. The clock is NOT advanced
 // to the horizon when the queue is ahead of it — Step exists for
-// lockstep comparison of two runs (replay bisection), where the caller
-// needs to observe state between individual events.
+// callers that need to observe state between individual events.
 func (s *Scheduler) Step(until float64) bool {
 	q := s.minQueue()
 	if q == nil || (*q)[0].time > until {
@@ -843,38 +678,22 @@ func (s *Scheduler) AdvanceTo(t float64) {
 // schedulers seeded identically hand out identical streams for the same
 // name, regardless of the order in which components ask for them — that is
 // what keeps scenario runs reproducible as the codebase grows.
-//
-// The registry memoizes streams by name so every stream's underlying
-// Source is reachable for checkpointing: a snapshot is the sorted (name,
-// state) list and a restore writes states back into the live Sources
-// without invalidating the *rand.Rand wrappers protocol code holds.
 type RNG struct {
 	seed    int64
-	streams map[string]*streamEntry
-}
-
-type streamEntry struct {
-	src  *Source
-	rand *rand.Rand
-}
-
-// StreamState is the serializable state of one named stream.
-type StreamState struct {
-	Name  string
-	State SourceState
+	streams map[string]*rand.Rand
 }
 
 // NewRNG returns a stream factory rooted at seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, streams: make(map[string]*streamEntry)}
+	return &RNG{seed: seed, streams: make(map[string]*rand.Rand)}
 }
 
 // Stream returns the *rand.Rand for the component name, creating it on
 // first use. The stream seed mixes the root seed with an FNV-1a hash of
 // the name. Repeated calls with the same name return the same stream.
 func (r *RNG) Stream(name string) *rand.Rand {
-	if e, ok := r.streams[name]; ok {
-		return e.rand
+	if st, ok := r.streams[name]; ok {
+		return st
 	}
 	const (
 		offset64 = 14695981039346656037
@@ -889,45 +708,7 @@ func (r *RNG) Stream(name string) *rand.Rand {
 	if mixed == 0 {
 		mixed = int64(prime64)
 	}
-	src := NewSource(mixed)
-	e := &streamEntry{src: src, rand: rand.New(src)}
-	r.streams[name] = e
-	return e.rand
-}
-
-// StateSnapshot returns the state of every stream created so far, sorted
-// by name so the serialized form is deterministic.
-func (r *RNG) StateSnapshot() []StreamState {
-	out := make([]StreamState, 0, len(r.streams))
-	for name, e := range r.streams {
-		out = append(out, StreamState{Name: name, State: e.src.State()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// RestoreState writes saved states back into live streams. It is strict
-// in both directions — a snapshot naming a stream this RNG never created,
-// or a live stream absent from the snapshot, means the restored topology
-// does not match the captured one, and restoring would silently
-// desynchronize the run.
-func (r *RNG) RestoreState(states []StreamState) error {
-	if len(states) != len(r.streams) {
-		return fmt.Errorf("sim: snapshot has %d rng streams, live run has %d", len(states), len(r.streams))
-	}
-	seen := make(map[string]bool, len(states))
-	for _, st := range states {
-		if seen[st.Name] {
-			return fmt.Errorf("sim: duplicate rng stream %q in snapshot", st.Name)
-		}
-		seen[st.Name] = true
-		e, ok := r.streams[st.Name]
-		if !ok {
-			return fmt.Errorf("sim: snapshot names unknown rng stream %q", st.Name)
-		}
-		if err := e.src.SetState(st.State); err != nil {
-			return fmt.Errorf("sim: stream %q: %w", st.Name, err)
-		}
-	}
-	return nil
+	st := rand.New(NewSource(mixed))
+	r.streams[name] = st
+	return st
 }

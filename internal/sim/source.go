@@ -1,28 +1,13 @@
 package sim
 
-// A serializable random source. The checkpoint subsystem (DESIGN.md
-// section 10) must capture and restore every random stream bit-exactly,
-// and math/rand's default source keeps its state unexported — so the
-// kernel owns its own generator: xoshiro256** (Blackman & Vigna, 2018),
-// seeded through SplitMix64. The state is four words, trivially
-// snapshot-able, and the generator's quality is more than adequate for
-// simulation workloads.
-//
-// Every stream handed out by RNG.Stream wraps a *Source, and the RNG
-// keeps a registry of them by name, so a snapshot is just the (name,
-// state) pairs and a restore writes the states back into the live
-// sources without touching the *rand.Rand wrappers protocol code holds.
+// The kernel's random source: xoshiro256** (Blackman & Vigna, 2018),
+// seeded through SplitMix64. Owning the generator pins every stream's
+// draw sequence to this file rather than to math/rand's implementation,
+// which the committed golden recordings depend on.
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// SourceState is the serializable state of one Source: the four
-// xoshiro256** state words. It is never all-zero.
-type SourceState [4]uint64
-
-// Source is a deterministic, serializable rand.Source64.
+// Source is a deterministic rand.Source64.
 type Source struct {
 	s [4]uint64
 }
@@ -69,16 +54,3 @@ func (s *Source) Uint64() uint64 {
 
 // Int63 implements rand.Source.
 func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// State returns the current state words.
-func (s *Source) State() SourceState { return s.s }
-
-// SetState overwrites the state. The all-zero state is the xoshiro fixed
-// point (the generator would emit zeros forever) and is rejected.
-func (s *Source) SetState(st SourceState) error {
-	if st == (SourceState{}) {
-		return fmt.Errorf("sim: all-zero source state is invalid")
-	}
-	s.s = st
-	return nil
-}

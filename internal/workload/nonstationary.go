@@ -13,7 +13,7 @@ import (
 // geo-correlated per-region popularity, and the popularity-rank churn
 // of Wang et al. (DTN cooperative caching, PAPERS.md). All randomness
 // flows through Ctx.RNG or a stream registered at build time, so every
-// source replays deterministically and checkpoint-exactly.
+// source replays deterministically.
 
 // FlashCrowdConfig parameterizes NewFlashCrowd.
 type FlashCrowdConfig struct {
@@ -103,15 +103,6 @@ func (f *FlashCrowd) NextUpdateGap(c Ctx) float64 { return f.gen.NextUpdateGap(c
 // is read traffic, writes keep their stationary mix.
 func (f *FlashCrowd) PickUpdateKey(c Ctx) Key { return f.gen.PickUpdateKey(c.RNG) }
 
-// StateSnapshot returns the kind tag; the window position is a pure
-// function of the scheduler clock.
-func (f *FlashCrowd) StateSnapshot() SourceState { return SourceState{Kind: KindFlashCrowd} }
-
-// RestoreState validates the kind tag.
-func (f *FlashCrowd) RestoreState(st SourceState) error {
-	return requireKind(st, KindFlashCrowd, false)
-}
-
 // DiurnalConfig parameterizes NewDiurnal.
 type DiurnalConfig struct {
 	Gen *Generator
@@ -174,15 +165,6 @@ func (d *Diurnal) NextUpdateGap(c Ctx) float64 { return d.gen.NextUpdateGap(c.RN
 func (d *Diurnal) PickUpdateKey(c Ctx) Key {
 	n := d.gen.Catalog().Len()
 	return Key((int(d.gen.PickUpdateKey(c.RNG)) + d.offset(c.Now)) % n)
-}
-
-// StateSnapshot returns the kind tag; the rotation is a pure function
-// of the scheduler clock.
-func (d *Diurnal) StateSnapshot() SourceState { return SourceState{Kind: KindDiurnal} }
-
-// RestoreState validates the kind tag.
-func (d *Diurnal) RestoreState(st SourceState) error {
-	return requireKind(st, KindDiurnal, false)
 }
 
 // HotspotConfig parameterizes NewHotspot.
@@ -304,15 +286,6 @@ func (h *Hotspot) NextUpdateGap(c Ctx) float64 { return h.gen.NextUpdateGap(c.RN
 // PickUpdateKey draws from the base update-key distribution.
 func (h *Hotspot) PickUpdateKey(c Ctx) Key { return h.gen.PickUpdateKey(c.RNG) }
 
-// StateSnapshot returns the kind tag; cell hotsets are build-time
-// constants and positions live in the mobility snapshot.
-func (h *Hotspot) StateSnapshot() SourceState { return SourceState{Kind: KindHotspot} }
-
-// RestoreState validates the kind tag.
-func (h *Hotspot) RestoreState(st SourceState) error {
-	return requireKind(st, KindHotspot, false)
-}
-
 // RankChurnConfig parameterizes NewRankChurn.
 type RankChurnConfig struct {
 	Gen *Generator
@@ -320,9 +293,7 @@ type RankChurnConfig struct {
 	Every float64
 	// Swaps is how many random rank transpositions each epoch applies.
 	Swaps int
-	// RNG is the dedicated stream the reshuffles draw from. It must be
-	// registered in the run's sim.RNG registry at build time so its
-	// state rides the checkpoint's RNG section.
+	// RNG is the dedicated stream the reshuffles draw from.
 	RNG *rand.Rand
 }
 
@@ -403,21 +374,3 @@ func (r *RankChurn) PickUpdateKey(c Ctx) Key {
 	return Key(r.perm[int(r.gen.PickUpdateKey(c.RNG))])
 }
 
-// StateSnapshot captures the epoch counter and permutation (the stream
-// state rides the checkpoint's RNG section).
-func (r *RankChurn) StateSnapshot() SourceState {
-	return SourceState{Kind: KindRankChurn, Epoch: r.epoch, Perm: append([]uint32(nil), r.perm...)}
-}
-
-// RestoreState adopts the epoch and permutation.
-func (r *RankChurn) RestoreState(st SourceState) error {
-	if st.Kind != KindRankChurn {
-		return fmt.Errorf("workload: snapshot is for source %q, this run uses %q", st.Kind, KindRankChurn)
-	}
-	if len(st.Perm) != len(r.perm) {
-		return fmt.Errorf("workload: snapshot permutation covers %d keys, catalog has %d", len(st.Perm), len(r.perm))
-	}
-	r.epoch = st.Epoch
-	copy(r.perm, st.Perm)
-	return nil
-}

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Locator resolves a peer's current position in meters. The node layer
 // provides an adapter over the radio channel; geo-aware sources (the
@@ -17,7 +14,7 @@ type Locator interface {
 // the next gap or key. RNG is the requesting peer's own stream — every
 // draw a source makes must come from it (or from a dedicated stream the
 // source registered at build time), never from global state, so runs
-// stay deterministic and checkpoint-exact. Loc may be nil in harnesses
+// stay deterministic. Loc may be nil in harnesses
 // without geometry; only geo-aware sources dereference it.
 type Ctx struct {
 	Peer int
@@ -26,31 +23,11 @@ type Ctx struct {
 	Loc  Locator
 }
 
-// SourceState is the serializable snapshot of a Source. Kind always
-// names the source; the remaining fields are used by whichever source
-// kinds need them and stay empty otherwise. One open struct (rather
-// than per-kind opaque blobs) keeps the checkpoint container inspectable
-// and DeepEqual-comparable.
-type SourceState struct {
-	Kind string
-	// Epoch and Perm carry the rank-churn source's reshuffle state.
-	Epoch int64
-	Perm  []uint32
-	// Requests and Updates carry the trace source's per-peer replay
-	// cursors.
-	Requests []int64
-	Updates  []int64
-}
-
 // Source is the workload driver contract: it answers "when is this
 // peer's next request/update and for which key". Implementations must
 // be deterministic given the Ctx stream states and must draw the same
 // number of variates for the same call sequence regardless of wall
-// conditions, so that checkpoint/restore replays bit-identically.
-//
-// StateSnapshot/RestoreState capture any mutable state beyond the RNG
-// streams (which the sim.RNG registry snapshots separately). Stateless
-// sources return just their Kind and validate it on restore.
+// conditions, so that a re-run replays bit-identically.
 type Source interface {
 	// Kind names the source ("default", "trace", "flash-crowd", ...).
 	Kind() string
@@ -67,15 +44,9 @@ type Source interface {
 	NextUpdateGap(c Ctx) float64
 	// PickUpdateKey draws the target of an update firing now.
 	PickUpdateKey(c Ctx) Key
-	// StateSnapshot captures the source's mutable state.
-	StateSnapshot() SourceState
-	// RestoreState adopts a snapshot taken from an identically
-	// configured source.
-	RestoreState(SourceState) error
 }
 
-// Source kind names, as they appear in Scenario.Workload and in
-// checkpoint SourceState records.
+// Source kind names, as they appear in Scenario.Workload.
 const (
 	KindDefault    = "default"
 	KindTrace      = "trace"
@@ -114,28 +85,6 @@ func (s DefaultSource) NextUpdateGap(c Ctx) float64 { return s.Gen.NextUpdateGap
 
 // PickUpdateKey draws an update target.
 func (s DefaultSource) PickUpdateKey(c Ctx) Key { return s.Gen.PickUpdateKey(c.RNG) }
-
-// StateSnapshot returns the kind tag: all the default source's
-// randomness lives in the peer RNG streams, which the RNG registry
-// snapshots on its own.
-func (s DefaultSource) StateSnapshot() SourceState { return SourceState{Kind: KindDefault} }
-
-// RestoreState validates the kind tag.
-func (s DefaultSource) RestoreState(st SourceState) error {
-	return requireKind(st, KindDefault, false)
-}
-
-// requireKind validates a snapshot's kind tag and — for stateless
-// sources (wantCursors false) — that no stray state rode along.
-func requireKind(st SourceState, kind string, wantCursors bool) error {
-	if st.Kind != kind {
-		return fmt.Errorf("workload: snapshot is for source %q, this run uses %q", st.Kind, kind)
-	}
-	if !wantCursors && (len(st.Requests) != 0 || len(st.Updates) != 0) {
-		return fmt.Errorf("workload: %s snapshot carries replay cursors", kind)
-	}
-	return nil
-}
 
 // splitmix64 is the SplitMix64 mixer, used to derive per-source
 // constants (hotset membership, per-cell popularity) from the scenario

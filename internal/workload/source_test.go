@@ -185,40 +185,6 @@ func TestRankChurnLazyAdvance(t *testing.T) {
 	}
 }
 
-func TestRankChurnSnapshotRestore(t *testing.T) {
-	gen := testGen(t, 80, 0)
-	mk := func() *RankChurn {
-		r, err := NewRankChurn(RankChurnConfig{
-			Gen: gen, Every: 10, Swaps: 7, RNG: rand.New(rand.NewSource(99)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a := mk()
-	a.advance(55)
-	st := a.StateSnapshot()
-	if st.Kind != KindRankChurn || st.Epoch != 5 || len(st.Perm) != 80 {
-		t.Fatalf("snapshot = %+v", st)
-	}
-	b := mk()
-	if err := b.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.perm {
-		if a.perm[i] != b.perm[i] {
-			t.Fatalf("restored permutation diverges at %d", i)
-		}
-	}
-	if err := b.RestoreState(SourceState{Kind: KindRankChurn, Perm: []uint32{1}}); err == nil {
-		t.Error("permutation length mismatch accepted")
-	}
-	if err := b.RestoreState(SourceState{Kind: KindDiurnal}); err == nil {
-		t.Error("kind mismatch accepted")
-	}
-}
-
 func TestSourceConstructorValidation(t *testing.T) {
 	gen := testGen(t, 50, 0)
 	if _, err := NewFlashCrowd(FlashCrowdConfig{Gen: gen, At: 10, Duration: 0, Hotset: 1, Boost: 0.5}); err == nil {

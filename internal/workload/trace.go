@@ -287,32 +287,6 @@ func (s *TraceSource) pos(n int, peer int, count int64) int {
 	return int((int64(peer) + count*int64(s.peers)) % int64(n))
 }
 
-// StateSnapshot captures the per-peer replay cursors.
-func (s *TraceSource) StateSnapshot() SourceState {
-	st := SourceState{Kind: KindTrace, Requests: append([]int64(nil), s.reqCur...)}
-	if s.updCur != nil {
-		st.Updates = append([]int64(nil), s.updCur...)
-	}
-	return st
-}
-
-// RestoreState adopts replay cursors from a snapshot of an identically
-// configured source over the same trace.
-func (s *TraceSource) RestoreState(st SourceState) error {
-	if st.Kind != KindTrace {
-		return fmt.Errorf("workload: snapshot is for source %q, this run uses %q", st.Kind, KindTrace)
-	}
-	if len(st.Requests) != s.peers {
-		return fmt.Errorf("workload: snapshot has %d request cursors, run has %d peers", len(st.Requests), s.peers)
-	}
-	if got, want := len(st.Updates), len(s.updCur); got != want {
-		return fmt.Errorf("workload: snapshot has %d update cursors, run expects %d", got, want)
-	}
-	copy(s.reqCur, st.Requests)
-	copy(s.updCur, st.Updates)
-	return nil
-}
-
 // SyntheticTraceConfig parameterizes WriteSyntheticTrace.
 type SyntheticTraceConfig struct {
 	Ops            int     // total rows to emit

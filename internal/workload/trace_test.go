@@ -117,45 +117,6 @@ func TestTraceSourceRejects(t *testing.T) {
 	}
 }
 
-func TestTraceSourceSnapshotRestore(t *testing.T) {
-	tr, err := ParseTrace(strings.NewReader("GET,a,1,10\nGET,b,1,20\nSET,a,1,10\nSET,b,1,20\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *TraceSource {
-		s, err := NewTraceSource(TraceSourceConfig{Trace: tr, Peers: 3, RequestInterval: 30, UpdateInterval: 60})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a := mk()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 7; i++ {
-		a.PickKey(Ctx{Peer: i % 3, RNG: rng})
-	}
-	a.PickUpdateKey(Ctx{Peer: 1, RNG: rng})
-
-	b := mk()
-	if err := b.RestoreState(a.StateSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 3; p++ {
-		ka := a.PickKey(Ctx{Peer: p, RNG: rng})
-		kb := b.PickKey(Ctx{Peer: p, RNG: rng})
-		if ka != kb {
-			t.Fatalf("peer %d: restored source picked %d, original %d", p, kb, ka)
-		}
-	}
-
-	if err := b.RestoreState(SourceState{Kind: KindDefault}); err == nil {
-		t.Error("kind mismatch accepted")
-	}
-	if err := b.RestoreState(SourceState{Kind: KindTrace, Requests: []int64{1}}); err == nil {
-		t.Error("cursor count mismatch accepted")
-	}
-}
-
 func TestSyntheticTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := SyntheticTraceConfig{

@@ -44,6 +44,19 @@ func (r InvariantReport) String() string {
 		r.TotalViolations, r.Sweeps, r.Events)
 }
 
+// invariantReportOf converts a finished runner into the public report.
+func invariantReportOf(runner *invariant.Runner) InvariantReport {
+	inv := InvariantReport{
+		Sweeps:          runner.Sweeps(),
+		Events:          runner.Events(),
+		TotalViolations: runner.Total(),
+	}
+	for _, v := range runner.Violations() {
+		inv.Violations = append(inv.Violations, InvariantViolation(v))
+	}
+	return inv
+}
+
 // debugBreakEnv deliberately sabotages a built simulation according to
 // the PRECINCT_DEBUG_BREAK environment variable, so the invariant
 // checkers can be demonstrated to catch a broken build end to end:

@@ -101,7 +101,7 @@ type parallelStats struct {
 }
 
 // parallelRun is an assembled sharded simulation. Index 0 of every slice
-// is the primary world built by buildFull; indices 1.. are replicas.
+// is the primary world built by buildTraced; indices 1.. are replicas.
 type parallelRun struct {
 	b         *built
 	shardOf   []int32
@@ -161,7 +161,7 @@ func measureShardLoad(s Scenario) ([]uint64, error) {
 		}
 		probe.Faults = kept
 	}
-	b, err := probe.buildFull(nil, true)
+	b, err := probe.buildTraced(nil)
 	if err != nil {
 		return nil, fmt.Errorf("precinct: shard-load probe: %w", err)
 	}
@@ -235,7 +235,7 @@ func shardAssignment(b *built, shards int, weights []uint64) []int32 {
 }
 
 // buildParallel assembles the sharded simulation: the shard-load probe
-// (unless ShardBalance is "count"), the primary world via buildFull,
+// (unless ShardBalance is "count"), the primary world via buildTraced,
 // one replica world per additional shard, then the network clones bound
 // to their shards.
 func (s Scenario) buildParallel(tracer trace.Tracer) (*parallelRun, error) {
@@ -258,7 +258,7 @@ func (s Scenario) buildParallel(tracer trace.Tracer) (*parallelRun, error) {
 		}
 		primaryTracer = bufs[0]
 	}
-	b, err := s.buildFull(primaryTracer, true)
+	b, err := s.buildTraced(primaryTracer)
 	if err != nil {
 		return nil, err
 	}

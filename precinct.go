@@ -22,7 +22,9 @@ package precinct
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"reflect"
 
 	"precinct/internal/cache"
 	"precinct/internal/consistency"
@@ -109,8 +111,7 @@ type Scenario struct {
 	Workload string
 	// TracePath is the trace file for Workload "trace" (CSV rows of
 	// op,key,key_size,size). The catalog is derived from the trace's
-	// distinct keys; Items/MinItemSize/MaxItemSize are ignored. A
-	// checkpointed trace run needs the same file present on resume.
+	// distinct keys; Items/MinItemSize/MaxItemSize are ignored.
 	TracePath string
 	// WorkloadCfg tunes the non-stationary sources; zero values pick
 	// scenario-derived defaults.
@@ -185,7 +186,7 @@ type Scenario struct {
 	// Results are identical to the sequential run (0 or 1): same Report,
 	// same protocol and radio counters, same trace events. Requires
 	// perfect location knowledge (BeaconInterval 0) and static regions
-	// (no AdaptiveRegions); checkpointing a sharded run is not supported.
+	// (no AdaptiveRegions).
 	Shards int
 
 	// ShardBalance selects how peers are split into shards: "load" (the
@@ -194,8 +195,7 @@ type Scenario struct {
 	// of equal cumulative load; "count" keeps the legacy equal-count
 	// strips. Either way the assignment is a deterministic function of
 	// the scenario. Ignored when Shards <= 1; omitted from JSON when
-	// empty so checkpoint metadata written before the field existed
-	// round-trips byte-identically.
+	// empty.
 	ShardBalance string `json:",omitempty"`
 }
 
@@ -292,6 +292,34 @@ func (s Scenario) Validate() error {
 	return err
 }
 
+// nonFinite looks for a NaN or infinite float64 reachable from v through
+// struct fields and slice elements, and returns its path from v
+// (".Duration", ".WorkloadCfg.FlashAt", ".Faults[2].At"). Range checks are
+// written as comparisons, which NaN passes, and an infinite horizon never
+// ends, so non-finite input is rejected before anything else reads it.
+// The path is assembled on the way back out: a clean walk allocates
+// nothing.
+func nonFinite(v reflect.Value) (path string, found bool) {
+	switch v.Kind() {
+	case reflect.Float64:
+		f := v.Float()
+		return "", math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p, ok := nonFinite(v.Field(i)); ok {
+				return "." + v.Type().Field(i).Name + p, true
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := nonFinite(v.Index(i)); ok {
+				return fmt.Sprintf("[%d]%s", i, p), true
+			}
+		}
+	}
+	return "", false
+}
+
 // built is the assembled simulation, ready to run.
 type built struct {
 	scenario Scenario
@@ -300,99 +328,35 @@ type built struct {
 	meter    *energy.Meter
 	catalog  *workload.Catalog
 	table    *region.Table
-	source   workload.Source
-
-	// Checkpoint support: the restore path needs direct access to the
-	// scheduler, RNG registry, collector and mobility model, plus the
-	// churn parameters so its processes can be re-armed at recorded times.
-	sched         *sim.Scheduler
-	rng           *sim.RNG
-	coll          *metrics.Collector
-	mob           mobility.Model
-	churnRNG      *rand.Rand // nil when churn is off
-	churnDowntime float64
+	sched    *sim.Scheduler
+	coll     *metrics.Collector
 }
 
-// Proc kinds for the precinct layer's re-armable recurring processes.
-const (
-	procChurn       = "churn"
-	procChurnRevive = "churn-revive"
-	procFault       = "fault"
-)
-
-// armChurnTick registers the next churn decision at an absolute time.
-// The tick body preserves the exact draw order of the original inline
-// closure: victim draw, graceful draw, revive arming, then the gap draw
-// for the next tick — resume equivalence depends on that order.
-func (b *built) armChurnTick(at float64) {
+// armChurn starts background churn: each tick draws a victim, then
+// whether it leaves gracefully, arms its return, and last draws the gap
+// to the next tick. The draw order is part of the recorded behaviour.
+func (b *built) armChurn(rng *rand.Rand) {
 	s := b.scenario
-	b.sched.AtProc(sim.Proc{Kind: procChurn, Owner: -1}, at, func() {
-		id := radio.NodeID(b.churnRNG.Intn(s.Nodes))
-		if b.network.Peer(id).Alive() {
-			if b.churnRNG.Float64() < s.ChurnGraceful {
-				b.network.Quit(id)
-			} else {
-				b.network.Crash(id)
+	downtime := s.ChurnDowntime
+	if downtime == 0 {
+		downtime = 60
+	}
+	var armTick func()
+	armTick = func() {
+		b.sched.After(rng.ExpFloat64()*s.ChurnInterval, func() {
+			id := radio.NodeID(rng.Intn(s.Nodes))
+			if b.network.Peer(id).Alive() {
+				if rng.Float64() < s.ChurnGraceful {
+					b.network.Quit(id)
+				} else {
+					b.network.Crash(id)
+				}
+				b.sched.After(downtime, func() { b.network.Revive(id) })
 			}
-			b.armChurnRevive(b.sched.Now()+b.churnDowntime, int(id))
-		}
-		b.armChurnTick(b.sched.Now() + b.churnRNG.ExpFloat64()*s.ChurnInterval)
-	})
-}
-
-// armChurnRevive registers a churned-out peer's return.
-func (b *built) armChurnRevive(at float64, node int) {
-	id := radio.NodeID(node)
-	b.sched.AtProc(sim.Proc{Kind: procChurnRevive, Owner: node}, at, func() {
-		b.network.Revive(id)
-	})
-}
-
-// armFault registers injected fault i at an absolute time. The fault
-// index is the Proc owner, so a restore can re-arm exactly the faults
-// that had not yet fired.
-func (b *built) armFault(i int, at float64) error {
-	if i < 0 || i >= len(b.scenario.Faults) {
-		return fmt.Errorf("precinct: fault index %d out of range", i)
+			armTick()
+		})
 	}
-	f := b.scenario.Faults[i]
-	id := radio.NodeID(f.Node)
-	var fn func()
-	switch f.Kind {
-	case "crash":
-		fn = func() { b.network.Crash(id) }
-	case "quit":
-		fn = func() { b.network.Quit(id) }
-	case "revive":
-		fn = func() { b.network.Revive(id) }
-	default:
-		return fmt.Errorf("precinct: fault %d has unknown kind %q", i, f.Kind)
-	}
-	b.sched.AtProc(sim.Proc{Kind: procFault, Owner: i}, at, fn)
-	return nil
-}
-
-// rearm re-registers one precinct-layer recurring process from a
-// scheduler snapshot, delegating node-layer kinds to the network.
-func (b *built) rearm(p sim.Proc, at float64) error {
-	switch p.Kind {
-	case procChurn:
-		if b.churnRNG == nil {
-			return fmt.Errorf("precinct: snapshot arms churn but churn is not configured")
-		}
-		b.armChurnTick(at)
-		return nil
-	case procChurnRevive:
-		if p.Owner < 0 || p.Owner >= b.scenario.Nodes {
-			return fmt.Errorf("precinct: churn revive for unknown node %d", p.Owner)
-		}
-		b.armChurnRevive(at, p.Owner)
-		return nil
-	case procFault:
-		return b.armFault(p.Owner, at)
-	default:
-		return b.network.Rearm(p, at)
-	}
+	armTick()
 }
 
 // policyByName constructs a replacement policy through the cache
@@ -478,10 +442,7 @@ func (s Scenario) radioConfig() radio.Config {
 // scenario selects (DESIGN.md section 15). The default path makes
 // exactly the calls the pre-Source code made — same catalog, same
 // generator, no extra RNG streams — which is what keeps it
-// byte-identical (TestWorkloadDefaultGolden). The rank-churn source
-// registers its dedicated "workload/churn" stream here, at build time,
-// so a restored RNG registry sees the same stream set the captured one
-// had.
+// byte-identical (TestWorkloadDefaultGolden).
 func (s Scenario) buildWorkload(rng *sim.RNG) (*workload.Catalog, workload.Source, error) {
 	kind := s.Workload
 	if kind == "" {
@@ -625,16 +586,9 @@ func (s Scenario) build() (*built, error) { return s.buildTraced(nil) }
 
 // buildTraced wires the scenario with an optional protocol tracer.
 func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
-	return s.buildFull(tracer, true)
-}
-
-// buildFull wires the scenario. When arm is false the initial recurring
-// processes (churn tick, injected faults) are created but not scheduled:
-// the checkpoint restore path re-arms them at the snapshot's recorded
-// times instead (scheduling a past fault time would panic). All random
-// streams are still created either way, so a restored RNG registry sees
-// the same stream set the captured one had.
-func (s Scenario) buildFull(tracer trace.Tracer, arm bool) (*built, error) {
+	if path, found := nonFinite(reflect.ValueOf(&s).Elem()); found {
+		return nil, fmt.Errorf("precinct: %s must be finite", path[1:])
+	}
 	if s.Nodes <= 0 {
 		return nil, fmt.Errorf("precinct: nodes must be positive, got %d", s.Nodes)
 	}
@@ -798,18 +752,11 @@ func (s Scenario) buildFull(tracer trace.Tracer, arm bool) (*built, error) {
 	}
 	b := &built{
 		scenario: s, network: network, channel: ch,
-		meter: meter, catalog: catalog, table: table, source: src,
-		sched: sched, rng: rng, coll: coll, mob: mob,
+		meter: meter, catalog: catalog, table: table,
+		sched: sched, coll: coll,
 	}
 	if s.ChurnInterval > 0 {
-		b.churnRNG = rng.Stream("churn")
-		b.churnDowntime = s.ChurnDowntime
-		if b.churnDowntime == 0 {
-			b.churnDowntime = 60
-		}
-		if arm {
-			b.armChurnTick(sched.Now() + b.churnRNG.ExpFloat64()*s.ChurnInterval)
-		}
+		b.armChurn(rng.Stream("churn"))
 	}
 	for i, f := range s.Faults {
 		if f.Node < 0 || f.Node >= s.Nodes {
@@ -818,14 +765,19 @@ func (s Scenario) buildFull(tracer trace.Tracer, arm bool) (*built, error) {
 		if f.At < 0 || f.At > s.Duration {
 			return nil, fmt.Errorf("precinct: fault %d at %v outside the run", i, f.At)
 		}
-		if f.Kind != "crash" && f.Kind != "quit" && f.Kind != "revive" {
+		id := radio.NodeID(f.Node)
+		var fn func()
+		switch f.Kind {
+		case "crash":
+			fn = func() { network.Crash(id) }
+		case "quit":
+			fn = func() { network.Quit(id) }
+		case "revive":
+			fn = func() { network.Revive(id) }
+		default:
 			return nil, fmt.Errorf("precinct: fault %d has unknown kind %q", i, f.Kind)
 		}
-		if arm {
-			if err := b.armFault(i, f.At); err != nil {
-				return nil, err
-			}
-		}
+		sched.At(f.At, fn)
 	}
 	return b, nil
 }

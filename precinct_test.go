@@ -1,6 +1,10 @@
 package precinct
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +47,63 @@ func TestScenarioValidation(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// eachFloat visits every float64 reachable from v through struct fields
+// and slice elements, with its path from v ("Duration", "Faults[1].At").
+func eachFloat(v reflect.Value, path string, visit func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Float64:
+		visit(path, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachFloat(v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), visit)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachFloat(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	}
+}
+
+// TestNonFiniteScenarioRejected: a NaN passes every `<` range check and
+// an infinite Duration never ends, so Validate must reject a non-finite
+// value in any float64 of the scenario, nested parameters included, and
+// name the field.
+func TestNonFiniteScenarioRejected(t *testing.T) {
+	base := func() Scenario {
+		s := DefaultScenario()
+		s.Faults = []Fault{{At: 10, Node: 1, Kind: "crash"}, {At: 20, Node: 2, Kind: "quit"}}
+		return s
+	}
+	var paths []string
+	s := base()
+	eachFloat(reflect.ValueOf(&s).Elem(), "", func(path string, _ reflect.Value) { paths = append(paths, path) })
+	if len(paths) < 30 {
+		t.Fatalf("walked only %d float fields: %v", len(paths), paths)
+	}
+	for k, want := range paths {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := base()
+			n := 0
+			eachFloat(reflect.ValueOf(&s).Elem(), "", func(_ string, f reflect.Value) {
+				if n == k {
+					f.SetFloat(bad)
+				}
+				n++
+			})
+			err := s.Validate()
+			if err == nil || !strings.Contains(err.Error(), want+" must be finite") {
+				t.Errorf("%s = %v: err = %v", want, bad, err)
+			}
+		}
+	}
+
+	s = base()
+	v := reflect.ValueOf(&s).Elem()
+	if allocs := testing.AllocsPerRun(100, func() { nonFinite(v) }); allocs != 0 {
+		t.Errorf("a clean walk allocates %.0f objects, want 0", allocs)
 	}
 }
 

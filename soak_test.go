@@ -8,15 +8,12 @@ package precinct_test
 // suite proves properties at paper scale and the scale tier samples
 // large-N scenarios briefly, the soak test drives one 2000-node,
 // heavily lossy scenario for a long horizon under the full runtime
-// invariant catalog, then proves the same run survives an interrupted
-// checkpoint/resume round-trip bit-identically. Anything that only
-// breaks after sustained pressure — leaked in-flight accounting,
-// aging-floor drift, heap-index corruption after millions of
-// evictions — surfaces here.
+// invariant catalog. Anything that only breaks after sustained pressure
+// — leaked in-flight accounting, aging-floor drift, heap-index corruption
+// after millions of evictions — surfaces here.
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"precinct"
@@ -65,35 +62,4 @@ func TestSoakScaleInvariants(t *testing.T) {
 	}
 	t.Logf("soak: %d requests, hit ratio %.3f, %d sweeps / %d event checks clean",
 		res.Report.Requests, res.Report.ByteHitRatio, inv.Sweeps, inv.Events)
-}
-
-// TestSoakCheckpointResume interrupts the endurance scenario at a
-// mid-run snapshot boundary, resumes it in the same process, and
-// requires the resumed Result to be bit-identical (DeepEqual) to an
-// uninterrupted run — the scale-tier version of TestResumeEquivalence,
-// where the snapshot carries 2000 caches, stores and region tables.
-func TestSoakCheckpointResume(t *testing.T) {
-	sc := soakScenario()
-	full, err := precinct.Run(sc)
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
-
-	dir := t.TempDir()
-	mid := sc.Warmup + (sc.Duration-sc.Warmup)/2
-	if _, err := precinct.RunCheckpointed(sc, precinct.CheckpointOptions{
-		Dir: dir, Label: "soak", Interval: 60, StopAfter: mid,
-	}); err != nil {
-		t.Fatalf("interrupted run: %v", err)
-	}
-	resumed, err := precinct.RunCheckpointed(sc, precinct.CheckpointOptions{
-		Dir: dir, Label: "soak", Interval: 60, Resume: true,
-	})
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !reflect.DeepEqual(resumed, full) {
-		t.Errorf("resumed result differs from uninterrupted run:\n resumed: %+v\n full:    %+v",
-			resumed.Report, full.Report)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -25,6 +26,10 @@ type workloadGoldenEntry struct {
 	Report   precinct.Report
 	Protocol precinct.ProtocolStats
 	Radio    precinct.RadioStats
+	// Sweeps and Events are the invariant runner's counts, recorded by
+	// checked cases only (which run untraced and leave TraceSHA empty).
+	Sweeps uint64 `json:",omitempty"`
+	Events uint64 `json:",omitempty"`
 }
 
 // goldenCase is one pinned scenario: the subtest it runs as and the
@@ -34,6 +39,10 @@ type goldenCase struct {
 	key  string
 	s    precinct.Scenario
 	long bool // 2000-node tier, skipped under -short
+	// viaFile runs the scenario as loaded back from a saved config file;
+	// checked runs it under the invariant catalog instead of the tracer.
+	viaFile bool
+	checked bool
 }
 
 // fuzzCases are fuzzgen.Expand(1..n). With lossy set, odd seeds that
@@ -126,6 +135,40 @@ func radioCases() []goldenCase {
 	return cases
 }
 
+// sourceCases run each non-default workload source over its own fuzzgen
+// seed (30 + its index in workloadKindsUnderTest).
+func sourceCases() []goldenCase {
+	var cases []goldenCase
+	for i, kind := range workloadKindsUnderTest() {
+		s := workloadScenario(int64(30+i), kind)
+		cases = append(cases, goldenCase{sub: s.Name, key: s.Name, s: s})
+	}
+	return cases
+}
+
+// fileCases are fuzz seeds 1-12 run from their saved config files: the
+// scenario file is the resume token, so the JSON round trip must lose
+// nothing a run depends on.
+func fileCases() []goldenCase {
+	cases := fuzzCases(12, false)
+	for i := range cases {
+		cases[i].viaFile = true
+	}
+	return cases
+}
+
+// checkedCases are fuzz seeds 1 and 2 under the invariant catalog: the
+// only cases in which the runner's recurring sweep fires, pinned by its
+// sweep and event counts next to the report triple.
+func checkedCases() []goldenCase {
+	cases := fuzzCases(2, false)
+	for i := range cases {
+		cases[i].key += "/checked"
+		cases[i].checked = true
+	}
+	return cases
+}
+
 // goldenSuites lists every pinned case under the test that runs it.
 // The fixture holds one entry per distinct key.
 func goldenSuites() map[string][]goldenCase {
@@ -135,6 +178,10 @@ func goldenSuites() map[string][]goldenCase {
 		"TestCacheIndexEquivalence": policyCases(),
 		"TestLayoutEquivalence":     append(fuzzCases(14, true), scaleCases()...),
 		"TestPoolingEquivalence":    append(fuzzCases(12, true), scaleCases()...),
+
+		"TestResumeEquivalence":         fileCases(),
+		"TestResumeEquivalenceChecked":  checkedCases(),
+		"TestWorkloadResumeEquivalence": sourceCases(),
 	}
 }
 
@@ -152,16 +199,37 @@ func runTracedBytes(t *testing.T, s precinct.Scenario) (precinct.Result, []byte)
 
 func recordGolden(t *testing.T, c goldenCase) workloadGoldenEntry {
 	t.Helper()
-	res, traceBytes := runTracedBytes(t, c.s)
-	sum := sha256.Sum256(traceBytes)
-	return workloadGoldenEntry{
-		Case:     c.key,
-		Seed:     c.s.Seed,
-		TraceSHA: hex.EncodeToString(sum[:]),
-		Report:   res.Report,
-		Protocol: res.Protocol,
-		Radio:    res.Radio,
+	s := c.s
+	if c.viaFile {
+		path := filepath.Join(t.TempDir(), "run.json")
+		if err := precinct.SaveScenarioFile(s, path); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if s, err = precinct.LoadScenarioFile(path); err != nil {
+			t.Fatal(err)
+		}
 	}
+	e := workloadGoldenEntry{Case: c.key, Seed: s.Seed}
+	var res precinct.Result
+	if c.checked {
+		var inv precinct.InvariantReport
+		var err error
+		if res, inv, err = precinct.RunChecked(s); err != nil {
+			t.Fatal(err)
+		}
+		if !inv.Ok() {
+			t.Fatalf("invariant violations: %s", inv)
+		}
+		e.Sweeps, e.Events = inv.Sweeps, inv.Events
+	} else {
+		var traceBytes []byte
+		res, traceBytes = runTracedBytes(t, s)
+		sum := sha256.Sum256(traceBytes)
+		e.TraceSHA = hex.EncodeToString(sum[:])
+	}
+	e.Report, e.Protocol, e.Radio = res.Report, res.Protocol, res.Radio
+	return e
 }
 
 func loadGolden(t *testing.T) map[string]workloadGoldenEntry {
@@ -209,6 +277,9 @@ func checkGolden(t *testing.T) {
 			if !reflect.DeepEqual(got.Radio, w.Radio) {
 				t.Errorf("Radio diverged:\n got:  %+v\n want: %+v", got.Radio, w.Radio)
 			}
+			if got.Sweeps != w.Sweeps || got.Events != w.Events {
+				t.Errorf("invariant runner saw %d sweeps / %d events, want %d / %d", got.Sweeps, got.Events, w.Sweeps, w.Events)
+			}
 		})
 	}
 }
@@ -221,7 +292,9 @@ func checkGolden(t *testing.T) {
 // struct-of-arrays peer layout were each proven bit-identical to the
 // reference implementation they replaced (DESIGN.md sections 8, 11, 12
 // and 14). Every entry was reproduced by all four references before
-// they were deleted, so matching the recording is matching them.
+// they were deleted, so matching the recording is matching them. The
+// three *ResumeEquivalence tests further down pin what only the retired
+// snapshot/restore suites ran (DESIGN.md section 10).
 // Regenerate (only for an intentional behavior change) with
 // PRECINCT_UPDATE_WORKLOAD_GOLDEN=1 go test -run WorkloadDefaultGolden .
 func TestWorkloadDefaultGolden(t *testing.T) {
@@ -232,6 +305,7 @@ func TestWorkloadDefaultGolden(t *testing.T) {
 		for _, name := range []string{
 			"TestWorkloadDefaultGolden", "TestGridLinearEquivalence", "TestCacheIndexEquivalence",
 			"TestLayoutEquivalence", "TestPoolingEquivalence",
+			"TestResumeEquivalence", "TestResumeEquivalenceChecked", "TestWorkloadResumeEquivalence",
 		} {
 			for _, c := range suites[name] {
 				if !done[c.key] {
@@ -275,3 +349,14 @@ func TestPoolingEquivalence(t *testing.T) {
 	t.Setenv("PRECINCT_DEBUG", "poison")
 	checkGolden(t)
 }
+
+// The scenario file is the checkpoint (DESIGN.md section 10): a run
+// loaded back from its saved config reproduces the recording.
+func TestResumeEquivalence(t *testing.T) { checkGolden(t) }
+
+// The invariant runner's sweep is an event like any other: a checked run
+// reproduces its recorded report triple and sweep and event counts.
+func TestResumeEquivalenceChecked(t *testing.T) { checkGolden(t) }
+
+// Every non-default workload source reproduces its recording.
+func TestWorkloadResumeEquivalence(t *testing.T) { checkGolden(t) }
