@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile bench-radio bench-scale bench-workloads bench-policies bench-parallel bench-parallel-smoke bench-compare bench-compare-allocs bench-compare-advisory bench-gate bench-tiny-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate bench-tiny-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
@@ -72,70 +72,23 @@ profile:
 	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 1x -cpuprofile "$$dir/cpu.prof" -o "$$dir/bench.test" $(PROFILE_PKG) && \
 	$(GO) tool pprof -top -cum "$$dir/bench.test" "$$dir/cpu.prof" | head -40
 
-# Regenerate the committed radio hot-path numbers (BENCH_radio.json).
-# Run on a quiet machine; takes a few minutes at paper scale.
-bench-radio:
-	$(GO) run ./cmd/precinct-bench -radiojson BENCH_radio.json
+# Rewrite bench_figures.txt: every grid of experiments.go (the paper's
+# figures, the extension sweeps, the policy, workload and scale labs) at
+# paper scale, seed 1. The file is a pure function of the code — no
+# timings — so it is the same on any host; about 80 s on 2 cores.
+# EXPERIMENTS.md quotes it.
+FIGURES = $(GO) run ./cmd/precinct-sim -fig all
+figures:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(FIGURES) > "$$tmp" && cp "$$tmp" bench_figures.txt
 
-# Regenerate the committed scale-tier numbers (BENCH_scale.json):
-# end-to-end runs over nodes {250,500,1000,2000} x loss {0,0.1,0.3}.
-# Run on a quiet machine.
-bench-scale:
-	$(GO) run ./cmd/precinct-bench -scale BENCH_scale.json
-
-# Regenerate the committed workload-lab numbers (BENCH_workloads.json):
-# every workload source over the same 1000-node scenario (DESIGN.md
-# section 15). Run on a quiet machine.
-bench-workloads:
-	$(GO) run ./cmd/precinct-bench -workloads BENCH_workloads.json
-
-# Regenerate the committed policy-lab numbers (BENCH_policies.json):
-# every registered replacement policy over the same 1000-node scenario
-# under two workloads, plus a k=2 replica cell (DESIGN.md section 16).
-# Run on a quiet machine.
-bench-policies:
-	$(GO) run ./cmd/precinct-bench -policies BENCH_policies.json
-
-# Regenerate the committed parallel-scaling numbers (BENCH_parallel.json):
-# the sharded scheduler swept over shards {1,2,4} x cores {1,2,4} on the
-# 10000-node acceptance cell, GOMAXPROCS pinned per column. Columns the
-# host cannot run (cores > NumCPU) are skipped and logged — regenerate
-# on a multi-core machine to fill them in. Run on a quiet machine.
-bench-parallel:
-	$(GO) run ./cmd/precinct-bench -parallel BENCH_parallel.json
-
-# The ci smoke for the sweep: same grid on a 500-node quick cell,
-# written to a throwaway file — proves the sweep machinery end to end
-# without touching the committed baseline.
-bench-parallel-smoke:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/precinct-bench -quick -parallel "$$dir/parallel.json" && \
-	echo "bench-parallel-smoke: sweep completed"
-
-# Bench regression gate: re-run a fast probe subset (radio neighbor
-# queries + two mid-size scale cells) and compare against the committed
-# baselines; more than TOLERANCE slower, or more allocations, exits 3.
-# Wall-clock probes are machine-dependent, so ci runs the full timing
-# comparison advisory (note the leading '-' there); to make timing
-# binding, regenerate the baselines on the measurement machine (make
-# bench-radio bench-scale), or widen the gate on a noisy box:
-#
-#	make bench-compare TOLERANCE=0.30
-TOLERANCE ?= 0.15
-bench-compare:
-	$(GO) run ./cmd/precinct-bench -compare -tolerance $(TOLERANCE)
-
-# The binding half of the gate: allocation counts are deterministic (the
-# simulation replays exactly on any machine), so allocs/op and
-# allocs_per_event regressions fail ci outright; timing prints advisory.
-bench-compare-allocs:
-	$(GO) run ./cmd/precinct-bench -compare -allocs-only -tolerance $(TOLERANCE)
-
-# The advisory half: the full timing comparison, never failing the
-# build. Regressions print with an ADVISORY: prefix so CI logs
-# distinguish machine-dependent timing drift from binding failures.
-bench-compare-advisory:
-	$(GO) run ./cmd/precinct-bench -compare -advisory -tolerance $(TOLERANCE)
+# The ci half: regenerate to a temporary file and diff against the
+# committed one, so a change that moves any figure cell fails until
+# `make figures` is run and the new numbers are looked at.
+figures-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(FIGURES) > "$$tmp" && diff -u bench_figures.txt "$$tmp" && \
+	echo "figures-check: bench_figures.txt matches the code"
 
 # The repository benchmark (bench/, BENCHMARK.json) as a before/after
 # gate for a performance change: the tree of BENCH_PARENT (default: the
@@ -258,4 +211,4 @@ soak:
 soak-100k:
 	$(GO) test -tags soak -run Soak100k -timeout 60m -v .
 
-ci: vet build test race race-parallel check cover bench-smoke fuzz-smoke scale-smoke workload-smoke policy-smoke bench-parallel-smoke bench-tiny-smoke bench-compare-allocs bench-compare-advisory
+ci: vet build test race race-parallel check cover bench-smoke fuzz-smoke scale-smoke workload-smoke policy-smoke bench-tiny-smoke figures-check

@@ -1,0 +1,62 @@
+package precinct_test
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"precinct"
+)
+
+// TestAllocsPerEvent holds heap allocations per executed event on four
+// cells of the scale grid, and the event counts that say the cells still
+// are the workload the limits were read on. The simulation replays
+// exactly, so a sequential cell's allocation count is the same on any
+// host; a sharded one adds goroutine bookkeeping of order 1e-4 per event.
+//
+// Each limit is the lower of what the retired bench comparator enforced
+// (old: its August 2026 baseline × 1.15 + 0.05) and the reading at the
+// commit that introduced this test (head) with the same allowance.
+//
+// Not parallel: runtime.MemStats.Mallocs counts the whole process. Not
+// under the race detector either: the limits were read without it, and
+// instrumentation would turn the 10000-node cell into minutes.
+func TestAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are read race-free")
+	}
+	for _, c := range []struct {
+		nodes, shards int
+		loss          float64
+		events        uint64
+		old, head     float64
+	}{
+		{500, 0, 0, 1202760, 0.324, 0.1731},
+		{500, 0, 0.1, 1140020, 0.313, 0.1764},
+		{500, 4, 0.1, 1140020, 0.359, 0.2081},
+		{10000, 0, 0.3, 12565619, 0.463, 0.3023},
+	} {
+		t.Run(fmt.Sprintf("n=%d/loss=%g/shards=%d", c.nodes, c.loss, c.shards), func(t *testing.T) {
+			if c.nodes > 1000 && testing.Short() {
+				t.Skip("large cell skipped under -short")
+			}
+			s := precinct.ScaleScenarioForTest(c.nodes)
+			s.LossRate, s.Shards = c.loss, c.shards
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, stats, err := precinct.RunWithStats(s)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Events != c.events {
+				t.Fatalf("executed %d events, want %d: the cell is no longer the workload the limit was read on", stats.Events, c.events)
+			}
+			got := float64(after.Mallocs-before.Mallocs) / float64(stats.Events)
+			if limit := math.Min(c.old, c.head*1.15+0.05); got > limit {
+				t.Errorf("%.4f allocs/event, limit %.4f", got, limit)
+			}
+		})
+	}
+}

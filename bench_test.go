@@ -2,7 +2,8 @@ package precinct
 
 // Benchmarks regenerating every figure of the paper's evaluation section
 // at a reduced scale (fewer simulated seconds and nodes than the
-// paper-scale `precinct-bench` run, so `go test -bench=.` stays tractable).
+// paper-scale `precinct-sim -fig all` run behind bench_figures.txt, so
+// `go test -bench=.` stays tractable).
 // Each benchmark reports the figure's headline metrics through
 // b.ReportMetric, so the shape — who wins and by roughly what factor — is
 // visible straight from the bench output. The ablation benchmarks cover
@@ -32,12 +33,19 @@ func lastY(s Series) float64 {
 	return s.Y[len(s.Y)-1]
 }
 
+// benchFigure runs the grid named id and returns its idx'th figure.
+func benchFigure(b *testing.B, id string, idx int, cfg ExperimentConfig) Figure {
+	b.Helper()
+	figs, err := Figures(id, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return figs[idx]
+}
+
 func BenchmarkFig4LatencyVsCacheSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig4, _, err := Fig4And5(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig4 := benchFigure(b, "4-5", 0, benchConfig())
 		b.ReportMetric(lastY(fig4.Series[0]), "gdld-latency-s")
 		b.ReportMetric(lastY(fig4.Series[1]), "gdsize-latency-s")
 	}
@@ -45,10 +53,7 @@ func BenchmarkFig4LatencyVsCacheSize(b *testing.B) {
 
 func BenchmarkFig5ByteHitRatioVsCacheSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, fig5, err := Fig4And5(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig5 := benchFigure(b, "4-5", 1, benchConfig())
 		b.ReportMetric(lastY(fig5.Series[0]), "gdld-bhr")
 		b.ReportMetric(lastY(fig5.Series[1]), "gdsize-bhr")
 	}
@@ -56,10 +61,7 @@ func BenchmarkFig5ByteHitRatioVsCacheSize(b *testing.B) {
 
 func BenchmarkFig6ConsistencyOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig6, _, _, err := Fig6To8(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig6 := benchFigure(b, "6-8", 0, benchConfig())
 		// Ratio 1 (highest update rate), where plain-push is worst.
 		b.ReportMetric(fig6.Series[0].Y[0], "plainpush-msgs")
 		b.ReportMetric(fig6.Series[1].Y[0], "pullevery-msgs")
@@ -69,10 +71,7 @@ func BenchmarkFig6ConsistencyOverhead(b *testing.B) {
 
 func BenchmarkFig7FalseHitRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, fig7, _, err := Fig6To8(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig7 := benchFigure(b, "6-8", 1, benchConfig())
 		b.ReportMetric(fig7.Series[0].Y[0], "plainpush-fhr")
 		b.ReportMetric(fig7.Series[1].Y[0], "pullevery-fhr")
 		b.ReportMetric(fig7.Series[2].Y[0], "adaptive-fhr")
@@ -81,10 +80,7 @@ func BenchmarkFig7FalseHitRatio(b *testing.B) {
 
 func BenchmarkFig8ConsistencyLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, _, fig8, err := Fig6To8(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig8 := benchFigure(b, "6-8", 2, benchConfig())
 		b.ReportMetric(fig8.Series[0].Y[0], "plainpush-latency-s")
 		b.ReportMetric(fig8.Series[1].Y[0], "pullevery-latency-s")
 		b.ReportMetric(fig8.Series[2].Y[0], "adaptive-latency-s")
@@ -94,10 +90,7 @@ func BenchmarkFig8ConsistencyLatency(b *testing.B) {
 func BenchmarkFig9aEnergyVsNodes(b *testing.B) {
 	cfg := ExperimentConfig{Seed: 1, Duration: 400}
 	for i := 0; i < b.N; i++ {
-		fig, err := Fig9a(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := benchFigure(b, "9a", 0, cfg)
 		// Series: PReCinCt theory, PReCinCt sim, Flooding theory,
 		// Flooding sim; report the largest node count.
 		b.ReportMetric(lastY(fig.Series[1]), "precinct-mJ")
@@ -108,10 +101,7 @@ func BenchmarkFig9aEnergyVsNodes(b *testing.B) {
 func BenchmarkFig9bEnergyVsRegions(b *testing.B) {
 	cfg := ExperimentConfig{Seed: 1, Duration: 400}
 	for i := 0; i < b.N; i++ {
-		fig, err := Fig9b(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := benchFigure(b, "9b", 0, cfg)
 		b.ReportMetric(fig.Series[1].Y[0], "regions1-mJ")
 		b.ReportMetric(lastY(fig.Series[1]), "regions25-mJ")
 	}
@@ -120,10 +110,7 @@ func BenchmarkFig9bEnergyVsRegions(b *testing.B) {
 func BenchmarkExtRetrievalSchemes(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		fig, err := ExtRetrievalSchemes(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := benchFigure(b, "ext", 0, cfg)
 		b.ReportMetric(lastY(fig.Series[0]), "precinct-mJ")
 		b.ReportMetric(lastY(fig.Series[1]), "flooding-mJ")
 		b.ReportMetric(lastY(fig.Series[2]), "ring-mJ")

@@ -1,6 +1,8 @@
 // Command precinct-sim runs one PReCinCt simulation scenario and prints
 // its metrics. The scenario comes from flags, from a JSON config file
-// (-config), or both — explicitly set flags override the file.
+// (-config), or both — explicitly set flags override the file. With -fig
+// it regenerates the evaluation instead: the paper's figures, the
+// extension sweeps and the three labs, as tables, CSV or ASCII charts.
 //
 // Examples:
 //
@@ -12,20 +14,28 @@
 //	precinct-sim -config scenario.json -seed 7
 //	precinct-sim -save-config scenario.json -nodes 120
 //	precinct-sim -check -nodes 40 -duration 300
+//	precinct-sim -fig all                  # what bench_figures.txt holds
+//	precinct-sim -fig 6-8 -duration 600 -warmup 150 -format chart
 //
 // With -check the run executes under the full runtime invariant catalog
 // (DESIGN.md section 9); any violation is printed and the process exits
 // with status 2. A run is a deterministic function of its scenario, so
 // the file -save-config writes is the resume token: -config re-runs it
 // bit-identically (DESIGN.md section 10).
+//
+// A figure run takes -seed, -duration, -warmup, -nodes and -items (each
+// overrides every cell of the sweep when set), -format and -workers; any
+// other flag set beside -fig is an error, not silently ignored.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,7 +122,41 @@ func main() {
 	verbose := flag.Bool("v", false, "print protocol and radio counters too")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
+	fig := flag.String("fig", "", "regenerate evaluation figures instead of running one scenario: all | "+strings.Join(precinct.FigureIDs(), " | "))
+	format := flag.String("format", "table", "with -fig: table | csv | chart")
+	workers := flag.Int("workers", 0, "with -fig: scenarios run at once (0 = GOMAXPROCS)")
 	flag.Parse()
+
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFigureFlags(set); err != nil {
+		die(err)
+	}
+	if set["fig"] {
+		cfg := precinct.ExperimentConfig{Seed: *seed, Workers: *workers}
+		if set["duration"] {
+			cfg.Duration = *duration
+		}
+		if set["warmup"] {
+			cfg.Warmup = *warmup
+		}
+		if set["nodes"] {
+			cfg.Nodes = *nodes
+		}
+		if set["items"] {
+			cfg.Items = *items
+		}
+		stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+		if err != nil {
+			die(err)
+		}
+		err = printFigures(os.Stdout, *fig, *format, cfg)
+		stopProfiles()
+		if err != nil {
+			die(err)
+		}
+		return
+	}
 
 	if *listPolicies {
 		for _, name := range precinct.PolicyNames() {
@@ -237,6 +281,73 @@ func main() {
 			os.Exit(2)
 		}
 	}
+}
+
+// A figure run reads -fig, the flags that mean nothing without it, and
+// the flags ExperimentConfig and the profiler carry.
+var (
+	figureOnlyFlags = []string{"format", "workers"}
+	figureRunFlags  = []string{"seed", "duration", "warmup", "nodes", "items", "cpuprofile", "memprofile"}
+)
+
+// checkFigureFlags rejects a command line that mixes the two modes: set
+// holds the names of the flags given explicitly. A figure run builds its
+// own scenarios, so any other scenario flag would be ignored; so would
+// -format or -workers without -fig.
+func checkFigureFlags(set map[string]bool) error {
+	if !set["fig"] {
+		for _, name := range figureOnlyFlags {
+			if set[name] {
+				return fmt.Errorf("-%s applies only with -fig", name)
+			}
+		}
+		return nil
+	}
+	allowed := slices.Concat([]string{"fig"}, figureOnlyFlags, figureRunFlags)
+	var extra []string
+	for name := range set {
+		if !slices.Contains(allowed, name) {
+			extra = append(extra, "-"+name)
+		}
+	}
+	if len(extra) > 0 {
+		sort.Strings(extra)
+		return fmt.Errorf("%s cannot be combined with -fig: a figure run takes only -%s",
+			strings.Join(extra, ", "), strings.Join(allowed[1:], ", -"))
+	}
+	return nil
+}
+
+// printFigures runs the sweep named id (every one, in evaluation order,
+// for "all") and prints each figure as it completes.
+func printFigures(w io.Writer, id, format string, cfg precinct.ExperimentConfig) error {
+	var render func(precinct.Figure) string
+	switch format {
+	case "table":
+		render = precinct.Figure.String
+	case "csv":
+		render = func(f precinct.Figure) string { return fmt.Sprintf("# %s: %s\n%s", f.ID, f.Title, f.CSV()) }
+	case "chart":
+		render = func(f precinct.Figure) string { return f.Chart(60, 16) }
+	default:
+		return fmt.Errorf("unknown -format %q (table | csv | chart)", format)
+	}
+	ids := []string{id}
+	if id == "all" {
+		ids = precinct.FigureIDs()
+	}
+	for _, id := range ids {
+		figs, err := precinct.Figures(id, cfg)
+		if err != nil {
+			return err
+		}
+		for _, f := range figs {
+			if _, err := fmt.Fprintln(w, render(f)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func die(err error) {

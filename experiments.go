@@ -2,10 +2,13 @@ package precinct
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"strings"
 
 	"precinct/internal/analysis"
 	"precinct/internal/energy"
+	"precinct/internal/workload"
 )
 
 // Series is one labeled curve of a figure.
@@ -22,6 +25,10 @@ type Figure struct {
 	Title  string
 	XLabel string
 	YLabel string
+	// Rows names the rows of a categorical x axis (a policy, a workload
+	// source); every series' X is then the row index. Nil on a numeric
+	// axis.
+	Rows   []string
 	Series []Series
 }
 
@@ -37,7 +44,11 @@ func (f Figure) String() string {
 		return out
 	}
 	for i := range f.Series[0].X {
-		out += fmt.Sprintf("%12.3g", f.Series[0].X[i])
+		if i < len(f.Rows) {
+			out += fmt.Sprintf("%12s", f.Rows[i])
+		} else {
+			out += fmt.Sprintf("%12.6g", f.Series[0].X[i])
+		}
 		for _, s := range f.Series {
 			if i < len(s.Y) {
 				out += fmt.Sprintf("  %22.6g", s.Y[i])
@@ -69,7 +80,9 @@ func (f Figure) CSV() string {
 		}
 	}
 	for i := 0; i < rows; i++ {
-		if i < len(f.Series[0].X) {
+		if i < len(f.Rows) {
+			b.WriteString(csvEscape(f.Rows[i]))
+		} else if i < len(f.Series[0].X) {
 			fmt.Fprintf(&b, "%g", f.Series[0].X[i])
 		}
 		for _, s := range f.Series {
@@ -101,7 +114,8 @@ type ExperimentConfig struct {
 	// Duration and Warmup override the simulated time when positive.
 	Duration float64
 	Warmup   float64
-	// Nodes overrides the scenario node count when positive.
+	// Nodes overrides the scenario node count when positive. Where the
+	// node count is the x axis it caps the axis instead.
 	Nodes int
 	// Items overrides the catalog size when positive.
 	Items int
@@ -114,10 +128,8 @@ func (c ExperimentConfig) apply(s *Scenario) {
 	if c.Duration > 0 {
 		s.Duration = c.Duration
 	}
-	if c.Warmup >= 0 && c.Warmup < s.Duration {
-		if c.Warmup > 0 {
-			s.Warmup = c.Warmup
-		}
+	if c.Warmup > 0 && c.Warmup < s.Duration {
+		s.Warmup = c.Warmup
 	}
 	if s.Warmup >= s.Duration {
 		s.Warmup = s.Duration / 4
@@ -130,138 +142,215 @@ func (c ExperimentConfig) apply(s *Scenario) {
 	}
 }
 
-// CachePercents are the cache sizes (fraction of the database) Figures 4
-// and 5 sweep.
-var CachePercents = []float64{0.005, 0.010, 0.015, 0.020, 0.025}
-
-// cacheScenario is the Figures 4/5 environment: 80 nodes at 6 m/s.
-func cacheScenario(policy string, frac float64) Scenario {
-	s := DefaultScenario()
-	s.Name = fmt.Sprintf("cache/%s/%.3f", policy, frac)
-	s.Nodes = 80
-	s.MaxSpeed = 6
-	s.Policy = policy
-	s.CacheFraction = frac
-	s.UpdateInterval = 0
-	s.Consistency = "none"
-	return s
+// grid is one sweep of the evaluation: every (series, x) pair is one
+// scenario, all of them run through one Sweep, and every metric reads the
+// same cells into one Figure. The paper's figures, the extension sweeps
+// and the three labs are rows of the grids table below.
+type grid struct {
+	id       string // what Figures and `precinct-sim -fig` select it by
+	xlabel   string
+	xs       []float64
+	rows     []string // a categorical x axis: cell receives the row index, xs is unused
+	nodeAxis bool     // x is the node count: ExperimentConfig.Nodes caps the axis, not the cells
+	nodes    int      // the cells' node count unless ExperimentConfig.Nodes sets it; 0: cell's own
+	// cell builds the scenario at x, for nodes nodes where its geometry
+	// follows the node count.
+	cell    func(x float64, nodes int) Scenario
+	series  []gridSeries
+	metrics []gridMetric
+	// prepare runs once over the built cells before the sweep, for what
+	// a cell constructor cannot do (the workload lab's trace file).
+	prepare func(cells []Scenario) (cleanup func(), err error)
 }
 
-// Fig4And5 reproduces Figure 4 (latency vs cache size) and Figure 5
-// (byte hit ratio vs cache size) for GD-LD vs GD-Size from one sweep.
-func Fig4And5(cfg ExperimentConfig) (fig4, fig5 Figure, err error) {
-	policies := []string{"GD-LD", "GD-Size"}
-	keys := []string{"gd-ld", "gd-size"}
-	var scenarios []Scenario
-	for _, key := range keys {
-		for _, frac := range CachePercents {
-			s := cacheScenario(key, frac)
-			cfg.apply(&s)
-			scenarios = append(scenarios, s)
-		}
-	}
-	results, err := Sweep(scenarios, cfg.Workers)
-	if err != nil {
-		return Figure{}, Figure{}, err
-	}
-	fig4 = Figure{ID: "fig4", Title: "Variation of latency with cache size (80 nodes, 6 m/s)",
-		XLabel: "cache %", YLabel: "latency/request (s)"}
-	fig5 = Figure{ID: "fig5", Title: "Variation of byte hit ratio with cache size",
-		XLabel: "cache %", YLabel: "byte hit ratio"}
-	idx := 0
-	for pi := range keys {
-		lat := Series{Label: policies[pi]}
-		bhr := Series{Label: policies[pi]}
-		for _, frac := range CachePercents {
-			r := results[idx].Report
-			idx++
-			lat.X = append(lat.X, frac*100)
-			lat.Y = append(lat.Y, r.MeanLatency)
-			bhr.X = append(bhr.X, frac*100)
-			bhr.Y = append(bhr.Y, r.ByteHitRatio)
-		}
-		fig4.Series = append(fig4.Series, lat)
-		fig5.Series = append(fig5.Series, bhr)
-	}
-	return fig4, fig5, nil
+// gridSeries is one curve: what set changes on the cell, and optionally
+// the closed form plotted beside it (Figures 9a and 9b).
+type gridSeries struct {
+	label  string
+	set    func(*Scenario)
+	theory func(base analysis.Params, xs []int) ([]analysis.Point, error)
 }
 
-// UpdateRatios are the T_update/T_request points of Figures 6–8.
-var UpdateRatios = []float64{1, 2, 3, 4, 5}
-
-// consistencyScenario is the Figures 6–8 environment.
-func consistencyScenario(scheme string, ratio float64) Scenario {
-	s := DefaultScenario()
-	s.Name = fmt.Sprintf("consistency/%s/%.0f", scheme, ratio)
-	s.Nodes = 80
-	s.MaxSpeed = 6
-	s.Consistency = scheme
-	s.UpdateInterval = s.RequestInterval * ratio
-	return s
+// gridMetric is one output figure: the quantity it reads from each cell.
+type gridMetric struct {
+	id, title, ylabel string
+	of                func(Report) float64
 }
 
-// Fig6To8 reproduces Figure 6 (control message overhead), Figure 7 (false
-// hit ratio) and Figure 8 (latency) versus the update rate for the three
-// consistency schemes, from one sweep.
-func Fig6To8(cfg ExperimentConfig) (fig6, fig7, fig8 Figure, err error) {
-	labels := []string{"Plain-Push", "Pull-Every-time", "Push-with-Adaptive-Pull"}
-	keys := []string{"plain-push", "pull-every-time", "push-adaptive-pull"}
-	var scenarios []Scenario
-	for _, key := range keys {
-		for _, ratio := range UpdateRatios {
-			s := consistencyScenario(key, ratio)
-			cfg.apply(&s)
-			scenarios = append(scenarios, s)
-		}
+func ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
 	}
-	results, err := Sweep(scenarios, cfg.Workers)
-	if err != nil {
-		return Figure{}, Figure{}, Figure{}, err
-	}
-	fig6 = Figure{ID: "fig6", Title: "Effect of update rate on control message overhead",
-		XLabel: "Tupd/Treq", YLabel: "control messages"}
-	fig7 = Figure{ID: "fig7", Title: "Effect of update rate on false hit ratio",
-		XLabel: "Tupd/Treq", YLabel: "false hit ratio"}
-	fig8 = Figure{ID: "fig8", Title: "Effect of update rate on latency per request",
-		XLabel: "Tupd/Treq", YLabel: "latency/request (s)"}
-	idx := 0
-	for si := range keys {
-		ctrl := Series{Label: labels[si]}
-		fhr := Series{Label: labels[si]}
-		lat := Series{Label: labels[si]}
-		for _, ratio := range UpdateRatios {
-			r := results[idx].Report
-			idx++
-			ctrl.X = append(ctrl.X, ratio)
-			ctrl.Y = append(ctrl.Y, float64(r.ControlMessages))
-			fhr.X = append(fhr.X, ratio)
-			fhr.Y = append(fhr.Y, r.FalseHitRatio)
-			lat.X = append(lat.X, ratio)
-			lat.Y = append(lat.Y, r.MeanLatency)
-		}
-		fig6.Series = append(fig6.Series, ctrl)
-		fig7.Series = append(fig7.Series, fhr)
-		fig8.Series = append(fig8.Series, lat)
-	}
-	return fig6, fig7, fig8, nil
+	return float64(num) / float64(den)
 }
 
-// Fig9aNodes are the node counts of Figure 9(a).
-var Fig9aNodes = []int{20, 40, 60, 80}
+var (
+	meanLatency = func(r Report) float64 { return r.MeanLatency }
+	byteHit     = func(r Report) float64 { return r.ByteHitRatio }
+	energyMJ    = func(r Report) float64 { return r.EnergyPerRequest }
+	p95Latency  = func(r Report) float64 { return r.P95Latency }
+	requests    = func(r Report) float64 { return float64(r.Requests) }
+
+	policySeries = []gridSeries{
+		{label: "GD-LD", set: func(s *Scenario) { s.Policy = "gd-ld" }},
+		{label: "GD-Size", set: func(s *Scenario) { s.Policy = "gd-size" }},
+	}
+	// The workload lab's rows: stationary, non-stationary, trace replay.
+	workloadLabKinds = []string{"default", "flash-crowd", "diurnal", "hotspot", "rank-churn", "trace"}
+)
+
+// labMetrics are the columns the workload and policy labs report, the
+// axes the replacement-policy surveys compare on (PAPERS.md).
+func labMetrics(id, title string) []gridMetric {
+	return []gridMetric{
+		{id + "-requests", title + ": requests issued", "requests", requests},
+		{id + "-bhr", title + ": byte hit ratio", "byte hit ratio", byteHit},
+		{id + "-latency", title + ": mean latency", "latency/request (s)", meanLatency},
+		{id + "-p95", title + ": p95 latency", "p95 latency (s)", p95Latency},
+		{id + "-search", title + ": search messages", "search messages", func(r Report) float64 { return float64(r.SearchMessages) }},
+	}
+}
+
+// grids is the whole evaluation, in the order `-fig all` prints it.
+var grids = []grid{
+	{ // Figures 4 and 5: the default 80 nodes at 6 m/s, no updates, over cache size.
+		id: "4-5", xlabel: "cache %", xs: []float64{0.5, 1, 1.5, 2, 2.5},
+		cell: func(pct float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.CacheFraction = pct / 100
+			return s
+		},
+		series: policySeries,
+		metrics: []gridMetric{
+			{"fig4", "Variation of latency with cache size (80 nodes, 6 m/s)", "latency/request (s)", meanLatency},
+			{"fig5", "Variation of byte hit ratio with cache size", "byte hit ratio", byteHit},
+		},
+	},
+	{ // Figures 6-8: the three consistency schemes over T_update/T_request.
+		id: "6-8", xlabel: "Tupd/Treq", xs: []float64{1, 2, 3, 4, 5},
+		cell: func(k float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.UpdateInterval = s.RequestInterval * k
+			return s
+		},
+		series: []gridSeries{
+			{label: "Plain-Push", set: func(s *Scenario) { s.Consistency = "plain-push" }},
+			{label: "Pull-Every-time", set: func(s *Scenario) { s.Consistency = "pull-every-time" }},
+			{label: "Push-with-Adaptive-Pull", set: func(s *Scenario) { s.Consistency = "push-adaptive-pull" }},
+		},
+		metrics: []gridMetric{
+			{"fig6", "Effect of update rate on control message overhead", "control messages", func(r Report) float64 { return float64(r.ControlMessages) }},
+			{"fig7", "Effect of update rate on false hit ratio", "false hit ratio", func(r Report) float64 { return r.FalseHitRatio }},
+			{"fig8", "Effect of update rate on latency per request", "latency/request (s)", meanLatency},
+		},
+	},
+	{ // Figure 9(a): simulated energy next to Section 5's Equations 11 and 13.
+		id: "9a", xlabel: "nodes", xs: []float64{20, 40, 60, 80}, nodeAxis: true,
+		cell: func(n float64, _ int) Scenario { return validationScenario(int(n), 9) },
+		series: []gridSeries{
+			{label: "PReCinCt", set: func(s *Scenario) { s.Retrieval = "precinct" }, theory: analysis.PReCinCtVsNodes},
+			{label: "Flooding", set: func(s *Scenario) { s.Retrieval = "flooding" }, theory: analysis.FloodingVsNodes},
+		},
+		metrics: []gridMetric{{"fig9a", "Energy per request vs nodes (600x600 static)", "energy/request (mJ)", energyMJ}},
+	},
+	{ // Figure 9(b): energy versus the number of regions at 20 nodes.
+		id: "9b", xlabel: "regions", xs: []float64{1, 4, 9, 16, 25}, nodes: 20,
+		cell:    func(k float64, nodes int) Scenario { return validationScenario(nodes, int(k)) },
+		series:  []gridSeries{{label: "PReCinCt", theory: analysis.PReCinCtVsRegions}},
+		metrics: []gridMetric{{"fig9b", "Energy per request vs number of regions (static)", "energy/request (mJ)", energyMJ}},
+	},
+	{ // The comparison the paper inherits from its companion workshop paper [11].
+		id: "ext", xlabel: "nodes", xs: []float64{40, 80, 120, 160}, nodeAxis: true,
+		cell: func(n float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.Nodes = int(n)
+			return s
+		},
+		series: []gridSeries{
+			{label: "PReCinCt", set: func(s *Scenario) { s.Retrieval = "precinct" }},
+			{label: "Flooding", set: func(s *Scenario) { s.Retrieval = "flooding" }},
+			{label: "Expanding ring", set: func(s *Scenario) { s.Retrieval = "expanding-ring" }},
+		},
+		metrics: []gridMetric{{"ext", "Energy per request vs nodes by retrieval scheme (mobile)", "energy/request (mJ)", energyMJ}},
+	},
+	{ // The speeds the paper simulates (2-20 m/s, Section 6.1) but does not plot.
+		id: "speed", xlabel: "m/s", xs: []float64{2, 8, 12, 16, 20},
+		cell: func(v float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.MaxSpeed = v
+			return s
+		},
+		series: []gridSeries{{label: "PReCinCt"}},
+		metrics: []gridMetric{
+			{"ext-speed-latency", "Latency per request vs max speed", "latency (s)", meanLatency},
+			{"ext-speed-failures", "Failure rate vs max speed", "failure rate", func(r Report) float64 { return ratio(r.Failures, r.Requests) }},
+		},
+	},
+	{ // Request skew: the knob that bounds what a cooperative cache can do.
+		id: "zipf", xlabel: "theta", xs: []float64{0, 0.4, 0.8, 1.2},
+		cell: func(theta float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.ZipfTheta = theta
+			return s
+		},
+		series:  policySeries,
+		metrics: []gridMetric{{"ext-zipf", "Byte hit ratio vs request skew", "byte hit ratio", byteHit}},
+	},
+	{ // Policy lab (DESIGN.md section 16): every registered policy at the
+		// 1000-node cell, under a third of the default per-peer cache so the
+		// aggregate cache does not cover the catalog and the policies separate.
+		id: "policies", xlabel: "policy", rows: PolicyNames(), nodes: 1000,
+		cell: func(i float64, nodes int) Scenario {
+			s := scaleScenario(nodes)
+			s.Policy = PolicyNames()[int(i)]
+			s.CacheFraction = 0.005
+			return s
+		},
+		series: []gridSeries{
+			{label: "default"},
+			{label: "flash-crowd", set: func(s *Scenario) { s.Workload = "flash-crowd" }},
+			{label: "default k=2", set: func(s *Scenario) { s.Replicas = 2 }},
+		},
+		metrics: labMetrics("lab-policies", "Policy lab"),
+	},
+	{ // Workload lab (DESIGN.md section 15): every source at the same cell.
+		id: "workloads", xlabel: "workload", rows: workloadLabKinds, nodes: 1000,
+		cell: func(i float64, nodes int) Scenario {
+			s := scaleScenario(nodes)
+			s.Workload = workloadLabKinds[int(i)]
+			return s
+		},
+		series:  []gridSeries{{label: "PReCinCt"}},
+		metrics: labMetrics("lab-workloads", "Workload lab"),
+		prepare: writeLabTrace,
+	},
+	{ // Scale grid (DESIGN.md section 14): constant density, N x frame loss.
+		id: "scale", xlabel: "nodes", xs: []float64{250, 500, 1000, 2000, 10000}, nodeAxis: true,
+		cell: func(n float64, _ int) Scenario { return scaleScenario(int(n)) },
+		series: []gridSeries{
+			{label: "loss 0"},
+			{label: "loss 0.1", set: func(s *Scenario) { s.LossRate = 0.1 }},
+			{label: "loss 0.3", set: func(s *Scenario) { s.LossRate = 0.3 }},
+		},
+		metrics: []gridMetric{
+			{"scale-requests", "Scale grid: requests issued", "requests", requests},
+			{"scale-success", "Scale grid: success ratio", "completed/requests", func(r Report) float64 { return ratio(r.Completed, r.Requests) }},
+			{"scale-bhr", "Scale grid: byte hit ratio", "byte hit ratio", byteHit},
+			{"scale-latency", "Scale grid: mean latency", "latency/request (s)", meanLatency},
+			{"scale-p95", "Scale grid: p95 latency", "p95 latency (s)", p95Latency},
+		},
+	},
+}
 
 // validationScenario is the Section 6.2.3 static validation topology:
-// 600×600 m, no dynamic cache, no updates, no warmup.
-func validationScenario(retrieval string, nodes, regions int) Scenario {
+// 600×600 m, no dynamic cache, no updates (the default), no warmup.
+func validationScenario(nodes, regions int) Scenario {
 	s := DefaultScenario()
-	s.Name = fmt.Sprintf("validate/%s/n%d/r%d", retrieval, nodes, regions)
 	s.Mobile = false
 	s.AreaSide = 600
 	s.Nodes = nodes
 	s.Regions = regions
-	s.Retrieval = retrieval
 	s.CacheFraction = -1
-	s.UpdateInterval = 0
-	s.Consistency = "none"
 	s.Replication = false
 	s.EnRoute = false
 	s.Warmup = 0
@@ -282,240 +371,151 @@ func analysisParams(s Scenario) analysis.Params {
 	}
 }
 
-// Fig9a reproduces Figure 9(a): energy per request versus node count for
-// flooding and PReCinCt, simulation next to the Section 5 theory.
-func Fig9a(cfg ExperimentConfig) (Figure, error) {
-	nodes := Fig9aNodes
-	if cfg.Nodes > 0 {
-		// A nodes override caps the sweep for cheap benchmark runs.
-		nodes = nil
-		for _, n := range Fig9aNodes {
-			if n <= cfg.Nodes {
-				nodes = append(nodes, n)
-			}
-		}
-		if len(nodes) == 0 {
-			nodes = []int{cfg.Nodes}
-		}
+// scaleScenario is one cell of the scale tier: n nodes at the paper's
+// density (the area grows with sqrt(n), ~400 m grid regions) for 300
+// simulated seconds.
+func scaleScenario(n int) Scenario {
+	s := DefaultScenario()
+	s.Nodes = n
+	s.AreaSide = 1200 * math.Sqrt(float64(n)/80)
+	rows := int(math.Round(s.AreaSide / 400))
+	if rows < 3 {
+		rows = 3
 	}
-	var scenarios []Scenario
-	for _, scheme := range []string{"precinct", "flooding"} {
-		for _, n := range nodes {
-			s := validationScenario(scheme, n, 9)
-			c := cfg
-			c.Nodes = 0 // node count is the x axis; don't override
-			c.apply(&s)
-			scenarios = append(scenarios, s)
-		}
-	}
-	results, err := Sweep(scenarios, cfg.Workers)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{ID: "fig9a", Title: "Energy per request vs nodes (600x600 static)",
-		XLabel: "nodes", YLabel: "energy/request (mJ)"}
-	simPC := Series{Label: "PReCinCt sim"}
-	simFL := Series{Label: "Flooding sim"}
-	idx := 0
-	for _, n := range nodes {
-		r := results[idx].Report
-		idx++
-		simPC.X = append(simPC.X, float64(n))
-		simPC.Y = append(simPC.Y, r.EnergyPerRequest)
-	}
-	for _, n := range nodes {
-		r := results[idx].Report
-		idx++
-		simFL.X = append(simFL.X, float64(n))
-		simFL.Y = append(simFL.Y, r.EnergyPerRequest)
-	}
-	base := analysisParams(validationScenario("precinct", nodes[0], 9))
-	thPC, err := analysis.PReCinCtVsNodes(base, nodes)
-	if err != nil {
-		return Figure{}, err
-	}
-	thFL, err := analysis.FloodingVsNodes(base, nodes)
-	if err != nil {
-		return Figure{}, err
-	}
-	theoryPC := Series{Label: "PReCinCt theory"}
-	theoryFL := Series{Label: "Flooding theory"}
-	for i := range thPC {
-		theoryPC.X = append(theoryPC.X, thPC[i].X)
-		theoryPC.Y = append(theoryPC.Y, thPC[i].Y)
-		theoryFL.X = append(theoryFL.X, thFL[i].X)
-		theoryFL.Y = append(theoryFL.Y, thFL[i].Y)
-	}
-	fig.Series = []Series{theoryPC, simPC, theoryFL, simFL}
-	return fig, nil
+	s.Regions = rows * rows
+	s.Duration = 300
+	s.Warmup = 60
+	return s
 }
 
-// Fig9bRegions are the region counts of Figure 9(b).
-var Fig9bRegions = []int{1, 4, 9, 16, 25}
+// writeLabTrace materializes the synthetic cachelib-format trace the
+// workload lab's trace cell replays (catalog-sized key population,
+// paper-range skew and item sizes, a modest write mix, pinned seed), so
+// the lab does not depend on a multi-megabyte committed file.
+func writeLabTrace(cells []Scenario) (func(), error) {
+	f, err := os.CreateTemp("", "precinct-workloadlab-*.csv")
+	if err != nil {
+		return nil, err
+	}
+	cleanup := func() { os.Remove(f.Name()) }
+	err = workload.WriteSyntheticTrace(f, workload.SyntheticTraceConfig{
+		Ops: 50000, Keys: 1000, ZipfTheta: 0.8,
+		SetFraction: 0.1, DeleteFraction: 0.02,
+		MinSize: 1024, MaxSize: 10 * 1024, Seed: 1,
+	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		cleanup()
+		return nil, err
+	}
+	for i := range cells {
+		if cells[i].Workload == workload.KindTrace {
+			cells[i].TracePath = f.Name()
+		}
+	}
+	return cleanup, nil
+}
 
-// Fig9b reproduces Figure 9(b): PReCinCt energy per request versus the
-// number of regions at 20 nodes, simulation next to theory.
-func Fig9b(cfg ExperimentConfig) (Figure, error) {
-	nodes := 20
+// FigureIDs lists what Figures accepts, in evaluation order: the paper's
+// figures ("4-5", "6-8", "9a", "9b"), the extension sweeps ("ext",
+// "speed", "zipf") and the three labs ("policies", "workloads", "scale").
+func FigureIDs() []string {
+	ids := make([]string, len(grids))
+	for i, g := range grids {
+		ids[i] = g.id
+	}
+	return ids
+}
+
+// Figures runs the sweep named id and returns one Figure per metric it
+// reports, all read from the same cells.
+func Figures(id string, cfg ExperimentConfig) ([]Figure, error) {
+	for _, g := range grids {
+		if g.id == id {
+			return g.run(cfg)
+		}
+	}
+	return nil, fmt.Errorf("precinct: unknown figure %q (have %s)", id, strings.Join(FigureIDs(), ", "))
+}
+
+func (g grid) run(cfg ExperimentConfig) ([]Figure, error) {
+	xs := g.xs
+	if g.rows != nil {
+		xs = make([]float64, len(g.rows))
+		for i := range xs {
+			xs[i] = float64(i)
+		}
+	}
+	if g.nodeAxis && cfg.Nodes > 0 {
+		var capped []float64
+		for _, n := range xs {
+			if n <= float64(cfg.Nodes) {
+				capped = append(capped, n)
+			}
+		}
+		if capped == nil {
+			capped = []float64{float64(cfg.Nodes)}
+		}
+		xs, cfg.Nodes = capped, 0
+	}
+	nodes := g.nodes
 	if cfg.Nodes > 0 {
 		nodes = cfg.Nodes
 	}
-	var scenarios []Scenario
-	for _, k := range Fig9bRegions {
-		s := validationScenario("precinct", nodes, k)
-		c := cfg
-		c.Nodes = 0
-		c.apply(&s)
-		scenarios = append(scenarios, s)
-	}
-	results, err := Sweep(scenarios, cfg.Workers)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{ID: "fig9b", Title: "Energy per request vs number of regions (static)",
-		XLabel: "regions", YLabel: "energy/request (mJ)"}
-	simS := Series{Label: "PReCinCt sim"}
-	for i, k := range Fig9bRegions {
-		simS.X = append(simS.X, float64(k))
-		simS.Y = append(simS.Y, results[i].Report.EnergyPerRequest)
-	}
-	base := analysisParams(validationScenario("precinct", nodes, 9))
-	th, err := analysis.PReCinCtVsRegions(base, Fig9bRegions)
-	if err != nil {
-		return Figure{}, err
-	}
-	thS := Series{Label: "PReCinCt theory"}
-	for _, p := range th {
-		thS.X = append(thS.X, p.X)
-		thS.Y = append(thS.Y, p.Y)
-	}
-	fig.Series = []Series{thS, simS}
-	return fig, nil
-}
-
-// ExtSpeedSweep measures latency and failure rate across the maximum
-// node speeds the paper simulates (2–20 m/s, Section 6.1), an extension
-// series the paper describes but does not plot.
-func ExtSpeedSweep(cfg ExperimentConfig) (latFig, failFig Figure, err error) {
-	speeds := []float64{2, 8, 12, 16, 20}
-	var scenarios []Scenario
-	for _, v := range speeds {
-		s := DefaultScenario()
-		s.Name = fmt.Sprintf("speed/%.0f", v)
-		s.MaxSpeed = v
-		cfg.apply(&s)
-		scenarios = append(scenarios, s)
-	}
-	results, err := Sweep(scenarios, cfg.Workers)
-	if err != nil {
-		return Figure{}, Figure{}, err
-	}
-	latFig = Figure{ID: "ext-speed-latency", Title: "Latency per request vs max speed",
-		XLabel: "m/s", YLabel: "latency (s)"}
-	failFig = Figure{ID: "ext-speed-failures", Title: "Failure rate vs max speed",
-		XLabel: "m/s", YLabel: "failure rate"}
-	lat := Series{Label: "PReCinCt"}
-	fail := Series{Label: "PReCinCt"}
-	for i, v := range speeds {
-		r := results[i].Report
-		lat.X = append(lat.X, v)
-		lat.Y = append(lat.Y, r.MeanLatency)
-		fail.X = append(fail.X, v)
-		rate := 0.0
-		if r.Requests > 0 {
-			rate = float64(r.Failures) / float64(r.Requests)
-		}
-		fail.Y = append(fail.Y, rate)
-	}
-	latFig.Series = []Series{lat}
-	failFig.Series = []Series{fail}
-	return latFig, failFig, nil
-}
-
-// ExtZipfSweep measures the byte hit ratio across request skews — the
-// knob that controls how much a cooperative cache can possibly help.
-func ExtZipfSweep(cfg ExperimentConfig) (Figure, error) {
-	thetas := []float64{0, 0.4, 0.8, 1.2}
-	policies := []string{"gd-ld", "gd-size"}
-	labels := []string{"GD-LD", "GD-Size"}
-	var scenarios []Scenario
-	for _, policy := range policies {
-		for _, theta := range thetas {
-			s := DefaultScenario()
-			s.Name = fmt.Sprintf("zipf/%s/%.1f", policy, theta)
-			s.Policy = policy
-			s.ZipfTheta = theta
-			cfg.apply(&s)
-			scenarios = append(scenarios, s)
-		}
-	}
-	results, err := Sweep(scenarios, cfg.Workers)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{ID: "ext-zipf", Title: "Byte hit ratio vs request skew",
-		XLabel: "theta", YLabel: "byte hit ratio"}
-	idx := 0
-	for pi := range policies {
-		s := Series{Label: labels[pi]}
-		for _, theta := range thetas {
-			s.X = append(s.X, theta)
-			s.Y = append(s.Y, results[idx].Report.ByteHitRatio)
-			idx++
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// ExtRetrievalSchemes reproduces the comparison the paper inherits from
-// its companion workshop paper [11]: energy per request for PReCinCt,
-// flooding and expanding ring across node counts on the mobile topology.
-func ExtRetrievalSchemes(cfg ExperimentConfig) (Figure, error) {
-	counts := []int{40, 80, 120, 160}
-	if cfg.Nodes > 0 {
-		counts = nil
-		for _, n := range []int{40, 80, 120, 160} {
-			if n <= cfg.Nodes {
-				counts = append(counts, n)
+	var cells []Scenario
+	for _, sr := range g.series {
+		for _, x := range xs {
+			s := g.cell(x, nodes)
+			if sr.set != nil {
+				sr.set(&s)
 			}
-		}
-		if len(counts) == 0 {
-			counts = []int{cfg.Nodes}
-		}
-	}
-	schemes := []string{"precinct", "flooding", "expanding-ring"}
-	labels := []string{"PReCinCt", "Flooding", "Expanding ring"}
-	var scenarios []Scenario
-	for _, scheme := range schemes {
-		for _, n := range counts {
-			s := DefaultScenario()
-			s.Name = fmt.Sprintf("ext/%s/n%d", scheme, n)
-			s.Retrieval = scheme
-			s.Nodes = n
-			s.UpdateInterval = 0
-			s.Consistency = "none"
-			c := cfg
-			c.Nodes = 0
-			c.apply(&s)
-			scenarios = append(scenarios, s)
+			s.Name = fmt.Sprintf("%s/%s/%g", g.id, sr.label, x)
+			cfg.apply(&s)
+			cells = append(cells, s)
 		}
 	}
-	results, err := Sweep(scenarios, cfg.Workers)
+	if g.prepare != nil {
+		cleanup, err := g.prepare(cells)
+		if err != nil {
+			return nil, err
+		}
+		defer cleanup()
+	}
+	results, err := Sweep(cells, cfg.Workers)
 	if err != nil {
-		return Figure{}, err
+		return nil, err
 	}
-	fig := Figure{ID: "ext", Title: "Energy per request vs nodes by retrieval scheme (mobile)",
-		XLabel: "nodes", YLabel: "energy/request (mJ)"}
-	idx := 0
-	for si := range schemes {
-		s := Series{Label: labels[si]}
-		for _, n := range counts {
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, results[idx].Report.EnergyPerRequest)
-			idx++
+	figs := make([]Figure, len(g.metrics))
+	for mi, m := range g.metrics {
+		fig := Figure{ID: m.id, Title: m.title, XLabel: g.xlabel, YLabel: m.ylabel, Rows: append([]string(nil), g.rows...)}
+		for si, sr := range g.series {
+			first := si * len(xs)
+			sim := Series{Label: sr.label, X: append([]float64(nil), xs...)}
+			for i := range xs {
+				sim.Y = append(sim.Y, m.of(results[first+i].Report))
+			}
+			if sr.theory != nil {
+				ints := make([]int, len(xs))
+				for i, x := range xs {
+					ints[i] = int(x)
+				}
+				points, err := sr.theory(analysisParams(cells[first]), ints)
+				if err != nil {
+					return nil, err
+				}
+				th := Series{Label: sr.label + " theory"}
+				for _, p := range points {
+					th.X = append(th.X, p.X)
+					th.Y = append(th.Y, p.Y)
+				}
+				fig.Series = append(fig.Series, th)
+				sim.Label += " sim"
+			}
+			fig.Series = append(fig.Series, sim)
 		}
-		fig.Series = append(fig.Series, s)
+		figs[mi] = fig
 	}
-	return fig, nil
+	return figs, nil
 }

@@ -1,6 +1,7 @@
 package precinct
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -17,21 +18,84 @@ func tinyConfig() ExperimentConfig {
 	}
 }
 
-func TestFig4And5Structure(t *testing.T) {
-	fig4, fig5, err := Fig4And5(tinyConfig())
+// figures runs one grid and fails the test unless it yields want figures.
+func figures(t *testing.T, id string, cfg ExperimentConfig, want int) []Figure {
+	t.Helper()
+	figs, err := Figures(id, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fig := range []Figure{fig4, fig5} {
+	if len(figs) != want {
+		t.Fatalf("Figures(%q): %d figures, want %d", id, len(figs), want)
+	}
+	return figs
+}
+
+// TestFiguresEveryID runs every grid at the tiny config and checks what
+// any figure must satisfy: at least one series, X and Y of equal length,
+// every value finite. It is the only test of the three lab grids' shape.
+func TestFiguresEveryID(t *testing.T) {
+	for _, id := range FigureIDs() {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			figs, err := Figures(id, tinyConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(figs) == 0 {
+				t.Fatal("no figures")
+			}
+			for _, fig := range figs {
+				if len(fig.Series) == 0 {
+					t.Errorf("%s: no series", fig.ID)
+				}
+				for _, s := range fig.Series {
+					if len(s.X) == 0 || len(s.X) != len(s.Y) {
+						t.Errorf("%s %s: x/y lengths %d/%d", fig.ID, s.Label, len(s.X), len(s.Y))
+					}
+					if fig.Rows != nil && len(fig.Rows) != len(s.X) {
+						t.Errorf("%s %s: %d rows for %d points", fig.ID, s.Label, len(fig.Rows), len(s.X))
+					}
+					for i, y := range s.Y {
+						if math.IsNaN(y) || math.IsInf(y, 0) {
+							t.Errorf("%s %s: y[%d] = %v", fig.ID, s.Label, i, y)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFiguresUnknownID: an id no grid answers to is an error that lists
+// the ids that exist, not an empty result.
+func TestFiguresUnknownID(t *testing.T) {
+	figs, err := Figures("12", tinyConfig())
+	if err == nil {
+		t.Fatalf("Figures(\"12\") returned %d figures and no error", len(figs))
+	}
+	for _, id := range FigureIDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list id %q", err, id)
+		}
+	}
+}
+
+func TestFig4And5Structure(t *testing.T) {
+	figs := figures(t, "4-5", tinyConfig(), 2)
+	fig4, fig5 := figs[0], figs[1]
+	cachePercents := []float64{0.5, 1, 1.5, 2, 2.5}
+	for _, fig := range figs {
 		if len(fig.Series) != 2 {
 			t.Fatalf("%s: %d series, want 2", fig.ID, len(fig.Series))
 		}
 		for _, s := range fig.Series {
-			if len(s.X) != len(CachePercents) || len(s.Y) != len(s.X) {
+			if len(s.X) != len(cachePercents) || len(s.Y) != len(s.X) {
 				t.Fatalf("%s %s: x/y lengths %d/%d", fig.ID, s.Label, len(s.X), len(s.Y))
 			}
 			for i, x := range s.X {
-				if x != CachePercents[i]*100 {
+				if x != cachePercents[i] {
 					t.Errorf("%s: x[%d] = %v", fig.ID, i, x)
 				}
 			}
@@ -51,16 +115,14 @@ func TestFig4And5Structure(t *testing.T) {
 }
 
 func TestFig6To8Structure(t *testing.T) {
-	fig6, fig7, fig8, err := Fig6To8(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fig := range []Figure{fig6, fig7, fig8} {
+	figs := figures(t, "6-8", tinyConfig(), 3)
+	fig6 := figs[0]
+	for _, fig := range figs {
 		if len(fig.Series) != 3 {
 			t.Fatalf("%s: %d series", fig.ID, len(fig.Series))
 		}
 		for _, s := range fig.Series {
-			if len(s.Y) != len(UpdateRatios) {
+			if len(s.Y) != 5 {
 				t.Fatalf("%s %s: %d points", fig.ID, s.Label, len(s.Y))
 			}
 		}
@@ -74,10 +136,7 @@ func TestFig6To8Structure(t *testing.T) {
 
 func TestFig9aStructure(t *testing.T) {
 	cfg := ExperimentConfig{Seed: 3, Duration: 150, Nodes: 40}
-	fig, err := Fig9a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figures(t, "9a", cfg, 1)[0]
 	if len(fig.Series) != 4 {
 		t.Fatalf("%d series, want 4 (theory+sim per scheme)", len(fig.Series))
 	}
@@ -96,10 +155,7 @@ func TestFig9aStructure(t *testing.T) {
 
 func TestFig9bStructure(t *testing.T) {
 	cfg := ExperimentConfig{Seed: 3, Duration: 150}
-	fig, err := Fig9b(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figures(t, "9b", cfg, 1)[0]
 	if len(fig.Series) != 2 {
 		t.Fatalf("%d series, want 2", len(fig.Series))
 	}
@@ -118,11 +174,7 @@ func TestFig9bStructure(t *testing.T) {
 }
 
 func TestExtRetrievalSchemesStructure(t *testing.T) {
-	cfg := tinyConfig()
-	fig, err := ExtRetrievalSchemes(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figures(t, "ext", tinyConfig(), 1)[0]
 	if len(fig.Series) != 3 {
 		t.Fatalf("%d series, want 3", len(fig.Series))
 	}
@@ -178,10 +230,8 @@ func TestFigureCSV(t *testing.T) {
 }
 
 func TestExtSpeedSweepStructure(t *testing.T) {
-	lat, fail, err := ExtSpeedSweep(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := figures(t, "speed", tinyConfig(), 2)
+	lat, fail := figs[0], figs[1]
 	if len(lat.Series) != 1 || len(fail.Series) != 1 {
 		t.Fatal("speed sweep series count wrong")
 	}
@@ -196,10 +246,7 @@ func TestExtSpeedSweepStructure(t *testing.T) {
 }
 
 func TestExtZipfSweepStructure(t *testing.T) {
-	fig, err := ExtZipfSweep(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figures(t, "zipf", tinyConfig(), 1)[0]
 	if len(fig.Series) != 2 {
 		t.Fatal("zipf sweep series count wrong")
 	}

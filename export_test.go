@@ -27,6 +27,10 @@ func ShardAssignmentForTest(s Scenario) ([]int32, error) {
 	return shardAssignment(b, s.Shards, weights), nil
 }
 
+// ScaleScenarioForTest exposes the scale grid's cell constructor, so the
+// allocation gate runs the cells the grid prints.
+var ScaleScenarioForTest = scaleScenario
+
 // ObservedRun is everything a sequential run leaves behind that a test
 // can hold a second run to: the Result, the complete event trace, every
 // peer's final static store (by node ID) and the re-homing pass counts.

@@ -12,7 +12,7 @@ import (
 	"precinct/internal/sim"
 )
 
-func benchChannel(b *testing.B, n int, cfg Config) (*Channel, *sim.Scheduler) {
+func benchChannel(b testing.TB, n int, cfg Config) (*Channel, *sim.Scheduler) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geo.Point, n)
@@ -38,7 +38,7 @@ func benchChannel(b *testing.B, n int, cfg Config) (*Channel, *sim.Scheduler) {
 
 // benchWaypointChannel exercises the moving-node path: the grid serves
 // most queries from a bounded-drift snapshot and rebuilds occasionally.
-func benchWaypointChannel(b *testing.B, n int, cfg Config) (*Channel, *sim.Scheduler) {
+func benchWaypointChannel(b testing.TB, n int, cfg Config) (*Channel, *sim.Scheduler) {
 	b.Helper()
 	mob, err := mobility.NewWaypoint(n, mobility.DefaultWaypointConfig(), sim.NewRNG(1))
 	if err != nil {
@@ -106,6 +106,37 @@ func BenchmarkNeighborsWaypoint(b *testing.B) {
 					buf = path.query(ch, buf, NodeID(i%n))
 				}
 			})
+		}
+	}
+}
+
+// TestNeighborsAllocFree makes the allocs/op column of the two benchmarks
+// above a test at n=320: a steady-state grid query allocates nothing, on
+// a static topology and across the snapshot rebuilds a moving one forces.
+// One run is 640 queries (and, moving, ten clock advances), so a single
+// allocation per rebuild would read as 10, not round down to 0.
+func TestNeighborsAllocFree(t *testing.T) {
+	const n = 320
+	static, _ := benchChannel(t, n, DefaultConfig())
+	moving, sched := benchWaypointChannel(t, n, DefaultConfig())
+	for _, tc := range []struct {
+		name string
+		ch   *Channel
+		tick bool
+	}{{"static", static, false}, {"waypoint", moving, true}} {
+		batch := func() {
+			for i := 0; i < 2*n; i++ {
+				if tc.tick && i%64 == 0 {
+					at := sched.Now() + 0.25
+					sched.At(at, func() {})
+					sched.Run(at)
+				}
+				tc.ch.Neighbors(NodeID(i % n))
+			}
+		}
+		batch() // warm caches and scratch buffers
+		if avg := testing.AllocsPerRun(10, batch); avg != 0 {
+			t.Errorf("%s: %d neighbor queries allocate %.0f objects, want 0", tc.name, 2*n, avg)
 		}
 	}
 }
