@@ -9,6 +9,8 @@ all: build
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l lists these files; run gofmt -w on them:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -196,10 +196,10 @@ func BenchmarkAblationGDLDWeights(b *testing.B) {
 func BenchmarkAblationReplication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var scenarios []Scenario
-		for _, repl := range []bool{true, false} {
+		for _, reps := range []int{1, 0} {
 			s := benchScenario()
-			s.Name = fmt.Sprintf("replication=%v", repl)
-			s.Replication = repl
+			s.Name = fmt.Sprintf("replicas=%d", reps)
+			s.Replicas = reps
 			// Crash a third of the peers mid-run.
 			for n := 0; n < s.Nodes/3; n++ {
 				s.Faults = append(s.Faults, Fault{At: 150, Node: n * 3, Kind: "crash"})

@@ -20,10 +20,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 
 	"precinct"
 	"precinct/internal/invariant/fuzzgen"
+	"precinct/internal/pool"
 )
 
 func main() {
@@ -54,25 +54,15 @@ func main() {
 		err  error
 	}
 	results := make([]outcome, *seeds)
-	jobs := make(chan int64)
-	var wg sync.WaitGroup
-	for w := 0; w < *workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				seed := *start + i
-				sc := expand(seed)
-				_, inv, err := precinct.RunChecked(sc)
-				results[i] = outcome{seed: seed, sc: sc, inv: inv, err: err}
-			}
-		}()
-	}
-	for i := int64(0); i < *seeds; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	// A failed seed is an outcome to report, not an error that aborts the
+	// batch: every job returns nil, so Run has no error to return.
+	_ = pool.Run(len(results), *workers, func(i int) error {
+		seed := *start + int64(i)
+		sc := expand(seed)
+		_, inv, err := precinct.RunChecked(sc)
+		results[i] = outcome{seed: seed, sc: sc, inv: inv, err: err}
+		return nil
+	})
 
 	failed := 0
 	for _, r := range results {

@@ -8,7 +8,7 @@
 //
 //	precinct-sim -nodes 80 -speed 6 -policy gd-ld -cache-frac 0.015
 //	precinct-sim -consistency push-adaptive-pull -update-interval 60
-//	precinct-sim -retrieval flooding -static -area 600 -cache-frac -1
+//	precinct-sim -retrieval flooding -mobility static -area 600 -cache-frac 0
 //	precinct-sim -workload flash-crowd -nodes 60
 //	precinct-sim -workload trace -workload-trace internal/workload/testdata/sample_trace.csv
 //	precinct-sim -config scenario.json -seed 7
@@ -79,78 +79,115 @@ func startProfiles(cpu, mem string) (func(), error) {
 	}, nil
 }
 
+// options is one parsed command line: the scenario every scenario flag
+// is bound to, and the flags that steer the run around it.
+type options struct {
+	scenario precinct.Scenario
+	// set holds the names of the flags given on the command line.
+	set map[string]bool
+
+	configFile, saveConfig, traceFile string
+	cpuProfile, memProfile            string
+	fig, format                       string
+	workers                           int
+	listPolicies, check, verbose      bool
+}
+
+// parseArgs binds each scenario flag to its Scenario field, defaulting
+// to DefaultScenario. With -config the file replaces the scenario and
+// args are parsed a second time, so only the flags given on the command
+// line override it.
+func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{scenario: precinct.DefaultScenario()}
+	s := &o.scenario
+	fs.StringVar(&o.configFile, "config", "", "load the scenario from a JSON file (explicit flags override it)")
+	fs.StringVar(&o.saveConfig, "save-config", "", "write the effective scenario as JSON and exit")
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "random seed")
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "number of mobile peers")
+	fs.Float64Var(&s.AreaSide, "area", s.AreaSide, "service area side in meters")
+	fs.IntVar(&s.Regions, "regions", s.Regions, "number of grid regions")
+	fs.StringVar(&s.MobilityModel, "mobility", s.MobilityModel, "mobility model: waypoint | static | random-walk | gauss-markov")
+	fs.Float64Var(&s.MaxSpeed, "speed", s.MaxSpeed, "waypoint max speed in m/s")
+	fs.Float64Var(&s.Pause, "pause", s.Pause, "waypoint pause time in s")
+	fs.Float64Var(&s.Range, "range", s.Range, "radio range in meters")
+	fs.Float64Var(&s.LossRate, "loss", s.LossRate, "frame loss probability")
+	fs.Float64Var(&s.BeaconInterval, "beacon", s.BeaconInterval, "neighbor position beacon interval in s (0 = perfect knowledge)")
+	fs.IntVar(&s.Items, "items", s.Items, "catalog size")
+	fs.Float64Var(&s.ZipfTheta, "zipf", s.ZipfTheta, "request Zipf skew")
+	fs.Float64Var(&s.RequestInterval, "request-interval", s.RequestInterval, "mean request gap per peer in s")
+	fs.Float64Var(&s.UpdateInterval, "update-interval", s.UpdateInterval, "mean update gap per peer in s (0 disables)")
+	fs.StringVar(&s.Workload, "workload", s.Workload, "request workload: "+strings.Join(precinct.WorkloadKinds(), " | "))
+	fs.StringVar(&s.TracePath, "workload-trace", s.TracePath, "cachelib-format trace CSV for -workload trace")
+	fs.StringVar(&s.Retrieval, "retrieval", s.Retrieval, "precinct | flooding | expanding-ring")
+	fs.StringVar(&s.Consistency, "consistency", s.Consistency, "none | plain-push | pull-every-time | push-adaptive-pull")
+	fs.Float64Var(&s.TTRAlpha, "ttr-alpha", s.TTRAlpha, "TTR smoothing factor in [0,1)")
+	fs.StringVar(&s.Policy, "policy", s.Policy, "replacement policy: "+strings.Join(precinct.PolicyNames(), " | "))
+	fs.BoolVar(&o.listPolicies, "list-policies", false, "print the registered replacement policies, one per line, and exit")
+	fs.Float64Var(&s.CacheFraction, "cache-frac", s.CacheFraction, "cache size as fraction of catalog (0 or negative disables)")
+	fs.BoolVar(&s.EnRoute, "enroute", s.EnRoute, "en-route cache answering")
+	fs.IntVar(&s.Replicas, "replicas", s.Replicas, "replica regions per key (0 = none, 1 = the paper's single replica region)")
+	fs.BoolVar(&s.AdaptiveRegions, "adaptive", s.AdaptiveRegions, "dynamic region management")
+	fs.Float64Var(&s.Warmup, "warmup", s.Warmup, "warmup time in s (excluded from metrics)")
+	fs.Float64Var(&s.Duration, "duration", s.Duration, "total simulated time in s")
+	fs.IntVar(&s.Shards, "shards", s.Shards, "run the event loop sharded over this many goroutines (0 or 1 = sequential)")
+	fs.Float64Var(&s.ChurnInterval, "churn", s.ChurnInterval, "mean seconds between churn departures (0 disables)")
+	fs.Float64Var(&s.ChurnDowntime, "churn-downtime", s.ChurnDowntime, "seconds a churned peer stays away")
+	fs.Float64Var(&s.ChurnGraceful, "churn-graceful", s.ChurnGraceful, "fraction of graceful departures")
+	fs.StringVar(&o.traceFile, "trace", "", "write a JSONL protocol event trace to this file")
+	fs.BoolVar(&o.check, "check", false, "run with runtime invariant checkers; exit 2 on any violation")
+	fs.BoolVar(&o.verbose, "v", false, "print protocol and radio counters too")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to `file`")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to `file` after the run")
+	fs.StringVar(&o.fig, "fig", "", "regenerate evaluation figures instead of running one scenario: all | "+strings.Join(precinct.FigureIDs(), " | "))
+	fs.StringVar(&o.format, "format", "table", "with -fig: table | csv | chart")
+	fs.IntVar(&o.workers, "workers", 0, "with -fig: scenarios run at once (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	if err := checkFigureFlags(o.set); err != nil {
+		return nil, err
+	}
+	if o.configFile != "" {
+		loaded, err := precinct.LoadScenarioFile(o.configFile)
+		if err != nil {
+			return nil, err
+		}
+		*s = loaded
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
+}
+
 func main() {
-	def := precinct.DefaultScenario()
-
-	configFile := flag.String("config", "", "load the scenario from a JSON file (explicit flags override it)")
-	saveConfig := flag.String("save-config", "", "write the effective scenario as JSON and exit")
-	seed := flag.Int64("seed", def.Seed, "random seed")
-	nodes := flag.Int("nodes", def.Nodes, "number of mobile peers")
-	area := flag.Float64("area", def.AreaSide, "service area side in meters")
-	regions := flag.Int("regions", def.Regions, "number of grid regions")
-	static := flag.Bool("static", false, "static placement instead of random waypoint")
-	mobModel := flag.String("mobility", "", "mobility model: waypoint | static | random-walk | gauss-markov (overrides -static)")
-	speed := flag.Float64("speed", def.MaxSpeed, "waypoint max speed in m/s")
-	pause := flag.Float64("pause", def.Pause, "waypoint pause time in s")
-	rng := flag.Float64("range", def.Range, "radio range in meters")
-	loss := flag.Float64("loss", 0, "frame loss probability")
-	beacon := flag.Float64("beacon", 0, "neighbor position beacon interval in s (0 = perfect knowledge)")
-	items := flag.Int("items", def.Items, "catalog size")
-	theta := flag.Float64("zipf", def.ZipfTheta, "request Zipf skew")
-	reqInt := flag.Float64("request-interval", def.RequestInterval, "mean request gap per peer in s")
-	updInt := flag.Float64("update-interval", def.UpdateInterval, "mean update gap per peer in s (0 disables)")
-	workloadF := flag.String("workload", def.Workload, "request workload: default | trace | flash-crowd | diurnal | hotspot | rank-churn")
-	workloadTrace := flag.String("workload-trace", "", "cachelib-format trace CSV for -workload trace")
-	retrieval := flag.String("retrieval", def.Retrieval, "precinct | flooding | expanding-ring")
-	consistencyF := flag.String("consistency", def.Consistency, "none | plain-push | pull-every-time | push-adaptive-pull")
-	alpha := flag.Float64("ttr-alpha", def.TTRAlpha, "TTR smoothing factor in [0,1)")
-	policy := flag.String("policy", def.Policy, "replacement policy: "+strings.Join(precinct.PolicyNames(), " | "))
-	listPolicies := flag.Bool("list-policies", false, "print the registered replacement policies, one per line, and exit")
-	cacheFrac := flag.Float64("cache-frac", def.CacheFraction, "cache size as fraction of catalog (negative disables)")
-	enRoute := flag.Bool("enroute", def.EnRoute, "en-route cache answering")
-	replication := flag.Bool("replication", def.Replication, "maintain replica regions")
-	replicas := flag.Int("replicas", def.Replicas, "replica regions per key (0 or 1 = the paper's single replica region)")
-	adaptive := flag.Bool("adaptive", false, "dynamic region management")
-	warmup := flag.Float64("warmup", def.Warmup, "warmup time in s (excluded from metrics)")
-	duration := flag.Float64("duration", def.Duration, "total simulated time in s")
-	shards := flag.Int("shards", def.Shards, "run the event loop sharded over this many goroutines (0 or 1 = sequential)")
-	churn := flag.Float64("churn", 0, "mean seconds between churn departures (0 disables)")
-	churnDown := flag.Float64("churn-downtime", 60, "seconds a churned peer stays away")
-	churnGraceful := flag.Float64("churn-graceful", 0.8, "fraction of graceful departures")
-	traceFile := flag.String("trace", "", "write a JSONL protocol event trace to this file")
-	check := flag.Bool("check", false, "run with runtime invariant checkers; exit 2 on any violation")
-	verbose := flag.Bool("v", false, "print protocol and radio counters too")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
-	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
-	fig := flag.String("fig", "", "regenerate evaluation figures instead of running one scenario: all | "+strings.Join(precinct.FigureIDs(), " | "))
-	format := flag.String("format", "table", "with -fig: table | csv | chart")
-	workers := flag.Int("workers", 0, "with -fig: scenarios run at once (0 = GOMAXPROCS)")
-	flag.Parse()
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFigureFlags(set); err != nil {
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		die(err)
 	}
-	if set["fig"] {
-		cfg := precinct.ExperimentConfig{Seed: *seed, Workers: *workers}
-		if set["duration"] {
-			cfg.Duration = *duration
+	s := o.scenario
+	if o.set["fig"] {
+		cfg := precinct.ExperimentConfig{Seed: s.Seed, Workers: o.workers}
+		if o.set["duration"] {
+			cfg.Duration = s.Duration
 		}
-		if set["warmup"] {
-			cfg.Warmup = *warmup
+		if o.set["warmup"] {
+			cfg.Warmup = s.Warmup
 		}
-		if set["nodes"] {
-			cfg.Nodes = *nodes
+		if o.set["nodes"] {
+			cfg.Nodes = s.Nodes
 		}
-		if set["items"] {
-			cfg.Items = *items
+		if o.set["items"] {
+			cfg.Items = s.Items
 		}
-		stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+		stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 		if err != nil {
 			die(err)
 		}
-		err = printFigures(os.Stdout, *fig, *format, cfg)
+		err = printFigures(os.Stdout, o.fig, o.format, cfg)
 		stopProfiles()
 		if err != nil {
 			die(err)
@@ -158,102 +195,42 @@ func main() {
 		return
 	}
 
-	if *listPolicies {
+	if o.listPolicies {
 		for _, name := range precinct.PolicyNames() {
 			fmt.Println(name)
 		}
 		return
 	}
 
-	s := def
-	if *configFile != "" {
-		loaded, err := precinct.LoadScenarioFile(*configFile)
-		if err != nil {
+	if o.saveConfig != "" {
+		if err := precinct.SaveScenarioFile(s, o.saveConfig); err != nil {
 			die(err)
 		}
-		s = loaded
-	}
-
-	// Apply only the flags the user explicitly set, so a config file's
-	// values survive unless overridden on the command line.
-	overrides := map[string]func(){
-		"seed":             func() { s.Seed = *seed },
-		"nodes":            func() { s.Nodes = *nodes },
-		"area":             func() { s.AreaSide = *area },
-		"regions":          func() { s.Regions = *regions },
-		"static":           func() { s.Mobile = !*static },
-		"mobility":         func() { s.MobilityModel = *mobModel },
-		"speed":            func() { s.MaxSpeed = *speed },
-		"pause":            func() { s.Pause = *pause },
-		"range":            func() { s.Range = *rng },
-		"loss":             func() { s.LossRate = *loss },
-		"beacon":           func() { s.BeaconInterval = *beacon },
-		"items":            func() { s.Items = *items },
-		"zipf":             func() { s.ZipfTheta = *theta },
-		"request-interval": func() { s.RequestInterval = *reqInt },
-		"update-interval":  func() { s.UpdateInterval = *updInt },
-		"workload":         func() { s.Workload = *workloadF },
-		"workload-trace":   func() { s.TracePath = *workloadTrace },
-		"retrieval":        func() { s.Retrieval = *retrieval },
-		"consistency":      func() { s.Consistency = *consistencyF },
-		"ttr-alpha":        func() { s.TTRAlpha = *alpha },
-		"policy":           func() { s.Policy = *policy },
-		"cache-frac":       func() { s.CacheFraction = *cacheFrac },
-		"enroute":          func() { s.EnRoute = *enRoute },
-		"replication":      func() { s.Replication = *replication },
-		"replicas":         func() { s.Replicas = *replicas },
-		"adaptive":         func() { s.AdaptiveRegions = *adaptive },
-		"warmup":           func() { s.Warmup = *warmup },
-		"duration":         func() { s.Duration = *duration },
-		"shards":           func() { s.Shards = *shards },
-		"churn":            func() { s.ChurnInterval = *churn },
-		"churn-downtime":   func() { s.ChurnDowntime = *churnDown },
-		"churn-graceful":   func() { s.ChurnGraceful = *churnGraceful },
-	}
-	if *configFile == "" {
-		// Without a config file every flag applies (each default equals
-		// the scenario default anyway).
-		for _, apply := range overrides {
-			apply()
-		}
-	} else {
-		flag.Visit(func(f *flag.Flag) {
-			if apply, ok := overrides[f.Name]; ok {
-				apply()
-			}
-		})
-	}
-
-	if *saveConfig != "" {
-		if err := precinct.SaveScenarioFile(s, *saveConfig); err != nil {
-			die(err)
-		}
-		fmt.Println("wrote", *saveConfig)
+		fmt.Println("wrote", o.saveConfig)
 		return
 	}
 
-	if *check && *traceFile != "" {
+	if o.check && o.traceFile != "" {
 		die(fmt.Errorf("-check and -trace are mutually exclusive"))
 	}
 	var traceW *os.File
-	if *traceFile != "" {
-		f, ferr := os.Create(*traceFile)
+	if o.traceFile != "" {
+		f, ferr := os.Create(o.traceFile)
 		if ferr != nil {
 			die(ferr)
 		}
 		traceW = f
 	}
 
-	stopProfiles, perr := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, perr := startProfiles(o.cpuProfile, o.memProfile)
 	if perr != nil {
 		die(perr)
 	}
 
 	var res precinct.Result
 	var inv precinct.InvariantReport
-	var err error
 	switch {
-	case *check:
+	case o.check:
 		res, inv, err = precinct.RunChecked(s)
 	case traceW != nil:
 		res, err = precinct.RunTraced(s, traceW)
@@ -271,8 +248,8 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	report(s, res, *verbose)
-	if *check {
+	report(s, res, o.verbose)
+	if o.check {
 		fmt.Println(inv)
 		if !inv.Ok() {
 			for _, v := range inv.Violations {
@@ -359,7 +336,7 @@ func report(s precinct.Scenario, res precinct.Result, verbose bool) {
 	r := res.Report
 	fmt.Printf("scenario: %d nodes, %.0f m area, %d regions, retrieval=%s, consistency=%s, policy=%s\n",
 		s.Nodes, s.AreaSide, s.Regions, s.Retrieval, s.Consistency, s.Policy)
-	if s.Replication && s.Replicas > 1 {
+	if s.Replicas > 1 {
 		fmt.Printf("replicas:           %d regions per key\n", s.Replicas)
 	}
 	if s.Workload != "" && s.Workload != "default" {

@@ -39,12 +39,12 @@ func main() {
 
 	withReplicas := base
 	withReplicas.Name = "replication on"
-	withReplicas.Replication = true
+	withReplicas.Replicas = 1
 	withReplicas.Faults = faults
 
 	withoutReplicas := base
 	withoutReplicas.Name = "replication off"
-	withoutReplicas.Replication = false
+	withoutReplicas.Replicas = 0
 	withoutReplicas.Faults = faults
 
 	baseline := base

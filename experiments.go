@@ -346,12 +346,12 @@ var grids = []grid{
 // 600×600 m, no dynamic cache, no updates (the default), no warmup.
 func validationScenario(nodes, regions int) Scenario {
 	s := DefaultScenario()
-	s.Mobile = false
+	s.MobilityModel = "static"
 	s.AreaSide = 600
 	s.Nodes = nodes
 	s.Regions = regions
-	s.CacheFraction = -1
-	s.Replication = false
+	s.CacheFraction = 0
+	s.Replicas = 0
 	s.EnRoute = false
 	s.Warmup = 0
 	s.Duration = 1000

@@ -52,7 +52,10 @@ func Expand(seed int64) precinct.Scenario {
 	s.Policy = []string{"gd-ld", "gd-ld", "gd-size", "lru", "lfu"}[rng.Intn(5)]
 	s.CacheFraction = 0.005 + 0.02*rng.Float64()
 	s.EnRoute = rng.Float64() < 0.7
-	s.Replication = rng.Float64() < 0.7
+	s.Replicas = 0
+	if rng.Float64() < 0.7 {
+		s.Replicas = 1
+	}
 
 	// Half the scenarios run a write workload so the consistency and TTR
 	// invariants get exercised; weight toward the paper's hybrid scheme.
@@ -200,13 +203,12 @@ func ShuffleFaults(s precinct.Scenario, seed int64) precinct.Scenario {
 // so suites wire it separately).
 var NonDefaultWorkloads = []string{"flash-crowd", "diurnal", "hotspot", "rank-churn"}
 
-// WithReplicas derives a k-replica variant of a scenario: replication
-// forced on with k replica regions per key (DESIGN.md section 16). The
-// Name gains a "/rep<k>" tag so failures name the replica layer. Expand's
-// own RNG draw sequence is untouched — the transform layers the new axis
-// on top, so every existing golden trace stays valid.
+// WithReplicas derives a k-replica variant of a scenario: k replica
+// regions per key (DESIGN.md section 16). The Name gains a "/rep<k>" tag
+// so failures name the replica layer. Expand's own RNG draw sequence is
+// untouched — the transform layers the new axis on top, so every
+// existing golden trace stays valid.
 func WithReplicas(s precinct.Scenario, k int) precinct.Scenario {
-	s.Replication = true
 	s.Replicas = k
 	s.Name = fmt.Sprintf("%s/rep%d", s.Name, k)
 	return s

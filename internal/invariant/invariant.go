@@ -15,7 +15,6 @@ package invariant
 
 import (
 	"fmt"
-	"strings"
 
 	"precinct/internal/energy"
 	"precinct/internal/node"
@@ -77,20 +76,18 @@ type (
 	}
 )
 
-// Config parameterizes a Runner.
-type Config struct {
-	// SweepInterval is the period of the global checks in simulated
-	// seconds; 0 selects 5 s.
-	SweepInterval float64
-	// MaxViolations caps the violations kept in memory (the total count
-	// keeps running past it); 0 selects 64.
-	MaxViolations int
-}
+const (
+	// sweepInterval is the period of the global checks in simulated
+	// seconds.
+	sweepInterval = 5
+	// maxViolations caps the violations kept in memory; the total count
+	// keeps running past it.
+	maxViolations = 64
+)
 
-// Runner drives a set of checkers against one simulation run. It
+// Runner drives the invariant catalog against one simulation run. It
 // implements node.Probe.
 type Runner struct {
-	cfg      Config
 	checkers []Checker
 	ctx      *Context
 
@@ -101,24 +98,9 @@ type Runner struct {
 	lastEvent  float64
 }
 
-// New builds a Runner. With no checkers given, the full default set is
-// used.
-func New(cfg Config, checkers ...Checker) *Runner {
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = 5
-	}
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 64
-	}
-	if len(checkers) == 0 {
-		checkers = DefaultCheckers()
-	}
-	return &Runner{cfg: cfg, checkers: checkers}
-}
-
-// DefaultCheckers returns the full invariant catalog.
-func DefaultCheckers() []Checker {
-	return []Checker{
+// New builds a Runner over the full invariant catalog.
+func New() *Runner {
+	return &Runner{checkers: []Checker{
 		&CacheChecker{},
 		&AdmissionChecker{},
 		&CustodyChecker{},
@@ -127,7 +109,7 @@ func DefaultCheckers() []Checker {
 		&LivenessChecker{},
 		&SchedulerChecker{},
 		&RegionChecker{},
-	}
+	}}
 }
 
 // Attach wires the runner into an assembled simulation: it installs
@@ -144,7 +126,7 @@ func (r *Runner) Attach(ctx Context) {
 
 // armSweep schedules the next recurring sweep one interval from now.
 func (r *Runner) armSweep() {
-	r.ctx.Sched.After(r.cfg.SweepInterval, func() {
+	r.ctx.Sched.After(sweepInterval, func() {
 		r.Sweep()
 		r.armSweep()
 	})
@@ -154,7 +136,7 @@ func (r *Runner) armSweep() {
 func (r *Runner) record(checker string, details []string) {
 	for _, d := range details {
 		r.total++
-		if len(r.violations) < r.cfg.MaxViolations {
+		if len(r.violations) < maxViolations {
 			r.violations = append(r.violations, Violation{
 				Checker: checker,
 				Time:    r.ctx.Sched.Now(),
@@ -186,7 +168,7 @@ func (r *Runner) afterEvent(now float64) {
 	r.events++
 	if now < r.lastEvent {
 		r.total++
-		if len(r.violations) < r.cfg.MaxViolations {
+		if len(r.violations) < maxViolations {
 			r.violations = append(r.violations, Violation{
 				Checker: "scheduler",
 				Time:    now,
@@ -233,7 +215,7 @@ func (r *Runner) AfterRehome(p *node.Peer, evacuate bool) {
 	}
 }
 
-// Violations returns the recorded violations (capped at MaxViolations).
+// Violations returns the recorded violations (capped at maxViolations).
 func (r *Runner) Violations() []Violation { return r.violations }
 
 // Total returns the number of violations detected, including any beyond
@@ -245,21 +227,3 @@ func (r *Runner) Sweeps() uint64 { return r.sweeps }
 
 // Events returns how many scheduler events the runner observed.
 func (r *Runner) Events() uint64 { return r.events }
-
-// Err summarizes the run: nil when no invariant fired, otherwise an
-// error listing the recorded violations.
-func (r *Runner) Err() error {
-	if r.total == 0 {
-		return nil
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "invariant: %d violation(s)", r.total)
-	for _, v := range r.violations {
-		b.WriteString("\n  ")
-		b.WriteString(v.String())
-	}
-	if int(r.total) > len(r.violations) {
-		fmt.Fprintf(&b, "\n  ... %d more", int(r.total)-len(r.violations))
-	}
-	return fmt.Errorf("%s", b.String())
-}

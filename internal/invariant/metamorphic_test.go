@@ -67,7 +67,7 @@ func runPermuted(t *testing.T, perm []int) permRun {
 	cfg := node.DefaultConfig()
 	cfg.CacheBytes = 0
 	cfg.EnRoute = false
-	cfg.Replication = false
+	cfg.Replicas = 0
 	cfg.Warmup = 0
 	coll := metrics.NewCollector()
 	net, err := node.New(node.Options{

@@ -71,44 +71,13 @@ type Config struct {
 	// EnRoute lets peers on the path to the home region answer requests
 	// from their caches (Section 3.1).
 	EnRoute bool
-	// Replication maintains replica regions per key (Section 2.4).
-	Replication bool
-	// Replicas is the number of replica regions per key when Replication
-	// is on: the rank-r replica (1 <= r <= Replicas) lives in the
-	// (r+1)-th nearest region to the key's hash location. 0 selects the
-	// paper's single replica region; values above 1 home each key in the
-	// k best regions with load-aware replica placement (DESIGN.md
+	// Replicas is the number of replica regions per key (Section 2.4):
+	// the rank-r replica (1 <= r <= Replicas) lives in the (r+1)-th
+	// nearest region to the key's hash location. 0 maintains none, 1 is
+	// the paper's single replica region, and values above 1 home each key
+	// in the k best regions with load-aware replica placement (DESIGN.md
 	// section 16). Capped at region.MaxReplicaRank.
 	Replicas int
-
-	// RegionTTL bounds intra-region floods in hops.
-	RegionTTL int
-	// NetworkTTL bounds network-wide floods (flooding retrieval,
-	// plain-push invalidations).
-	NetworkTTL int
-	// MaxRingTTL caps the expanding-ring search.
-	MaxRingTTL int
-	// MaxRouteHops caps GPSR-routed messages; perimeter walks over a
-	// changing topology can otherwise wander indefinitely.
-	MaxRouteHops int
-
-	// RegionalTimeout is how long a requester waits for an answer from
-	// its own region before contacting the home region, seconds.
-	RegionalTimeout float64
-	// RemoteTimeout is how long it waits for the home (or replica)
-	// region, seconds.
-	RemoteTimeout float64
-	// RingTimeout is the per-round wait of the expanding-ring search,
-	// seconds (scaled by the round's TTL).
-	RingTimeout float64
-
-	// MobilityCheckInterval is how often peers check whether they have
-	// crossed a region boundary, seconds.
-	MobilityCheckInterval float64
-
-	// ControlBytes is the on-air size of small protocol messages
-	// (requests, polls, invalidations, handoff headers).
-	ControlBytes int
 
 	// Warmup discards metrics for requests issued before this sim time,
 	// letting caches fill first. Seconds.
@@ -127,26 +96,49 @@ func DefaultConfig() Config {
 		panic(err) // default weights are valid by construction
 	}
 	return Config{
-		Retrieval:             PReCinCt,
-		Consistency:           consistency.DefaultConfig(consistency.None),
-		Policy:                p,
-		CacheBytes:            64 * 1024,
-		EnRoute:               true,
-		Replication:           true,
-		Replicas:              1,
-		RegionTTL:             4,
-		NetworkTTL:            16,
-		MaxRingTTL:            16,
-		MaxRouteHops:          48,
-		RegionalTimeout:       0.15,
-		RemoteTimeout:         1.5,
-		RingTimeout:           0.25,
-		MobilityCheckInterval: 1.0,
-		ControlBytes:          64,
-		Warmup:                200,
-		Adaptive:              DefaultAdaptiveConfig(),
+		Retrieval:   PReCinCt,
+		Consistency: consistency.DefaultConfig(consistency.None),
+		Policy:      p,
+		CacheBytes:  64 * 1024,
+		EnRoute:     true,
+		Replicas:    1,
+		Warmup:      200,
+		Adaptive:    DefaultAdaptiveConfig(),
 	}
 }
+
+// The protocol's fixed TTLs, timeouts and sizes (PAPER.md section 1
+// item 3).
+const (
+	// regionTTL bounds intra-region floods in hops.
+	regionTTL = 4
+	// networkTTL bounds network-wide floods (flooding retrieval,
+	// plain-push invalidations, region-table dissemination).
+	networkTTL = 16
+	// maxRingTTL caps the expanding-ring search.
+	maxRingTTL = 16
+	// maxRouteHops caps GPSR-routed messages; perimeter walks over a
+	// changing topology can otherwise wander indefinitely.
+	maxRouteHops = 48
+
+	// regionalTimeout is how long a requester waits for an answer from
+	// its own region before contacting the home region, seconds.
+	regionalTimeout = 0.15
+	// remoteTimeout is how long it waits for the home (or replica)
+	// region, seconds.
+	remoteTimeout = 1.5
+	// ringTimeout is the per-round wait of the expanding-ring search,
+	// seconds (scaled by the round's TTL).
+	ringTimeout = 0.25
+
+	// mobilityCheckInterval is how often peers check whether they have
+	// crossed a region boundary, seconds.
+	mobilityCheckInterval = 1.0
+
+	// controlBytes is the on-air size of small protocol messages
+	// (requests, polls, invalidations, handoff headers).
+	controlBytes = 64
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -164,18 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.Replicas < 0 || c.Replicas > region.MaxReplicaRank {
 		return fmt.Errorf("node: replica count %d outside [0, %d]", c.Replicas, region.MaxReplicaRank)
-	}
-	if c.RegionTTL <= 0 || c.NetworkTTL <= 0 || c.MaxRingTTL <= 0 || c.MaxRouteHops <= 0 {
-		return fmt.Errorf("node: TTLs and hop caps must be positive")
-	}
-	if c.RegionalTimeout <= 0 || c.RemoteTimeout <= 0 || c.RingTimeout <= 0 {
-		return fmt.Errorf("node: timeouts must be positive")
-	}
-	if c.MobilityCheckInterval <= 0 {
-		return fmt.Errorf("node: mobility check interval must be positive")
-	}
-	if c.ControlBytes <= 0 {
-		return fmt.Errorf("node: control message size must be positive")
 	}
 	if c.Warmup < 0 {
 		return fmt.Errorf("node: negative warmup")

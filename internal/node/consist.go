@@ -40,7 +40,7 @@ func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 		m := n.newMsg(message{
 			Kind: kindInvalidate, ID: p.newID(), FloodID: p.newID(), Key: k,
 			Origin: origin, OriginPos: n.ch.Position(origin), OriginRegion: p.regionID,
-			Version: newVersion, TTL: n.cfg.NetworkTTL,
+			Version: newVersion, TTL: networkTTL,
 			Size: n.catalog.Size(k),
 		})
 		p.markSeen(m.FloodID)
@@ -50,7 +50,7 @@ func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 		// the home region (and each replica region when replication is
 		// on); caches elsewhere converge by pulling.
 		n.pushUpdateToRegion(p, k, newVersion, 0)
-		for r := 1; r <= n.replicaCount(); r++ {
+		for r := 1; r <= n.cfg.Replicas; r++ {
 			n.pushUpdateToRegion(p, k, newVersion, r)
 		}
 	}
@@ -83,7 +83,7 @@ func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, ra
 	if regionID == p.regionID {
 		// Already inside the target region: flood directly.
 		m.Kind = kindUpdateFlood
-		m.TTL = n.cfg.RegionTTL
+		m.TTL = regionTTL
 		m.FloodID = p.newID()
 		p.markSeen(m.FloodID)
 		n.broadcast(p.id, m)
@@ -98,7 +98,7 @@ func (p *Peer) onUpdateRoute(m *message) {
 	if p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		// Rewrite the routed update into the localized flood in place.
 		m.Kind = kindUpdateFlood
-		m.TTL = p.net.cfg.RegionTTL
+		m.TTL = regionTTL
 		m.FloodID = p.newID()
 		p.markSeen(m.FloodID)
 		p.applyUpdateMessage(m)
@@ -225,7 +225,7 @@ func (n *Network) sendPoll(p *Peer, req *pendingReq) bool {
 	if home.ID == p.regionID {
 		// The home region is the local region: flood the poll locally.
 		m.Kind = kindPollFlood
-		m.TTL = n.cfg.RegionTTL
+		m.TTL = regionTTL
 		m.FloodID = p.newID()
 		p.markSeen(m.FloodID)
 		n.broadcast(p.id, m)
@@ -243,7 +243,7 @@ func (p *Peer) onPollRoute(m *message) {
 	if p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		// Rewrite the routed poll into the localized flood in place.
 		m.Kind = kindPollFlood
-		m.TTL = p.net.cfg.RegionTTL
+		m.TTL = regionTTL
 		m.FloodID = p.newID()
 		p.markSeen(m.FloodID)
 		if p.answerPoll(m) {

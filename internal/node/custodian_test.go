@@ -81,7 +81,6 @@ func buildWorld(t *testing.T, s precinct.Scenario, replicas int) *world {
 		t.Fatal(err)
 	}
 	cfg := node.DefaultConfig()
-	cfg.Replication = true
 	cfg.Replicas = replicas // > 1 places replicas by load, so store sizes differ
 	net, err := node.New(node.Options{
 		Config: cfg, Scheduler: sched, Channel: ch, Regions: table,

@@ -181,10 +181,9 @@ type message struct {
 }
 
 // wireSize returns the on-air payload size in bytes for accounting and
-// energy purposes. Control-plane messages cost the configured control
-// size; data-bearing messages cost their data size plus the control
-// envelope.
-func (m *message) wireSize(controlBytes int) int {
+// energy purposes. Control-plane messages cost controlBytes;
+// data-bearing messages cost their data size plus that envelope.
+func (m *message) wireSize() int {
 	switch m.Kind {
 	case kindReply, kindUpdateRoute, kindUpdateFlood:
 		return controlBytes + m.Size

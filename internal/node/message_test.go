@@ -47,19 +47,19 @@ func TestMsgKindClasses(t *testing.T) {
 func TestWireSize(t *testing.T) {
 	const ctrl = 64
 	small := &message{Kind: kindRegionalSearch, Size: 9999}
-	if got := small.wireSize(ctrl); got != ctrl {
+	if got := small.wireSize(); got != ctrl {
 		t.Errorf("control message size %d, want %d (Size field ignored)", got, ctrl)
 	}
 	reply := &message{Kind: kindReply, Size: 4096}
-	if got := reply.wireSize(ctrl); got != ctrl+4096 {
+	if got := reply.wireSize(); got != ctrl+4096 {
 		t.Errorf("reply size %d", got)
 	}
 	update := &message{Kind: kindUpdateFlood, Size: 2048}
-	if got := update.wireSize(ctrl); got != ctrl+2048 {
+	if got := update.wireSize(); got != ctrl+2048 {
 		t.Errorf("update size %d", got)
 	}
 	handoff := &message{Kind: kindHandoff, Items: []handoffItem{{Size: 100}, {Size: 200}}}
-	if got := handoff.wireSize(ctrl); got != ctrl+300 {
+	if got := handoff.wireSize(); got != ctrl+300 {
 		t.Errorf("handoff size %d", got)
 	}
 }

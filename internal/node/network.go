@@ -35,9 +35,6 @@ type Options struct {
 	RNG       *sim.RNG
 	// Tracer receives structured protocol events when non-nil.
 	Tracer trace.Tracer
-	// Probe receives invariant-checking callbacks when non-nil; see the
-	// Probe interface for the observer contract.
-	Probe Probe
 }
 
 // Stats counts protocol-layer events beyond the metrics collector.
@@ -160,7 +157,6 @@ func New(opts Options) (*Network, error) {
 		meter:   opts.Meter,
 		rng:     opts.RNG,
 		tracer:  opts.Tracer,
-		probe:   opts.Probe,
 		truth:   make([]uint64, opts.Catalog.Len()),
 	}
 	n.loc = chanLocator{n.ch}
@@ -271,11 +267,11 @@ func (n *Network) placeKeys() {
 		} else {
 			n.stats.HomelessKeys++
 		}
-		reps := n.replicaCount()
+		reps := n.cfg.Replicas
 		if reps == 1 {
 			// The paper's single replica region, custodian nearest the
-			// center — kept verbatim so k<=1 runs are bit-identical to
-			// the pre-k layer.
+			// center — kept verbatim so k=1 runs are bit-identical to the
+			// pre-k layer.
 			if rep, ok := n.table.ReplicaRegion(k); ok {
 				if holder := n.peerNearestCenter(n.table, rep.ID); holder != nil {
 					replica := item
@@ -299,22 +295,9 @@ func (n *Network) placeKeys() {
 	}
 }
 
-// replicaCount returns the effective number of replica regions per key:
-// 0 with replication off, otherwise the configured count with 0 meaning
-// the legacy single replica region.
-func (n *Network) replicaCount() int {
-	if !n.cfg.Replication {
-		return 0
-	}
-	if n.cfg.Replicas <= 1 {
-		return 1
-	}
-	return n.cfg.Replicas
-}
-
-// Replicas returns the effective number of replica regions per key (0
-// when replication is off).
-func (n *Network) Replicas() int { return n.replicaCount() }
+// Replicas returns the number of replica regions per key (0 when
+// replication is off).
+func (n *Network) Replicas() int { return n.cfg.Replicas }
 
 // peerNearestCenter returns the live peer inside the region (under the
 // given table's geometry) closest to its center, or nil when the region
@@ -470,7 +453,7 @@ func (n *Network) account(m *message) {
 // and a transmission nobody will receive is released immediately. The
 // caller must not touch m afterwards.
 func (n *Network) broadcast(from radio.NodeID, m *message) {
-	delivered := n.ch.Broadcast(from, m.wireSize(n.cfg.ControlBytes), m)
+	delivered := n.ch.Broadcast(from, m.wireSize(), m)
 	if delivered == 0 {
 		n.releaseMsg(m)
 		return
@@ -484,7 +467,7 @@ func (n *Network) broadcast(from radio.NodeID, m *message) {
 // the caller must not touch m after a true return. On false the caller
 // still owns m.
 func (n *Network) unicast(from, to radio.NodeID, m *message) bool {
-	return n.ch.Unicast(from, to, m.wireSize(n.cfg.ControlBytes), m)
+	return n.ch.Unicast(from, to, m.wireSize(), m)
 }
 
 // routingDest returns the geographic destination of a routed message.
@@ -501,7 +484,7 @@ func routingDest(m *message) geo.Point {
 // when no progress is possible (the packet is dropped; end-to-end
 // recovery is by requester timeout).
 func (n *Network) forwardRouted(p *Peer, m *message) bool {
-	if m.Hops >= n.cfg.MaxRouteHops {
+	if m.Hops >= maxRouteHops {
 		// Perimeter walks in a mobile topology can wander when the
 		// graph changes underneath them; the hop cap bounds the damage.
 		n.stats.RoutingFailures++
@@ -882,7 +865,7 @@ func (n *Network) publishTable(next *region.Table, near region.ID) {
 	m := n.newMsg(message{
 		Kind: kindTableUpdate, ID: initiator.newID(), FloodID: initiator.newID(),
 		Origin: initiator.id, OriginPos: n.ch.Position(initiator.id),
-		TTL: n.cfg.NetworkTTL, TableIdx: idx,
+		TTL: networkTTL, TableIdx: idx,
 	})
 	initiator.markSeen(m.FloodID)
 	n.broadcast(initiator.id, m)

@@ -149,14 +149,7 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		func(c *Config) { c.Retrieval = RetrievalScheme(9) },
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.CacheBytes = -1 },
-		func(c *Config) { c.RegionTTL = 0 },
-		func(c *Config) { c.NetworkTTL = -1 },
-		func(c *Config) { c.MaxRingTTL = 0 },
-		func(c *Config) { c.RegionalTimeout = 0 },
-		func(c *Config) { c.RemoteTimeout = -1 },
-		func(c *Config) { c.RingTimeout = 0 },
-		func(c *Config) { c.MobilityCheckInterval = 0 },
-		func(c *Config) { c.ControlBytes = 0 },
+		func(c *Config) { c.Replicas = -1 },
 		func(c *Config) { c.Warmup = -1 },
 		func(c *Config) { c.Consistency.Alpha = 2 },
 	}
@@ -230,7 +223,7 @@ func TestInitialPlacement(t *testing.T) {
 
 func TestPlacementWithoutReplication(t *testing.T) {
 	o := defaultHarnessOpts()
-	o.mutate = func(c *Config) { c.Replication = false }
+	o.mutate = func(c *Config) { c.Replicas = 0 }
 	h := build(t, o)
 	for i := 0; i < h.net.Peers(); i++ {
 		p := h.net.Peer(radio.NodeID(i))
@@ -631,7 +624,7 @@ func TestReplicaServesAfterHomeRegionCrash(t *testing.T) {
 
 func TestNoReplicationFailsAfterHomeRegionCrash(t *testing.T) {
 	o := defaultHarnessOpts()
-	o.mutate = func(c *Config) { c.Replication = false }
+	o.mutate = func(c *Config) { c.Replicas = 0 }
 	h := build(t, o)
 	k := h.cat.Keys()[0]
 	home, _ := h.table.HomeRegion(k)

@@ -205,7 +205,7 @@ func (p *Peer) scheduleNextUpdate() {
 // (Section 2.3: "peers check their positions periodically"), pinned to
 // the peer's own execution context.
 func (p *Peer) scheduleMobilityCheck() {
-	p.net.sched.AtAs(p.net.sched.Now()+p.net.cfg.MobilityCheckInterval, func() {
+	p.net.sched.AtAs(p.net.sched.Now()+mobilityCheckInterval, func() {
 		if p.Alive() {
 			p.checkMobility()
 		}

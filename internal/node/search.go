@@ -105,7 +105,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 			req.phase = phasePoll
 			req.cachedVersion = e.Version
 			if n.sendPoll(p, req) {
-				n.armReqTimeout(req, n.sched.Now()+n.cfg.RemoteTimeout)
+				n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
 				return
 			}
 			// No route to the home region: fall through to a search.
@@ -131,8 +131,8 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 		n.startRegionalPhase(p, req)
 	case Flooding:
 		req.phase = phaseFlood
-		n.floodSearch(p, req, n.cfg.NetworkTTL)
-		n.armReqTimeout(req, n.sched.Now()+n.cfg.RemoteTimeout)
+		n.floodSearch(p, req, networkTTL)
+		n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
 	case ExpandingRing:
 		req.phase = phaseRing
 		req.ringTTL = 1
@@ -143,7 +143,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 
 // ringWait scales the per-round timeout with the ring radius.
 func (n *Network) ringWait(ttl int) float64 {
-	return n.cfg.RingTimeout * float64(ttl)
+	return ringTimeout * float64(ttl)
 }
 
 // startRegionalPhase broadcasts the request inside the requester's region.
@@ -152,11 +152,11 @@ func (n *Network) startRegionalPhase(p *Peer, req *pendingReq) {
 	m := n.newMsg(message{
 		Kind: kindRegionalSearch, ID: req.id, Key: req.key,
 		Origin: p.id, OriginPos: n.ch.Position(p.id), OriginRegion: p.regionID,
-		TargetRegion: p.regionID, TTL: n.cfg.RegionTTL,
+		TargetRegion: p.regionID, TTL: regionTTL,
 	})
 	p.markSeen(m.ID) // the origin must not re-flood its own request
 	n.broadcast(p.id, m)
-	n.armReqTimeout(req, n.sched.Now()+n.cfg.RegionalTimeout)
+	n.armReqTimeout(req, n.sched.Now()+regionalTimeout)
 }
 
 // startHomePhase routes the request toward the key's home region. It
@@ -180,7 +180,7 @@ func (n *Network) startHomePhase(p *Peer, req *pendingReq) bool {
 		n.releaseMsg(m)
 		return false
 	}
-	n.armReqTimeout(req, n.sched.Now()+n.cfg.RemoteTimeout)
+	n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
 	return true
 }
 
@@ -206,8 +206,7 @@ func replicaRegionAt(t *region.Table, k workload.Key, r int) (region.Region, boo
 // successfully forwarded rank is recorded, so an unreachable rank is
 // retried if a later phase falls back here again.
 func (n *Network) startReplicaPhase(p *Peer, req *pendingReq) bool {
-	reps := n.replicaCount()
-	for r := req.replicaRank + 1; r <= reps; r++ {
+	for r := req.replicaRank + 1; r <= n.cfg.Replicas; r++ {
 		rep, ok := replicaRegionAt(p.table(), req.key, r)
 		if !ok || rep.ID == p.regionID {
 			continue
@@ -223,7 +222,7 @@ func (n *Network) startReplicaPhase(p *Peer, req *pendingReq) bool {
 			continue
 		}
 		req.replicaRank = r
-		n.armReqTimeout(req, n.sched.Now()+n.cfg.RemoteTimeout)
+		n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
 		return true
 	}
 	return false
@@ -292,7 +291,7 @@ func (n *Network) onTimeout(id uint64) {
 		n.fail(req)
 	case phaseRing:
 		next := req.ringTTL * 2
-		if next > n.cfg.MaxRingTTL {
+		if next > maxRingTTL {
 			n.fail(req)
 			return
 		}
@@ -450,7 +449,7 @@ func (p *Peer) onRoutedSearch(m *message) {
 		// the deterministic ID sequence matches the reference path,
 		// which built the flood before checking its own holdings.
 		m.Kind = kindHomeFlood
-		m.TTL = p.net.cfg.RegionTTL
+		m.TTL = regionTTL
 		m.FloodID = p.newID()
 		p.markSeen(m.FloodID)
 		// The point of broadcast also checks its own holdings. answer
@@ -533,7 +532,7 @@ func (p *Peer) onReply(m *message) {
 		req.phase = phasePoll
 		req.cachedVersion = m.Version
 		if n.sendPoll(p, req) {
-			n.armReqTimeout(req, n.sched.Now()+n.cfg.RemoteTimeout)
+			n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
 			return
 		}
 		// The home region is unreachable for validation; fall through

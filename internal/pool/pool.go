@@ -1,6 +1,7 @@
-// Package pool provides the bounded worker pool shared by the sweep
-// driver and the sharded scheduler: N independent jobs executed on at
-// most W goroutines, with first-error abort and panic propagation.
+// Package pool provides the bounded worker pool that runs independent
+// whole simulations — the sweep driver's scenarios and precinct-check's
+// seeds: N jobs executed on at most W goroutines, with first-error abort
+// and panic propagation.
 package pool
 
 import (

@@ -167,72 +167,10 @@ func (t *Writer) Flush() error {
 	return t.err
 }
 
-// Filter passes through only events whose kind is in the allow set.
-type Filter struct {
-	Next  Tracer
-	Allow map[Kind]bool
-}
-
-// NewFilter builds a filter over next for the listed kinds.
-func NewFilter(next Tracer, kinds ...Kind) *Filter {
-	allow := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		allow[k] = true
-	}
-	return &Filter{Next: next, Allow: allow}
-}
-
-// Emit implements Tracer.
-func (f *Filter) Emit(e Event) {
-	if f.Allow[e.Kind] {
-		f.Next.Emit(e)
-	}
-}
-
-// Counter counts events by kind; useful in tests and quick diagnostics.
-type Counter struct {
-	ByKind map[Kind]uint64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{ByKind: make(map[Kind]uint64)} }
-
-// Emit implements Tracer.
-func (c *Counter) Emit(e Event) { c.ByKind[e.Kind]++ }
-
-// Total returns the total number of events seen.
-func (c *Counter) Total() uint64 {
-	var n uint64
-	for _, v := range c.ByKind {
-		n += v
-	}
-	return n
-}
-
-// Multi fans events out to several tracers.
-type Multi []Tracer
-
-// Emit implements Tracer.
-func (m Multi) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
-// Buffer retains events in memory (tests, small runs).
+// Buffer retains events in memory (tests, per-shard buffering).
 type Buffer struct {
 	Events []Event
-	// Cap bounds memory; zero means unbounded. When full, new events
-	// are dropped and Dropped counts them.
-	Cap     int
-	Dropped uint64
 }
 
 // Emit implements Tracer.
-func (b *Buffer) Emit(e Event) {
-	if b.Cap > 0 && len(b.Events) >= b.Cap {
-		b.Dropped++
-		return
-	}
-	b.Events = append(b.Events, e)
-}
+func (b *Buffer) Emit(e Event) { b.Events = append(b.Events, e) }

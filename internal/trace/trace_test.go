@@ -63,50 +63,6 @@ func TestWriterPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	c := NewCounter()
-	f := NewFilter(c, RequestCompleted, Handoff)
-	f.Emit(Event{Kind: RequestIssued})
-	f.Emit(Event{Kind: RequestCompleted})
-	f.Emit(Event{Kind: Handoff})
-	f.Emit(Event{Kind: NodeCrashed})
-	if c.Total() != 2 {
-		t.Errorf("filter passed %d events, want 2", c.Total())
-	}
-	if c.ByKind[RequestCompleted] != 1 || c.ByKind[Handoff] != 1 {
-		t.Errorf("counts %v", c.ByKind)
-	}
-}
-
-func TestMulti(t *testing.T) {
-	a, b := NewCounter(), NewCounter()
-	m := Multi{a, b}
-	m.Emit(Event{Kind: UpdateIssued})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Error("multi did not fan out")
-	}
-}
-
-func TestBufferCap(t *testing.T) {
-	b := &Buffer{Cap: 2}
-	for i := 0; i < 5; i++ {
-		b.Emit(Event{Kind: RequestIssued, Node: i})
-	}
-	if len(b.Events) != 2 {
-		t.Errorf("buffer kept %d events", len(b.Events))
-	}
-	if b.Dropped != 3 {
-		t.Errorf("dropped %d, want 3", b.Dropped)
-	}
-	unbounded := &Buffer{}
-	for i := 0; i < 100; i++ {
-		unbounded.Emit(Event{Kind: RequestIssued})
-	}
-	if len(unbounded.Events) != 100 || unbounded.Dropped != 0 {
-		t.Error("unbounded buffer dropped events")
-	}
-}
-
 func TestCanonicalizeIsOrderFree(t *testing.T) {
 	// A multiset with ties on every prefix: the order must be total up to
 	// full equality so any permutation canonicalizes identically.

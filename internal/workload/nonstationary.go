@@ -137,7 +137,7 @@ func (d *Diurnal) offset(now float64) int {
 	if frac < 0 {
 		frac += 1
 	}
-	return int(math.Floor(frac * float64(n))) % n
+	return int(math.Floor(frac*float64(n))) % n
 }
 
 // Kind returns KindDiurnal.
@@ -373,4 +373,3 @@ func (r *RankChurn) PickUpdateKey(c Ctx) Key {
 	r.advance(c.Now)
 	return Key(r.perm[int(r.gen.PickUpdateKey(c.RNG))])
 }
-

@@ -30,7 +30,7 @@ type InvariantReport struct {
 	Sweeps uint64
 	Events uint64
 	// TotalViolations counts every breach; Violations records the first
-	// ones (capped, see internal/invariant.Config).
+	// 64.
 	TotalViolations uint64
 	Violations      []InvariantViolation
 }
@@ -106,7 +106,7 @@ func RunChecked(s Scenario) (Result, InvariantReport, error) {
 	if err := debugBreakEnv(b); err != nil {
 		return Result{}, InvariantReport{}, err
 	}
-	runner := invariant.New(invariant.Config{})
+	runner := invariant.New()
 	runner.Attach(invariant.Context{
 		Net:     b.network,
 		Ch:      b.channel,

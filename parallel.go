@@ -550,22 +550,22 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 		}
 	}
 	return Result{
-		Scenario: s,
-		Report:   fromMetrics(p.b.network.Report()),
-		Protocol: fromStats(protoStats),
-		Radio:    fromRadio(radioStats),
-	}, RunStats{
-		Events:            events,
-		HeapPushes:        pushes,
-		FanMembers:        fanMembers,
-		RehomePasses:      rehomePasses,
-		RehomeSkips:       rehomeSkips,
-		Windows:           p.stats.windows,
-		EmptyShardWindows: p.stats.emptyShardWindows,
-		BarrierDrains:     p.stats.barrierDrains,
-		OutboxFlushes:     p.stats.flushes,
-		RemoteDeliveries:  p.stats.remote,
-		ShardEvents:       shardEvents,
-		ShardLoads:        p.loads,
-	}, nil
+			Scenario: s,
+			Report:   fromMetrics(p.b.network.Report()),
+			Protocol: fromStats(protoStats),
+			Radio:    fromRadio(radioStats),
+		}, RunStats{
+			Events:            events,
+			HeapPushes:        pushes,
+			FanMembers:        fanMembers,
+			RehomePasses:      rehomePasses,
+			RehomeSkips:       rehomeSkips,
+			Windows:           p.stats.windows,
+			EmptyShardWindows: p.stats.emptyShardWindows,
+			BarrierDrains:     p.stats.barrierDrains,
+			OutboxFlushes:     p.stats.flushes,
+			RemoteDeliveries:  p.stats.remote,
+			ShardEvents:       shardEvents,
+			ShardLoads:        p.loads,
+		}, nil
 }

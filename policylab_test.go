@@ -12,6 +12,7 @@ import (
 
 	"precinct"
 	"precinct/internal/invariant/fuzzgen"
+	"precinct/internal/node"
 )
 
 // replicaSeeds returns the seed set for the k=2 replica pass: 12
@@ -78,28 +79,39 @@ func TestInvariantReplicaDeterminism(t *testing.T) {
 	}
 }
 
-// TestInvariantReplicaLegacyDefault pins the compatibility edge the
-// whole layer was built on: Replicas 0 selects the paper's single
-// replica region, so 0 and an explicit 1 are the same scenario.
+// TestInvariantReplicaLegacyDefault pins the edge the replica count
+// starts from: Replicas 0 places no replica copy at all, and 1 — the
+// paper's single replica region — places exactly one rank-1 copy of
+// every key.
 func TestInvariantReplicaLegacyDefault(t *testing.T) {
 	for _, seed := range []int64{2, 6, 19} {
 		sc := fuzzgen.Expand(seed)
-		sc.Replication = true
+		// Stop before the first mobility check, so the stores still hold
+		// the initial placement.
+		sc.Faults, sc.ChurnInterval, sc.Warmup, sc.Duration = nil, 0, 0, 0.5
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			zero := sc
-			zero.Replicas = 0
-			one := sc
-			one.Replicas = 1
-			a, err := precinct.Run(zero)
-			if err != nil {
-				t.Fatal(err)
+			for _, reps := range []int{0, 1} {
+				sc := sc
+				sc.Replicas = reps
+				run, err := precinct.RunObservedForTest(sc, func(*node.Network) node.Probe { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				copies := make([]int, sc.Items)
+				for _, store := range run.Stores {
+					for _, it := range store {
+						if it.ReplicaRank >= 1 {
+							copies[it.Key]++
+						}
+					}
+				}
+				for k, n := range copies {
+					if n != reps {
+						t.Errorf("Replicas %d: key %d has %d replica copies", reps, k, n)
+					}
+				}
 			}
-			b, err := precinct.Run(one)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "replicas-0-vs-1", a, b)
 		})
 	}
 }

@@ -61,11 +61,9 @@ type Scenario struct {
 	// shape. Merge/Separate and adaptive management require the grid.
 	VoronoiRegions bool
 
-	// Mobile selects the random waypoint model; false places nodes on a
-	// jittered static grid (the Section 6.2.3 validation topology).
-	// MobilityModel overrides it when non-empty: "waypoint", "static",
+	// MobilityModel is "waypoint" (random waypoint), "static" (a
+	// jittered static grid, the Section 6.2.3 validation topology),
 	// "random-walk" or "gauss-markov".
-	Mobile        bool
 	MobilityModel string
 	// MaxSpeed is the waypoint / random-walk maximum (and Gauss-Markov
 	// mean) speed in m/s.
@@ -134,22 +132,17 @@ type Scenario struct {
 	// (gd-ld, pop-dist); the zero value keeps the defaults.
 	GDLDWeights Weights
 	// CacheFraction sizes each peer's dynamic cache as a fraction of
-	// the total catalog size (the paper sweeps 0.005–0.025). Negative
-	// disables caching; zero falls back to CacheBytes.
+	// the total catalog size (the paper sweeps 0.005–0.025); zero or
+	// negative disables caching.
 	CacheFraction float64
-	// CacheBytes sizes the cache absolutely when CacheFraction is 0.
-	CacheBytes int64
 
-	// EnRoute enables en-route cache answering; Replication maintains
-	// replica regions.
-	EnRoute     bool
-	Replication bool
-	// Replicas is the number of replica regions per key when Replication
-	// is on: a key's rank-r replica lives in the (r+1)-th nearest region
-	// to its hash location. 0 and 1 select the paper's single replica
-	// region (bit-identical to the pre-k layer); higher values home each
-	// key in the k best regions with load-aware placement (DESIGN.md
-	// section 16).
+	// EnRoute enables en-route cache answering.
+	EnRoute bool
+	// Replicas is the number of replica regions per key: a key's rank-r
+	// replica lives in the (r+1)-th nearest region to its hash location.
+	// 0 maintains none, 1 is the paper's single replica region, and
+	// higher values home each key in the k best regions with load-aware
+	// placement (DESIGN.md section 16).
 	Replicas int
 
 	// Warmup excludes the initial cache-fill phase from metrics;
@@ -173,9 +166,10 @@ type Scenario struct {
 
 	// ChurnInterval, when positive, drives background churn: one random
 	// live peer leaves per interval on average (Poisson), returning
-	// empty-handed after ChurnDowntime seconds. ChurnGraceful is the
-	// fraction of departures that hand their keys off before leaving
-	// (the paper assumes "most users quit the network gracefully").
+	// empty-handed after ChurnDowntime seconds (0 = at once).
+	// ChurnGraceful is the fraction of departures that hand their keys
+	// off before leaving (the paper assumes "most users quit the network
+	// gracefully").
 	ChurnInterval float64
 	ChurnDowntime float64
 	ChurnGraceful float64
@@ -263,7 +257,7 @@ func DefaultScenario() Scenario {
 		Nodes:           80,
 		AreaSide:        1200,
 		Regions:         9,
-		Mobile:          true,
+		MobilityModel:   "waypoint",
 		MaxSpeed:        6,
 		Pause:           5,
 		Range:           250,
@@ -280,9 +274,11 @@ func DefaultScenario() Scenario {
 		Policy:          "gd-ld",
 		CacheFraction:   0.015,
 		EnRoute:         true,
-		Replication:     true,
+		Replicas:        1,
 		Warmup:          300,
 		Duration:        2000,
+		ChurnDowntime:   60,
+		ChurnGraceful:   0.8,
 	}
 }
 
@@ -337,10 +333,6 @@ type built struct {
 // to the next tick. The draw order is part of the recorded behaviour.
 func (b *built) armChurn(rng *rand.Rand) {
 	s := b.scenario
-	downtime := s.ChurnDowntime
-	if downtime == 0 {
-		downtime = 60
-	}
 	var armTick func()
 	armTick = func() {
 		b.sched.After(rng.ExpFloat64()*s.ChurnInterval, func() {
@@ -351,7 +343,7 @@ func (b *built) armChurn(rng *rand.Rand) {
 				} else {
 					b.network.Crash(id)
 				}
-				b.sched.After(downtime, func() { b.network.Revive(id) })
+				b.sched.After(s.ChurnDowntime, func() { b.network.Revive(id) })
 			}
 			armTick()
 		})
@@ -388,15 +380,7 @@ func lossStreams(rng *sim.RNG, n int) []*rand.Rand {
 // registries: streams are derived by name, so each replica's model walks
 // the exact trajectory the primary's does.
 func (s Scenario) buildMobility(area geo.Rect, rng *sim.RNG) (mobility.Model, error) {
-	model := s.MobilityModel
-	if model == "" {
-		if s.Mobile {
-			model = "waypoint"
-		} else {
-			model = "static"
-		}
-	}
-	switch model {
+	switch s.MobilityModel {
 	case "waypoint":
 		return mobility.NewWaypoint(s.Nodes, mobility.WaypointConfig{
 			Area:     area,
@@ -422,7 +406,7 @@ func (s Scenario) buildMobility(area geo.Rect, rng *sim.RNG) (mobility.Model, er
 			UpdateInterval: 1,
 		}, rng)
 	default:
-		return nil, fmt.Errorf("precinct: unknown mobility model %q", model)
+		return nil, fmt.Errorf("precinct: unknown mobility model %q", s.MobilityModel)
 	}
 }
 
@@ -697,7 +681,6 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 	}
 	cfg.Policy = policy
 	cfg.EnRoute = s.EnRoute
-	cfg.Replication = s.Replication
 	cfg.Replicas = s.Replicas
 	cfg.Warmup = s.Warmup
 	if s.AdaptiveRegions {
@@ -712,14 +695,7 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 			cfg.Adaptive.MergeBelow = s.AdaptiveMergeBelow
 		}
 	}
-	switch {
-	case s.CacheFraction > 0:
-		cfg.CacheBytes = int64(s.CacheFraction * float64(catalog.TotalSize()))
-	case s.CacheFraction < 0:
-		cfg.CacheBytes = 0
-	default:
-		cfg.CacheBytes = s.CacheBytes
-	}
+	cfg.CacheBytes = int64(max(s.CacheFraction, 0) * float64(catalog.TotalSize()))
 
 	coll := newCollector()
 	if s.RequestInterval > 0 {

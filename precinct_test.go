@@ -268,7 +268,7 @@ func TestMeanReportEmpty(t *testing.T) {
 
 func TestStaticScenario(t *testing.T) {
 	s := quickScenario()
-	s.Mobile = false
+	s.MobilityModel = "static"
 	s.AreaSide = 600
 	s.Nodes = 40
 	s.Warmup = 0

@@ -110,7 +110,7 @@ func rehomeOracleScenario(seed int64) precinct.Scenario {
 	s := fuzzgen.Expand(seed)
 	s.Consistency = []string{"push-adaptive-pull", "plain-push", "pull-every-time"}[seed%3]
 	s.UpdateInterval = 10 + float64(seed%4)*5
-	s.Replication = true
+	s.Replicas = 1
 	if seed%2 == 0 {
 		s.MobilityModel = "waypoint"
 		s.MaxSpeed = 12

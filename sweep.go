@@ -21,7 +21,7 @@ func Sweep(scenarios []Scenario, workers int) ([]Result, error) {
 		return nil, nil
 	}
 	results := make([]Result, len(scenarios))
-	err := runPool(len(scenarios), workers, func(i int) error {
+	err := pool.Run(len(scenarios), workers, func(i int) error {
 		var err error
 		results[i], err = Run(scenarios[i])
 		if err != nil {
@@ -33,12 +33,6 @@ func Sweep(scenarios []Scenario, workers int) ([]Result, error) {
 		return nil, err
 	}
 	return results, nil
-}
-
-// runPool executes job(0..n-1) on a worker pool. It is a thin alias
-// for pool.Run, kept so existing call sites read unchanged.
-func runPool(n, workers int, job func(i int) error) error {
-	return pool.Run(n, workers, job)
 }
 
 // Replicate runs the same scenario under each seed (in parallel) and
