@@ -47,7 +47,7 @@ check:
 # kept working; real fuzzing campaigns just raise -fuzztime.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSegmentsIntersect$$' -fuzztime $(FUZZTIME) ./internal/geo
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentIntersection$$' -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz '^FuzzRectClamp$$' -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz '^FuzzGeoHash$$' -fuzztime $(FUZZTIME) ./internal/region
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionForPoint$$' -fuzztime $(FUZZTIME) ./internal/region

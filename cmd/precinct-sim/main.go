@@ -2,7 +2,19 @@
 // its metrics. The scenario comes from flags, from a JSON config file
 // (-config), or both — explicitly set flags override the file. With -fig
 // it regenerates the evaluation instead: the paper's figures, the
-// extension sweeps and the three labs, as tables, CSV or ASCII charts.
+// extension sweeps and the three labs, as tables, CSV or ASCII charts;
+// the 9a and 9b figures carry the Section 5 closed forms (Equations 11
+// and 13) as their theory series.
+//
+// Two subcommands, named by the first argument, do the rest:
+//
+//	precinct-sim check [-start n] [-seeds n] [-workers n] [-scale] [-max-nodes n] [-v]
+//	precinct-sim analyze [-timeline s] [-top n] [file]
+//
+// check runs a batch of deterministically fuzzed scenarios under the
+// runtime invariant catalog and exits 2 when any seed violates it;
+// analyze summarizes a JSONL trace written by -trace (stdin without a
+// file).
 //
 // Examples:
 //
@@ -13,9 +25,13 @@
 //	precinct-sim -workload trace -workload-trace internal/workload/testdata/sample_trace.csv
 //	precinct-sim -config scenario.json -seed 7
 //	precinct-sim -save-config scenario.json -nodes 120
-//	precinct-sim -check -nodes 40 -duration 300
+//	precinct-sim -check -nodes 40 -duration 300 -warmup 60
 //	precinct-sim -fig all                  # what bench_figures.txt holds
 //	precinct-sim -fig 6-8 -duration 600 -warmup 150 -format chart
+//	precinct-sim -fig 9a                   # Equations 11/13 beside the simulation
+//	precinct-sim check -seeds 100
+//	precinct-sim check -scale -max-nodes 500 -seeds 4
+//	precinct-sim -trace run.jsonl -nodes 40 && precinct-sim analyze -timeline 60 run.jsonl
 //
 // With -check the run executes under the full runtime invariant catalog
 // (DESIGN.md section 9); any violation is printed and the process exits
@@ -29,6 +45,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -164,6 +181,18 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 }
 
 func main() {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "check":
+			os.Exit(runCheck(os.Args[2:], os.Stdout, os.Stderr))
+		case "analyze":
+			err := runAnalyze(os.Args[2:], os.Stdin, os.Stdout, os.Stderr)
+			if err != nil && !errors.Is(err, flag.ErrHelp) {
+				die(err)
+			}
+			return
+		}
+	}
 	o, err := parseArgs(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		die(err)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 
 	"precinct"
 	"precinct/internal/invariant/fuzzgen"
+	"precinct/internal/trace"
 )
 
 func flagSet(names ...string) map[string]bool {
@@ -153,5 +156,103 @@ func TestPrintFiguresRejects(t *testing.T) {
 	}
 	if err := printFigures(io.Discard, "9b", "json", cfg); err == nil || !strings.Contains(err.Error(), "json") {
 		t.Errorf("unknown format: err = %v, want one naming it", err)
+	}
+}
+
+// check runs the check subcommand and returns its exit status and what it
+// printed on each stream.
+func check(args ...string) (code int, stdout, stderr string) {
+	var out, errs strings.Builder
+	code = runCheck(args, &out, &errs)
+	return code, out.String(), errs.String()
+}
+
+// TestCheckSubcommand: a healthy build passes the first eight fuzzed
+// seeds with one line per seed under -v, and a sabotaged one exits 2
+// naming the violated invariant.
+func TestCheckSubcommand(t *testing.T) {
+	code, stdout, stderr := check("-seeds", "8", "-workers", "2", "-v")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if n := strings.Count(stdout, "): ok — invariants: 0 violation(s)"); n != 8 {
+		t.Errorf("%d ok lines for 8 seeds:\n%s", n, stdout)
+	}
+	if !strings.HasSuffix(stdout, "precinct-sim check: 8 scenario(s), 0 failed\n") {
+		t.Errorf("summary line missing:\n%s", stdout)
+	}
+
+	t.Setenv("PRECINCT_DEBUG_BREAK", "no-evict")
+	code, stdout, stderr = check("-seeds", "1")
+	if code != 2 || !strings.Contains(stderr, "[cache]") || !strings.Contains(stdout, "1 failed") {
+		t.Errorf("sabotaged build: exit %d, want 2 with a cache violation\nstdout: %s\nstderr: %.300s", code, stdout, stderr)
+	}
+}
+
+// TestCheckSubcommandRejects: a count that is not positive, an unknown
+// flag or a stray argument exits 1 before any scenario runs.
+func TestCheckSubcommandRejects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "0"},
+		{"-workers", "0"},
+		{"-max-nodes", "0"},
+		{"-no-such-flag"},
+		{"8"},
+	} {
+		if code, stdout, _ := check(args...); code != 1 || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q; want 1 and nothing run", args, code, stdout)
+		}
+	}
+}
+
+// TestAnalyzeSubcommand reads a RunTraced stream back, from stdin and
+// from a file, and prints trace.Analyze's counts of it; a missing file
+// and a timeline width that cannot be bucketed are errors.
+func TestAnalyzeSubcommand(t *testing.T) {
+	s := precinct.DefaultScenario()
+	s.Nodes, s.Duration, s.Warmup = 30, 300, 60
+	var stream bytes.Buffer
+	if _, err := precinct.RunTraced(s, &stream); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.Read(bytes.NewReader(stream.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := trace.Analyze(events)
+	if a.Requests == 0 {
+		t.Fatal("setup: the trace holds no requests")
+	}
+	want := fmt.Sprintf("requests:    %d issued, %d completed, %d failed\n", a.Requests, a.Completed, a.Failed)
+
+	var fromStdin strings.Builder
+	if err := runAnalyze(nil, bytes.NewReader(stream.Bytes()), &fromStdin, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(fromStdin.String(), want) {
+		t.Errorf("stdin: output lacks %q:\n%s", want, fromStdin.String())
+	}
+
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, stream.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fromFile strings.Builder
+	if err := runAnalyze([]string{"-timeline", "60", path}, nil, &fromFile, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if out := fromFile.String(); !strings.HasPrefix(out, fromStdin.String()) || !strings.Contains(out, "timeline (60 s buckets)") {
+		t.Errorf("file with -timeline 60: output is not the stdin summary plus a timeline:\n%s", out)
+	}
+
+	for _, args := range [][]string{
+		{filepath.Join(t.TempDir(), "missing.jsonl")},
+		{"-timeline", "NaN", path},
+		{"-timeline", "1e-300", path},
+	} {
+		var out strings.Builder
+		if err := runAnalyze(args, nil, &out, io.Discard); err == nil || out.Len() > 0 {
+			t.Errorf("%v: err %v after printing %d bytes; want an error and nothing printed", args, err, out.Len())
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package analysis implements the paper's Section 5 closed-form energy
 // model: per-message broadcast and point-to-point costs (Equations 4–10)
 // and the per-request energy of the flooding scheme (Equation 11) and of
-// PReCinCt (Equation 13). The cmd/precinct-analysis tool and the Figure 9
-// benchmarks print these curves next to the simulated ones.
+// PReCinCt (Equation 13). The 9a and 9b grids (`precinct-sim -fig 9a`,
+// `-fig 9b`) and the Figure 9 benchmarks print these curves next to the
+// simulated ones.
 package analysis
 
 import (

@@ -206,9 +206,6 @@ func (c *Cache) Used() int64 { return c.used }
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Policy returns the replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Inflation returns the current greedy-dual L value.
 func (c *Cache) Inflation() float64 { return c.inflate }
 

@@ -15,9 +15,10 @@
 //
 //	TTR = alpha*TTR + (1-alpha)*t_upd_intvl
 //
-// The message choreography lives in internal/node; this package owns the
-// scheme identifiers, configuration, and the TTR/version bookkeeping that
-// home-region peers apply.
+// The message choreography, and the version and TTR bookkeeping of a
+// stored item (node.(*Network).applyStoredUpdate), live in internal/node;
+// this package owns the scheme identifiers, configuration, the smoothing
+// rule and its invariant bound.
 package consistency
 
 import (
@@ -140,31 +141,6 @@ func CheckSmoothingBound(alpha, prev, interval, next float64) error {
 			next, lo, hi, alpha, prev, interval)
 	}
 	return nil
-}
-
-// ApplyUpdate records an accepted update on a home/replica-region stored
-// item at simulation time now: it bumps the version, re-estimates the TTR
-// from the observed inter-update interval, and stamps the update time.
-// It returns the new version and TTR.
-func ApplyUpdate(it *cache.StoredItem, now float64, cfg Config) (version uint64, ttr float64) {
-	interval := now - it.UpdatedAt
-	if interval < 0 {
-		interval = 0
-	}
-	prev := it.TTR
-	if prev <= 0 {
-		prev = cfg.InitialTTR
-	}
-	if it.Version == 0 && it.UpdatedAt == 0 {
-		// First ever update: the "interval since creation" is not an
-		// observed inter-update gap; blend with the seed instead.
-		it.TTR = SmoothTTR(cfg.Alpha, cfg.InitialTTR, interval)
-	} else {
-		it.TTR = SmoothTTR(cfg.Alpha, prev, interval)
-	}
-	it.Version++
-	it.UpdatedAt = now
-	return it.Version, it.TTR
 }
 
 // Fresh reports whether a cached entry may be served without validation

@@ -55,72 +55,6 @@ func TestSmoothTTR(t *testing.T) {
 	}
 }
 
-func TestApplyUpdateBumpsVersion(t *testing.T) {
-	cfg := DefaultConfig(PushAdaptivePull)
-	it := &cache.StoredItem{Key: 1, TTR: cfg.InitialTTR}
-	v1, _ := ApplyUpdate(it, 10, cfg)
-	v2, _ := ApplyUpdate(it, 40, cfg)
-	if v1 != 1 || v2 != 2 {
-		t.Errorf("versions %d, %d; want 1, 2", v1, v2)
-	}
-	if it.UpdatedAt != 40 {
-		t.Errorf("UpdatedAt = %v", it.UpdatedAt)
-	}
-}
-
-func TestApplyUpdateTTRTracksIntervals(t *testing.T) {
-	cfg := Config{Scheme: PushAdaptivePull, Alpha: 0.5, InitialTTR: 30}
-	it := &cache.StoredItem{Key: 1, TTR: 30}
-	// Updates every 10 seconds: TTR should converge toward 10.
-	now := 0.0
-	ApplyUpdate(it, now, cfg)
-	for i := 0; i < 20; i++ {
-		now += 10
-		ApplyUpdate(it, now, cfg)
-	}
-	if math.Abs(it.TTR-10) > 1 {
-		t.Errorf("TTR = %v, want ~10 after steady 10 s updates", it.TTR)
-	}
-}
-
-func TestApplyUpdateFasterUpdatesShrinkTTR(t *testing.T) {
-	cfg := Config{Scheme: PushAdaptivePull, Alpha: 0.5, InitialTTR: 30}
-	slow := &cache.StoredItem{Key: 1, TTR: 30}
-	fast := &cache.StoredItem{Key: 2, TTR: 30}
-	nowS, nowF := 0.0, 0.0
-	ApplyUpdate(slow, nowS, cfg)
-	ApplyUpdate(fast, nowF, cfg)
-	for i := 0; i < 10; i++ {
-		nowS += 100
-		nowF += 5
-		ApplyUpdate(slow, nowS, cfg)
-		ApplyUpdate(fast, nowF, cfg)
-	}
-	if fast.TTR >= slow.TTR {
-		t.Errorf("frequently updated item TTR (%v) should be below rarely updated (%v)", fast.TTR, slow.TTR)
-	}
-}
-
-func TestApplyUpdateNegativeIntervalClamped(t *testing.T) {
-	cfg := DefaultConfig(PushAdaptivePull)
-	it := &cache.StoredItem{Key: 1, TTR: 30, UpdatedAt: 100, Version: 3}
-	// An update stamped "before" the last one (possible with reordered
-	// delivery) must not produce a negative TTR.
-	ApplyUpdate(it, 50, cfg)
-	if it.TTR < 0 {
-		t.Errorf("TTR went negative: %v", it.TTR)
-	}
-}
-
-func TestApplyUpdateZeroTTRReseeded(t *testing.T) {
-	cfg := Config{Scheme: PushAdaptivePull, Alpha: 0.5, InitialTTR: 30}
-	it := &cache.StoredItem{Key: 1, TTR: 0, UpdatedAt: 10, Version: 1}
-	ApplyUpdate(it, 20, cfg)
-	if it.TTR <= 0 {
-		t.Errorf("TTR not reseeded: %v", it.TTR)
-	}
-}
-
 func TestFreshSemantics(t *testing.T) {
 	e := &cache.Entry{TTRExpiry: 100}
 	if !Fresh(None, e, 500) {
@@ -152,21 +86,5 @@ func TestSmoothTTRBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: version is strictly monotone under ApplyUpdate.
-func TestVersionMonotone(t *testing.T) {
-	cfg := DefaultConfig(PushAdaptivePull)
-	it := &cache.StoredItem{Key: 1, TTR: 30}
-	var last uint64
-	now := 0.0
-	for i := 0; i < 100; i++ {
-		now += 7
-		v, _ := ApplyUpdate(it, now, cfg)
-		if v != last+1 {
-			t.Fatalf("version jumped %d -> %d", last, v)
-		}
-		last = v
 	}
 }

@@ -1,6 +1,7 @@
 // Package geo provides the planar geometry primitives used throughout the
 // simulator: points, rectangles, distance computations, and the segment
-// orientation predicates needed by GPSR's perimeter mode.
+// intersection GPSR's perimeter mode uses to detect crossings of the
+// source-destination line.
 //
 // All coordinates are in meters. The service area follows the usual screen
 // convention with the origin at the lower-left corner and axes increasing
@@ -47,12 +48,6 @@ func (p Point) Dist2(q Point) float64 {
 func (p Point) Midpoint(q Point) Point {
 	return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
 }
-
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
-// Dot returns the dot product of p and q treated as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
 // Cross returns the z component of the cross product of p and q treated as
 // vectors. Positive means q is counter-clockwise from p.
@@ -116,73 +111,6 @@ func (r Rect) Union(s Rect) Rect {
 		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
 		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
 	}
-}
-
-// Vertices returns the four corners of r in counter-clockwise order
-// starting from Min.
-func (r Rect) Vertices() [4]Point {
-	return [4]Point{
-		r.Min,
-		{r.Max.X, r.Min.Y},
-		r.Max,
-		{r.Min.X, r.Max.Y},
-	}
-}
-
-// Orientation classifies the turn a→b→c.
-type Orientation int
-
-// Turn directions returned by Orient.
-const (
-	Collinear        Orientation = 0
-	Clockwise        Orientation = -1
-	CounterClockwise Orientation = 1
-)
-
-// Orient returns the orientation of the ordered triple (a, b, c).
-func Orient(a, b, c Point) Orientation {
-	v := b.Sub(a).Cross(c.Sub(a))
-	switch {
-	case v > 0:
-		return CounterClockwise
-	case v < 0:
-		return Clockwise
-	default:
-		return Collinear
-	}
-}
-
-// onSegment reports whether q lies on segment a-b given that a, q, b are
-// collinear.
-func onSegment(a, b, q Point) bool {
-	return math.Min(a.X, b.X) <= q.X && q.X <= math.Max(a.X, b.X) &&
-		math.Min(a.Y, b.Y) <= q.Y && q.Y <= math.Max(a.Y, b.Y)
-}
-
-// SegmentsIntersect reports whether the closed segments p1-p2 and q1-q2
-// share at least one point. It handles all collinear and endpoint-touching
-// cases; GPSR's perimeter mode uses it to detect crossings of the
-// source-destination line.
-func SegmentsIntersect(p1, p2, q1, q2 Point) bool {
-	o1 := Orient(p1, p2, q1)
-	o2 := Orient(p1, p2, q2)
-	o3 := Orient(q1, q2, p1)
-	o4 := Orient(q1, q2, p2)
-
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	switch {
-	case o1 == Collinear && onSegment(p1, p2, q1):
-		return true
-	case o2 == Collinear && onSegment(p1, p2, q2):
-		return true
-	case o3 == Collinear && onSegment(q1, q2, p1):
-		return true
-	case o4 == Collinear && onSegment(q1, q2, p2):
-		return true
-	}
-	return false
 }
 
 // SegmentIntersection returns the intersection point of the two segments

@@ -109,9 +109,6 @@ func NewCollectorCapped(cap int) *Collector {
 	return &Collector{cap: cap}
 }
 
-// SampleCap returns the retained-sample bound (0 = unlimited).
-func (c *Collector) SampleCap() int { return c.cap }
-
 // kahanAdd folds v into the compensated running sum (*sum, *comp).
 func kahanAdd(sum, comp *float64, v float64) {
 	y := v - *comp

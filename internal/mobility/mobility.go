@@ -313,8 +313,5 @@ func (w *Waypoint) Speed(node int, now float64) float64 {
 	return nd.speed
 }
 
-// Config returns the model parameters.
-func (w *Waypoint) Config() WaypointConfig { return w.cfg }
-
 // MaxSpeed implements SpeedBounded.
 func (w *Waypoint) MaxSpeed() float64 { return w.cfg.MaxSpeed }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"precinct/internal/cache"
 	"precinct/internal/consistency"
 	"precinct/internal/radio"
 	"precinct/internal/workload"
@@ -532,4 +533,80 @@ func TestConsistencySchemeOrderingSmallScale(t *testing.T) {
 	if adaptive > pull {
 		t.Errorf("adaptive (%d) should not exceed pull-every-time (%d)", adaptive, pull)
 	}
+}
+
+// TestStoredUpdateFollowsEquation2 holds applyStoredUpdate, the rule a
+// holder applies to every pushed update in every run, to Equation 2 at
+// its edges.
+func TestStoredUpdateFollowsEquation2(t *testing.T) {
+	h := build(t, defaultHarnessOpts())
+	cfg := h.net.cfg.Consistency
+	p := custodianWithKeys(t, h)
+	k := p.store.Keys()[0]
+	held, _ := p.store.Get(k)
+	base := *held
+	set := func(version uint64, ttr, updatedAt float64) {
+		it := base
+		it.Version, it.TTR, it.UpdatedAt = version, ttr, updatedAt
+		p.store.Put(it)
+	}
+	apply := func(version uint64, now float64) cache.StoredItem {
+		h.net.applyStoredUpdate(p, k, version, now)
+		it, _ := p.store.Get(k)
+		return *it
+	}
+
+	t.Run("negative interval clamps to 0", func(t *testing.T) {
+		// An update stamped before the last one (reordered delivery).
+		set(3, 30, 100)
+		if got, want := apply(4, 50), consistency.SmoothTTR(cfg.Alpha, 30, 0); got.TTR != want || got.Version != 4 || got.UpdatedAt != 50 {
+			t.Errorf("%+v, want TTR %v, version 4 at t=50", got, want)
+		}
+	})
+	t.Run("non-positive TTR reseeds", func(t *testing.T) {
+		for _, ttr := range []float64{0, -5} {
+			set(1, ttr, 10)
+			if got, want := apply(2, 20), consistency.SmoothTTR(cfg.Alpha, cfg.InitialTTR, 10); got.TTR != want {
+				t.Errorf("TTR %v: smoothed to %v, want %v from the seed %v", ttr, got.TTR, want, cfg.InitialTTR)
+			}
+		}
+	})
+	t.Run("TTR tracks update intervals", func(t *testing.T) {
+		for _, interval := range []float64{5, 100} {
+			set(1, cfg.InitialTTR, 0)
+			var got cache.StoredItem
+			for v := uint64(2); v <= 40; v++ {
+				got = apply(v, float64(v-1)*interval)
+			}
+			if math.Abs(got.TTR-interval) > 1e-3*interval {
+				t.Errorf("updates every %v s: TTR %v", interval, got.TTR)
+			}
+		}
+	})
+	t.Run("faster updates shrink TTR", func(t *testing.T) {
+		// Ten updates from the seed: not yet converged, already ordered.
+		ttrAfter := func(interval float64) float64 {
+			set(1, cfg.InitialTTR, 0)
+			var got cache.StoredItem
+			for v := uint64(2); v <= 11; v++ {
+				got = apply(v, float64(v-1)*interval)
+			}
+			return got.TTR
+		}
+		if fast, slow := ttrAfter(5), ttrAfter(100); fast >= slow {
+			t.Errorf("TTR every 5 s (%v) should be below TTR every 100 s (%v)", fast, slow)
+		}
+	})
+	t.Run("stale or equal version ignored", func(t *testing.T) {
+		set(5, 30, 10)
+		applied := h.net.stats.UpdatesApplied
+		for _, version := range []uint64{5, 4} {
+			if got := apply(version, 20); got.Version != 5 || got.TTR != 30 || got.UpdatedAt != 10 {
+				t.Errorf("version %d over 5 changed the copy: %+v", version, got)
+			}
+		}
+		if h.net.stats.UpdatesApplied != applied {
+			t.Errorf("stale updates counted as applied: %d -> %d", applied, h.net.stats.UpdatesApplied)
+		}
+	})
 }

@@ -812,41 +812,6 @@ func (n *Network) Merge(a, b region.ID) error {
 	return nil
 }
 
-// AddRegion expands the service area with a new region and disseminates
-// the new table (the paper's Add operation: "a new entry ... is added
-// into the region table to indicate the expansion of the whole network
-// topology").
-func (n *Network) AddRegion(bounds geo.Rect) (region.Region, error) {
-	next := n.table.Clone()
-	r, err := next.Add(bounds)
-	if err != nil {
-		return region.Region{}, err
-	}
-	// Disseminate from a peer near the new region's closest existing
-	// neighbor; keys whose home region moves relocate on receipt.
-	var nearest region.ID = region.Invalid
-	bestD := 0.0
-	for _, old := range n.table.Regions() {
-		d := old.Center().Dist2(r.Center())
-		if nearest == region.Invalid || d < bestD {
-			nearest, bestD = old.ID, d
-		}
-	}
-	n.publishTable(next, nearest)
-	return r, nil
-}
-
-// DeleteRegion removes a region and disseminates the new table; keys
-// homed there re-hash to the remaining regions and relocate.
-func (n *Network) DeleteRegion(id region.ID) error {
-	next := n.table.Clone()
-	if err := next.Delete(id); err != nil {
-		return err
-	}
-	n.publishTable(next, id)
-	return nil
-}
-
 // publishTable appends the new table version and floods it from a peer
 // near the affected region (the paper: "the peer needs to disseminate the
 // update to all other peers in the whole network to guarantee the

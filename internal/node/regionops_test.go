@@ -3,7 +3,6 @@ package node
 import (
 	"testing"
 
-	"precinct/internal/geo"
 	"precinct/internal/radio"
 	"precinct/internal/region"
 	"precinct/internal/workload"
@@ -187,80 +186,5 @@ func TestStoreCopiesSelfHealAfterStranding(t *testing.T) {
 	// check interval; demand at least 90% placement.
 	if float64(misplaced) > 0.1*float64(total) {
 		t.Errorf("%d/%d copies misplaced after self-healing window", misplaced, total)
-	}
-}
-
-func TestAddRegionExpandsTopology(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	before := h.net.Table().Len()
-	r, err := h.net.AddRegion(geo.NewRect(geo.Pt(1200, 0), geo.Pt(1600, 400)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(20)
-	if h.net.Table().Len() != before+1 {
-		t.Fatalf("region count %d, want %d", h.net.Table().Len(), before+1)
-	}
-	if _, ok := h.net.Table().Region(r.ID); !ok {
-		t.Fatal("added region missing from latest table")
-	}
-	// Dissemination reached the peers.
-	latest := h.net.TableVersions() - 1
-	reached := 0
-	for i := 0; i < h.net.Peers(); i++ {
-		if h.net.Peer(radio.NodeID(i)).TableVersion() == latest {
-			reached++
-		}
-	}
-	if reached < h.net.Peers()*3/4 {
-		t.Errorf("table update reached only %d/%d peers", reached, h.net.Peers())
-	}
-	// Requests keep working (the new region is empty; keys that re-hash
-	// to it fall back to replicas or are re-adopted on mobility checks).
-	k := h.cat.Keys()[0]
-	p := h.requesterFor(t, k)
-	h.net.RequestFrom(p.ID(), k)
-	h.sched.Run(60)
-	if h.net.Report().Requests == 0 {
-		t.Error("no requests recorded after AddRegion")
-	}
-}
-
-func TestDeleteRegionRelocatesKeys(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	if err := h.net.DeleteRegion(region.ID(4)); err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(30)
-	if h.net.Table().Len() != 8 {
-		t.Fatalf("region count %d, want 8", h.net.Table().Len())
-	}
-	// No key's home region may be the deleted one anymore; requests for
-	// keys that used to live there must still succeed.
-	for _, k := range h.cat.Keys()[:30] {
-		home, ok := h.net.Table().HomeRegion(k)
-		if !ok || home.ID == region.ID(4) {
-			t.Fatalf("key %d still homed in deleted region", k)
-		}
-	}
-	served := 0
-	for i, k := range h.cat.Keys()[:15] {
-		p := h.requesterFor(t, k)
-		h.net.RequestFrom(p.ID(), k)
-		h.sched.Run(30 + float64(10*(i+1)))
-	}
-	served = int(h.net.Report().Completed)
-	if served < 12 {
-		t.Errorf("only %d/15 requests served after DeleteRegion: %+v", served, h.net.Report())
-	}
-	if err := h.net.DeleteRegion(region.ID(4)); err == nil {
-		t.Error("double delete accepted")
-	}
-}
-
-func TestAddRegionRejectsDegenerate(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	if _, err := h.net.AddRegion(geo.NewRect(geo.Pt(0, 0), geo.Pt(0, 100))); err == nil {
-		t.Error("degenerate region accepted")
 	}
 }

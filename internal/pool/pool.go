@@ -1,6 +1,6 @@
 // Package pool provides the bounded worker pool that runs independent
-// whole simulations — the sweep driver's scenarios and precinct-check's
-// seeds: N jobs executed on at most W goroutines, with first-error abort
+// whole simulations — the sweep driver's scenarios and the seeds of
+// `precinct-sim check`: N jobs executed on at most W goroutines, with first-error abort
 // and panic propagation.
 package pool
 

@@ -253,28 +253,10 @@ func TestGridIndexFollowsMutations(t *testing.T) {
 	settle("after Merge of two cells", tab, false)
 
 	tab = fresh()
-	if err := tab.Delete(224); err != nil { // the last region: IDs stay dense
+	if _, err := tab.Merge(223, 224); err != nil { // the last two: the other IDs stay dense
 		t.Fatal(err)
 	}
-	settle("after Delete of the last region", tab, false)
-
-	tab = fresh()
-	if err := tab.Delete(17); err != nil {
-		t.Fatal(err)
-	}
-	settle("after Delete", tab, false)
-
-	tab = fresh()
-	if _, err := tab.Add(geo.NewRect(geo.Pt(1500, 0), geo.Pt(1600, 1500))); err != nil {
-		t.Fatal(err)
-	}
-	settle("after Add beside the area", tab, false)
-
-	tab = fresh()
-	if _, err := tab.Add(geo.NewRect(geo.Pt(100, 100), geo.Pt(250, 250))); err != nil {
-		t.Fatal(err)
-	}
-	settle("after Add overlapping cells", tab, false)
+	settle("after Merge of the last two cells", tab, false)
 }
 
 // TestVoronoiTablesScan: Voronoi tables never carry the index, and their

@@ -2,8 +2,10 @@
 // service area into geographic regions, the region table every peer
 // carries, the geographic hash mapping each data key to a location — and
 // through it to a home region (nearest region center) and a replica
-// region (second nearest) — and the four table-maintenance operations the
-// paper defines: Add, Delete, Merge and Separate.
+// region (second nearest) — and the table-maintenance operations
+// adaptive region management uses, Merge and Separate. The paper's Add
+// and Delete, which grow and shrink the service area, are not modelled:
+// the simulated area is fixed.
 //
 // The table is versioned: every mutation bumps the version, which is what
 // peers disseminate so that key relocation can be triggered when the
@@ -19,7 +21,7 @@ import (
 	"precinct/internal/workload"
 )
 
-// ID identifies a region. IDs are never reused after Delete/Merge.
+// ID identifies a region. IDs are never reused after Merge/Separate.
 type ID int
 
 // Invalid is the zero-ish sentinel for "no region".
@@ -89,7 +91,7 @@ func gridBounds(area geo.Rect, cw, ch float64, r, c int) geo.Rect {
 // millionth of their nominal size (so the arithmetic cell is off by at
 // most one and neighbouring centers are evenly spaced) and spans whose
 // squares neither overflow nor vanish. Anything else — Voronoi, a table
-// after Add/Delete/Merge/Separate — has no index and scans.
+// after Merge/Separate — has no index and scans.
 func (t *Table) reindex() {
 	t.grid = gridIndex{}
 	n := len(t.regions)
@@ -251,7 +253,7 @@ func (t *Table) Region(id ID) (Region, bool) {
 }
 
 func (t *Table) indexOf(id ID) int {
-	// IDs are dense until the first Delete/Merge/Separate: probe the slot
+	// IDs are dense until the first Merge/Separate: probe the slot
 	// the ID names before searching.
 	if i := int(id); i >= 0 && i < len(t.regions) && t.regions[i].ID == id {
 		return i
@@ -266,12 +268,12 @@ func (t *Table) indexOf(id ID) int {
 // Locate returns the region containing the point. Grid partitions use
 // bounds, and the boundary rule is fixed: rectangles are closed, so a
 // point on a shared edge or corner lies in every region touching it, and
-// the lowest ID among them wins (the same rule settles transient overlap
-// after Add). Points outside every region fall back to the nearest
-// center so that nodes that wander off the partition still have a home;
-// Voronoi partitions are nearest-center by definition. On an indexed
-// table only the 3×3 block of cells around the point is examined, in the
-// same ascending-ID order with the same containment test.
+// the lowest ID among them wins. Points outside every region fall back
+// to the nearest center so that nodes that wander off the partition
+// still have a home; Voronoi partitions are nearest-center by
+// definition. On an indexed table only the 3×3 block of cells around the
+// point is examined, in the same ascending-ID order with the same
+// containment test.
 func (t *Table) Locate(p geo.Point) (Region, bool) {
 	if len(t.regions) == 0 {
 		return Region{}, false
@@ -404,39 +406,6 @@ func (t *Table) nearestCenterExcluding(p geo.Point, exclude []ID) Region {
 		}
 	}
 	return best
-}
-
-// Add inserts a new region with the given bounds, expanding the service
-// area if needed, and returns it.
-func (t *Table) Add(bounds geo.Rect) (Region, error) {
-	if t.voronoi {
-		return Region{}, fmt.Errorf("region: Add is not defined for voronoi partitions")
-	}
-	if bounds.Width() <= 0 || bounds.Height() <= 0 {
-		return Region{}, fmt.Errorf("region: Add with degenerate bounds %v", bounds)
-	}
-	r := Region{ID: t.nextID, Bounds: bounds}
-	t.nextID++
-	t.regions = append(t.regions, r) // nextID is monotone, so order by ID is kept
-	t.area = t.area.Union(bounds)
-	t.version++
-	t.reindex()
-	return r, nil
-}
-
-// Delete removes a region from the table.
-func (t *Table) Delete(id ID) error {
-	i := t.indexOf(id)
-	if i < 0 {
-		return fmt.Errorf("region: Delete of unknown region %d", int(id))
-	}
-	if len(t.regions) == 1 {
-		return fmt.Errorf("region: cannot delete the last region")
-	}
-	t.regions = append(t.regions[:i], t.regions[i+1:]...)
-	t.version++
-	t.reindex()
-	return nil
 }
 
 // Merge replaces two adjacent regions with one region covering both;

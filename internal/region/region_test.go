@@ -196,64 +196,6 @@ func TestHashStableUnderPartitionChange(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	tab := grid3x3(t)
-	v := tab.Version()
-	r, err := tab.Add(geo.NewRect(geo.Pt(1200, 0), geo.Pt(1600, 400)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 10 {
-		t.Errorf("Len after Add = %d", tab.Len())
-	}
-	if tab.Version() != v+1 {
-		t.Error("Add did not bump version")
-	}
-	if !tab.Area().Contains(geo.Pt(1500, 100)) {
-		t.Error("Add did not expand the service area")
-	}
-	if _, ok := tab.Region(r.ID); !ok {
-		t.Error("added region not found")
-	}
-	if _, err := tab.Add(geo.NewRect(geo.Pt(0, 0), geo.Pt(0, 10))); err == nil {
-		t.Error("degenerate Add accepted")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tab := grid3x3(t)
-	v := tab.Version()
-	if err := tab.Delete(ID(4)); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 8 {
-		t.Errorf("Len after Delete = %d", tab.Len())
-	}
-	if _, ok := tab.Region(ID(4)); ok {
-		t.Error("deleted region still present")
-	}
-	if tab.Version() != v+1 {
-		t.Error("Delete did not bump version")
-	}
-	if err := tab.Delete(ID(4)); err == nil {
-		t.Error("double Delete accepted")
-	}
-	// Keys that hashed to region 4 now map elsewhere.
-	for k := workload.Key(0); k < 500; k++ {
-		h, _ := tab.HomeRegion(k)
-		if h.ID == 4 {
-			t.Fatalf("key %d still maps to deleted region", k)
-		}
-	}
-}
-
-func TestDeleteLastRegionRefused(t *testing.T) {
-	tab, _ := NewGrid(area1200, 1, 1)
-	if err := tab.Delete(tab.Regions()[0].ID); err == nil {
-		t.Error("deleting the last region accepted")
-	}
-}
-
 func TestMergeAdjacent(t *testing.T) {
 	tab := grid3x3(t)
 	// Regions 0 and 1 are horizontally adjacent in the bottom row.
@@ -356,7 +298,7 @@ func TestMergeThenSeparateRoundTrip(t *testing.T) {
 func TestClone(t *testing.T) {
 	tab := grid3x3(t)
 	cp := tab.Clone()
-	if _, err := cp.Add(geo.NewRect(geo.Pt(1200, 0), geo.Pt(1600, 400))); err != nil {
+	if _, _, err := cp.Separate(ID(4)); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Len() != 9 {
@@ -484,18 +426,11 @@ func TestVoronoiEveryPointHasExactlyOneRegion(t *testing.T) {
 
 func TestVoronoiRejectsGridOnlyOps(t *testing.T) {
 	tab, _ := NewVoronoi(area1200, []geo.Point{geo.Pt(100, 100), geo.Pt(900, 900)})
-	if _, err := tab.Add(geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10))); err == nil {
-		t.Error("Add accepted on voronoi table")
-	}
 	if _, err := tab.Merge(ID(0), ID(1)); err == nil {
 		t.Error("Merge accepted on voronoi table")
 	}
 	if _, _, err := tab.Separate(ID(0)); err == nil {
 		t.Error("Separate accepted on voronoi table")
-	}
-	// Delete still works (remove a seed).
-	if err := tab.Delete(ID(0)); err != nil {
-		t.Errorf("Delete on voronoi table: %v", err)
 	}
 }
 

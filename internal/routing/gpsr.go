@@ -76,18 +76,13 @@ type State struct {
 	PrevHopPos geo.Point
 }
 
-// GabrielNeighbors filters the neighbor set down to the edges of the
-// Gabriel graph: the edge self–n survives iff no other neighbor lies
-// strictly inside the circle whose diameter is that edge. The Gabriel
-// graph is planar and connected whenever the unit-disk graph is, which is
-// what perimeter traversal requires.
-func GabrielNeighbors(self geo.Point, nbrs []radio.Neighbor) []radio.Neighbor {
-	return AppendGabrielNeighbors(make([]radio.Neighbor, 0, len(nbrs)), self, nbrs)
-}
-
-// AppendGabrielNeighbors appends the Gabriel-graph edges of nbrs to dst
-// and returns the extended slice. Passing a reused scratch slice (as
-// Router does) makes planarization allocation-free in steady state.
+// AppendGabrielNeighbors filters the neighbor set down to the edges of
+// the Gabriel graph, appends them to dst and returns the extended slice:
+// the edge self–n survives iff no other neighbor lies strictly inside the
+// circle whose diameter is that edge. The Gabriel graph is planar and
+// connected whenever the unit-disk graph is, which is what perimeter
+// traversal requires. Passing a reused scratch slice (as Router does)
+// makes planarization allocation-free in steady state.
 func AppendGabrielNeighbors(dst []radio.Neighbor, self geo.Point, nbrs []radio.Neighbor) []radio.Neighbor {
 	// The neighbor nearest to self is the most effective witness: a long
 	// edge's diameter circle almost always contains it, so testing it
@@ -210,13 +205,6 @@ func (r *Router) SetPlanarKey(k radio.PlanarKey) { r.key = k }
 // ok == false means the packet cannot be forwarded: either the node has no
 // neighbors, or the perimeter walk returned to its first edge, proving
 // dest unreachable in the current topology.
-func NextHop(selfID radio.NodeID, self geo.Point, nbrs []radio.Neighbor, dest geo.Point, st *State) (radio.Neighbor, bool) {
-	var r Router
-	return r.NextHop(selfID, self, nbrs, dest, st)
-}
-
-// NextHop is the scratch-reusing form of the package-level NextHop; see
-// its documentation for the routing semantics.
 func (r *Router) NextHop(selfID radio.NodeID, self geo.Point, nbrs []radio.Neighbor, dest geo.Point, st *State) (radio.Neighbor, bool) {
 	if len(nbrs) == 0 {
 		return radio.Neighbor{}, false
@@ -309,54 +297,4 @@ func (r *Router) NextHop(selfID radio.NodeID, self geo.Point, nbrs []radio.Neigh
 	st.PrevHop = selfID
 	st.PrevHopPos = self
 	return hop, true
-}
-
-// Table is a convenience for static analyses and tests: it walks a packet
-// hop by hop over a frozen topology snapshot.
-type Table struct {
-	// Positions of all nodes at the snapshot instant.
-	Positions []geo.Point
-	// Range is the radio range defining connectivity.
-	Range float64
-}
-
-// NeighborsOf returns the unit-disk neighbor set of node id in the frozen
-// snapshot.
-func (t *Table) NeighborsOf(id radio.NodeID) []radio.Neighbor {
-	var out []radio.Neighbor
-	self := t.Positions[id]
-	r2 := t.Range * t.Range
-	for i, p := range t.Positions {
-		if radio.NodeID(i) == id {
-			continue
-		}
-		if self.Dist2(p) <= r2 {
-			out = append(out, radio.Neighbor{ID: radio.NodeID(i), Pos: p})
-		}
-	}
-	return out
-}
-
-// Route walks a packet from src toward the point dest, stopping when the
-// current node is within `deliver` meters of dest or when arrived()
-// returns true for the current node. It returns the sequence of nodes
-// visited (starting with src) and whether delivery succeeded. maxHops
-// bounds the walk.
-func (t *Table) Route(src radio.NodeID, dest geo.Point, deliver float64, arrived func(radio.NodeID) bool, maxHops int) ([]radio.NodeID, bool) {
-	var st State
-	path := []radio.NodeID{src}
-	cur := src
-	for hop := 0; hop < maxHops; hop++ {
-		pos := t.Positions[cur]
-		if pos.Dist(dest) <= deliver || (arrived != nil && arrived(cur)) {
-			return path, true
-		}
-		next, ok := NextHop(cur, pos, t.NeighborsOf(cur), dest, &st)
-		if !ok {
-			return path, false
-		}
-		cur = next.ID
-		path = append(path, cur)
-	}
-	return path, false
 }

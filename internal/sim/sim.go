@@ -395,14 +395,6 @@ func (s *Scheduler) After(d float64, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
-// AfterCtx schedules fn(ctx) d seconds from now (see AtCtx).
-func (s *Scheduler) AfterCtx(d float64, fn func(any), ctx any) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.AtCtx(s.now+d, fn, ctx)
-}
-
 // AfterCtxAs schedules fn(ctx) d seconds from now under an explicit
 // execution context (see AtCtxAs).
 func (s *Scheduler) AfterCtxAs(d float64, fn func(any), ctx any, execAs int) Handle {

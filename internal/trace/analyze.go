@@ -2,7 +2,7 @@ package trace
 
 // Offline analysis of recorded traces: parse a JSONL stream back into
 // events and summarize it — request outcomes, latency, per-node activity,
-// and a time-bucketed activity timeline. Used by cmd/precinct-trace.
+// and a time-bucketed activity timeline. Used by `precinct-sim analyze`.
 
 import (
 	"bufio"
@@ -156,11 +156,18 @@ type Bucket struct {
 	Handoffs  uint64
 }
 
+// maxBuckets bounds the slots one Timeline may allocate. A trace's times
+// and the width both come from outside the program; a width far below
+// the trace's span must be an error, not an allocation that cannot be
+// made.
+const maxBuckets = 1 << 20
+
 // Timeline buckets request activity into fixed-width time slots. Width
-// must be positive; the result covers [floor(start), end].
+// must be positive and finite, and the span of the trace must fit in
+// maxBuckets slots; the result covers [floor(start), end].
 func Timeline(events []Event, width float64) ([]Bucket, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("trace: bucket width must be positive, got %v", width)
+	if !(width > 0) || math.IsInf(width, 1) {
+		return nil, fmt.Errorf("trace: bucket width must be positive and finite, got %v", width)
 	}
 	if len(events) == 0 {
 		return nil, nil
@@ -174,17 +181,20 @@ func Timeline(events []Event, width float64) ([]Bucket, error) {
 			end = e.Time
 		}
 	}
-	origin := math.Floor(start/width) * width
-	n := int((end-origin)/width) + 1
-	buckets := make([]Bucket, n)
+	// Slot i holds the times t with floor(t/width) = first+i. Both the
+	// division and floor are monotone, so every event's slot lies in
+	// [0, last-first] however the arithmetic rounds.
+	first, last := math.Floor(start/width), math.Floor(end/width)
+	if !(last-first < maxBuckets) {
+		return nil, fmt.Errorf("trace: %v s buckets over [%v s, %v s] need more than %d slots", width, start, end, maxBuckets)
+	}
+	buckets := make([]Bucket, int(last-first)+1)
+	origin := first * width
 	for i := range buckets {
 		buckets[i].Start = origin + float64(i)*width
 	}
 	for _, e := range events {
-		i := int((e.Time - origin) / width)
-		if i < 0 || i >= n {
-			continue
-		}
+		i := int(math.Floor(e.Time/width) - first)
 		switch e.Kind {
 		case RequestIssued:
 			buckets[i].Requests++

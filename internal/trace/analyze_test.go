@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -138,11 +139,31 @@ func TestTimeline(t *testing.T) {
 	if buckets[4].Handoffs != 1 {
 		t.Errorf("bucket 4: %+v", buckets[4])
 	}
-	if _, err := Timeline(sampleEvents(), 0); err == nil {
-		t.Error("zero bucket width accepted")
-	}
 	empty, err := Timeline(nil, 1)
 	if err != nil || empty != nil {
 		t.Errorf("empty timeline: %v, %v", empty, err)
+	}
+}
+
+// TestTimelineRejects: a width or a span that cannot be bucketed is an
+// error. The last two cases used to panic in make with a length out of
+// range: a width far below the trace's span, and a span that overflows.
+func TestTimelineRejects(t *testing.T) {
+	wide := []Event{{Time: 1e308, Kind: RequestIssued}, {Time: -1e308, Kind: RequestIssued}}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		width  float64
+	}{
+		{"zero width", sampleEvents(), 0},
+		{"negative width", sampleEvents(), -2},
+		{"NaN width", sampleEvents(), math.NaN()},
+		{"infinite width", sampleEvents(), math.Inf(1)},
+		{"width 1e-300", sampleEvents(), 1e-300},
+		{"span ±1e308", wide, 1},
+	} {
+		if b, err := Timeline(tc.events, tc.width); err == nil {
+			t.Errorf("%s: %d buckets, want an error", tc.name, len(b))
+		}
 	}
 }

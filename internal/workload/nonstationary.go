@@ -75,12 +75,6 @@ func NewFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowd, error) {
 	return f, nil
 }
 
-// Kind returns KindFlashCrowd.
-func (f *FlashCrowd) Kind() string { return KindFlashCrowd }
-
-// Catalog returns the base generator's catalog.
-func (f *FlashCrowd) Catalog() *Catalog { return f.gen.Catalog() }
-
 // NextRequestGap draws from the base Poisson request process.
 func (f *FlashCrowd) NextRequestGap(c Ctx) float64 { return f.gen.NextRequestGap(c.RNG) }
 
@@ -139,12 +133,6 @@ func (d *Diurnal) offset(now float64) int {
 	}
 	return int(math.Floor(frac*float64(n))) % n
 }
-
-// Kind returns KindDiurnal.
-func (d *Diurnal) Kind() string { return KindDiurnal }
-
-// Catalog returns the base generator's catalog.
-func (d *Diurnal) Catalog() *Catalog { return d.gen.Catalog() }
 
 // NextRequestGap draws from the base Poisson request process.
 func (d *Diurnal) NextRequestGap(c Ctx) float64 { return d.gen.NextRequestGap(c.RNG) }
@@ -254,12 +242,6 @@ func (h *Hotspot) cellOf(x, y float64) int {
 	return cy*h.grid + cx
 }
 
-// Kind returns KindHotspot.
-func (h *Hotspot) Kind() string { return KindHotspot }
-
-// Catalog returns the base generator's catalog.
-func (h *Hotspot) Catalog() *Catalog { return h.gen.Catalog() }
-
 // NextRequestGap draws from the base Poisson request process.
 func (h *Hotspot) NextRequestGap(c Ctx) float64 { return h.gen.NextRequestGap(c.RNG) }
 
@@ -346,12 +328,6 @@ func (r *RankChurn) advance(now float64) {
 		}
 	}
 }
-
-// Kind returns KindRankChurn.
-func (r *RankChurn) Kind() string { return KindRankChurn }
-
-// Catalog returns the base generator's catalog.
-func (r *RankChurn) Catalog() *Catalog { return r.gen.Catalog() }
 
 // NextRequestGap draws from the base Poisson request process.
 func (r *RankChurn) NextRequestGap(c Ctx) float64 { return r.gen.NextRequestGap(c.RNG) }

@@ -29,10 +29,6 @@ type Ctx struct {
 // number of variates for the same call sequence regardless of wall
 // conditions, so that a re-run replays bit-identically.
 type Source interface {
-	// Kind names the source ("default", "trace", "flash-crowd", ...).
-	Kind() string
-	// Catalog returns the shared item catalog this source draws over.
-	Catalog() *Catalog
 	// NextRequestGap draws the time until the peer's next request.
 	NextRequestGap(c Ctx) float64
 	// PickKey draws the key of a request firing now.
@@ -64,12 +60,6 @@ const (
 type DefaultSource struct {
 	Gen *Generator
 }
-
-// Kind returns KindDefault.
-func (s DefaultSource) Kind() string { return KindDefault }
-
-// Catalog returns the generator's catalog.
-func (s DefaultSource) Catalog() *Catalog { return s.Gen.Catalog() }
 
 // NextRequestGap draws from the Poisson request process.
 func (s DefaultSource) NextRequestGap(c Ctx) float64 { return s.Gen.NextRequestGap(c.RNG) }

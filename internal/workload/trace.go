@@ -247,9 +247,6 @@ func NewTraceSource(cfg TraceSourceConfig) (*TraceSource, error) {
 	return s, nil
 }
 
-// Kind returns KindTrace.
-func (s *TraceSource) Kind() string { return KindTrace }
-
 // Catalog returns the catalog derived from the trace's distinct keys.
 func (s *TraceSource) Catalog() *Catalog { return s.catalog }
 

@@ -5,8 +5,8 @@ package precinct_test
 // The 100k-node memory-ceiling soak (DESIGN.md section 14): the largest
 // tier the struct-of-arrays layout is specified against. One 100000-node
 // run at the paper's density with 30% frame loss and the hybrid
-// consistency scheme — the exact acceptance shape `precinct-check -scale
-// -max-nodes 100000 -start 8` replays — executed under the full runtime
+// consistency scheme — the exact acceptance shape `precinct-sim check
+// -scale -max-nodes 100000 -start 8` replays — executed under the full runtime
 // invariant catalog while a sampler watches the process's resident set.
 // The run must finish clean AND hold RSS under the 4 GiB ceiling; a
 // layout regression that leaks per-node state shows up here long before
