@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate bench-tiny-smoke scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate bench-tiny-smoke reach scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfRank$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) -parallel 1 .
 
 # One fast pass over every benchmark so regressions in the bench code
 # itself are caught without waiting for full measurement runs.
@@ -156,6 +157,30 @@ cover:
 			echo "cover: $$pkg dropped below its $$floor% floor"; fail=1; \
 		fi; \
 	done; exit $$fail
+
+# The reach ledger (DESIGN.md section 17): statement coverage of every
+# package under tier-1 (`go test ./...`) and under the behavioural corpus
+# (the golden readers plus every figure grid at reduced scale), then the
+# functions tier-1 runs but the corpus does not, and those no test runs
+# at all. bench/ and the fixture regenerator are outside the count; a
+# main package has no corpus entry, so a missing one counts as 0. About
+# 90 s on 2 cores; nothing is left behind.
+REACH_CORPUS = ^(TestWorkloadDefaultGolden|TestGridLinearEquivalence|TestCacheIndexEquivalence|TestLayoutEquivalence|TestPoolingEquivalence|TestResumeEquivalence|TestResumeEquivalenceChecked|TestWorkloadResumeEquivalence|TestReachGolden|TestFiguresEveryID)$$
+REACH_OUTSIDE = ^precinct\/(bench|internal\/workload\/gentrace)\/
+reach:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -coverpkg=./... -coverprofile="$$dir/tier1.out" ./... > /dev/null && \
+	$(GO) test -coverpkg=./... -coverprofile="$$dir/corpus.out" -run '$(REACH_CORPUS)' . > /dev/null && \
+	$(GO) tool cover -func="$$dir/tier1.out" > "$$dir/tier1.func" && \
+	$(GO) tool cover -func="$$dir/corpus.out" > "$$dir/corpus.func" && \
+	echo "reach: statements: tier-1 $$(awk '$$1 == "total:" { print $$3 }' "$$dir/tier1.func"), corpus $$(awk '$$1 == "total:" { print $$3 }' "$$dir/corpus.func")" && \
+	echo "reach: run by tier-1 but not by the corpus:" && \
+	awk 'NR == FNR { corpus[$$1 $$2] = $$3 + 0; next } \
+		$$1 != "total:" && $$3 + 0 > 0 && !corpus[$$1 $$2] && $$1 !~ /$(REACH_OUTSIDE)/ { print; n++ } \
+		END { print "reach: " n + 0 " functions" }' "$$dir/corpus.func" "$$dir/tier1.func" && \
+	echo "reach: under no test:" && \
+	awk '$$1 != "total:" && $$3 == "0.0%" && $$1 !~ /$(REACH_OUTSIDE)/ { print; n++ } \
+		END { print "reach: " n + 0 " functions" }' "$$dir/tier1.func"
 
 # Scale-tier smoke: a 1000-node, lossy scenario (paper density: the
 # area grows with sqrt(N), ~400 m regions) and a 10000-node cell (the

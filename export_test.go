@@ -52,12 +52,7 @@ func RunObservedForTest(s Scenario, probeFor func(*node.Network) node.Probe) (Ob
 	}
 	b.network.SetProbe(probeFor(b.network))
 	rep := b.network.Run(b.scenario.Duration)
-	out := ObservedRun{Trace: buf.Events, Result: Result{
-		Scenario: b.scenario,
-		Report:   fromMetrics(rep),
-		Protocol: fromStats(b.network.Stats()),
-		Radio:    fromRadio(b.channel.Stats()),
-	}}
+	out := ObservedRun{Trace: buf.Events, Result: b.result(rep)}
 	for i := 0; i < b.network.Peers(); i++ {
 		st := b.network.Peer(radio.NodeID(i)).Store()
 		items := []cache.StoredItem{}

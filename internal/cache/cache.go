@@ -329,19 +329,6 @@ func (c *Cache) CheckInvariants() error {
 	return c.index.check(c.entries)
 }
 
-// Remove drops a key (consistency invalidation). It reports whether the
-// key was present.
-func (c *Cache) Remove(k workload.Key) bool {
-	e, ok := c.entries[k]
-	if !ok {
-		return false
-	}
-	c.used -= int64(e.Size)
-	delete(c.entries, k)
-	c.index.remove(k)
-	return true
-}
-
 // Update applies a pushed update to a cached copy: new version, new TTR
 // expiry. It reports whether the key was cached.
 func (c *Cache) Update(k workload.Key, version uint64, ttrExpiry float64) bool {

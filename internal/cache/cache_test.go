@@ -240,20 +240,6 @@ func TestMultipleEvictionsForLargeItem(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := newCache(t, 1000, GDSize{})
-	c.Put(Entry{Key: 1, Size: 300}, 0)
-	if !c.Remove(workload.Key(1)) {
-		t.Fatal("Remove returned false")
-	}
-	if c.Remove(workload.Key(1)) {
-		t.Fatal("double Remove returned true")
-	}
-	if c.Used() != 0 {
-		t.Error("Remove left bytes accounted")
-	}
-}
-
 func TestUpdate(t *testing.T) {
 	c := newCache(t, 1000, GDSize{})
 	c.Put(Entry{Key: 1, Size: 300, Version: 1}, 0)

@@ -90,8 +90,6 @@ func TestPolicyContract(t *testing.T) {
 				case 1:
 					c.Get(o.key, o.now)
 				case 2:
-					c.Remove(o.key)
-				case 3:
 					c.Update(o.key, o.version, o.now+30)
 				}
 				l := c.Inflation()

@@ -23,7 +23,7 @@ func policyForTest(t *testing.T, name string) Policy {
 
 // cacheOp is one step of a fuzzed operation stream.
 type cacheOp struct {
-	kind    int // 0 put, 1 get, 2 remove, 3 update
+	kind    int // 0 put, 1 get, 2 update
 	key     workload.Key
 	size    int
 	dist    float64
@@ -50,10 +50,8 @@ func genOps(seed int64, n int) []cacheOp {
 			o.version = uint64(rng.Intn(5))
 		case r < 8:
 			o.kind = 1
-		case r < 9:
-			o.kind = 2
 		default:
-			o.kind = 3
+			o.kind = 2
 			o.version = uint64(rng.Intn(10))
 		}
 		ops = append(ops, o)
@@ -103,8 +101,6 @@ func replay(t *testing.T, c *Cache, ops []cacheOp) {
 		case 1:
 			c.Get(o.key, o.now)
 		case 2:
-			c.Remove(o.key)
-		case 3:
 			c.Update(o.key, o.version, o.now+30)
 		}
 		if err := c.CheckInvariants(); err != nil {

@@ -71,9 +71,6 @@ type (
 	rehomeObserver interface {
 		AfterRehome(ctx *Context, p *node.Peer, evacuate bool) []string
 	}
-	evictObserver interface {
-		OnCacheEvict(ctx *Context, id radio.NodeID, key workload.Key) []string
-	}
 )
 
 const (
@@ -94,8 +91,9 @@ type Runner struct {
 	violations []Violation
 	total      uint64
 	sweeps     uint64
-	events     uint64
-	lastEvent  float64
+	// executed0 is the scheduler's Executed count at Attach, so Events
+	// counts only the events the runner was attached for.
+	executed0 uint64
 }
 
 // New builds a Runner over the full invariant catalog.
@@ -113,14 +111,13 @@ func New() *Runner {
 }
 
 // Attach wires the runner into an assembled simulation: it installs
-// itself as the network's probe and the scheduler's after-event observer,
-// and schedules the recurring sweep. Call before the first Run.
+// itself as the network's probe and schedules the recurring sweep. Call
+// before the first Run.
 func (r *Runner) Attach(ctx Context) {
 	c := ctx
 	r.ctx = &c
-	r.lastEvent = c.Sched.Now()
+	r.executed0 = c.Sched.Executed()
 	c.Net.SetProbe(r)
-	c.Sched.SetAfterEvent(r.afterEvent)
 	r.armSweep()
 }
 
@@ -162,23 +159,6 @@ func (r *Runner) Finalize() {
 	}
 }
 
-// afterEvent observes every executed event: the clock must never move
-// backwards.
-func (r *Runner) afterEvent(now float64) {
-	r.events++
-	if now < r.lastEvent {
-		r.total++
-		if len(r.violations) < maxViolations {
-			r.violations = append(r.violations, Violation{
-				Checker: "scheduler",
-				Time:    now,
-				Detail:  fmt.Sprintf("clock moved backwards: %v after %v", now, r.lastEvent),
-			})
-		}
-	}
-	r.lastEvent = now
-}
-
 // OnCacheAdmit implements node.Probe.
 func (r *Runner) OnCacheAdmit(id radio.NodeID, requesterRegion, serverRegion region.ID, key workload.Key) {
 	for _, c := range r.checkers {
@@ -193,15 +173,6 @@ func (r *Runner) OnTTRSmoothed(id radio.NodeID, key workload.Key, alpha, prev, i
 	for _, c := range r.checkers {
 		if o, ok := c.(ttrObserver); ok {
 			r.record(c.Name(), o.OnTTRSmoothed(r.ctx, id, key, alpha, prev, interval, next))
-		}
-	}
-}
-
-// OnCacheEvict implements node.Probe.
-func (r *Runner) OnCacheEvict(id radio.NodeID, key workload.Key) {
-	for _, c := range r.checkers {
-		if o, ok := c.(evictObserver); ok {
-			r.record(c.Name(), o.OnCacheEvict(r.ctx, id, key))
 		}
 	}
 }
@@ -225,5 +196,5 @@ func (r *Runner) Total() uint64 { return r.total }
 // Sweeps returns how many sweep passes ran.
 func (r *Runner) Sweeps() uint64 { return r.sweeps }
 
-// Events returns how many scheduler events the runner observed.
-func (r *Runner) Events() uint64 { return r.events }
+// Events returns how many scheduler events fired since Attach.
+func (r *Runner) Events() uint64 { return r.ctx.Sched.Executed() - r.executed0 }

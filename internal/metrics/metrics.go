@@ -405,10 +405,10 @@ func (r Report) WithEnergy(totalMilliJoules float64) Report {
 	return r
 }
 
-// String renders a compact human-readable summary.
+// String renders a compact one-line summary.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"requests=%d (failures=%d) latency mean=%.3fs p95=%.3fs byteHit=%.3f falseHit=%.4f ctrlMsgs=%d searchMsgs=%d energy/req=%.2fmJ",
-		r.Requests, r.Failures, r.MeanLatency, r.P95Latency,
-		r.ByteHitRatio, r.FalseHitRatio, r.ControlMessages, r.SearchMessages, r.EnergyPerRequest)
+		"requests=%d failures=%d latency=%.3fs byteHit=%.3f falseHit=%.4f ctrl=%d energy/req=%.2fmJ",
+		r.Requests, r.Failures, r.MeanLatency, r.ByteHitRatio,
+		r.FalseHitRatio, r.ControlMessages, r.EnergyPerRequest)
 }

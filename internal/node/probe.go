@@ -21,12 +21,6 @@ type Probe interface {
 	// carried by the reply; the paper forbids admitting when they match.
 	OnCacheAdmit(id radio.NodeID, requesterRegion, serverRegion region.ID, key workload.Key)
 
-	// OnCacheEvict fires once per victim, in eviction order, when an
-	// admission evicts entries to make room. The equivalence suites use
-	// it to prove the heap victim index replays the reference linear
-	// scan's exact eviction sequence on whole scenarios.
-	OnCacheEvict(id radio.NodeID, key workload.Key)
-
 	// OnTTRSmoothed fires when the consistency layer re-estimates a
 	// stored item's TTR via Equation 2. prev is the effective previous
 	// TTR (after seeding), interval the observed update interval, next

@@ -13,7 +13,6 @@ import (
 type rehomeCounter struct{ passes int }
 
 func (*rehomeCounter) OnCacheAdmit(radio.NodeID, region.ID, region.ID, workload.Key)                {}
-func (*rehomeCounter) OnCacheEvict(radio.NodeID, workload.Key)                                      {}
 func (*rehomeCounter) OnTTRSmoothed(radio.NodeID, workload.Key, float64, float64, float64, float64) {}
 func (c *rehomeCounter) AfterRehome(*Peer, bool)                                                    { c.passes++ }
 

@@ -587,13 +587,8 @@ func (n *Network) admitToCache(p *Peer, m *message, now float64) {
 	if n.probe != nil {
 		n.probe.OnCacheAdmit(p.id, p.regionID, m.ServerRegion, m.Key)
 	}
-	evicted, _ := p.cache.Put(cache.Entry{
+	p.cache.Put(cache.Entry{
 		Key: m.Key, Size: m.Size, Version: m.Version,
 		RegionDist: regDist, TTRExpiry: expiry,
 	}, now)
-	if n.probe != nil {
-		for i := range evicted {
-			n.probe.OnCacheEvict(p.id, evicted[i].Key)
-		}
-	}
 }

@@ -374,7 +374,7 @@ type delivery struct {
 	air float64
 }
 
-// fireDelivery is the AtCtx trampoline for scheduled receptions: a plain
+// fireDelivery is the InjectAtCtx trampoline for scheduled receptions: a plain
 // function pointer, so scheduling a delivery allocates no closure.
 func fireDelivery(x any) { x.(*delivery).fire() }
 

@@ -36,7 +36,7 @@ func TestScheduleFireRecycleAllocFree(t *testing.T) {
 }
 
 // TestScheduleFireRecycleCtxAllocFree is the same floor for the
-// closure-free AtCtx form used by the radio delivery path.
+// closure-free AtCtxAs form used by the radio delivery path.
 func TestScheduleFireRecycleCtxAllocFree(t *testing.T) {
 	s := NewScheduler()
 	var at float64
@@ -47,17 +47,17 @@ func TestScheduleFireRecycleCtxAllocFree(t *testing.T) {
 
 	for i := 0; i < 64; i++ {
 		at += 0.001
-		s.AtCtx(at, fn, ctx)
+		s.AtCtxAs(at, fn, ctx, -1)
 	}
 	s.Run(at)
 
 	avg := testing.AllocsPerRun(1000, func() {
 		at += 0.001
-		s.AtCtx(at, fn, ctx)
+		s.AtCtxAs(at, fn, ctx, -1)
 		s.Run(at)
 	})
 	if avg != 0 {
-		t.Errorf("AtCtx schedule/fire/recycle cycle allocates %.2f objects/op, want 0", avg)
+		t.Errorf("AtCtxAs schedule/fire/recycle cycle allocates %.2f objects/op, want 0", avg)
 	}
 	if fired == 0 {
 		t.Fatal("no events fired; the measurement is vacuous")

@@ -54,7 +54,7 @@ func (a *entry) key() EventKey {
 
 // box is the part of a pending event that ordering never reads. Exactly
 // one of fn and fnCtx is set: fn is the closure form, fnCtx+ctx the
-// allocation-free form used by hot paths (see AtCtx). In a fan's box ctx
+// allocation-free form used by hot paths (see AtCtxAs). In a fan's box ctx
 // is the *Fan, fnCtx is called with the fan's Ctx, and execAs is the next
 // unfired member's.
 type box struct {

@@ -140,9 +140,6 @@ type diffHarness struct {
 	spawns  []spawn // made by callbacks, not yet replayed onto the reference
 
 	reserved   []reservedKey // drawn inside fans, injected by a later op
-	stopIn     int           // when positive: call Stop from the stopIn-th callback from now
-	observed   int           // after-event observer calls
-	wantObs    int           // firings made through Run and Step, which notify observers
 	execCounts []uint64      // per execution context, from the reference's pops
 }
 
@@ -158,11 +155,6 @@ func (h *diffHarness) newID() int {
 // path on which a new event takes over the slot its parent just vacated.
 func (h *diffHarness) callback(id int) {
 	h.fired = append(h.fired, id)
-	if h.stopIn > 0 {
-		if h.stopIn--; h.stopIn == 0 {
-			h.s.Stop()
-		}
-	}
 	if id%3 != 0 {
 		return
 	}
@@ -351,7 +343,6 @@ func (h *diffHarness) step() {
 	if fired, want := h.s.Step(math.Inf(1)), h.ref.min() >= 0; fired != want {
 		h.t.Fatalf("Step = %v, reference has an event to fire: %v", fired, want)
 	}
-	h.wantObs += len(h.fired) - n
 	h.replay(n, false, math.Inf(1))
 	h.checkStep()
 }
@@ -375,28 +366,20 @@ func (h *diffHarness) stepAt() {
 	h.checkStep()
 }
 
-// runStop runs to a horizon inclusive of its instant, with a Stop from
-// inside one of the first few callbacks half of the time — mid-fan, when
-// a fan is what is firing.
-func (h *diffHarness) runStop() {
+// run runs to a horizon inclusive of its instant; the events it fired
+// are counted by Executed, which checkStep holds to the callbacks run.
+func (h *diffHarness) run() {
 	until := h.s.Now() + []float64{0, 0.5, 1}[h.rng.Intn(3)]
-	if h.rng.Intn(2) == 0 {
-		h.stopIn = 1 + h.rng.Intn(6)
-	}
+	before := h.s.Executed()
 	n := len(h.fired)
-	if got := h.s.Run(until); int(got) != len(h.fired)-n {
-		h.t.Fatalf("Run returned %d, %d callbacks ran", got, len(h.fired)-n)
+	if got := h.s.Run(until); got != h.s.Executed()-before {
+		h.t.Fatalf("Run returned %d, Executed moved by %d", got, h.s.Executed()-before)
 	}
-	stopped := h.stopIn == 0 && h.s.stopped
-	h.stopIn = 0
-	h.wantObs += len(h.fired) - n
 	h.replay(n, false, math.Nextafter(until, math.Inf(1)))
-	if !stopped {
-		if qi := h.ref.min(); qi >= 0 && h.ref.q[qi][0].key.Time <= until {
-			h.t.Fatalf("Run(%v) left an event due at %v", until, h.ref.q[qi][0].key.Time)
-		}
-		h.ref.now = math.Max(h.ref.now, until)
+	if qi := h.ref.min(); qi >= 0 && h.ref.q[qi][0].key.Time <= until {
+		h.t.Fatalf("Run(%v) left an event due at %v", until, h.ref.q[qi][0].key.Time)
 	}
+	h.ref.now = math.Max(h.ref.now, until)
 	h.checkStep()
 }
 
@@ -422,9 +405,6 @@ func (h *diffHarness) checkStep() {
 	}
 	if h.s.Executed() != uint64(len(h.fired)) {
 		h.t.Fatalf("Executed = %d, %d callbacks ran", h.s.Executed(), len(h.fired))
-	}
-	if h.observed != h.wantObs {
-		h.t.Fatalf("after-event observers ran %d times for %d firings", h.observed, h.wantObs)
 	}
 	if h.s.Len() != len(h.ref.pending) {
 		h.t.Fatalf("Len = %d, reference %d", h.s.Len(), len(h.ref.pending))
@@ -457,9 +437,9 @@ func (h *diffHarness) check() {
 // TestQueueMatchesContainerHeap replays fuzzed schedule / fan / cancel /
 // step / run streams against the container/heap reference, which holds
 // one single event for every member of a fan: every firing, every Cancel
-// verdict, and after every firing op the clock, Executed, Len, the next
-// key and what the observer saw must agree — the per-context tallies and
-// the peeks every few ops — with the two-queue split on and off.
+// verdict, and after every firing op the clock, Executed, Len and the
+// next key must agree — the per-context tallies and the peeks every few
+// ops — with the two-queue split on and off.
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		for _, split := range []bool{false, true} {
@@ -470,7 +450,6 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 			h := &diffHarness{t: t, s: s, ref: newRefSched(split), rng: rand.New(rand.NewSource(seed))}
 			s.CountExec(5) // contexts -1..4
 			h.execCounts = make([]uint64, 6)
-			s.SetAfterEvent(func(float64) { h.observed++ })
 			for op := 0; op < 1500; op++ {
 				switch r := h.rng.Intn(16); {
 				case r < 4:
@@ -484,7 +463,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 				case r < 13:
 					h.stepAt()
 				case r < 14:
-					h.runStop()
+					h.run()
 				case r < 15:
 					h.injectReserved()
 				default:

@@ -96,7 +96,6 @@ type Scheduler struct {
 	now       float64
 	executed  uint64
 	cancelled uint64
-	stopped   bool
 	// pushes counts heap entries pushed, fanFired events fired as fan
 	// members (of which only a fan's first paid a push, its last a pop).
 	pushes   uint64
@@ -128,11 +127,6 @@ type Scheduler struct {
 	// nil — and the fire path pays one predictable branch — everywhere
 	// else.
 	execCounts []uint64
-
-	// afterEvent, when non-nil, runs after every executed event with the
-	// clock at that event's time. Observers (the invariant runner) hang
-	// off this; the hook must not schedule or cancel events.
-	afterEvent func(now float64)
 }
 
 // NewScheduler returns an empty scheduler with the clock at zero.
@@ -188,17 +182,6 @@ func (s *Scheduler) CountExec(n int) { s.execCounts = make([]uint64, n+1) }
 // ExecCounts returns the per-context tallies enabled by CountExec
 // (index execAs+1), or nil when counting is off.
 func (s *Scheduler) ExecCounts() []uint64 { return s.execCounts }
-
-// SetAfterEvent installs an observer called after each executed event.
-// Pass nil to remove it. The observer must not mutate the queue.
-func (s *Scheduler) SetAfterEvent(fn func(now float64)) { s.afterEvent = fn }
-
-// notifyAfterEvent runs the observer with the clock at the event time.
-func (s *Scheduler) notifyAfterEvent() {
-	if s.afterEvent != nil {
-		s.afterEvent(s.now)
-	}
-}
 
 // CheckConsistency verifies the scheduler's internal bookkeeping: both
 // heaps satisfy the 4-ary heap property (no entry precedes its parent at
@@ -364,19 +347,14 @@ func (s *Scheduler) AtAs(t float64, fn func(), execAs int) Handle {
 	return h
 }
 
-// AtCtx schedules fn(ctx) at absolute time t. Unlike At, the callback is
-// a plain function pointer plus an explicit context value, so hot paths
-// that would otherwise allocate a capturing closure per event (one per
-// radio frame delivery) can pass a pooled context struct instead and
-// keep the whole Schedule→fire→recycle cycle allocation-free.
-func (s *Scheduler) AtCtx(t float64, fn func(any), ctx any) Handle {
-	return s.AtCtxAs(t, fn, ctx, int(s.cur))
-}
-
-// AtCtxAs is AtCtx with an explicit execution context for the callback:
-// the peer whose state it will touch (a frame's receiver), or -1 for
-// network-global work. Sharded runs use execAs to route the event to
-// its owner's shard.
+// AtCtxAs schedules fn(ctx) at absolute time t. Unlike At, the callback
+// is a plain function pointer plus an explicit context value, so hot
+// paths that would otherwise allocate a capturing closure per event (one
+// per radio frame delivery) can pass a pooled context struct instead and
+// keep the whole Schedule→fire→recycle cycle allocation-free. execAs is
+// the execution context of the callback: the peer whose state it will
+// touch (a frame's receiver), or -1 for network-global work. Sharded
+// runs use execAs to route the event to its owner's shard.
 func (s *Scheduler) AtCtxAs(t float64, fn func(any), ctx any, execAs int) Handle {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
@@ -543,28 +521,22 @@ func (s *Scheduler) minQueue() *[]entry {
 	}
 }
 
-// Stop makes the current Run call return after the in-flight event
-// completes. Pending events stay queued.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Run executes events in canonical order until the queue drains or the
 // clock would pass `until`. Events scheduled exactly at `until` still run.
 // It returns the number of events executed by this call.
 func (s *Scheduler) Run(until float64) uint64 {
-	s.stopped = false
 	var n uint64
-	for !s.stopped {
+	for {
 		q := s.minQueue()
 		if q == nil || (*q)[0].time > until {
 			break
 		}
 		s.fireHead(q)
 		n++
-		s.notifyAfterEvent()
 	}
 	// Advance the clock to the horizon so subsequent scheduling is
 	// relative to the end of the observed window.
-	if !s.stopped && s.now < until {
+	if s.now < until {
 		s.now = until
 	}
 	return n
@@ -580,7 +552,6 @@ func (s *Scheduler) Step(until float64) bool {
 		return false
 	}
 	s.fireHead(q)
-	s.notifyAfterEvent()
 	return true
 }
 
@@ -588,16 +559,10 @@ func (s *Scheduler) Step(until float64) bool {
 // rescheduling themselves make this non-terminating; callers that inject
 // recurring processes should use Run with a horizon instead.
 func (s *Scheduler) RunAll() uint64 {
-	s.stopped = false
 	var n uint64
-	for !s.stopped {
-		q := s.minQueue()
-		if q == nil {
-			break
-		}
+	for q := s.minQueue(); q != nil; q = s.minQueue() {
 		s.fireHead(q)
 		n++
-		s.notifyAfterEvent()
 	}
 	return n
 }

@@ -122,26 +122,6 @@ func TestSchedulerCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.At(float64(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.RunAll()
-	if count != 3 {
-		t.Fatalf("executed %d events after Stop, want 3", count)
-	}
-	if s.Len() != 7 {
-		t.Fatalf("pending after Stop = %d, want 7", s.Len())
-	}
-}
-
 func TestSchedulerPanicsOnPast(t *testing.T) {
 	s := NewScheduler()
 	s.At(10, func() {})

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -114,21 +113,6 @@ func (s *Stream) Summarize() Summary {
 	}
 }
 
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("mean=%.4g ±%.3g (n=%d, sd=%.3g, range [%.4g, %.4g])",
-		s.Mean, s.CI95, s.N, s.StdDev, s.Min, s.Max)
-}
-
-// Describe computes a summary of a complete sample in one call.
-func Describe(sample []float64) Summary {
-	var s Stream
-	for _, x := range sample {
-		s.Add(x)
-	}
-	return s.Summarize()
-}
-
 // Median returns the sample median (NaN for an empty sample). The input
 // is not modified.
 func Median(sample []float64) float64 {
@@ -143,31 +127,4 @@ func Median(sample []float64) float64 {
 		return cp[mid]
 	}
 	return (cp[mid-1] + cp[mid]) / 2
-}
-
-// RelativeChange returns (b-a)/a, guarding against a zero baseline.
-func RelativeChange(a, b float64) float64 {
-	if a == 0 {
-		if b == 0 {
-			return 0
-		}
-		return math.Inf(1) * math.Copysign(1, b)
-	}
-	return (b - a) / a
-}
-
-// GeometricMean returns the geometric mean of positive values; it is NaN
-// when the sample is empty or contains non-positive values.
-func GeometricMean(sample []float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, x := range sample {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(sample)))
 }

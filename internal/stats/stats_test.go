@@ -102,16 +102,6 @@ func TestTCritical(t *testing.T) {
 	}
 }
 
-func TestDescribeAndString(t *testing.T) {
-	sum := Describe([]float64{1, 2, 3})
-	if sum.N != 3 || !almost(sum.Mean, 2, 1e-12) {
-		t.Errorf("Describe = %+v", sum)
-	}
-	if sum.String() == "" {
-		t.Error("empty String")
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if !almost(Median([]float64{3, 1, 2}), 2, 1e-12) {
 		t.Error("odd median")
@@ -127,36 +117,6 @@ func TestMedian(t *testing.T) {
 	Median(in)
 	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
 		t.Error("Median mutated its input")
-	}
-}
-
-func TestRelativeChange(t *testing.T) {
-	if !almost(RelativeChange(10, 15), 0.5, 1e-12) {
-		t.Error("+50% change")
-	}
-	if !almost(RelativeChange(10, 5), -0.5, 1e-12) {
-		t.Error("-50% change")
-	}
-	if RelativeChange(0, 0) != 0 {
-		t.Error("0/0 should be 0")
-	}
-	if !math.IsInf(RelativeChange(0, 3), 1) {
-		t.Error("positive change from zero should be +Inf")
-	}
-	if !math.IsInf(RelativeChange(0, -3), -1) {
-		t.Error("negative change from zero should be -Inf")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	if !almost(GeometricMean([]float64{1, 100}), 10, 1e-9) {
-		t.Error("geomean of {1,100} should be 10")
-	}
-	if !math.IsNaN(GeometricMean(nil)) {
-		t.Error("empty geomean should be NaN")
-	}
-	if !math.IsNaN(GeometricMean([]float64{1, -1})) {
-		t.Error("negative values should give NaN")
 	}
 }
 

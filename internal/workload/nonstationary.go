@@ -172,6 +172,12 @@ type HotspotConfig struct {
 	Seed int64
 }
 
+// maxHotspotCells bounds Grid x Grid: every cell holds its own hotset,
+// built up front, so a grid of a million cells a side would exhaust
+// memory (and Grid*Grid overflows int past about 3e9) long before a run
+// starts. 256 x 256 cells is far finer than any area a run can populate.
+const maxHotspotCells = 1 << 16
+
 // Hotspot gives each geographic cell its own favored hotset: a peer's
 // requests skew toward keys popular where the peer currently is. This
 // is the one source that consults Ctx.Loc — peers moving between cells
@@ -195,6 +201,9 @@ func NewHotspot(cfg HotspotConfig) (*Hotspot, error) {
 	}
 	if cfg.Grid <= 0 {
 		return nil, fmt.Errorf("workload: hotspot grid must be positive, got %d", cfg.Grid)
+	}
+	if cfg.Grid > maxHotspotCells/cfg.Grid {
+		return nil, fmt.Errorf("workload: hotspot grid %d x %d exceeds %d cells", cfg.Grid, cfg.Grid, maxHotspotCells)
 	}
 	if cfg.Hotset <= 0 {
 		return nil, fmt.Errorf("workload: hotspot hotset must be positive, got %d", cfg.Hotset)

@@ -199,6 +199,14 @@ func TestSourceConstructorValidation(t *testing.T) {
 	if _, err := NewHotspot(HotspotConfig{Gen: gen, AreaSide: 100, Grid: 0, Hotset: 1, Boost: 0.5}); err == nil {
 		t.Error("zero hotspot grid accepted")
 	}
+	// A grid of a million cells a side exhausted memory building its
+	// hotsets, and at 3037000500 Grid*Grid overflowed int into a
+	// negative slice length.
+	for _, grid := range []int{1000000, 3037000500} {
+		if _, err := NewHotspot(HotspotConfig{Gen: gen, AreaSide: 100, Grid: grid, Hotset: 1, Boost: 0.5}); err == nil {
+			t.Errorf("hotspot grid %d accepted", grid)
+		}
+	}
 	if _, err := NewRankChurn(RankChurnConfig{Gen: gen, Every: 10, Swaps: 1}); err == nil {
 		t.Error("missing churn stream accepted")
 	}

@@ -9,19 +9,7 @@ import (
 )
 
 // InvariantViolation is one detected breach of a protocol invariant.
-type InvariantViolation struct {
-	// Checker names the invariant family ("cache", "custody", ...).
-	Checker string
-	// Time is the simulation time of detection in seconds.
-	Time float64
-	// Detail describes the breach.
-	Detail string
-}
-
-// String implements fmt.Stringer.
-func (v InvariantViolation) String() string {
-	return fmt.Sprintf("[%s] t=%.3f: %s", v.Checker, v.Time, v.Detail)
-}
+type InvariantViolation = invariant.Violation
 
 // InvariantReport summarizes one checked run.
 type InvariantReport struct {
@@ -44,17 +32,14 @@ func (r InvariantReport) String() string {
 		r.TotalViolations, r.Sweeps, r.Events)
 }
 
-// invariantReportOf converts a finished runner into the public report.
+// invariantReportOf summarizes a finished runner.
 func invariantReportOf(runner *invariant.Runner) InvariantReport {
-	inv := InvariantReport{
+	return InvariantReport{
 		Sweeps:          runner.Sweeps(),
 		Events:          runner.Events(),
 		TotalViolations: runner.Total(),
+		Violations:      runner.Violations(),
 	}
-	for _, v := range runner.Violations() {
-		inv.Violations = append(inv.Violations, InvariantViolation(v))
-	}
-	return inv
 }
 
 // debugBreakEnv deliberately sabotages a built simulation according to
@@ -117,10 +102,5 @@ func RunChecked(s Scenario) (Result, InvariantReport, error) {
 	rep := b.network.Run(s.Duration)
 	runner.Finalize()
 
-	return Result{
-		Scenario: s,
-		Report:   fromMetrics(rep),
-		Protocol: fromStats(b.network.Stats()),
-		Radio:    fromRadio(b.channel.Stats()),
-	}, invariantReportOf(runner), nil
+	return b.result(rep), invariantReportOf(runner), nil
 }

@@ -551,9 +551,9 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 	}
 	return Result{
 			Scenario: s,
-			Report:   fromMetrics(p.b.network.Report()),
-			Protocol: fromStats(protoStats),
-			Radio:    fromRadio(radioStats),
+			Report:   p.b.network.Report(),
+			Protocol: protoStats,
+			Radio:    radioStats,
 		}, RunStats{
 			Events:            events,
 			HeapPushes:        pushes,

@@ -842,10 +842,5 @@ func runWithStats(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 		FanMembers: b.sched.FanFired(),
 	}
 	stats.RehomePasses, stats.RehomeSkips = b.network.RehomeCounts()
-	return Result{
-		Scenario: s,
-		Report:   fromMetrics(rep),
-		Protocol: fromStats(b.network.Stats()),
-		Radio:    fromRadio(b.channel.Stats()),
-	}, stats, nil
+	return b.result(rep), stats, nil
 }

@@ -73,7 +73,6 @@ type rehomeWitness struct {
 }
 
 func (*rehomeWitness) OnCacheAdmit(radio.NodeID, region.ID, region.ID, workload.Key) {}
-func (*rehomeWitness) OnCacheEvict(radio.NodeID, workload.Key)                       {}
 
 func (w *rehomeWitness) OnTTRSmoothed(id radio.NodeID, _ workload.Key, _, _, _, _ float64) {
 	w.wrote[id] = true

@@ -169,6 +169,29 @@ func checkedCases() []goldenCase {
 	return cases
 }
 
+// reachCases pin production paths no other case reaches (DESIGN.md
+// section 17): an adaptive run whose controller actually splits a region
+// (four regions for forty peers, split above twelve, merge never), and
+// the flash-crowd and hotspot sources with updates on, so their
+// NextUpdateGap and PickUpdateKey run.
+func reachCases() []goldenCase {
+	s := precinct.DefaultScenario()
+	s.Name = "reach/adaptive-split"
+	s.Nodes, s.Items, s.Regions = 40, 200, 4
+	s.Duration, s.Warmup = 300, 100
+	s.AdaptiveRegions = true
+	s.AdaptiveInterval, s.AdaptiveSplitAbove, s.AdaptiveMergeBelow = 30, 12, 1
+	cases := []goldenCase{{sub: "adaptive-split", key: s.Name, s: s}}
+	for i, kind := range []string{"flash-crowd", "hotspot"} {
+		s := workloadScenario(int64(40+i), kind)
+		s.UpdateInterval = 40
+		s.Consistency = "push-adaptive-pull"
+		s.Name = "reach/" + kind + "/updates"
+		cases = append(cases, goldenCase{sub: kind + "/updates", key: s.Name, s: s})
+	}
+	return cases
+}
+
 // goldenSuites lists every pinned case under the test that runs it.
 // The fixture holds one entry per distinct key.
 func goldenSuites() map[string][]goldenCase {
@@ -182,6 +205,7 @@ func goldenSuites() map[string][]goldenCase {
 		"TestResumeEquivalence":         fileCases(),
 		"TestResumeEquivalenceChecked":  checkedCases(),
 		"TestWorkloadResumeEquivalence": sourceCases(),
+		"TestReachGolden":               reachCases(),
 	}
 }
 
@@ -306,6 +330,7 @@ func TestWorkloadDefaultGolden(t *testing.T) {
 			"TestWorkloadDefaultGolden", "TestGridLinearEquivalence", "TestCacheIndexEquivalence",
 			"TestLayoutEquivalence", "TestPoolingEquivalence",
 			"TestResumeEquivalence", "TestResumeEquivalenceChecked", "TestWorkloadResumeEquivalence",
+			"TestReachGolden",
 		} {
 			for _, c := range suites[name] {
 				if !done[c.key] {
@@ -360,3 +385,7 @@ func TestResumeEquivalenceChecked(t *testing.T) { checkGolden(t) }
 
 // Every non-default workload source reproduces its recording.
 func TestWorkloadResumeEquivalence(t *testing.T) { checkGolden(t) }
+
+// Paths only these cases reach: an adaptive region split and the
+// update draws of the flash-crowd and hotspot sources.
+func TestReachGolden(t *testing.T) { checkGolden(t) }
