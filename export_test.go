@@ -2,6 +2,7 @@ package precinct
 
 import (
 	"precinct/internal/cache"
+	"precinct/internal/geo"
 	"precinct/internal/node"
 	"precinct/internal/radio"
 	"precinct/internal/trace"
@@ -9,22 +10,19 @@ import (
 
 // ShardAssignmentForTest exposes the peer→shard split a sharded run of
 // the scenario would use, so tests can aim faults at one shard's whole
-// node set. It rebuilds the world the same way buildParallel does, so
-// the returned assignment matches the real run's exactly.
-func ShardAssignmentForTest(s Scenario) ([]int32, error) {
-	var weights []uint64
-	if s.shardBalanceMode() == ShardBalanceLoad {
-		w, err := measureShardLoad(s)
-		if err != nil {
-			return nil, err
-		}
-		weights = w
-	}
+// node set, and every peer's position at time zero, the layout the split
+// sorts. It rebuilds the world the same way buildParallel does, so the
+// returned assignment matches the real run's exactly.
+func ShardAssignmentForTest(s Scenario) ([]int32, []geo.Point, error) {
 	b, err := s.build()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return shardAssignment(b, s.Shards, weights), nil
+	pos := make([]geo.Point, s.Nodes)
+	for i := range pos {
+		pos[i] = b.channel.Position(radio.NodeID(i))
+	}
+	return shardAssignment(b, s.Shards), pos, nil
 }
 
 // ScaleScenarioForTest exposes the scale grid's cell constructor, so the

@@ -129,16 +129,7 @@ func (*CustodyChecker) AfterRehome(ctx *Context, p *node.Peer, evacuate bool) []
 	t := p.Table()
 	for _, k := range st.Keys() {
 		it, _ := st.Get(k)
-		var proper region.Region
-		var ok bool
-		switch {
-		case it.ReplicaRank == 0:
-			proper, ok = t.HomeRegion(k)
-		case it.ReplicaRank == 1:
-			proper, ok = t.ReplicaRegion(k)
-		default:
-			proper, ok = t.ReplicaRegionAt(k, it.ReplicaRank)
-		}
+		proper, ok := t.ReplicaRegionAt(k, it.ReplicaRank)
 		if !ok {
 			// No proper region exists (e.g. a replica copy on a
 			// single-region table); the copy legitimately stays.
@@ -345,37 +336,23 @@ func (*RegionChecker) Sweep(ctx *Context) []string {
 		if t.Len() < 2 {
 			continue
 		}
-		rep, ok := t.ReplicaRegion(key)
-		if !ok {
-			out = append(out, fmt.Sprintf("key %d has no replica region on a %d-region table", k, t.Len()))
-			continue
-		}
-		if rep.ID == home.ID {
-			out = append(out, fmt.Sprintf("key %d: replica region %d equals home region", k, int(home.ID)))
-		}
-		if reps := ctx.Net.Replicas(); reps > 1 {
-			// Rank 1 must agree with the single-replica lookup, and the
-			// ranks the table can satisfy must be pairwise distinct.
-			used := map[region.ID]int{home.ID: 0}
-			for r := 1; r <= reps && r < t.Len(); r++ {
-				rr, ok := t.ReplicaRegionAt(key, r)
-				if !ok {
-					out = append(out, fmt.Sprintf(
-						"key %d has no rank-%d replica region on a %d-region table", k, r, t.Len()))
-					break
-				}
-				if r == 1 && rr.ID != rep.ID {
-					out = append(out, fmt.Sprintf(
-						"key %d: rank-1 replica region %d disagrees with the single-replica lookup %d",
-						k, int(rr.ID), int(rep.ID)))
-				}
-				if prev, dup := used[rr.ID]; dup {
-					out = append(out, fmt.Sprintf(
-						"key %d: rank-%d replica region %d collides with rank %d",
-						k, r, int(rr.ID), prev))
-				}
-				used[rr.ID] = r
+		// Every rank the table can satisfy — rank 1 always, up to the
+		// configured k — exists and differs from the home region and
+		// from every other rank.
+		used := map[region.ID]int{home.ID: 0}
+		for r := 1; r <= max(ctx.Net.Replicas(), 1) && r < t.Len(); r++ {
+			rr, ok := t.ReplicaRegionAt(key, r)
+			if !ok {
+				out = append(out, fmt.Sprintf(
+					"key %d has no rank-%d replica region on a %d-region table", k, r, t.Len()))
+				break
 			}
+			if prev, dup := used[rr.ID]; dup {
+				out = append(out, fmt.Sprintf(
+					"key %d: rank-%d replica region %d collides with rank %d",
+					k, r, int(rr.ID), prev))
+			}
+			used[rr.ID] = r
 		}
 	}
 	return out

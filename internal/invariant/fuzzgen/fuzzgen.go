@@ -233,20 +233,13 @@ var ShardCounts = []int{2, 3, 4, 5, 8}
 // WithShards derives a sharded-execution variant of a scenario: the
 // shard count is forced, and the knobs the sharded envelope forbids
 // (beaconing, adaptive regions) are cleared. Like the other transforms
-// it never touches Expand's draw sequence. The seed additionally picks
-// the shard-balance mode, so both the load-probe split and the legacy
-// equal-count split stay covered.
-func WithShards(s precinct.Scenario, shards int, seed int64) precinct.Scenario {
+// it never touches Expand's draw sequence; the Name gains a "/shards<N>"
+// tag.
+func WithShards(s precinct.Scenario, shards int) precinct.Scenario {
 	s.BeaconInterval = 0
 	s.AdaptiveRegions = false
 	s.Shards = shards
-	if seed%2 == 1 {
-		s.ShardBalance = precinct.ShardBalanceCount
-		s.Name = fmt.Sprintf("%s/shards%d-count", s.Name, shards)
-	} else {
-		s.ShardBalance = precinct.ShardBalanceLoad
-		s.Name = fmt.Sprintf("%s/shards%d-load", s.Name, shards)
-	}
+	s.Name = fmt.Sprintf("%s/shards%d", s.Name, shards)
 	return s
 }
 

@@ -140,10 +140,7 @@ func TestAdaptiveKeysFollowReshapes(t *testing.T) {
 		}
 		for _, k := range p.Store().Keys() {
 			it, _ := p.Store().Get(k)
-			want, ok := table.HomeRegion(k)
-			if it.ReplicaRank > 0 {
-				want, ok = table.ReplicaRegion(k)
-			}
+			want, ok := table.ReplicaRegionAt(k, it.ReplicaRank)
 			if !ok {
 				continue
 			}

@@ -59,28 +59,17 @@ func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 // pushUpdateToRegion routes an update toward the key's home region
 // (rank 0) or its rank-r replica region, and floods it there.
 func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, rank int) {
-	var regionOK bool
-	var regionID = p.regionID
-	var center = n.ch.Position(p.id)
-	if rank == 0 {
-		if r, ok := p.table().HomeRegion(k); ok {
-			regionID, center, regionOK = r.ID, r.Center(), true
-		}
-	} else {
-		if r, ok := replicaRegionAt(p.table(), k, rank); ok {
-			regionID, center, regionOK = r.ID, r.Center(), true
-		}
-	}
-	if !regionOK {
+	target, ok := p.table().ReplicaRegionAt(k, rank)
+	if !ok {
 		return
 	}
 	m := n.newMsg(message{
 		Kind: kindUpdateRoute, ID: p.newID(), Key: k,
 		Origin: p.id, OriginPos: n.ch.Position(p.id), OriginRegion: p.regionID,
-		TargetRegion: regionID, TargetPos: center,
+		TargetRegion: target.ID, TargetPos: target.Center(),
 		Version: version, Size: n.catalog.Size(k),
 	})
-	if regionID == p.regionID {
+	if target.ID == p.regionID {
 		// Already inside the target region: flood directly.
 		m.Kind = kindUpdateFlood
 		m.TTL = regionTTL

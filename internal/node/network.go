@@ -250,6 +250,10 @@ func (n *Network) handleDrop(to radio.NodeID, f radio.Frame) {
 // chosen load-aware — the least-loaded live peer of each replica region
 // (DESIGN.md section 16).
 func (n *Network) placeKeys() {
+	custodian := n.peerLeastLoaded
+	if n.cfg.Replicas == 1 {
+		custodian = n.peerNearestCenter
+	}
 	for _, k := range n.catalog.Keys() {
 		n.truth[k] = 1
 		size := n.catalog.Size(k)
@@ -267,26 +271,12 @@ func (n *Network) placeKeys() {
 		} else {
 			n.stats.HomelessKeys++
 		}
-		reps := n.cfg.Replicas
-		if reps == 1 {
-			// The paper's single replica region, custodian nearest the
-			// center — kept verbatim so k=1 runs are bit-identical to the
-			// pre-k layer.
-			if rep, ok := n.table.ReplicaRegion(k); ok {
-				if holder := n.peerNearestCenter(n.table, rep.ID); holder != nil {
-					replica := item
-					replica.ReplicaRank = 1
-					holder.store.Put(replica)
-				}
-			}
-			continue
-		}
-		for r := 1; r <= reps; r++ {
+		for r := 1; r <= n.cfg.Replicas; r++ {
 			rep, ok := n.table.ReplicaRegionAt(k, r)
 			if !ok {
 				break // fewer regions than requested ranks
 			}
-			if holder := n.peerLeastLoaded(n.table, rep.ID); holder != nil {
+			if holder := custodian(n.table, rep.ID); holder != nil {
 				replica := item
 				replica.ReplicaRank = r
 				holder.store.Put(replica)

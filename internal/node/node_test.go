@@ -196,7 +196,7 @@ func TestInitialPlacement(t *testing.T) {
 		p := h.net.Peer(radio.NodeID(i))
 		for _, k := range p.Store().Keys() {
 			home, _ := h.table.HomeRegion(k)
-			rep, _ := h.table.ReplicaRegion(k)
+			rep, _ := h.table.ReplicaRegionAt(k, 1)
 			pos := h.ch.Position(p.ID())
 			switch {
 			case home.Bounds.Contains(pos):
@@ -602,7 +602,7 @@ func TestReplicaServesAfterHomeRegionCrash(t *testing.T) {
 			h.net.Crash(p.ID())
 		}
 	}
-	rep, _ := h.table.ReplicaRegion(k)
+	rep, _ := h.table.ReplicaRegionAt(k, 1)
 	var requester *Peer
 	for i := 0; i < h.net.Peers(); i++ {
 		p := h.net.Peer(radio.NodeID(i))

@@ -233,17 +233,7 @@ func (p *Peer) checkMobility() {
 // current table: the key's home region for primary copies (rank 0), the
 // rank-r replica region for rank-r replica copies.
 func (p *Peer) properRegion(it *cache.StoredItem) (region.Region, bool) {
-	switch {
-	case it.ReplicaRank == 0:
-		return p.table().HomeRegion(it.Key)
-	case it.ReplicaRank == 1:
-		// Equivalent to ReplicaRegionAt(k, 1) — kept on the original
-		// call so the paper's single-replica runs touch only code that
-		// predates the k-replica layer.
-		return p.table().ReplicaRegion(it.Key)
-	default:
-		return p.table().ReplicaRegionAt(it.Key, it.ReplicaRank)
-	}
+	return p.table().ReplicaRegionAt(it.Key, it.ReplicaRank)
 }
 
 // rehomeKeys transfers every stored copy whose proper region is not the

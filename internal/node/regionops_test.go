@@ -67,13 +67,7 @@ func TestSeparateMovesKeysToProperNewHomes(t *testing.T) {
 		p := h.net.Peer(radio.NodeID(i))
 		for _, k := range p.Store().Keys() {
 			it, _ := p.Store().Get(k)
-			var want region.Region
-			var ok bool
-			if it.ReplicaRank > 0 {
-				want, ok = table.ReplicaRegion(k)
-			} else {
-				want, ok = table.HomeRegion(k)
-			}
+			want, ok := table.ReplicaRegionAt(k, it.ReplicaRank)
 			if !ok {
 				continue
 			}
@@ -163,13 +157,7 @@ func TestStoreCopiesSelfHealAfterStranding(t *testing.T) {
 		p := h.net.Peer(radio.NodeID(i))
 		for _, k := range p.Store().Keys() {
 			it, _ := p.Store().Get(k)
-			var want region.Region
-			var ok bool
-			if it.ReplicaRank > 0 {
-				want, ok = h.table.ReplicaRegion(k)
-			} else {
-				want, ok = h.table.HomeRegion(k)
-			}
+			want, ok := h.table.ReplicaRegionAt(k, it.ReplicaRank)
 			if !ok {
 				continue
 			}

@@ -7,7 +7,6 @@ import (
 	"precinct/internal/consistency"
 	"precinct/internal/metrics"
 	"precinct/internal/radio"
-	"precinct/internal/region"
 	"precinct/internal/sim"
 	"precinct/internal/trace"
 	"precinct/internal/workload"
@@ -184,18 +183,6 @@ func (n *Network) startHomePhase(p *Peer, req *pendingReq) bool {
 	return true
 }
 
-// replicaRegionAt resolves the rank-r replica region of a key under the
-// given table. Rank 1 goes through the original single-replica lookup —
-// provably equal to ReplicaRegionAt(k, 1) including tie-breaks, but kept
-// on the original call so the paper's single-replica runs touch only
-// code that predates the k-replica layer.
-func replicaRegionAt(t *region.Table, k workload.Key, r int) (region.Region, bool) {
-	if r == 1 {
-		return t.ReplicaRegion(k)
-	}
-	return t.ReplicaRegionAt(k, r)
-}
-
 // startReplicaPhase retries against the next untried replica region
 // (fault tolerance, Section 2.4). With the paper's single replica region
 // there is exactly one attempt; with Replicas > 1 each call advances to
@@ -207,7 +194,7 @@ func replicaRegionAt(t *region.Table, k workload.Key, r int) (region.Region, boo
 // retried if a later phase falls back here again.
 func (n *Network) startReplicaPhase(p *Peer, req *pendingReq) bool {
 	for r := req.replicaRank + 1; r <= n.cfg.Replicas; r++ {
-		rep, ok := replicaRegionAt(p.table(), req.key, r)
+		rep, ok := p.table().ReplicaRegionAt(req.key, r)
 		if !ok || rep.ID == p.regionID {
 			continue
 		}

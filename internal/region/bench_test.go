@@ -18,14 +18,14 @@ func BenchmarkHomeRegion(b *testing.B) {
 	}
 }
 
-func BenchmarkReplicaRegion(b *testing.B) {
+func BenchmarkReplicaRegionAt(b *testing.B) {
 	tab, err := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(1200, 1200)), 5, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.ReplicaRegion(workload.Key(i % 1000))
+		tab.ReplicaRegionAt(workload.Key(i%1000), 1)
 	}
 }
 

@@ -88,15 +88,15 @@ func FuzzGeoHash(f *testing.F) {
 			}
 		}
 
-		rep, ok := tab.ReplicaRegion(k)
+		rep, ok := tab.ReplicaRegionAt(k, 1)
 		if tab.Len() < 2 {
 			if ok {
-				t.Fatalf("ReplicaRegion ok on a %d-region table", tab.Len())
+				t.Fatalf("ReplicaRegionAt(%d, 1) ok on a %d-region table", k, tab.Len())
 			}
 			return
 		}
 		if !ok {
-			t.Fatalf("ReplicaRegion(%d) failed on a %d-region table", k, tab.Len())
+			t.Fatalf("ReplicaRegionAt(%d, 1) failed on a %d-region table", k, tab.Len())
 		}
 		if rep.ID == home.ID {
 			t.Fatalf("replica region %d equals home region", int(rep.ID))

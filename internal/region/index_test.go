@@ -140,13 +140,6 @@ func checkAgainstScans(t *testing.T, name string, tab *Table) {
 		if want := refNearestCenter(tab, p, nil); home != want {
 			t.Fatalf("%s: HomeRegion(%d) = %v, scan says %v", name, k, home, want)
 		}
-		rep, ok := tab.ReplicaRegion(k)
-		if ok != (len(tab.regions) >= 2) {
-			t.Fatalf("%s: ReplicaRegion(%d) ok = %v on %d regions", name, k, ok, len(tab.regions))
-		}
-		if want := refNearestCenter(tab, p, []ID{home.ID}); ok && rep != want {
-			t.Fatalf("%s: ReplicaRegion(%d) = %v, scan says %v", name, k, rep, want)
-		}
 		var excl []ID
 		for rank := 0; rank <= 3 && rank < len(tab.regions); rank++ {
 			got, ok := tab.ReplicaRegionAt(k, rank)

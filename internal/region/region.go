@@ -334,17 +334,6 @@ func (t *Table) HomeRegion(k workload.Key) (Region, bool) {
 	return t.nearestCenter(t.HashLocation(k), Invalid), true
 }
 
-// ReplicaRegion returns the key's replica region: the second-closest
-// center to the hash location. ok is false when the table has fewer than
-// two regions.
-func (t *Table) ReplicaRegion(k workload.Key) (Region, bool) {
-	if len(t.regions) < 2 {
-		return Region{}, false
-	}
-	home := t.nearestCenter(t.HashLocation(k), Invalid)
-	return t.nearestCenter(t.HashLocation(k), home.ID), true
-}
-
 // MaxReplicaRank bounds the replica rank ReplicaRegionAt serves. It
 // exists to keep the rank-selection scratch allocation-free; the node
 // layer caps Config.Replicas to it.
@@ -352,12 +341,12 @@ const MaxReplicaRank = 8
 
 // ReplicaRegionAt returns the key's rank-r region: rank 0 is the home
 // region (nearest center to the hash location), rank r ≥ 1 the (r+1)-th
-// nearest center — so ReplicaRegionAt(k, 1) equals ReplicaRegion(k),
-// including on ties (the full ranking orders by (distance, ID)). The
-// ranking is a pure function of the table and the key, so custody of a
-// rank-r copy stays recomputable after table changes exactly like the
-// home region. ok is false for negative ranks, ranks above
-// MaxReplicaRank, and ranks the table is too small for.
+// nearest center, so rank 1 is the paper's replica region (Section 2.4).
+// Ties order by ID, exactly like the home lookup. The ranking is a pure
+// function of the table and the key, so custody of a rank-r copy stays
+// recomputable after table changes exactly like the home region. ok is
+// false for negative ranks, ranks above MaxReplicaRank, and ranks the
+// table is too small for.
 func (t *Table) ReplicaRegionAt(k workload.Key, rank int) (Region, bool) {
 	if rank < 0 || rank > MaxReplicaRank || rank >= len(t.regions) {
 		return Region{}, false

@@ -155,9 +155,9 @@ func TestReplicaRegionIsSecondNearest(t *testing.T) {
 	for k := workload.Key(0); k < 500; k++ {
 		loc := tab.HashLocation(k)
 		home, _ := tab.HomeRegion(k)
-		rep, ok := tab.ReplicaRegion(k)
+		rep, ok := tab.ReplicaRegionAt(k, 1)
 		if !ok {
-			t.Fatal("ReplicaRegion failed")
+			t.Fatal("ReplicaRegionAt(k, 1) failed")
 		}
 		if rep.ID == home.ID {
 			t.Fatalf("key %d: replica equals home", k)
@@ -179,7 +179,7 @@ func TestReplicaRegionIsSecondNearest(t *testing.T) {
 
 func TestReplicaRegionSingleRegionTable(t *testing.T) {
 	tab, _ := NewGrid(area1200, 1, 1)
-	if _, ok := tab.ReplicaRegion(workload.Key(1)); ok {
+	if _, ok := tab.ReplicaRegionAt(workload.Key(1), 1); ok {
 		t.Error("single-region table produced a replica region")
 	}
 }
@@ -332,7 +332,7 @@ func TestHomeReplicaProperty(t *testing.T) {
 		k := workload.Key(kRaw)
 		h1, ok1 := tab.HomeRegion(k)
 		h2, ok2 := tab.HomeRegion(k)
-		rep, ok3 := tab.ReplicaRegion(k)
+		rep, ok3 := tab.ReplicaRegionAt(k, 1)
 		return ok1 && ok2 && ok3 && h1.ID == h2.ID && h1.ID != rep.ID
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -442,7 +442,7 @@ func TestVoronoiHomeAndReplicaRegions(t *testing.T) {
 		if !ok {
 			t.Fatal("no home region")
 		}
-		rep, ok := tab.ReplicaRegion(k)
+		rep, ok := tab.ReplicaRegionAt(k, 1)
 		if !ok || rep.ID == home.ID {
 			t.Fatalf("key %d: replica %v vs home %v", k, rep.ID, home.ID)
 		}

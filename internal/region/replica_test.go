@@ -1,8 +1,8 @@
 package region
 
 // Property tests for the k-replica ranking layer (DESIGN.md section 16):
-// ReplicaRegionAt must agree with the original single-replica lookup at
-// rank 1 (including ties), produce pairwise-distinct regions across
+// ReplicaRegionAt must agree with the home lookup at rank 0 and with the
+// paper's second-nearest rule at rank 1 (including ties), produce pairwise-distinct regions across
 // ranks, and rank purely by (distance to the hash location, region ID) —
 // so the placement is a pure function of the table and key, invariant
 // under how the table was assembled.
@@ -46,7 +46,8 @@ func funcName(base string, n int) string {
 }
 
 // TestReplicaRegionAtMatchesLegacyLookups pins the compatibility edge:
-// rank 0 is the home region and rank 1 is the original replica region,
+// rank 0 is HomeRegion and rank 1 is the paper's replica region — the
+// nearest center other than the home region's, found by a full scan —
 // key by key, on every table shape.
 func TestReplicaRegionAtMatchesLegacyLookups(t *testing.T) {
 	for name, tab := range rankTables(t) {
@@ -59,13 +60,10 @@ func TestReplicaRegionAtMatchesLegacyLookups(t *testing.T) {
 			if !ok || r0.ID != home.ID {
 				t.Fatalf("%s: key %d rank 0 = (%v, %v), home = %v", name, k, r0.ID, ok, home.ID)
 			}
-			rep, ok := tab.ReplicaRegion(k)
-			if !ok {
-				t.Fatalf("%s: key %d has no replica region", name, k)
-			}
+			rep := refNearestCenter(tab, tab.HashLocation(k), []ID{home.ID})
 			r1, ok := tab.ReplicaRegionAt(k, 1)
 			if !ok || r1.ID != rep.ID {
-				t.Fatalf("%s: key %d rank 1 = (%v, %v), ReplicaRegion = %v", name, k, r1.ID, ok, rep.ID)
+				t.Fatalf("%s: key %d rank 1 = (%v, %v), second-nearest scan = %v", name, k, r1.ID, ok, rep.ID)
 			}
 		}
 	}

@@ -151,7 +151,7 @@ func TestStepAtCanonicalInterleave(t *testing.T) {
 	}
 }
 
-// TestCountExec pins the load probe's accounting: fired events tally
+// TestCountExec pins the test oracle's accounting: fired events tally
 // under their execAs context at index execAs+1.
 func TestCountExec(t *testing.T) {
 	s := NewScheduler()

@@ -121,11 +121,9 @@ type Scheduler struct {
 	free []int32
 
 	// execCounts, when non-nil, tallies fired events per execution
-	// context at index execAs+1 (index 0 is network-global work). The
-	// shard-load probe turns it on for a short sequential prefix run to
-	// measure how much event work each peer actually generates; it is
-	// nil — and the fire path pays one predictable branch — everywhere
-	// else.
+	// context at index execAs+1 (index 0 is network-global work). No run
+	// turns it on: it is a test oracle (see CountExec), nil — and the
+	// fire path pays one predictable branch — everywhere else.
 	execCounts []uint64
 }
 
@@ -176,7 +174,11 @@ func (s *Scheduler) Cur() int { return int(s.cur) }
 
 // CountExec enables per-context fired-event tallies for n peer
 // contexts (plus the -1 global context at index 0). Counting starts
-// from the call; events fired earlier are not represented.
+// from the call; events fired earlier are not represented. No run calls
+// it: it is a test oracle, read by node's
+// TestNoReplicationFailsAfterHomeRegionCrash to pin that a request's
+// timeouts run under the requester rather than as global work, and by
+// the queue tests against their reference model.
 func (s *Scheduler) CountExec(n int) { s.execCounts = make([]uint64, n+1) }
 
 // ExecCounts returns the per-context tallies enabled by CountExec

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -96,35 +95,6 @@ func eventLess(a, b Event) bool {
 		return a.Region < b.Region
 	}
 	return a.Count < b.Count
-}
-
-// EncodeLines renders events as the JSON-lines stream a Writer would
-// produce, for byte-level comparison in tests.
-func EncodeLines(events []Event) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeLines parses a JSON-lines stream back into events: the inverse
-// of a Writer (and of EncodeLines), used by tooling that re-sorts or
-// diffs recorded traces.
-func DecodeLines(data []byte) ([]Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // Writer streams events as JSON lines to an io.Writer. It buffers; call

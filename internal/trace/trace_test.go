@@ -79,10 +79,7 @@ func TestCanonicalizeIsOrderFree(t *testing.T) {
 	}
 	want := append([]Event(nil), events...)
 	Canonicalize(want)
-	wantBytes, err := EncodeLines(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantBytes := encode(t, want)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		shuffled := append([]Event(nil), events...)
@@ -90,12 +87,22 @@ func TestCanonicalizeIsOrderFree(t *testing.T) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		Canonicalize(shuffled)
-		got, err := EncodeLines(shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantBytes) {
+		if got := encode(t, shuffled); !bytes.Equal(got, wantBytes) {
 			t.Fatalf("trial %d: canonical encoding differs:\n%s\nvs\n%s", trial, got, wantBytes)
 		}
 	}
+}
+
+// encode renders events through a Writer.
+func encode(t *testing.T, events []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, e := range events {
+		w.Emit(e)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

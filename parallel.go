@@ -49,28 +49,6 @@ import (
 	"precinct/internal/trace"
 )
 
-// Scenario.ShardBalance values.
-const (
-	// ShardBalanceLoad — the default — sizes shards by measured event
-	// load: a short sequential probe run tallies fired events per peer,
-	// and the x-sorted peer order is cut into contiguous strips of
-	// equal cumulative load.
-	ShardBalanceLoad = "load"
-	// ShardBalanceCount cuts the x-sorted peer order into equal-count
-	// strips (the pre-probe behavior). Cheaper to set up and fully
-	// predictable, at the price of load imbalance when event rates vary
-	// across the area.
-	ShardBalanceCount = "count"
-)
-
-// shardBalanceMode resolves the empty default.
-func (s Scenario) shardBalanceMode() string {
-	if s.ShardBalance == "" {
-		return ShardBalanceLoad
-	}
-	return s.ShardBalance
-}
-
 // shardStatus is one shard's published round snapshot: float64 bits of
 // its earliest local and global event times (+Inf when empty) and its
 // parked cross-shard delivery count. Slots are double-buffered by round
@@ -115,75 +93,17 @@ type parallelRun struct {
 
 	bar    *sim.WindowBarrier
 	status []shardStatus
-	loads  []uint64 // probe-measured weight per shard; nil in count mode
 	stats  parallelStats
 }
 
-// probeWindow is the simulated prefix the shard-load probe replays:
-// long enough to see steady-state request/update/mobility rates, short
-// enough to stay a small fraction of the real run.
-func probeWindow(duration float64) float64 {
-	w := 0.04 * duration
-	if w < 2 {
-		w = 2
-	}
-	if w > 15 {
-		w = 15
-	}
-	if w > duration {
-		w = duration
-	}
-	return w
-}
-
-// measureShardLoad replays a short sequential prefix of the scenario
-// and returns one weight per peer: 1 + the number of events the
-// scheduler fired in that peer's execution context. The probe world is
-// built from the scenario's own seed and discarded, so it perturbs
-// nothing and the weights — hence the shard assignment — are a pure
-// deterministic function of the scenario.
-func measureShardLoad(s Scenario) ([]uint64, error) {
-	probe := s
-	probe.Shards = 0
-	probe.ShardBalance = ""
-	probe.Duration = probeWindow(s.Duration)
-	if probe.Warmup >= probe.Duration {
-		probe.Warmup = 0
-	}
-	if len(probe.Faults) > 0 {
-		// Faults beyond the probe horizon fail validation (and cannot
-		// fire anyway); keep only the ones inside the window.
-		kept := probe.Faults[:0:0]
-		for _, f := range probe.Faults {
-			if f.At <= probe.Duration {
-				kept = append(kept, f)
-			}
-		}
-		probe.Faults = kept
-	}
-	b, err := probe.buildTraced(nil)
-	if err != nil {
-		return nil, fmt.Errorf("precinct: shard-load probe: %w", err)
-	}
-	b.sched.CountExec(probe.Nodes)
-	b.network.Run(probe.Duration)
-	counts := b.sched.ExecCounts()
-	weights := make([]uint64, probe.Nodes)
-	for i := range weights {
-		weights[i] = 1 + counts[i+1]
-	}
-	return weights, nil
-}
-
 // shardAssignment maps every peer to a shard by sorting the initial node
-// layout along x (ties by y, then id) and slicing it into contiguous
-// strips: equal peer counts when weights is nil, equal cumulative weight
-// otherwise, always at least one peer per shard. Spatial contiguity
-// keeps most radio traffic shard-local early on; ownership is static, so
-// peers that later roam across strips simply generate more cross-shard
-// deliveries — correctness never depends on where a peer is, only on who
-// owns it.
-func shardAssignment(b *built, shards int, weights []uint64) []int32 {
+// layout along x (ties by y, then id) and cutting it into contiguous
+// strips of equal peer count: each shard owns ⌊N/S⌋ or ⌈N/S⌉ peers, so
+// never none. Spatial contiguity keeps most radio traffic shard-local
+// early on; ownership is static, so peers that later roam across strips
+// simply generate more cross-shard deliveries — correctness never
+// depends on where a peer is, only on who owns it.
+func shardAssignment(b *built, shards int) []int32 {
 	n := b.scenario.Nodes
 	type placed struct {
 		pos geo.Point
@@ -203,50 +123,16 @@ func shardAssignment(b *built, shards int, weights []uint64) []int32 {
 		return pts[a].id < pts[c].id
 	})
 	out := make([]int32, n)
-	if weights == nil {
-		for rank, p := range pts {
-			out[p.id] = int32(rank * shards / n)
-		}
-		return out
-	}
-	var total uint64
-	for _, w := range weights {
-		total += w
-	}
-	// Greedy equal-load cuts: walk the sorted order accumulating
-	// weight; move to the next shard once this shard's share of the
-	// total is covered — or when the remaining peers are exactly enough
-	// to give every remaining shard one, which guarantees no shard ends
-	// up empty no matter how skewed the weights are.
-	var cum uint64
-	shard := 0
 	for rank, p := range pts {
-		out[p.id] = int32(shard)
-		cum += weights[p.id]
-		if shard < shards-1 {
-			mustAdvance := n-rank-1 == shards-shard-1
-			hitShare := cum*uint64(shards) >= total*uint64(shard+1)
-			if mustAdvance || hitShare {
-				shard++
-			}
-		}
+		out[p.id] = int32(rank * shards / n)
 	}
 	return out
 }
 
-// buildParallel assembles the sharded simulation: the shard-load probe
-// (unless ShardBalance is "count"), the primary world via buildTraced,
-// one replica world per additional shard, then the network clones bound
-// to their shards.
+// buildParallel assembles the sharded simulation: the primary world via
+// buildTraced, one replica world per additional shard, then the network
+// clones bound to their shards.
 func (s Scenario) buildParallel(tracer trace.Tracer) (*parallelRun, error) {
-	var weights []uint64
-	if s.shardBalanceMode() == ShardBalanceLoad {
-		w, err := measureShardLoad(s)
-		if err != nil {
-			return nil, err
-		}
-		weights = w
-	}
 	var bufs []*trace.Buffer
 	var primaryTracer trace.Tracer
 	if tracer != nil {
@@ -314,13 +200,7 @@ func (s Scenario) buildParallel(tracer trace.Tracer) (*parallelRun, error) {
 		p.scheds[k], p.channels[k], p.clones[k] = sched, ch, clone
 		p.colls[k], p.meters[k] = coll, meter
 	}
-	p.shardOf = shardAssignment(b, s.Shards, weights)
-	if weights != nil {
-		p.loads = make([]uint64, s.Shards)
-		for id, w := range weights {
-			p.loads[p.shardOf[id]] += w
-		}
-	}
+	p.shardOf = shardAssignment(b, s.Shards)
 	if err := b.network.EnableSharding(p.shardOf, p.clones); err != nil {
 		return nil, err
 	}
@@ -566,6 +446,5 @@ func runParallel(s Scenario, tracer trace.Tracer) (Result, RunStats, error) {
 			OutboxFlushes:     p.stats.flushes,
 			RemoteDeliveries:  p.stats.remote,
 			ShardEvents:       shardEvents,
-			ShardLoads:        p.loads,
 		}, nil
 }

@@ -2,6 +2,8 @@ package precinct_test
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"precinct"
@@ -28,35 +30,31 @@ func edgeScenario() precinct.Scenario {
 // must execute in exactly the order the sequential scheduler would
 // have used — proven by report and trace identity across modes.
 func TestParallelSimultaneousFaults(t *testing.T) {
-	for _, balance := range []string{precinct.ShardBalanceLoad, precinct.ShardBalanceCount} {
-		balance := balance
-		t.Run(balance, func(t *testing.T) {
-			t.Parallel()
-			s := edgeScenario()
-			s.ShardBalance = balance
-			s.Shards = 4
-			assign, err := precinct.ShardAssignmentForTest(s)
-			if err != nil {
-				t.Fatal(err)
+	// The subtest names the shard split the faults are placed under.
+	t.Run("count", func(t *testing.T) {
+		s := edgeScenario()
+		s.Shards = 4
+		assign, _, err := precinct.ShardAssignmentForTest(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One fault per shard, every one due at the same instant.
+		// Alternating kinds makes the drain order observable: a quit hands
+		// keys off, a crash does not.
+		kinds := []string{"quit", "crash", "quit", "crash"}
+		seen := make(map[int32]bool)
+		for id, sh := range assign {
+			if seen[sh] {
+				continue
 			}
-			// One fault per shard, every one due at the same instant.
-			// Alternating kinds makes the drain order observable: a quit
-			// hands keys off, a crash does not.
-			kinds := []string{"quit", "crash", "quit", "crash"}
-			seen := make(map[int32]bool)
-			for id, sh := range assign {
-				if seen[sh] {
-					continue
-				}
-				seen[sh] = true
-				s.Faults = append(s.Faults, precinct.Fault{At: 12.5, Node: id, Kind: kinds[int(sh)%len(kinds)]})
-			}
-			if len(s.Faults) != 4 {
-				t.Fatalf("expected one fault per shard, got %d", len(s.Faults))
-			}
-			compareModes(t, s, 2, 4)
-		})
-	}
+			seen[sh] = true
+			s.Faults = append(s.Faults, precinct.Fault{At: 12.5, Node: id, Kind: kinds[int(sh)%len(kinds)]})
+		}
+		if len(s.Faults) != 4 {
+			t.Fatalf("expected one fault per shard, got %d", len(s.Faults))
+		}
+		compareModes(t, s, 2, 4)
+	})
 }
 
 // TestParallelShardEmptiesMidRun kills every node owned by one shard
@@ -69,9 +67,8 @@ func TestParallelSimultaneousFaults(t *testing.T) {
 // helper confirms it.
 func TestParallelShardEmptiesMidRun(t *testing.T) {
 	s := edgeScenario()
-	s.ShardBalance = precinct.ShardBalanceCount
 	s.Shards = 3
-	assign, err := precinct.ShardAssignmentForTest(s)
+	assign, _, err := precinct.ShardAssignmentForTest(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +113,7 @@ func TestParallelShardEmptiesMidRun(t *testing.T) {
 
 // TestParallelRunStats pins the protocol counters RunStats reports for
 // sharded runs: windows and barrier drains happen, cross-shard traffic
-// flows, per-shard event counts sum to the total, and under the load
-// split the recorded per-shard loads cover every peer.
+// flows, and per-shard event counts sum to the total.
 func TestParallelRunStats(t *testing.T) {
 	s := edgeScenario()
 	s.Shards = 4
@@ -169,90 +165,77 @@ func TestParallelRunStats(t *testing.T) {
 		t.Errorf("sharded: %d re-homing passes / %d skipped, sequential %d / %d",
 			stats.RehomePasses, stats.RehomeSkips, seqStats.RehomePasses, seqStats.RehomeSkips)
 	}
-	if len(stats.ShardLoads) != 4 {
-		t.Fatalf("ShardLoads = %v, want 4 entries under the load split", stats.ShardLoads)
-	}
-	var load uint64
-	for sh, l := range stats.ShardLoads {
-		if l == 0 {
-			t.Errorf("shard %d was assigned zero load", sh)
-		}
-		load += l
-	}
-	// Every peer contributes its probe weight (at least 1) to some shard.
-	if load < uint64(s.Nodes) {
-		t.Errorf("total assigned load %d < node count %d", load, s.Nodes)
-	}
-
-	// The count split records no loads and must also run identically.
-	s.ShardBalance = precinct.ShardBalanceCount
-	_, stats, err = precinct.RunWithStats(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ShardLoads != nil {
-		t.Errorf("count split should record no ShardLoads, got %v", stats.ShardLoads)
-	}
 }
 
-// TestShardAssignmentBalancesLoad feeds shardAssignment a deliberately
-// skewed population (via the real probe on a scenario whose traffic is
-// uniform, then checking the equal-load property on the recorded
-// loads): under the load split, no shard's probe-measured load may
-// exceed twice the lightest shard's — far tighter than the worst case
-// an equal-count split can produce under skew, and loose enough to be
-// stable across probe refinements.
-func TestShardAssignmentBalancesLoad(t *testing.T) {
-	for _, shards := range []int{2, 3, 4, 5} {
-		s := edgeScenario()
+// TestParallelShardAssignmentCountSplit pins the one shard split: on a
+// population no entry of fuzzgen.ShardCounts divides, every shard owns
+// ⌊N/S⌋ or ⌈N/S⌉ peers, and the shard index never decreases along the
+// x-sorted peer order (ties by y, then id), so each shard is one strip.
+func TestParallelShardAssignmentCountSplit(t *testing.T) {
+	s := edgeScenario()
+	s.Nodes = 23
+	for _, shards := range fuzzgen.ShardCounts {
+		if s.Nodes%shards == 0 {
+			t.Fatalf("%d shards divide %d nodes; pick a population no count divides", shards, s.Nodes)
+		}
 		s.Shards = shards
-		_, stats, err := precinct.RunWithStats(s)
+		assign, pos, err := precinct.ShardAssignmentForTest(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(stats.ShardLoads) != shards {
-			t.Fatalf("shards=%d: ShardLoads = %v", shards, stats.ShardLoads)
+		sizes := make([]int, shards)
+		for _, sh := range assign {
+			sizes[sh]++
 		}
-		min, max := stats.ShardLoads[0], stats.ShardLoads[0]
-		for _, l := range stats.ShardLoads[1:] {
-			if l < min {
-				min = l
-			}
-			if l > max {
-				max = l
+		lo, hi := s.Nodes/shards, s.Nodes/shards+1
+		for sh, n := range sizes {
+			if n < lo || n > hi {
+				t.Errorf("shards=%d: shard %d owns %d peers, want %d or %d", shards, sh, n, lo, hi)
 			}
 		}
-		if min == 0 || max > 2*min {
-			t.Errorf("shards=%d: probe loads unbalanced: %v", shards, stats.ShardLoads)
+		order := make([]int, s.Nodes)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			pa, pb := pos[order[a]], pos[order[b]]
+			if pa.X != pb.X {
+				return pa.X < pb.X
+			}
+			if pa.Y != pb.Y {
+				return pa.Y < pb.Y
+			}
+			return order[a] < order[b]
+		})
+		for i := 1; i < len(order); i++ {
+			if assign[order[i]] < assign[order[i-1]] {
+				t.Fatalf("shards=%d: shard index falls from %d to %d along x", shards, assign[order[i-1]], assign[order[i]])
+			}
 		}
 	}
 }
 
 // TestWithShardsTransform pins the fuzzgen shard axis: the transform
-// must clear the knobs the sharded envelope forbids, alternate balance
-// modes by seed, and leave the base draws untouched.
+// must clear the knobs the sharded envelope forbids, tag the name with
+// the shard count, and leave the base draws untouched.
 func TestWithShardsTransform(t *testing.T) {
 	base := fuzzgen.Expand(3)
 	base.BeaconInterval = 2
 	base.AdaptiveRegions = true
 	for _, shards := range fuzzgen.ShardCounts {
-		even := fuzzgen.WithShards(base, shards, 2)
-		odd := fuzzgen.WithShards(base, shards, 3)
-		if even.Shards != shards || odd.Shards != shards {
-			t.Fatalf("shards not applied: %d/%d", even.Shards, odd.Shards)
+		v := fuzzgen.WithShards(base, shards)
+		if v.Shards != shards {
+			t.Fatalf("shards not applied: %d", v.Shards)
 		}
-		if even.BeaconInterval != 0 || even.AdaptiveRegions {
+		if v.BeaconInterval != 0 || v.AdaptiveRegions {
 			t.Error("WithShards must clear the forbidden knobs")
 		}
-		if even.ShardBalance != precinct.ShardBalanceLoad {
-			t.Errorf("even seed balance = %q", even.ShardBalance)
+		if want := fmt.Sprintf("%s/shards%d", base.Name, shards); v.Name != want {
+			t.Errorf("name = %q, want %q", v.Name, want)
 		}
-		if odd.ShardBalance != precinct.ShardBalanceCount {
-			t.Errorf("odd seed balance = %q", odd.ShardBalance)
-		}
-		want := fmt.Sprintf("%s/shards%d-load", base.Name, shards)
-		if even.Name != want {
-			t.Errorf("name = %q, want %q", even.Name, want)
+		v.Name, v.Shards, v.BeaconInterval, v.AdaptiveRegions = base.Name, base.Shards, base.BeaconInterval, base.AdaptiveRegions
+		if !reflect.DeepEqual(v, base) {
+			t.Error("WithShards changed a base draw")
 		}
 	}
 }

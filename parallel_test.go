@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"precinct"
@@ -30,8 +31,23 @@ func tracedEvents(s precinct.Scenario) (precinct.Result, []trace.Event, error) {
 	if err != nil {
 		return res, nil, err
 	}
-	events, err := trace.DecodeLines(buf.Bytes())
+	events, err := trace.Read(&buf)
 	return res, events, err
+}
+
+// encodeTrace renders events through a trace.Writer, the byte form the
+// cross-mode comparisons hold equal.
+func encodeTrace(t *testing.T, events []trace.Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, e := range events {
+		w.Emit(e)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // compareAgainstSequential runs the base scenario sequentially, then
@@ -44,10 +60,7 @@ func compareAgainstSequential(t *testing.T, base precinct.Scenario, variants []p
 		t.Fatal(err)
 	}
 	trace.Canonicalize(seqEvents)
-	seqBytes, err := trace.EncodeLines(seqEvents)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqBytes := encodeTrace(t, seqEvents)
 	for _, v := range variants {
 		par, parEvents, err := tracedEvents(v)
 		if err != nil {
@@ -63,11 +76,7 @@ func compareAgainstSequential(t *testing.T, base precinct.Scenario, variants []p
 			t.Errorf("%s (shards=%d): RadioStats diverged:\nsequential: %+v\nparallel:   %+v", v.Name, v.Shards, seq.Radio, par.Radio)
 		}
 		trace.Canonicalize(parEvents)
-		parBytes, err := trace.EncodeLines(parEvents)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seqBytes, parBytes) {
+		if !bytes.Equal(seqBytes, encodeTrace(t, parEvents)) {
 			t.Errorf("%s (shards=%d): canonical traces differ (%d vs %d events)",
 				v.Name, v.Shards, len(seqEvents), len(parEvents))
 		}
@@ -75,8 +84,7 @@ func compareAgainstSequential(t *testing.T, base precinct.Scenario, variants []p
 }
 
 // compareModes runs a scenario sequentially and with the given shard
-// counts (preserving the scenario's ShardBalance setting), requiring
-// identical Report/Protocol/Radio and byte-identical canonical traces
+// counts, requiring identical Report/Protocol/Radio and byte-identical canonical traces
 // from every mode.
 func compareModes(t *testing.T, s precinct.Scenario, shardCounts ...int) {
 	t.Helper()
@@ -97,8 +105,7 @@ func compareModes(t *testing.T, s precinct.Scenario, shardCounts ...int) {
 // sharded over fuzzgen.ShardCounts goroutines (2, 3, 4, 5 and 8,
 // including counts that do not divide the node population) reports
 // identically to the sequential run, down to byte-identical canonical
-// traces. The seed alternates the shard-balance mode, so both the
-// load-probe split and the legacy equal-count split are proven.
+// traces.
 func TestParallelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
@@ -110,7 +117,7 @@ func TestParallelEquivalence(t *testing.T) {
 				if shards > base.Nodes {
 					continue
 				}
-				variants = append(variants, fuzzgen.WithShards(base, shards, seed))
+				variants = append(variants, fuzzgen.WithShards(base, shards))
 			}
 			compareAgainstSequential(t, base, variants)
 		})
@@ -145,38 +152,44 @@ func TestParallelEquivalence(t *testing.T) {
 	})
 }
 
-// TestParallelScenarioValidation pins the sharded-execution envelope.
+// TestParallelScenarioValidation pins the sharded-execution envelope:
+// every rejection names its cause, and the default scenario shards.
 func TestParallelScenarioValidation(t *testing.T) {
 	base := precinct.DefaultScenario()
 	base.Duration = 10
 	base.Warmup = 0
-
-	s := base
-	s.Shards = 2
-	s.BeaconInterval = 1
-	if err := s.Validate(); err == nil {
-		t.Error("sharded run with beaconing should be rejected")
+	base.Shards = 2
+	validate := func(s precinct.Scenario) error { return s.Validate() }
+	runChecked := func(s precinct.Scenario) error {
+		_, _, err := precinct.RunChecked(s)
+		return err
 	}
-	s = base
-	s.Shards = 2
-	s.AdaptiveRegions = true
-	if err := s.Validate(); err == nil {
-		t.Error("sharded run with adaptive regions should be rejected")
+	for _, c := range []struct {
+		name   string
+		mutate func(*precinct.Scenario)
+		run    func(precinct.Scenario) error
+		want   string
+	}{
+		{"beaconing", func(s *precinct.Scenario) { s.BeaconInterval = 1 }, validate, "perfect location knowledge"},
+		{"adaptive-regions", func(s *precinct.Scenario) { s.AdaptiveRegions = true }, validate, "adaptive region management"},
+		{"non-default-workload", func(s *precinct.Scenario) { s.Workload = "flash-crowd" }, validate, "only the default workload"},
+		{"more-shards-than-nodes", func(s *precinct.Scenario) { s.Shards = s.Nodes + 1 }, validate, "shards exceed"},
+		{"negative-shards", func(s *precinct.Scenario) { s.Shards = -1 }, validate, "shards must be non-negative"},
+		{"run-checked", func(*precinct.Scenario) {}, runChecked, "invariant checking runs sequentially"},
+	} {
+		s := base
+		c.mutate(&s)
+		if err := c.run(s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to name %q", c.name, err, c.want)
+		}
 	}
-	s = base
-	s.Shards = s.Nodes + 1
-	if err := s.Validate(); err == nil {
-		t.Error("more shards than nodes should be rejected")
-	}
-	s = base
-	s.Shards = -1
-	if err := s.Validate(); err == nil {
-		t.Error("negative shards should be rejected")
-	}
-	s = base
-	s.Shards = 2
-	if err := s.Validate(); err != nil {
+	if err := base.Validate(); err != nil {
 		t.Errorf("valid sharded scenario rejected: %v", err)
+	}
+	s := base
+	s.Workload = "default"
+	if err := s.Validate(); err != nil {
+		t.Errorf("sharded default workload rejected: %v", err)
 	}
 }
 
@@ -195,10 +208,7 @@ func TestTraceShuffleCanonicalizes(t *testing.T) {
 	}
 	want := append([]trace.Event(nil), events...)
 	trace.Canonicalize(want)
-	wantBytes, err := trace.EncodeLines(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantBytes := encodeTrace(t, want)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([]trace.Event(nil), events...)
@@ -206,11 +216,7 @@ func TestTraceShuffleCanonicalizes(t *testing.T) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		trace.Canonicalize(shuffled)
-		got, err := trace.EncodeLines(shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantBytes) {
+		if !bytes.Equal(encodeTrace(t, shuffled), wantBytes) {
 			t.Fatalf("trial %d: shuffled trace does not canonicalize to the sequential ordering", trial)
 		}
 	}

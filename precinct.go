@@ -182,15 +182,6 @@ type Scenario struct {
 	// perfect location knowledge (BeaconInterval 0) and static regions
 	// (no AdaptiveRegions).
 	Shards int
-
-	// ShardBalance selects how peers are split into shards: "load" (the
-	// default) measures per-peer event load with a short sequential
-	// probe run and cuts the x-sorted peer order into contiguous strips
-	// of equal cumulative load; "count" keeps the legacy equal-count
-	// strips. Either way the assignment is a deterministic function of
-	// the scenario. Ignored when Shards <= 1; omitted from JSON when
-	// empty.
-	ShardBalance string `json:",omitempty"`
 }
 
 // WorkloadParams tunes the non-stationary workload sources. Every zero
@@ -602,11 +593,6 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 			return nil, fmt.Errorf("precinct: sharded runs support only the default workload, got %q", s.Workload)
 		}
 	}
-	switch s.ShardBalance {
-	case "", ShardBalanceLoad, ShardBalanceCount:
-	default:
-		return nil, fmt.Errorf("precinct: unknown shard balance %q (want %q or %q)", s.ShardBalance, ShardBalanceLoad, ShardBalanceCount)
-	}
 
 	rng := sim.NewRNG(s.Seed)
 	sched := sim.NewScheduler()
@@ -813,12 +799,9 @@ type RunStats struct {
 	OutboxFlushes     uint64
 	RemoteDeliveries  uint64
 
-	// ShardEvents is the number of events each shard's scheduler fired;
-	// ShardLoads the probe-measured weight assigned to each shard under
-	// ShardBalance "load" (nil under "count"). Together they quantify
+	// ShardEvents is the number of events each shard's scheduler fired:
 	// how balanced the split actually was.
 	ShardEvents []uint64
-	ShardLoads  []uint64
 }
 
 // RunWithStats executes the scenario like Run and additionally reports

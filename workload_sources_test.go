@@ -101,7 +101,8 @@ func TestWorkloadInvariants(t *testing.T) {
 }
 
 // TestWorkloadScenarioValidation pins the wiring error paths: unknown
-// kinds, stray or missing trace paths, and the sharded-run gate.
+// kinds and stray or missing trace paths. The sharded-run gate is a row
+// of TestParallelScenarioValidation.
 func TestWorkloadScenarioValidation(t *testing.T) {
 	base := fuzzgen.Expand(50)
 
@@ -128,18 +129,6 @@ func TestWorkloadScenarioValidation(t *testing.T) {
 	s.TracePath = filepath.Join(t.TempDir(), "absent.csv")
 	if err := s.Validate(); err == nil {
 		t.Error("nonexistent trace file accepted")
-	}
-
-	s = precinct.DefaultScenario()
-	s.Duration, s.Warmup = 60, 10
-	s.Shards = 2
-	s.Workload = "flash-crowd"
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("sharded non-default workload: err = %v", err)
-	}
-	s.Workload = "default"
-	if err := s.Validate(); err != nil {
-		t.Errorf("sharded default workload rejected: %v", err)
 	}
 }
 
