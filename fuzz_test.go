@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// hotspotGridInputs are scenario files whose hotspot grid once crashed
-// Validate: a million cells a side ran out of memory building the
-// per-cell hotsets, and 3037000500 overflowed Grid*Grid into a negative
-// slice length.
-var hotspotGridInputs = []string{
-	`{"Workload":"hotspot","WorkloadCfg":{"HotspotGrid":1000000}}`,
-	`{"Workload":"hotspot","WorkloadCfg":{"HotspotGrid":3037000500}}`,
-}
-
-func TestHotspotGridBounded(t *testing.T) {
-	for _, in := range hotspotGridInputs {
-		s, err := LoadScenario(strings.NewReader(in))
-		if err != nil {
-			t.Fatalf("%s: %v", in, err)
-		}
-		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "hotspot grid") {
-			t.Errorf("%s: Validate err = %v", in, err)
-		}
-		if _, err := Run(s); err == nil {
-			t.Errorf("%s: Run accepted it", in)
-		}
-	}
-}
-
 // clampForFuzz bounds the fields that size a run, so every input that
 // validates also finishes in milliseconds. Values that are already small
 // (including zero and negative ones, which exercise the error paths) are
@@ -50,9 +26,6 @@ func clampForFuzz(s *Scenario) {
 	atMost(&s.Regions, 16)
 	atMost(&s.Shards, 3)
 	atMost(&s.Replicas, 3)
-	atMost(&s.WorkloadCfg.FlashHotset, 50)
-	atMost(&s.WorkloadCfg.HotspotHotset, 50)
-	atMost(&s.WorkloadCfg.ChurnSwaps, 50)
 	if s.Duration > 30 {
 		s.Duration = 30
 	}
@@ -60,7 +33,7 @@ func clampForFuzz(s *Scenario) {
 		s.MaxSpeed = 50
 	}
 	for _, p := range []*float64{&s.RequestInterval, &s.UpdateInterval, &s.BeaconInterval,
-		&s.AdaptiveInterval, &s.ChurnInterval, &s.WorkloadCfg.ChurnEvery} {
+		&s.AdaptiveInterval, &s.ChurnInterval} {
 		atLeast(p, 1)
 	}
 	if len(s.Faults) > 8 {
@@ -76,9 +49,6 @@ func clampForFuzz(s *Scenario) {
 // its size clamped small. Each must return an error or finish; none may
 // panic.
 func FuzzScenario(f *testing.F) {
-	for _, in := range hotspotGridInputs {
-		f.Add(in)
-	}
 	for _, in := range []string{
 		`{}`,
 		`{"Nodes":10,"Duration":20,"Warmup":5}`,
@@ -87,8 +57,14 @@ func FuzzScenario(f *testing.F) {
 		`{"Duration":NaN}`,
 		`{"Duration":1e999}`,
 		`{"Duration":"Inf"}`,
+		`{"GDLDWeights":{"WR":-1e999}}`,
+		// Retired keys. The hotspot grids once crashed Validate: a million
+		// cells a side ran out of memory building the per-cell hotsets, and
+		// 3037000500 overflowed Grid*Grid into a negative slice length.
+		`{"Workload":"hotspot","WorkloadCfg":{"HotspotGrid":1000000}}`,
+		`{"Workload":"hotspot","WorkloadCfg":{"HotspotGrid":3037000500}}`,
 		`{"WorkloadCfg":{"FlashAt":-1e999}}`,
-		// Retired keys.
+		`{"ShardBalance":"load"}`,
 		`{"Mobile":false}`,
 		`{"Replication":true}`,
 		`{"CacheBytes":4096}`,

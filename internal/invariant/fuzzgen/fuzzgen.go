@@ -244,32 +244,15 @@ func WithShards(s precinct.Scenario, shards int) precinct.Scenario {
 }
 
 // WithWorkload derives a workload-lab variant of a scenario: the seed
-// picks one of the non-stationary sources and perturbs its parameters
-// deterministically. Shards is cleared (non-default workloads are
-// sequential-only) and the Name gains the workload tag so failures name
-// the source that produced them.
+// picks one of the non-stationary sources, whose parameters are fixed.
+// Shards is cleared (non-default workloads are sequential-only) and the
+// Name gains the workload tag so failures name the source that produced
+// them.
 func WithWorkload(s precinct.Scenario, seed int64) precinct.Scenario {
 	rng := rand.New(rand.NewSource(seed ^ 0x10ad1ab5))
 	kind := NonDefaultWorkloads[rng.Intn(len(NonDefaultWorkloads))]
 	s.Workload = kind
 	s.Shards = 0
 	s.Name = s.Name + "/" + kind
-	measured := s.Duration - s.Warmup
-	switch kind {
-	case "flash-crowd":
-		s.WorkloadCfg.FlashAt = s.Warmup + measured*(0.2+0.4*rng.Float64())
-		s.WorkloadCfg.FlashDuration = measured * (0.1 + 0.3*rng.Float64())
-		s.WorkloadCfg.FlashHotset = 1 + rng.Intn(1+s.Items/20)
-		s.WorkloadCfg.FlashBoost = 0.3 + 0.6*rng.Float64()
-	case "diurnal":
-		s.WorkloadCfg.DriftPeriod = measured * (0.3 + 0.9*rng.Float64())
-	case "hotspot":
-		s.WorkloadCfg.HotspotGrid = 2 + rng.Intn(3)
-		s.WorkloadCfg.HotspotHotset = 1 + rng.Intn(1+s.Items/10)
-		s.WorkloadCfg.HotspotBoost = 0.3 + 0.6*rng.Float64()
-	case "rank-churn":
-		s.WorkloadCfg.ChurnEvery = 10 + 40*rng.Float64()
-		s.WorkloadCfg.ChurnSwaps = 1 + rng.Intn(1+s.Items/5)
-	}
 	return s
 }

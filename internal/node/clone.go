@@ -2,7 +2,7 @@ package node
 
 // Sharded-run support: a parallel run gives every shard a replica of the
 // Network that shares the protocol state (peers, region tables, ground
-// truth, catalog, generator) but owns its shard's scheduler, radio
+// truth, catalog, workload) but owns its shard's scheduler, radio
 // channel, collector, energy meter, tracer, GPSR router and message
 // pool. Each peer is owned by exactly one shard; its net field binds it
 // to that shard's replica, so every peer-local mutation happens on one
@@ -33,7 +33,7 @@ type ShardWorld struct {
 }
 
 // CloneForShard returns a shard replica of the network. The replica
-// shares peers, tables, truth, catalog and generator with the primary
+// shares peers, tables, truth, catalog and workload with the primary
 // and starts with zeroed counters of its own; EnableSharding must be
 // called afterwards to bind peers to their owners.
 func (n *Network) CloneForShard(w ShardWorld) (*Network, error) {
@@ -53,6 +53,7 @@ func (n *Network) CloneForShard(w ShardWorld) (*Network, error) {
 		table:   n.table,
 		catalog: n.catalog,
 		src:     n.src,
+		arr:     n.arr,
 		coll:    w.Collector,
 		meter:   w.Meter,
 		rng:     n.rng,

@@ -17,19 +17,22 @@ import (
 )
 
 // Options wires a Network to its substrates. Scheduler, Channel, Regions,
-// Catalog and Collector are required; Source is optional (without it no
-// autonomous request/update drivers run — tests inject traffic manually);
-// Meter is optional (energy is then absent from reports).
+// Catalog and Collector are required; Source and Arrivals are optional
+// but go together (without them no autonomous request/update drivers
+// run — tests inject traffic manually); Meter is optional (energy is
+// then absent from reports).
 type Options struct {
 	Config    Config
 	Scheduler *sim.Scheduler
 	Channel   *radio.Channel
 	Regions   *region.Table
 	Catalog   *workload.Catalog
-	// Source drives autonomous traffic. Leave nil for harnesses that
-	// inject requests manually; wrap a Generator in
-	// workload.DefaultSource for the classic stationary workload.
+	// Source picks the keys of autonomous traffic and Arrivals times it.
+	// Leave both nil for harnesses that inject requests manually; wrap a
+	// Generator in workload.DefaultSource for the classic stationary
+	// workload.
 	Source    workload.Source
+	Arrivals  *workload.Arrivals
 	Collector *metrics.Collector
 	Meter     *energy.Meter
 	RNG       *sim.RNG
@@ -59,6 +62,7 @@ type Network struct {
 	table   *region.Table
 	catalog *workload.Catalog
 	src     workload.Source
+	arr     *workload.Arrivals
 	// loc adapts this replica's channel to the workload.Locator the
 	// geo-aware sources consult; built once so the per-event Ctx carries
 	// an interface copy, not a fresh allocation.
@@ -143,6 +147,9 @@ func New(opts Options) (*Network, error) {
 		opts.Catalog == nil || opts.Collector == nil {
 		return nil, fmt.Errorf("node: scheduler, channel, regions, catalog and collector are required")
 	}
+	if (opts.Source == nil) != (opts.Arrivals == nil) {
+		return nil, fmt.Errorf("node: Source and Arrivals must be set together")
+	}
 	if opts.RNG == nil {
 		opts.RNG = sim.NewRNG(1)
 	}
@@ -153,6 +160,7 @@ func New(opts Options) (*Network, error) {
 		table:   opts.Regions,
 		catalog: opts.Catalog,
 		src:     opts.Source,
+		arr:     opts.Arrivals,
 		coll:    opts.Collector,
 		meter:   opts.Meter,
 		rng:     opts.RNG,
@@ -689,7 +697,7 @@ func (n *Network) StartDrivers() {
 			continue
 		}
 		p.scheduleNextRequest()
-		if n.src.UpdatesEnabled() {
+		if n.arr.UpdatesEnabled() {
 			p.scheduleNextUpdate()
 		}
 	}

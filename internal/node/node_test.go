@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"precinct/internal/consistency"
@@ -107,6 +108,7 @@ func build(t *testing.T, o harnessOpts) *harness {
 	// assigning a nil *Generator-backed source here would defeat the
 	// network's src == nil checks.
 	var src workload.Source
+	var arr *workload.Arrivals
 	if o.generator {
 		gen, err := workload.NewGenerator(workload.GeneratorConfig{
 			Catalog: cat, ZipfTheta: 0.8, RequestInterval: 30, UpdateInterval: o.updateInt,
@@ -114,13 +116,13 @@ func build(t *testing.T, o harnessOpts) *harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src = workload.DefaultSource{Gen: gen}
+		src, arr = workload.DefaultSource{Gen: gen}, gen.Arrivals()
 	}
 
 	coll := metrics.NewCollector()
 	net, err := New(Options{
 		Config: cfg, Scheduler: sched, Channel: ch, Regions: table,
-		Catalog: cat, Source: src, Collector: coll, Meter: meter, RNG: rng,
+		Catalog: cat, Source: src, Arrivals: arr, Collector: coll, Meter: meter, RNG: rng,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +185,26 @@ func TestRetrievalSchemeStrings(t *testing.T) {
 func TestNewRequiresDependencies(t *testing.T) {
 	if _, err := New(Options{Config: DefaultConfig()}); err == nil {
 		t.Error("New without dependencies accepted")
+	}
+	// Source picks keys and Arrivals times them: StartDrivers needs both
+	// or neither.
+	h := build(t, defaultHarnessOpts())
+	gen, err := workload.NewGenerator(workload.GeneratorConfig{Catalog: h.cat, ZipfTheta: 0.8, RequestInterval: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{
+		Config: DefaultConfig(), Scheduler: h.sched, Channel: h.ch, Regions: h.table,
+		Catalog: h.cat, Collector: metrics.NewCollector(),
+	}
+	srcOnly, arrOnly := base, base
+	srcOnly.Source = workload.DefaultSource{Gen: gen}
+	arrOnly.Arrivals = gen.Arrivals()
+	for _, o := range []Options{srcOnly, arrOnly} {
+		if _, err := New(o); err == nil || !strings.Contains(err.Error(), "Arrivals") {
+			t.Errorf("Source set %v, Arrivals set %v: err = %v, want the pairing error",
+				o.Source != nil, o.Arrivals != nil, err)
+		}
 	}
 }
 

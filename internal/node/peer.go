@@ -176,7 +176,7 @@ func (p *Peer) srcCtx() workload.Ctx {
 // now, pinned to the peer's own execution context so a sharded run fires
 // it on the peer's shard.
 func (p *Peer) scheduleNextRequest() {
-	gap := p.net.src.NextRequestGap(p.srcCtx())
+	gap := p.net.arr.NextRequestGap(p.rng)
 	p.net.sched.AtAs(p.net.sched.Now()+gap, func() {
 		if p.Alive() {
 			k := p.net.src.PickKey(p.srcCtx())
@@ -191,7 +191,7 @@ func (p *Peer) scheduleNextRequest() {
 // truth, so a sharded run executes it at a barrier while every shard
 // worker is parked.
 func (p *Peer) scheduleNextUpdate() {
-	gap := p.net.src.NextUpdateGap(p.srcCtx())
+	gap := p.net.arr.NextUpdateGap(p.rng)
 	p.net.sched.AtAs(p.net.sched.Now()+gap, func() {
 		if p.Alive() {
 			k := p.net.src.PickUpdateKey(p.srcCtx())

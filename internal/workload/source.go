@@ -11,11 +11,10 @@ type Locator interface {
 }
 
 // Ctx carries the per-event context a Source may consult when drawing
-// the next gap or key. RNG is the requesting peer's own stream — every
-// draw a source makes must come from it (or from a dedicated stream the
-// source registered at build time), never from global state, so runs
-// stay deterministic. Loc may be nil in harnesses
-// without geometry; only geo-aware sources dereference it.
+// a key. RNG is the requesting peer's own stream — every draw a source
+// makes must come from it (or from a dedicated stream the source
+// registered at build time), never from global state, so runs stay
+// deterministic. Only the geo-aware hotspot source reads Loc.
 type Ctx struct {
 	Peer int
 	Now  float64
@@ -23,21 +22,15 @@ type Ctx struct {
 	Loc  Locator
 }
 
-// Source is the workload driver contract: it answers "when is this
-// peer's next request/update and for which key". Implementations must
-// be deterministic given the Ctx stream states and must draw the same
-// number of variates for the same call sequence regardless of wall
-// conditions, so that a re-run replays bit-identically.
+// Source is the workload contract: it answers "for which key" when a
+// peer's request or update fires; when it fires is Arrivals' business.
+// Implementations must be deterministic given the Ctx stream states and
+// must draw the same number of variates for the same call sequence
+// regardless of wall conditions, so that a re-run replays
+// bit-identically.
 type Source interface {
-	// NextRequestGap draws the time until the peer's next request.
-	NextRequestGap(c Ctx) float64
 	// PickKey draws the key of a request firing now.
 	PickKey(c Ctx) Key
-	// UpdatesEnabled reports whether the source generates updates.
-	UpdatesEnabled() bool
-	// NextUpdateGap draws the time until the peer's next update. Panics
-	// if updates are disabled; call UpdatesEnabled first.
-	NextUpdateGap(c Ctx) float64
 	// PickUpdateKey draws the target of an update firing now.
 	PickUpdateKey(c Ctx) Key
 }
@@ -52,26 +45,17 @@ const (
 	KindRankChurn  = "rank-churn"
 )
 
-// DefaultSource adapts the stationary Zipf/Poisson Generator to the
-// Source interface. It delegates every draw to the generator with the
-// context's RNG in the same order the pre-Source code used, so the
-// default workload path stays byte-identical to the original behavior
-// (pinned by TestWorkloadDefaultGolden at the repository root).
+// DefaultSource adapts the stationary Zipf Generator to the Source
+// interface. It delegates every draw to the generator with the context's
+// RNG in the same order the pre-Source code used, so the default
+// workload path stays byte-identical to the original behavior (pinned by
+// TestWorkloadDefaultGolden at the repository root).
 type DefaultSource struct {
 	Gen *Generator
 }
 
-// NextRequestGap draws from the Poisson request process.
-func (s DefaultSource) NextRequestGap(c Ctx) float64 { return s.Gen.NextRequestGap(c.RNG) }
-
 // PickKey draws a Zipf-popular key.
 func (s DefaultSource) PickKey(c Ctx) Key { return s.Gen.PickKey(c.RNG) }
-
-// UpdatesEnabled reports whether the generator has an update process.
-func (s DefaultSource) UpdatesEnabled() bool { return s.Gen.UpdatesEnabled() }
-
-// NextUpdateGap draws from the Poisson update process.
-func (s DefaultSource) NextUpdateGap(c Ctx) float64 { return s.Gen.NextUpdateGap(c.RNG) }
 
 // PickUpdateKey draws an update target.
 func (s DefaultSource) PickUpdateKey(c Ctx) Key { return s.Gen.PickUpdateKey(c.RNG) }

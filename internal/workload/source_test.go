@@ -5,15 +5,13 @@ import (
 	"testing"
 )
 
-func testGen(t *testing.T, items int, updates float64) *Generator {
+func testGen(t *testing.T, items int) *Generator {
 	t.Helper()
 	cat, err := NewCatalog(CatalogConfig{Items: items, MinSize: 100, MaxSize: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGenerator(GeneratorConfig{
-		Catalog: cat, ZipfTheta: 0.8, RequestInterval: 30, UpdateInterval: updates,
-	})
+	g, err := NewGenerator(GeneratorConfig{Catalog: cat, ZipfTheta: 0.8, RequestInterval: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,78 +20,71 @@ func testGen(t *testing.T, items int, updates float64) *Generator {
 
 // TestDefaultSourceDelegates proves the adapter draws exactly what the
 // bare generator draws: identical RNG seeds through either API must
-// yield identical gap and key sequences. This is the unit-level half of
-// the default-path equivalence proof (the system-level half is
+// yield identical key sequences. This is the unit-level half of the
+// default-path equivalence proof (the system-level half is
 // TestWorkloadDefaultGolden at the repository root).
 func TestDefaultSourceDelegates(t *testing.T) {
-	gen := testGen(t, 200, 45)
+	gen := testGen(t, 200)
 	src := DefaultSource{Gen: gen}
 	a := rand.New(rand.NewSource(9))
 	b := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
 		c := Ctx{Peer: i % 7, Now: float64(i), RNG: b}
-		if gen.NextRequestGap(a) != src.NextRequestGap(c) {
-			t.Fatal("request gap diverged")
-		}
 		if gen.PickKey(a) != src.PickKey(c) {
 			t.Fatal("request key diverged")
-		}
-		if gen.NextUpdateGap(a) != src.NextUpdateGap(c) {
-			t.Fatal("update gap diverged")
 		}
 		if gen.PickUpdateKey(a) != src.PickUpdateKey(c) {
 			t.Fatal("update key diverged")
 		}
 	}
-	if !src.UpdatesEnabled() {
-		t.Error("updates lost in adaptation")
-	}
 }
 
+// hotShare draws n request keys at time now and returns the share that
+// falls in hot.
+func hotShare(src Source, hot map[Key]bool, now float64, loc Locator, n int) float64 {
+	rng := rand.New(rand.NewSource(1))
+	in := 0
+	for i := 0; i < n; i++ {
+		if hot[src.PickKey(Ctx{Now: now, RNG: rng, Loc: loc})] {
+			in++
+		}
+	}
+	return float64(in) / float64(n)
+}
+
+// TestFlashCrowdWindow: over a measured window [60, 360) the crowd
+// ignites a third of the way in (t=160) and burns a quarter of it (75 s);
+// max(1, 1000/100) = 10 cold keys absorb 60% of the requests meanwhile.
 func TestFlashCrowdWindow(t *testing.T) {
-	gen := testGen(t, 200, 0)
-	f, err := NewFlashCrowd(FlashCrowdConfig{
-		Gen: gen, At: 100, Duration: 50, Hotset: 5, Boost: 1, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	gen := testGen(t, 1000)
+	f := NewFlashCrowd(gen, 60, 360, 3)
+	if f.at != 160 || f.until != 235 {
+		t.Fatalf("flash window [%v, %v), want [160, 235)", f.at, f.until)
 	}
 	hot := map[Key]bool{}
 	for _, k := range f.hot {
-		if int(k) < 100 {
+		if int(k) < 500 {
 			t.Errorf("hotset key %d is in the popular half of the catalog", k)
 		}
 		hot[k] = true
 	}
-	if len(hot) != 5 {
-		t.Fatalf("hotset holds %d distinct keys, want 5", len(hot))
+	if len(hot) != 10 {
+		t.Fatalf("hotset holds %d distinct keys, want 10", len(hot))
 	}
-	rng := rand.New(rand.NewSource(1))
-	// Boost 1: every in-window pick is a hotset key.
-	for i := 0; i < 100; i++ {
-		if k := f.PickKey(Ctx{Now: 120, RNG: rng}); !hot[k] {
-			t.Fatalf("in-window pick %d outside the hotset", k)
+	if share := hotShare(f, hot, 200, nil, 4000); share < 0.55 || share > 0.65 {
+		t.Errorf("in-window hotset share %.3f, want ~0.6", share)
+	}
+	for _, now := range []float64{100, 235, 300} {
+		if share := hotShare(f, hot, now, nil, 4000); share > 0.05 {
+			t.Errorf("hotset share %.3f at t=%v, outside the window", share, now)
 		}
-	}
-	// Outside the window the hotset share must fall back to ~base: with
-	// 5 cold keys out of 200 it cannot dominate 200 draws.
-	outside := 0
-	for i := 0; i < 200; i++ {
-		if hot[f.PickKey(Ctx{Now: 400, RNG: rng})] {
-			outside++
-		}
-	}
-	if outside > 50 {
-		t.Errorf("hotset drew %d/200 outside the window", outside)
 	}
 }
 
+// TestDiurnalRotation: the ranking rotates once per measured window.
 func TestDiurnalRotation(t *testing.T) {
-	gen := testGen(t, 100, 20)
-	d, err := NewDiurnal(DiurnalConfig{Gen: gen, Period: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := testGen(t, 100)
+	d := NewDiurnal(gen, 20, 120)
 	if got := d.offset(0); got != 0 {
 		t.Errorf("offset(0) = %d, want 0", got)
 	}
@@ -114,13 +105,18 @@ func TestDiurnalRotation(t *testing.T) {
 	}
 }
 
+// TestHotspotCells: a 3 x 3 grid over the area, max(1, 200/50) = 4 keys
+// per cell, absorbing half of the requests made there.
 func TestHotspotCells(t *testing.T) {
-	gen := testGen(t, 100, 0)
-	h, err := NewHotspot(HotspotConfig{
-		Gen: gen, AreaSide: 900, Grid: 3, Hotset: 4, Boost: 1, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
+	gen := testGen(t, 200)
+	h := NewHotspot(gen, 900, 11)
+	if len(h.cellHot) != 9 {
+		t.Fatalf("%d cells, want 9", len(h.cellHot))
+	}
+	for cell, keys := range h.cellHot {
+		if len(keys) != 4 {
+			t.Errorf("cell %d favors %d keys, want 4", cell, len(keys))
+		}
 	}
 	// Corner and out-of-bounds positions clamp into the grid.
 	if c := h.cellOf(-10, -10); c != 0 {
@@ -129,21 +125,15 @@ func TestHotspotCells(t *testing.T) {
 	if c := h.cellOf(1e9, 1e9); c != 8 {
 		t.Errorf("far position maps to cell %d, want 8", c)
 	}
-	// Boost 1 with a locator: picks come from the peer's cell hotset.
-	loc := fixedLocator{x: 450, y: 450} // center cell 4
+	if c := h.cellOf(450, 450); c != 4 {
+		t.Errorf("center maps to cell %d, want 4", c)
+	}
 	cellHot := map[Key]bool{}
 	for _, k := range h.cellHot[4] {
 		cellHot[k] = true
 	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50; i++ {
-		if k := h.PickKey(Ctx{Peer: 0, RNG: rng, Loc: loc}); !cellHot[k] {
-			t.Fatalf("pick %d outside the cell hotset", k)
-		}
-	}
-	// Without a locator the fallback hotset serves.
-	if k := h.PickKey(Ctx{Peer: 0, RNG: rng}); k >= Key(gen.Catalog().Len()) {
-		t.Fatalf("fallback pick %d outside the catalog", k)
+	if share := hotShare(h, cellHot, 0, fixedLocator{x: 450, y: 450}, 4000); share < 0.45 || share > 0.6 {
+		t.Errorf("center-cell hotset share %.3f, want ~0.5", share)
 	}
 }
 
@@ -153,25 +143,22 @@ func (l fixedLocator) Locate(int) (float64, float64) { return l.x, l.y }
 
 // TestRankChurnLazyAdvance proves the permutation at a given sim time
 // is independent of how often the source was consulted: a source asked
-// once at t=100 must hold the same permutation as one asked every
-// second on the way there, given identical dedicated streams.
+// once at t=600 must hold the same permutation as one asked every
+// second on the way there, given identical dedicated streams. Epochs are
+// 60 s apart.
 func TestRankChurnLazyAdvance(t *testing.T) {
 	mk := func() *RankChurn {
-		gen := testGen(t, 80, 0)
-		r, err := NewRankChurn(RankChurnConfig{
-			Gen: gen, Every: 10, Swaps: 7, RNG: rand.New(rand.NewSource(99)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return NewRankChurn(testGen(t, 80), rand.New(rand.NewSource(99)))
 	}
 	eager, lazy := mk(), mk()
+	if eager.swaps != 4 {
+		t.Errorf("swaps = %d per epoch for 80 items, want 4", eager.swaps)
+	}
 	drng := rand.New(rand.NewSource(1))
-	for now := 1.0; now <= 100; now++ {
+	for now := 1.0; now <= 600; now++ {
 		eager.PickKey(Ctx{Now: now, RNG: drng})
 	}
-	lazy.advance(100)
+	lazy.advance(600)
 	if eager.epoch != lazy.epoch {
 		t.Fatalf("epochs diverged: %d vs %d", eager.epoch, lazy.epoch)
 	}
@@ -181,36 +168,6 @@ func TestRankChurnLazyAdvance(t *testing.T) {
 		}
 	}
 	if eager.epoch != 10 {
-		t.Errorf("epoch = %d after t=100 with Every=10, want 10", eager.epoch)
-	}
-}
-
-func TestSourceConstructorValidation(t *testing.T) {
-	gen := testGen(t, 50, 0)
-	if _, err := NewFlashCrowd(FlashCrowdConfig{Gen: gen, At: 10, Duration: 0, Hotset: 1, Boost: 0.5}); err == nil {
-		t.Error("zero flash duration accepted")
-	}
-	if _, err := NewFlashCrowd(FlashCrowdConfig{Gen: gen, At: 10, Duration: 5, Hotset: 1, Boost: 1.5}); err == nil {
-		t.Error("boost > 1 accepted")
-	}
-	if _, err := NewDiurnal(DiurnalConfig{Gen: gen, Period: -1}); err == nil {
-		t.Error("negative drift period accepted")
-	}
-	if _, err := NewHotspot(HotspotConfig{Gen: gen, AreaSide: 100, Grid: 0, Hotset: 1, Boost: 0.5}); err == nil {
-		t.Error("zero hotspot grid accepted")
-	}
-	// A grid of a million cells a side exhausted memory building its
-	// hotsets, and at 3037000500 Grid*Grid overflowed int into a
-	// negative slice length.
-	for _, grid := range []int{1000000, 3037000500} {
-		if _, err := NewHotspot(HotspotConfig{Gen: gen, AreaSide: 100, Grid: grid, Hotset: 1, Boost: 0.5}); err == nil {
-			t.Errorf("hotspot grid %d accepted", grid)
-		}
-	}
-	if _, err := NewRankChurn(RankChurnConfig{Gen: gen, Every: 10, Swaps: 1}); err == nil {
-		t.Error("missing churn stream accepted")
-	}
-	if _, err := NewRankChurn(RankChurnConfig{Gen: gen, Every: 0, Swaps: 1, RNG: rand.New(rand.NewSource(1))}); err == nil {
-		t.Error("zero churn interval accepted")
+		t.Errorf("epoch = %d after t=600, want 10", eager.epoch)
 	}
 }

@@ -180,69 +180,39 @@ func ReadTraceFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// TraceSource replays a parsed trace onto the mobile requesters.
-// Arrival times stay Poisson (the trace format carries no timestamps);
-// the key sequence comes from the trace: peer p's k-th request takes
-// the GET at global index (p + k*peers) mod Gets(), so the peers
+// TraceSource replays a parsed trace onto the mobile requesters. The
+// trace format carries no timestamps, so arrivals are the shared Poisson
+// process; the key sequence comes from the trace: peer p's k-th request
+// takes the GET at global index (p + k*peers) mod Gets(), so the peers
 // interleave through the trace stride-wise, every row is replayed once
 // per full pass, and per-peer state is a single cursor. SETs replay the
-// same way on the update process.
+// same way as update targets.
 type TraceSource struct {
 	trace   *Trace
 	catalog *Catalog
 	peers   int
-	req     *Poisson
-	upd     *Poisson // nil when updates are disabled
 	reqCur  []int64
-	updCur  []int64
+	updCur  []int64 // nil when updates are disabled
 }
 
-// TraceSourceConfig parameterizes a TraceSource.
-type TraceSourceConfig struct {
-	Trace *Trace
-	Peers int
-	// RequestInterval is the mean seconds between requests per peer.
-	RequestInterval float64
-	// UpdateInterval is the mean seconds between SET replays per peer;
-	// 0 disables updates (SET rows are then ignored).
-	UpdateInterval float64
-}
-
-// NewTraceSource validates the configuration and builds the source.
-func NewTraceSource(cfg TraceSourceConfig) (*TraceSource, error) {
-	if cfg.Trace == nil {
-		return nil, fmt.Errorf("workload: trace source requires a trace")
-	}
-	if cfg.Peers <= 0 {
-		return nil, fmt.Errorf("workload: trace source needs at least one peer, got %d", cfg.Peers)
-	}
-	if cfg.Trace.Gets() == 0 {
+// NewTraceSource builds the replay of tr over peers requesters. With
+// updates on, SET rows are replayed as update targets, so the trace must
+// carry some.
+func NewTraceSource(tr *Trace, peers int, updates bool) (*TraceSource, error) {
+	if tr.Gets() == 0 {
 		return nil, fmt.Errorf("workload: trace has no GET operations to replay")
 	}
-	req, err := NewPoisson(cfg.RequestInterval)
-	if err != nil {
-		return nil, fmt.Errorf("workload: request process: %w", err)
-	}
 	s := &TraceSource{
-		trace:   cfg.Trace,
-		catalog: cfg.Trace.BuildCatalog(),
-		peers:   cfg.Peers,
-		req:     req,
-		reqCur:  make([]int64, cfg.Peers),
+		trace:   tr,
+		catalog: tr.BuildCatalog(),
+		peers:   peers,
+		reqCur:  make([]int64, peers),
 	}
-	if cfg.UpdateInterval < 0 {
-		return nil, fmt.Errorf("workload: update interval must be >= 0 (0 disables updates), got %v", cfg.UpdateInterval)
-	}
-	if cfg.UpdateInterval > 0 {
-		if cfg.Trace.Sets() == 0 {
-			return nil, fmt.Errorf("workload: update interval %v set but the trace has no SET operations", cfg.UpdateInterval)
+	if updates {
+		if tr.Sets() == 0 {
+			return nil, fmt.Errorf("workload: updates are on but the trace has no SET operations")
 		}
-		upd, err := NewPoisson(cfg.UpdateInterval)
-		if err != nil {
-			return nil, fmt.Errorf("workload: update process: %w", err)
-		}
-		s.upd = upd
-		s.updCur = make([]int64, cfg.Peers)
+		s.updCur = make([]int64, peers)
 	}
 	return s, nil
 }
@@ -250,25 +220,11 @@ func NewTraceSource(cfg TraceSourceConfig) (*TraceSource, error) {
 // Catalog returns the catalog derived from the trace's distinct keys.
 func (s *TraceSource) Catalog() *Catalog { return s.catalog }
 
-// NextRequestGap draws from the Poisson request process.
-func (s *TraceSource) NextRequestGap(c Ctx) float64 { return s.req.Next(c.RNG) }
-
 // PickKey replays the peer's next GET row and advances its cursor.
 func (s *TraceSource) PickKey(c Ctx) Key {
 	k := s.trace.gets[s.pos(len(s.trace.gets), c.Peer, s.reqCur[c.Peer])]
 	s.reqCur[c.Peer]++
 	return Key(k)
-}
-
-// UpdatesEnabled reports whether SET replay is on.
-func (s *TraceSource) UpdatesEnabled() bool { return s.upd != nil }
-
-// NextUpdateGap draws from the Poisson update process.
-func (s *TraceSource) NextUpdateGap(c Ctx) float64 {
-	if s.upd == nil {
-		panic("workload: updates disabled")
-	}
-	return s.upd.Next(c.RNG)
 }
 
 // PickUpdateKey replays the peer's next SET row.

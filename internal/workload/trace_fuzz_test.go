@@ -67,9 +67,7 @@ func FuzzParseTrace(f *testing.F) {
 		// An accepted trace with GET rows must drive a source without
 		// erroring or panicking.
 		if tr.Gets() > 0 {
-			if _, err := NewTraceSource(TraceSourceConfig{
-				Trace: tr, Peers: 3, RequestInterval: 30,
-			}); err != nil {
+			if _, err := NewTraceSource(tr, 3, false); err != nil {
 				t.Fatalf("parsed trace rejected by the source: %v", err)
 			}
 		}

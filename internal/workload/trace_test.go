@@ -80,7 +80,7 @@ func TestTraceSourceStriding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewTraceSource(TraceSourceConfig{Trace: tr, Peers: 2, RequestInterval: 30})
+	src, err := NewTraceSource(tr, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +105,15 @@ func TestTraceSourceRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewTraceSource(TraceSourceConfig{Trace: noGets, Peers: 1, RequestInterval: 30}); err == nil {
+	if _, err := NewTraceSource(noGets, 1, false); err == nil {
 		t.Error("trace without GETs accepted")
 	}
 	noSets, err := ParseTrace(strings.NewReader("GET,a,1,10\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewTraceSource(TraceSourceConfig{Trace: noSets, Peers: 1, RequestInterval: 30, UpdateInterval: 10}); err == nil {
-		t.Error("update interval without SET rows accepted")
+	if _, err := NewTraceSource(noSets, 1, true); err == nil {
+		t.Error("updates without SET rows accepted")
 	}
 }
 
@@ -156,9 +156,7 @@ func TestSampleTraceFixture(t *testing.T) {
 	if tr.Gets() == 0 || tr.Sets() == 0 {
 		t.Fatalf("sample trace has %d GETs / %d SETs; both must be present for the smoke runs", tr.Gets(), tr.Sets())
 	}
-	if _, err := NewTraceSource(TraceSourceConfig{
-		Trace: tr, Peers: 20, RequestInterval: 30, UpdateInterval: 60,
-	}); err != nil {
+	if _, err := NewTraceSource(tr, 20, true); err != nil {
 		t.Fatal(err)
 	}
 }

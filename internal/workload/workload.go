@@ -2,7 +2,9 @@
 // paper's Section 6.1: every peer issues requests whose inter-arrival
 // times follow a Poisson process (exponential gaps, mean 30 s by default)
 // and whose targets follow a Zipf distribution over a fixed catalog of
-// data items; updates arrive as an independent Poisson process.
+// data items; updates arrive as an independent Poisson process. The
+// arrival process (Arrivals) is one for every workload; a Source only
+// picks keys.
 //
 // The catalog replaces the paper's unspecified "database": item sizes are
 // drawn deterministically per key so that every scheme in a comparison
@@ -206,15 +208,58 @@ func (c *Catalog) Keys() []Key {
 	return keys
 }
 
-// Generator combines the catalog with the stochastic processes into the
-// per-peer driver the simulation installs: it answers "when is this peer's
-// next request/update and for which key".
+// Arrivals is the one arrival process every workload shares: each peer's
+// requests, and its updates when they are enabled, are independent
+// Poisson processes. Sources choose keys only, so a flash crowd, a
+// diurnal drift or a trace replay changes what is asked for, never when.
+type Arrivals struct {
+	requests *Poisson
+	updates  *Poisson // nil when updates are disabled
+}
+
+// NewArrivals validates the mean gaps, in seconds per peer, and builds the
+// process. updateInterval 0 disables updates.
+func NewArrivals(requestInterval, updateInterval float64) (*Arrivals, error) {
+	req, err := NewPoisson(requestInterval)
+	if err != nil {
+		return nil, fmt.Errorf("workload: request process: %w", err)
+	}
+	if updateInterval < 0 || math.IsNaN(updateInterval) {
+		return nil, fmt.Errorf("workload: update interval must be >= 0 (0 disables updates), got %v", updateInterval)
+	}
+	a := &Arrivals{requests: req}
+	if updateInterval > 0 {
+		if a.updates, err = NewPoisson(updateInterval); err != nil {
+			return nil, fmt.Errorf("workload: update process: %w", err)
+		}
+	}
+	return a, nil
+}
+
+// NextRequestGap draws the time until the peer's next request.
+func (a *Arrivals) NextRequestGap(rng *rand.Rand) float64 { return a.requests.Next(rng) }
+
+// UpdatesEnabled reports whether the scenario generates updates at all.
+func (a *Arrivals) UpdatesEnabled() bool { return a.updates != nil }
+
+// NextUpdateGap draws the time until the peer's next update. It panics if
+// updates are disabled; call UpdatesEnabled first.
+func (a *Arrivals) NextUpdateGap(rng *rand.Rand) float64 {
+	if a.updates == nil {
+		panic("workload: updates disabled")
+	}
+	return a.updates.Next(rng)
+}
+
+// Generator is the stationary workload of Section 6.1 over one catalog:
+// Zipf request popularity, a separate (usually flatter) Zipf over update
+// targets, and the Arrivals that time both. The non-stationary sources
+// perturb its key draws.
 type Generator struct {
 	catalog   *Catalog
 	popular   *Zipf
 	updateKey *Zipf
-	requests  *Poisson
-	updates   *Poisson
+	arrivals  *Arrivals
 }
 
 // GeneratorConfig parameterizes a Generator.
@@ -226,7 +271,7 @@ type GeneratorConfig struct {
 	UpdateInterval  float64 // mean seconds between updates per peer; 0 disables updates
 }
 
-// NewGenerator validates the configuration and builds the driver.
+// NewGenerator validates the configuration and builds the generator.
 func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("workload: generator requires a catalog")
@@ -235,47 +280,23 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	req, err := NewPoisson(cfg.RequestInterval)
-	if err != nil {
-		return nil, fmt.Errorf("workload: request process: %w", err)
-	}
 	uz, err := NewZipf(cfg.Catalog.Len(), cfg.UpdateZipfTheta)
 	if err != nil {
 		return nil, fmt.Errorf("workload: update key distribution: %w", err)
 	}
-	g := &Generator{catalog: cfg.Catalog, popular: z, updateKey: uz, requests: req}
-	if cfg.UpdateInterval < 0 {
-		return nil, fmt.Errorf("workload: update interval must be >= 0 (0 disables updates), got %v", cfg.UpdateInterval)
+	arr, err := NewArrivals(cfg.RequestInterval, cfg.UpdateInterval)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.UpdateInterval > 0 {
-		upd, err := NewPoisson(cfg.UpdateInterval)
-		if err != nil {
-			return nil, fmt.Errorf("workload: update process: %w", err)
-		}
-		g.updates = upd
-	}
-	return g, nil
+	return &Generator{catalog: cfg.Catalog, popular: z, updateKey: uz, arrivals: arr}, nil
 }
 
 // Catalog returns the shared catalog.
 func (g *Generator) Catalog() *Catalog { return g.catalog }
 
-// NextRequestGap draws the time until the peer's next request.
-func (g *Generator) NextRequestGap(rng *rand.Rand) float64 {
-	return g.requests.Next(rng)
-}
-
-// UpdatesEnabled reports whether the scenario generates updates at all.
-func (g *Generator) UpdatesEnabled() bool { return g.updates != nil }
-
-// NextUpdateGap draws the time until the peer's next update. It panics if
-// updates are disabled; call UpdatesEnabled first.
-func (g *Generator) NextUpdateGap(rng *rand.Rand) float64 {
-	if g.updates == nil {
-		panic("workload: updates disabled")
-	}
-	return g.updates.Next(rng)
-}
+// Arrivals returns the arrival process built from the configured
+// intervals; every source wrapping this generator runs on it.
+func (g *Generator) Arrivals() *Arrivals { return g.arrivals }
 
 // PickKey draws a request key by popularity. Zipf rank r maps to
 // Key(r-1): key 0 is the most popular item.

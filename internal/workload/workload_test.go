@@ -248,18 +248,13 @@ func TestKeyHashStable(t *testing.T) {
 	}
 }
 
-func newTestGenerator(t *testing.T, theta, reqInt, updInt float64) *Generator {
+func newTestGenerator(t *testing.T, theta float64) *Generator {
 	t.Helper()
 	c, err := NewCatalog(CatalogConfig{Items: 100, MinSize: 512, MaxSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGenerator(GeneratorConfig{
-		Catalog:         c,
-		ZipfTheta:       theta,
-		RequestInterval: reqInt,
-		UpdateInterval:  updInt,
-	})
+	g, err := NewGenerator(GeneratorConfig{Catalog: c, ZipfTheta: theta, RequestInterval: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,26 +262,48 @@ func newTestGenerator(t *testing.T, theta, reqInt, updInt float64) *Generator {
 }
 
 func TestGeneratorValidation(t *testing.T) {
-	if _, err := NewGenerator(GeneratorConfig{}); err == nil {
+	if _, err := NewGenerator(GeneratorConfig{RequestInterval: 30}); err == nil {
 		t.Error("nil catalog accepted")
 	}
 	c, _ := NewCatalog(DefaultCatalogConfig())
 	if _, err := NewGenerator(GeneratorConfig{Catalog: c, ZipfTheta: -1, RequestInterval: 30}); err == nil {
 		t.Error("negative theta accepted")
 	}
-	if _, err := NewGenerator(GeneratorConfig{Catalog: c, ZipfTheta: 0.8, RequestInterval: 0}); err == nil {
+	if _, err := NewGenerator(GeneratorConfig{Catalog: c, UpdateZipfTheta: -1, RequestInterval: 30}); err == nil {
+		t.Error("negative update theta accepted")
+	}
+	if _, err := NewGenerator(GeneratorConfig{Catalog: c, ZipfTheta: 0.8}); err == nil {
 		t.Error("zero request interval accepted")
 	}
 	if _, err := NewGenerator(GeneratorConfig{Catalog: c, ZipfTheta: 0.8, RequestInterval: 30, UpdateInterval: -5}); err == nil {
-		// UpdateInterval < 0 is not explicitly rejected (treated as
-		// disabled only when == 0); ensure it errors.
 		t.Error("negative update interval accepted")
+	}
+	g, err := NewGenerator(GeneratorConfig{Catalog: c, ZipfTheta: 0.8, RequestInterval: 30, UpdateInterval: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Arrivals().UpdatesEnabled() {
+		t.Error("update interval lost: the generator's arrivals have updates disabled")
 	}
 }
 
-func TestGeneratorUpdatesToggle(t *testing.T) {
-	g := newTestGenerator(t, 0.8, 30, 0)
-	if g.UpdatesEnabled() {
+func TestArrivalsValidation(t *testing.T) {
+	for _, c := range []struct{ req, upd float64 }{
+		{0, 0}, {-1, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
+		{30, -5}, {30, math.NaN()}, {30, math.Inf(1)},
+	} {
+		if _, err := NewArrivals(c.req, c.upd); err == nil {
+			t.Errorf("request %v / update %v accepted", c.req, c.upd)
+		}
+	}
+}
+
+func TestArrivalsUpdatesToggle(t *testing.T) {
+	a, err := NewArrivals(30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.UpdatesEnabled() {
 		t.Error("updates should be disabled")
 	}
 	defer func() {
@@ -294,11 +311,11 @@ func TestGeneratorUpdatesToggle(t *testing.T) {
 			t.Error("NextUpdateGap with updates disabled did not panic")
 		}
 	}()
-	g.NextUpdateGap(rand.New(rand.NewSource(1)))
+	a.NextUpdateGap(rand.New(rand.NewSource(1)))
 }
 
 func TestGeneratorPickKeyDistribution(t *testing.T) {
-	g := newTestGenerator(t, 0.9, 30, 30)
+	g := newTestGenerator(t, 0.9)
 	rng := rand.New(rand.NewSource(6))
 	counts := make(map[Key]int)
 	for i := 0; i < 50000; i++ {
@@ -313,15 +330,22 @@ func TestGeneratorPickKeyDistribution(t *testing.T) {
 	}
 }
 
-func TestGeneratorGapPositivity(t *testing.T) {
-	g := newTestGenerator(t, 0.8, 30, 60)
+// TestArrivalsDrawExponentialGaps: each gap is one ExpFloat64 draw from
+// the peer's stream scaled by the mean, the draw every recorded run
+// depends on.
+func TestArrivalsDrawExponentialGaps(t *testing.T) {
+	a, err := NewArrivals(30, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
+	ref := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
-		if g.NextRequestGap(rng) < 0 {
-			t.Fatal("negative request gap")
+		if got, want := a.NextRequestGap(rng), ref.ExpFloat64()*30; got != want || got < 0 {
+			t.Fatalf("request gap %v, want %v", got, want)
 		}
-		if g.NextUpdateGap(rng) < 0 {
-			t.Fatal("negative update gap")
+		if got, want := a.NextUpdateGap(rng), ref.ExpFloat64()*60; got != want || got < 0 {
+			t.Fatalf("update gap %v, want %v", got, want)
 		}
 	}
 }

@@ -100,20 +100,20 @@ type Scenario struct {
 	RequestInterval float64
 	UpdateInterval  float64
 
-	// Workload selects the traffic source (DESIGN.md section 15): "" or
-	// "default" is the stationary Zipf/Poisson generator; "trace"
-	// replays the cachelib-format trace at TracePath; "flash-crowd",
-	// "diurnal", "hotspot" and "rank-churn" are the non-stationary
-	// sources. Non-default workloads require a sequential run
-	// (Shards <= 1) — their sources mutate shared draw state.
+	// Workload selects which keys the requests and updates target
+	// (DESIGN.md section 15); every workload shares the Poisson arrival
+	// process above. "" or "default" is the stationary Zipf generator;
+	// "trace" replays the cachelib-format trace at TracePath;
+	// "flash-crowd", "diurnal", "hotspot" and "rank-churn" are the
+	// non-stationary sources, whose parameters are fixed and scale with
+	// Items and the measured window. Non-default workloads require a
+	// sequential run (Shards <= 1) — their sources mutate shared draw
+	// state.
 	Workload string
 	// TracePath is the trace file for Workload "trace" (CSV rows of
 	// op,key,key_size,size). The catalog is derived from the trace's
 	// distinct keys; Items/MinItemSize/MaxItemSize are ignored.
 	TracePath string
-	// WorkloadCfg tunes the non-stationary sources; zero values pick
-	// scenario-derived defaults.
-	WorkloadCfg WorkloadParams
 
 	// Retrieval: "precinct", "flooding" or "expanding-ring".
 	Retrieval string
@@ -184,41 +184,6 @@ type Scenario struct {
 	Shards int
 }
 
-// WorkloadParams tunes the non-stationary workload sources. Every zero
-// field falls back to a default derived from the scenario (documented
-// per field), so enabling a workload by name alone gives a sensible
-// adversarial setting.
-type WorkloadParams struct {
-	// FlashAt is when the flash crowd ignites (default: one third into
-	// the measured window) and FlashDuration how long it burns (default:
-	// a quarter of the measured window). FlashHotset keys from the cold
-	// half of the catalog (default: Items/100, at least 1) absorb
-	// FlashBoost of the request mass (default: 0.6).
-	FlashAt       float64
-	FlashDuration float64
-	FlashHotset   int
-	FlashBoost    float64
-
-	// DriftPeriod is the seconds per full rotation of the diurnal
-	// popularity ranking (default: the measured window, one full cycle
-	// per run).
-	DriftPeriod float64
-
-	// HotspotGrid partitions the area into Grid x Grid popularity cells
-	// (default: 3); each favors HotspotHotset keys (default: Items/50,
-	// at least 1) that absorb HotspotBoost of local requests (default:
-	// 0.5).
-	HotspotGrid   int
-	HotspotHotset int
-	HotspotBoost  float64
-
-	// ChurnEvery is the seconds between popularity-rank reshuffles
-	// (default: 60) and ChurnSwaps the random rank transpositions per
-	// reshuffle (default: Items/20, at least 1).
-	ChurnEvery float64
-	ChurnSwaps int
-}
-
 // Weights are the GD-LD utility weights: U = WR*accesses +
 // WD*regionDistanceMeters + WS/sizeBytes.
 type Weights struct {
@@ -281,7 +246,7 @@ func (s Scenario) Validate() error {
 
 // nonFinite looks for a NaN or infinite float64 reachable from v through
 // struct fields and slice elements, and returns its path from v
-// (".Duration", ".WorkloadCfg.FlashAt", ".Faults[2].At"). Range checks are
+// (".Duration", ".GDLDWeights.WR", ".Faults[2].At"). Range checks are
 // written as comparisons, which NaN passes, and an infinite horizon never
 // ends, so non-finite input is rejected before anything else reads it.
 // The path is assembled on the way back out: a clean walk allocates
@@ -412,140 +377,67 @@ func (s Scenario) radioConfig() radio.Config {
 	return cfg
 }
 
-// build wires the scenario into a runnable simulation.
-// buildWorkload constructs the catalog and the traffic source the
-// scenario selects (DESIGN.md section 15). The default path makes
-// exactly the calls the pre-Source code made — same catalog, same
-// generator, no extra RNG streams — which is what keeps it
-// byte-identical (TestWorkloadDefaultGolden).
-func (s Scenario) buildWorkload(rng *sim.RNG) (*workload.Catalog, workload.Source, error) {
+// buildWorkload constructs the catalog, the traffic source the scenario
+// selects (DESIGN.md section 15) and the arrival process every source
+// shares. The default path makes exactly the calls the pre-Source code
+// made — same catalog, same generator, no extra RNG streams — which is
+// what keeps it byte-identical (TestWorkloadDefaultGolden).
+func (s Scenario) buildWorkload(rng *sim.RNG) (*workload.Catalog, workload.Source, *workload.Arrivals, error) {
 	kind := s.Workload
 	if kind == "" {
 		kind = workload.KindDefault
 	}
 	if s.TracePath != "" && kind != workload.KindTrace {
-		return nil, nil, fmt.Errorf("precinct: TracePath is set but the workload is %q, not %q", kind, workload.KindTrace)
+		return nil, nil, nil, fmt.Errorf("precinct: TracePath is set but the workload is %q, not %q", kind, workload.KindTrace)
 	}
 	if kind == workload.KindTrace {
 		if s.TracePath == "" {
-			return nil, nil, fmt.Errorf("precinct: workload %q requires TracePath", kind)
+			return nil, nil, nil, fmt.Errorf("precinct: workload %q requires TracePath", kind)
+		}
+		arrivals, err := workload.NewArrivals(s.RequestInterval, s.UpdateInterval)
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		tr, err := workload.ReadTraceFile(s.TracePath)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		src, err := workload.NewTraceSource(workload.TraceSourceConfig{
-			Trace:           tr,
-			Peers:           s.Nodes,
-			RequestInterval: s.RequestInterval,
-			UpdateInterval:  s.UpdateInterval,
-		})
+		src, err := workload.NewTraceSource(tr, s.Nodes, arrivals.UpdatesEnabled())
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return src.Catalog(), src, nil
+		return src.Catalog(), src, arrivals, nil
 	}
 
 	catalog, err := workload.NewCatalog(workload.CatalogConfig{
 		Items: s.Items, MinSize: s.MinItemSize, MaxSize: s.MaxItemSize,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	gen, err := workload.NewGenerator(workload.GeneratorConfig{
-		Catalog:         catalog,
-		ZipfTheta:       s.ZipfTheta,
-		UpdateZipfTheta: s.UpdateZipfTheta,
-		RequestInterval: s.RequestInterval,
-		UpdateInterval:  s.UpdateInterval,
+		Catalog: catalog, ZipfTheta: s.ZipfTheta, UpdateZipfTheta: s.UpdateZipfTheta,
+		RequestInterval: s.RequestInterval, UpdateInterval: s.UpdateInterval,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-
-	w := s.WorkloadCfg
-	measured := s.Duration - s.Warmup
+	var src workload.Source
 	switch kind {
 	case workload.KindDefault:
-		return catalog, workload.DefaultSource{Gen: gen}, nil
-
+		src = workload.DefaultSource{Gen: gen}
 	case workload.KindFlashCrowd:
-		at := w.FlashAt
-		if at == 0 {
-			at = s.Warmup + measured/3
-		}
-		dur := w.FlashDuration
-		if dur == 0 {
-			dur = measured / 4
-		}
-		hot := w.FlashHotset
-		if hot == 0 {
-			hot = max(1, s.Items/100)
-		}
-		boost := w.FlashBoost
-		if boost == 0 {
-			boost = 0.6
-		}
-		src, err := workload.NewFlashCrowd(workload.FlashCrowdConfig{
-			Gen: gen, At: at, Duration: dur, Hotset: hot, Boost: boost, Seed: s.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return catalog, src, nil
-
+		src = workload.NewFlashCrowd(gen, s.Warmup, s.Duration, s.Seed)
 	case workload.KindDiurnal:
-		period := w.DriftPeriod
-		if period == 0 {
-			period = measured
-		}
-		src, err := workload.NewDiurnal(workload.DiurnalConfig{Gen: gen, Period: period})
-		if err != nil {
-			return nil, nil, err
-		}
-		return catalog, src, nil
-
+		src = workload.NewDiurnal(gen, s.Warmup, s.Duration)
 	case workload.KindHotspot:
-		grid := w.HotspotGrid
-		if grid == 0 {
-			grid = 3
-		}
-		hot := w.HotspotHotset
-		if hot == 0 {
-			hot = max(1, s.Items/50)
-		}
-		boost := w.HotspotBoost
-		if boost == 0 {
-			boost = 0.5
-		}
-		src, err := workload.NewHotspot(workload.HotspotConfig{
-			Gen: gen, AreaSide: s.AreaSide, Grid: grid, Hotset: hot, Boost: boost, Seed: s.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return catalog, src, nil
-
+		src = workload.NewHotspot(gen, s.AreaSide, s.Seed)
 	case workload.KindRankChurn:
-		every := w.ChurnEvery
-		if every == 0 {
-			every = 60
-		}
-		swaps := w.ChurnSwaps
-		if swaps == 0 {
-			swaps = max(1, s.Items/20)
-		}
-		src, err := workload.NewRankChurn(workload.RankChurnConfig{
-			Gen: gen, Every: every, Swaps: swaps, RNG: rng.Stream("workload/churn"),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return catalog, src, nil
-
+		src = workload.NewRankChurn(gen, rng.Stream("workload/churn"))
 	default:
-		return nil, nil, fmt.Errorf("precinct: unknown workload %q", s.Workload)
+		return nil, nil, nil, fmt.Errorf("precinct: unknown workload %q", s.Workload)
 	}
+	return catalog, src, gen.Arrivals(), nil
 }
 
 // WorkloadKinds lists the selectable Scenario.Workload values, default
@@ -640,7 +532,7 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 		return nil, err
 	}
 
-	catalog, src, err := s.buildWorkload(rng)
+	catalog, src, arrivals, err := s.buildWorkload(rng)
 	if err != nil {
 		return nil, err
 	}
@@ -701,6 +593,7 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 		Regions:   table,
 		Catalog:   catalog,
 		Source:    src,
+		Arrivals:  arrivals,
 		Collector: coll,
 		Meter:     meter,
 		RNG:       rng,

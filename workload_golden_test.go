@@ -173,7 +173,7 @@ func checkedCases() []goldenCase {
 // section 17): an adaptive run whose controller actually splits a region
 // (four regions for forty peers, split above twelve, merge never), and
 // the flash-crowd and hotspot sources with updates on, so their
-// NextUpdateGap and PickUpdateKey run.
+// PickUpdateKey runs.
 func reachCases() []goldenCase {
 	s := precinct.DefaultScenario()
 	s.Name = "reach/adaptive-split"
