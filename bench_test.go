@@ -289,44 +289,3 @@ func BenchmarkAblationBeaconStaleness(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkAblationAdaptiveRegions(b *testing.B) {
-	// Dynamic region management (the paper's future work) vs the static
-	// 9-region grid, on a deliberately mismatched initial partition
-	// (4 regions for 40 peers).
-	for i := 0; i < b.N; i++ {
-		static := benchScenario()
-		static.Name = "static-4-regions"
-		static.Regions = 4
-		adaptive := static
-		adaptive.Name = "adaptive"
-		adaptive.AdaptiveRegions = true
-		adaptive.AdaptiveInterval = 30
-		adaptive.AdaptiveSplitAbove = 12
-		adaptive.AdaptiveMergeBelow = 3
-		results, err := Sweep([]Scenario{static, adaptive}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(results[0].Report.EnergyPerRequest, "static-mJ")
-		b.ReportMetric(results[1].Report.EnergyPerRequest, "adaptive-mJ")
-	}
-}
-
-func BenchmarkAblationVoronoiPartition(b *testing.B) {
-	// The paper's general region shape (center + perimeter) vs the
-	// rectangular grid, on identical workloads.
-	for i := 0; i < b.N; i++ {
-		grid := benchScenario()
-		grid.Name = "grid"
-		voronoi := benchScenario()
-		voronoi.Name = "voronoi"
-		voronoi.VoronoiRegions = true
-		results, err := Sweep([]Scenario{grid, voronoi}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(results[0].Report.MeanLatency, "grid-latency-s")
-		b.ReportMetric(results[1].Report.MeanLatency, "voronoi-latency-s")
-	}
-}

@@ -123,7 +123,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "number of mobile peers")
 	fs.Float64Var(&s.AreaSide, "area", s.AreaSide, "service area side in meters")
 	fs.IntVar(&s.Regions, "regions", s.Regions, "number of grid regions")
-	fs.StringVar(&s.MobilityModel, "mobility", s.MobilityModel, "mobility model: waypoint | static | random-walk | gauss-markov")
+	fs.StringVar(&s.MobilityModel, "mobility", s.MobilityModel, "mobility model: waypoint | static")
 	fs.Float64Var(&s.MaxSpeed, "speed", s.MaxSpeed, "waypoint max speed in m/s")
 	fs.Float64Var(&s.Pause, "pause", s.Pause, "waypoint pause time in s")
 	fs.Float64Var(&s.Range, "range", s.Range, "radio range in meters")
@@ -143,7 +143,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&s.CacheFraction, "cache-frac", s.CacheFraction, "cache size as fraction of catalog (0 or negative disables)")
 	fs.BoolVar(&s.EnRoute, "enroute", s.EnRoute, "en-route cache answering")
 	fs.IntVar(&s.Replicas, "replicas", s.Replicas, "replica regions per key (0 = none, 1 = the paper's single replica region)")
-	fs.BoolVar(&s.AdaptiveRegions, "adaptive", s.AdaptiveRegions, "dynamic region management")
 	fs.Float64Var(&s.Warmup, "warmup", s.Warmup, "warmup time in s (excluded from metrics)")
 	fs.Float64Var(&s.Duration, "duration", s.Duration, "total simulated time in s")
 	fs.IntVar(&s.Shards, "shards", s.Shards, "run the event loop sharded over this many goroutines (0 or 1 = sequential)")

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMobilityModelSelection(t *testing.T) {
-	for _, model := range []string{"waypoint", "static", "random-walk", "gauss-markov"} {
+	for _, model := range []string{"waypoint", "static"} {
 		s := quickScenario()
 		s.MobilityModel = model
 		s.Duration = 200
@@ -24,10 +24,13 @@ func TestMobilityModelSelection(t *testing.T) {
 			t.Errorf("static model produced handoffs")
 		}
 	}
-	s := quickScenario()
-	s.MobilityModel = "teleport"
-	if err := s.Validate(); err == nil {
-		t.Error("unknown mobility model accepted")
+	// The retired models and an unknown one fail by name.
+	for _, model := range []string{"random-walk", "gauss-markov", "teleport"} {
+		s := quickScenario()
+		s.MobilityModel = model
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `"`+model+`"`) {
+			t.Errorf("mobility model %q: err = %v, want one naming it", model, err)
+		}
 	}
 }
 
@@ -36,7 +39,7 @@ func TestMobilityModelsProduceDifferentRuns(t *testing.T) {
 	base.Duration = 200
 	base.Warmup = 50
 	latencies := make(map[string]float64)
-	for _, model := range []string{"waypoint", "random-walk", "gauss-markov"} {
+	for _, model := range []string{"waypoint", "static"} {
 		s := base
 		s.MobilityModel = model
 		res, err := Run(s)
@@ -45,9 +48,8 @@ func TestMobilityModelsProduceDifferentRuns(t *testing.T) {
 		}
 		latencies[model] = res.Report.MeanLatency
 	}
-	if latencies["waypoint"] == latencies["random-walk"] &&
-		latencies["random-walk"] == latencies["gauss-markov"] {
-		t.Error("all mobility models produced identical latencies (suspicious)")
+	if latencies["waypoint"] == latencies["static"] {
+		t.Error("both mobility models produced identical latencies (suspicious)")
 	}
 }
 
@@ -256,38 +258,6 @@ func TestBeaconStalenessDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRegionsScenario(t *testing.T) {
-	s := quickScenario()
-	s.Duration = 400
-	s.Warmup = 100
-	s.Regions = 4
-	s.AdaptiveRegions = true
-	s.AdaptiveInterval = 40
-	s.AdaptiveSplitAbove = 8
-	s.AdaptiveMergeBelow = 2
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Completed == 0 {
-		t.Fatal("adaptive scenario served nothing")
-	}
-	// Reshaping shows up as maintenance traffic.
-	if res.Report.MaintenanceMessages == 0 {
-		t.Error("no maintenance traffic despite adaptive reshaping")
-	}
-}
-
-func TestAdaptiveScenarioValidation(t *testing.T) {
-	s := quickScenario()
-	s.AdaptiveRegions = true
-	s.AdaptiveSplitAbove = 3
-	s.AdaptiveMergeBelow = 5 // >= split: no hysteresis
-	if err := s.Validate(); err == nil {
-		t.Error("inverted adaptive thresholds accepted")
-	}
-}
-
 func TestCollisionsHurtFloodingMoreThanPReCinCt(t *testing.T) {
 	// With receiver-side collisions on, the network-wide flood's storm
 	// damages itself; PReCinCt's localized floods largely escape.
@@ -311,32 +281,5 @@ func TestCollisionsHurtFloodingMoreThanPReCinCt(t *testing.T) {
 	if floodingCollisions <= precinctCollisions {
 		t.Errorf("flooding collisions (%d) should exceed precinct's (%d)",
 			floodingCollisions, precinctCollisions)
-	}
-}
-
-func TestVoronoiRegionsScenario(t *testing.T) {
-	s := quickScenario()
-	s.VoronoiRegions = true
-	s.Duration = 300
-	s.Warmup = 80
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Completed == 0 {
-		t.Fatal("voronoi partition served nothing")
-	}
-	avail := float64(res.Report.Completed) / float64(res.Report.Requests)
-	if avail < 0.6 {
-		t.Errorf("availability %.2f under voronoi partition", avail)
-	}
-}
-
-func TestVoronoiRejectsAdaptive(t *testing.T) {
-	s := quickScenario()
-	s.VoronoiRegions = true
-	s.AdaptiveRegions = true
-	if err := s.Validate(); err == nil {
-		t.Error("voronoi + adaptive accepted")
 	}
 }

@@ -32,8 +32,7 @@ func clampForFuzz(s *Scenario) {
 	if s.MaxSpeed > 50 {
 		s.MaxSpeed = 50
 	}
-	for _, p := range []*float64{&s.RequestInterval, &s.UpdateInterval, &s.BeaconInterval,
-		&s.AdaptiveInterval, &s.ChurnInterval} {
+	for _, p := range []*float64{&s.RequestInterval, &s.UpdateInterval, &s.BeaconInterval, &s.ChurnInterval} {
 		atLeast(p, 1)
 	}
 	if len(s.Faults) > 8 {
@@ -69,6 +68,11 @@ func FuzzScenario(f *testing.F) {
 		`{"Replication":true}`,
 		`{"CacheBytes":4096}`,
 		`{"LinearRadio":true}`,
+		`{"VoronoiRegions":true}`,
+		`{"AdaptiveRegions":true}`,
+		// A pause below one ulp of the clock once hung the waypoint
+		// model; clamped, this is a 12-node, 30 s run.
+		`{"Pause":1e-300,"MaxSpeed":50,"AreaSide":100,"Warmup":5}`,
 	} {
 		f.Add(in)
 	}

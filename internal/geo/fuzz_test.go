@@ -75,7 +75,7 @@ func FuzzRectClamp(f *testing.F) {
 		if !r.Contains(c) {
 			t.Fatalf("Clamp(%v) = %v outside %v", p, c, r)
 		}
-		if !r.Clamp(c).Equal(c) {
+		if r.Clamp(c) != c {
 			t.Fatal("Clamp not idempotent")
 		}
 	})

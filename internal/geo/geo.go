@@ -57,9 +57,6 @@ func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 // (-pi, pi], measured counter-clockwise from the positive x axis.
 func (p Point) Angle(q Point) float64 { return math.Atan2(q.Y-p.Y, q.X-p.X) }
 
-// Equal reports whether p and q coincide exactly.
-func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }
-
 // Rect is an axis-aligned rectangle. Min is the lower-left corner and Max
 // the upper-right corner; a point on the Min edges is inside, a point on
 // the Max edges is inside as well (closed rectangle), which keeps grid
@@ -85,9 +82,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the area of r in square meters.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Center returns the center point of r.
 func (r Rect) Center() Point { return r.Min.Midpoint(r.Max) }

@@ -126,7 +126,7 @@ func (c *CustodyChecker) Finalize(ctx *Context) []string { return c.Sweep(ctx) }
 func (*CustodyChecker) AfterRehome(ctx *Context, p *node.Peer, evacuate bool) []string {
 	var out []string
 	st := p.Store()
-	t := p.Table()
+	t := ctx.Net.Table()
 	for _, k := range st.Keys() {
 		it, _ := st.Get(k)
 		proper, ok := t.ReplicaRegionAt(k, it.ReplicaRank)
@@ -144,7 +144,7 @@ func (*CustodyChecker) AfterRehome(ctx *Context, p *node.Peer, evacuate bool) []
 		if proper.ID == p.RegionID() {
 			continue // the copy is where it belongs
 		}
-		if ctx.Net.HasCustodian(t, proper.ID, p) {
+		if ctx.Net.HasCustodian(proper.ID, p) {
 			out = append(out, fmt.Sprintf(
 				"peer %d (region %d) kept key %d although region %d has an eligible custodian",
 				int(p.ID()), int(p.RegionID()), uint32(k), int(proper.ID)))
@@ -303,9 +303,9 @@ func (c *SchedulerChecker) Finalize(ctx *Context) []string {
 }
 
 // RegionChecker verifies the geographic hash layer (Section 2): the
-// region table is structurally sound on every version peers still hold,
-// and every catalog key maps to a home region and — whenever at least two
-// regions exist — a distinct replica region. With k > 1 replica regions
+// region table is structurally sound, and every catalog key maps to a
+// home region and — whenever at least two regions exist — a distinct
+// replica region. With k > 1 replica regions
 // configured, the k replica ranks the table can satisfy must be pairwise
 // distinct and distinct from the home region.
 type RegionChecker struct{}
@@ -316,16 +316,10 @@ func (*RegionChecker) Name() string { return "region" }
 // Sweep implements Checker.
 func (*RegionChecker) Sweep(ctx *Context) []string {
 	var out []string
-	tables := map[*region.Table]bool{ctx.Net.Table(): true}
-	for i := 0; i < ctx.Net.Peers(); i++ {
-		tables[ctx.Net.Peer(radio.NodeID(i)).Table()] = true
-	}
-	for t := range tables {
-		if err := t.CheckInvariants(); err != nil {
-			out = append(out, err.Error())
-		}
-	}
 	t := ctx.Net.Table()
+	if err := t.CheckInvariants(); err != nil {
+		out = append(out, err.Error())
+	}
 	for k := 0; k < ctx.Catalog.Len(); k++ {
 		key := workload.Key(k)
 		home, ok := t.HomeRegion(key)

@@ -84,7 +84,7 @@ type Collector struct {
 
 	controlMessages     uint64 // consistency-maintenance messages
 	searchMessages      uint64 // retrieval traffic
-	maintenanceMessages uint64 // region upkeep: key handoffs, relocations
+	maintenanceMessages uint64 // region upkeep: key handoffs
 
 	validHits uint64 // hits served as valid
 	staleHits uint64 // hits served as valid that were actually stale
@@ -203,7 +203,7 @@ func (c *Collector) ControlMessages(n int) { c.controlMessages += uint64(n) }
 func (c *Collector) SearchMessages(n int) { c.searchMessages += uint64(n) }
 
 // MaintenanceMessages adds n region-upkeep messages (key handoffs on
-// inter-region mobility, key relocation after region-table changes).
+// inter-region mobility and graceful departures).
 func (c *Collector) MaintenanceMessages(n int) { c.maintenanceMessages += uint64(n) }
 
 // UpdateIssued counts one data update entering the system.

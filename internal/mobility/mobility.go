@@ -24,27 +24,21 @@ import (
 // Model answers position queries for a fixed set of nodes. Queries must
 // use non-decreasing time per node; models may advance internal state.
 //
-// Positions are anchored: between trajectory boundaries (waypoint legs,
-// walk steps) a position is computed analytically from the last boundary,
-// so Position(i, t) returns bit-identical results no matter which
-// intermediate times were queried before t. Consumers such as the radio
-// layer's spatial index rely on that property — it lets them query only a
-// subset of nodes without perturbing anyone's trajectory.
+// Positions are anchored: between waypoint legs a position is computed
+// analytically from the last leg boundary, so Position(i, t) returns
+// bit-identical results no matter which intermediate times were queried
+// before t. Consumers such as the radio layer's spatial index rely on
+// that property — it lets them query only a subset of nodes without
+// perturbing anyone's trajectory.
 type Model interface {
 	// Len returns the number of nodes.
 	Len() int
 	// Position returns the location of the node at simulation time now.
 	Position(node int, now float64) geo.Point
-}
-
-// SpeedBounded is implemented by models whose nodes never exceed a known
-// speed. The radio layer's spatial index uses the bound to serve neighbor
-// queries from a slightly stale grid snapshot: a node can have drifted at
-// most MaxSpeed()*age meters since the snapshot. Models with unbounded
-// speeds (e.g. Gauss-Markov, whose speed noise is Gaussian) simply do not
-// implement it and the index falls back to per-instant rebuilds.
-type SpeedBounded interface {
-	// MaxSpeed returns an upper bound on any node's speed in m/s.
+	// MaxSpeed returns an upper bound on any node's speed in m/s. The
+	// radio layer's spatial index uses it to serve neighbor queries from
+	// a slightly stale grid snapshot: a node can have drifted at most
+	// MaxSpeed()*age meters since the snapshot.
 	MaxSpeed() float64
 }
 
@@ -119,7 +113,7 @@ func (s *Static) Len() int { return len(s.pos) }
 // Position implements Model.
 func (s *Static) Position(node int, _ float64) geo.Point { return s.pos[node] }
 
-// MaxSpeed implements SpeedBounded: static nodes never move.
+// MaxSpeed implements Model: static nodes never move.
 func (s *Static) MaxSpeed() float64 { return 0 }
 
 // WaypointConfig parameterizes the random waypoint model.
@@ -283,9 +277,10 @@ func (w *Waypoint) Position(node int, now float64) geo.Point {
 		if nd.arrival == notMoving {
 			// Zero-length leg: pause in place. A degenerate newLeg
 			// (resampling failed) schedules its own pause, so the loop
-			// always progresses even with Pause == 0.
+			// always progresses even with Pause == 0. A pause too short
+			// to move the clock (at + Pause == at) is no pause either.
 			nd.pauseUntil = nd.at + w.cfg.Pause
-			if w.cfg.Pause == 0 {
+			if nd.pauseUntil <= nd.at {
 				w.newLeg(nd, w.rngs[node])
 			}
 			continue
@@ -294,7 +289,7 @@ func (w *Waypoint) Position(node int, now float64) geo.Point {
 		nd.pos = nd.dest
 		nd.at = nd.arrival
 		nd.pauseUntil = nd.arrival + w.cfg.Pause
-		if w.cfg.Pause == 0 {
+		if nd.pauseUntil <= nd.at {
 			w.newLeg(nd, w.rngs[node])
 		} else {
 			nd.anchorLeg()
@@ -313,5 +308,5 @@ func (w *Waypoint) Speed(node int, now float64) float64 {
 	return nd.speed
 }
 
-// MaxSpeed implements SpeedBounded.
+// MaxSpeed implements Model.
 func (w *Waypoint) MaxSpeed() float64 { return w.cfg.MaxSpeed }

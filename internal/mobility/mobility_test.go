@@ -26,12 +26,12 @@ func TestStaticPositions(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if !s.Position(0, 0).Equal(geo.Pt(1, 2)) || !s.Position(1, 999).Equal(geo.Pt(3, 4)) {
+	if s.Position(0, 0) != geo.Pt(1, 2) || s.Position(1, 999) != geo.Pt(3, 4) {
 		t.Error("static positions wrong or time-dependent")
 	}
 	// The constructor must copy its input.
 	pts[0] = geo.Pt(9, 9)
-	if s.Position(0, 0).Equal(geo.Pt(9, 9)) {
+	if s.Position(0, 0) == geo.Pt(9, 9) {
 		t.Error("NewStatic aliased caller slice")
 	}
 }
@@ -266,6 +266,19 @@ func TestWaypointZeroPause(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := w.Position(i, 5000)
 		if !testArea.Contains(p) {
+			t.Fatalf("node %d outside area: %v", i, p)
+		}
+	}
+}
+
+// TestWaypointSubUlpPause: a pause so short that at+Pause == at moves no
+// clock, so it must behave like a zero pause and draw the next leg
+// instead of re-entering the same pause forever.
+func TestWaypointSubUlpPause(t *testing.T) {
+	cfg := WaypointConfig{Area: testArea, MinSpeed: 5, MaxSpeed: 5, Pause: 1e-300}
+	w := waypointFor(t, 4, cfg, 21)
+	for i := 0; i < 4; i++ {
+		if p := w.Position(i, 1000); !testArea.Contains(p) {
 			t.Fatalf("node %d outside area: %v", i, p)
 		}
 	}

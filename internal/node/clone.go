@@ -1,7 +1,7 @@
 package node
 
 // Sharded-run support: a parallel run gives every shard a replica of the
-// Network that shares the protocol state (peers, region tables, ground
+// Network that shares the protocol state (peers, region table, ground
 // truth, catalog, workload) but owns its shard's scheduler, radio
 // channel, collector, energy meter, tracer, GPSR router and message
 // pool. Each peer is owned by exactly one shard; its net field binds it
@@ -33,7 +33,7 @@ type ShardWorld struct {
 }
 
 // CloneForShard returns a shard replica of the network. The replica
-// shares peers, tables, truth, catalog and workload with the primary
+// shares peers, table, truth, catalog and workload with the primary
 // and starts with zeroed counters of its own; EnableSharding must be
 // called afterwards to bind peers to their owners.
 func (n *Network) CloneForShard(w ShardWorld) (*Network, error) {
@@ -60,7 +60,6 @@ func (n *Network) CloneForShard(w ShardWorld) (*Network, error) {
 		tracer:  w.Tracer,
 		peers:   n.peers,
 		live:    n.live,
-		tables:  n.tables,
 		truth:   n.truth,
 		started: true,
 	}

@@ -82,10 +82,6 @@ type Config struct {
 	// Warmup discards metrics for requests issued before this sim time,
 	// letting caches fill first. Seconds.
 	Warmup float64
-
-	// Adaptive configures the dynamic region management controller
-	// (disabled by default).
-	Adaptive AdaptiveConfig
 }
 
 // DefaultConfig returns the scenario defaults used by the paper's mobile
@@ -103,7 +99,6 @@ func DefaultConfig() Config {
 		EnRoute:     true,
 		Replicas:    1,
 		Warmup:      200,
-		Adaptive:    DefaultAdaptiveConfig(),
 	}
 }
 
@@ -113,7 +108,7 @@ const (
 	// regionTTL bounds intra-region floods in hops.
 	regionTTL = 4
 	// networkTTL bounds network-wide floods (flooding retrieval,
-	// plain-push invalidations, region-table dissemination).
+	// plain-push invalidations).
 	networkTTL = 16
 	// maxRingTTL caps the expanding-ring search.
 	maxRingTTL = 16
@@ -159,9 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.Warmup < 0 {
 		return fmt.Errorf("node: negative warmup")
-	}
-	if err := c.Adaptive.Validate(); err != nil {
-		return err
 	}
 	return nil
 }

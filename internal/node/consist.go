@@ -59,7 +59,7 @@ func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 // pushUpdateToRegion routes an update toward the key's home region
 // (rank 0) or its rank-r replica region, and floods it there.
 func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, rank int) {
-	target, ok := p.table().ReplicaRegionAt(k, rank)
+	target, ok := p.net.table.ReplicaRegionAt(k, rank)
 	if !ok {
 		return
 	}
@@ -84,7 +84,7 @@ func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, ra
 // onUpdateRoute advances an update toward its target region; the first
 // node inside becomes the point of broadcast.
 func (p *Peer) onUpdateRoute(m *message) {
-	if p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
+	if p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		// Rewrite the routed update into the localized flood in place.
 		m.Kind = kindUpdateFlood
 		m.TTL = regionTTL
@@ -104,7 +104,7 @@ func (p *Peer) onUpdateFlood(m *message) {
 		p.net.releaseMsg(m)
 		return
 	}
-	if !p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
+	if !p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		p.net.releaseMsg(m)
 		return
 	}
@@ -197,7 +197,7 @@ func (p *Peer) onInvalidate(m *message) {
 // sendPoll routes a validation poll toward the key's home region. It
 // reports whether the poll left the requester.
 func (n *Network) sendPoll(p *Peer, req *pendingReq) bool {
-	home, ok := p.table().HomeRegion(req.key)
+	home, ok := p.net.table.HomeRegion(req.key)
 	if !ok {
 		return false
 	}
@@ -229,7 +229,7 @@ func (n *Network) sendPoll(p *Peer, req *pendingReq) bool {
 
 // onPollRoute advances a poll toward the home region.
 func (p *Peer) onPollRoute(m *message) {
-	if p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
+	if p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		// Rewrite the routed poll into the localized flood in place.
 		m.Kind = kindPollFlood
 		m.TTL = regionTTL
@@ -251,7 +251,7 @@ func (p *Peer) onPollFlood(m *message) {
 		p.net.releaseMsg(m)
 		return
 	}
-	if !p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
+	if !p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		p.net.releaseMsg(m)
 		return
 	}

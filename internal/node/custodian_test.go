@@ -19,12 +19,11 @@ import (
 
 // world is a network built from a fuzzgen scenario's geometry: nodes,
 // area, partition, mobility model and radio knobs. No traffic runs — the
-// custodian queries read positions, liveness, the tables and store sizes.
+// custodian queries read positions, liveness, the table and store sizes.
 type world struct {
 	net   *node.Network
 	sched *sim.Scheduler
 	nodes int
-	grid  bool
 }
 
 func buildWorld(t *testing.T, s precinct.Scenario, replicas int) *world {
@@ -35,16 +34,9 @@ func buildWorld(t *testing.T, s precinct.Scenario, replicas int) *world {
 
 	var mob mobility.Model
 	var err error
-	switch s.MobilityModel {
-	case "static":
+	if s.MobilityModel == "static" {
 		mob, err = mobility.NewGridStatic(s.Nodes, area, 0.25, rng.Stream("placement"))
-	case "random-walk":
-		mob, err = mobility.NewWalk(s.Nodes, mobility.WalkConfig{
-			Area: area, MinSpeed: 0.5, MaxSpeed: s.MaxSpeed, StepTime: 20}, rng)
-	case "gauss-markov":
-		mob, err = mobility.NewGaussMarkov(s.Nodes, mobility.GaussMarkovConfig{
-			Area: area, MeanSpeed: s.MaxSpeed, SpeedSigma: s.MaxSpeed / 4, Alpha: 0.85, UpdateInterval: 1}, rng)
-	default:
+	} else {
 		mob, err = mobility.NewWaypoint(s.Nodes, mobility.WaypointConfig{
 			Area: area, MinSpeed: 0.5, MaxSpeed: s.MaxSpeed, Pause: s.Pause}, rng)
 	}
@@ -60,17 +52,7 @@ func buildWorld(t *testing.T, s precinct.Scenario, replicas int) *world {
 		t.Fatal(err)
 	}
 
-	var table *region.Table
-	if s.VoronoiRegions {
-		sr := rng.Stream("voronoi")
-		seeds := make([]geo.Point, s.Regions)
-		for i := range seeds {
-			seeds[i] = geo.Pt(sr.Float64()*s.AreaSide, sr.Float64()*s.AreaSide)
-		}
-		table, err = region.NewVoronoi(area, seeds)
-	} else {
-		table, err = region.NewGridN(area, s.Regions)
-	}
+	table, err := region.NewGridN(area, s.Regions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,29 +70,26 @@ func buildWorld(t *testing.T, s precinct.Scenario, replicas int) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{net: net, sched: sched, nodes: s.Nodes, grid: !s.VoronoiRegions}
+	return &world{net: net, sched: sched, nodes: s.Nodes}
 }
 
 // compare holds the production custodian queries to the full scan for
-// every region of every published table version — plus an ID no table
-// has — with nobody excluded, with the winner excluded and with a dead
-// peer excluded.
+// every region of the table — plus an ID it does not have — with nobody
+// excluded, with the winner excluded and with a dead peer excluded.
 func (w *world) compare(t *testing.T, when string, dead radio.NodeID) {
 	t.Helper()
-	for v, tab := range w.net.TableHistoryForTest() {
-		ids := []region.ID{region.Invalid, 1 << 20}
-		for _, r := range tab.Regions() {
-			ids = append(ids, r.ID)
-		}
-		for _, id := range ids {
-			first, _ := w.net.CustodiansForTest(tab, id, -1)
-			for _, exclude := range []radio.NodeID{-1, first, dead} {
-				near, least := w.net.CustodiansForTest(tab, id, exclude)
-				wantNear, wantLeast := w.net.CustodiansByScanForTest(tab, id, exclude)
-				if near != wantNear || least != wantLeast {
-					t.Fatalf("%s: table v%d region %d excluding %d: nearest %d least-loaded %d, full scan says %d and %d",
-						when, v, int(id), exclude, near, least, wantNear, wantLeast)
-				}
+	ids := []region.ID{region.Invalid, 1 << 20}
+	for _, r := range w.net.Table().Regions() {
+		ids = append(ids, r.ID)
+	}
+	for _, id := range ids {
+		first, _ := w.net.CustodiansForTest(id, -1)
+		for _, exclude := range []radio.NodeID{-1, first, dead} {
+			near, least := w.net.CustodiansForTest(id, exclude)
+			wantNear, wantLeast := w.net.CustodiansByScanForTest(id, exclude)
+			if near != wantNear || least != wantLeast {
+				t.Fatalf("%s: region %d excluding %d: nearest %d least-loaded %d, full scan says %d and %d",
+					when, int(id), exclude, near, least, wantNear, wantLeast)
 			}
 		}
 	}
@@ -118,10 +97,9 @@ func (w *world) compare(t *testing.T, when string, dead radio.NodeID) {
 
 // TestCustodianQueriesMatchFullScan runs the rectangle-fed custodian
 // queries against the whole-population scan over the fuzzgen seed set
-// (grid and Voronoi partitions, beaconing on and off, all four mobility
-// models), each scenario under two replica counts, at several instants of
-// a run in which peers die and a region is split (so peers hold the
-// original table and a mutated Clone of it at once).
+// (beaconing on and off, static and waypoint peers), each scenario under
+// two replica counts, at several instants of a run in which peers die
+// and come back.
 func TestCustodianQueriesMatchFullScan(t *testing.T) {
 	var cases []precinct.Scenario
 	for seed := int64(1); seed <= 24; seed++ {
@@ -148,16 +126,8 @@ func TestCustodianQueriesMatchFullScan(t *testing.T) {
 			}
 			w.compare(t, "after crashes", dead)
 
-			if w.grid {
-				// A mid-run table change: the new version is a mutated Clone
-				// (no grid index, still rectangles), flooded to the peers.
-				target := w.net.Table().Regions()[rng.Intn(w.net.Table().Len())].ID
-				if err := w.net.Separate(target); err != nil {
-					t.Fatal(err)
-				}
-			}
 			w.sched.Run(31)
-			w.compare(t, "after the table changes", dead)
+			w.compare(t, "after more motion", dead)
 
 			w.net.Revive(dead)
 			w.sched.Run(64.9)

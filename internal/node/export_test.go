@@ -26,17 +26,18 @@ func (n *Network) peerOrNil(id radio.NodeID) *Peer {
 	return n.peers[id]
 }
 
-// CustodiansForTest runs the production custodian queries for region id
-// of table t: the live peer nearest the center, skipping exclude (-1 for
-// nobody), and the least-loaded live peer. -1 means the region is empty.
-func (n *Network) CustodiansForTest(t *region.Table, id region.ID, exclude radio.NodeID) (nearest, leastLoaded radio.NodeID) {
-	return idOf(n.peerNearestCenterExcluding(t, id, n.peerOrNil(exclude))), idOf(n.peerLeastLoaded(t, id))
+// CustodiansForTest runs the production custodian queries for region id:
+// the live peer nearest the center, skipping exclude (-1 for nobody), and
+// the least-loaded live peer. -1 means the region is empty.
+func (n *Network) CustodiansForTest(id region.ID, exclude radio.NodeID) (nearest, leastLoaded radio.NodeID) {
+	return idOf(n.peerNearestCenterExcluding(id, n.peerOrNil(exclude))), idOf(n.peerLeastLoaded(id))
 }
 
 // CustodiansByScanForTest answers the same two questions the way the
 // node layer did before it had a rectangle query to ask: by testing every
 // peer, in ascending node order, against the table's own Contains.
-func (n *Network) CustodiansByScanForTest(t *region.Table, id region.ID, exclude radio.NodeID) (nearest, leastLoaded radio.NodeID) {
+func (n *Network) CustodiansByScanForTest(id region.ID, exclude radio.NodeID) (nearest, leastLoaded radio.NodeID) {
+	t := n.table
 	r, ok := t.Region(id)
 	if !ok {
 		return noPeer, noPeer
@@ -61,7 +62,3 @@ func (n *Network) CustodiansByScanForTest(t *region.Table, id region.ID, exclude
 	}
 	return idOf(near), idOf(least)
 }
-
-// TableHistoryForTest returns every region-table version published so
-// far, oldest first; peers may still hold any of them.
-func (n *Network) TableHistoryForTest() []*region.Table { return n.tables }

@@ -30,8 +30,7 @@ const (
 	kindPollReply   // GPSR-routed poll answer
 
 	// Region maintenance.
-	kindHandoff     // key transfer on inter-region mobility / relocation
-	kindTableUpdate // region-table version dissemination flood
+	kindHandoff // key transfer on inter-region mobility
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -61,8 +60,6 @@ func (k msgKind) String() string {
 		return "poll-reply"
 	case kindHandoff:
 		return "handoff"
-	case kindTableUpdate:
-		return "table-update"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -73,7 +70,7 @@ func (k msgKind) class() trafficClass {
 	switch k {
 	case kindInvalidate, kindUpdateRoute, kindUpdateFlood, kindPollRoute, kindPollFlood, kindPollReply:
 		return classControl
-	case kindHandoff, kindTableUpdate:
+	case kindHandoff:
 		return classMaintenance
 	default:
 		return classSearch
@@ -166,10 +163,6 @@ type message struct {
 
 	// Items carries key transfers (handoff).
 	Items []handoffItem
-
-	// TableIdx is the region-table version being disseminated
-	// (kindTableUpdate).
-	TableIdx int
 
 	// refs counts outstanding ownership references: 1 for owned/unicast
 	// messages, the delivered-receiver count for shared broadcast
@@ -274,5 +267,4 @@ func poisonMsg(m *message) {
 	m.TTR = -1e300
 	m.Size = -1 << 30
 	m.CachedVersion = poisoned
-	m.TableIdx = -1 << 30
 }

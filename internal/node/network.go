@@ -46,7 +46,6 @@ type Stats struct {
 	LostKeys        uint64 // keys that died with a peer (no custodian anywhere)
 	StrandedKeys    uint64 // handoff copies adopted by a carrier outside the proper region
 	HomelessKeys    uint64 // keys with no holder at placement time
-	Relocations     uint64 // keys moved after region-table changes
 	RoutingFailures uint64 // routed messages dropped (no next hop / link gone)
 	LostUpdates     uint64 // update pushes dropped after exhausting retries
 	PollsAnswered   uint64
@@ -94,17 +93,10 @@ type Network struct {
 	// record of who is alive, read by Peer.Alive and — handed to every
 	// shard replica's channel — by the radio. setAlive is its only
 	// writer.
-	live []bool
-	// tables is the region-table version history: index 0 is the
-	// initial partition, each Separate/Merge appends a clone. Peers
-	// reference a version index and switch when the dissemination
-	// flood reaches them, so a table change propagates like any other
-	// network-wide update rather than instantaneously.
-	tables   []*region.Table
-	truth    []uint64 // authoritative version per key (ground truth for FHR)
-	stats    Stats
-	adaptive AdaptiveStats
-	started  bool
+	live    []bool
+	truth   []uint64 // authoritative version per key (ground truth for FHR)
+	stats   Stats
+	started bool
 	// rehomePasses and rehomeSkips count rehomeKeys calls by whether the
 	// pass ran or was skipped on an unchanged mark. Skipping is not
 	// behaviour, so they stay out of Stats, which result digests cover.
@@ -112,7 +104,7 @@ type Network struct {
 
 	// clones lists every shard's Network replica (index = shard) in a
 	// sharded run; nil in sequential runs. The replicas share peers, the
-	// liveness table, tables, truth and the catalog, and each owns its
+	// liveness table, the region table, truth and the catalog, and each owns its
 	// scheduler, channel, collector, meter, router, message pool and
 	// counters.
 	// Every peer's net field binds it to its owner shard's replica.
@@ -129,7 +121,6 @@ func (s Stats) Add(o Stats) Stats {
 		LostKeys:        s.LostKeys + o.LostKeys,
 		StrandedKeys:    s.StrandedKeys + o.StrandedKeys,
 		HomelessKeys:    s.HomelessKeys + o.HomelessKeys,
-		Relocations:     s.Relocations + o.Relocations,
 		RoutingFailures: s.RoutingFailures + o.RoutingFailures,
 		LostUpdates:     s.LostUpdates + o.LostUpdates,
 		PollsAnswered:   s.PollsAnswered + o.PollsAnswered,
@@ -168,7 +159,6 @@ func New(opts Options) (*Network, error) {
 		truth:   make([]uint64, opts.Catalog.Len()),
 	}
 	n.loc = chanLocator{n.ch}
-	n.tables = []*region.Table{opts.Regions}
 	n.peers = make([]*Peer, n.ch.N())
 	n.live = make([]bool, n.ch.N())
 	// All peers are one slab: dense node indices become dense memory,
@@ -274,7 +264,7 @@ func (n *Network) placeKeys() {
 			Key: k, Size: size, Version: 1,
 			UpdatedAt: 0, TTR: n.cfg.Consistency.InitialTTR,
 		}
-		if holder := n.peerNearestCenter(n.table, home.ID); holder != nil {
+		if holder := n.peerNearestCenter(home.ID); holder != nil {
 			holder.store.Put(item)
 		} else {
 			n.stats.HomelessKeys++
@@ -284,7 +274,7 @@ func (n *Network) placeKeys() {
 			if !ok {
 				break // fewer regions than requested ranks
 			}
-			if holder := custodian(n.table, rep.ID); holder != nil {
+			if holder := custodian(rep.ID); holder != nil {
 				replica := item
 				replica.ReplicaRank = r
 				holder.store.Put(replica)
@@ -297,50 +287,46 @@ func (n *Network) placeKeys() {
 // replication is off).
 func (n *Network) Replicas() int { return n.cfg.Replicas }
 
-// peerNearestCenter returns the live peer inside the region (under the
-// given table's geometry) closest to its center, or nil when the region
-// is empty.
-func (n *Network) peerNearestCenter(t *region.Table, id region.ID) *Peer {
-	return n.peerNearestCenterExcluding(t, id, nil)
+// peerNearestCenter returns the live peer inside the region closest to
+// its center, or nil when the region is empty.
+func (n *Network) peerNearestCenter(id region.ID) *Peer {
+	return n.peerNearestCenterExcluding(id, nil)
 }
 
 // forLivePeersIn calls fn, in ascending node order, for every live peer
-// currently inside region r of table t, with the peer's position. A
-// rectangular region is a rectangle query on the radio's spatial index
-// when the channel can answer one; a Voronoi cell, and any region under
-// beaconing, is found by testing every peer. fn must not start another
-// custodian query.
-func (n *Network) forLivePeersIn(t *region.Table, r region.Region, fn func(p *Peer, pos geo.Point)) {
-	if !t.Voronoi() {
-		if ids, ok := n.ch.AppendInRect(n.inRegion[:0], r.Bounds); ok {
-			n.inRegion = ids
-			for _, id := range ids {
-				if p := n.peers[id]; p.Alive() {
-					fn(p, n.ch.Position(id))
-				}
+// currently inside region r, with the peer's position. It is a rectangle
+// query on the radio's spatial index when the channel can answer one;
+// under beaconing the region is found by testing every peer. fn must not
+// start another custodian query.
+func (n *Network) forLivePeersIn(r region.Region, fn func(p *Peer, pos geo.Point)) {
+	if ids, ok := n.ch.AppendInRect(n.inRegion[:0], r.Bounds); ok {
+		n.inRegion = ids
+		for _, id := range ids {
+			if p := n.peers[id]; p.Alive() {
+				fn(p, n.ch.Position(id))
 			}
-			return
 		}
+		return
 	}
 	for _, p := range n.peers {
 		if !p.Alive() {
 			continue
 		}
-		if pos := n.ch.Position(p.id); t.Contains(r.ID, pos) {
+		if pos := n.ch.Position(p.id); r.Bounds.Contains(pos) {
 			fn(p, pos)
 		}
 	}
 }
 
 // peerNearestCenterExcluding is peerNearestCenter skipping one peer.
-func (n *Network) peerNearestCenterExcluding(t *region.Table, id region.ID, exclude *Peer) *Peer {
-	r, ok := t.Region(id)
+func (n *Network) peerNearestCenterExcluding(id region.ID, exclude *Peer) *Peer {
+	r, ok := n.table.Region(id)
 	if !ok {
 		return nil
 	}
 	var best *Peer
 	bestD := 0.0
-	n.forLivePeersIn(t, r, func(p *Peer, pos geo.Point) {
+	n.forLivePeersIn(r, func(p *Peer, pos geo.Point) {
 		if p == exclude {
 			return
 		}
@@ -357,15 +343,15 @@ func (n *Network) peerNearestCenterExcluding(t *region.Table, id region.ID, excl
 // node ID), or nil when the region is empty. Used for load-aware replica
 // placement when Replicas > 1 (La et al.): spreading custody by load
 // keeps any one peer from accumulating every replica of a hot region.
-func (n *Network) peerLeastLoaded(t *region.Table, id region.ID) *Peer {
-	r, ok := t.Region(id)
+func (n *Network) peerLeastLoaded(id region.ID) *Peer {
+	r, ok := n.table.Region(id)
 	if !ok {
 		return nil
 	}
 	var best *Peer
 	bestLoad := 0
 	bestD := 0.0
-	n.forLivePeersIn(t, r, func(p *Peer, pos geo.Point) {
+	n.forLivePeersIn(r, func(p *Peer, pos geo.Point) {
 		load := p.store.Len()
 		d := pos.Dist2(r.Center())
 		if best == nil || load < bestLoad || (load == bestLoad && d < bestD) {
@@ -405,12 +391,8 @@ func (n *Network) PendingRequests() int {
 	return total
 }
 
-// Table returns the latest region table.
+// Table returns the region table.
 func (n *Network) Table() *region.Table { return n.table }
-
-// TableVersions returns how many region-table versions exist (1 = the
-// initial partition only).
-func (n *Network) TableVersions() int { return len(n.tables) }
 
 // Scheduler returns the simulation scheduler.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
@@ -527,7 +509,7 @@ func (n *Network) forwardWithRetry(p *Peer, m *message) {
 		// the handoff was built, and any other peer of that region is
 		// an equally good custodian. The forwarder itself is excluded —
 		// during an evacuation it is about to leave.
-		if target := n.peerNearestCenterExcluding(n.table, m.TargetRegion, p); target != nil {
+		if target := n.peerNearestCenterExcluding(m.TargetRegion, p); target != nil {
 			m.TargetNode = target.id
 			m.TargetPos = n.ch.Position(target.id)
 		}
@@ -631,8 +613,6 @@ func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 		p.onPollReply(m)
 	case kindHandoff:
 		p.onHandoff(m)
-	case kindTableUpdate:
-		p.onTableUpdate(m)
 	default:
 		panic(fmt.Sprintf("node: unknown message kind %v", m.Kind))
 	}
@@ -647,9 +627,6 @@ func (n *Network) Run(duration float64) metrics.Report {
 	if !n.started {
 		n.started = true
 		n.StartDrivers()
-		if n.cfg.Adaptive.Enabled {
-			n.startAdaptiveController()
-		}
 		if n.meter != nil && n.cfg.Warmup > 0 && n.cfg.Warmup <= duration {
 			n.armMeterReset(n.cfg.Warmup)
 		}
@@ -748,8 +725,8 @@ func (n *Network) CheckLiveness() error {
 	return nil
 }
 
-// Crash kills a peer immediately: no handoff, its keys become unavailable
-// until a replica or relocation covers them.
+// Crash kills a peer immediately: no handoff, so only its keys' replica
+// regions can still serve them.
 func (n *Network) Crash(id radio.NodeID) {
 	n.setAlive(n.peers[id], false)
 	n.emit(trace.Event{Kind: trace.NodeCrashed, Node: int(id)})
@@ -780,90 +757,8 @@ func (n *Network) Revive(id radio.NodeID) {
 			p.cache = c
 		}
 	}
-	// A rejoining peer retrieves the current region table from its
-	// neighbors (Section 2.1).
-	p.tableIdx = len(n.tables) - 1
-	if r, ok := p.table().Locate(n.ch.Position(id)); ok {
+	if r, ok := n.table.Locate(n.ch.Position(id)); ok {
 		p.regionID = r.ID
 	}
 	n.emit(trace.Event{Kind: trace.NodeRevived, Node: int(id)})
-}
-
-// Separate splits a region and disseminates the new table through the
-// network; peers relocate their keys as the update reaches them.
-func (n *Network) Separate(id region.ID) error {
-	next := n.table.Clone()
-	if _, _, err := next.Separate(id); err != nil {
-		return err
-	}
-	n.publishTable(next, id)
-	return nil
-}
-
-// Merge merges two regions and disseminates the new table.
-func (n *Network) Merge(a, b region.ID) error {
-	next := n.table.Clone()
-	if _, err := next.Merge(a, b); err != nil {
-		return err
-	}
-	n.publishTable(next, a)
-	return nil
-}
-
-// publishTable appends the new table version and floods it from a peer
-// near the affected region (the paper: "the peer needs to disseminate the
-// update to all other peers in the whole network to guarantee the
-// consistency of region tables"). Peers apply the new partition — and
-// relocate their keys — when the flood reaches them.
-func (n *Network) publishTable(next *region.Table, near region.ID) {
-	n.tables = append(n.tables, next)
-	n.table = next
-	idx := len(n.tables) - 1
-
-	initiator := n.anyLivePeerNear(near)
-	if initiator == nil {
-		return // nobody to disseminate; revives pick the table up later
-	}
-	n.applyTable(initiator, idx)
-	m := n.newMsg(message{
-		Kind: kindTableUpdate, ID: initiator.newID(), FloodID: initiator.newID(),
-		Origin: initiator.id, OriginPos: n.ch.Position(initiator.id),
-		TTL: networkTTL, TableIdx: idx,
-	})
-	initiator.markSeen(m.FloodID)
-	n.broadcast(initiator.id, m)
-}
-
-// anyLivePeerNear returns a live peer inside the given region of the
-// previous table version, or any live peer as a fallback.
-func (n *Network) anyLivePeerNear(id region.ID) *Peer {
-	if len(n.tables) >= 2 {
-		prev := n.tables[len(n.tables)-2]
-		if p := n.peerNearestCenter(prev, id); p != nil {
-			return p
-		}
-	}
-	for _, p := range n.peers {
-		if p.Alive() {
-			return p
-		}
-	}
-	return nil
-}
-
-// applyTable switches a peer to the given table version, refreshing its
-// region membership and relocating any keys the new partition re-homes.
-func (n *Network) applyTable(p *Peer, idx int) {
-	if idx <= p.tableIdx {
-		return
-	}
-	p.tableIdx = idx
-	if r, ok := p.table().Locate(n.ch.Position(p.id)); ok {
-		p.regionID = r.ID
-	}
-	if p.store.Len() > 0 {
-		before := n.stats.Handoffs
-		p.rehomeKeys(false)
-		n.stats.Relocations += n.stats.Handoffs - before
-	}
 }

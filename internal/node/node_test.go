@@ -681,34 +681,6 @@ func TestNoReplicationFailsAfterHomeRegionCrash(t *testing.T) {
 	}
 }
 
-func TestSeparateRelocatesKeys(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	if err := h.net.Separate(region.ID(0)); err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(20)
-	if h.net.Stats().Relocations == 0 {
-		t.Error("Separate triggered no relocations")
-	}
-	// After relocation settles, requests still succeed.
-	k := h.cat.Keys()[5]
-	home, _ := h.table.HomeRegion(k)
-	var requester *Peer
-	for i := 0; i < h.net.Peers(); i++ {
-		p := h.net.Peer(radio.NodeID(i))
-		if p.RegionID() != home.ID {
-			requester = p
-			break
-		}
-	}
-	h.net.RequestFrom(requester.ID(), k)
-	h.sched.Run(60)
-	report := h.net.Report()
-	if report.Completed == 0 {
-		t.Errorf("request failed after region separation: %+v", report)
-	}
-}
-
 func TestMobileEndToEndRun(t *testing.T) {
 	o := defaultHarnessOpts()
 	o.nodes = 40
@@ -850,39 +822,5 @@ func TestWarmupSuppressesMetrics(t *testing.T) {
 	h.sched.Run(160)
 	if h.net.Report().Requests != 1 {
 		t.Error("post-warmup request not recorded")
-	}
-}
-
-func TestTableDisseminationCountsAsMaintenance(t *testing.T) {
-	o := defaultHarnessOpts()
-	o.mutate = func(c *Config) { c.Warmup = 0 }
-	h := build(t, o)
-	before := h.net.Report().MaintenanceMessages
-	if err := h.net.Separate(region.ID(0)); err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(10)
-	after := h.net.Report().MaintenanceMessages
-	if after <= before {
-		t.Errorf("table dissemination produced no maintenance traffic (%d -> %d)", before, after)
-	}
-}
-
-func TestRevivedPeerGetsLatestTable(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	p := h.net.Peer(radio.NodeID(0))
-	h.net.Crash(p.ID())
-	// Reshape while the peer is down: the flood cannot reach it.
-	if err := h.net.Separate(region.ID(4)); err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(10)
-	if p.TableVersion() != 0 {
-		t.Fatal("dead peer received the table flood")
-	}
-	h.net.Revive(p.ID())
-	if p.TableVersion() != h.net.TableVersions()-1 {
-		t.Errorf("revived peer on table version %d, want %d",
-			p.TableVersion(), h.net.TableVersions()-1)
 	}
 }

@@ -24,8 +24,6 @@ type Peer struct {
 
 	// regionID is the peer's region as of its last mobility check.
 	regionID region.ID
-	// tableIdx is the region-table version this peer has received.
-	tableIdx int
 
 	// Flood-wave dedup: flood ID -> expiry time. Entries are pruned
 	// periodically; a flood wave is over within seconds, so a short
@@ -51,23 +49,22 @@ type Peer struct {
 // rehomeMark covers everything a non-evacuating re-homing pass reads
 // about its own peer. The pass walks the store's keys and, for each copy,
 // compares the peer's region with the copy's proper region, which is a
-// function of the copy's key, its replica rank and the peer's table
-// version. So the mark is the store's identity (Revive swaps in a fresh
-// one), its custody generation (which (key, rank) pairs it holds), the
-// peer's region and the table version. A copy's Version, TTR, UpdatedAt
-// and Size are not in it: the pass only copies them into a handoff, and
-// a pass that builds a handoff is not clean. Whether another region has a
+// function of the copy's key and its replica rank (the table never
+// changes). So the mark is the store's identity (Revive swaps in a fresh
+// one), its custody generation (which (key, rank) pairs it holds) and the
+// peer's region. A copy's Version, TTR, UpdatedAt and Size are not in
+// it: the pass only copies them into a handoff, and a pass that builds a
+// handoff is not clean. Whether another region has a
 // custodian to offer is the one input that belongs to other peers; a pass
 // that found none leaves the zero mark, which matches nothing.
 type rehomeMark struct {
 	store    *cache.Store // nil: no clean pass yet, or a copy is waiting for a custodian
 	gen      uint64
 	regionID region.ID
-	version  uint64
 }
 
 func (p *Peer) rehomeMarkNow() rehomeMark {
-	return rehomeMark{store: p.store, gen: p.store.CustodyGen(), regionID: p.regionID, version: p.table().Version()}
+	return rehomeMark{store: p.store, gen: p.store.CustodyGen(), regionID: p.regionID}
 }
 
 // newID hands out a fresh message/flood/request identifier, unique
@@ -95,28 +92,6 @@ func (p *Peer) Alive() bool { return p.net.live[p.id] }
 // RegionID returns the peer's region as of its last mobility check.
 func (p *Peer) RegionID() region.ID { return p.regionID }
 
-// table returns the region-table version this peer currently knows.
-func (p *Peer) table() *region.Table { return p.net.tables[p.tableIdx] }
-
-// TableVersion returns the peer's region-table version index.
-func (p *Peer) TableVersion() int { return p.tableIdx }
-
-// onTableUpdate adopts a disseminated region-table version and keeps the
-// flood going.
-func (p *Peer) onTableUpdate(m *message) {
-	if p.markSeen(m.FloodID) {
-		p.net.releaseMsg(m)
-		return
-	}
-	p.net.applyTable(p, m.TableIdx)
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.releaseMsg(m)
-}
-
 // Cache exposes the dynamic cache (nil when disabled).
 func (p *Peer) Cache() *cache.Cache { return p.cache }
 
@@ -134,7 +109,7 @@ func dedupID(m *message) (uint64, bool) {
 	case kindRegionalSearch:
 		return m.ID, true
 	case kindSearchFlood, kindHomeFlood, kindUpdateFlood,
-		kindInvalidate, kindPollFlood, kindTableUpdate:
+		kindInvalidate, kindPollFlood:
 		return m.FloodID, true
 	default:
 		return 0, false
@@ -216,24 +191,23 @@ func (p *Peer) scheduleMobilityCheck() {
 // checkMobility detects a region crossing and re-homes any stored keys
 // that no longer belong with this peer.
 func (p *Peer) checkMobility() {
-	r, ok := p.table().Locate(p.net.ch.Position(p.id))
+	r, ok := p.net.table.Locate(p.net.ch.Position(p.id))
 	if ok && r.ID != p.regionID {
 		p.regionID = r.ID
 		p.net.emit(trace.Event{Kind: trace.RegionChange, Node: int(p.id), Region: int(r.ID)})
 	}
 	// Re-homing runs on every check, not only on crossings: it also
-	// repairs keys adopted after failed handoffs and keys displaced by
-	// region-table changes.
+	// repairs keys adopted after failed handoffs.
 	if p.store.Len() > 0 {
 		p.rehomeKeys(false)
 	}
 }
 
-// properRegion returns the region a stored copy belongs to under the
-// current table: the key's home region for primary copies (rank 0), the
-// rank-r replica region for rank-r replica copies.
+// properRegion returns the region a stored copy belongs to: the key's
+// home region for primary copies (rank 0), the rank-r replica region for
+// rank-r replica copies.
 func (p *Peer) properRegion(it *cache.StoredItem) (region.Region, bool) {
-	return p.table().ReplicaRegionAt(it.Key, it.ReplicaRank)
+	return p.net.table.ReplicaRegionAt(it.Key, it.ReplicaRank)
 }
 
 // rehomeKeys transfers every stored copy whose proper region is not the
@@ -277,7 +251,7 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 		}
 		g := groups[proper.ID]
 		if g == nil {
-			target := p.net.peerNearestCenterExcluding(p.table(), proper.ID, p)
+			target := p.net.peerNearestCenterExcluding(proper.ID, p)
 			if target == nil {
 				if evacuate {
 					// Nobody can take these: they die with us.

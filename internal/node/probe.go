@@ -28,7 +28,7 @@ type Probe interface {
 	OnTTRSmoothed(id radio.NodeID, key workload.Key, alpha, prev, interval, next float64)
 
 	// AfterRehome fires when a peer finishes a rehomeKeys pass (mobility
-	// check, table change, or graceful quit with evacuate=true), after
+	// check, or graceful quit with evacuate=true), after
 	// all handoff messages have been issued.
 	AfterRehome(p *Peer, evacuate bool)
 }
@@ -36,12 +36,9 @@ type Probe interface {
 // SetProbe installs (or, with nil, removes) the invariant probe.
 func (n *Network) SetProbe(pr Probe) { n.probe = pr }
 
-// Table exposes the region-table version this peer currently operates on.
-func (p *Peer) Table() *region.Table { return p.table() }
-
 // HasCustodian reports whether some live peer other than exclude is
 // currently located inside the region and could adopt keys belonging to
 // it — the same eligibility rule rehomeKeys uses to pick handoff targets.
-func (n *Network) HasCustodian(t *region.Table, id region.ID, exclude *Peer) bool {
-	return n.peerNearestCenterExcluding(t, id, exclude) != nil
+func (n *Network) HasCustodian(id region.ID, exclude *Peer) bool {
+	return n.peerNearestCenterExcluding(id, exclude) != nil
 }

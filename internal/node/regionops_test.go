@@ -4,82 +4,8 @@ import (
 	"testing"
 
 	"precinct/internal/radio"
-	"precinct/internal/region"
 	"precinct/internal/workload"
 )
-
-func TestMergeRelocatesAndServes(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	// Regions 0 and 1 are adjacent in the 3x3 grid.
-	if err := h.net.Merge(region.ID(0), region.ID(1)); err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(20)
-	if h.net.Table().Len() != 8 {
-		t.Fatalf("table has %d regions after merge", h.net.Table().Len())
-	}
-	if h.net.TableVersions() != 2 {
-		t.Fatalf("table versions = %d, want 2", h.net.TableVersions())
-	}
-	// The dissemination flood must have reached every live peer.
-	for i := 0; i < h.net.Peers(); i++ {
-		if v := h.net.Peer(radio.NodeID(i)).TableVersion(); v != 1 {
-			t.Fatalf("peer %d still on table version %d", i, v)
-		}
-	}
-	// Requests across the board still succeed.
-	completed := 0
-	for i, k := range h.cat.Keys()[:20] {
-		p := h.requesterFor(t, k)
-		h.net.RequestFrom(p.ID(), k)
-		h.sched.Run(20 + float64(10*(i+1)))
-	}
-	rep := h.net.Report()
-	completed = int(rep.Completed)
-	if completed < 18 {
-		t.Errorf("only %d/20 requests completed after merge: %+v", completed, rep)
-	}
-}
-
-func TestMergeInvalidArgsPropagate(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	if err := h.net.Merge(region.ID(0), region.ID(8)); err == nil {
-		t.Error("non-adjacent merge accepted")
-	}
-	if err := h.net.Separate(region.ID(99)); err == nil {
-		t.Error("separate of unknown region accepted")
-	}
-}
-
-func TestSeparateMovesKeysToProperNewHomes(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	if err := h.net.Separate(region.ID(4)); err != nil { // center region
-		t.Fatal(err)
-	}
-	// Let the routed relocations and a few mobility checks drain.
-	h.sched.Run(30)
-	// Every primary store copy must now sit with a peer whose current
-	// region matches the key's home region (or be in flight — none
-	// after draining).
-	table := h.net.Table()
-	misplaced := 0
-	for i := 0; i < h.net.Peers(); i++ {
-		p := h.net.Peer(radio.NodeID(i))
-		for _, k := range p.Store().Keys() {
-			it, _ := p.Store().Get(k)
-			want, ok := table.ReplicaRegionAt(k, it.ReplicaRank)
-			if !ok {
-				continue
-			}
-			if want.ID != p.RegionID() {
-				misplaced++
-			}
-		}
-	}
-	if misplaced > 10 {
-		t.Errorf("%d store copies still misplaced after separate + relocation", misplaced)
-	}
-}
 
 func TestQuitIntoEmptyRegionLosesKeysGracefully(t *testing.T) {
 	h := build(t, defaultHarnessOpts())

@@ -45,8 +45,8 @@ func ranPass(t *testing.T, p *Peer) bool {
 
 // TestRehomeSkipsOnlyProvablyCleanPasses walks one custodian through
 // every input a re-homing pass depends on: a clean pass is skipped until
-// the copies held (which keys, at which ranks), the peer's region or the
-// partition change, new values written over held copies change nothing,
+// the copies held (which keys, at which ranks) or the peer's region
+// change, new values written over held copies change nothing,
 // and the probe hears about skipped passes too. Copies left waiting for
 // a custodian and evacuation have tests of their own below.
 func TestRehomeSkipsOnlyProvablyCleanPasses(t *testing.T) {
@@ -144,25 +144,6 @@ func TestRehomeSkipsOnlyProvablyCleanPasses(t *testing.T) {
 		t.Fatal("a pass after a region change was skipped")
 	}
 	p.regionID = home
-	h.sched.Run(h.sched.Now() + 5)
-
-	// A new partition version: the pass runs even though the store and
-	// the region ID are what they were.
-	q := custodianWithKeys(t, h)
-	q.checkMobility()
-	if ranPass(t, q) {
-		t.Fatal("setup: peer did not settle before the table change")
-	}
-	if err := h.net.Separate(q.regionID); err != nil {
-		t.Fatal(err)
-	}
-	h.sched.Run(h.sched.Now() + 5)
-	if q.tableIdx == 0 {
-		t.Fatal("the table update did not reach the peer")
-	}
-	if q.settled.version != q.table().Version() {
-		t.Fatal("the pass applyTable ran did not record the new partition version")
-	}
 }
 
 // TestRehomeRetriesWhileACopyWaits: when a copy's proper region has no

@@ -161,7 +161,7 @@ func (n *Network) startRegionalPhase(p *Peer, req *pendingReq) {
 // startHomePhase routes the request toward the key's home region. It
 // reports whether the request could leave the requester.
 func (n *Network) startHomePhase(p *Peer, req *pendingReq) bool {
-	home, ok := p.table().HomeRegion(req.key)
+	home, ok := p.net.table.HomeRegion(req.key)
 	if !ok {
 		return false
 	}
@@ -194,7 +194,7 @@ func (n *Network) startHomePhase(p *Peer, req *pendingReq) bool {
 // retried if a later phase falls back here again.
 func (n *Network) startReplicaPhase(p *Peer, req *pendingReq) bool {
 	for r := req.replicaRank + 1; r <= n.cfg.Replicas; r++ {
-		rep, ok := p.table().ReplicaRegionAt(req.key, r)
+		rep, ok := p.net.table.ReplicaRegionAt(req.key, r)
 		if !ok || rep.ID == p.regionID {
 			continue
 		}
@@ -430,7 +430,7 @@ func (p *Peer) onRegionalSearch(m *message) {
 // floods the request locally. En-route peers with a fresh copy answer
 // directly when enabled.
 func (p *Peer) onRoutedSearch(m *message) {
-	if p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
+	if p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		// Rewrite the routed request into the localized flood in place.
 		// The flood ID is drawn (and marked) before the local lookup so
 		// the deterministic ID sequence matches the reference path,
@@ -465,7 +465,7 @@ func (p *Peer) onHomeFlood(m *message) {
 		p.net.releaseMsg(m)
 		return
 	}
-	if !p.table().Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
+	if !p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
 		p.net.releaseMsg(m)
 		return
 	}
@@ -559,8 +559,8 @@ func (n *Network) admitToCache(p *Peer, m *message, now float64) {
 		return
 	}
 	var regDist float64
-	if home, ok := p.table().HomeRegion(m.Key); ok {
-		regDist = p.table().RegionDistance(p.regionID, home.ID)
+	if home, ok := p.net.table.HomeRegion(m.Key); ok {
+		regDist = p.net.table.RegionDistance(p.regionID, home.ID)
 	}
 	expiry := cache.NeverExpires
 	if n.cfg.Consistency.Scheme == consistency.PushAdaptivePull {

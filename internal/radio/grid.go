@@ -20,26 +20,25 @@
 //     N nodes, one run of slots per cell row.
 //
 // Mobility makes the grid stale the moment it is built. Rather than
-// rebuilding per event, the index exploits mobility.SpeedBounded: a node
-// can have drifted at most maxSpeed·age meters since the snapshot, so a
-// query with radius Range+drift over snapshot positions provably
-// includes every true neighbor. The rebuild keeps each node's snapshot
-// position next to its slot (grid.snap, in float32), so the query
-// applies that radius per candidate, not just per cell, before it looks
-// at anything else: a candidate further than Range+drift (plus snapGuard
-// and snapSlack, which cover the rounding) from the querier at the
-// snapshot cannot be in range now and costs one load and a compare.
-// Exact membership is then decided with current (epoch-cached) positions
-// of the few that remain. The grid is rebuilt only when drift exceeds a
-// slack of Range/4. Models with unbounded speeds fall back to a rebuild
-// per distinct event time, which still amortizes all same-instant
-// queries. With beaconing enabled
-// the grid indexes *observed* (beacon) positions, which change only at
-// beacon refreshes; a refresh that moves a node across a cell boundary
-// invalidates the snapshot, so the next query rebuilds — batched beacon
-// refreshes cost one rebuild. A refresh that stays inside the cell moves
-// the node with no bound the snapshot knows of, so beaconed grids keep
-// no snapshot positions and skip the per-candidate pre-filter.
+// rebuilding per event, the index exploits the mobility model's speed
+// bound (mobility.Model.MaxSpeed): a node can have drifted at most
+// maxSpeed·age meters since the snapshot, so a query with radius
+// Range+drift over snapshot positions provably includes every true
+// neighbor. The rebuild keeps each node's snapshot position next to its
+// slot (grid.snap, in float32), so the query applies that radius per
+// candidate, not just per cell, before it looks at anything else: a
+// candidate further than Range+drift (plus snapGuard and snapSlack,
+// which cover the rounding) from the querier at the snapshot cannot be
+// in range now and costs one load and a compare. Exact membership is
+// then decided with current (epoch-cached) positions of the few that
+// remain. The grid is rebuilt only when drift exceeds a slack of
+// Range/4. With beaconing enabled the grid indexes *observed* (beacon)
+// positions, which change only at beacon refreshes; a refresh that moves
+// a node across a cell boundary invalidates the snapshot, so the next
+// query rebuilds — batched beacon refreshes cost one rebuild. A refresh
+// that stays inside the cell moves the node with no bound the snapshot
+// knows of, so beaconed grids keep no snapshot positions and skip the
+// per-candidate pre-filter.
 //
 // Matches are node indices collected in a scratch list and put in
 // ascending order by sortMatches — an insertion sort for the dozen a
@@ -81,7 +80,7 @@ type grid struct {
 	cell     float64 // index cell side; starts at Range/2, doubles if spread demands
 	invCell  float64
 	slack    float64 // rebuild once drift exceeds this (Range/4)
-	maxSpeed float64 // +Inf when the mobility model has no speed bound
+	maxSpeed float64 // the mobility model's speed bound, m/s
 
 	// Dense cell addressing: cell (cx, cy) maps to row-major index
 	// (cy-minCy)*w + (cx-minCx); cells outside the [min, min+w/h) box

@@ -22,7 +22,6 @@ package radio
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"precinct/internal/energy"
@@ -278,11 +277,7 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 	if cfg.Collisions {
 		ch.rxBusyUntil = make([]float64, mob.Len())
 	}
-	maxSpeed := math.Inf(1)
-	if sb, ok := mob.(mobility.SpeedBounded); ok {
-		maxSpeed = sb.MaxSpeed()
-	}
-	ch.grid = newGrid(mob.Len(), cfg.Range, maxSpeed, cfg.BeaconInterval > 0)
+	ch.grid = newGrid(mob.Len(), cfg.Range, mob.MaxSpeed(), cfg.BeaconInterval > 0)
 	return ch, nil
 }
 

@@ -425,7 +425,7 @@ func TestBeaconStaleness(t *testing.T) {
 	first := ch.ObservedPosition(1)
 	// Advance 5 s (within the beacon interval): observed must not move.
 	sched.At(5, func() {
-		if got := ch.ObservedPosition(1); !got.Equal(first) {
+		if got := ch.ObservedPosition(1); got != first {
 			t.Errorf("observed position moved within the beacon interval")
 		}
 		// True position has moved ~50 m.
@@ -435,7 +435,7 @@ func TestBeaconStaleness(t *testing.T) {
 	})
 	// After the interval, the observation refreshes.
 	sched.At(11, func() {
-		if got := ch.ObservedPosition(1); got.Equal(first) {
+		if got := ch.ObservedPosition(1); got == first {
 			t.Errorf("observed position did not refresh after the interval")
 		}
 	})
@@ -445,7 +445,7 @@ func TestBeaconStaleness(t *testing.T) {
 func TestBeaconZeroIsPerfectKnowledge(t *testing.T) {
 	mob := lineTopology(t, 2, 100)
 	ch, _, _ := newChannel(t, DefaultConfig(), mob, false)
-	if !ch.ObservedPosition(1).Equal(ch.Position(1)) {
+	if ch.ObservedPosition(1) != ch.Position(1) {
 		t.Error("without beaconing, observed position must be true position")
 	}
 }

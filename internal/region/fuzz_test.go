@@ -155,33 +155,5 @@ func FuzzRegionForPoint(f *testing.F) {
 				t.Fatalf("Locate(%v) = %d but lower region %d contains it", p, int(r.ID), int(cand.ID))
 			}
 		}
-
-		// The same laws hold for a Voronoi partition built from the grid's
-		// centers.
-		seeds := make([]geo.Point, 0, tab.Len())
-		for _, reg := range tab.Regions() {
-			seeds = append(seeds, reg.Center())
-		}
-		if len(seeds) >= 2 {
-			vor, err := NewVoronoi(tab.Area(), seeds)
-			if err != nil {
-				t.Fatalf("NewVoronoi: %v", err)
-			}
-			vr, ok := vor.Locate(p)
-			if !ok {
-				t.Fatalf("voronoi Locate(%v) failed", p)
-			}
-			if !vor.Contains(vr.ID, p) {
-				t.Fatalf("voronoi Contains(%d, %v) = false for the located region", int(vr.ID), p)
-			}
-			// Nearest-center law.
-			best := vr.Center().Dist2(p)
-			for _, cand := range vor.Regions() {
-				if d := cand.Center().Dist2(p); d < best {
-					t.Fatalf("voronoi Locate(%v) = %v (d²=%g), but %v is closer (d²=%g)",
-						p, vr, best, cand, d)
-				}
-			}
-		}
 	})
 }

@@ -45,11 +45,9 @@ func refLocate(t *Table, p geo.Point) (Region, bool) {
 	if len(t.regions) == 0 {
 		return Region{}, false
 	}
-	if !t.voronoi {
-		for _, r := range t.regions {
-			if r.Bounds.Contains(p) {
-				return r, true
-			}
+	for _, r := range t.regions {
+		if r.Bounds.Contains(p) {
+			return r, true
 		}
 	}
 	return refNearestCenter(t, p, nil), true
@@ -150,7 +148,7 @@ func checkAgainstScans(t *testing.T, name string, tab *Table) {
 			excl = append(excl, got.ID)
 		}
 	}
-	for id := ID(-2); id <= tab.nextID+1; id++ {
+	for id := ID(-2); id <= ID(len(tab.regions))+1; id++ {
 		got, ok := tab.Region(id)
 		want, wok := refRegion(tab, id)
 		if ok != wok || got != want {
@@ -160,9 +158,6 @@ func checkAgainstScans(t *testing.T, name string, tab *Table) {
 }
 
 func refContains(t *Table, id ID, p geo.Point) bool {
-	if t.voronoi {
-		return refNearestCenter(t, p, nil).ID == id
-	}
 	r, ok := refRegion(t, id)
 	return ok && r.Bounds.Contains(p)
 }
@@ -197,96 +192,6 @@ func TestGridIndexMatchesScans(t *testing.T) {
 		}
 		checkAgainstScans(t, fmt.Sprintf("NewGridN(%d) = %dx%d", n, tab.grid.rows, tab.grid.cols), tab)
 	}
-}
-
-// TestGridIndexFollowsMutations: every mutator must leave the index
-// matching the regions — which for a table that is no longer NewGrid's
-// output means dropping it — and Clone must carry it. A stale index
-// would answer for the partition before the change.
-func TestGridIndexFollowsMutations(t *testing.T) {
-	fresh := func() *Table {
-		tab, err := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(1500, 1500)), 15, 15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	settle := func(name string, tab *Table, indexed bool) {
-		t.Helper()
-		for _, v := range []struct {
-			how string
-			tab *Table
-		}{{"", tab}, {" (clone)", tab.Clone()}} {
-			if (v.tab.grid.cols > 0) != indexed {
-				t.Fatalf("%s%s: index present = %v, want %v", name, v.how, v.tab.grid.cols > 0, indexed)
-			}
-			checkAgainstScans(t, name+v.how, v.tab)
-		}
-	}
-
-	tab := fresh()
-	settle("unmutated", tab, true)
-
-	a, b, err := tab.Separate(112)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settle("after Separate", tab, false)
-	if _, err := tab.Merge(a.ID, b.ID); err != nil {
-		t.Fatal(err)
-	}
-	// The merged region covers the old cell but carries a new ID: the
-	// partition is a grid again geometrically, not NewGrid's output.
-	settle("after Merge", tab, false)
-
-	tab = fresh()
-	if _, err := tab.Merge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	settle("after Merge of two cells", tab, false)
-
-	tab = fresh()
-	if _, err := tab.Merge(223, 224); err != nil { // the last two: the other IDs stay dense
-		t.Fatal(err)
-	}
-	settle("after Merge of the last two cells", tab, false)
-}
-
-// TestVoronoiTablesScan: Voronoi tables never carry the index, and their
-// lookups equal the references too.
-func TestVoronoiTablesScan(t *testing.T) {
-	area := geo.NewRect(geo.Pt(0, 0), geo.Pt(1200, 900))
-	rng := rand.New(rand.NewSource(5))
-	seeds := make([]geo.Point, 40)
-	for i := range seeds {
-		seeds[i] = geo.Pt(rng.Float64()*1200, rng.Float64()*900)
-	}
-	tab, err := NewVoronoi(area, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.grid.cols != 0 {
-		t.Fatalf("voronoi table built a grid index %+v", tab.grid)
-	}
-	checkAgainstScans(t, "voronoi", tab)
-
-	// Seeds on a lattice: centers coincide with a grid's, geometry does not.
-	grid, err := NewGrid(area, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lattice []geo.Point
-	for _, r := range grid.Regions() {
-		lattice = append(lattice, r.Center())
-	}
-	vor, err := NewVoronoi(area, lattice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vor.grid.cols != 0 {
-		t.Fatalf("lattice voronoi table built a grid index %+v", vor.grid)
-	}
-	checkAgainstScans(t, "lattice voronoi", vor)
 }
 
 // TestDegenerateGridsHaveNoIndex: where float rounding leaves cells

@@ -2,26 +2,21 @@
 // service area into geographic regions, the region table every peer
 // carries, the geographic hash mapping each data key to a location — and
 // through it to a home region (nearest region center) and a replica
-// region (second nearest) — and the table-maintenance operations
-// adaptive region management uses, Merge and Separate. The paper's Add
-// and Delete, which grow and shrink the service area, are not modelled:
-// the simulated area is fixed.
-//
-// The table is versioned: every mutation bumps the version, which is what
-// peers disseminate so that key relocation can be triggered when the
-// partition changes.
+// region (second nearest). The partition is the paper's: the area
+// "divided into equal sized regions", fixed for the whole run. The
+// paper's table-maintenance operations (Add, Delete, Merge, Separate)
+// are not modelled.
 package region
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"precinct/internal/geo"
 	"precinct/internal/workload"
 )
 
-// ID identifies a region. IDs are never reused after Merge/Separate.
+// ID identifies a region: its row-major index in the grid.
 type ID int
 
 // Invalid is the zero-ish sentinel for "no region".
@@ -44,26 +39,15 @@ func (r Region) String() string {
 	return fmt.Sprintf("R%d%v", int(r.ID), r.Bounds)
 }
 
-// Table is the region table each peer keeps. One run typically shares a
-// single table across peers (the paper assumes dissemination keeps them
-// consistent); Clone supports testing divergence.
-//
-// Two partition geometries are supported: rectangular grids (regions own
-// their Bounds; the default) and Voronoi partitions (a point belongs to
-// the region with the nearest center — the paper's "region whose center
-// location is closest"). Merge/Separate apply only to rectangular
-// partitions.
+// Table is the region table each peer keeps. A run builds one table and
+// every peer and every shard shares it read-only: the partition never
+// changes, so there is nothing to disseminate.
 type Table struct {
 	area    geo.Rect
-	regions []Region // sorted by ID
-	nextID  ID
-	version uint64
-	voronoi bool
+	regions []Region // region i has ID i
 
-	// grid is the lookup index: set exactly while the regions are the
-	// untouched output of NewGrid over the current area, zero otherwise.
-	// Every constructor and mutator ends in reindex, never a reader — one
-	// table is shared read-only by every peer and every shard.
+	// grid is the lookup index, zero when the grid's float error is too
+	// large for it and lookups scan (see index).
 	grid gridIndex
 }
 
@@ -83,39 +67,20 @@ func gridBounds(area geo.Rect, cw, ch float64, r, c int) geo.Rect {
 	return geo.NewRect(lo, hi)
 }
 
-// reindex rebuilds or drops the grid index to match the regions. The
-// index is kept only when the table is observably a NewGrid partition:
-// region i has ID i and, bit for bit, the bounds NewGrid computes for
-// row i/cols, column i%cols of the current area. The remaining checks
-// bound the float error the 3×3 lookup tolerates: cells within a
-// millionth of their nominal size (so the arithmetic cell is off by at
-// most one and neighbouring centers are evenly spaced) and spans whose
-// squares neither overflow nor vanish. Anything else — Voronoi, a table
-// after Merge/Separate — has no index and scans.
-func (t *Table) reindex() {
-	t.grid = gridIndex{}
-	n := len(t.regions)
-	if t.voronoi || n == 0 {
-		return
-	}
-	cols := 1
-	for cols < n && t.regions[cols].Bounds.Min.Y == t.regions[0].Bounds.Min.Y {
-		cols++
-	}
-	if n%cols != 0 {
-		return
-	}
-	rows := n / cols
-	w, h := t.area.Width(), t.area.Height()
-	cw, ch := w/float64(cols), h/float64(rows)
+// index builds the grid index of a rows×cols table whose cells are cw×ch,
+// or leaves it zero when the grid's float error is more than the 3×3
+// lookup tolerates: it needs cells within a millionth of their nominal
+// size (so the arithmetic cell is off by at most one and neighbouring
+// centers are evenly spaced) and spans whose squares neither overflow
+// nor vanish.
+func (t *Table) index(rows, cols int, cw, ch float64) {
 	const tiny, huge = 1e-100, 1e100
-	if !(cw >= tiny && ch >= tiny && w <= huge && h <= huge) {
+	if !(cw >= tiny && ch >= tiny && t.area.Width() <= huge && t.area.Height() <= huge) {
 		return
 	}
-	for i, r := range t.regions {
-		b := gridBounds(t.area, cw, ch, i/cols, i%cols)
-		if r.ID != ID(i) || r.Bounds != b ||
-			!(math.Abs(b.Width()-cw) <= 1e-6*cw && math.Abs(b.Height()-ch) <= 1e-6*ch) {
+	for _, r := range t.regions {
+		b := r.Bounds
+		if !(math.Abs(b.Width()-cw) <= 1e-6*cw && math.Abs(b.Height()-ch) <= 1e-6*ch) {
 			return
 		}
 	}
@@ -149,56 +114,20 @@ func NewGrid(area geo.Rect, rows, cols int) (*Table, error) {
 	if area.Width() <= 0 || area.Height() <= 0 {
 		return nil, fmt.Errorf("region: degenerate area %v", area)
 	}
-	t := &Table{area: area}
+	t := &Table{area: area, regions: make([]Region, 0, rows*cols)}
 	cw := area.Width() / float64(cols)
 	ch := area.Height() / float64(rows)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			t.regions = append(t.regions, Region{ID: t.nextID, Bounds: gridBounds(area, cw, ch, r, c)})
-			t.nextID++
+			t.regions = append(t.regions, Region{ID: ID(len(t.regions)), Bounds: gridBounds(area, cw, ch, r, c)})
 		}
 	}
-	t.reindex()
+	t.index(rows, cols, cw, ch)
 	return t, nil
 }
 
-// NewVoronoi partitions the area into the Voronoi cells of the given
-// seed points: every location belongs to the region whose center (seed)
-// is nearest. Region bounds are stored as the full area; containment
-// must go through Table.Contains. At least two seeds are required.
-func NewVoronoi(area geo.Rect, seeds []geo.Point) (*Table, error) {
-	if len(seeds) < 2 {
-		return nil, fmt.Errorf("region: voronoi partition needs at least two seeds, got %d", len(seeds))
-	}
-	if area.Width() <= 0 || area.Height() <= 0 {
-		return nil, fmt.Errorf("region: degenerate area %v", area)
-	}
-	t := &Table{area: area, voronoi: true}
-	for _, seed := range seeds {
-		if !area.Contains(seed) {
-			return nil, fmt.Errorf("region: voronoi seed %v outside area %v", seed, area)
-		}
-		c := seed // center encoded via a degenerate anchor below
-		t.regions = append(t.regions, Region{
-			ID: t.nextID,
-			// A zero-area rect at the seed makes Center() return the
-			// seed itself; spatial extent is defined by Contains.
-			Bounds: geo.NewRect(c, c),
-		})
-		t.nextID++
-	}
-	return t, nil
-}
-
-// Voronoi reports whether the table is a Voronoi partition.
-func (t *Table) Voronoi() bool { return t.voronoi }
-
-// Contains reports whether the point belongs to the region: inside its
-// bounds for grid partitions, nearest-center for Voronoi partitions.
+// Contains reports whether the point lies inside the region's bounds.
 func (t *Table) Contains(id ID, p geo.Point) bool {
-	if t.voronoi {
-		return t.nearestCenter(p, Invalid).ID == id
-	}
 	r, ok := t.Region(id)
 	return ok && r.Bounds.Contains(p)
 }
@@ -233,9 +162,6 @@ func (t *Table) Area() geo.Rect { return t.area }
 // Len returns the number of active regions.
 func (t *Table) Len() int { return len(t.regions) }
 
-// Version returns the table version; it increases on every mutation.
-func (t *Table) Version() uint64 { return t.version }
-
 // Regions returns a copy of the active regions, sorted by ID.
 func (t *Table) Regions() []Region {
 	out := make([]Region, len(t.regions))
@@ -245,41 +171,22 @@ func (t *Table) Regions() []Region {
 
 // Region looks a region up by ID.
 func (t *Table) Region(id ID) (Region, bool) {
-	i := t.indexOf(id)
-	if i < 0 {
+	if id < 0 || int(id) >= len(t.regions) {
 		return Region{}, false
 	}
-	return t.regions[i], true
+	return t.regions[id], true
 }
 
-func (t *Table) indexOf(id ID) int {
-	// IDs are dense until the first Merge/Separate: probe the slot
-	// the ID names before searching.
-	if i := int(id); i >= 0 && i < len(t.regions) && t.regions[i].ID == id {
-		return i
-	}
-	i := sort.Search(len(t.regions), func(i int) bool { return t.regions[i].ID >= id })
-	if i < len(t.regions) && t.regions[i].ID == id {
-		return i
-	}
-	return -1
-}
-
-// Locate returns the region containing the point. Grid partitions use
-// bounds, and the boundary rule is fixed: rectangles are closed, so a
-// point on a shared edge or corner lies in every region touching it, and
-// the lowest ID among them wins. Points outside every region fall back
-// to the nearest center so that nodes that wander off the partition
-// still have a home; Voronoi partitions are nearest-center by
-// definition. On an indexed table only the 3×3 block of cells around the
-// point is examined, in the same ascending-ID order with the same
-// containment test.
+// Locate returns the region containing the point. The boundary rule is
+// fixed: rectangles are closed, so a point on a shared edge or corner
+// lies in every region touching it, and the lowest ID among them wins.
+// Points outside every region fall back to the nearest center so that
+// nodes that wander off the partition still have a home. On an indexed
+// table only the 3×3 block of cells around the point is examined, in the
+// same ascending-ID order with the same containment test.
 func (t *Table) Locate(p geo.Point) (Region, bool) {
 	if len(t.regions) == 0 {
 		return Region{}, false
-	}
-	if t.voronoi {
-		return t.nearestCenter(p, Invalid), true
 	}
 	r0, r1, c0, c1, stride := t.block(p)
 	for r := r0; r <= r1; r++ {
@@ -343,8 +250,8 @@ const MaxReplicaRank = 8
 // region (nearest center to the hash location), rank r ≥ 1 the (r+1)-th
 // nearest center, so rank 1 is the paper's replica region (Section 2.4).
 // Ties order by ID, exactly like the home lookup. The ranking is a pure
-// function of the table and the key, so custody of a rank-r copy stays
-// recomputable after table changes exactly like the home region. ok is
+// function of the table and the key, so custody of a rank-r copy is
+// recomputable anywhere exactly like the home region. ok is
 // false for negative ranks, ranks above MaxReplicaRank, and ranks the
 // table is too small for.
 func (t *Table) ReplicaRegionAt(k workload.Key, rank int) (Region, bool) {
@@ -397,85 +304,10 @@ func (t *Table) nearestCenterExcluding(p geo.Point, exclude []ID) Region {
 	return best
 }
 
-// Merge replaces two adjacent regions with one region covering both;
-// rectangular partitions only. The
-// regions must tile their union exactly (no gaps, no overlap beyond the
-// shared edge), otherwise the merged rectangle would claim territory
-// belonging to other regions.
-func (t *Table) Merge(a, b ID) (Region, error) {
-	if t.voronoi {
-		return Region{}, fmt.Errorf("region: Merge is not defined for voronoi partitions")
-	}
-	ia, ib := t.indexOf(a), t.indexOf(b)
-	if ia < 0 || ib < 0 {
-		return Region{}, fmt.Errorf("region: Merge of unknown region (%d, %d)", int(a), int(b))
-	}
-	if a == b {
-		return Region{}, fmt.Errorf("region: Merge of region %d with itself", int(a))
-	}
-	ra, rb := t.regions[ia], t.regions[ib]
-	u := ra.Bounds.Union(rb.Bounds)
-	if diff := u.Area() - (ra.Bounds.Area() + rb.Bounds.Area()); diff > 1e-6*u.Area() {
-		return Region{}, fmt.Errorf("region: %v and %v do not tile their union; cannot merge", ra, rb)
-	}
-	merged := Region{ID: t.nextID, Bounds: u}
-	t.nextID++
-	// Remove both (higher index first), then append.
-	if ia < ib {
-		ia, ib = ib, ia
-	}
-	t.regions = append(t.regions[:ia], t.regions[ia+1:]...)
-	t.regions = append(t.regions[:ib], t.regions[ib+1:]...)
-	t.regions = append(t.regions, merged)
-	t.version++
-	t.reindex()
-	return merged, nil
-}
-
-// Separate splits a region into two halves along its longer axis and
-// returns the two new regions.
-func (t *Table) Separate(id ID) (Region, Region, error) {
-	if t.voronoi {
-		return Region{}, Region{}, fmt.Errorf("region: Separate is not defined for voronoi partitions")
-	}
-	i := t.indexOf(id)
-	if i < 0 {
-		return Region{}, Region{}, fmt.Errorf("region: Separate of unknown region %d", int(id))
-	}
-	old := t.regions[i]
-	var b1, b2 geo.Rect
-	if old.Bounds.Width() >= old.Bounds.Height() {
-		mid := old.Bounds.Min.X + old.Bounds.Width()/2
-		b1 = geo.NewRect(old.Bounds.Min, geo.Pt(mid, old.Bounds.Max.Y))
-		b2 = geo.NewRect(geo.Pt(mid, old.Bounds.Min.Y), old.Bounds.Max)
-	} else {
-		mid := old.Bounds.Min.Y + old.Bounds.Height()/2
-		b1 = geo.NewRect(old.Bounds.Min, geo.Pt(old.Bounds.Max.X, mid))
-		b2 = geo.NewRect(geo.Pt(old.Bounds.Min.X, mid), old.Bounds.Max)
-	}
-	r1 := Region{ID: t.nextID, Bounds: b1}
-	r2 := Region{ID: t.nextID + 1, Bounds: b2}
-	t.nextID += 2
-	t.regions = append(t.regions[:i], t.regions[i+1:]...)
-	t.regions = append(t.regions, r1, r2)
-	t.version++
-	t.reindex()
-	return r1, r2, nil
-}
-
-// Clone returns an independent copy of the table.
-func (t *Table) Clone() *Table {
-	cp := &Table{area: t.area, nextID: t.nextID, version: t.version, voronoi: t.voronoi, grid: t.grid}
-	cp.regions = make([]Region, len(t.regions))
-	copy(cp.regions, t.regions)
-	return cp
-}
-
 // CheckInvariants verifies the table's structural invariants: at least
-// one region, regions strictly sorted by ID (IDs are never reused, so
-// every ID is below nextID), region bounds lying inside the service area,
-// and — for grid partitions — positive region area. The invariant runner
-// calls this on every sweep.
+// one region, region i carrying ID i, region bounds lying inside the
+// service area, and positive region area. The invariant runner calls
+// this on every sweep.
 func (t *Table) CheckInvariants() error {
 	if len(t.regions) == 0 {
 		return fmt.Errorf("region: table has no regions")
@@ -483,16 +315,11 @@ func (t *Table) CheckInvariants() error {
 	if t.area.Width() <= 0 || t.area.Height() <= 0 {
 		return fmt.Errorf("region: degenerate service area %v", t.area)
 	}
-	prev := Invalid
-	for _, r := range t.regions {
-		if r.ID <= prev {
-			return fmt.Errorf("region: IDs not strictly increasing (%d after %d)", int(r.ID), int(prev))
+	for i, r := range t.regions {
+		if r.ID != ID(i) {
+			return fmt.Errorf("region: region %d at index %d", int(r.ID), i)
 		}
-		prev = r.ID
-		if r.ID >= t.nextID {
-			return fmt.Errorf("region: region %d at or above nextID %d", int(r.ID), int(t.nextID))
-		}
-		if !t.voronoi && (r.Bounds.Width() <= 0 || r.Bounds.Height() <= 0) {
+		if r.Bounds.Width() <= 0 || r.Bounds.Height() <= 0 {
 			return fmt.Errorf("region: %v has degenerate bounds", r)
 		}
 		u := t.area.Union(r.Bounds)

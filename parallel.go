@@ -6,7 +6,7 @@ package precinct
 // The node population is sliced into Scenario.Shards spatial shards, each
 // owning a replica of the simulation world — scheduler, radio channel,
 // mobility model, energy meter, metrics collector, trace buffer — that
-// shares the protocol state (peers, region tables, key ground truth) with
+// shares the protocol state (peers, region table, key ground truth) with
 // every other shard. Shard workers execute their peers' events
 // concurrently inside windows bounded by the minimum radio frame delay:
 // within such a window no transmission can reach another node, so no

@@ -216,24 +216,23 @@ func TestParallelShardAssignmentCountSplit(t *testing.T) {
 }
 
 // TestWithShardsTransform pins the fuzzgen shard axis: the transform
-// must clear the knobs the sharded envelope forbids, tag the name with
+// must clear the knob the sharded envelope forbids, tag the name with
 // the shard count, and leave the base draws untouched.
 func TestWithShardsTransform(t *testing.T) {
 	base := fuzzgen.Expand(3)
 	base.BeaconInterval = 2
-	base.AdaptiveRegions = true
 	for _, shards := range fuzzgen.ShardCounts {
 		v := fuzzgen.WithShards(base, shards)
 		if v.Shards != shards {
 			t.Fatalf("shards not applied: %d", v.Shards)
 		}
-		if v.BeaconInterval != 0 || v.AdaptiveRegions {
-			t.Error("WithShards must clear the forbidden knobs")
+		if v.BeaconInterval != 0 {
+			t.Error("WithShards must clear the forbidden knob")
 		}
 		if want := fmt.Sprintf("%s/shards%d", base.Name, shards); v.Name != want {
 			t.Errorf("name = %q, want %q", v.Name, want)
 		}
-		v.Name, v.Shards, v.BeaconInterval, v.AdaptiveRegions = base.Name, base.Shards, base.BeaconInterval, base.AdaptiveRegions
+		v.Name, v.Shards, v.BeaconInterval = base.Name, base.Shards, base.BeaconInterval
 		if !reflect.DeepEqual(v, base) {
 			t.Error("WithShards changed a base draw")
 		}

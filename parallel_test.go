@@ -14,11 +14,10 @@ import (
 )
 
 // parallelize normalizes a generated scenario into the sharded-execution
-// envelope: sharded runs require perfect location knowledge and static
-// regions, so those knobs are cleared before comparing modes.
+// envelope: sharded runs require perfect location knowledge, so
+// beaconing is cleared before comparing modes.
 func parallelize(s precinct.Scenario, shards int) precinct.Scenario {
 	s.BeaconInterval = 0
-	s.AdaptiveRegions = false
 	s.Shards = shards
 	return s
 }
@@ -171,7 +170,6 @@ func TestParallelScenarioValidation(t *testing.T) {
 		want   string
 	}{
 		{"beaconing", func(s *precinct.Scenario) { s.BeaconInterval = 1 }, validate, "perfect location knowledge"},
-		{"adaptive-regions", func(s *precinct.Scenario) { s.AdaptiveRegions = true }, validate, "adaptive region management"},
 		{"non-default-workload", func(s *precinct.Scenario) { s.Workload = "flash-crowd" }, validate, "only the default workload"},
 		{"more-shards-than-nodes", func(s *precinct.Scenario) { s.Shards = s.Nodes + 1 }, validate, "shards exceed"},
 		{"negative-shards", func(s *precinct.Scenario) { s.Shards = -1 }, validate, "shards must be non-negative"},

@@ -52,21 +52,15 @@ type Scenario struct {
 	Nodes int
 	// AreaSide is the side of the square service area in meters.
 	AreaSide float64
-	// Regions is the number of grid regions the area is divided into
-	// (perfect squares and products of small factors work best).
+	// Regions is the number of equal grid regions the area is divided
+	// into (perfect squares and products of small factors work best).
+	// The partition is fixed for the whole run.
 	Regions int
-	// VoronoiRegions partitions the area into the Voronoi cells of
-	// Regions random seed points instead of a rectangular grid — the
-	// paper's more general "center point and perimeter vertices" region
-	// shape. Merge/Separate and adaptive management require the grid.
-	VoronoiRegions bool
 
-	// MobilityModel is "waypoint" (random waypoint), "static" (a
-	// jittered static grid, the Section 6.2.3 validation topology),
-	// "random-walk" or "gauss-markov".
+	// MobilityModel is "waypoint" (random waypoint) or "static" (a
+	// jittered static grid, the Section 6.2.3 validation topology).
 	MobilityModel string
-	// MaxSpeed is the waypoint / random-walk maximum (and Gauss-Markov
-	// mean) speed in m/s.
+	// MaxSpeed is the waypoint maximum speed in m/s.
 	MaxSpeed float64
 	// Pause is the waypoint pause time in seconds.
 	Pause float64
@@ -153,17 +147,6 @@ type Scenario struct {
 	// Faults injects node failures at given simulation times.
 	Faults []Fault
 
-	// AdaptiveRegions turns on dynamic region management (the paper's
-	// future work): regions holding more than AdaptiveSplitAbove live
-	// peers are split, adjacent region pairs holding fewer than
-	// AdaptiveMergeBelow combined are merged, re-inspected every
-	// AdaptiveInterval seconds. Zero thresholds/interval keep the
-	// controller defaults.
-	AdaptiveRegions    bool
-	AdaptiveInterval   float64
-	AdaptiveSplitAbove int
-	AdaptiveMergeBelow int
-
 	// ChurnInterval, when positive, drives background churn: one random
 	// live peer leaves per interval on average (Poisson), returning
 	// empty-handed after ChurnDowntime seconds (0 = at once).
@@ -179,8 +162,7 @@ type Scenario struct {
 	// derived from the minimum radio frame delay (DESIGN.md section 13).
 	// Results are identical to the sequential run (0 or 1): same Report,
 	// same protocol and radio counters, same trace events. Requires
-	// perfect location knowledge (BeaconInterval 0) and static regions
-	// (no AdaptiveRegions).
+	// perfect location knowledge (BeaconInterval 0).
 	Shards int
 }
 
@@ -346,23 +328,8 @@ func (s Scenario) buildMobility(area geo.Rect, rng *sim.RNG) (mobility.Model, er
 		}, rng)
 	case "static":
 		return mobility.NewGridStatic(s.Nodes, area, 0.25, rng.Stream("placement"))
-	case "random-walk":
-		return mobility.NewWalk(s.Nodes, mobility.WalkConfig{
-			Area:     area,
-			MinSpeed: 0.5,
-			MaxSpeed: s.MaxSpeed,
-			StepTime: 20,
-		}, rng)
-	case "gauss-markov":
-		return mobility.NewGaussMarkov(s.Nodes, mobility.GaussMarkovConfig{
-			Area:           area,
-			MeanSpeed:      s.MaxSpeed,
-			SpeedSigma:     s.MaxSpeed / 4,
-			Alpha:          0.85,
-			UpdateInterval: 1,
-		}, rng)
 	default:
-		return nil, fmt.Errorf("precinct: unknown mobility model %q", s.MobilityModel)
+		return nil, fmt.Errorf("precinct: unknown mobility model %q: want waypoint or static", s.MobilityModel)
 	}
 }
 
@@ -478,9 +445,6 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 		if s.BeaconInterval > 0 {
 			return nil, fmt.Errorf("precinct: sharded runs require perfect location knowledge (BeaconInterval 0)")
 		}
-		if s.AdaptiveRegions {
-			return nil, fmt.Errorf("precinct: sharded runs do not support adaptive region management")
-		}
 		if s.Workload != "" && s.Workload != workload.KindDefault {
 			return nil, fmt.Errorf("precinct: sharded runs support only the default workload, got %q", s.Workload)
 		}
@@ -511,23 +475,7 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 		return nil, err
 	}
 
-	var table *region.Table
-	if s.VoronoiRegions {
-		if s.AdaptiveRegions {
-			return nil, fmt.Errorf("precinct: adaptive region management requires a grid partition")
-		}
-		seedRNG := rng.Stream("voronoi")
-		seeds := make([]geo.Point, s.Regions)
-		for i := range seeds {
-			seeds[i] = geo.Pt(
-				area.Min.X+seedRNG.Float64()*area.Width(),
-				area.Min.Y+seedRNG.Float64()*area.Height(),
-			)
-		}
-		table, err = region.NewVoronoi(area, seeds)
-	} else {
-		table, err = region.NewGridN(area, s.Regions)
-	}
+	table, err := region.NewGridN(area, s.Regions)
 	if err != nil {
 		return nil, err
 	}
@@ -561,18 +509,6 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 	cfg.EnRoute = s.EnRoute
 	cfg.Replicas = s.Replicas
 	cfg.Warmup = s.Warmup
-	if s.AdaptiveRegions {
-		cfg.Adaptive.Enabled = true
-		if s.AdaptiveInterval > 0 {
-			cfg.Adaptive.Interval = s.AdaptiveInterval
-		}
-		if s.AdaptiveSplitAbove > 0 {
-			cfg.Adaptive.SplitAbove = s.AdaptiveSplitAbove
-		}
-		if s.AdaptiveMergeBelow > 0 {
-			cfg.Adaptive.MergeBelow = s.AdaptiveMergeBelow
-		}
-	}
 	cfg.CacheBytes = int64(max(s.CacheFraction, 0) * float64(catalog.TotalSize()))
 
 	coll := newCollector()

@@ -102,8 +102,8 @@ func (w *rehomeWitness) AfterRehome(p *node.Peer, evacuate bool) {
 
 // rehomeOracleScenario takes a fuzzgen scenario and turns on, by seed,
 // what the skip must survive: updates under each consistency scheme in
-// turn, waypoint mobility, churn with graceful quits, adaptive regions
-// and a second replica region. The seeds' own fault schedules supply
+// turn, waypoint mobility, churn with graceful quits and a second
+// replica region. The seeds' own fault schedules supply
 // crashes, quits and revives.
 func rehomeOracleScenario(seed int64) precinct.Scenario {
 	s := fuzzgen.Expand(seed)
@@ -119,9 +119,6 @@ func rehomeOracleScenario(seed int64) precinct.Scenario {
 	}
 	if seed%4 == 0 {
 		s.ChurnInterval, s.ChurnDowntime, s.ChurnGraceful = 30, 20, 0.5
-	}
-	if seed%4 == 1 {
-		s.VoronoiRegions, s.AdaptiveRegions = false, true
 	}
 	return s
 }
@@ -142,7 +139,6 @@ func TestRehomeSkipMatchesNeverSkipping(t *testing.T) {
 			covered[s.Consistency] = true
 			covered["waypoint"] = covered["waypoint"] || s.MobilityModel == "waypoint"
 			covered["graceful churn"] = covered["graceful churn"] || s.ChurnInterval > 0 && s.ChurnGraceful > 0
-			covered["adaptive regions"] = covered["adaptive regions"] || s.AdaptiveRegions
 			covered["two replica regions"] = covered["two replica regions"] || s.Replicas == 2
 			t.Run(fmt.Sprintf("%s/%s", s.Name, s.Consistency), func(t *testing.T) {
 				t.Parallel()
@@ -188,7 +184,7 @@ func TestRehomeSkipMatchesNeverSkipping(t *testing.T) {
 		}
 	})
 	for _, feature := range []string{"push-adaptive-pull", "plain-push", "pull-every-time",
-		"waypoint", "graceful churn", "adaptive regions", "two replica regions"} {
+		"waypoint", "graceful churn", "two replica regions"} {
 		if !covered[feature] {
 			t.Errorf("no seed of the set runs with %s", feature)
 		}

@@ -91,8 +91,7 @@ func policyCases() []goldenCase {
 }
 
 // radioCases are small DefaultScenario runs that between them take every
-// branch of the neighbor query: all four mobility models (Gauss-Markov
-// has no speed bound and forces a rebuild per event time), network-wide
+// branch of the neighbor query: both mobility models, network-wide
 // floods, beaconing (incremental maintenance of observed positions),
 // collisions, and node death.
 func radioCases() []goldenCase {
@@ -108,13 +107,9 @@ func radioCases() []goldenCase {
 		mut(&s)
 		cases = append(cases, goldenCase{sub: name, key: "radio/" + name, s: s})
 	}
-	for _, mob := range []string{"static", "waypoint", "random-walk", "gauss-markov"} {
+	for _, mob := range []string{"static", "waypoint"} {
 		for _, ret := range []string{"precinct", "flooding"} {
-			seeds := []int64{1}
-			if mob == "static" || mob == "waypoint" {
-				seeds = []int64{1, 2, 3}
-			}
-			for _, seed := range seeds {
+			for _, seed := range []int64{1, 2, 3} {
 				add(fmt.Sprintf("%s/%s/seed=%d", mob, ret, seed), func(s *precinct.Scenario) {
 					s.MobilityModel = mob
 					s.Retrieval = ret
@@ -170,18 +165,10 @@ func checkedCases() []goldenCase {
 }
 
 // reachCases pin production paths no other case reaches (DESIGN.md
-// section 17): an adaptive run whose controller actually splits a region
-// (four regions for forty peers, split above twelve, merge never), and
-// the flash-crowd and hotspot sources with updates on, so their
-// PickUpdateKey runs.
+// section 17): the flash-crowd and hotspot sources with updates on, so
+// their PickUpdateKey runs.
 func reachCases() []goldenCase {
-	s := precinct.DefaultScenario()
-	s.Name = "reach/adaptive-split"
-	s.Nodes, s.Items, s.Regions = 40, 200, 4
-	s.Duration, s.Warmup = 300, 100
-	s.AdaptiveRegions = true
-	s.AdaptiveInterval, s.AdaptiveSplitAbove, s.AdaptiveMergeBelow = 30, 12, 1
-	cases := []goldenCase{{sub: "adaptive-split", key: s.Name, s: s}}
+	var cases []goldenCase
 	for i, kind := range []string{"flash-crowd", "hotspot"} {
 		s := workloadScenario(int64(40+i), kind)
 		s.UpdateInterval = 40
@@ -386,6 +373,6 @@ func TestResumeEquivalenceChecked(t *testing.T) { checkGolden(t) }
 // Every non-default workload source reproduces its recording.
 func TestWorkloadResumeEquivalence(t *testing.T) { checkGolden(t) }
 
-// Paths only these cases reach: an adaptive region split and the
-// update draws of the flash-crowd and hotspot sources.
+// Paths only these cases reach: the update draws of the flash-crowd and
+// hotspot sources.
 func TestReachGolden(t *testing.T) { checkGolden(t) }
