@@ -57,16 +57,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime $(FUZZTIME) -parallel 1 .
 
 # One fast pass over every benchmark so regressions in the bench code
-# itself are caught without waiting for full measurement runs.
+# itself are caught without waiting for full measurement runs. The
+# slowest single iteration is BenchmarkRunScenario/flood_2k, about 2 s
+# on 2 vCPU.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # A CPU profile of one Go benchmark, one iteration, without a throw-away
 # main: the top of the cumulative listing is printed and nothing is left
 # behind. The default is paper_80's shape, the benchmark's workload with
-# writes; PROFILE_PKG names the package of any other benchmark
-# (-cpuprofile takes one package per run).
+# writes; BenchmarkRunScenario/flood_2k is flood_2k's. PROFILE_PKG names
+# the package of any other benchmark (-cpuprofile takes one package per
+# run).
 #
+#	make profile PROFILE_BENCH=BenchmarkRunScenario/flood_2k
 #	make profile PROFILE_BENCH=BenchmarkFanBurst PROFILE_PKG=./internal/sim
 PROFILE_BENCH ?= BenchmarkRunScenario/updates
 PROFILE_PKG ?= .

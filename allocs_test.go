@@ -60,3 +60,39 @@ func TestAllocsPerEvent(t *testing.T) {
 		})
 	}
 }
+
+// buildBytesBudget is what one Scenario.Validate of flood_2k's shape
+// (2000 nodes at paper density) may allocate: the reading on linux/amd64
+// with Go 1.24 once the loss streams stopped being built at zero loss,
+// 3,076,176 B, rounded up by under 4 KB. An array of even 4 B per node
+// (8 KB) allocated at build therefore fails here. The budget matters
+// because Go's minimum heap goal is 4 MB and the benchmark's setup_s
+// times this build in a loop: bytes past the goal buy a collection per
+// build (DESIGN.md section 8, "What it weighs"). Per-node state the run
+// needs only once it queries neighbors belongs to the first query.
+const buildBytesBudget = 3_080_000
+
+// TestBuildBytesBudget holds Scenario.Validate on flood_2k's shape to
+// buildBytesBudget. Not parallel and not under the race detector, for
+// the reasons TestAllocsPerEvent gives.
+func TestBuildBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are read race-free")
+	}
+	s := precinct.ScaleScenarioForTest(2000)
+	s.Duration, s.Warmup = 180, 60
+	if err := s.Validate(); err != nil { // warm what is built once per process
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > buildBytesBudget {
+		t.Errorf("building flood_2k's shape allocated %d B, budget %d B (%.1f B/node over)",
+			got, buildBytesBudget, float64(got-buildBytesBudget)/float64(s.Nodes))
+	}
+}

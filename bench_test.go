@@ -122,13 +122,25 @@ func BenchmarkExtRetrievalSchemes(b *testing.B) {
 // is the benchmark's paper_80 workload at seed 1 (bench/workloads.go):
 // the default scenario's 1000 items with every peer pushing an update a
 // minute, the one shape in which stores are written while their holders
-// re-home. `make profile` profiles it.
+// re-home. `make profile` profiles it. "flood_2k" is that workload's
+// namesake: 2000 nodes at paper density, read-only, where neighbor
+// queries and their deliveries do most of the work.
 func BenchmarkRunScenario(b *testing.B) {
 	b.Run("updates", func(b *testing.B) {
 		s := DefaultScenario()
 		s.Consistency = "push-adaptive-pull"
 		s.UpdateInterval = 60
 		s.Duration = 5000
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("flood_2k", func(b *testing.B) {
+		s := scaleScenario(2000)
+		s.Duration = 180
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := Run(s); err != nil {

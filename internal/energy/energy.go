@@ -139,10 +139,32 @@ type acc struct {
 // Meter accumulates energy spent by a set of nodes, broken down by traffic
 // class. It is not safe for concurrent use; each simulation run owns one
 // (sharded runs own one per shard and Merge them).
+//
+// Receive-side charges can also be taken in slot order (Slots,
+// ChargeSlot): the radio charges every receiver of a frame, and its
+// neighbor index lists them by slot, so their tallies sit in the order
+// the index just read instead of scattered over the node-major cells.
+// Those tallies are integers like the cells, and every read of the meter
+// folds them in first, so what a reader sees is exact whichever way a
+// charge was taken.
 type Meter struct {
 	model Model
 	cells []acc // node-major: cells[node*numClasses + class]
+
+	// recv[s] holds the receive-side charges of node slotNode[s] not yet
+	// folded into cells; owed is set when any of them may be nonzero.
+	recv     []recvTally
+	slotNode []int32
+	owed     bool
 }
+
+// recvTally is one slot's receive-side cells, one column per class that
+// recvCol maps.
+type recvTally [3]acc
+
+// recvCol maps a receive-side class to its column of a recvTally. The
+// send classes map to -1, so charging one by slot fails its bounds check.
+var recvCol = [numClasses]int8{BroadcastSend: -1, BroadcastRecv: 0, P2PSend: -1, P2PRecv: 1, Discard: 2}
 
 // NewMeter returns a meter for n nodes using the given model.
 func NewMeter(n int, model Model) (*Meter, error) {
@@ -185,6 +207,49 @@ func (mt *Meter) Charge(node int, c Class, size int) float64 {
 	return mt.model.Cost(c, size)
 }
 
+// Slots sets the order slot-charged tallies follow: slot s is node
+// order[s]. The meter keeps the slice, not a copy; it folds what it owes
+// under the order it had before adopting the new one, so a caller that
+// reorders a slice it handed over calls Slots with it first. The slot
+// tallies are allocated on the first call.
+func (mt *Meter) Slots(order []int32) {
+	if len(order) != mt.Nodes() {
+		panic(fmt.Sprintf("energy: slot order over %d nodes for a meter of %d", len(order), mt.Nodes()))
+	}
+	mt.fold()
+	mt.slotNode = order
+	if mt.recv == nil {
+		mt.recv = make([]recvTally, len(order))
+	}
+}
+
+// ChargeSlot records one received message of class c (BroadcastRecv,
+// P2PRecv or Discard) and size against the node in slot s of the order
+// Slots set.
+func (mt *Meter) ChargeSlot(s int, c Class, size int) {
+	t := &mt.recv[s][recvCol[c]]
+	t.sizeSum += int64(size)
+	t.count++
+	mt.owed = true
+}
+
+// fold adds every slot tally into its node's cells and zeroes it.
+func (mt *Meter) fold() {
+	if !mt.owed {
+		return
+	}
+	mt.owed = false
+	for s := range mt.recv {
+		t := &mt.recv[s]
+		row := mt.cells[int(mt.slotNode[s])*int(numClasses):]
+		for _, c := range [...]Class{BroadcastRecv, P2PRecv, Discard} {
+			row[c].sizeSum += t[recvCol[c]].sizeSum
+			row[c].count += t[recvCol[c]].count
+		}
+		*t = recvTally{}
+	}
+}
+
 // cellCost evaluates one (node, class) cell: M*Σsize + B*count.
 func (mt *Meter) cellCost(node int, c Class) float64 {
 	cell := mt.cells[node*int(numClasses)+int(c)]
@@ -192,13 +257,14 @@ func (mt *Meter) cellCost(node int, c Class) float64 {
 	return l.M*float64(cell.sizeSum) + l.B*float64(cell.count)
 }
 
-// nodes returns the meter's node count.
-func (mt *Meter) nodes() int { return len(mt.cells) / int(numClasses) }
+// Nodes returns the meter's node count.
+func (mt *Meter) Nodes() int { return len(mt.cells) / int(numClasses) }
 
 // Total returns the network-wide energy spent, in mJ.
 func (mt *Meter) Total() float64 {
+	mt.fold()
 	var total float64
-	for id := 0; id < mt.nodes(); id++ {
+	for id := 0; id < mt.Nodes(); id++ {
 		total += mt.Node(id)
 	}
 	return total
@@ -206,6 +272,7 @@ func (mt *Meter) Total() float64 {
 
 // Node returns the energy spent by one node, in mJ.
 func (mt *Meter) Node(id int) float64 {
+	mt.fold()
 	var total float64
 	for c := Class(0); c < numClasses; c++ {
 		total += mt.cellCost(id, c)
@@ -215,8 +282,9 @@ func (mt *Meter) Node(id int) float64 {
 
 // ByClass returns the energy spent in one traffic class, in mJ.
 func (mt *Meter) ByClass(c Class) float64 {
+	mt.fold()
 	var total float64
-	for id := 0; id < mt.nodes(); id++ {
+	for id := 0; id < mt.Nodes(); id++ {
 		total += mt.cellCost(id, c)
 	}
 	return total
@@ -224,8 +292,9 @@ func (mt *Meter) ByClass(c Class) float64 {
 
 // Messages returns the number of messages charged in one traffic class.
 func (mt *Meter) Messages(c Class) uint64 {
+	mt.fold()
 	var total uint64
-	for id := 0; id < mt.nodes(); id++ {
+	for id := 0; id < mt.Nodes(); id++ {
 		total += mt.cells[id*int(numClasses)+int(c)].count
 	}
 	return total
@@ -238,6 +307,8 @@ func (mt *Meter) Merge(o *Meter) error {
 	if len(o.cells) != len(mt.cells) {
 		return fmt.Errorf("energy: merging meter with %d cells into %d", len(o.cells), len(mt.cells))
 	}
+	mt.fold()
+	o.fold()
 	for i := range mt.cells {
 		mt.cells[i].sizeSum += o.cells[i].sizeSum
 		mt.cells[i].count += o.cells[i].count
@@ -245,8 +316,10 @@ func (mt *Meter) Merge(o *Meter) error {
 	return nil
 }
 
-// Reset zeroes all accumulators; the model and node count are kept.
+// Reset zeroes all accumulators, slot tallies included; the model, node
+// count and slot order are kept.
 func (mt *Meter) Reset() {
+	mt.fold()
 	for i := range mt.cells {
 		mt.cells[i] = acc{}
 	}

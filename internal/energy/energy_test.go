@@ -191,3 +191,72 @@ func TestCostMonotoneInSize(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSlotChargesFoldExactly: charges taken by slot land on the node the
+// slot held when they were taken — also after the order is rewritten in
+// place, as a rebuild does after Slots — and every read, Reset and Merge
+// sees them as if they had been charged to the node directly. A send
+// class has no slot column.
+func TestSlotChargesFoldExactly(t *testing.T) {
+	order := []int32{2, 0, 3, 1}
+	slotted, direct := newTestMeter(t, 4), newTestMeter(t, 4)
+	slotted.Slots(order)
+	charge := func(slot int, c Class, size int) {
+		slotted.ChargeSlot(slot, c, size)
+		direct.Charge(int(order[slot]), c, size)
+	}
+	same := func(when string, a, b *Meter) {
+		t.Helper()
+		// Read a's slots before comparing the cells whole.
+		if a.Total() != b.Total() || a.Messages(Discard) != b.Messages(Discard) {
+			t.Fatalf("%s: slot charges read %v / %d, direct %v / %d", when, a.Total(), a.Messages(Discard), b.Total(), b.Messages(Discard))
+		}
+		for i := 0; i < 4; i++ {
+			if a.Node(i) != b.Node(i) {
+				t.Fatalf("%s: node %d spent %v by slot, %v directly", when, i, a.Node(i), b.Node(i))
+			}
+		}
+	}
+	charge(0, BroadcastRecv, 100)
+	charge(3, P2PRecv, 70)
+	charge(1, Discard, 9)
+	same("first reads", slotted, direct)
+
+	charge(2, Discard, 33)
+	slotted.Slots(order) // what a rebuild does before it reorders
+	order[0], order[3] = order[3], order[0]
+	charge(0, BroadcastRecv, 12)
+	charge(3, Discard, 5)
+	same("after a reorder", slotted, direct)
+
+	charge(1, P2PRecv, 8)
+	slotted.Reset()
+	direct.Reset()
+	same("after Reset with charges owed", slotted, direct)
+
+	charge(2, BroadcastRecv, 40)
+	into, ref := newTestMeter(t, 4), newTestMeter(t, 4)
+	if err := into.Merge(slotted); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Merge(direct); err != nil {
+		t.Fatal(err)
+	}
+	same("merged with charges owed", into, ref)
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a send class was charged by slot")
+		}
+	}()
+	slotted.ChargeSlot(0, BroadcastSend, 1)
+}
+
+func newTestMeter(t *testing.T, n int) *Meter {
+	t.Helper()
+	mt, err := NewMeter(n, DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mt
+}

@@ -40,6 +40,46 @@ type Model interface {
 	// a slightly stale grid snapshot: a node can have drifted at most
 	// MaxSpeed()*age meters since the snapshot.
 	MaxSpeed() float64
+	// Leg returns the stretch of trajectory the node is on as of the
+	// latest time Position was asked about it: for every t from then
+	// until Leg(node).Until, Position(node, t) would return exactly
+	// Leg(node).At(t). Asking changes nothing. The radio layer's index
+	// copies each node's leg into its snapshot, so a neighbor query
+	// computes a position from the line it already reads.
+	Leg(node int) Leg
+}
+
+// Leg is a stretch of trajectory on which a node's position is a closed
+// form of time: it leaves From at Start, heading Dir (a unit vector) at
+// Speed, and the form holds until Until. A node at rest is a leg of
+// speed 0 whose Dir is negative zero (see At).
+type Leg struct {
+	From  geo.Point
+	Dir   geo.Point
+	Speed float64
+	Start float64
+	Until float64
+}
+
+// negZero is -0.0, the direction of a leg at rest.
+var negZero = math.Copysign(0, -1)
+
+// Still returns the leg of a node that stays at p from time start until
+// time until.
+func Still(p geo.Point, start, until float64) Leg {
+	return Leg{From: p, Dir: geo.Pt(negZero, negZero), Start: start, Until: until}
+}
+
+// At returns the position at time t, for Start <= t < Until. It is the
+// one expression of a moving node's position: Waypoint.Position returns
+// through it, so a copy of the leg answers bit for bit what the model
+// would. Each product is rounded before it is added (the explicit
+// conversion forbids fusing the two into one multiply-add), so the bits
+// are the same on every architecture. At rest the offset is -0, and
+// adding -0 leaves every coordinate as it is, -0 included.
+func (l Leg) At(t float64) geo.Point {
+	s := l.Speed * (t - l.Start)
+	return geo.Point{X: l.From.X + float64(l.Dir.X*s), Y: l.From.Y + float64(l.Dir.Y*s)}
 }
 
 // Static places nodes once and never moves them.
@@ -116,6 +156,10 @@ func (s *Static) Position(node int, _ float64) geo.Point { return s.pos[node] }
 // MaxSpeed implements Model: static nodes never move.
 func (s *Static) MaxSpeed() float64 { return 0 }
 
+// Leg implements Model: a static node rests where it was placed, for
+// ever.
+func (s *Static) Leg(node int) Leg { return Still(s.pos[node], 0, math.Inf(1)) }
+
 // WaypointConfig parameterizes the random waypoint model.
 type WaypointConfig struct {
 	Area     geo.Rect
@@ -141,10 +185,10 @@ func DefaultWaypointConfig() WaypointConfig {
 // are computed analytically from the anchor, never stored, so a query's
 // result does not depend on which intermediate times were queried.
 //
-// arrival and invLen are per-leg constants derived from the anchor by
+// arrival and dir are per-leg constants derived from the anchor by
 // anchorLeg — recomputed wherever pos, dest, speed, at or pauseUntil
-// change — so a mid-leg query costs one compare and a few
-// multiply-adds instead of a hypot and two divides.
+// change — so a mid-leg query costs one compare and Leg.At instead of a
+// hypot and two divides.
 type waypointNode struct {
 	// What a mid-leg query reads comes first.
 	seen float64 // latest query time (monotonicity contract)
@@ -154,8 +198,8 @@ type waypointNode struct {
 	arrival float64
 	at      float64 // anchor time: the last leg/pause boundary crossed
 	speed   float64
-	invLen  float64   // 1 / |dest - pos|; meaningful iff arrival != notMoving
 	pos     geo.Point // anchor: where the node was at time at
+	dir     geo.Point // unit vector toward dest; meaningful iff arrival != notMoving
 	dest    geo.Point
 
 	pauseUntil float64 // > at while the node is pausing at pos
@@ -176,7 +220,26 @@ func (nd *waypointNode) anchorLeg() {
 		return
 	}
 	nd.arrival = nd.at + remaining/nd.speed
-	nd.invLen = 1 / remaining
+	nd.dir = nd.dest.Sub(nd.pos).Scale(1 / remaining)
+}
+
+// leg returns the node's current leg. It is a moving leg while one is
+// under way, a rest while the node pauses, and otherwise (between a
+// boundary and the Position call that crosses it) a leg that is already
+// over.
+func (nd *waypointNode) leg() Leg {
+	if nd.arrival == notMoving {
+		if nd.pauseUntil > nd.at {
+			return Still(nd.pos, nd.at, nd.pauseUntil)
+		}
+		return Leg{From: nd.pos, Start: nd.at, Until: notMoving}
+	}
+	return nd.moving()
+}
+
+// moving returns the leg under way; arrival must not be notMoving.
+func (nd *waypointNode) moving() Leg {
+	return Leg{From: nd.pos, Dir: nd.dir, Speed: nd.speed, Start: nd.at, Until: nd.arrival}
 }
 
 // Waypoint implements the random waypoint model.
@@ -263,8 +326,7 @@ func (w *Waypoint) Position(node int, now float64) geo.Point {
 	for {
 		if now < nd.arrival {
 			// Mid-leg: analytic position from the anchor; no mutation.
-			dir := nd.dest.Sub(nd.pos).Scale(nd.invLen)
-			return nd.pos.Add(dir.Scale(nd.speed * (now - nd.at)))
+			return nd.moving().At(now)
 		}
 		if nd.pauseUntil > nd.at { // anchored at a pause
 			if now < nd.pauseUntil {
@@ -310,3 +372,6 @@ func (w *Waypoint) Speed(node int, now float64) float64 {
 
 // MaxSpeed implements Model.
 func (w *Waypoint) MaxSpeed() float64 { return w.cfg.MaxSpeed }
+
+// Leg implements Model.
+func (w *Waypoint) Leg(node int) Leg { return w.nodes[node].leg() }

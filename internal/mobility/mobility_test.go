@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -316,4 +317,87 @@ func TestWaypointAverageDisplacementReasonable(t *testing.T) {
 	if math.IsNaN(avg) {
 		t.Error("displacement is NaN")
 	}
+}
+
+// sameBits reports whether two points are equal bit for bit: -0 and +0
+// differ, as they would to anything that reads a sign.
+func sameBits(a, b geo.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+}
+
+// TestLegAtMatchesPosition holds Leg to its contract: after Position(i, t),
+// Leg(i) covers t, and its At answers what Position answers, bit for bit,
+// at t and at every later instant before the leg ends, without the model
+// being asked. It covers moving legs, pauses, the arrival instant (where
+// a moving leg hands over to a pause), a pause below one ulp of the clock
+// (where it hands over to the next moving leg) and Static, at a -0
+// coordinate too.
+func TestLegAtMatchesPosition(t *testing.T) {
+	check := func(t *testing.T, m Model, i int, at float64) Leg {
+		t.Helper()
+		p := m.Position(i, at)
+		leg := m.Leg(i)
+		if !(leg.Start <= at && at < leg.Until) {
+			t.Fatalf("node %d at %v: leg [%v, %v) does not cover the query", i, at, leg.Start, leg.Until)
+		}
+		if q := leg.At(at); !sameBits(p, q) {
+			t.Fatalf("node %d at %v: Position %v, Leg.At %v", i, at, p, q)
+		}
+		return leg
+	}
+	for _, pause := range []float64{5, 1e-300} {
+		t.Run(fmt.Sprintf("waypoint/pause=%g", pause), func(t *testing.T) {
+			cfg := WaypointConfig{Area: testArea, MinSpeed: 2, MaxSpeed: 20, Pause: pause}
+			const n = 12
+			w := waypointFor(t, n, cfg, 77)
+			var moving, resting, arrivals int
+			for i := 0; i < n; i++ {
+				at := 0.0
+				for step := 0; step < 60; step++ {
+					leg := check(t, w, i, at)
+					if leg.Speed > 0 {
+						moving++
+					} else {
+						resting++
+					}
+					// Later instants of the same leg, answered by the copy
+					// and then by the model.
+					for _, f := range []float64{0.25, 0.5, 0.999} {
+						later := at + f*(leg.Until-at)
+						if later >= leg.Until {
+							continue
+						}
+						want := leg.At(later)
+						if got := w.Position(i, later); !sameBits(got, want) {
+							t.Fatalf("node %d at %v: Position %v, the copied leg %v", i, later, got, want)
+						}
+						at = later
+					}
+					// The arrival instant: the leg is over, the next one
+					// starts there.
+					at = leg.Until
+					if next := check(t, w, i, at); next.Start != at {
+						t.Fatalf("node %d: leg ending at %v handed over to one starting at %v", i, at, next.Start)
+					}
+					arrivals++
+				}
+			}
+			if moving == 0 || arrivals == 0 || (pause == 5) != (resting > 0) {
+				t.Fatalf("%d moving legs, %d rests, %d arrivals: not every case was reached", moving, resting, arrivals)
+			}
+		})
+	}
+	t.Run("static", func(t *testing.T) {
+		s, err := NewStatic([]geo.Point{geo.Pt(math.Copysign(0, -1), 7.5), geo.Pt(3, math.Copysign(0, -1)), geo.Pt(1e6, -4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.Len(); i++ {
+			for _, at := range []float64{0, 1, 1e9} {
+				if leg := check(t, s, i, at); leg.Speed != 0 || !math.IsInf(leg.Until, 1) {
+					t.Fatalf("node %d: a static node is on leg %+v", i, leg)
+				}
+			}
+		}
+	})
 }

@@ -4,7 +4,7 @@
 // Channel.Neighbors, which the seed implementation served with a full
 // O(N) scan that recomputed every node's mobility position per call — a
 // single regional flood was O(N²) position math. This file replaces the
-// scan with two cooperating structures:
+// scan with three cooperating structures:
 //
 //   - A position epoch cache: a node's position is computed at most once
 //     per (node, event-time) pair and reused by every Neighbors /
@@ -15,35 +15,51 @@
 //   - A uniform grid over node positions in CSR layout: cell occupants
 //     live grouped in one flat array (grid.nodes) delimited by
 //     grid.cellStart, indexed densely by cell coordinate — no per-cell
-//     allocations, no map lookups in the hot loop. A neighbor query
-//     inspects only the cells intersecting the query disk instead of all
-//     N nodes, one run of slots per cell row.
+//     allocations, no map lookups. Beside each slot of that array sits a
+//     64-byte record (grid.recs) holding what a query needs to know of
+//     the node in it: its snapshot position in float32 and the mobility
+//     leg it is on (mobility.Leg), from which its position at any later
+//     instant of that leg is one multiply-add per axis.
+//
+//   - A candidate list per node (grid.lists, over one arena reused across
+//     rebuilds): on a node's first query after a rebuild, the cell rows
+//     around it are walked once and every slot that could come within
+//     range of it before the next rebuild is listed, sorted by NodeID.
+//     Every later query of that node reads its list, one record per
+//     candidate, and emits in list order: no row arithmetic, no sort.
 //
 // Mobility makes the grid stale the moment it is built. Rather than
 // rebuilding per event, the index exploits the mobility model's speed
 // bound (mobility.Model.MaxSpeed): a node can have drifted at most
-// maxSpeed·age meters since the snapshot, so a query with radius
-// Range+drift over snapshot positions provably includes every true
-// neighbor. The rebuild keeps each node's snapshot position next to its
-// slot (grid.snap, in float32), so the query applies that radius per
-// candidate, not just per cell, before it looks at anything else: a
-// candidate further than Range+drift (plus snapGuard and snapSlack,
-// which cover the rounding) from the querier at the snapshot cannot be
-// in range now and costs one load and a compare. Exact membership is
-// then decided with current (epoch-cached) positions of the few that
-// remain. The grid is rebuilt only when drift exceeds a slack of
-// Range/4. With beaconing enabled the grid indexes *observed* (beacon)
-// positions, which change only at beacon refreshes; a refresh that moves
-// a node across a cell boundary invalidates the snapshot, so the next
-// query rebuilds — batched beacon refreshes cost one rebuild. A refresh
-// that stays inside the cell moves the node with no bound the snapshot
-// knows of, so beaconed grids keep no snapshot positions and skip the
-// per-candidate pre-filter.
+// maxSpeed·age meters since the snapshot. The grid is rebuilt once that
+// drift would exceed a slack of Range/4, so until then every node —
+// querier and candidate alike — is within slack of where it was. A list
+// holds the slots within Range + 2·(slack + snapGuard + snapSlack) of
+// its node when it was built, which therefore contains every node that
+// can be in range of it before the next rebuild. A query first tests a
+// candidate's snapshot position against Range + drift (plus snapGuard
+// and snapSlack, which cover the rounding): one further than that cannot
+// be in range now and costs one compare. The few that remain get their
+// exact position from the record's leg while it lasts — bit for bit what
+// the model would answer, since the model computes it with the same
+// mobility.Leg.At — and from the epoch cache or the model once it has
+// ended; range and liveness decide.
 //
-// Matches are node indices collected in a scratch list and put in
-// ascending order by sortMatches — an insertion sort for the dozen a
-// query finds at paper density — so the emit costs what the match set
-// holds and nothing in a query is sized by N.
+// With beaconing enabled the grid indexes *observed* (beacon) positions,
+// which change only at beacon refreshes, and records hold them as legs
+// at rest. A refresh that moves a node across a cell boundary
+// invalidates the snapshot, so the next query rebuilds — batched beacon
+// refreshes cost one rebuild; one that stays inside its cell rewrites
+// the node's record (grid.slotOf finds it). Observed positions may so
+// move anywhere inside their cell, so a beaconed list holds every slot
+// of the cells within Range + slack of its node: a bound by cell, not by
+// snapshot position. Its querier moves at its true speed, and the drift
+// rebuild bounds that in both modes.
+//
+// Broadcast and Unicast charge each receiver's receive energy by slot
+// (energy.Meter.ChargeSlot), in the order the query just read, and the
+// meter folds those tallies into its node-indexed cells before every
+// rebuild (Meter.Slots) and on every read.
 //
 // The same snapshot answers rectangle queries (AppendInRect: which nodes
 // are inside this region's bounds right now), which is how the node
@@ -52,7 +68,7 @@
 // Determinism contract: Neighbors returns exactly the nodes a test of
 // every node against the range returns, in ascending NodeID order
 // (order_test.go holds it to that scan). The index asks the mobility
-// model only about candidates that pass the pre-filter, which is sound
+// model only about candidates whose leg has ended, which is sound
 // because positions are anchored (mobility.Model): what a node's
 // position is at t does not depend on who was asked before.
 package radio
@@ -62,6 +78,7 @@ import (
 	"math/bits"
 
 	"precinct/internal/geo"
+	"precinct/internal/mobility"
 )
 
 // cellKey packs a cell's integer coordinates into one comparable value
@@ -79,8 +96,10 @@ const maxGridCells = 1 << 20
 type grid struct {
 	cell     float64 // index cell side; starts at Range/2, doubles if spread demands
 	invCell  float64
+	rng      float64 // radio range, meters
 	slack    float64 // rebuild once drift exceeds this (Range/4)
 	maxSpeed float64 // the mobility model's speed bound, m/s
+	beacon   bool    // the grid indexes observed (beacon) positions
 
 	// Dense cell addressing: cell (cx, cy) maps to row-major index
 	// (cy-minCy)*w + (cx-minCx); cells outside the [min, min+w/h) box
@@ -92,25 +111,50 @@ type grid struct {
 	// cell k's occupants are nodes[cellStart[k]:cellStart[k+1]].
 	// Cell membership is implicitly addressed: a node's cell is always
 	// computed from its cached indexed position (beaconPos or posCache),
-	// never stored per node — the rebuild's counting sort recomputes it,
-	// so the index carries no per-node bookkeeping array at all.
+	// never stored per node — the rebuild's counting sort recomputes it.
 	cellStart []int32
 	nodes     []int32
-	// snap is slot-parallel to nodes: snap[s] is the position nodes[s]
-	// was filed under at builtAt. A node has moved at most drift meters
-	// since, so the cell walk rejects far candidates on this array alone,
-	// without touching the epoch cache or the mobility model. It only
-	// ever rejects, so float32 will do — half the bytes to stream through
-	// — as long as the rounding is allowed for: snapSlack bounds how far
-	// an entry can lie from the position it rounds, for the coordinates
-	// of the current build. Nil under beaconing, where observed
-	// positions move inside a cell between rebuilds with no drift bound.
-	snap      []snapPos
+	// recs is slot-parallel to nodes: recs[s] describes node nodes[s]
+	// from builtAt on. Nil until the first neighbor query (see
+	// allocRecords): building a scenario asks only rectangle queries,
+	// which read positions through the epoch cache.
+	recs []slotRec
+	// slotOf[i] is node i's slot, under beaconing only: a refresh that
+	// stays inside its cell rewrites the node's record in place.
+	slotOf []int32
+	// snapSlack bounds how far a record's float32 position can lie from
+	// the position it rounds, for the coordinates of the current build.
 	snapSlack float64
+
+	// lists[i] names node i's candidate list, a run of slots in arena;
+	// it is current iff its gen equals gen, which every rebuild advances.
+	// The arena is emptied (not freed) at each rebuild.
+	lists []nodeList
+	arena []int32
+	gen   uint32
+	// keys and deal are the scratch a list is sorted in (see byNode),
+	// sized by the longest list built.
+	keys, deal []uint64
 
 	builtAt float64
 	built   bool
-	drift   float64 // staleness bound of the current snapshot, meters
+	drift   float64 // staleness bound of the current snapshot's records, meters
+}
+
+// slotRec is one slot's record: exactly one 64-byte cache line, all a
+// query reads of a candidate.
+type slotRec struct {
+	snap snapPos      // position at builtAt, rounded to float32
+	leg  mobility.Leg // the trajectory from builtAt on, while leg.Until lasts
+}
+
+// snapPos is a snapshot position rounded to float32.
+type snapPos struct{ x, y float32 }
+
+// nodeList locates one node's candidate list in the arena.
+type nodeList struct {
+	start, n int32
+	gen      uint32
 }
 
 func newGrid(n int, rng, maxSpeed float64, beacon bool) *grid {
@@ -119,50 +163,56 @@ func newGrid(n int, rng, maxSpeed float64, beacon bool) *grid {
 	// full-range cells would, at the price of a few more (dense, cheap)
 	// cell inspections.
 	cell := rng / 2
-	g := &grid{
+	return &grid{
 		cell:     cell,
 		invCell:  1 / cell,
+		rng:      rng,
 		slack:    rng / 4,
 		maxSpeed: maxSpeed,
+		beacon:   beacon,
 		nodes:    make([]int32, n),
 	}
-	if !beacon {
-		g.snap = make([]snapPos, n)
-	}
-	return g
 }
 
-// snapPos is a snapshot position rounded to float32.
-type snapPos struct{ x, y float32 }
-
-// snapGuard widens the candidate radius — the cell rows a query walks
-// and the snapshot pre-filter — by an absolute margin, in meters. The
-// drift bound is exact in real arithmetic; positions are computed in
+// snapGuard widens every bound on snapshot positions — the candidate
+// lists and the per-query pre-filter — by an absolute margin, in meters.
+// The drift bound is exact in real arithmetic; positions are computed in
 // float64, whose rounding, at any coordinate a run uses, is many orders
-// of magnitude below this, so the pre-filter can never reject a node the
-// exact test would accept. (The rounding of grid.snap to float32 is not
-// that small, and has its own margin: grid.snapSlack.)
+// of magnitude below this, so no bound can drop a node the exact test
+// would accept. (The rounding of records to float32 is not that small,
+// and has its own margin: grid.snapSlack.)
 const snapGuard = 1e-6
 
 func (g *grid) cellAt(p geo.Point) cellKey {
 	return keyOf(int32(math.Floor(p.X*g.invCell)), int32(math.Floor(p.Y*g.invCell)))
 }
 
-// noteMove records that a node's indexed (observed) position changed
+// noteMove records that node i's indexed (observed) position changed
 // from old to new. Crossing a cell boundary invalidates the snapshot;
 // the next query rebuilds. The old cell is computed from the old
 // position rather than looked up — while the snapshot is valid, a
 // node's indexed position has only ever changed through noteMove, so
 // cellAt(old) is exactly the cell the snapshot filed the node under.
 // Beacon refreshes arrive in batches, so a crossing costs one rebuild
-// per batch, not per node.
-func (g *grid) noteMove(old, new geo.Point) {
+// per batch, not per node. A move inside the cell rewrites the node's
+// record: candidate lists bound observed positions by cell, so they
+// stand.
+func (g *grid) noteMove(i int, old, new geo.Point) {
 	if !g.built {
 		return
 	}
 	if g.cellAt(new) != g.cellAt(old) {
 		g.built = false
+		return
 	}
+	if g.recs != nil {
+		g.recs[g.slotOf[i]] = restRec(new)
+	}
+}
+
+// restRec is the record of a node observed at p until further notice.
+func restRec(p geo.Point) slotRec {
+	return slotRec{snap: snapPos{float32(p.X), float32(p.Y)}, leg: mobility.Still(p, 0, math.Inf(1))}
 }
 
 // syncEpoch advances the position epoch when the simulation clock has
@@ -199,9 +249,42 @@ func (ch *Channel) position(i int) geo.Point {
 	return ch.posCache[i]
 }
 
+// allocRecords gives the grid its records, lists and arena, on the first
+// neighbor query, and rebuilds the snapshot to fill them. The arena is
+// sized for the density that snapshot shows — half as many candidates
+// again as a uniform spread would list, which covers the random
+// waypoint model's pull toward the center (flood_2k's lists take 25 per
+// node against the 24.5 of a uniform spread) — so that steady state,
+// where the count wanders from one snapshot to the next, does not have
+// to grow it; the sort scratch takes twice that share. Past maxPresize
+// per node (a crowd where every list holds hundreds) the arena grows as
+// lists need it instead of reserving the square of the node count.
+func (ch *Channel) allocRecords() {
+	g := ch.grid
+	n := len(g.nodes)
+	g.recs = make([]slotRec, n)
+	g.lists = make([]nodeList, n)
+	if g.beacon {
+		g.slotOf = make([]int32, n)
+	}
+	ch.rebuildGrid(ch.sched.Now())
+	area := float64(g.w) * float64(g.h) * g.cell * g.cell
+	r := g.listRadius()
+	per := min(float64(n-1), 1.5*float64(n)*math.Pi*r*r/area, maxPresize)
+	g.arena = make([]int32, 0, int(per)*n+64)
+	g.keys = make([]uint64, 0, 2*int(per)+64)
+	g.deal = make([]uint64, cap(g.keys))
+}
+
+// maxPresize caps the candidates per node allocRecords reserves room for.
+const maxPresize = 256
+
 // ensureGrid guarantees the snapshot can serve a query: fresh enough
 // under the drift bound, rebuilt otherwise. It also records the current
-// drift so the query knows its search radius.
+// drift so the query knows its pre-filter radius. Under beaconing the
+// records hold observed positions exactly (noteMove), so their drift is
+// 0; the rebuild on drift still bounds how far a list's own node has
+// moved since the list was built.
 func (ch *Channel) ensureGrid() {
 	g := ch.grid
 	now := ch.sched.Now()
@@ -209,14 +292,10 @@ func (ch *Channel) ensureGrid() {
 		if now == g.builtAt {
 			return
 		}
-		if ch.beaconAt != nil {
-			// Observed positions change only through refreshBeacon,
-			// which invalidates on cell crossings: never silently stale.
-			g.drift = 0
-			return
-		}
 		if d := g.maxSpeed * (now - g.builtAt); d <= g.slack {
-			g.drift = d
+			if !g.beacon {
+				g.drift = d
+			}
 			return
 		}
 	}
@@ -224,12 +303,16 @@ func (ch *Channel) ensureGrid() {
 }
 
 // rebuildGrid snapshots every node's indexed position into the CSR
-// arrays. All storage is reused, so steady-state rebuilds allocate
-// nothing.
+// arrays and the records. All storage is reused, so steady-state
+// rebuilds allocate nothing.
 func (ch *Channel) rebuildGrid(now float64) {
 	g := ch.grid
 	n := ch.mob.Len()
-	beacon := ch.beaconAt != nil
+	if g.recs != nil && ch.meter != nil {
+		// The meter folds what receivers owe under the old slot order
+		// before pass 2 rewrites it.
+		ch.meter.Slots(g.nodes)
+	}
 
 	// Pass 1: current indexed positions and bounds. Positions land in the
 	// epoch/beacon caches; cells are never stored per node — pass 2
@@ -241,7 +324,7 @@ func (ch *Channel) rebuildGrid(now float64) {
 		maxCx, maxCy := int32(math.MinInt32), int32(math.MinInt32)
 		for i := 0; i < n; i++ {
 			var p geo.Point
-			if beacon {
+			if g.beacon {
 				p = ch.beaconPos[i]
 			} else {
 				p = ch.position(i)
@@ -256,13 +339,11 @@ func (ch *Channel) rebuildGrid(now float64) {
 		if w*h <= maxGridCells {
 			g.minCx, g.minCy = minCx, minCy
 			g.w, g.h = int32(w), int32(h)
-			if g.snap != nil {
-				// float32 keeps 24 bits: each axis rounds by at most
-				// 2^-24 of its magnitude, the two together by less than
-				// 2^-23 of the largest coordinate in the occupied box.
-				far := max(-float64(minCx), float64(maxCx)+1, -float64(minCy), float64(maxCy)+1)
-				g.snapSlack = far * g.cell * 0x1p-23
-			}
+			// float32 keeps 24 bits: each axis rounds by at most 2^-24
+			// of its magnitude, the two together by less than 2^-23 of
+			// the largest coordinate in the occupied box.
+			far := max(-float64(minCx), float64(maxCx)+1, -float64(minCy), float64(maxCy)+1)
+			g.snapSlack = far * g.cell * 0x1p-23
 			break
 		}
 		g.cell *= 2
@@ -282,24 +363,36 @@ func (ch *Channel) rebuildGrid(now float64) {
 		clear(g.cellStart)
 	}
 	for i := 0; i < n; i++ {
-		g.cellStart[g.linIdxAt(ch.indexedPos(i, beacon))+1]++
+		g.cellStart[g.linIdxAt(ch.indexedPos(i))+1]++
 	}
 	for k := 1; k <= cells; k++ {
 		g.cellStart[k] += g.cellStart[k-1]
 	}
 	for i := 0; i < n; i++ {
-		p := ch.indexedPos(i, beacon)
+		p := ch.indexedPos(i)
 		k := g.linIdxAt(p)
 		slot := g.cellStart[k]
 		g.nodes[slot] = int32(i)
-		if g.snap != nil {
-			g.snap[slot] = snapPos{float32(p.X), float32(p.Y)}
+		switch {
+		case g.recs == nil:
+		case g.beacon:
+			g.recs[slot] = restRec(p)
+			g.slotOf[i] = slot
+		default:
+			// Pass 1 asked the model about node i at now, so its leg is
+			// the one now lies on.
+			g.recs[slot] = slotRec{snap: snapPos{float32(p.X), float32(p.Y)}, leg: ch.mob.Leg(i)}
 		}
 		g.cellStart[k] = slot + 1
 	}
 	copy(g.cellStart[1:], g.cellStart)
 	g.cellStart[0] = 0
 
+	g.arena = g.arena[:0]
+	if g.gen++; g.gen == 0 {
+		clear(g.lists)
+		g.gen = 1
+	}
 	g.builtAt = now
 	g.built = true
 	g.drift = 0
@@ -309,8 +402,8 @@ func (ch *Channel) rebuildGrid(now float64) {
 // beacon estimate when beaconing is on, the epoch-cached true position
 // otherwise (pass 1 of the rebuild has just populated it at this
 // instant).
-func (ch *Channel) indexedPos(i int, beacon bool) geo.Point {
-	if beacon {
+func (ch *Channel) indexedPos(i int) geo.Point {
+	if ch.grid.beacon {
 		return ch.beaconPos[i]
 	}
 	return ch.posCache[i]
@@ -327,43 +420,46 @@ func (g *grid) linIdxAt(p geo.Point) int {
 	return int(cy-g.minCy)*int(g.w) + int(cx-g.minCx)
 }
 
-// appendGridNeighbors appends all live nodes within radio range of self
-// (excluding id) to buf, sorted by NodeID — the same set, in the same
-// order, as the linear reference scan.
+// listRadius is the radius of the disk a candidate list covers around
+// its node's position at the list's build. Without beaconing: a node in
+// range of the querier at a later instant of the snapshot is within
+// Range of it then; the querier has moved at most slack since the list
+// was built and the candidate at most slack since the snapshot its
+// record holds, which is within snapSlack of its float32 position. With
+// beaconing, observed positions only stay inside their cells and records
+// are exact, so the disk is Range plus the querier's own movement, and
+// lists take whole cells.
+func (g *grid) listRadius() float64 {
+	if g.beacon {
+		return g.rng + g.slack + snapGuard
+	}
+	return g.rng + 2*(g.slack+snapGuard+g.snapSlack)
+}
+
+// candidates returns node id's candidate list, building it first if the
+// node has not asked since the last rebuild. self is the node's current
+// position.
 //
-// A node in range now was within Range+drift of self at the snapshot, so
-// candidates come from the cells intersecting the disk of that radius
-// (widened by snapGuard and snapSlack) around self. The disk cuts each
-// cell row in one interval, and a row's cells are adjacent in CSR order,
-// so a row is one run of slots. A candidate is first tested on its snapshot position
-// (see grid.snap): only those inside the disk can be in range now, and
-// only they pay for a current position; exact membership uses that.
-//
-// Matches are collected as node indices, ordered by sortMatches and then
-// emitted with their (by now cached) positions, so the emit costs what
-// the match set holds, whatever N is.
-func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point) []Neighbor {
-	g := ch.grid
-	r := ch.cfg.Range + g.drift + snapGuard + g.snapSlack
-	r2cand := r * r
-	r2 := ch.cfg.Range * ch.cfg.Range
+// The list's disk cuts each cell row in one interval (one sqrt per row
+// gives its half-width), and a row's cells are adjacent in CSR order,
+// so a row is one run of slots. Without beaconing a slot is listed only
+// if its snapshot position lies in the disk. Slots are put in node
+// order through keys that carry both (see byNode).
+func (g *grid) candidates(id NodeID, self geo.Point) []int32 {
+	l := &g.lists[id]
+	if l.gen == g.gen {
+		return g.arena[l.start : l.start+l.n]
+	}
+	r := g.listRadius()
+	r2 := r * r
 	cy0 := max(int32(math.Floor((self.Y-r)*g.invCell)), g.minCy)
 	cy1 := min(int32(math.Floor((self.Y+r)*g.invCell)), g.minCy+g.h-1)
-
-	// Hoisted epoch state: position() would re-check the clock per
-	// candidate; one sync up front covers the whole query.
-	ch.syncEpoch()
-	epoch, now := uint32(ch.epoch), ch.epochAt
-	beacon := ch.beaconAt != nil
-	live, snap, nodes := ch.live, g.snap, g.nodes
-	selfI := int32(id)
-	ids := ch.matchBuf[:0]
-
+	keys, recs, nodes, selfI := g.keys[:0], g.recs, g.nodes, int32(id)
 	for cy := cy0; cy <= cy1; cy++ {
 		// Half-width of the disk across this row, measured on the row's
 		// horizontal line nearest to self.
 		dy := self.Y - clamp(self.Y, float64(cy)*g.cell, float64(cy+1)*g.cell)
-		hx := math.Sqrt(max(r2cand-dy*dy, 0))
+		hx := math.Sqrt(max(r2-dy*dy, 0))
 		cx0 := max(int32(math.Floor((self.X-hx)*g.invCell)), g.minCx)
 		cx1 := min(int32(math.Floor((self.X+hx)*g.invCell)), g.minCx+g.w-1)
 		if cx0 > cx1 {
@@ -372,87 +468,118 @@ func (ch *Channel) appendGridNeighbors(buf []Neighbor, id NodeID, self geo.Point
 		rowBase := int(cy-g.minCy)*int(g.w) - int(g.minCx)
 		end := g.cellStart[rowBase+int(cx1)+1]
 		for slot := g.cellStart[rowBase+int(cx0)]; slot < end; slot++ {
-			if snap != nil {
-				sx, sy := self.X-float64(snap[slot].x), self.Y-float64(snap[slot].y)
-				if sx*sx+sy*sy > r2cand {
+			if !g.beacon {
+				sx, sy := self.X-float64(recs[slot].snap.x), self.Y-float64(recs[slot].snap.y)
+				if sx*sx+sy*sy > r2 {
 					continue
 				}
 			}
-			i := nodes[slot]
-			if i == selfI {
-				continue
+			if i := nodes[slot]; i != selfI {
+				keys = append(keys, nodeKey(i, slot))
 			}
-			var p geo.Point
-			if beacon {
-				p = ch.beaconPos[i]
-			} else {
-				if ch.posEpoch[i] != epoch {
-					ch.posCache[i] = ch.mob.Position(int(i), now)
-					ch.posEpoch[i] = epoch
-				}
-				p = ch.posCache[i]
-			}
-			if self.Dist2(p) > r2 || !live[i] {
-				continue
-			}
-			ids = append(ids, i)
 		}
 	}
-	ch.matchBuf = ids
-	ch.sortMatches(ids)
-	for _, i := range ids {
-		if beacon {
-			buf = append(buf, Neighbor{ID: NodeID(i), Pos: ch.beaconPos[i]})
-		} else {
-			buf = append(buf, Neighbor{ID: NodeID(i), Pos: ch.posCache[i]})
-		}
+	g.keys = keys
+	g.byNode(keys)
+	start := len(g.arena)
+	for _, k := range keys {
+		g.arena = append(g.arena, int32(uint32(k)))
 	}
-	return buf
+	*l = nodeList{start: int32(start), n: int32(len(keys)), gen: g.gen}
+	return g.arena[start:]
 }
 
-// insertionMax is the most matches sortMatches hands to insertion sort
-// as they are. Every query at paper density (a dozen neighbors, a dozen
-// peers in a region) is well below it.
+// appendNeighbors appends all live nodes within radio range of self
+// (excluding id) to buf, sorted by NodeID — the same set, in the same
+// order, as the linear reference scan — and each one's slot to slots.
+//
+// A candidate is first tested on its record's snapshot position: only
+// one within Range+drift (plus the rounding margins) of the querier can
+// be in range now. Its position now is the record's leg while that
+// lasts, the epoch cache or the model after.
+func (ch *Channel) appendNeighbors(buf []Neighbor, slots []int32, id NodeID, self geo.Point) ([]Neighbor, []int32) {
+	g := ch.grid
+	list := g.candidates(id, self)
+	r := ch.cfg.Range + g.drift + snapGuard + g.snapSlack
+	r2cand := r * r
+	r2 := ch.cfg.Range * ch.cfg.Range
+
+	// Hoisted epoch state: position() would re-check the clock per
+	// candidate; one sync up front covers the whole query.
+	ch.syncEpoch()
+	epoch, now := uint32(ch.epoch), ch.epochAt
+	live, recs, nodes := ch.live, g.recs, g.nodes
+	for _, slot := range list {
+		rec := &recs[slot]
+		sx, sy := self.X-float64(rec.snap.x), self.Y-float64(rec.snap.y)
+		if sx*sx+sy*sy > r2cand {
+			continue
+		}
+		i := nodes[slot]
+		var p geo.Point
+		if now < rec.leg.Until {
+			p = rec.leg.At(now)
+		} else {
+			if ch.posEpoch[i] != epoch {
+				ch.posCache[i] = ch.mob.Position(int(i), now)
+				ch.posEpoch[i] = epoch
+			}
+			p = ch.posCache[i]
+		}
+		if self.Dist2(p) > r2 || !live[i] {
+			continue
+		}
+		buf = append(buf, Neighbor{ID: NodeID(i), Pos: p})
+		slots = append(slots, slot)
+	}
+	return buf, slots
+}
+
+// nodeKey packs a node and its slot into one key that sorts by node.
+func nodeKey(node, slot int32) uint64 { return uint64(node)<<32 | uint64(uint32(slot)) }
+
+// insertionMax is the most keys byNode hands to insertion sort as they
+// are.
 const insertionMax = 24
 
-// sortMatches orders one query's matches — node indices — ascending.
-// The cost depends on the number of matches only, never on N.
+// byNode sorts nodeKeys, that is, ascending by node. The cost depends on
+// their number only, never on N.
 //
-// Cells list their occupants in ascending order, so a query's matches
-// arrive as a few sorted runs and an insertion sort moves little. A
-// dense topology matches a hundred nodes and more; there insertion (and
-// any comparison sort: one mispredicted branch per compare) costs more
-// than the rest of the query, so the matches are first dealt, stably,
-// into 64 buckets by their high bits. That leaves every index within a
-// bucket's width of its place, and the insertion pass has next to
+// Keys arrive as a few sorted runs (cells list their occupants in
+// ascending order), so an insertion sort moves little. Many more — a list holds twice the neighbors and
+// more, and a dense topology lists a hundred or more — cost insertion
+// (and any comparison sort: one mispredicted branch per compare) more
+// than the rest of the build, so they are first dealt, stably, into 64
+// buckets by the high bits of their node. That leaves every entry within
+// a bucket's width of its place, and the insertion pass has next to
 // nothing left to do.
-func (ch *Channel) sortMatches(s []int32) {
+func (g *grid) byNode(s []uint64) {
 	if len(s) > insertionMax {
-		shift := max(bits.Len(uint(len(ch.live)-1))-6, 0)
+		shift := 32 + max(bits.Len(uint(len(g.nodes)-1))-6, 0)
 		var start [65]int32
-		for _, v := range s {
-			start[v>>shift+1]++
+		for _, k := range s {
+			start[k>>shift+1]++
 		}
 		for b := 1; b < len(start); b++ {
 			start[b] += start[b-1]
 		}
-		if cap(ch.dealBuf) < len(s) {
-			ch.dealBuf = make([]int32, len(s), 2*len(s))
+		if cap(g.deal) < len(s) {
+			g.deal = make([]uint64, 2*len(s))
 		}
-		dealt := ch.dealBuf[:len(s)]
-		for _, v := range s {
-			dealt[start[v>>shift]] = v
-			start[v>>shift]++
+		dealt := g.deal[:len(s)]
+		for _, k := range s {
+			dealt[start[k>>shift]] = k
+			start[k>>shift]++
 		}
 		copy(s, dealt)
 	}
 	for i := 1; i < len(s); i++ {
-		v := s[i]
+		k := s[i]
 		j := i
-		for ; j > 0 && s[j-1] > v; j-- {
+		for ; j > 0 && s[j-1] > k; j-- {
 			s[j] = s[j-1]
 		}
-		s[j] = v
+		s[j] = k
 	}
 }
 
@@ -466,7 +593,7 @@ func (ch *Channel) sortMatches(s []int32) {
 // drift bound (a node inside r now was within drift of it at the
 // snapshot); membership is decided on current epoch-cached positions, so
 // the result is exactly what testing every node would give, in the same
-// order (sortMatches, as for a neighbor query).
+// order (byNode, as for a candidate list).
 func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
 	if ch.beaconAt != nil {
 		return buf, false
@@ -483,7 +610,7 @@ func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
 		return buf, true
 	}
 
-	ids := ch.matchBuf[:0]
+	ids := ch.rectBuf[:0]
 	for cy := int32(cy0); cy <= int32(cy1); cy++ {
 		rowBase := int(cy-g.minCy) * int(g.w)
 		first := g.cellStart[rowBase+int(int32(cx0)-g.minCx)]
@@ -491,14 +618,14 @@ func (ch *Channel) AppendInRect(buf []NodeID, r geo.Rect) ([]NodeID, bool) {
 		// A row's cells are adjacent in CSR order: one run of occupants.
 		for _, i := range g.nodes[first:last] {
 			if r.Contains(ch.position(int(i))) {
-				ids = append(ids, i)
+				ids = append(ids, nodeKey(i, 0))
 			}
 		}
 	}
-	ch.matchBuf = ids
-	ch.sortMatches(ids)
-	for _, i := range ids {
-		buf = append(buf, NodeID(i))
+	ch.rectBuf = ids
+	g.byNode(ids)
+	for _, k := range ids {
+		buf = append(buf, NodeID(k>>32))
 	}
 	return buf, true
 }

@@ -2,7 +2,9 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"precinct/internal/geo"
@@ -171,6 +173,15 @@ func (a approach) Position(node int, now float64) geo.Point {
 		return geo.Pt(0, 0)
 	}
 	return geo.Pt(a.from-a.speed*now, 0)
+}
+
+// Leg returns the one leg each node is on for ever; its At computes
+// exactly what Position does.
+func (a approach) Leg(node int) mobility.Leg {
+	if node == 0 {
+		return mobility.Still(geo.Pt(0, 0), 0, math.Inf(1))
+	}
+	return mobility.Leg{From: geo.Pt(a.from, 0), Dir: geo.Pt(-1, 0), Speed: a.speed, Until: math.Inf(1)}
 }
 
 // TestSnapshotPrefilterKeepsEdgeNeighbor puts a node exactly Range away
@@ -363,5 +374,167 @@ func TestAppendInRectMatchesScan(t *testing.T) {
 	c, _ := orderChannel(t, n, beaconed, 11)
 	if got, ok := c.AppendInRect(nil, rects[0]); ok || len(got) != 0 {
 		t.Errorf("beaconing: AppendInRect answered (%d nodes, ok=%v) without an index of true positions", len(got), ok)
+	}
+}
+
+// requireSameFor is requireSameNeighbors for the listed nodes only.
+func requireSameFor(t *testing.T, grid, lin *Channel, ids []NodeID) {
+	t.Helper()
+	for _, id := range ids {
+		g := grid.Neighbors(id)
+		for i, nb := range g {
+			if i > 0 && g[i-1].ID >= nb.ID {
+				t.Fatalf("t=%v node %d: neighbors not strictly ascending by ID: %v", grid.sched.Now(), id, g)
+			}
+		}
+		if l := appendLinearNeighbors(lin, nil, id); !slices.Equal(g, l) {
+			t.Fatalf("t=%v node %d: grid %v != linear %v", grid.sched.Now(), id, g, l)
+		}
+	}
+}
+
+// waypointPair builds two channels over identical waypoint models: one
+// to query through the index, one for the linear scan.
+func waypointPair(t *testing.T, n int, wcfg mobility.WaypointConfig, cfg Config, seed int64) (*Channel, *Channel) {
+	t.Helper()
+	build := func() *Channel {
+		mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := New(cfg, sim.NewScheduler(), mob, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	return build(), build()
+}
+
+// runBoth moves both channels' clocks to at.
+func runBoth(grid, lin *Channel, at float64) {
+	grid.sched.Run(at)
+	lin.sched.Run(at)
+}
+
+// TestCandidateListsWithinSnapshot holds the per-node candidate lists to
+// the linear scan across the life of one snapshot: lists built at every
+// point of it and read at every later point up to the slack bound, legs
+// and pauses that end inside it (where a record's leg no longer answers
+// and the query falls back to the epoch cache and the model), beacon
+// refreshes that stay inside their cell (which rewrite a record and keep
+// the lists), and liveness flips with collisions on.
+func TestCandidateListsWithinSnapshot(t *testing.T) {
+	// Beacons far apart keep observed positions still while queriers
+	// move at full speed: what bounds a beaconed list is its own node's
+	// movement.
+	for name, beacon := range map[string]float64{"instants-to-slack": 0, "beaconed-instants-to-slack": 30} {
+		t.Run(name, func(t *testing.T) { listsAcrossSnapshot(t, beacon) })
+	}
+
+	t.Run("legs-end-mid-snapshot", func(t *testing.T) {
+		const n = 160
+		wcfg := mobility.WaypointConfig{Area: geo.NewRect(geo.Pt(0, 0), geo.Pt(600, 600)), MinSpeed: 10, MaxSpeed: 20, Pause: 1}
+		grid, lin := waypointPair(t, n, wcfg, DefaultConfig(), 4)
+		var ended, restsEnded int
+		for step := 1; step <= 120; step++ {
+			runBoth(grid, lin, float64(step)*0.37)
+			ids := make([]NodeID, 0, n)
+			for i := step % 3; i < n; i += 3 {
+				ids = append(ids, NodeID(i))
+			}
+			requireSameFor(t, grid, lin, ids)
+			for _, rec := range grid.grid.recs {
+				if rec.leg.Until <= grid.sched.Now() {
+					ended++
+					if rec.leg.Speed == 0 {
+						restsEnded++
+					}
+				}
+			}
+		}
+		if ended == 0 || restsEnded == 0 {
+			t.Fatalf("%d records past their leg, %d of them pauses: the fallback went untested", ended, restsEnded)
+		}
+	})
+
+	t.Run("beacon-refresh-in-cell", func(t *testing.T) {
+		const n = 24
+		wcfg := mobility.WaypointConfig{Area: geo.NewRect(geo.Pt(0, 0), geo.Pt(700, 700)), MinSpeed: 0.5, MaxSpeed: 1, Pause: 2}
+		cfg := DefaultConfig()
+		cfg.BeaconInterval = 0.5
+		grid, lin := waypointPair(t, n, wcfg, cfg, 13)
+		var inCell int
+		for step := 1; step <= 300; step++ {
+			gen, seen := grid.grid.gen, append([]geo.Point(nil), grid.beaconPos...)
+			runBoth(grid, lin, float64(step)*0.3)
+			requireSameNeighbors(t, grid, lin, n)
+			if grid.grid.gen == gen && grid.grid.recs != nil {
+				for i, p := range grid.beaconPos {
+					if p != seen[i] {
+						inCell++
+						if rec := grid.grid.recs[grid.grid.slotOf[i]]; rec.leg.From != p {
+							t.Fatalf("node %d: record holds %v, its beacon is at %v", i, rec.leg.From, p)
+						}
+					}
+				}
+			}
+		}
+		if inCell == 0 {
+			t.Fatal("no beacon refresh stayed inside its cell without a rebuild")
+		}
+	})
+
+	t.Run("liveness-flips-with-collisions", func(t *testing.T) {
+		const n = 200
+		cfg := DefaultConfig()
+		cfg.Collisions = true
+		wcfg := mobility.DefaultWaypointConfig()
+		wcfg.MaxSpeed = 12
+		grid, lin := waypointPair(t, n, wcfg, cfg, 21)
+		rng := rand.New(rand.NewSource(5))
+		for step := 1; step <= 120; step++ {
+			runBoth(grid, lin, float64(step)*0.45)
+			for k := 0; k < 4; k++ {
+				id, alive := NodeID(rng.Intn(n)), rng.Intn(3) > 0
+				grid.SetNodeAlive(id, alive)
+				lin.SetNodeAlive(id, alive)
+				requireSameFor(t, grid, lin, []NodeID{NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), id})
+			}
+		}
+		requireSameNeighbors(t, grid, lin, n)
+	})
+}
+
+// listsAcrossSnapshot runs three snapshots at full speed: in each, node i
+// asks first at step i%steps of the slack window and again at every step
+// after, so lists are built all through a snapshot and read up to its
+// end.
+func listsAcrossSnapshot(t *testing.T, beacon float64) {
+	const n, speed, steps = 240, 20.0, 24
+	wcfg := mobility.DefaultWaypointConfig()
+	wcfg.MinSpeed, wcfg.MaxSpeed, wcfg.Pause = speed, speed, 0
+	cfg := DefaultConfig()
+	cfg.BeaconInterval = beacon
+	grid, lin := waypointPair(t, n, wcfg, cfg, 9)
+	for cycle := 0; cycle < 3; cycle++ {
+		start := grid.sched.Now() + 0.01
+		runBoth(grid, lin, start)
+		grid.Neighbors(0) // rebuilds: the snapshot is taken at start
+		built := grid.grid.builtAt
+		full := grid.grid.slack / speed
+		for k := 0; k <= steps; k++ {
+			runBoth(grid, lin, built+full*float64(k)/steps)
+			var ids []NodeID
+			for i := 0; i < n; i++ {
+				if i%steps <= k {
+					ids = append(ids, NodeID(i))
+				}
+			}
+			requireSameFor(t, grid, lin, ids)
+			if grid.grid.builtAt != built {
+				t.Fatalf("cycle %d step %d: the grid rebuilt inside the slack bound", cycle, k)
+			}
+		}
 	}
 }

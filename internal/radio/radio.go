@@ -5,9 +5,12 @@
 // the Feeney model in internal/energy.
 //
 // Neighbor queries — the hottest operation in the simulator — are served
-// by a uniform-grid spatial index with an epoch-based position cache (see
-// grid.go); order_test.go holds it to an O(N) scan. The last query's
-// answer is remembered and served again to a repeat for the same
+// by a uniform-grid spatial index: per-node candidate lists over
+// slot-ordered records that carry each node's snapshot position and
+// mobility leg, beside an epoch-based position cache (see grid.go);
+// order_test.go holds it to an O(N) scan. Receivers' energy is charged
+// by slot and folded into the meter (energy.Meter.ChargeSlot). The last
+// query's answer is remembered and served again to a repeat for the same
 // node at the same instant (see Neighbors), and liveness is a dense
 // table of one byte per node with a single writer (SetNodeAlive), shared
 // between the channels of a sharded run (SetLiveness).
@@ -203,10 +206,13 @@ type Channel struct {
 	// steady-state queries allocate nothing. The returned slice is only
 	// valid until the next Neighbors/Broadcast/Unicast call.
 	nbrBuf []Neighbor
-	// matchBuf collects a grid query's matches (node indices) before they
-	// are ordered and emitted; dealBuf is sortMatches' scratch. Both are
-	// reused, and sized by the largest match set seen, not by N.
-	matchBuf, dealBuf []int32
+	// nbrSlot is slot-parallel to nbrBuf: the grid slot of each listed
+	// neighbor, by which Broadcast and Unicast charge its receive energy.
+	nbrSlot []int32
+	// rectBuf collects a rectangle query's matches before they are
+	// ordered and emitted; reused, and sized by the largest match set
+	// seen, not by N.
+	rectBuf []uint64
 	// nbrMemo names the query nbrBuf currently answers. A routed hop asks
 	// for the sender's neighbors twice at one instant (the routing
 	// decision, then Unicast's overhearing charge); the repeat is served
@@ -242,6 +248,9 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 	}
 	if sched == nil || mob == nil {
 		return nil, fmt.Errorf("radio: scheduler and mobility model are required")
+	}
+	if meter != nil && meter.Nodes() != mob.Len() {
+		return nil, fmt.Errorf("radio: energy meter has %d nodes, mobility model %d", meter.Nodes(), mob.Len())
 	}
 	if cfg.LossRate > 0 {
 		if len(loss) != mob.Len() {
@@ -602,7 +611,7 @@ func (ch *Channel) refreshBeacon(i int, now float64) {
 	// The grid addresses cells implicitly: the node's old cell is
 	// recomputed from the beacon position being replaced, so the old
 	// value must be read before the overwrite below.
-	ch.grid.noteMove(ch.beaconPos[i], p)
+	ch.grid.noteMove(i, ch.beaconPos[i], p)
 	ch.beaconPos[i] = p
 	ch.beaconAt[i] = now
 	ch.nbrMemo.valid = false
@@ -658,11 +667,13 @@ func (ch *Channel) Neighbors(id NodeID) []Neighbor {
 	}
 	ch.refreshStaleBeacons()
 	self := ch.position(int(id))
+	if ch.grid.recs == nil {
+		ch.allocRecords()
+	}
 	ch.ensureGrid()
-	buf := ch.appendGridNeighbors(ch.nbrBuf[:0], id, self)
-	ch.nbrBuf = buf
+	ch.nbrBuf, ch.nbrSlot = ch.appendNeighbors(ch.nbrBuf[:0], ch.nbrSlot[:0], id, self)
 	ch.nbrMemo.id, ch.nbrMemo.key, ch.nbrMemo.valid = id, key, true
-	return buf
+	return ch.nbrBuf
 }
 
 // InRange reports whether b is currently within a's radio range.
@@ -723,9 +734,9 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 	// scheduler entry for the whole broadcast; the others are parked.
 	var r *reception
 	creator := int32(ch.sched.Cur()) // the context every key below is drawn under
-	for _, nb := range ch.Neighbors(from) {
+	for k, nb := range ch.Neighbors(from) {
 		if ch.meter != nil {
-			ch.meter.Charge(int(nb.ID), energy.BroadcastRecv, onAir)
+			ch.meter.ChargeSlot(int(ch.nbrSlot[k]), energy.BroadcastRecv, onAir)
 		}
 		if ch.lost(from) {
 			ch.stats.Drops++
@@ -775,11 +786,11 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	ch.stats.BytesOnAir += uint64(onAir)
 	if ch.meter != nil {
 		ch.meter.Charge(int(from), energy.P2PSend, onAir)
-		for _, nb := range ch.Neighbors(from) {
+		for k, nb := range ch.Neighbors(from) {
 			if nb.ID == to {
-				ch.meter.Charge(int(nb.ID), energy.P2PRecv, onAir)
+				ch.meter.ChargeSlot(int(ch.nbrSlot[k]), energy.P2PRecv, onAir)
 			} else {
-				ch.meter.Charge(int(nb.ID), energy.Discard, onAir)
+				ch.meter.ChargeSlot(int(ch.nbrSlot[k]), energy.Discard, onAir)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,6 +89,15 @@ func TestNewValidation(t *testing.T) {
 	lossy.LossRate = 0.5
 	if _, err := New(lossy, sim.NewScheduler(), mob, nil, nil); err == nil {
 		t.Error("lossy channel without RNG accepted")
+	}
+	// Receivers are charged by slot over every node the grid indexes, so
+	// the meter must cover exactly the model's nodes.
+	meter, err := energy.NewMeter(3, energy.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(DefaultConfig(), sim.NewScheduler(), mob, meter, nil); err == nil {
+		t.Error("a meter for 3 nodes accepted over 2")
 	}
 }
 
@@ -512,5 +522,136 @@ func TestCollisionsSequentialFramesSurvive(t *testing.T) {
 	sched.RunAll()
 	if delivered != 5 {
 		t.Fatalf("delivered %d, want 5 (sequential frames must not collide)", delivered)
+	}
+}
+
+// requireSameEnergy compares every read a meter offers — what a report
+// (Total), an invariant sweep (Total, Node, ByClass) and a message count
+// read — exactly: both sides derive them from integer cells.
+func requireSameEnergy(t *testing.T, when string, got, want *energy.Meter) {
+	t.Helper()
+	if g, w := got.Total(), want.Total(); g != w {
+		t.Fatalf("%s: total %v, direct charges %v", when, g, w)
+	}
+	for i := 0; i < want.Nodes(); i++ {
+		if g, w := got.Node(i), want.Node(i); g != w {
+			t.Fatalf("%s: node %d spent %v, direct charges %v", when, i, g, w)
+		}
+	}
+	for _, c := range []energy.Class{energy.BroadcastSend, energy.BroadcastRecv, energy.P2PSend, energy.P2PRecv, energy.Discard} {
+		if g, w := got.ByClass(c), want.ByClass(c); g != w {
+			t.Fatalf("%s: class %v %v, direct charges %v", when, c, g, w)
+		}
+		if g, w := got.Messages(c), want.Messages(c); g != w {
+			t.Fatalf("%s: class %v %d messages, direct charges %d", when, c, g, w)
+		}
+	}
+}
+
+// TestSlotEnergyMatchesDirectCharges holds the slot-ordered receive
+// tallies to a meter charged per receiver, the way the channel charged
+// before receivers were charged by slot. Two channels play two shards
+// of one run: senders split between them, each with its own meter. The
+// meters are read mid-snapshot with tallies owed, reset at a warmup
+// instant that is not a rebuild, carried across rebuilds (which fold
+// under the old slot order before reordering), and merged with tallies
+// still owed, as a sharded run's end does; every read must equal the
+// direct charges exactly.
+func TestSlotEnergyMatchesDirectCharges(t *testing.T) {
+	const n = 120
+	type shard struct {
+		ch         *Channel
+		sched      *sim.Scheduler
+		meter, ref *energy.Meter
+	}
+	newMeter := func() *energy.Meter {
+		m, err := energy.NewMeter(n, energy.DefaultModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	wcfg := mobility.DefaultWaypointConfig()
+	wcfg.MaxSpeed = 15
+	shards := make([]*shard, 2)
+	for k := range shards {
+		mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := &shard{sched: sim.NewScheduler(), meter: newMeter(), ref: newMeter()}
+		if sh.ch, err = New(DefaultConfig(), sh.sched, mob, sh.meter, nil); err != nil {
+			t.Fatal(err)
+		}
+		sh.ch.SetHandler(func(NodeID, Frame) {})
+		shards[k] = sh
+	}
+	rng := rand.New(rand.NewSource(8))
+	send := func(sh *shard, from NodeID) {
+		size := 40 + rng.Intn(900)
+		onAir := size + sh.ch.cfg.HeaderBytes
+		if rng.Intn(2) == 0 {
+			sh.ch.Broadcast(from, size, nil)
+			sh.ref.Charge(int(from), energy.BroadcastSend, onAir)
+			for _, nb := range sh.ch.Neighbors(from) {
+				sh.ref.Charge(int(nb.ID), energy.BroadcastRecv, onAir)
+			}
+			return
+		}
+		nbrs := sh.ch.Neighbors(from)
+		if len(nbrs) == 0 {
+			return
+		}
+		to := nbrs[rng.Intn(len(nbrs))].ID
+		sh.ch.Unicast(from, to, size, nil)
+		sh.ref.Charge(int(from), energy.P2PSend, onAir)
+		for _, nb := range sh.ch.Neighbors(from) {
+			if nb.ID == to {
+				sh.ref.Charge(int(nb.ID), energy.P2PRecv, onAir)
+			} else {
+				sh.ref.Charge(int(nb.ID), energy.Discard, onAir)
+			}
+		}
+	}
+	var rebuilds int
+	for step := 1; step <= 200; step++ {
+		at := float64(step) * 0.4
+		for _, sh := range shards {
+			sh.sched.Run(at)
+		}
+		before := shards[0].ch.grid.gen
+		for k := 0; k < 6; k++ {
+			from := NodeID(rng.Intn(n))
+			send(shards[int(from)%2], from)
+		}
+		if shards[0].ch.grid.gen != before {
+			rebuilds++
+		}
+		switch {
+		case step == 50:
+			// The warmup reset, mid-snapshot, with tallies owed.
+			for _, sh := range shards {
+				sh.meter.Reset()
+				sh.ref.Reset()
+			}
+		case step%17 == 0:
+			for k, sh := range shards {
+				requireSameEnergy(t, fmt.Sprintf("t=%v shard %d", at, k), sh.meter, sh.ref)
+			}
+		}
+	}
+	merged, ref := newMeter(), newMeter()
+	for _, sh := range shards {
+		if err := merged.Merge(sh.meter); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Merge(sh.ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameEnergy(t, "merged", merged, ref)
+	if rebuilds < 3 || ref.Messages(energy.Discard) == 0 || ref.Messages(energy.BroadcastRecv) == 0 {
+		t.Fatalf("%d rebuilds, %d discards, %d broadcast receptions: the run does not exercise the folds",
+			rebuilds, ref.Messages(energy.Discard), ref.Messages(energy.BroadcastRecv))
 	}
 }

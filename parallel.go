@@ -178,7 +178,7 @@ func (s Scenario) buildParallel(tracer trace.Tracer) (*parallelRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch, err := radio.New(s.radioConfig(), sched, mob, meter, lossStreams(rng, s.Nodes))
+		ch, err := radio.New(s.radioConfig(), sched, mob, meter, s.lossStreams(rng))
 		if err != nil {
 			return nil, err
 		}

@@ -304,9 +304,14 @@ func PolicyNames() []string { return cache.Names() }
 // lossStreams builds the per-sender frame-loss RNG streams the radio
 // layer consumes. One stream per sender keeps loss draws independent of
 // which shard executes a transmission, so sharded runs reproduce the
-// sequential draw sequence exactly.
-func lossStreams(rng *sim.RNG, n int) []*rand.Rand {
-	out := make([]*rand.Rand, n)
+// sequential draw sequence exactly. A lossless scenario draws nothing
+// and gets none: streams are derived by name, so building them or not
+// moves no other stream.
+func (s Scenario) lossStreams(rng *sim.RNG) []*rand.Rand {
+	if s.LossRate <= 0 {
+		return nil
+	}
+	out := make([]*rand.Rand, s.Nodes)
 	for i := range out {
 		out[i] = rng.Stream(fmt.Sprintf("loss/%d", i))
 	}
@@ -470,7 +475,7 @@ func (s Scenario) buildTraced(tracer trace.Tracer) (*built, error) {
 		return nil, err
 	}
 
-	ch, err := radio.New(s.radioConfig(), sched, mob, meter, lossStreams(rng, s.Nodes))
+	ch, err := radio.New(s.radioConfig(), sched, mob, meter, s.lossStreams(rng))
 	if err != nil {
 		return nil, err
 	}

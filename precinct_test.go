@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"precinct/internal/sim"
 )
 
 // quickScenario is a small, fast configuration for tests.
@@ -301,6 +303,28 @@ func TestConsistencySchemesRun(t *testing.T) {
 		}
 		if res.Report.ControlMessages == 0 {
 			t.Errorf("%s: no control messages", scheme)
+		}
+	}
+}
+
+// TestLossStreamsOnlyWhenLossy: a lossless scenario builds no loss
+// streams (the radio never draws from them), a lossy one builds one per
+// sender, each the registry's stream of its name, so building them or
+// not moves no other stream.
+func TestLossStreamsOnlyWhenLossy(t *testing.T) {
+	s := quickScenario()
+	if got := s.lossStreams(sim.NewRNG(s.Seed)); got != nil {
+		t.Fatalf("lossless scenario built %d loss streams", len(got))
+	}
+	s.LossRate = 0.1
+	rng := sim.NewRNG(s.Seed)
+	got := s.lossStreams(rng)
+	if len(got) != s.Nodes {
+		t.Fatalf("%d loss streams for %d senders", len(got), s.Nodes)
+	}
+	for i, st := range got {
+		if st == nil || st != rng.Stream(fmt.Sprintf("loss/%d", i)) {
+			t.Fatalf("sender %d's loss stream is not the registry's stream loss/%d", i, i)
 		}
 	}
 }
