@@ -3,14 +3,33 @@
 
 GO ?= go
 
-.PHONY: all vet build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate bench-tiny-smoke reach scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet fma build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate bench-tiny-smoke reach scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
+# go vet and gofmt. The arm64 fused multiply-add census (`make fma`,
+# below) is not part of vet yet: it prints a count but gates nothing.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then \
 		echo "vet: gofmt -l lists these files; run gofmt -w on them:"; echo "$$unformatted"; exit 1; fi
+
+# The fused multiply-add census (ROADMAP item 23). The Go spec lets a
+# compiler fuse x*y + z into one rounding unless a conversion forces the
+# product to round; amd64 never fuses, arm64 does. This cross-compiles
+# the module for arm64 (offline, about 30 s: -a rebuilds the standard
+# library too), prints the assembly of its own packages and counts the
+# fused ops in total and per source file, at the site they were inlined
+# from. There is no gate yet.
+fma:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	if ! GOARCH=arm64 $(GO) build -a -gcflags='precinct/...=-S' ./internal/... . 2> "$$dir/asm"; then \
+		grep -v '^[[:space:]]' "$$dir/asm" | tail -20 >&2; exit 1; \
+	fi && \
+	grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' "$$dir/asm" | \
+		sed -E 's/^[^(]*\(([^:]*\/)?([^/:]+\.go):[0-9]+\).*/\2/' | sort | uniq -c | sort -k1,1nr -k2 > "$$dir/files"; \
+	echo "fma: $$(awk '{ n += $$1 } END { print n + 0 }' "$$dir/files") fused multiply-adds on arm64, by file:" && \
+	cat "$$dir/files"
 
 build:
 	$(GO) build ./...

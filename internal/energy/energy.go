@@ -9,6 +9,10 @@
 // broadcast/point-to-point crossed with send/receive — plus a discard cost
 // for point-to-point frames overheard by non-addressees. All energies are
 // in millijoules, sizes in bytes.
+//
+// The paper reads the model as network energy per request, and so does
+// every report here: the Meter does network accounting by traffic class,
+// one tally per class and nothing per node.
 package energy
 
 import "fmt"
@@ -83,22 +87,13 @@ func DefaultModel() Model {
 // Validate checks that all coefficients are non-negative and at least one
 // is positive.
 func (m Model) Validate() error {
-	classes := []struct {
-		name string
-		l    Linear
-	}{
-		{"broadcast-send", m.BroadcastSend},
-		{"broadcast-recv", m.BroadcastRecv},
-		{"p2p-send", m.P2PSend},
-		{"p2p-recv", m.P2PRecv},
-		{"discard", m.Discard},
-	}
 	allZero := true
-	for _, c := range classes {
-		if c.l.M < 0 || c.l.B < 0 {
-			return fmt.Errorf("energy: %s has negative coefficient (m=%v, b=%v)", c.name, c.l.M, c.l.B)
+	for c := Class(0); c < numClasses; c++ {
+		l := m.linear(c)
+		if l.M < 0 || l.B < 0 {
+			return fmt.Errorf("energy: %s has negative coefficient (m=%v, b=%v)", c, l.M, l.B)
 		}
-		if c.l.M > 0 || c.l.B > 0 {
+		if l.M > 0 || l.B > 0 {
 			allZero = false
 		}
 	}
@@ -107,78 +102,6 @@ func (m Model) Validate() error {
 	}
 	return nil
 }
-
-// Cost evaluates the model for one message of the given class and size.
-func (m Model) Cost(c Class, size int) float64 {
-	switch c {
-	case BroadcastSend:
-		return m.BroadcastSend.Cost(size)
-	case BroadcastRecv:
-		return m.BroadcastRecv.Cost(size)
-	case P2PSend:
-		return m.P2PSend.Cost(size)
-	case P2PRecv:
-		return m.P2PRecv.Cost(size)
-	case Discard:
-		return m.Discard.Cost(size)
-	default:
-		panic(fmt.Sprintf("energy: unknown class %d", int(c)))
-	}
-}
-
-// acc is one (node, class) accumulator cell. The meter stores integer
-// observations — total bytes and message count — and derives every
-// energy figure from them on demand, so accumulation commutes exactly:
-// merging per-shard meters is integer addition and reproduces a single
-// meter's floats bit-for-bit regardless of charge order.
-type acc struct {
-	sizeSum int64
-	count   uint64
-}
-
-// Meter accumulates energy spent by a set of nodes, broken down by traffic
-// class. It is not safe for concurrent use; each simulation run owns one
-// (sharded runs own one per shard and Merge them).
-//
-// Receive-side charges can also be taken in slot order (Slots,
-// ChargeSlot): the radio charges every receiver of a frame, and its
-// neighbor index lists them by slot, so their tallies sit in the order
-// the index just read instead of scattered over the node-major cells.
-// Those tallies are integers like the cells, and every read of the meter
-// folds them in first, so what a reader sees is exact whichever way a
-// charge was taken.
-type Meter struct {
-	model Model
-	cells []acc // node-major: cells[node*numClasses + class]
-
-	// recv[s] holds the receive-side charges of node slotNode[s] not yet
-	// folded into cells; owed is set when any of them may be nonzero.
-	recv     []recvTally
-	slotNode []int32
-	owed     bool
-}
-
-// recvTally is one slot's receive-side cells, one column per class that
-// recvCol maps.
-type recvTally [3]acc
-
-// recvCol maps a receive-side class to its column of a recvTally. The
-// send classes map to -1, so charging one by slot fails its bounds check.
-var recvCol = [numClasses]int8{BroadcastSend: -1, BroadcastRecv: 0, P2PSend: -1, P2PRecv: 1, Discard: 2}
-
-// NewMeter returns a meter for n nodes using the given model.
-func NewMeter(n int, model Model) (*Meter, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("energy: meter needs at least one node, got %d", n)
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	return &Meter{model: model, cells: make([]acc, n*int(numClasses))}, nil
-}
-
-// Model returns the meter's coefficient set.
-func (mt *Meter) Model() Model { return mt.model }
 
 // linear returns the model coefficients for a class.
 func (m Model) linear(c Class) Linear {
@@ -198,129 +121,80 @@ func (m Model) linear(c Class) Linear {
 	}
 }
 
-// Charge records one message of the given class and size against node id
-// and returns the energy charged.
-func (mt *Meter) Charge(node int, c Class, size int) float64 {
-	cell := &mt.cells[node*int(numClasses)+int(c)]
+// acc is one traffic class's accumulator. The meter stores integer
+// observations — total bytes and message count — and derives every
+// energy figure from them on demand, so accumulation commutes exactly:
+// merging per-shard meters is integer addition and reproduces a single
+// meter's floats bit-for-bit regardless of charge order.
+type acc struct {
+	sizeSum int64
+	count   uint64
+}
+
+// Meter accumulates the energy a network spends, by traffic class. It is
+// not safe for concurrent use; each simulation run owns one (sharded runs
+// own one per shard and Merge them).
+type Meter struct {
+	model Model
+	cells [numClasses]acc
+}
+
+// NewMeter returns a meter for a network of n nodes using the given
+// model.
+func NewMeter(n int, model Model) (*Meter, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("energy: meter needs at least one node, got %d", n)
+	}
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	return &Meter{model: model}, nil
+}
+
+// Charge records one message of the given class and size, sent or
+// received by node. The meter keeps network totals only: node names the
+// payer and is not stored.
+func (mt *Meter) Charge(node int, c Class, size int) {
+	cell := &mt.cells[c]
 	cell.sizeSum += int64(size)
 	cell.count++
-	return mt.model.Cost(c, size)
 }
 
-// Slots sets the order slot-charged tallies follow: slot s is node
-// order[s]. The meter keeps the slice, not a copy; it folds what it owes
-// under the order it had before adopting the new one, so a caller that
-// reorders a slice it handed over calls Slots with it first. The slot
-// tallies are allocated on the first call.
-func (mt *Meter) Slots(order []int32) {
-	if len(order) != mt.Nodes() {
-		panic(fmt.Sprintf("energy: slot order over %d nodes for a meter of %d", len(order), mt.Nodes()))
-	}
-	mt.fold()
-	mt.slotNode = order
-	if mt.recv == nil {
-		mt.recv = make([]recvTally, len(order))
-	}
-}
-
-// ChargeSlot records one received message of class c (BroadcastRecv,
-// P2PRecv or Discard) and size against the node in slot s of the order
-// Slots set.
-func (mt *Meter) ChargeSlot(s int, c Class, size int) {
-	t := &mt.recv[s][recvCol[c]]
-	t.sizeSum += int64(size)
-	t.count++
-	mt.owed = true
-}
-
-// fold adds every slot tally into its node's cells and zeroes it.
-func (mt *Meter) fold() {
-	if !mt.owed {
-		return
-	}
-	mt.owed = false
-	for s := range mt.recv {
-		t := &mt.recv[s]
-		row := mt.cells[int(mt.slotNode[s])*int(numClasses):]
-		for _, c := range [...]Class{BroadcastRecv, P2PRecv, Discard} {
-			row[c].sizeSum += t[recvCol[c]].sizeSum
-			row[c].count += t[recvCol[c]].count
-		}
-		*t = recvTally{}
-	}
-}
-
-// cellCost evaluates one (node, class) cell: M*Σsize + B*count.
-func (mt *Meter) cellCost(node int, c Class) float64 {
-	cell := mt.cells[node*int(numClasses)+int(c)]
-	l := mt.model.linear(c)
-	return l.M*float64(cell.sizeSum) + l.B*float64(cell.count)
-}
-
-// Nodes returns the meter's node count.
-func (mt *Meter) Nodes() int { return len(mt.cells) / int(numClasses) }
-
-// Total returns the network-wide energy spent, in mJ.
+// Total returns the network-wide energy spent, in mJ: the sum of ByClass
+// over the classes.
 func (mt *Meter) Total() float64 {
-	mt.fold()
-	var total float64
-	for id := 0; id < mt.Nodes(); id++ {
-		total += mt.Node(id)
-	}
-	return total
-}
-
-// Node returns the energy spent by one node, in mJ.
-func (mt *Meter) Node(id int) float64 {
-	mt.fold()
 	var total float64
 	for c := Class(0); c < numClasses; c++ {
-		total += mt.cellCost(id, c)
+		total += mt.ByClass(c)
 	}
 	return total
 }
 
-// ByClass returns the energy spent in one traffic class, in mJ.
+// ByClass returns the energy spent in one traffic class, in mJ:
+// M*Σsize + B*count. Each product is rounded on its own, so no target
+// fuses them into one multiply-add.
 func (mt *Meter) ByClass(c Class) float64 {
-	mt.fold()
-	var total float64
-	for id := 0; id < mt.Nodes(); id++ {
-		total += mt.cellCost(id, c)
-	}
-	return total
+	cell := mt.cells[c]
+	l := mt.model.linear(c)
+	return float64(l.M*float64(cell.sizeSum)) + float64(l.B*float64(cell.count))
 }
 
 // Messages returns the number of messages charged in one traffic class.
-func (mt *Meter) Messages(c Class) uint64 {
-	mt.fold()
-	var total uint64
-	for id := 0; id < mt.Nodes(); id++ {
-		total += mt.cells[id*int(numClasses)+int(c)].count
-	}
-	return total
-}
+func (mt *Meter) Messages(c Class) uint64 { return mt.cells[c].count }
 
-// Merge folds another meter's observations into this one. Both meters
-// must describe the same node set and model; sharded runs merge their
-// per-shard meters at the end of a run.
+// Merge adds another meter's observations into this one. Both meters
+// must use the same model; sharded runs merge their per-shard meters at
+// the end of a run.
 func (mt *Meter) Merge(o *Meter) error {
-	if len(o.cells) != len(mt.cells) {
-		return fmt.Errorf("energy: merging meter with %d cells into %d", len(o.cells), len(mt.cells))
+	if o.model != mt.model {
+		return fmt.Errorf("energy: merging a meter of model %+v into one of %+v", o.model, mt.model)
 	}
-	mt.fold()
-	o.fold()
-	for i := range mt.cells {
-		mt.cells[i].sizeSum += o.cells[i].sizeSum
-		mt.cells[i].count += o.cells[i].count
+	for c := range mt.cells {
+		mt.cells[c].sizeSum += o.cells[c].sizeSum
+		mt.cells[c].count += o.cells[c].count
 	}
 	return nil
 }
 
-// Reset zeroes all accumulators, slot tallies included; the model, node
-// count and slot order are kept.
-func (mt *Meter) Reset() {
-	mt.fold()
-	for i := range mt.cells {
-		mt.cells[i] = acc{}
-	}
-}
+// Reset zeroes every class's tally; the model is kept.
+func (mt *Meter) Reset() { mt.cells = [numClasses]acc{} }

@@ -76,11 +76,16 @@ func TestModelValidateRejectsAllZero(t *testing.T) {
 }
 
 func TestModelCostDispatch(t *testing.T) {
-	m := DefaultModel()
-	cases := []Class{BroadcastSend, BroadcastRecv, P2PSend, P2PRecv, Discard}
-	for _, c := range cases {
-		if m.Cost(c, 100) <= 0 {
-			t.Errorf("Cost(%v, 100) not positive", c)
+	m := Model{
+		BroadcastSend: Linear{M: 1, B: 10},
+		BroadcastRecv: Linear{M: 2, B: 20},
+		P2PSend:       Linear{M: 3, B: 30},
+		P2PRecv:       Linear{M: 4, B: 40},
+		Discard:       Linear{M: 5, B: 50},
+	}
+	for c := Class(0); c < numClasses; c++ {
+		if want := (Linear{M: float64(c + 1), B: float64(10 * (c + 1))}); m.linear(c) != want {
+			t.Errorf("linear(%v) = %+v, want %+v", c, m.linear(c), want)
 		}
 	}
 	defer func() {
@@ -88,7 +93,7 @@ func TestModelCostDispatch(t *testing.T) {
 			t.Error("unknown class did not panic")
 		}
 	}()
-	m.Cost(Class(42), 1)
+	m.linear(Class(42))
 }
 
 func TestNewMeterValidation(t *testing.T) {
@@ -101,78 +106,132 @@ func TestNewMeterValidation(t *testing.T) {
 	}
 }
 
-func TestMeterAccounting(t *testing.T) {
-	mt, err := NewMeter(3, DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := mt.Charge(0, BroadcastSend, 500)
-	c2 := mt.Charge(1, BroadcastRecv, 500)
-	c3 := mt.Charge(1, P2PSend, 200)
+// op is one charge of a random stream.
+type op struct {
+	Node  uint8
+	Class uint8
+	Size  uint16
+}
 
-	if got := mt.Node(0); got != c1 {
-		t.Errorf("Node(0) = %v, want %v", got, c1)
+func (o op) charge(mt *Meter) { mt.Charge(int(o.Node), Class(o.Class%uint8(numClasses)), int(o.Size)) }
+
+// classCost is what ByClass must read for count messages of bytes in
+// total under l.
+func classCost(l Linear, bytes int64, count uint64) float64 {
+	return float64(l.M*float64(bytes)) + float64(l.B*float64(count))
+}
+
+func TestMeterAccounting(t *testing.T) {
+	mt := newTestMeter(t, 3)
+	mt.Charge(0, BroadcastSend, 500)
+	mt.Charge(1, BroadcastRecv, 500)
+	mt.Charge(2, BroadcastRecv, 500)
+	mt.Charge(1, P2PSend, 200)
+	mt.Charge(1, P2PSend, 300)
+
+	m := DefaultModel()
+	want := map[Class]struct {
+		cost float64
+		n    uint64
+	}{
+		BroadcastSend: {m.BroadcastSend.Cost(500), 1},
+		BroadcastRecv: {classCost(m.BroadcastRecv, 1000, 2), 2},
+		P2PSend:       {classCost(m.P2PSend, 500, 2), 2},
+		P2PRecv:       {0, 0},
+		Discard:       {0, 0},
 	}
-	if got := mt.Node(1); math.Abs(got-(c2+c3)) > 1e-12 {
-		t.Errorf("Node(1) = %v, want %v", got, c2+c3)
+	var total float64
+	for c := Class(0); c < numClasses; c++ {
+		if got := mt.ByClass(c); got != want[c].cost {
+			t.Errorf("ByClass(%v) = %v, want %v", c, got, want[c].cost)
+		}
+		if got := mt.Messages(c); got != want[c].n {
+			t.Errorf("Messages(%v) = %d, want %d", c, got, want[c].n)
+		}
+		total += want[c].cost
 	}
-	if got := mt.Node(2); got != 0 {
-		t.Errorf("Node(2) = %v, want 0", got)
-	}
-	if got := mt.Total(); math.Abs(got-(c1+c2+c3)) > 1e-12 {
-		t.Errorf("Total = %v, want %v", got, c1+c2+c3)
-	}
-	if got := mt.ByClass(BroadcastSend); got != c1 {
-		t.Errorf("ByClass(BroadcastSend) = %v, want %v", got, c1)
-	}
-	if mt.Messages(BroadcastSend) != 1 || mt.Messages(P2PSend) != 1 || mt.Messages(P2PRecv) != 0 {
-		t.Error("message counters wrong")
+	if got := mt.Total(); got != total {
+		t.Errorf("Total = %v, want %v", got, total)
 	}
 }
 
 func TestMeterReset(t *testing.T) {
-	mt, _ := NewMeter(2, DefaultModel())
+	mt := newTestMeter(t, 2)
 	mt.Charge(0, P2PSend, 100)
 	mt.Charge(1, P2PRecv, 100)
 	mt.Reset()
-	if mt.Total() != 0 || mt.Node(0) != 0 || mt.Node(1) != 0 {
+	if mt.Total() != 0 {
 		t.Error("Reset left residual energy")
 	}
-	if mt.Messages(P2PSend) != 0 {
-		t.Error("Reset left residual message counts")
+	for c := Class(0); c < numClasses; c++ {
+		if mt.ByClass(c) != 0 || mt.Messages(c) != 0 {
+			t.Errorf("Reset left %v at %v over %d messages", c, mt.ByClass(c), mt.Messages(c))
+		}
 	}
-	if err := mt.Model().Validate(); err != nil {
-		t.Error("Reset clobbered the model")
+	mt.Charge(0, P2PRecv, 100)
+	if got, want := mt.ByClass(P2PRecv), DefaultModel().P2PRecv.Cost(100); got != want {
+		t.Errorf("after Reset a p2p-recv charge reads %v, want %v: the model was not kept", got, want)
 	}
 }
 
-// Property: total always equals the sum of per-node energies and the sum
-// of per-class energies.
+// Property: every charge lands in its class, and Total is the sum of the
+// classes, whatever the stream.
 func TestMeterConservation(t *testing.T) {
-	f := func(ops []struct {
-		Node  uint8
-		Class uint8
-		Size  uint16
-	}) bool {
-		mt, err := NewMeter(8, DefaultModel())
-		if err != nil {
-			return false
+	m := DefaultModel()
+	f := func(ops []op) bool {
+		mt := newTestMeter(t, 8)
+		var bytes [numClasses]int64
+		var count [numClasses]uint64
+		for _, o := range ops {
+			o.charge(mt)
+			c := o.Class % uint8(numClasses)
+			bytes[c] += int64(o.Size)
+			count[c]++
 		}
-		for _, op := range ops {
-			mt.Charge(int(op.Node%8), Class(op.Class%5), int(op.Size))
-		}
-		var nodeSum, classSum float64
-		for i := 0; i < 8; i++ {
-			nodeSum += mt.Node(i)
-		}
+		var total float64
 		for c := Class(0); c < numClasses; c++ {
-			classSum += mt.ByClass(c)
+			if mt.Messages(c) != count[c] || mt.ByClass(c) != classCost(m.linear(c), bytes[c], count[c]) {
+				return false
+			}
+			total += mt.ByClass(c)
 		}
-		tol := 1e-9 * (1 + mt.Total())
-		return math.Abs(nodeSum-mt.Total()) < tol && math.Abs(classSum-mt.Total()) < tol
+		return mt.Total() == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: two meters charged with any split of one stream merge to
+// exactly the meter charged with all of it, bit for bit. A sharded run
+// relies on this to report what the sequential run reports.
+func TestMeterMergeSplitsExactly(t *testing.T) {
+	f := func(ops []op, split []bool) bool {
+		whole, a, b := newTestMeter(t, 8), newTestMeter(t, 8), newTestMeter(t, 8)
+		for i, o := range ops {
+			o.charge(whole)
+			if i < len(split) && split[i] {
+				o.charge(a)
+			} else {
+				o.charge(b)
+			}
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		return *a == *whole && math.Float64bits(a.Total()) == math.Float64bits(whole.Total())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	other := DefaultModel()
+	other.Discard.B *= 2
+	mt, err := NewMeter(8, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newTestMeter(t, 8).Merge(mt); err == nil {
+		t.Error("merged meters of different models")
 	}
 }
 
@@ -180,76 +239,16 @@ func TestMeterConservation(t *testing.T) {
 func TestCostMonotoneInSize(t *testing.T) {
 	m := DefaultModel()
 	f := func(a, b uint16, classRaw uint8) bool {
-		c := Class(classRaw % 5)
+		l := m.linear(Class(classRaw % 5))
 		small, large := int(a), int(b)
 		if small > large {
 			small, large = large, small
 		}
-		return m.Cost(c, small) <= m.Cost(c, large)
+		return l.Cost(small) <= l.Cost(large)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestSlotChargesFoldExactly: charges taken by slot land on the node the
-// slot held when they were taken — also after the order is rewritten in
-// place, as a rebuild does after Slots — and every read, Reset and Merge
-// sees them as if they had been charged to the node directly. A send
-// class has no slot column.
-func TestSlotChargesFoldExactly(t *testing.T) {
-	order := []int32{2, 0, 3, 1}
-	slotted, direct := newTestMeter(t, 4), newTestMeter(t, 4)
-	slotted.Slots(order)
-	charge := func(slot int, c Class, size int) {
-		slotted.ChargeSlot(slot, c, size)
-		direct.Charge(int(order[slot]), c, size)
-	}
-	same := func(when string, a, b *Meter) {
-		t.Helper()
-		// Read a's slots before comparing the cells whole.
-		if a.Total() != b.Total() || a.Messages(Discard) != b.Messages(Discard) {
-			t.Fatalf("%s: slot charges read %v / %d, direct %v / %d", when, a.Total(), a.Messages(Discard), b.Total(), b.Messages(Discard))
-		}
-		for i := 0; i < 4; i++ {
-			if a.Node(i) != b.Node(i) {
-				t.Fatalf("%s: node %d spent %v by slot, %v directly", when, i, a.Node(i), b.Node(i))
-			}
-		}
-	}
-	charge(0, BroadcastRecv, 100)
-	charge(3, P2PRecv, 70)
-	charge(1, Discard, 9)
-	same("first reads", slotted, direct)
-
-	charge(2, Discard, 33)
-	slotted.Slots(order) // what a rebuild does before it reorders
-	order[0], order[3] = order[3], order[0]
-	charge(0, BroadcastRecv, 12)
-	charge(3, Discard, 5)
-	same("after a reorder", slotted, direct)
-
-	charge(1, P2PRecv, 8)
-	slotted.Reset()
-	direct.Reset()
-	same("after Reset with charges owed", slotted, direct)
-
-	charge(2, BroadcastRecv, 40)
-	into, ref := newTestMeter(t, 4), newTestMeter(t, 4)
-	if err := into.Merge(slotted); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Merge(direct); err != nil {
-		t.Fatal(err)
-	}
-	same("merged with charges owed", into, ref)
-
-	defer func() {
-		if recover() == nil {
-			t.Error("a send class was charged by slot")
-		}
-	}()
-	slotted.ChargeSlot(0, BroadcastSend, 1)
 }
 
 func newTestMeter(t *testing.T, n int) *Meter {

@@ -56,11 +56,6 @@
 // snapshot position. Its querier moves at its true speed, and the drift
 // rebuild bounds that in both modes.
 //
-// Broadcast and Unicast charge each receiver's receive energy by slot
-// (energy.Meter.ChargeSlot), in the order the query just read, and the
-// meter folds those tallies into its node-indexed cells before every
-// rebuild (Meter.Slots) and on every read.
-//
 // The same snapshot answers rectangle queries (AppendInRect: which nodes
 // are inside this region's bounds right now), which is how the node
 // layer finds a region's custodian without testing every peer.
@@ -308,11 +303,6 @@ func (ch *Channel) ensureGrid() {
 func (ch *Channel) rebuildGrid(now float64) {
 	g := ch.grid
 	n := ch.mob.Len()
-	if g.recs != nil && ch.meter != nil {
-		// The meter folds what receivers owe under the old slot order
-		// before pass 2 rewrites it.
-		ch.meter.Slots(g.nodes)
-	}
 
 	// Pass 1: current indexed positions and bounds. Positions land in the
 	// epoch/beacon caches; cells are never stored per node — pass 2
@@ -491,13 +481,13 @@ func (g *grid) candidates(id NodeID, self geo.Point) []int32 {
 
 // appendNeighbors appends all live nodes within radio range of self
 // (excluding id) to buf, sorted by NodeID — the same set, in the same
-// order, as the linear reference scan — and each one's slot to slots.
+// order, as the linear reference scan.
 //
 // A candidate is first tested on its record's snapshot position: only
 // one within Range+drift (plus the rounding margins) of the querier can
 // be in range now. Its position now is the record's leg while that
 // lasts, the epoch cache or the model after.
-func (ch *Channel) appendNeighbors(buf []Neighbor, slots []int32, id NodeID, self geo.Point) ([]Neighbor, []int32) {
+func (ch *Channel) appendNeighbors(buf []Neighbor, id NodeID, self geo.Point) []Neighbor {
 	g := ch.grid
 	list := g.candidates(id, self)
 	r := ch.cfg.Range + g.drift + snapGuard + g.snapSlack
@@ -530,9 +520,8 @@ func (ch *Channel) appendNeighbors(buf []Neighbor, slots []int32, id NodeID, sel
 			continue
 		}
 		buf = append(buf, Neighbor{ID: NodeID(i), Pos: p})
-		slots = append(slots, slot)
 	}
-	return buf, slots
+	return buf
 }
 
 // nodeKey packs a node and its slot into one key that sorts by node.

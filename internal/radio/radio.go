@@ -8,12 +8,13 @@
 // by a uniform-grid spatial index: per-node candidate lists over
 // slot-ordered records that carry each node's snapshot position and
 // mobility leg, beside an epoch-based position cache (see grid.go);
-// order_test.go holds it to an O(N) scan. Receivers' energy is charged
-// by slot and folded into the meter (energy.Meter.ChargeSlot). The last
-// query's answer is remembered and served again to a repeat for the same
-// node at the same instant (see Neighbors), and liveness is a dense
-// table of one byte per node with a single writer (SetNodeAlive), shared
-// between the channels of a sharded run (SetLiveness).
+// order_test.go holds it to an O(N) scan. The last query's answer is
+// remembered and served again to a repeat for the same node at the same
+// instant (see Neighbors), and liveness is a dense table of one byte per
+// node with a single writer (SetNodeAlive), shared between the channels
+// of a sharded run (SetLiveness). Energy is counted by traffic class:
+// the sender and every receiver of a frame are charged to the meter as
+// the frame is sent.
 //
 // The model is deliberately simpler than a packet-level 802.11 PHY — no
 // carrier sense across nodes, no collisions — because the paper's metrics
@@ -206,9 +207,6 @@ type Channel struct {
 	// steady-state queries allocate nothing. The returned slice is only
 	// valid until the next Neighbors/Broadcast/Unicast call.
 	nbrBuf []Neighbor
-	// nbrSlot is slot-parallel to nbrBuf: the grid slot of each listed
-	// neighbor, by which Broadcast and Unicast charge its receive energy.
-	nbrSlot []int32
 	// rectBuf collects a rectangle query's matches before they are
 	// ordered and emitted; reused, and sized by the largest match set
 	// seen, not by N.
@@ -248,9 +246,6 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 	}
 	if sched == nil || mob == nil {
 		return nil, fmt.Errorf("radio: scheduler and mobility model are required")
-	}
-	if meter != nil && meter.Nodes() != mob.Len() {
-		return nil, fmt.Errorf("radio: energy meter has %d nodes, mobility model %d", meter.Nodes(), mob.Len())
 	}
 	if cfg.LossRate > 0 {
 		if len(loss) != mob.Len() {
@@ -671,7 +666,7 @@ func (ch *Channel) Neighbors(id NodeID) []Neighbor {
 		ch.allocRecords()
 	}
 	ch.ensureGrid()
-	ch.nbrBuf, ch.nbrSlot = ch.appendNeighbors(ch.nbrBuf[:0], ch.nbrSlot[:0], id, self)
+	ch.nbrBuf = ch.appendNeighbors(ch.nbrBuf[:0], id, self)
 	ch.nbrMemo.id, ch.nbrMemo.key, ch.nbrMemo.valid = id, key, true
 	return ch.nbrBuf
 }
@@ -734,9 +729,9 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 	// scheduler entry for the whole broadcast; the others are parked.
 	var r *reception
 	creator := int32(ch.sched.Cur()) // the context every key below is drawn under
-	for k, nb := range ch.Neighbors(from) {
+	for _, nb := range ch.Neighbors(from) {
 		if ch.meter != nil {
-			ch.meter.ChargeSlot(int(ch.nbrSlot[k]), energy.BroadcastRecv, onAir)
+			ch.meter.Charge(int(nb.ID), energy.BroadcastRecv, onAir)
 		}
 		if ch.lost(from) {
 			ch.stats.Drops++
@@ -786,11 +781,11 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	ch.stats.BytesOnAir += uint64(onAir)
 	if ch.meter != nil {
 		ch.meter.Charge(int(from), energy.P2PSend, onAir)
-		for k, nb := range ch.Neighbors(from) {
+		for _, nb := range ch.Neighbors(from) {
 			if nb.ID == to {
-				ch.meter.ChargeSlot(int(ch.nbrSlot[k]), energy.P2PRecv, onAir)
+				ch.meter.Charge(int(nb.ID), energy.P2PRecv, onAir)
 			} else {
-				ch.meter.ChargeSlot(int(ch.nbrSlot[k]), energy.Discard, onAir)
+				ch.meter.Charge(int(nb.ID), energy.Discard, onAir)
 			}
 		}
 	}
