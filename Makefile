@@ -50,11 +50,14 @@ race:
 # smaller host the runtime multiplexes, which still schedules
 # differently than 1). -short caps the large-N seeds (the full sizes
 # run race-free in `test`; under race the parallel suite caps itself
-# the same way via the race build tag).
+# the same way via the race build tag). The flood-record tests of
+# internal/node run too: each replica keeps its own records, and a
+# payload cloned across shards must not carry a reference into another's.
 race-parallel:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'Parallel|Golden|Equivalence|Canonicalize|Shuffle' .
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run 'Parallel|Golden|Equivalence|Canonicalize|Shuffle' .
 	$(GO) test -race -count=1 ./internal/pool ./internal/trace
+	$(GO) test -race -count=1 -run Flood ./internal/node
 
 # The runtime invariant suite (DESIGN.md section 9) under the race
 # detector: fuzzed scenarios, metamorphic relations and the
@@ -85,7 +88,8 @@ bench-smoke:
 # A CPU profile of one Go benchmark, one iteration, without a throw-away
 # main: the top of the cumulative listing is printed and nothing is left
 # behind. The default is paper_80's shape, the benchmark's workload with
-# writes; BenchmarkRunScenario/flood_2k is flood_2k's. PROFILE_PKG names
+# writes; BenchmarkRunScenario/flood_2k is flood_2k's and
+# BenchmarkRunScenario/scale_10k is scale_10k's. PROFILE_PKG names
 # the package of any other benchmark (-cpuprofile takes one package per
 # run).
 #

@@ -124,7 +124,8 @@ func BenchmarkExtRetrievalSchemes(b *testing.B) {
 // minute, the one shape in which stores are written while their holders
 // re-home. `make profile` profiles it. "flood_2k" is that workload's
 // namesake: 2000 nodes at paper density, read-only, where neighbor
-// queries and their deliveries do most of the work.
+// queries and their deliveries do most of the work. "scale_10k" is the
+// third workload's shape: 10000 nodes, 30 s after 10 s of warm-up.
 func BenchmarkRunScenario(b *testing.B) {
 	b.Run("updates", func(b *testing.B) {
 		s := DefaultScenario()
@@ -141,6 +142,16 @@ func BenchmarkRunScenario(b *testing.B) {
 	b.Run("flood_2k", func(b *testing.B) {
 		s := scaleScenario(2000)
 		s.Duration = 180
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("scale_10k", func(b *testing.B) {
+		s := scaleScenario(10000)
+		s.Duration, s.Warmup = 30, 10
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := Run(s); err != nil {

@@ -116,6 +116,7 @@ func (n *Network) clonePayload(payload any) any {
 	}
 	cp.refs = 1
 	cp.released = false
+	cp.rec = nil // the receiver's replica keeps its own flood records
 	return cp
 }
 

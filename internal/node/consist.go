@@ -43,7 +43,7 @@ func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 			Version: newVersion, TTL: networkTTL,
 			Size: n.catalog.Size(k),
 		})
-		p.markSeen(m.FloodID)
+		p.markSeen(m)
 		n.broadcast(origin, m)
 	default:
 		// None, PullEveryTime, PushAdaptivePull: the update travels to
@@ -74,7 +74,7 @@ func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, ra
 		m.Kind = kindUpdateFlood
 		m.TTL = regionTTL
 		m.FloodID = p.newID()
-		p.markSeen(m.FloodID)
+		p.markSeen(m)
 		n.broadcast(p.id, m)
 		return
 	}
@@ -89,7 +89,7 @@ func (p *Peer) onUpdateRoute(m *message) {
 		m.Kind = kindUpdateFlood
 		m.TTL = regionTTL
 		m.FloodID = p.newID()
-		p.markSeen(m.FloodID)
+		p.markSeen(m)
 		p.applyUpdateMessage(m)
 		p.net.broadcast(p.id, m)
 		return
@@ -100,7 +100,7 @@ func (p *Peer) onUpdateRoute(m *message) {
 // onUpdateFlood applies an update inside the target region and keeps the
 // localized flood going.
 func (p *Peer) onUpdateFlood(m *message) {
-	if p.markSeen(m.FloodID) {
+	if p.markSeen(m) {
 		p.net.releaseMsg(m)
 		return
 	}
@@ -171,7 +171,7 @@ func (n *Network) holderTTR(p *Peer, k workload.Key) float64 {
 // peer processes it — holders apply the new version, caches drop or
 // freshen their copy — and keeps flooding.
 func (p *Peer) onInvalidate(m *message) {
-	if p.markSeen(m.FloodID) {
+	if p.markSeen(m) {
 		p.net.releaseMsg(m)
 		return
 	}
@@ -216,7 +216,7 @@ func (n *Network) sendPoll(p *Peer, req *pendingReq) bool {
 		m.Kind = kindPollFlood
 		m.TTL = regionTTL
 		m.FloodID = p.newID()
-		p.markSeen(m.FloodID)
+		p.markSeen(m)
 		n.broadcast(p.id, m)
 		return true
 	}
@@ -234,7 +234,7 @@ func (p *Peer) onPollRoute(m *message) {
 		m.Kind = kindPollFlood
 		m.TTL = regionTTL
 		m.FloodID = p.newID()
-		p.markSeen(m.FloodID)
+		p.markSeen(m)
 		if p.answerPoll(m) {
 			p.net.releaseMsg(m)
 			return
@@ -247,7 +247,7 @@ func (p *Peer) onPollRoute(m *message) {
 
 // onPollFlood lets holders inside the home region answer the poll.
 func (p *Peer) onPollFlood(m *message) {
-	if p.markSeen(m.FloodID) {
+	if p.markSeen(m) {
 		p.net.releaseMsg(m)
 		return
 	}

@@ -1,112 +1,106 @@
 package node
 
 // Struct-of-arrays peer containers (DESIGN.md section 14): flood dedup
-// lives in an open-addressed linear-probing table (two flat slices, no
-// per-entry boxes), outstanding requests live in a small slice searched
-// linearly (a peer rarely has more than a handful), and request boxes
-// recycle through a per-network freelist.
+// lives in one record per flood wave (not one table per peer),
+// outstanding requests live in a small slice searched linearly (a peer
+// rarely has more than a handful), and request boxes recycle through a
+// per-network freelist.
 
-// seenTable is an open-addressed linear-probing hash table from flood
-// ID to expiry time. Message IDs are never zero (newID ORs a counter
-// that starts at one), so zero keys mark empty slots and the table
-// needs no tombstones — entries are only removed wholesale at prune
-// time by rehashing the survivors.
-type seenTable struct {
-	keys []uint64
-	exps []float64
-	used int
-	// shift maps a mixed 64-bit hash to a slot index: the table size is
-	// a power of two, and the top bits of the multiplicative hash are
-	// the well-mixed ones.
-	shift uint
+// floodRec is one flood wave's duplicate suppression in one Network
+// replica: which of the replica's peers have marked the wave's dedup ID,
+// and until when. Every dedup ID is a fresh newID that exactly one birth
+// site marks, through the message it starts; every copy of that message
+// carries a reference to the record, so a receiver finds it without a
+// lookup. A mark counts while its expiry is strictly later than now;
+// marking again after expiry appends a newer mark.
+type floodRec struct {
+	id  uint64
+	gen uint32 // bumped on recycling: a reference of an older generation is stale
+	// latest is the latest expiry of any mark: at or before now, no mark
+	// counts and the record may be recycled.
+	latest float64
+	nodes  []int32 // marking peers, in marking order
+	exps   []float64
 }
 
-// seenMinSlots is the smallest table allocation (slots, power of two).
-const seenMinSlots = 16
-
-// hashID mixes a flood ID multiplicatively (Fibonacci hashing); the
-// high bits of the product index the table.
-func hashID(id uint64) uint64 { return id * 0x9E3779B97F4A7C15 }
-
-// init sizes the table for about n entries (load factor <= 0.5 at n).
-func (t *seenTable) init(n int) {
-	size := seenMinSlots
-	for size < n*2 {
-		size *= 2
+// seen reports whether node holds a mark that has not expired.
+func (r *floodRec) seen(node int32, now float64) bool {
+	if r.latest <= now {
+		return false
 	}
-	t.keys = make([]uint64, size)
-	t.exps = make([]float64, size)
-	t.used = 0
-	t.shift = 64
-	for s := size; s > 1; s >>= 1 {
-		t.shift--
+	// Newest first: a node's newest mark is its latest, and a duplicate
+	// arrives soon after its receiver marked.
+	for i := len(r.nodes) - 1; i >= 0; i-- {
+		if r.nodes[i] == node {
+			return r.exps[i] > now
+		}
 	}
+	return false
 }
 
-// lookup returns the expiry recorded for id.
-func (t *seenTable) lookup(id uint64) (float64, bool) {
-	if t.used == 0 {
-		return 0, false
+// mark records node's mark, reporting whether it already held one that
+// has not expired (then nothing changes).
+func (r *floodRec) mark(node int32, now float64) bool {
+	if r.seen(node, now) {
+		return true
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := hashID(id) >> t.shift; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case id:
-			return t.exps[i], true
-		case 0:
-			return 0, false
-		}
-	}
+	r.nodes = append(r.nodes, node)
+	r.exps = append(r.exps, now+seenRetention)
+	r.latest = max(r.latest, now+seenRetention)
+	return false
 }
 
-// store inserts or overwrites the expiry for id (id must be nonzero).
-func (t *seenTable) store(id uint64, exp float64) {
-	if len(t.keys) == 0 || t.used*4 >= len(t.keys)*3 {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := hashID(id) >> t.shift; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case id:
-			t.exps[i] = exp
-			return
-		case 0:
-			t.keys[i] = id
-			t.exps[i] = exp
-			t.used++
-			return
-		}
-	}
+// floodIndex holds one replica's flood records: by dedup ID, for copies
+// that arrive without a valid reference (a payload cloned across shards,
+// a reference outlived by its record), and in birth order for recycling.
+type floodIndex struct {
+	byID  map[uint64]*floodRec
+	order []*floodRec // oldest first
 }
 
-// grow doubles the table and rehashes every entry.
-func (t *seenTable) grow() {
-	old := *t
-	t.init(len(old.keys))
-	for i, k := range old.keys {
-		if k != 0 {
-			t.store(k, old.exps[i])
-		}
+// find returns the record of m's dedup ID, or nil when this replica has
+// none, and leaves m referencing what it found.
+func (f *floodIndex) find(m *message, id uint64) *floodRec {
+	if r := m.rec; r != nil && r.gen == m.recGen {
+		return r
 	}
+	r := f.byID[id]
+	if r != nil {
+		m.rec, m.recGen = r, r.gen
+	}
+	return r
 }
 
-// prune drops every entry whose expiry is at or before now, rehashing
-// the survivors into a right-sized table: strictly-later expiries
-// survive.
-func (t *seenTable) prune(now float64) {
-	live := 0
-	for i, k := range t.keys {
-		if k != 0 && t.exps[i] > now {
-			live++
-		}
+// heard reports whether node holds a mark of m's flood that has not
+// expired: the read half of markSeen, for the duplicate fast path.
+func (f *floodIndex) heard(m *message, id uint64, node int32, now float64) bool {
+	r := f.find(m, id)
+	return r != nil && r.seen(node, now)
+}
+
+// open starts the record of a dedup ID that has none and points m at it.
+// It recycles the oldest record once every mark in it has expired: that
+// record answered "not seen" for every peer, and so does the empty one
+// that replaces it if its ID comes round again.
+func (f *floodIndex) open(m *message, id uint64, now float64) *floodRec {
+	var r *floodRec
+	if len(f.order) > 0 && f.order[0].latest <= now {
+		r = f.order[0]
+		f.order[0] = nil
+		f.order = f.order[1:]
+		delete(f.byID, r.id)
+		*r = floodRec{gen: r.gen + 1, nodes: r.nodes[:0], exps: r.exps[:0]}
+	} else {
+		r = &floodRec{}
 	}
-	old := *t
-	t.init(live)
-	for i, k := range old.keys {
-		if k != 0 && old.exps[i] > now {
-			t.store(k, old.exps[i])
-		}
+	r.id = id
+	if f.byID == nil {
+		f.byID = make(map[uint64]*floodRec)
 	}
+	f.byID[id] = r
+	f.order = append(f.order, r)
+	m.rec, m.recGen = r, r.gen
+	return r
 }
 
 // pendingGet returns the outstanding request with the given ID.

@@ -2,171 +2,159 @@ package node
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
+
+	"precinct/internal/radio"
+	"precinct/internal/sim"
 )
 
-// The tests below pin the container semantics directly — collision
-// probing, load-factor growth, prune-as-rebuild, swap-delete and the
-// freelist — where a scenario run would only exercise them implicitly.
+// The tests below pin the container semantics directly — flood records
+// against a per-peer model, swap-delete and the freelist — where a
+// scenario run would only exercise them implicitly.
 
-// each visits every entry in table order: the map model's view of the
-// table's contents.
-func (t *seenTable) each(fn func(id uint64, exp float64)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			fn(k, t.exps[i])
+// TestFloodRecordsMatchSeenModel holds the flood records to the rule
+// they replace: each peer remembers each dedup ID it marked until the
+// mark is seenRetention old (a per-peer map from ID to expiry, a mark
+// counting while its expiry is strictly later than now). Fuzzed streams
+// over two replicas (peers 0-7 on one, 8-15 on the other) open floods,
+// deliver copies within a replica as header copies and across replicas
+// as cloned payloads, move the clock (onto exact expiries, to just
+// short of them, and past seenRetention) and release copies. Each
+// flood's first message is never released, so records recycle while old
+// references are still held. After every operation each valid reference
+// a message holds must name its own replica's record.
+func TestFloodRecordsMatchSeenModel(t *testing.T) {
+	const peers = 16
+	kinds := []msgKind{kindSearchFlood, kindRegionalSearch, kindHomeFlood, kindUpdateFlood, kindInvalidate, kindPollFlood}
+	type held struct {
+		m   *message
+		net *Network
+	}
+	type flood struct {
+		id   uint64
+		msgs []held // msgs[0] is the birth message
+	}
+	// First a stream short enough to spell out: a record is not recycled
+	// a moment before its last mark expires.
+	{
+		sched := sim.NewScheduler()
+		net := &Network{sched: sched}
+		a, b := &Peer{id: 0, net: net}, &Peer{id: 1, net: net}
+		x := net.newMsg(message{Kind: kindSearchFlood})
+		x.FloodID = a.newID()
+		a.markSeen(x) // expires at 120
+		sched.Run(50)
+		b.markSeen(x) // expires at 170
+		sched.Run(169.5)
+		y := net.newMsg(message{Kind: kindSearchFlood})
+		y.FloodID = a.newID()
+		a.markSeen(y) // opens a record: x's is the oldest, and still live
+		if !b.markSeen(x) {
+			t.Fatal("peer 1's mark of the first flood was lost half a second before it expired")
 		}
 	}
-}
-
-func TestSeenTableStoreLookupGrow(t *testing.T) {
-	var tab seenTable
-	if _, ok := tab.lookup(42); ok {
-		t.Fatalf("lookup on an empty table reported a hit")
-	}
-	// Push well past the 3/4 load factor of the minimum 16-slot table
-	// so the table grows (and rehashes) several times. Sequential IDs
-	// also land in clustered slots under Fibonacci hashing, exercising
-	// the linear-probe path.
-	const n = 200
-	for id := uint64(1); id <= n; id++ {
-		tab.store(id, float64(id))
-	}
-	if tab.used != n {
-		t.Fatalf("used = %d after %d distinct stores", tab.used, n)
-	}
-	if len(tab.keys)&(len(tab.keys)-1) != 0 {
-		t.Fatalf("table size %d is not a power of two", len(tab.keys))
-	}
-	if tab.used*4 > len(tab.keys)*3 {
-		t.Fatalf("load factor above 3/4: %d used in %d slots", tab.used, len(tab.keys))
-	}
-	for id := uint64(1); id <= n; id++ {
-		exp, ok := tab.lookup(id)
-		if !ok || exp != float64(id) {
-			t.Fatalf("lookup(%d) = %v, %v; want %v, true", id, exp, ok, float64(id))
-		}
-	}
-	if _, ok := tab.lookup(n + 1); ok {
-		t.Fatalf("lookup reported a hit for an absent ID")
-	}
-	// Overwriting must refresh in place, not duplicate.
-	tab.store(7, 99.5)
-	if exp, ok := tab.lookup(7); !ok || exp != 99.5 {
-		t.Fatalf("overwrite: lookup(7) = %v, %v; want 99.5, true", exp, ok)
-	}
-	if tab.used != n {
-		t.Fatalf("used = %d after overwrite, want %d", tab.used, n)
-	}
-}
-
-func TestSeenTablePrune(t *testing.T) {
-	var tab seenTable
-	for id := uint64(1); id <= 100; id++ {
-		tab.store(id, float64(id))
-	}
-	// Prune drops expiries <= now and keeps strictly-later ones.
-	tab.prune(50)
-	if tab.used != 50 {
-		t.Fatalf("used = %d after pruning at 50, want 50", tab.used)
-	}
-	for id := uint64(1); id <= 100; id++ {
-		_, ok := tab.lookup(id)
-		if want := id > 50; ok != want {
-			t.Fatalf("after prune, lookup(%d) hit = %v, want %v", id, ok, want)
-		}
-	}
-	// Pruning everything must leave a usable (re-initialized) table.
-	tab.prune(1000)
-	if tab.used != 0 {
-		t.Fatalf("used = %d after pruning everything", tab.used)
-	}
-	tab.store(5, 6)
-	if exp, ok := tab.lookup(5); !ok || exp != 6 {
-		t.Fatalf("store after full prune: lookup(5) = %v, %v", exp, ok)
-	}
-}
-
-// collidingIDs returns n nonzero flood IDs whose hashes share their top
-// 16 bits, so they contend for one home slot at every table size the
-// tests reach.
-func collidingIDs(n int) []uint64 {
-	mul := hashID(1)
-	inv := uint64(1) // mul's inverse mod 2^64; Newton doubles the correct low bits per round
-	for i := 0; i < 6; i++ {
-		inv *= 2 - mul*inv
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = inv * (0xABCD<<48 | uint64(i+1))
-	}
-	return ids
-}
-
-// TestSeenTableMatchesMapModel drives fuzzed store / lookup / prune /
-// reset / iterate streams through a seenTable and a plain map, with a
-// third of the IDs colliding on one probe chain and whole-number
-// expiries so prunes land exactly on them, and requires the two to
-// agree after every operation.
-func TestSeenTableMatchesMapModel(t *testing.T) {
-	clash := collidingIDs(48)
-	for _, id := range clash[1:] {
-		if id == 0 || hashID(id)>>48 != hashID(clash[0])>>48 {
-			t.Fatalf("ID %#x does not share a home slot with %#x", id, clash[0])
-		}
-	}
-	for seed := int64(1); seed <= 20; seed++ {
+	// What the streams must have reached, summed over seeds.
+	var atExpiry, remarks, staleRefs, clones int
+	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tab seenTable
-		model := map[uint64]float64{}
-		now := 0.0
-		pick := func() uint64 {
-			if rng.Intn(3) == 0 {
-				return clash[rng.Intn(len(clash))]
+		sched := sim.NewScheduler()
+		reps := []*Network{{sched: sched}, {sched: sched}}
+		ps := make([]*Peer, peers)
+		for i := range ps {
+			ps[i] = &Peer{id: radio.NodeID(i), net: reps[i*len(reps)/peers]}
+		}
+		model := make([]map[uint64]float64, peers)
+		for i := range model {
+			model[i] = map[uint64]float64{}
+		}
+		var floods []*flood
+		// pick favours the last 20 floods, which span about seenRetention.
+		pick := func() *flood {
+			if rng.Intn(5) == 0 || len(floods) <= 20 {
+				return floods[rng.Intn(len(floods))]
 			}
-			return uint64(1 + rng.Intn(300))
+			return floods[len(floods)-1-rng.Intn(20)]
 		}
 		for op := 0; op < 3000; op++ {
-			switch r := rng.Intn(20); {
-			case r < 10:
-				id, exp := pick(), now+float64(rng.Intn(12))
-				tab.store(id, exp)
-				model[id] = exp
-			case r < 16:
-				id := pick()
-				exp, ok := tab.lookup(id)
-				if want, wantOK := model[id]; ok != wantOK || exp != want {
-					t.Fatalf("seed %d op %d: lookup(%#x) = %v, %v; the map holds %v, %v", seed, op, id, exp, ok, want, wantOK)
+			now := sched.Now()
+			switch r := rng.Intn(100); {
+			case r < 10 || len(floods) == 0: // a birth site: new ID, marked by its origin
+				p := ps[rng.Intn(peers)]
+				m := p.net.newMsg(message{Kind: kinds[rng.Intn(len(kinds))]})
+				id := p.newID()
+				if m.Kind == kindRegionalSearch {
+					m.ID = id
+				} else {
+					m.FloodID = id
 				}
-			case r < 18:
-				now += float64(rng.Intn(5))
-				tab.prune(now)
-				for id, exp := range model {
-					if exp <= now {
-						delete(model, id)
-					}
+				if p.markSeen(m) {
+					t.Fatalf("seed %d op %d: peer %d had seen the new ID %#x", seed, op, p.id, id)
 				}
-			case r < 19:
-				tab.init(rng.Intn(40))
-				clear(model)
-			default:
-				seen := map[uint64]float64{}
-				tab.each(func(id uint64, exp float64) {
-					if _, dup := seen[id]; dup {
-						t.Fatalf("seed %d op %d: each visited %#x twice", seed, op, id)
-					}
-					seen[id] = exp
-				})
-				if !reflect.DeepEqual(seen, model) {
-					t.Fatalf("seed %d op %d: each visited %v, the map holds %v", seed, op, seen, model)
+				model[p.id][id] = now + seenRetention
+				floods = append(floods, &flood{id: id, msgs: []held{{m, p.net}}})
+			case r < 60: // a delivery
+				f := pick()
+				h := f.msgs[rng.Intn(len(f.msgs))]
+				q := ps[rng.Intn(peers)]
+				var cp *message
+				if q.net == h.net {
+					cp = h.net.pool.acquire()
+					*cp = *h.m
+					cp.refs, cp.released = 1, false
+				} else {
+					cp = h.net.clonePayload(h.m).(*message)
+					clones++
+				}
+				exp, ok := model[q.id][f.id]
+				want := ok && exp > now
+				if ok && exp == now {
+					atExpiry++
+				}
+				if ok && !want {
+					remarks++
+				}
+				if cp.rec != nil && cp.rec.gen != cp.recGen {
+					staleRefs++
+				}
+				if got := q.net.floods.heard(cp, f.id, int32(q.id), now); got != want {
+					t.Fatalf("seed %d op %d: peer %d heard %#x = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
+				}
+				if got := q.markSeen(cp); got != want {
+					t.Fatalf("seed %d op %d: peer %d markSeen(%#x) = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
+				}
+				if !want {
+					model[q.id][f.id] = now + seenRetention
+				}
+				f.msgs = append(f.msgs, held{cp, q.net})
+			case r < 80: // the clock moves a little
+				sched.Run(now + float64(rng.Intn(7)))
+			case r < 87: // onto, or to just short of, the expiry of a mark
+				if exp, ok := model[rng.Intn(peers)][pick().id]; ok && exp > now {
+					sched.Run(exp - float64(rng.Intn(2))/2)
+				}
+			case r < 88: // past every mark made so far
+				sched.Run(now + seenRetention + float64(rng.Intn(3)))
+			default: // a holder lets go of a copy
+				if f := pick(); len(f.msgs) > 1 {
+					i := 1 + rng.Intn(len(f.msgs)-1)
+					f.msgs[i].net.releaseMsg(f.msgs[i].m)
+					f.msgs = append(f.msgs[:i], f.msgs[i+1:]...)
 				}
 			}
-			if tab.used != len(model) {
-				t.Fatalf("seed %d op %d: %d entries, the map holds %d", seed, op, tab.used, len(model))
+			for _, f := range floods {
+				for _, h := range f.msgs {
+					if h.m.rec != nil && h.m.rec.gen == h.m.recGen && h.net.floods.byID[f.id] != h.m.rec {
+						t.Fatalf("seed %d op %d: a message of flood %#x references a record its replica does not index under that ID", seed, op, f.id)
+					}
+				}
 			}
 		}
 	}
+	if atExpiry == 0 || remarks == 0 || staleRefs == 0 || clones == 0 {
+		t.Fatalf("the streams missed a case: %d checks at an exact expiry, %d re-marks, %d stale references, %d cloned payloads",
+			atExpiry, remarks, staleRefs, clones)
+	}
+	t.Logf("%d checks at an exact expiry, %d re-marks, %d stale references, %d cloned payloads", atExpiry, remarks, staleRefs, clones)
 }
 
 // TestPendingSliceMatchesMapModel does the same for a peer's outstanding

@@ -140,7 +140,7 @@ func TestLifecycleDedupFastPathReleases(t *testing.T) {
 	m := n.newMsg(message{Kind: kindSearchFlood, ID: 1, FloodID: 42, Key: key, Origin: 0, TTL: 1})
 	m.refs = 3 // as if the broadcast scheduled three receivers
 
-	n.Peer(1).markSeen(42)
+	n.Peer(1).markSeen(m)
 	n.handleFrame(1, radio.Frame{From: 0, Broadcast: true, Payload: m})
 	if got := n.MsgPoolLive(); got != base+1 {
 		t.Fatalf("after duplicate delivery: %d live messages, want %d (one shared ref dropped)", got, base+1)
@@ -167,6 +167,68 @@ func TestLifecycleDedupFastPathReleases(t *testing.T) {
 	}
 	if !m.released {
 		t.Fatal("shared payload not returned to the pool after its last reference")
+	}
+}
+
+// floodDelivery builds a shared search-flood payload for `copies`
+// receivers, marked by its origin (peer 0) as a birth site does, and a
+// function that delivers one copy to peer `to` at time `at` and reports
+// whether the receiver handled it as fresh: only the fresh path takes a
+// header copy from the pool. The key is homed away from the receiver and
+// TTL is 1, so a fresh copy dies in its handler.
+func floodDelivery(t *testing.T, h *harness, to radio.NodeID, copies int32) (*message, func(at float64) bool) {
+	t.Helper()
+	n := h.net
+	key := h.keyHomedIn(t, n.Peer(to).regionID, false)
+	m := n.newMsg(message{Kind: kindSearchFlood, ID: 1, FloodID: 42, Key: key, Origin: 0, TTL: 1})
+	n.Peer(0).markSeen(m)
+	m.refs = copies
+	return m, func(at float64) bool {
+		h.sched.Run(at)
+		before := n.pool.acquired
+		n.handleFrame(to, radio.Frame{From: 0, Broadcast: true, Payload: m})
+		return n.pool.acquired > before
+	}
+}
+
+// TestFloodCopyAfterRetentionIsFresh delivers copies of one flood to one
+// peer through handleFrame: a mark at t=10 suppresses a copy at 129.5,
+// but not one exactly seenRetention later, which is handled as fresh and
+// marks again.
+func TestFloodCopyAfterRetentionIsFresh(t *testing.T) {
+	h := build(t, defaultHarnessOpts())
+	base := h.net.MsgPoolLive()
+	m, deliver := floodDelivery(t, h, 2, 4)
+	for i, c := range []struct {
+		at    float64
+		fresh bool
+	}{{10, true}, {129.5, false}, {10 + seenRetention, true}, {10 + seenRetention, false}} {
+		if got := deliver(c.at); got != c.fresh {
+			t.Fatalf("copy %d at t=%v: handled as fresh = %v, want %v", i, c.at, got, c.fresh)
+		}
+	}
+	if !m.released || h.net.MsgPoolLive() != base {
+		t.Fatalf("payload released = %v, %d live messages (want %d)", m.released, h.net.MsgPoolLive(), base)
+	}
+}
+
+// TestFloodMarksSurviveCrashRevive: a peer that marked a flood, crashed
+// and came back still suppresses the flood's copies — Revive empties the
+// stores, not the flood records.
+func TestFloodMarksSurviveCrashRevive(t *testing.T) {
+	h := build(t, defaultHarnessOpts())
+	base := h.net.MsgPoolLive()
+	m, deliver := floodDelivery(t, h, 2, 2)
+	if !deliver(1) {
+		t.Fatal("the first copy was not handled as fresh")
+	}
+	h.net.Crash(2)
+	h.net.Revive(2)
+	if deliver(2) {
+		t.Fatal("a revived peer handled a copy of a flood it had marked as fresh")
+	}
+	if !m.released || h.net.MsgPoolLive() != base {
+		t.Fatalf("payload released = %v, %d live messages (want %d)", m.released, h.net.MsgPoolLive(), base)
 	}
 }
 

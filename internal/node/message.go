@@ -171,6 +171,12 @@ type message struct {
 	// released marks a message currently sitting in the pool's freelist;
 	// releasing it again is a lifecycle bug and panics.
 	released bool
+
+	// rec references the record of the message's flood in the replica
+	// that holds the message (see markSeen); it is valid while recGen
+	// matches the record's generation. Header copies inherit it.
+	rec    *floodRec
+	recGen uint32
 }
 
 // wireSize returns the on-air payload size in bytes for accounting and
@@ -235,6 +241,7 @@ func (pl *msgPool) unref(m *message) {
 	m.refs = 0
 	m.released = true
 	m.Items = nil // never pin a handoff payload from the freelist
+	m.rec = nil
 	if pl.poison {
 		poisonMsg(m)
 	}

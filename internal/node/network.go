@@ -80,6 +80,9 @@ type Network struct {
 	// pool is the message freelist (DESIGN.md section 12), poisoning
 	// under PRECINCT_DEBUG=poison.
 	pool msgPool
+	// floods holds the flood records of the floods this replica's peers
+	// have heard (DESIGN.md section 14).
+	floods floodIndex
 	// reqFree is the pendingReq freelist (DESIGN.md section 14).
 	// Requests are born and finished on their origin peer's shard, so in
 	// a sharded run each replica's freelist stays shard-local.
@@ -173,7 +176,6 @@ func New(opts Options) (*Network, error) {
 			store: cache.NewStore(),
 			rng:   n.rng.Stream(fmt.Sprintf("peer/%d", i)),
 		}
-		p.seenTab.init(0)
 		if n.cfg.CacheBytes > 0 {
 			c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy)
 			if err != nil {
@@ -550,29 +552,30 @@ func (n *Network) forwardWithRetry(p *Peer, m *message) {
 // handlers. The handler it dispatches to takes ownership of m and must
 // consume it exactly once (release, stash, or retransmit).
 func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
-	p := n.peers[to]
-	if !p.Alive() {
-		// Unreachable through the radio (dead receivers resolve as
-		// DeadDrops before the handler), but direct callers exist in
-		// tests; settle ownership either way.
-		n.releaseMsg(f.Payload.(*message))
-		return
-	}
 	m, ok := f.Payload.(*message)
 	if !ok {
 		panic(fmt.Sprintf("node: unexpected payload %T", f.Payload))
+	}
+	if !n.live[to] {
+		// Unreachable through the radio (dead receivers resolve as
+		// DeadDrops before the handler), but direct callers exist in
+		// tests; settle ownership either way.
+		n.releaseMsg(m)
+		return
 	}
 	// Duplicate fast path: every dedup-first flood kind drops an
 	// already-seen message as its very first action, with no other side
 	// effect (markSeen mutates nothing on the duplicate path), so the
 	// per-receiver copy — the dominant allocation of broadcast delivery
-	// at large N — can be skipped. account reads only the message kind,
-	// which the shared payload carries unchanged.
-	if id, dedup := dedupID(m); dedup && p.alreadySeen(id) {
+	// at large N — and the receiver's Peer are never touched. account
+	// reads only the message kind, which the shared payload carries
+	// unchanged.
+	if id, dedup := dedupID(m); dedup && n.floods.heard(m, id, int32(to), n.sched.Now()) {
 		n.account(m)
 		n.releaseMsg(m)
 		return
 	}
+	p := n.peers[to]
 	if f.Broadcast {
 		// Broadcast payloads are shared: exchange this receiver's
 		// reference for a private header copy (Items, handoff-only and

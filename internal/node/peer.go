@@ -25,12 +25,7 @@ type Peer struct {
 	// regionID is the peer's region as of its last mobility check.
 	regionID region.ID
 
-	// Flood-wave dedup: flood ID -> expiry time. Entries are pruned
-	// periodically; a flood wave is over within seconds, so a short
-	// retention bounds memory on long runs (see layout.go).
-	seenTab   seenTable
-	nextPrune float64
-	rng       *rand.Rand
+	rng *rand.Rand
 
 	// Outstanding requests by ID. Requester state lives with the
 	// requester (not the network) so a sharded run touches it only on
@@ -102,7 +97,7 @@ func (p *Peer) Store() *cache.Store { return p.store }
 // this kind is checked against as its handler's first action, and
 // whether the kind dedups at all. It powers the duplicate fast path in
 // handleFrame, so it must list exactly the kinds whose handlers open
-// with `if p.markSeen(...) { return }` and do nothing else on the
+// with `if p.markSeen(m) { return }` and do nothing else on the
 // duplicate path.
 func dedupID(m *message) (uint64, bool) {
 	switch m.Kind {
@@ -116,28 +111,19 @@ func dedupID(m *message) (uint64, bool) {
 	}
 }
 
-// alreadySeen reports whether a flood ID is currently marked, without
-// recording anything: the read half of markSeen, used by the duplicate
-// fast path. markSeen on a currently-marked ID has no side effects, so
-// a true result here means the full handler would drop the message
-// without mutating anything.
-func (p *Peer) alreadySeen(id uint64) bool {
-	exp, ok := p.seenTab.lookup(id)
-	return ok && exp > p.net.sched.Now()
-}
-
-// markSeen records a flood ID, reporting whether it was already seen.
-func (p *Peer) markSeen(id uint64) bool {
+// markSeen records that the peer has heard m's flood, reporting whether
+// it already had within seenRetention. The flood's record is found
+// through m's reference, else by dedup ID, else opened here; m is left
+// referencing it for every copy it is broadcast as.
+func (p *Peer) markSeen(m *message) bool {
+	f := &p.net.floods
 	now := p.net.sched.Now()
-	if exp, ok := p.seenTab.lookup(id); ok && exp > now {
-		return true
+	id, _ := dedupID(m)
+	r := f.find(m, id)
+	if r == nil {
+		r = f.open(m, id, now)
 	}
-	p.seenTab.store(id, now+seenRetention)
-	if now >= p.nextPrune {
-		p.seenTab.prune(now)
-		p.nextPrune = now + seenRetention
-	}
-	return false
+	return r.mark(int32(p.id), now)
 }
 
 // srcCtx builds the workload context for a draw happening now. It is a
@@ -180,12 +166,17 @@ func (p *Peer) scheduleNextUpdate() {
 // (Section 2.3: "peers check their positions periodically"), pinned to
 // the peer's own execution context.
 func (p *Peer) scheduleMobilityCheck() {
-	p.net.sched.AtAs(p.net.sched.Now()+mobilityCheckInterval, func() {
-		if p.Alive() {
-			p.checkMobility()
-		}
-		p.scheduleMobilityCheck()
-	}, int(p.id))
+	p.net.sched.AtCtxAs(p.net.sched.Now()+mobilityCheckInterval, mobilityTick, p, int(p.id))
+}
+
+// mobilityTick is the mobility check's timer callback, with the *Peer as
+// its context: a plain function, so arming the timer allocates nothing.
+func mobilityTick(ctx any) {
+	p := ctx.(*Peer)
+	if p.Alive() {
+		p.checkMobility()
+	}
+	p.scheduleMobilityCheck()
 }
 
 // checkMobility detects a region crossing and re-homes any stored keys

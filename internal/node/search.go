@@ -153,7 +153,7 @@ func (n *Network) startRegionalPhase(p *Peer, req *pendingReq) {
 		Origin: p.id, OriginPos: n.ch.Position(p.id), OriginRegion: p.regionID,
 		TargetRegion: p.regionID, TTL: regionTTL,
 	})
-	p.markSeen(m.ID) // the origin must not re-flood its own request
+	p.markSeen(m) // the origin must not re-flood its own request
 	n.broadcast(p.id, m)
 	n.armReqTimeout(req, n.sched.Now()+regionalTimeout)
 }
@@ -224,7 +224,7 @@ func (n *Network) floodSearch(p *Peer, req *pendingReq, ttl int) {
 		Origin: p.id, OriginPos: n.ch.Position(p.id), OriginRegion: p.regionID,
 		TTL: ttl, FloodID: p.newID(),
 	})
-	p.markSeen(m.FloodID)
+	p.markSeen(m)
 	n.broadcast(p.id, m)
 }
 
@@ -383,7 +383,7 @@ func (p *Peer) answer(m *message, version uint64, ttr float64, fromStore, enRout
 
 // onSearchFlood handles the flooding / expanding-ring request.
 func (p *Peer) onSearchFlood(m *message) {
-	if p.markSeen(m.FloodID) {
+	if p.markSeen(m) {
 		p.net.releaseMsg(m)
 		return
 	}
@@ -404,7 +404,7 @@ func (p *Peer) onSearchFlood(m *message) {
 // peers outside the region drop the message; peers inside answer from
 // store or fresh cache, or keep flooding within the region.
 func (p *Peer) onRegionalSearch(m *message) {
-	if p.markSeen(m.ID) {
+	if p.markSeen(m) {
 		p.net.releaseMsg(m)
 		return
 	}
@@ -438,7 +438,7 @@ func (p *Peer) onRoutedSearch(m *message) {
 		m.Kind = kindHomeFlood
 		m.TTL = regionTTL
 		m.FloodID = p.newID()
-		p.markSeen(m.FloodID)
+		p.markSeen(m)
 		// The point of broadcast also checks its own holdings. answer
 		// reads only fields the rewrite above left untouched.
 		if v, ttr, fromStore, found := p.lookupForAnswer(m.Key); found {
@@ -461,7 +461,7 @@ func (p *Peer) onRoutedSearch(m *message) {
 
 // onHomeFlood handles the localized flood inside the destination region.
 func (p *Peer) onHomeFlood(m *message) {
-	if p.markSeen(m.FloodID) {
+	if p.markSeen(m) {
 		p.net.releaseMsg(m)
 		return
 	}
