@@ -238,9 +238,9 @@ func (c *ConservationChecker) Finalize(ctx *Context) []string { return c.Sweep(c
 // LivenessChecker verifies that the radio reads the network's liveness
 // table (every channel agrees with node.Peer.Alive on every peer), and
 // that the neighbor query honors it: no node's neighbor list names a
-// dead node or the node itself. The neighbor half is skipped under
-// beaconing, where a query refreshes stale beacons and so would not be a
-// pure observation.
+// dead node or the node itself. The neighbor query reads true positions
+// and refreshes no beacon, so the sweep is a pure observation in every
+// mode.
 type LivenessChecker struct{}
 
 // Name implements Checker.
@@ -250,9 +250,6 @@ func (*LivenessChecker) Name() string { return "liveness" }
 func (*LivenessChecker) Sweep(ctx *Context) []string {
 	if err := ctx.Net.CheckLiveness(); err != nil {
 		return []string{err.Error()}
-	}
-	if ctx.Ch.Config().BeaconInterval > 0 {
-		return nil
 	}
 	var out []string
 	for i := 0; i < ctx.Net.Peers(); i++ {

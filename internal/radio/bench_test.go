@@ -53,6 +53,33 @@ func benchWaypointChannel(b testing.TB, n int, cfg Config) (*Channel, *sim.Sched
 	return ch, sched
 }
 
+// scaledWaypointChannel places n waypoint nodes at the paper's density
+// (80 nodes per 1200 m square, about 11 neighbors): the square grows
+// with n.
+func scaledWaypointChannel(b testing.TB, n int, cfg Config) (*Channel, *sim.Scheduler) {
+	b.Helper()
+	wcfg := mobility.DefaultWaypointConfig()
+	side := 1200 * math.Sqrt(float64(n)/80)
+	wcfg.Area = geo.NewRect(geo.Pt(0, 0), geo.Pt(side, side))
+	mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	ch, err := New(cfg, sched, mob, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ch, sched
+}
+
+// beaconedConfig is the default channel with a 5 s beacon interval.
+func beaconedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.BeaconInterval = 5
+	return cfg
+}
+
 // benchSizes spans the scaling range the end-to-end benchmarks use.
 var benchSizes = []int{80, 160, 320, 640}
 
@@ -112,26 +139,32 @@ func BenchmarkNeighborsWaypoint(b *testing.B) {
 
 // TestNeighborsAllocFree makes the allocs/op column of the two benchmarks
 // above a test at n=320: a steady-state grid query allocates nothing, on
-// a static topology and across the snapshot rebuilds a moving one forces.
-// One run is 640 queries (and, moving, ten clock advances), so a single
-// allocation per rebuild would read as 10, not round down to 0.
+// a static topology and across the snapshot rebuilds a moving one forces,
+// and neither does a beaconed location-table query across the beacon
+// refreshes. One run is 640 queries (and, moving, ten clock advances), so
+// a single allocation per rebuild would read as 10, not round down to 0.
 func TestNeighborsAllocFree(t *testing.T) {
 	const n = 320
 	static, _ := benchChannel(t, n, DefaultConfig())
-	moving, sched := benchWaypointChannel(t, n, DefaultConfig())
+	moving, movingSched := benchWaypointChannel(t, n, DefaultConfig())
+	beaconed, beaconedSched := benchWaypointChannel(t, n, beaconedConfig())
 	for _, tc := range []struct {
-		name string
-		ch   *Channel
-		tick bool
-	}{{"static", static, false}, {"waypoint", moving, true}} {
+		name  string
+		query func(NodeID) []Neighbor
+		sched *sim.Scheduler // the clock to advance; nil keeps it still
+	}{
+		{"static", static.Neighbors, nil},
+		{"waypoint", moving.Neighbors, movingSched},
+		{"beaconed-location-table", beaconed.LocationTable, beaconedSched},
+	} {
 		batch := func() {
 			for i := 0; i < 2*n; i++ {
-				if tc.tick && i%64 == 0 {
-					at := sched.Now() + 0.25
-					sched.At(at, func() {})
-					sched.Run(at)
+				if tc.sched != nil && i%64 == 0 {
+					at := tc.sched.Now() + 0.25
+					tc.sched.At(at, func() {})
+					tc.sched.Run(at)
 				}
-				tc.ch.Neighbors(NodeID(i % n))
+				tc.query(NodeID(i % n))
 			}
 		}
 		batch() // warm caches and scratch buffers
@@ -153,18 +186,7 @@ func TestNeighborsAllocFree(t *testing.T) {
 func BenchmarkNeighborsScale(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			wcfg := mobility.DefaultWaypointConfig()
-			side := 1200 * math.Sqrt(float64(n)/80)
-			wcfg.Area = geo.NewRect(geo.Pt(0, 0), geo.Pt(side, side))
-			mob, err := mobility.NewWaypoint(n, wcfg, sim.NewRNG(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sched := sim.NewScheduler()
-			ch, err := New(DefaultConfig(), sched, mob, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ch, sched := scaledWaypointChannel(b, n, DefaultConfig())
 			ch.Neighbors(0) // first build and scratch buffers
 			dt := 0.1 / float64(n)
 			b.ReportAllocs()
@@ -174,6 +196,28 @@ func BenchmarkNeighborsScale(b *testing.B) {
 				// A stride coprime to every n, so successive queries land
 				// far apart in ID and, IDs being placed at random, in space.
 				ch.Neighbors(NodeID(i * 7919 % n))
+			}
+		})
+	}
+}
+
+// BenchmarkLocationTable measures the beaconed location-table query at the
+// paper's density, with the clock moving as BenchmarkNeighborsScale moves
+// it so no query is served from the remembered answer. The query is one
+// pass over every node — refresh the stale beacons, test each observed
+// position — so ns/op grows with N, unlike a Neighbors query; allocs/op
+// must be 0.
+func BenchmarkLocationTable(b *testing.B) {
+	for _, n := range []int{80, 2_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ch, sched := scaledWaypointChannel(b, n, beaconedConfig())
+			ch.LocationTable(0) // first beacons and the buffer
+			dt := 0.1 / float64(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.Run(sched.Now() + dt)
+				ch.LocationTable(NodeID(i * 7919 % n))
 			}
 		})
 	}

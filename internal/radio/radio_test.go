@@ -544,6 +544,67 @@ func TestBeaconIntervalValidation(t *testing.T) {
 	}
 }
 
+// crossing is a three-node model in which two nodes swap sides of the
+// range boundary of node 0, which stands at the origin: node 1 starts
+// 10 m inside range and moves away at 20 m/s, node 2 starts 10 m outside
+// and closes in at the same speed. From t = 1 on each is 10 m on the
+// other side.
+type crossing struct{}
+
+func (crossing) Len() int                                   { return 3 }
+func (crossing) MaxSpeed() float64                          { return 20 }
+func (c crossing) Position(node int, now float64) geo.Point { return c.Leg(node).At(now) }
+func (crossing) Leg(node int) mobility.Leg {
+	switch node {
+	case 1:
+		return mobility.Leg{From: geo.Pt(240, 0), Dir: geo.Pt(1, 0), Speed: 20, Until: math.Inf(1)}
+	case 2:
+		return mobility.Leg{From: geo.Pt(260, 0), Dir: geo.Pt(-1, 0), Speed: 20, Until: math.Inf(1)}
+	}
+	return mobility.Still(geo.Pt(0, 0), 0, math.Inf(1))
+}
+
+// TestBeaconedFramesReachTrueNeighbors holds frame delivery to true
+// positions under beaconing: a node whose beacon is in range but which is
+// not receives no broadcast, is charged nothing and takes no unicast,
+// while a node truly in range whose beacon is not receives the broadcast
+// and pays for the frames it hears. The location table keeps the stale
+// view the whole time.
+func TestBeaconedFramesReachTrueNeighbors(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BeaconInterval = 10
+	ch, sched, meter := newChannel(t, cfg, crossing{}, true)
+	heard := map[NodeID]int{}
+	ch.SetHandler(func(to NodeID, _ Frame) { heard[to]++ })
+	if tbl := ch.LocationTable(0); len(tbl) != 1 || tbl[0].ID != 1 {
+		t.Fatalf("t=0: location table %v, want node 1 alone", tbl)
+	}
+	sched.Run(1) // both have crossed; neither has beaconed since t=0
+	if tbl := ch.LocationTable(0); len(tbl) != 1 || tbl[0].ID != 1 || tbl[0].Pos != geo.Pt(240, 0) {
+		t.Fatalf("t=1: location table %v, want node 1 at its t=0 beacon", tbl)
+	}
+	if nb := ch.Neighbors(0); len(nb) != 1 || nb[0].ID != 2 {
+		t.Fatalf("t=1: neighbors %v, want node 2 alone", nb)
+	}
+
+	if got := ch.Broadcast(0, 100, nil); got != 1 {
+		t.Fatalf("broadcast delivered to %d nodes, want 1", got)
+	}
+	if ch.Unicast(0, 1, 100, nil) {
+		t.Fatal("unicast reached node 1, whose beacon alone is in range")
+	}
+	if !ch.Unicast(0, 2, 100, nil) {
+		t.Fatal("unicast to node 2, truly in range, failed")
+	}
+	sched.RunAll()
+	if heard[1] != 0 || heard[2] != 2 {
+		t.Fatalf("frames heard: node 1 %d, node 2 %d; want 0 and 2", heard[1], heard[2])
+	}
+	if b, p, d := meter.Messages(energy.BroadcastRecv), meter.Messages(energy.P2PRecv), meter.Messages(energy.Discard); b != 1 || p != 1 || d != 0 {
+		t.Fatalf("receive charges: broadcast %d, unicast %d, discard %d; want 1, 1, 0", b, p, d)
+	}
+}
+
 func TestCollisionsDropOverlappingReceptions(t *testing.T) {
 	// Nodes 0 and 2 both transmit to node 1 at the same instant with
 	// long frames: the second delivery overlaps the first reception and

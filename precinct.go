@@ -74,10 +74,12 @@ type Scenario struct {
 	// receptions at a node destroy each other, so broadcast storms are
 	// self-damaging as on a real shared channel.
 	Collisions bool
-	// BeaconInterval makes neighbor position knowledge stale: peers
-	// observe each other's positions only every BeaconInterval seconds
-	// (0 = perfect location knowledge). Tests the paper's robustness
-	// claim for routing-to-regions under location error.
+	// BeaconInterval makes GPSR's location table stale: peers observe
+	// each other's positions only every BeaconInterval seconds (0 =
+	// perfect location knowledge), and every GPSR next-hop choice reads
+	// those observed positions. Frames still reach, and charge, the
+	// nodes truly in range. Tests the paper's robustness claim for
+	// routing-to-regions under location error.
 	BeaconInterval float64
 
 	// Items, MinItemSize and MaxItemSize describe the shared catalog.
