@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet fma build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate bench-tiny-smoke reach scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
+.PHONY: all vet fma build test race race-parallel check fuzz-smoke bench-smoke profile figures figures-check bench-gate digests bench-tiny-smoke reach scale-smoke workload-smoke policy-smoke cover soak soak-100k ci
 
 all: build
 
@@ -153,6 +153,31 @@ bench-gate:
 		fi && \
 		$(GO) run ./bench -compare "$$dir/parent_$$i.json" "$$dir/change_$$i.json" || exit 1; \
 	done
+
+# The exactness check of a change meant to preserve behaviour: every
+# bench/ workload once (-reps 1, seed BENCH_SEED) for the tree of
+# BENCH_PARENT, unpacked as bench-gate does, and for the working tree;
+# each workload's result_digest is printed side by side, and any
+# difference (or a workload only one side ran) exits 1. About 45 s on
+# 2 cores.
+#
+#	make digests BENCH_PARENT=HEAD~1
+digests:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	mkdir "$$dir/parent" && git archive $(BENCH_PARENT) | tar -x -C "$$dir/parent" && \
+	args="-seed $(BENCH_SEED) -reps 1 -out $$dir/out" && \
+	(cd "$$dir/parent" && $(GO) run ./bench $$args > "$$dir/parent.txt") && \
+	$(GO) run ./bench $$args > "$$dir/change.txt" && \
+	digest='/^== / { name = $$2 } /result_digest=/ { sub(/.*result_digest=/, ""); print name, $$0 }' && \
+	awk "$$digest" "$$dir/parent.txt" > "$$dir/parent.dig" && \
+	awk "$$digest" "$$dir/change.txt" > "$$dir/change.dig" && \
+	awk 'NR == FNR { parent[$$1] = $$2; next } \
+		{ p = ($$1 in parent) ? parent[$$1] : "-"; delete parent[$$1]; same = p == $$2; bad += !same; \
+		  printf "digests: %-10s parent %s change %s %s\n", $$1, p, $$2, same ? "equal" : "DIFFERENT" } \
+		END { for (w in parent) { printf "digests: %-10s parent %s change -\n", w, parent[w]; bad++ } \
+		  if (bad) { print "digests: a result_digest differs between $(BENCH_PARENT) and the working tree"; exit 1 } \
+		  print "digests: every result_digest is equal at $(BENCH_PARENT) and in the working tree" }' \
+		"$$dir/parent.dig" "$$dir/change.dig"
 
 # The benchmark's own smoke size (N <= 200, ~2 s) with the traced pass:
 # every workload, the per-layer drives and the sharded digest check run

@@ -70,51 +70,13 @@ func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, ra
 		Version: version, Size: n.catalog.Size(k),
 	})
 	if target.ID == p.regionID {
-		// Already inside the target region: flood directly.
-		m.Kind = kindUpdateFlood
-		m.TTL = regionTTL
-		m.FloodID = p.newID()
-		p.markSeen(m)
+		// Already inside the target region, whose copies UpdateFrom
+		// freshened: flood directly.
+		p.floodRegion(m)
 		n.broadcast(p.id, m)
 		return
 	}
 	n.forwardWithRetry(p, m)
-}
-
-// onUpdateRoute advances an update toward its target region; the first
-// node inside becomes the point of broadcast.
-func (p *Peer) onUpdateRoute(m *message) {
-	if p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
-		// Rewrite the routed update into the localized flood in place.
-		m.Kind = kindUpdateFlood
-		m.TTL = regionTTL
-		m.FloodID = p.newID()
-		p.markSeen(m)
-		p.applyUpdateMessage(m)
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.forwardWithRetry(p, m)
-}
-
-// onUpdateFlood applies an update inside the target region and keeps the
-// localized flood going.
-func (p *Peer) onUpdateFlood(m *message) {
-	if p.markSeen(m) {
-		p.net.releaseMsg(m)
-		return
-	}
-	if !p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
-		p.net.releaseMsg(m)
-		return
-	}
-	p.applyUpdateMessage(m)
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.releaseMsg(m)
 }
 
 // applyUpdateMessage installs a pushed update into this peer's store (if
@@ -167,14 +129,9 @@ func (n *Network) holderTTR(p *Peer, k workload.Key) float64 {
 	return n.cfg.Consistency.InitialTTR
 }
 
-// onInvalidate handles the Plain-Push network-wide update flood: every
-// peer processes it — holders apply the new version, caches drop or
-// freshen their copy — and keeps flooding.
-func (p *Peer) onInvalidate(m *message) {
-	if p.markSeen(m) {
-		p.net.releaseMsg(m)
-		return
-	}
+// applyInvalidation applies the Plain-Push network-wide update flood at
+// a peer: a holder applies the new version, a cached copy is freshened.
+func (p *Peer) applyInvalidation(m *message) {
 	now := p.net.sched.Now()
 	if _, ok := p.store.Get(m.Key); ok {
 		p.net.applyStoredUpdate(p, m.Key, m.Version, now)
@@ -186,12 +143,6 @@ func (p *Peer) onInvalidate(m *message) {
 			p.cache.Update(m.Key, m.Version, cache.NeverExpires)
 		}
 	}
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.releaseMsg(m)
 }
 
 // sendPoll routes a validation poll toward the key's home region. It
@@ -213,10 +164,7 @@ func (n *Network) sendPoll(p *Peer, req *pendingReq) bool {
 	})
 	if home.ID == p.regionID {
 		// The home region is the local region: flood the poll locally.
-		m.Kind = kindPollFlood
-		m.TTL = regionTTL
-		m.FloodID = p.newID()
-		p.markSeen(m)
+		p.floodRegion(m)
 		n.broadcast(p.id, m)
 		return true
 	}
@@ -225,46 +173,6 @@ func (n *Network) sendPoll(p *Peer, req *pendingReq) bool {
 	}
 	n.releaseMsg(m)
 	return false
-}
-
-// onPollRoute advances a poll toward the home region.
-func (p *Peer) onPollRoute(m *message) {
-	if p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
-		// Rewrite the routed poll into the localized flood in place.
-		m.Kind = kindPollFlood
-		m.TTL = regionTTL
-		m.FloodID = p.newID()
-		p.markSeen(m)
-		if p.answerPoll(m) {
-			p.net.releaseMsg(m)
-			return
-		}
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.routeOwned(p, m)
-}
-
-// onPollFlood lets holders inside the home region answer the poll.
-func (p *Peer) onPollFlood(m *message) {
-	if p.markSeen(m) {
-		p.net.releaseMsg(m)
-		return
-	}
-	if !p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
-		p.net.releaseMsg(m)
-		return
-	}
-	if p.answerPoll(m) {
-		p.net.releaseMsg(m)
-		return
-	}
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.releaseMsg(m)
 }
 
 // answerPoll responds to a validation poll when this peer holds the
@@ -283,11 +191,7 @@ func (p *Peer) answerPoll(m *message) bool {
 			Origin: m.Origin, OriginPos: m.OriginPos,
 			Version: it.Version, TTR: it.TTR,
 		})
-		if p.id == m.Origin {
-			p.onPollReply(reply)
-			return true
-		}
-		p.net.routeOwned(p, reply)
+		p.onPollReply(reply)
 		return true
 	}
 	p.answer(m, it.Version, it.TTR, true, false)

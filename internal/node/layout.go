@@ -145,6 +145,12 @@ func (n *Network) acquireReq() *pendingReq {
 // request ID by value — a stale fire after recycling misses the pending
 // lookup and no-ops.
 func (n *Network) releaseReq(req *pendingReq) {
+	if req.pendingReply != nil {
+		// A stashed answer dies with its request: a dead origin's
+		// timeout, or an answer that needed no validation finishing the
+		// request while the stash waited on its poll.
+		n.releaseMsg(req.pendingReply)
+	}
 	*req = pendingReq{}
 	n.reqFree = append(n.reqFree, req)
 }

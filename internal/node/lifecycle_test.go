@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -39,33 +40,40 @@ func drainTo(t *testing.T, h *harness, drivers int, run float64) {
 	}
 }
 
-// TestLifecycleLossyQuiescence: a lossy, mobile, full-protocol run ends
-// with zero live pooled messages — mid-flight losses and send-time losses
-// all settle through the drop handler.
+// TestLifecycleLossyQuiescence: a mobile, full-protocol run under each
+// scheme that validates cache-served answers ends with zero live pooled
+// messages, lossless or lossy — mid-flight and send-time losses settle
+// through the drop handler, and an answer stashed for validation dies
+// with its request however the request ends (a store-served answer can
+// finish it while the stash waits on its poll).
 func TestLifecycleLossyQuiescence(t *testing.T) {
-	o := defaultHarnessOpts()
-	o.mobile = true
-	o.generator = true
-	o.updateInt = 60
-	o.loss = 0.3
-	o.mutate = func(c *Config) {
-		c.Consistency = consistency.DefaultConfig(consistency.PullEveryTime)
-	}
-	h := build(t, o)
-	drainTo(t, h, startDrivers(h), 400)
+	for _, scheme := range []consistency.Scheme{consistency.PullEveryTime, consistency.PushAdaptivePull} {
+		for _, loss := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("%v/loss=%v", scheme, loss), func(t *testing.T) {
+				o := defaultHarnessOpts()
+				o.mobile = true
+				o.generator = true
+				o.updateInt = 60
+				o.loss = loss
+				o.mutate = func(c *Config) { c.Consistency = consistency.DefaultConfig(scheme) }
+				h := build(t, o)
+				drainTo(t, h, startDrivers(h), 400)
 
-	if n := h.net.PendingRequests(); n != 0 {
-		t.Fatalf("%d pending requests after drain", n)
-	}
-	if live := h.net.MsgPoolLive(); live != 0 {
-		t.Fatalf("%d live pooled messages at quiescence (acquired %d, released %d)",
-			live, h.net.pool.acquired, h.net.pool.released)
-	}
-	if h.net.pool.acquired < 1000 {
-		t.Fatalf("only %d messages acquired; the run is too quiet to prove anything", h.net.pool.acquired)
-	}
-	if drops := h.ch.Stats().Drops; drops == 0 {
-		t.Fatal("no injected losses occurred; the lossy release path was not exercised")
+				if n := h.net.PendingRequests(); n != 0 {
+					t.Fatalf("%d pending requests after drain", n)
+				}
+				if live := h.net.MsgPoolLive(); live != 0 {
+					t.Fatalf("%d live pooled messages at quiescence (acquired %d, released %d)",
+						live, h.net.pool.acquired, h.net.pool.released)
+				}
+				if h.net.pool.acquired < 1000 {
+					t.Fatalf("only %d messages acquired; the run is too quiet to prove anything", h.net.pool.acquired)
+				}
+				if drops := h.ch.Stats().Drops; loss > 0 && drops == 0 {
+					t.Fatal("no injected losses occurred; the lossy release path was not exercised")
+				}
+			})
+		}
 	}
 }
 

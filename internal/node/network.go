@@ -551,14 +551,15 @@ func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 		n.releaseMsg(m)
 		return
 	}
-	// Duplicate fast path: every dedup-first flood kind drops an
-	// already-seen message as its very first action, with no other side
-	// effect (markSeen mutates nothing on the duplicate path), so the
-	// per-receiver copy — the dominant allocation of broadcast delivery
-	// at large N — and the receiver's Peer are never touched. account
-	// reads only the message kind, which the shared payload carries
-	// unchanged.
-	if id, dedup := dedupID(m); dedup && n.floods.heard(m, id, int32(to), n.sched.Now()) {
+	// Duplicate fast path: every flood goes to onFlood below, which
+	// drops an already-seen message as its very first action with no
+	// other side effect (markSeen mutates nothing on the duplicate
+	// path), so the per-receiver copy — the dominant allocation of
+	// broadcast delivery at large N — and the receiver's Peer are never
+	// touched. account reads only the message kind, which the shared
+	// payload carries unchanged.
+	id, flood := dedupID(m)
+	if flood && n.floods.heard(m, id, int32(to), n.sched.Now()) {
 		n.account(m)
 		n.releaseMsg(m)
 		return
@@ -579,27 +580,15 @@ func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 	}
 	m.Hops++
 	n.account(m)
+	if flood {
+		p.onFlood(m)
+		return
+	}
 	switch m.Kind {
-	case kindSearchFlood:
-		p.onSearchFlood(m)
-	case kindRegionalSearch:
-		p.onRegionalSearch(m)
-	case kindRoutedSearch:
-		p.onRoutedSearch(m)
-	case kindHomeFlood:
-		p.onHomeFlood(m)
+	case kindRoutedSearch, kindUpdateRoute, kindPollRoute:
+		p.onRouted(m)
 	case kindReply:
 		p.onReply(m)
-	case kindInvalidate:
-		p.onInvalidate(m)
-	case kindUpdateRoute:
-		p.onUpdateRoute(m)
-	case kindUpdateFlood:
-		p.onUpdateFlood(m)
-	case kindPollRoute:
-		p.onPollRoute(m)
-	case kindPollFlood:
-		p.onPollFlood(m)
 	case kindPollReply:
 		p.onPollReply(m)
 	case kindHandoff:

@@ -613,34 +613,61 @@ func TestGracefulQuitHandsKeysOff(t *testing.T) {
 	}
 }
 
+// TestReplicaServesAfterHomeRegionCrash walks the remote ladder past
+// dead regions: with the regions of ranks 0..killed-1 crashed, a request
+// from outside them (and outside rank killed's region, so no flood of
+// the requester's finds the key) completes exactly when rank killed is
+// one of the key's Replicas replica regions. En-route answers are off: a
+// leg toward a dead region can pass a live custodian, which would answer
+// without the walk reaching its rank.
 func TestReplicaServesAfterHomeRegionCrash(t *testing.T) {
-	h := build(t, defaultHarnessOpts())
-	k := h.cat.Keys()[0]
-	home, _ := h.table.HomeRegion(k)
-	// Crash every peer in the home region.
-	for i := 0; i < h.net.Peers(); i++ {
-		p := h.net.Peer(radio.NodeID(i))
-		if home.Bounds.Contains(h.ch.Position(p.ID())) {
-			h.net.Crash(p.ID())
-		}
-	}
-	rep, _ := h.table.ReplicaRegionAt(k, 1)
-	var requester *Peer
-	for i := 0; i < h.net.Peers(); i++ {
-		p := h.net.Peer(radio.NodeID(i))
-		if p.Alive() && p.RegionID() != home.ID && p.RegionID() != rep.ID {
-			requester = p
-			break
-		}
-	}
-	if requester == nil {
-		t.Fatal("no requester available")
-	}
-	h.net.RequestFrom(requester.ID(), k)
-	h.sched.Run(30)
-	report := h.net.Report()
-	if report.Completed != 1 {
-		t.Fatalf("request failed despite replica region: %+v", report)
+	for _, c := range []struct {
+		replicas, killed int
+		served           bool
+	}{
+		{1, 1, true}, {2, 2, true}, {3, 3, true},
+		{0, 1, false}, {1, 2, false}, {2, 3, false},
+	} {
+		t.Run(fmt.Sprintf("replicas=%d/killed=%d", c.replicas, c.killed), func(t *testing.T) {
+			o := defaultHarnessOpts()
+			o.mutate = func(cfg *Config) {
+				cfg.Replicas = c.replicas
+				cfg.EnRoute = false
+			}
+			h := build(t, o)
+			k := h.cat.Keys()[0]
+			avoid := map[region.ID]bool{}
+			for r := 0; r <= c.killed; r++ {
+				reg, ok := h.table.ReplicaRegionAt(k, r)
+				if !ok {
+					t.Fatalf("no rank-%d region", r)
+				}
+				avoid[reg.ID] = true
+				for i := 0; r < c.killed && i < h.net.Peers(); i++ {
+					if id := radio.NodeID(i); reg.Bounds.Contains(h.ch.Position(id)) {
+						h.net.Crash(id)
+					}
+				}
+			}
+			var requester *Peer
+			for i := 0; i < h.net.Peers() && requester == nil; i++ {
+				if p := h.net.Peer(radio.NodeID(i)); p.Alive() && !avoid[p.RegionID()] {
+					requester = p
+				}
+			}
+			if requester == nil {
+				t.Fatal("no requester available")
+			}
+			h.net.RequestFrom(requester.ID(), k)
+			h.sched.Run(30)
+			report := h.net.Report()
+			if c.served && report.Completed != 1 {
+				t.Fatalf("request failed with rank %d alive: %+v", c.killed, report)
+			}
+			if !c.served && report.Failures != 1 {
+				t.Fatalf("request did not fail with every rank dead: %+v", report)
+			}
+		})
 	}
 }
 

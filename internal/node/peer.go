@@ -93,12 +93,11 @@ func (p *Peer) Cache() *cache.Cache { return p.cache }
 // Store exposes the static store.
 func (p *Peer) Store() *cache.Store { return p.store }
 
-// dedupID returns the duplicate-suppression ID a delivered message of
-// this kind is checked against as its handler's first action, and
-// whether the kind dedups at all. It powers the duplicate fast path in
-// handleFrame, so it must list exactly the kinds whose handlers open
-// with `if p.markSeen(m) { return }` and do nothing else on the
-// duplicate path.
+// dedupID returns the duplicate-suppression ID of a flood and whether
+// m's kind floods at all. handleFrame reads it once, both for its
+// duplicate fast path and to send the floods to onFlood, whose first
+// action is markSeen, so the fast path drops exactly what onFlood
+// would.
 func dedupID(m *message) (uint64, bool) {
 	switch m.Kind {
 	case kindRegionalSearch:

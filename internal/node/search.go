@@ -17,8 +17,7 @@ type reqPhase int
 
 const (
 	phaseRegional reqPhase = iota // waiting on the requester-region flood
-	phaseHome                     // waiting on the home region
-	phaseReplica                  // waiting on the replica region
+	phaseRemote                   // waiting on a routed attempt at a rank of the key's ladder
 	phasePoll                     // waiting on a validation poll
 	phaseRing                     // waiting on an expanding-ring round
 	phaseFlood                    // waiting on a network-wide flood
@@ -37,10 +36,10 @@ type pendingReq struct {
 
 	// ringTTL is the current expanding-ring radius.
 	ringTTL int
-	// replicaRank is the highest replica rank a routed attempt was
-	// successfully forwarded to (0 = none yet); the replica phase walks
-	// ranks upward until the configured replica count is exhausted.
-	replicaRank int
+	// nextRank is the first rank of the key's ladder (0 = home) a
+	// routed attempt has not been forwarded to yet; startRemote walks
+	// upward from it.
+	nextRank int
 	// cachedVersion is the local copy's version during a poll.
 	cachedVersion uint64
 	// truthAtIssue is the authoritative version when the request was
@@ -119,7 +118,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 		// requester's region (Section 5.2.2's analysis setup), so the
 		// request goes straight to the home region.
 		if p.cache == nil {
-			if n.startHomePhase(p, req) || n.startReplicaPhase(p, req) {
+			if n.startRemote(p, req) {
 				return
 			}
 			// The home region is the local region: fall back to the
@@ -158,57 +157,32 @@ func (n *Network) startRegionalPhase(p *Peer, req *pendingReq) {
 	n.armReqTimeout(req, n.sched.Now()+regionalTimeout)
 }
 
-// startHomePhase routes the request toward the key's home region. It
-// reports whether the request could leave the requester.
-func (n *Network) startHomePhase(p *Peer, req *pendingReq) bool {
-	home, ok := p.net.table.HomeRegion(req.key)
-	if !ok {
-		return false
-	}
-	if home.ID == p.regionID {
-		// The regional flood already covered the home region.
-		return false
-	}
-	req.phase = phaseHome
-	m := n.newMsg(message{
-		Kind: kindRoutedSearch, ID: req.id, Key: req.key,
-		Origin: p.id, OriginPos: n.ch.Position(p.id), OriginRegion: p.regionID,
-		TargetRegion: home.ID, TargetPos: home.Center(),
-	})
-	if !n.forwardRouted(p, m) {
-		n.releaseMsg(m)
-		return false
-	}
-	n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
-	return true
-}
-
-// startReplicaPhase retries against the next untried replica region
-// (fault tolerance, Section 2.4). With the paper's single replica region
-// there is exactly one attempt; with Replicas > 1 each call advances to
-// the next rank, so a request walks the k replica regions in rank order
+// startRemote routes the request toward the next rank of the key's
+// ladder, from req.nextRank: rank 0 is the home region, rank r >= 1 the
+// rank-r replica region (fault tolerance, Section 2.4), so a request
+// walks its k replica regions in rank order after the home region
 // before failing. It reports whether a routed attempt left the
 // requester. Ranks whose region is the requester's own (already covered
-// by a flood) or that cannot be routed to are skipped; only a
-// successfully forwarded rank is recorded, so an unreachable rank is
-// retried if a later phase falls back here again.
-func (n *Network) startReplicaPhase(p *Peer, req *pendingReq) bool {
-	for r := req.replicaRank + 1; r <= n.cfg.Replicas; r++ {
-		rep, ok := p.net.table.ReplicaRegionAt(req.key, r)
-		if !ok || rep.ID == p.regionID {
+// by a flood) or that cannot be routed to are skipped; only a forwarded
+// rank moves the cursor, so an unreachable rank is retried when a later
+// phase starts the walk again from the same cursor.
+func (n *Network) startRemote(p *Peer, req *pendingReq) bool {
+	for r := req.nextRank; r <= n.cfg.Replicas; r++ {
+		target, ok := n.table.ReplicaRegionAt(req.key, r)
+		if !ok || target.ID == p.regionID {
 			continue
 		}
-		req.phase = phaseReplica
 		m := n.newMsg(message{
 			Kind: kindRoutedSearch, ID: req.id, Key: req.key,
 			Origin: p.id, OriginPos: n.ch.Position(p.id), OriginRegion: p.regionID,
-			TargetRegion: rep.ID, TargetPos: rep.Center(),
+			TargetRegion: target.ID, TargetPos: target.Center(),
 		})
 		if !n.forwardRouted(p, m) {
 			n.releaseMsg(m)
 			continue
 		}
-		req.replicaRank = r
+		req.phase = phaseRemote
+		req.nextRank = r + 1
 		n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
 		return true
 	}
@@ -239,44 +213,19 @@ func (n *Network) onTimeout(id uint64) {
 		n.fail(req)
 		return
 	}
-	switch req.phase {
-	case phaseRegional:
-		if n.startHomePhase(p, req) {
-			return
-		}
-		if n.startReplicaPhase(p, req) {
-			return
-		}
-		n.fail(req)
-	case phaseHome:
-		if n.startReplicaPhase(p, req) {
-			return
-		}
-		n.fail(req)
-	case phasePoll:
-		if req.pendingReply != nil {
-			// A cache-served answer was waiting on a validation that
-			// never came back (the home region may have lost the key).
-			// Serve it optimistically rather than looping between
-			// cache answers and unanswerable polls.
-			m := req.pendingReply
-			req.pendingReply = nil
-			now := n.sched.Now()
-			n.finish(req, n.classify(p, m), now-req.issuedAt, m.Version < req.truthAtIssue)
-			n.admitToCache(p, m, now)
-			n.releaseMsg(m)
-			return
-		}
-		// Validation of a local copy went unanswered: fetch fresh data
-		// remotely.
-		if n.startHomePhase(p, req) {
-			return
-		}
-		if n.startReplicaPhase(p, req) {
-			return
-		}
-		n.fail(req)
-	case phaseRing:
+	switch {
+	case req.pendingReply != nil:
+		// A cache-served answer was waiting on a validation poll that
+		// never came back (the home region may have lost the key).
+		// Serve it optimistically rather than looping between cache
+		// answers and unanswerable polls.
+		m := req.pendingReply
+		req.pendingReply = nil
+		now := n.sched.Now()
+		n.finish(req, n.classify(p, m), now-req.issuedAt, m.Version < req.truthAtIssue)
+		n.admitToCache(p, m, now)
+		n.releaseMsg(m)
+	case req.phase == phaseRing:
 		next := req.ringTTL * 2
 		if next > maxRingTTL {
 			n.fail(req)
@@ -285,16 +234,14 @@ func (n *Network) onTimeout(id uint64) {
 		req.ringTTL = next
 		n.floodSearch(p, req, next)
 		n.armReqTimeout(req, n.sched.Now()+n.ringWait(next))
-	case phaseReplica:
-		// Walk the remaining replica ranks before giving up (only one
-		// rank exists under the paper's scheme, so this falls straight
-		// through to the failure).
-		if n.startReplicaPhase(p, req) {
-			return
+	case req.phase == phaseFlood:
+		n.fail(req)
+	default:
+		// The regional flood, a routed rank or the validation of a
+		// local copy went unanswered: try the next rank of the ladder.
+		if !n.startRemote(p, req) {
+			n.fail(req)
 		}
-		n.fail(req)
-	case phaseFlood:
-		n.fail(req)
 	}
 }
 
@@ -302,11 +249,6 @@ func (n *Network) onTimeout(id uint64) {
 // returns to the freelist); callers must not touch req again.
 func (n *Network) fail(req *pendingReq) {
 	n.peers[req.origin].pendingDelete(req.id)
-	if req.pendingReply != nil {
-		// A stashed answer dies with the request (dead-origin timeout).
-		n.releaseMsg(req.pendingReply)
-		req.pendingReply = nil
-	}
 	if req.record {
 		n.coll.Request(0, req.size, metrics.Failure, false)
 	}
@@ -362,8 +304,9 @@ func (p *Peer) lookupForAnswer(k workload.Key) (version uint64, ttr float64, fro
 	return e.Version, remaining, false, true
 }
 
-// answer sends a data reply for request m back to its origin. The
-// caller keeps ownership of m.
+// answer sends a data reply for request m back to its origin (onReply
+// routes it unless this peer is the origin). The caller keeps ownership
+// of m.
 func (p *Peer) answer(m *message, version uint64, ttr float64, fromStore, enRoute bool) {
 	reply := p.net.newMsg(message{
 		Kind: kindReply, ID: m.ID, Key: m.Key,
@@ -374,112 +317,109 @@ func (p *Peer) answer(m *message, version uint64, ttr float64, fromStore, enRout
 		EnRoute:      enRoute,
 		FromStore:    fromStore,
 	})
-	if p.id == m.Origin {
-		p.onReply(reply)
-		return
-	}
-	p.net.routeOwned(p, reply)
+	p.onReply(reply)
 }
 
-// onSearchFlood handles the flooding / expanding-ring request.
-func (p *Peer) onSearchFlood(m *message) {
-	if p.markSeen(m) {
+// onFlood handles every flood kind (the kinds dedupID lists): a peer
+// hears a flood once, serves it when it is inside the flood's scope, and
+// relays it while TTL lasts. A duplicate stops at markSeen before the
+// scope is read (handleFrame's fast path drops most of them earlier).
+func (p *Peer) onFlood(m *message) {
+	if p.markSeen(m) || !p.inScope(m) || p.serve(m) || m.TTL <= 1 {
 		p.net.releaseMsg(m)
 		return
 	}
-	if v, ttr, fromStore, ok := p.lookupForAnswer(m.Key); ok {
-		p.answer(m, v, ttr, fromStore, false)
-		p.net.releaseMsg(m)
-		return
-	}
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.releaseMsg(m)
+	m.TTL--
+	p.net.broadcast(p.id, m)
 }
 
-// onRegionalSearch handles the intra-region broadcast phase of PReCinCt:
-// peers outside the region drop the message; peers inside answer from
-// store or fresh cache, or keep flooding within the region.
-func (p *Peer) onRegionalSearch(m *message) {
-	if p.markSeen(m) {
-		p.net.releaseMsg(m)
-		return
+// inScope reports whether the peer is inside the area a flood covers:
+// the whole network for a network-wide search or invalidation, the
+// peer's own region (as of its last mobility check) for the
+// requester-region search, and otherwise the target region at the
+// peer's true position.
+func (p *Peer) inScope(m *message) bool {
+	switch m.Kind {
+	case kindSearchFlood, kindInvalidate:
+		return true
+	case kindRegionalSearch:
+		return p.regionID == m.TargetRegion
+	default:
+		return p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id))
 	}
-	if p.regionID != m.TargetRegion {
-		p.net.releaseMsg(m)
-		return
-	}
-	if v, ttr, fromStore, ok := p.lookupForAnswer(m.Key); ok {
-		p.answer(m, v, ttr, fromStore, false)
-		p.net.releaseMsg(m)
-		return
-	}
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
-	}
-	p.net.releaseMsg(m)
 }
 
-// onRoutedSearch advances a request toward the home/replica region. The
-// first node inside the target region becomes the point of broadcast and
-// floods the request locally. En-route peers with a fresh copy answer
-// directly when enabled.
-func (p *Peer) onRoutedSearch(m *message) {
-	if p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
-		// Rewrite the routed request into the localized flood in place.
-		// The flood ID is drawn (and marked) before the local lookup so
-		// the deterministic ID sequence matches the reference path,
-		// which built the flood before checking its own holdings.
-		m.Kind = kindHomeFlood
-		m.TTL = regionTTL
-		m.FloodID = p.newID()
-		p.markSeen(m)
-		// The point of broadcast also checks its own holdings. answer
-		// reads only fields the rewrite above left untouched.
-		if v, ttr, fromStore, found := p.lookupForAnswer(m.Key); found {
+// serve does what a flood asks of a peer in its scope and reports
+// whether the peer answered it, which ends the peer's part in the flood:
+// a search is answered from the store or a cached copy, a poll by a
+// holder; an update or invalidation is applied and the flood goes on.
+func (p *Peer) serve(m *message) bool {
+	switch m.Kind {
+	case kindUpdateFlood:
+		p.applyUpdateMessage(m)
+		return false
+	case kindInvalidate:
+		p.applyInvalidation(m)
+		return false
+	case kindPollFlood:
+		return p.answerPoll(m)
+	default:
+		v, ttr, fromStore, ok := p.lookupForAnswer(m.Key)
+		if ok {
 			p.answer(m, v, ttr, fromStore, false)
-			p.net.releaseMsg(m)
-			return
 		}
-		p.net.broadcast(p.id, m)
-		return
+		return ok
 	}
-	if p.net.cfg.EnRoute {
-		if v, ttr, fromStore, found := p.lookupForAnswer(m.Key); found {
-			p.answer(m, v, ttr, fromStore, true)
-			p.net.releaseMsg(m)
-			return
-		}
-	}
-	p.net.routeOwned(p, m)
 }
 
-// onHomeFlood handles the localized flood inside the destination region.
-func (p *Peer) onHomeFlood(m *message) {
-	if p.markSeen(m) {
-		p.net.releaseMsg(m)
+// onRouted advances a region-routed search, update or poll one GPSR hop
+// toward its target region. The first peer inside the region by true
+// position becomes the point of broadcast: it turns the message into the
+// region's localized flood, serves it and starts the flood. Outside the
+// region a search may be answered en route.
+func (p *Peer) onRouted(m *message) {
+	n := p.net
+	if n.table.Contains(m.TargetRegion, n.ch.Position(p.id)) {
+		p.floodRegion(m)
+		if p.serve(m) {
+			n.releaseMsg(m)
+			return
+		}
+		n.broadcast(p.id, m)
 		return
 	}
-	if !p.net.table.Contains(m.TargetRegion, p.net.ch.Position(p.id)) {
-		p.net.releaseMsg(m)
+	if m.Kind == kindUpdateRoute {
+		// An update has no end-to-end timeout to recover it.
+		n.forwardWithRetry(p, m)
 		return
 	}
-	if v, ttr, fromStore, found := p.lookupForAnswer(m.Key); found {
-		p.answer(m, v, ttr, fromStore, false)
-		p.net.releaseMsg(m)
-		return
+	if m.Kind == kindRoutedSearch && n.cfg.EnRoute {
+		if v, ttr, fromStore, ok := p.lookupForAnswer(m.Key); ok {
+			p.answer(m, v, ttr, fromStore, true)
+			n.releaseMsg(m)
+			return
+		}
 	}
-	if m.TTL > 1 {
-		m.TTL--
-		p.net.broadcast(p.id, m)
-		return
+	n.routeOwned(p, m)
+}
+
+// floodRegion rewrites a region-routed message in place into its target
+// region's localized flood, started by p: the point of broadcast, or an
+// origin already inside the region. The flood ID is drawn and marked
+// before the point of broadcast serves the flood, so the ID sequence does
+// not depend on whether it holds the key.
+func (p *Peer) floodRegion(m *message) {
+	switch m.Kind {
+	case kindRoutedSearch:
+		m.Kind = kindHomeFlood
+	case kindUpdateRoute:
+		m.Kind = kindUpdateFlood
+	case kindPollRoute:
+		m.Kind = kindPollFlood
 	}
-	p.net.releaseMsg(m)
+	m.TTL = regionTTL
+	m.FloodID = p.newID()
+	p.markSeen(m)
 }
 
 // onReply routes a response back to the requester and completes the
