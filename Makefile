@@ -61,9 +61,12 @@ race-parallel:
 
 # The runtime invariant suite (DESIGN.md section 9) under the race
 # detector: fuzzed scenarios, metamorphic relations and the
-# broken-build detection test.
+# broken-build detection test across the repo, then every test of
+# internal/invariant itself (the checks' unit tests, whose names do not
+# match Invariant).
 check:
 	$(GO) test -race -run Invariant -count=1 ./...
+	$(GO) test -race -count=1 ./internal/invariant/...
 
 # A short pass over every fuzz target so the corpora and harnesses are
 # kept working; real fuzzing campaigns just raise -fuzztime.

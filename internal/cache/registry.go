@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// Params carries the knobs a policy factory may consume. The zero value
+// Params carries the knobs a policy constructor may consume. The zero value
 // selects each policy's documented defaults, so NewPolicy(name, Params{})
-// always works for every registered name.
+// always works for every name.
 type Params struct {
 	// Weights are the utility weights for the weighted policies (GD-LD,
 	// popularity×distance). The zero value selects DefaultWeights.
@@ -22,65 +22,37 @@ func (p Params) weightsOrDefault() Weights {
 	return p.Weights
 }
 
-// Factory builds a replacement policy from parameters. Factories must
+// policies maps each policy name to its constructor. Constructors
 // validate their inputs and return stateless policies: one policy value
 // is shared by every peer of a run.
-type Factory func(Params) (Policy, error)
-
-// registry maps policy names to factories. Registration happens in init
-// functions (or tests), never on hot paths, so a plain map suffices.
-var registry = map[string]Factory{}
-
-// Register adds a policy factory under a name. Registering an empty name,
-// a nil factory, or a duplicate name panics: all three are programming
-// errors that must fail loudly at init time, not surface as "unknown
-// policy" at run time.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("cache: Register with empty policy name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("cache: Register(%q) with nil factory", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("cache: Register(%q) called twice", name))
-	}
-	registry[name] = f
+var policies = map[string]func(Params) (Policy, error){
+	"gd-ld":    func(p Params) (Policy, error) { return NewGDLD(p.weightsOrDefault()) },
+	"gd-size":  func(Params) (Policy, error) { return GDSize{}, nil },
+	"lru":      func(Params) (Policy, error) { return LRU{}, nil },
+	"lfu":      func(Params) (Policy, error) { return LFU{}, nil },
+	"gdsf":     func(Params) (Policy, error) { return GDSF{}, nil },
+	"pop-dist": func(p Params) (Policy, error) { return NewPopDist(p.weightsOrDefault()) },
+	"pop-rank": func(Params) (Policy, error) { return PopRank{}, nil },
 }
 
-// NewPolicy builds a registered policy by name. The error lists the
-// known names so CLI typos are self-diagnosing.
+// NewPolicy builds a policy by name. The error lists the known names so
+// CLI typos are self-diagnosing.
 func NewPolicy(name string, p Params) (Policy, error) {
-	f, ok := registry[name]
+	f, ok := policies[name]
 	if !ok {
 		return nil, fmt.Errorf("cache: unknown policy %q (known: %v)", name, Names())
 	}
 	return f(p)
 }
 
-// Names returns every registered policy name in sorted order. Test
-// suites iterate this so a newly registered policy is automatically
-// pulled through the heap/linear differential replay and the contract
-// battery.
+// Names returns every policy name in sorted order. Test suites iterate
+// this so a newly added policy is automatically pulled through the
+// heap/linear differential replay and the contract battery.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
+	out := make([]string, 0, len(policies))
+	for name := range policies {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	Register("gd-ld", func(p Params) (Policy, error) {
-		return NewGDLD(p.weightsOrDefault())
-	})
-	Register("gd-size", func(Params) (Policy, error) { return GDSize{}, nil })
-	Register("lru", func(Params) (Policy, error) { return LRU{}, nil })
-	Register("lfu", func(Params) (Policy, error) { return LFU{}, nil })
-	Register("gdsf", func(Params) (Policy, error) { return GDSF{}, nil })
-	Register("pop-dist", func(p Params) (Policy, error) {
-		return NewPopDist(p.weightsOrDefault())
-	})
-	Register("pop-rank", func(Params) (Policy, error) { return PopRank{}, nil })
 }

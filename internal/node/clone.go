@@ -13,6 +13,7 @@ package node
 import (
 	"fmt"
 
+	"precinct/internal/cache"
 	"precinct/internal/energy"
 	"precinct/internal/metrics"
 	"precinct/internal/radio"
@@ -112,7 +113,7 @@ func (n *Network) clonePayload(payload any) any {
 	cp := n.pool.acquire()
 	*cp = *m
 	if m.Items != nil {
-		cp.Items = append([]handoffItem(nil), m.Items...)
+		cp.Items = append([]cache.StoredItem(nil), m.Items...)
 	}
 	cp.refs = 1
 	cp.released = false

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 
+	"precinct/internal/cache"
 	"precinct/internal/geo"
 	"precinct/internal/radio"
 	"precinct/internal/region"
@@ -85,18 +86,6 @@ const (
 	classMaintenance
 )
 
-// handoffItem is one key being transferred between peers.
-type handoffItem struct {
-	Key       workload.Key
-	Size      int
-	Version   uint64
-	UpdatedAt float64
-	TTR       float64
-	// ReplicaRank is 0 for the primary copy and r >= 1 for the copy
-	// belonging to the key's rank-r replica region.
-	ReplicaRank int
-}
-
 // message is the single protocol payload type; fields are used according
 // to Kind.
 //
@@ -162,7 +151,7 @@ type message struct {
 	CachedVersion uint64
 
 	// Items carries key transfers (handoff).
-	Items []handoffItem
+	Items []cache.StoredItem
 
 	// refs counts outstanding ownership references: 1 for owned/unicast
 	// messages, the delivered-receiver count for shared broadcast

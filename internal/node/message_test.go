@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"precinct/internal/cache"
 	"precinct/internal/routing"
 )
 
@@ -58,7 +59,7 @@ func TestWireSize(t *testing.T) {
 	if got := update.wireSize(); got != ctrl+2048 {
 		t.Errorf("update size %d", got)
 	}
-	handoff := &message{Kind: kindHandoff, Items: []handoffItem{{Size: 100}, {Size: 200}}}
+	handoff := &message{Kind: kindHandoff, Items: []cache.StoredItem{{Size: 100}, {Size: 200}}}
 	if got := handoff.wireSize(); got != ctrl+300 {
 		t.Errorf("handoff size %d", got)
 	}
@@ -82,7 +83,7 @@ func TestMessageCloneIndependence(t *testing.T) {
 	m := &message{
 		Kind: kindHandoff, ID: 1, TTL: 5,
 		Route: routing.State{Mode: routing.Perimeter},
-		Items: []handoffItem{{Key: 1, Size: 100}},
+		Items: []cache.StoredItem{{Key: 1, Size: 100}},
 		refs:  7,
 	}
 	cp := clonePayloadForTest(t, m)

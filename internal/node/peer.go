@@ -223,7 +223,7 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 	type group struct {
 		target *Peer
 		region region.ID
-		items  []handoffItem
+		items  []cache.StoredItem
 	}
 	// groups and order are allocated at the first misplaced copy: most
 	// passes find none.
@@ -258,10 +258,7 @@ func (p *Peer) rehomeKeys(evacuate bool) {
 			groups[proper.ID] = g
 			order = append(order, proper.ID)
 		}
-		g.items = append(g.items, handoffItem{
-			Key: it.Key, Size: it.Size, Version: it.Version,
-			UpdatedAt: it.UpdatedAt, TTR: it.TTR, ReplicaRank: it.ReplicaRank,
-		})
+		g.items = append(g.items, *it)
 		p.store.Remove(k)
 	}
 	// Send in ascending region order (the order every recorded trace
@@ -307,14 +304,11 @@ func (p *Peer) onHandoff(m *message) {
 }
 
 // adoptItems installs transferred copies, keeping fresher local versions.
-func (p *Peer) adoptItems(items []handoffItem) {
+func (p *Peer) adoptItems(items []cache.StoredItem) {
 	for _, it := range items {
 		if cur, ok := p.store.Get(it.Key); ok && cur.Version >= it.Version {
 			continue // already holds a copy at least as fresh
 		}
-		p.store.Put(cache.StoredItem{
-			Key: it.Key, Size: it.Size, Version: it.Version,
-			UpdatedAt: it.UpdatedAt, TTR: it.TTR, ReplicaRank: it.ReplicaRank,
-		})
+		p.store.Put(it)
 	}
 }

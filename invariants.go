@@ -12,35 +12,7 @@ import (
 type InvariantViolation = invariant.Violation
 
 // InvariantReport summarizes one checked run.
-type InvariantReport struct {
-	// Sweeps is how many periodic check passes ran; Events how many
-	// scheduler events the runner observed.
-	Sweeps uint64
-	Events uint64
-	// TotalViolations counts every breach; Violations records the first
-	// 64.
-	TotalViolations uint64
-	Violations      []InvariantViolation
-}
-
-// Ok reports whether the run was violation-free.
-func (r InvariantReport) Ok() bool { return r.TotalViolations == 0 }
-
-// String renders a one-line summary.
-func (r InvariantReport) String() string {
-	return fmt.Sprintf("invariants: %d violation(s) over %d sweeps / %d events",
-		r.TotalViolations, r.Sweeps, r.Events)
-}
-
-// invariantReportOf summarizes a finished runner.
-func invariantReportOf(runner *invariant.Runner) InvariantReport {
-	return InvariantReport{
-		Sweeps:          runner.Sweeps(),
-		Events:          runner.Events(),
-		TotalViolations: runner.Total(),
-		Violations:      runner.Violations(),
-	}
-}
+type InvariantReport = invariant.Report
 
 // debugBreakEnv deliberately sabotages a built simulation according to
 // the PRECINCT_DEBUG_BREAK environment variable, so the invariant
@@ -102,5 +74,5 @@ func RunChecked(s Scenario) (Result, InvariantReport, error) {
 	rep := b.network.Run(s.Duration)
 	runner.Finalize()
 
-	return b.result(rep), invariantReportOf(runner), nil
+	return b.result(rep), runner.Report(), nil
 }
