@@ -92,6 +92,10 @@ type Network struct {
 	inRegion []radio.NodeID
 
 	peers []*Peer
+	// held[i] is a superset of the keys peer i holds in its store and its
+	// cache, one bit per key (bit k&63; see mayHold). Nil until this
+	// replica's first lookup, so a build allocates nothing for it.
+	held []uint64
 	// live is the dense liveness table, one byte per peer: the only
 	// record of who is alive, read by Peer.Alive and — handed to every
 	// shard replica's channel — by the radio. setAlive is its only
@@ -267,7 +271,7 @@ func (n *Network) placeKeys() {
 			UpdatedAt: 0, TTR: n.cfg.Consistency.InitialTTR,
 		}
 		if holder := n.peerNearestCenter(home.ID); holder != nil {
-			holder.store.Put(item)
+			holder.putStored(item)
 		} else {
 			n.stats.HomelessKeys++
 		}
@@ -279,7 +283,7 @@ func (n *Network) placeKeys() {
 			if holder := custodian(rep.ID); holder != nil {
 				replica := item
 				replica.ReplicaRank = r
-				holder.store.Put(replica)
+				holder.putStored(replica)
 			}
 		}
 	}
@@ -732,6 +736,9 @@ func (n *Network) Revive(id radio.NodeID) {
 	}
 	n.setAlive(p, true)
 	p.store = cache.NewStore()
+	if held := p.net.held; held != nil {
+		held[id] = 0
+	}
 	if p.cache != nil {
 		if c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy); err == nil {
 			p.cache = c

@@ -309,6 +309,12 @@ func (p *Peer) adoptItems(items []cache.StoredItem) {
 		if cur, ok := p.store.Get(it.Key); ok && cur.Version >= it.Version {
 			continue // already holds a copy at least as fresh
 		}
-		p.store.Put(it)
+		p.putStored(it)
 	}
+}
+
+// putStored puts a copy into the store and notes its key as held.
+func (p *Peer) putStored(it cache.StoredItem) {
+	p.store.Put(it)
+	p.noteHeld(it.Key)
 }

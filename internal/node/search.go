@@ -273,6 +273,55 @@ func (n *Network) finish(req *pendingReq, class metrics.HitClass, latency float6
 	n.releaseReq(req)
 }
 
+// keyBit is k's bit in a held mask.
+func keyBit(k workload.Key) uint64 { return 1 << (k & 63) }
+
+// mayHold reports whether the peer can hold k in its store or its cache.
+// false is exact; true may be stale, because a removal or an eviction
+// leaves the key's bit set (recomputing the bit would cost a pass over
+// both maps, and re-homing empties a custodian's store one key at a
+// time). Only Revive, which empties both, clears a peer's bits.
+//
+// The mask lives on the peer's replica, which allocates it at its first
+// lookup and fills it from the stores and caches of the peers it owns;
+// from then on putStored and admitToCache set the bit of every key they
+// insert.
+func (p *Peer) mayHold(k workload.Key) bool {
+	n := p.net
+	if n.held == nil {
+		n.fillHeld()
+	}
+	return n.held[p.id]&keyBit(k) != 0
+}
+
+// noteHeld records that the peer now holds k.
+func (p *Peer) noteHeld(k workload.Key) {
+	if held := p.net.held; held != nil {
+		held[p.id] |= keyBit(k)
+	}
+}
+
+// fillHeld allocates the replica's held masks and sets, for every peer
+// it owns, the bit of each key in that peer's store and cache. Another
+// replica's peers are left alone: their replica keeps their bits, and
+// their maps may be changing on its shard meanwhile.
+func (n *Network) fillHeld() {
+	n.held = make([]uint64, len(n.peers))
+	for _, p := range n.peers {
+		if p.net != n {
+			continue
+		}
+		for _, k := range p.store.Keys() {
+			n.held[p.id] |= keyBit(k)
+		}
+		if p.cache != nil {
+			for _, k := range p.cache.Keys() {
+				n.held[p.id] |= keyBit(k)
+			}
+		}
+	}
+}
+
 // lookupForAnswer checks whether the peer can answer a request for k:
 // first its static store (authoritative), then a dynamic-cache copy.
 // Cached copies are always serveable; the advertised TTR tells the
@@ -281,6 +330,9 @@ func (n *Network) finish(req *pendingReq, class metrics.HitClass, latency float6
 // validates only answers whose remaining TTR is zero (expired copies).
 // fromStore marks authoritative answers that never need validation.
 func (p *Peer) lookupForAnswer(k workload.Key) (version uint64, ttr float64, fromStore, ok bool) {
+	if !p.mayHold(k) {
+		return 0, 0, false, false
+	}
 	if it, found := p.store.Get(k); found {
 		return it.Version, it.TTR, true, true
 	}
@@ -518,4 +570,5 @@ func (n *Network) admitToCache(p *Peer, m *message, now float64) {
 		Key: m.Key, Size: m.Size, Version: m.Version,
 		RegionDist: regDist, TTRExpiry: expiry,
 	}, now)
+	p.noteHeld(m.Key)
 }

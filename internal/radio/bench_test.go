@@ -182,21 +182,28 @@ func TestNeighborsAllocFree(t *testing.T) {
 // this density (scale_10k: 2.5M events in 30 s) — so the O(N) rebuild is
 // amortized as a run amortizes it. Nothing in a query is sized by N, so
 // ns/op should stay flat from 1k to 100k, within 1.5x for the working
-// set leaving the cache; allocs/op must be 0.
+// set leaving the cache; allocs/op must be 0. candidates/op is what a
+// query reads, its node's candidate list, against the neighbors/op it
+// returns: the slack the grid rebuilds at sets the ratio.
 func BenchmarkNeighborsScale(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			ch, sched := scaledWaypointChannel(b, n, DefaultConfig())
 			ch.Neighbors(0) // first build and scratch buffers
 			dt := 0.1 / float64(n)
+			var cands, nbrs int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sched.Run(sched.Now() + dt)
 				// A stride coprime to every n, so successive queries land
 				// far apart in ID and, IDs being placed at random, in space.
-				ch.Neighbors(NodeID(i * 7919 % n))
+				id := NodeID(i * 7919 % n)
+				nbrs += len(ch.Neighbors(id))
+				cands += ch.candidatesOf(id)
 			}
+			b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
+			b.ReportMetric(float64(nbrs)/float64(b.N), "neighbors/op")
 		})
 	}
 }

@@ -32,18 +32,18 @@
 // rebuilding per event, the index exploits the mobility model's speed
 // bound (mobility.Model.MaxSpeed): a node can have drifted at most
 // maxSpeed·age meters since the snapshot. The grid is rebuilt once that
-// drift would exceed a slack of Range/4, so until then every node —
-// querier and candidate alike — is within slack of where it was. A list
-// holds the slots within Range + 2·(slack + snapGuard + snapSlack) of
-// its node when it was built, which therefore contains every node that
-// can be in range of it before the next rebuild. A query first tests a
-// candidate's snapshot position against Range + drift (plus snapGuard
-// and snapSlack, which cover the rounding): one further than that cannot
-// be in range now and costs one compare. The few that remain get their
-// exact position from the record's leg while it lasts — bit for bit what
-// the model would answer, since the model computes it with the same
-// mobility.Leg.At — and from the epoch cache or the model once it has
-// ended; range and liveness decide.
+// drift would exceed a slack of Range/16 (slackDivisor), so until then
+// every node — querier and candidate alike — is within slack of where it
+// was. A list holds the slots within Range + 2·(slack + snapGuard +
+// snapSlack) of its node when it was built, which therefore contains
+// every node that can be in range of it before the next rebuild. A query
+// first tests a candidate's snapshot position against Range + drift
+// (plus snapGuard and snapSlack, which cover the rounding): one further
+// than that cannot be in range now and costs one compare. The few that
+// remain get their exact position from the record's leg while it lasts —
+// bit for bit what the model would answer, since the model computes it
+// with the same mobility.Leg.At — and from the epoch cache or the model
+// once it has ended; range and liveness decide.
 //
 // The grid indexes true positions only. Beacon (observed) positions are
 // not indexed: the time-driven beacon refresh is an O(N) pass over every
@@ -80,7 +80,7 @@ type grid struct {
 	cell     float64 // index cell side; starts at Range/2, doubles if spread demands
 	invCell  float64
 	rng      float64 // radio range, meters
-	slack    float64 // rebuild once drift exceeds this (Range/4)
+	slack    float64 // rebuild once drift exceeds this (Range/slackDivisor)
 	maxSpeed float64 // the mobility model's speed bound, m/s
 
 	// Dense cell addressing: cell (cx, cy) maps to row-major index
@@ -146,11 +146,19 @@ func newGrid(n int, rng, maxSpeed float64) *grid {
 		cell:     cell,
 		invCell:  1 / cell,
 		rng:      rng,
-		slack:    rng / 4,
+		slack:    rng / slackDivisor,
 		maxSpeed: maxSpeed,
 		nodes:    make([]int32, n),
 	}
 }
+
+// slackDivisor sets the snapshot slack, Range/slackDivisor. A list covers
+// a disk of radius Range + 2·slack, (1 + 2/slackDivisor)² times the
+// neighbor disk: 1.27 here, 2.25 at Range/4. A smaller slack makes every
+// query read fewer candidates and the grid rebuild more often (an O(N)
+// pass that allocates nothing); Range/16 was the fastest of Range/{4, 6,
+// 8, 12, 16} on every bench/ workload (DESIGN.md §8).
+const slackDivisor = 16
 
 // snapGuard widens every bound on snapshot positions — the candidate
 // lists and the per-query pre-filter — by an absolute margin, in meters.
@@ -199,8 +207,9 @@ func (ch *Channel) position(i int) geo.Point {
 // neighbor query, and rebuilds the snapshot to fill them. The arena is
 // sized for the density that snapshot shows — half as many candidates
 // again as a uniform spread would list, which covers the random
-// waypoint model's pull toward the center (flood_2k's lists take 25 per
-// node against the 24.5 of a uniform spread) — so that steady state,
+// waypoint model's pull toward the center (at paper density a list
+// holds 13.2–13.6 candidates, BenchmarkNeighborsScale's candidates/op,
+// against the 13.8 of a uniform spread) — so that steady state,
 // where the count wanders from one snapshot to the next, does not have
 // to grow it; the sort scratch takes twice that share. Past maxPresize
 // per node (a crowd where every list holds hundreds) the arena grows as

@@ -138,7 +138,7 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 
 	// The snapshot pre-filter at its limit: every node moves at MaxSpeed
 	// all the time, and the clock creeps up to, onto and past the instant
-	// the drift bound reaches Range/4 and the grid rebuilds. A guard band
+	// the drift bound reaches the slack and the grid rebuilds. A guard band
 	// that let rounding reject a true neighbor would show here as a node
 	// the linear scan lists and the grid does not.
 	t.Run("full-speed-across-rebuilds", func(t *testing.T) {
@@ -159,7 +159,7 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 		grid, lin := build(), build()
 
 		slack := grid.grid.slack
-		full := slack / speed // seconds from a rebuild to drift == Range/4
+		full := slack / speed // seconds from a rebuild to drift == slack
 		var justUnder, atSlack, rebuilds int
 		for cycle := 0; cycle < 4; cycle++ {
 			requireSameNeighbors(t, grid, lin, n) // first query of the cycle rebuilds
@@ -179,7 +179,7 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 			}
 		}
 		if justUnder == 0 || atSlack == 0 || rebuilds == 0 {
-			t.Fatalf("drift limit not straddled: %d queries just under Range/4, %d at it, %d rebuilds past it",
+			t.Fatalf("drift limit not straddled: %d queries just under the slack, %d at it, %d rebuilds past it",
 				justUnder, atSlack, rebuilds)
 		}
 	})
@@ -211,11 +211,13 @@ func (a approach) Leg(node int) mobility.Leg {
 
 // TestSnapshotPrefilterKeepsEdgeNeighbor puts a node exactly Range away
 // whose snapshot position is exactly Range+drift away — the one pair the
-// pre-filter may not lose — for several speeds and starting offsets.
+// pre-filter may not lose — for several speeds and starting offsets, the
+// last of them the slack itself.
 func TestSnapshotPrefilterKeepsEdgeNeighbor(t *testing.T) {
 	cfg := DefaultConfig()
+	slack := newGrid(0, cfg.Range, 0).slack
 	for _, speed := range []float64{0.3, 1, 7, 20} {
-		for _, lead := range []float64{1e-9, 0.1, 17.3, cfg.Range / 4} {
+		for _, lead := range []float64{1e-9, 0.1, 0.2768 * slack, slack} {
 			// Node 1 starts lead meters out of range and is in range from
 			// t = lead/speed on.
 			sched := sim.NewScheduler()
@@ -236,6 +238,71 @@ func TestSnapshotPrefilterKeepsEdgeNeighbor(t *testing.T) {
 				t.Fatalf("speed %v lead %v: the grid rebuilt; the snapshot was not exercised", speed, lead)
 			}
 		}
+	}
+}
+
+// TestUnicastVerdictMatchesScan holds Unicast's verdict to the linear
+// scan for every ordered pair, the sender itself and dead nodes included:
+// a frame is deliverable iff both ends are live, they are two nodes, and
+// their true positions are within range. Every node moves at MaxSpeed and
+// the clock steps up to, onto and past the drift bound, so the verdicts
+// come from candidate lists at every age of a snapshot. The beaconed
+// channel's location tables list nodes that are out of range by true
+// position; Unicast must refuse those.
+func TestUnicastVerdictMatchesScan(t *testing.T) {
+	const n, speed = 120, 20.0
+	wcfg := mobility.DefaultWaypointConfig()
+	wcfg.MinSpeed, wcfg.MaxSpeed, wcfg.Pause = speed, speed, 0
+	beaconed := DefaultConfig()
+	beaconed.BeaconInterval = 2
+	for name, cfg := range map[string]Config{"perfect-knowledge": DefaultConfig(), "beaconed": beaconed} {
+		t.Run(name, func(t *testing.T) {
+			grid, lin := waypointPair(t, n, wcfg, cfg, 13)
+			grid.SetHandler(func(NodeID, Frame) {})
+			for _, ch := range []*Channel{grid, lin} {
+				ch.SetNodeAlive(5, false)
+				ch.SetNodeAlive(77, false)
+			}
+			r2 := cfg.Range * cfg.Range
+			var sent, refused, staleListed int
+			for cycle := 0; cycle < 3; cycle++ {
+				grid.Neighbors(0) // the first query of the cycle rebuilds
+				built := grid.grid.builtAt
+				last := lastInstant(grid.grid)
+				for _, at := range []float64{built, built + (last-built)/2, last, math.Nextafter(last, math.Inf(1))} {
+					runBoth(grid, lin, at)
+					for from := NodeID(0); int(from) < n; from++ {
+						listed := map[NodeID]bool{}
+						if grid.beaconAt != nil {
+							for _, nb := range grid.LocationTable(from) {
+								listed[nb.ID] = true
+							}
+						}
+						for to := NodeID(0); int(to) < n; to++ {
+							want := lin.Alive(from) && lin.Alive(to) && from != to &&
+								lin.Position(from).Dist2(lin.Position(to)) <= r2
+							if got := grid.Unicast(from, to, 100, nil); got != want {
+								t.Fatalf("t=%v: Unicast(%d, %d) = %v, the scan says %v", at, from, to, got, want)
+							}
+							if want {
+								sent++
+							} else {
+								refused++
+								if listed[to] {
+									staleListed++
+								}
+							}
+						}
+					}
+				}
+			}
+			if sent == 0 || refused == 0 {
+				t.Fatalf("%d pairs deliverable, %d refused: the verdict went untested one way", sent, refused)
+			}
+			if beaconed := cfg.BeaconInterval > 0; beaconed != (staleListed > 0) {
+				t.Fatalf("beaconing %v, yet %d refused pairs were in the sender's location table", beaconed, staleListed)
+			}
+		})
 	}
 }
 
@@ -505,10 +572,25 @@ func TestCandidateListsWithinSnapshot(t *testing.T) {
 	})
 }
 
+// lastInstant returns the last instant g's snapshot serves a query at:
+// the latest t with maxSpeed·(t − builtAt) ≤ slack, ensureGrid's test,
+// in floating point.
+func lastInstant(g *grid) float64 {
+	up, down := math.Inf(1), math.Inf(-1)
+	t := g.builtAt + g.slack/g.maxSpeed
+	for g.maxSpeed*(t-g.builtAt) > g.slack {
+		t = math.Nextafter(t, down)
+	}
+	for next := math.Nextafter(t, up); g.maxSpeed*(next-g.builtAt) <= g.slack; next = math.Nextafter(t, up) {
+		t = next
+	}
+	return t
+}
+
 // listsAcrossSnapshot runs three snapshots at full speed: in each, node i
 // asks first at step i%steps of the slack window and again at every step
 // after, so lists are built all through a snapshot and read up to its
-// end.
+// last instant.
 func listsAcrossSnapshot(t *testing.T) {
 	const n, speed, steps = 240, 20.0, 24
 	wcfg := mobility.DefaultWaypointConfig()
@@ -519,9 +601,13 @@ func listsAcrossSnapshot(t *testing.T) {
 		runBoth(grid, lin, start)
 		grid.Neighbors(0) // rebuilds: the snapshot is taken at start
 		built := grid.grid.builtAt
-		full := grid.grid.slack / speed
+		last := lastInstant(grid.grid)
 		for k := 0; k <= steps; k++ {
-			runBoth(grid, lin, built+full*float64(k)/steps)
+			at := built + (last-built)*float64(k)/steps
+			if k == steps {
+				at = last
+			}
+			runBoth(grid, lin, at)
 			var ids []NodeID
 			for i := 0; i < n; i++ {
 				if i%steps <= k {

@@ -27,8 +27,10 @@
 package radio
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"precinct/internal/energy"
 	"precinct/internal/geo"
@@ -280,8 +282,9 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 
 // answer is a neighbor query's reusable buffer and the query it currently
 // answers. A routed hop asks for the sender's neighbors twice at one
-// instant (the routing decision, then Unicast's overhearing charge); the
-// repeat is served from the buffer. See Neighbors for the validity rule.
+// instant (the routing decision, then Unicast's deliverability test and
+// overhearing charge); the repeat is served from the buffer. See
+// Neighbors for the validity rule.
 type answer struct {
 	buf   []Neighbor
 	id    NodeID
@@ -692,13 +695,6 @@ func (ch *Channel) LocationTable(id NodeID) []Neighbor {
 	return ch.locs.buf
 }
 
-// InRange reports whether b is currently within a's radio range.
-func (ch *Channel) InRange(a, b NodeID) bool {
-	pa := ch.position(int(a))
-	pb := ch.position(int(b))
-	return pa.Dist2(pb) <= ch.cfg.Range*ch.cfg.Range
-}
-
 // airtime returns the transmission duration for a frame of the given
 // payload size in bytes.
 func (ch *Channel) airtime(size int) float64 {
@@ -784,8 +780,16 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 
 // Unicast transmits a frame to a specific neighbor. It returns false
 // without transmitting when the destination is out of range or dead — the
-// caller (routing layer) must then pick another hop. Overhearing nodes in
-// the sender's range pay the discard cost.
+// caller (routing layer) must then pick another hop. A frame to the
+// sender itself is undeliverable too: a node is not its own neighbor.
+// Overhearing nodes in the sender's range pay the discard cost.
+//
+// Deliverability is read from the sender's neighbor answer, which the
+// overhearing charge needs anyway and which the routed hop that chose
+// to has just asked for at this instant: to is deliverable iff it is
+// listed there. That is the test of to's liveness and of the distance
+// between the two true positions, since the answer lists live nodes
+// only and Dist2 is symmetric.
 func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	if ch.handler == nil {
 		panic("radio: Unicast before SetHandler")
@@ -793,7 +797,8 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	if !ch.live[from] {
 		return false
 	}
-	if !ch.live[to] || !ch.InRange(from, to) {
+	nbrs := ch.Neighbors(from)
+	if _, ok := slices.BinarySearchFunc(nbrs, to, byID); !ok {
 		ch.stats.Undeliverable++
 		return false
 	}
@@ -802,7 +807,7 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	ch.stats.BytesOnAir += uint64(onAir)
 	if ch.meter != nil {
 		ch.meter.Charge(int(from), energy.P2PSend, onAir)
-		for _, nb := range ch.Neighbors(from) {
+		for _, nb := range nbrs {
 			if nb.ID == to {
 				ch.meter.Charge(int(nb.ID), energy.P2PRecv, onAir)
 			} else {
@@ -825,6 +830,9 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	ch.scheduleDelivery(delay, to, f, ch.airtime(size))
 	return true
 }
+
+// byID orders a neighbor answer, which is sorted by NodeID, for a search.
+func byID(nb Neighbor, id NodeID) int { return cmp.Compare(nb.ID, id) }
 
 // ConnectedComponent returns the set of node IDs reachable from start in
 // the current unit-disk graph, including start itself. Used by tests and

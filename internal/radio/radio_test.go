@@ -109,8 +109,9 @@ func TestNeighborsUnitDisk(t *testing.T) {
 	if got := ch.Neighbors(3); len(got) != 0 {
 		t.Fatalf("isolated node has neighbors: %v", got)
 	}
-	if !ch.InRange(0, 1) || ch.InRange(0, 2) {
-		t.Error("InRange disagrees with Neighbors")
+	ch.SetHandler(func(NodeID, Frame) {})
+	if !ch.Unicast(0, 1, 100, nil) || ch.Unicast(0, 2, 100, nil) || ch.Unicast(0, 0, 100, nil) {
+		t.Error("Unicast's verdicts disagree with Neighbors(0)")
 	}
 }
 
