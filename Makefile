@@ -106,9 +106,10 @@ profile:
 	$(GO) tool pprof -top -cum "$$dir/bench.test" "$$dir/cpu.prof" | head -40
 
 # Rewrite bench_figures.txt: every grid of experiments.go (the paper's
-# figures, the extension sweeps, the policy, workload and scale labs) at
-# paper scale, seed 1. The file is a pure function of the code — no
-# timings — so it is the same on any host; about 80 s on 2 cores.
+# figures, the extension sweeps, the policy, workload and scale labs and
+# the design-choice rows) at paper scale, seed 1. The file is a pure
+# function of the code — no timings — so it is the same on any host;
+# about 65 s on 2 cores, build included.
 # EXPERIMENTS.md quotes it.
 FIGURES = $(GO) run ./cmd/precinct-sim -fig all
 figures:

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"precinct/internal/analysis"
+	"precinct/internal/cache"
 	"precinct/internal/energy"
 	"precinct/internal/workload"
 )
@@ -104,8 +105,8 @@ func csvEscape(s string) string {
 }
 
 // ExperimentConfig controls how much work a figure reproduction does.
-// The zero value is replaced by paper-scale defaults; benchmarks shrink
-// Duration/Nodes to keep iterations fast.
+// The zero value is replaced by paper-scale defaults; tests and
+// `precinct-sim -fig` shrink Duration/Nodes to keep runs fast.
 type ExperimentConfig struct {
 	// Seed feeds every scenario of the experiment.
 	Seed int64
@@ -144,8 +145,9 @@ func (c ExperimentConfig) apply(s *Scenario) {
 
 // grid is one sweep of the evaluation: every (series, x) pair is one
 // scenario, all of them run through one Sweep, and every metric reads the
-// same cells into one Figure. The paper's figures, the extension sweeps
-// and the three labs are rows of the grids table below.
+// same cells into one Figure. The paper's figures, the extension sweeps,
+// the three labs and the design-choice ablations are rows of the grids
+// table below.
 type grid struct {
 	id       string // what Figures and `precinct-sim -fig` select it by
 	xlabel   string
@@ -187,9 +189,17 @@ func ratio(num, den uint64) float64 {
 var (
 	meanLatency = func(r Report) float64 { return r.MeanLatency }
 	byteHit     = func(r Report) float64 { return r.ByteHitRatio }
+	falseHit    = func(r Report) float64 { return r.FalseHitRatio }
 	energyMJ    = func(r Report) float64 { return r.EnergyPerRequest }
 	p95Latency  = func(r Report) float64 { return r.P95Latency }
 	requests    = func(r Report) float64 { return float64(r.Requests) }
+	success     = func(r Report) float64 { return ratio(r.Completed, r.Requests) }
+
+	retrievalSeries = []gridSeries{
+		{label: "PReCinCt", set: func(s *Scenario) { s.Retrieval = "precinct" }},
+		{label: "Flooding", set: func(s *Scenario) { s.Retrieval = "flooding" }},
+		{label: "Expanding ring", set: func(s *Scenario) { s.Retrieval = "expanding-ring" }},
+	}
 
 	policySeries = []gridSeries{
 		{label: "GD-LD", set: func(s *Scenario) { s.Policy = "gd-ld" }},
@@ -240,7 +250,7 @@ var grids = []grid{
 		},
 		metrics: []gridMetric{
 			{"fig6", "Effect of update rate on control message overhead", "control messages", func(r Report) float64 { return float64(r.ControlMessages) }},
-			{"fig7", "Effect of update rate on false hit ratio", "false hit ratio", func(r Report) float64 { return r.FalseHitRatio }},
+			{"fig7", "Effect of update rate on false hit ratio", "false hit ratio", falseHit},
 			{"fig8", "Effect of update rate on latency per request", "latency/request (s)", meanLatency},
 		},
 	},
@@ -266,11 +276,7 @@ var grids = []grid{
 			s.Nodes = int(n)
 			return s
 		},
-		series: []gridSeries{
-			{label: "PReCinCt", set: func(s *Scenario) { s.Retrieval = "precinct" }},
-			{label: "Flooding", set: func(s *Scenario) { s.Retrieval = "flooding" }},
-			{label: "Expanding ring", set: func(s *Scenario) { s.Retrieval = "expanding-ring" }},
-		},
+		series:  retrievalSeries,
 		metrics: []gridMetric{{"ext", "Energy per request vs nodes by retrieval scheme (mobile)", "energy/request (mJ)", energyMJ}},
 	},
 	{ // The speeds the paper simulates (2-20 m/s, Section 6.1) but does not plot.
@@ -334,10 +340,90 @@ var grids = []grid{
 		},
 		metrics: []gridMetric{
 			{"scale-requests", "Scale grid: requests issued", "requests", requests},
-			{"scale-success", "Scale grid: success ratio", "completed/requests", func(r Report) float64 { return ratio(r.Completed, r.Requests) }},
+			{"scale-success", "Scale grid: success ratio", "completed/requests", success},
 			{"scale-bhr", "Scale grid: byte hit ratio", "byte hit ratio", byteHit},
 			{"scale-latency", "Scale grid: mean latency", "latency/request (s)", meanLatency},
 			{"scale-p95", "Scale grid: p95 latency", "p95 latency (s)", p95Latency},
+		},
+	},
+	{ // Location error (DESIGN.md section 5): GPSR reads positions beaconed every x seconds.
+		id: "beacon", xlabel: "beacon s", xs: []float64{0, 1, 2, 5, 10, 20, 40},
+		cell: func(iv float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.BeaconInterval = iv
+			return s
+		},
+		series: retrievalSeries,
+		metrics: []gridMetric{
+			{"beacon-success", "Success ratio vs beacon interval", "completed/requests", success},
+			{"beacon-latency", "Latency per request vs beacon interval", "latency/request (s)", meanLatency},
+			{"beacon-energy", "Energy per request vs beacon interval", "energy/request (mJ)", energyMJ},
+		},
+	},
+	{ // Equation 2's smoothing factor under uniform and skewed update targets.
+		id: "ttr", xlabel: "alpha", xs: []float64{0, 0.5, 0.9},
+		cell: func(alpha float64, _ int) Scenario {
+			s := DefaultScenario()
+			s.Consistency = "push-adaptive-pull"
+			s.TTRAlpha = alpha
+			return s
+		},
+		series: []gridSeries{
+			{label: "uniform Tupd/Treq=1", set: func(s *Scenario) { s.UpdateInterval = s.RequestInterval }},
+			{label: "uniform Tupd/Treq=5", set: func(s *Scenario) { s.UpdateInterval = 5 * s.RequestInterval }},
+			{label: "zipf0.8 Tupd/Treq=1", set: func(s *Scenario) { s.UpdateZipfTheta, s.UpdateInterval = 0.8, s.RequestInterval }},
+			{label: "zipf0.8 Tupd/Treq=5", set: func(s *Scenario) { s.UpdateZipfTheta, s.UpdateInterval = 0.8, 5*s.RequestInterval }},
+		},
+		metrics: []gridMetric{
+			{"ttr-fhr", "False hit ratio vs TTR smoothing", "false hit ratio", falseHit},
+			{"ttr-polls", "Polls issued vs TTR smoothing", "polls", func(r Report) float64 { return float64(r.PollsIssued) }},
+		},
+	},
+	{ // Design-choice ablation (DESIGN.md section 5): one GD-LD utility
+		// term zeroed at a time, then en-route answering off.
+		id: "ablate", xlabel: "variant", rows: []string{"GD-LD", "WR=0", "WD=0", "WS=0", "no-en-route"},
+		cell: func(i float64, _ int) Scenario {
+			s := DefaultScenario()
+			w := cache.DefaultWeights()
+			switch int(i) {
+			case 1:
+				w.WR = 0
+			case 2:
+				w.WD = 0
+			case 3:
+				w.WS = 0
+			case 4:
+				s.EnRoute = false
+			}
+			if w != cache.DefaultWeights() {
+				s.GDLDWeights = Weights(w)
+			}
+			return s
+		},
+		series: []gridSeries{{label: "PReCinCt"}},
+		metrics: []gridMetric{
+			{"ablate-latency", "Design-choice ablation: mean latency", "latency/request (s)", meanLatency},
+			{"ablate-bhr", "Design-choice ablation: byte hit ratio", "byte hit ratio", byteHit},
+		},
+	},
+	{ // Replica regions under crash churn: x departures a minute, none graceful.
+		id: "replicas", xlabel: "crashes/min", xs: []float64{0, 2, 6, 12},
+		cell: func(perMin float64, _ int) Scenario {
+			s := DefaultScenario()
+			if perMin > 0 {
+				s.ChurnInterval = 60 / perMin
+			}
+			s.ChurnGraceful = 0
+			return s
+		},
+		series: []gridSeries{
+			{label: "replicas 0", set: func(s *Scenario) { s.Replicas = 0 }},
+			{label: "replicas 1", set: func(s *Scenario) { s.Replicas = 1 }},
+			{label: "replicas 2", set: func(s *Scenario) { s.Replicas = 2 }},
+		},
+		metrics: []gridMetric{
+			{"replicas-success", "Success ratio vs crash rate", "completed/requests", success},
+			{"replicas-latency", "Latency per request vs crash rate", "latency/request (s)", meanLatency},
 		},
 	},
 }
@@ -420,7 +506,8 @@ func writeLabTrace(cells []Scenario) (func(), error) {
 
 // FigureIDs lists what Figures accepts, in evaluation order: the paper's
 // figures ("4-5", "6-8", "9a", "9b"), the extension sweeps ("ext",
-// "speed", "zipf") and the three labs ("policies", "workloads", "scale").
+// "speed", "zipf"), the three labs ("policies", "workloads", "scale")
+// and the design-choice rows ("beacon", "ttr", "ablate", "replicas").
 func FigureIDs() []string {
 	ids := make([]string, len(grids))
 	for i, g := range grids {

@@ -284,3 +284,29 @@ func TestFigureChart(t *testing.T) {
 		t.Error("flat chart empty")
 	}
 }
+
+// TestReplicasRowRanksReplication holds the replicas row to the paper's
+// fault-tolerance claim at a reduced config: under crash churn, a key
+// homed in one or two replica regions besides its home region is
+// answered more often than one homed in its home region alone. At this
+// config (seed 1, 40 nodes, 600 s) the smallest gap is 0.18, at 12
+// crashes a minute.
+func TestReplicasRowRanksReplication(t *testing.T) {
+	cfg := ExperimentConfig{Seed: 1, Duration: 600, Warmup: 150, Nodes: 40, Items: 200}
+	fig := figures(t, "replicas", cfg, 2)[0]
+	if fig.ID != "replicas-success" || len(fig.Series) != 3 {
+		t.Fatalf("%s: %d series, want replicas-success with 3", fig.ID, len(fig.Series))
+	}
+	none := fig.Series[0]
+	for _, s := range fig.Series[1:] {
+		for i, rate := range s.X {
+			if rate == 0 {
+				continue
+			}
+			if s.Y[i] <= none.Y[i] {
+				t.Errorf("%g crashes/min: %s completes %.3f, no higher than %s's %.3f",
+					rate, s.Label, s.Y[i], none.Label, none.Y[i])
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -222,5 +224,73 @@ func TestMeanLatencyByClass(t *testing.T) {
 	}
 	if _, ok := r.MeanLatencyByClass["regional"]; ok {
 		t.Error("empty classes should not have a latency entry")
+	}
+}
+
+// feedStream records the first n requests of one fixed stream over every
+// class, failures included.
+func feedStream(c *Collector, n int) *Collector {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		c.Request(rng.Float64(), 1024+rng.Intn(9*1024), HitClass(rng.Intn(int(numClasses))), rng.Intn(10) == 0)
+	}
+	return c
+}
+
+// TestCappedCollectorPastItsCap: past the cap the sample buffer is a
+// reservoir of exactly cap latencies, and only the percentiles are
+// estimated from it. Every count, the max and the means come from the
+// running aggregates and agree with the uncapped collector's; the
+// reservoir's draws are a function of the stream alone; and until the
+// cap is crossed the capped collector is the uncapped one.
+func TestCappedCollectorPastItsCap(t *testing.T) {
+	const reservoir, n = 8, 1000
+	capped, uncapped := feedStream(NewCollectorCapped(reservoir), n), feedStream(NewCollector(), n)
+	if len(capped.latencies) != reservoir || len(capped.latClasses) != reservoir || capped.seen <= reservoir {
+		t.Fatalf("retained %d latencies and %d classes of %d, want %d", len(capped.latencies), len(capped.latClasses), capped.seen, reservoir)
+	}
+	// Each retained sample is one of the stream's, and replacement ran:
+	// the reservoir is not the stream's first completions.
+	seen := make(map[float64]uint8)
+	for i, l := range uncapped.latencies {
+		seen[l] = uncapped.latClasses[i]
+	}
+	for i, l := range capped.latencies {
+		if cl, ok := seen[l]; !ok || cl != capped.latClasses[i] {
+			t.Fatalf("retained sample %d (%v, class %d) is not in the stream", i, l, capped.latClasses[i])
+		}
+	}
+	if reflect.DeepEqual(capped.latencies, uncapped.latencies[:reservoir]) {
+		t.Error("the reservoir still holds only the stream's first completions")
+	}
+
+	got, want := capped.Snapshot(), uncapped.Snapshot()
+	near := func(what string, a, b float64) {
+		if math.Abs(a-b) > 1e-12*math.Abs(b) {
+			t.Errorf("%s: capped %v, uncapped %v", what, a, b)
+		}
+	}
+	near("MeanLatency", got.MeanLatency, want.MeanLatency)
+	if len(got.MeanLatencyByClass) != len(want.MeanLatencyByClass) {
+		t.Errorf("MeanLatencyByClass: capped %v, uncapped %v", got.MeanLatencyByClass, want.MeanLatencyByClass)
+	}
+	for cl, w := range want.MeanLatencyByClass {
+		near("MeanLatencyByClass["+cl+"]", got.MeanLatencyByClass[cl], w)
+	}
+	// Everything else but the percentiles is exact.
+	for _, r := range []*Report{&got, &want} {
+		r.MeanLatency, r.MeanLatencyByClass, r.P50Latency, r.P95Latency = 0, nil, 0, 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("capped and uncapped reports differ beyond the latency estimates:\ncapped   %+v\nuncapped %+v", got, want)
+	}
+
+	if a, b := capped.Snapshot(), feedStream(NewCollectorCapped(reservoir), n).Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("two capped collectors fed one stream differ:\n%+v\n%+v", a, b)
+	}
+	for k := 0; feedStream(NewCollector(), k).seen <= reservoir; k++ {
+		if a, b := feedStream(NewCollectorCapped(reservoir), k).Snapshot(), feedStream(NewCollector(), k).Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%d requests, below the cap: capped and uncapped reports differ:\n%+v\n%+v", k, a, b)
+		}
 	}
 }
