@@ -81,13 +81,14 @@ func TestLoadScenarioRejectsTrailingData(t *testing.T) {
 // TestRetiredScenarioKeysRejected: the five switches that selected the
 // retired reference implementations or the retired load-probe shard
 // split, the three fields that duplicated MobilityModel, Replicas and
-// CacheFraction, the workload parameters that became constants, and the
-// Voronoi and adaptive region partitions are gone from Scenario, so a
+// CacheFraction, the workload parameters that became constants, the
+// Voronoi and adaptive region partitions, and the receiver-collision
+// model are gone from Scenario, so a
 // config file that still carries one fails by name instead of silently
 // running something else.
 func TestRetiredScenarioKeysRejected(t *testing.T) {
 	for _, key := range []string{"LinearRadio", "LinearCache", "NoPooling", "LegacyLayout", "ShardBalance", "Mobile", "Replication", "CacheBytes", "WorkloadCfg",
-		"VoronoiRegions", "AdaptiveRegions", "AdaptiveInterval", "AdaptiveSplitAbove", "AdaptiveMergeBelow"} {
+		"VoronoiRegions", "AdaptiveRegions", "AdaptiveInterval", "AdaptiveSplitAbove", "AdaptiveMergeBelow", "Collisions"} {
 		wantMsg := `unknown field "` + key + `"`
 		_, err := LoadScenario(strings.NewReader(`{"Nodes":10,"` + key + `":false}`))
 		if err == nil || !strings.Contains(err.Error(), wantMsg) {

@@ -257,29 +257,3 @@ func TestBeaconStalenessDegradesGracefully(t *testing.T) {
 		t.Errorf("availability dropped %.3f -> %.3f with 5 s beacons", perfect, stale)
 	}
 }
-
-func TestCollisionsHurtFloodingMoreThanPReCinCt(t *testing.T) {
-	// With receiver-side collisions on, the network-wide flood's storm
-	// damages itself; PReCinCt's localized floods largely escape.
-	run := func(retrieval string) (failRate float64, collisions uint64) {
-		s := quickScenario()
-		s.Duration = 300
-		s.Warmup = 100
-		s.Retrieval = retrieval
-		s.Collisions = true
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report.Requests == 0 {
-			return 1, res.Radio.Collisions
-		}
-		return float64(res.Report.Failures) / float64(res.Report.Requests), res.Radio.Collisions
-	}
-	_, precinctCollisions := run("precinct")
-	_, floodingCollisions := run("flooding")
-	if floodingCollisions <= precinctCollisions {
-		t.Errorf("flooding collisions (%d) should exceed precinct's (%d)",
-			floodingCollisions, precinctCollisions)
-	}
-}

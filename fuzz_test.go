@@ -70,6 +70,7 @@ func FuzzScenario(f *testing.F) {
 		`{"LinearRadio":true}`,
 		`{"VoronoiRegions":true}`,
 		`{"AdaptiveRegions":true}`,
+		`{"Collisions":true}`,
 		// A pause below one ulp of the clock once hung the waypoint
 		// model; clamped, this is a 12-node, 30 s run.
 		`{"Pause":1e-300,"MaxSpeed":50,"AreaSide":100,"Warmup":5}`,

@@ -42,7 +42,7 @@ func Expand(seed int64) precinct.Scenario {
 	if rng.Float64() < 0.3 {
 		s.LossRate = 0.1 * rng.Float64()
 	}
-	s.Collisions = rng.Float64() < 0.3
+	rng.Float64() // once drew the retired collision model; kept for the draw sequence
 	if rng.Float64() < 0.3 {
 		s.BeaconInterval = 1 + 2*rng.Float64()
 	}
@@ -147,7 +147,7 @@ func ExpandScale(seed int64, maxNodes int) precinct.Scenario {
 	s.Pause = 5
 
 	s.LossRate = []float64{0.05, 0.1, 0.3}[rng.Intn(3)] // always lossy
-	s.Collisions = rng.Float64() < 0.3
+	rng.Float64()                                       // once drew the retired collision model
 
 	s.Items = 500 + rng.Intn(501)
 	s.ZipfTheta = 0.8

@@ -315,8 +315,8 @@ func sweepTTR(ctx *Context) []string {
 
 // sweepConservation verifies the channel's conservation law and holds
 // the energy meter to it: every scheduled reception resolves as exactly
-// one of handled, collided or receiver-dead (so Deliveries == Handled +
-// Collisions + DeadDrops + InFlight at all times), and every frame the
+// one of handled or receiver-dead (so Deliveries == Handled + DeadDrops +
+// InFlight at all times), and every frame the
 // channel counts charges its sender once and at most one addressee, so
 // the meter never counts more sends than the channel sent frames, nor
 // more point-to-point receptions than sends. The warmup reset only
@@ -324,11 +324,10 @@ func sweepTTR(ctx *Context) []string {
 func sweepConservation(ctx *Context) []string {
 	var out []string
 	st := ctx.Ch.Stats()
-	resolved := st.Handled + st.Collisions + st.DeadDrops
-	if st.Deliveries != resolved+ctx.Ch.InFlight() {
+	if st.Deliveries != st.Handled+st.DeadDrops+ctx.Ch.InFlight() {
 		out = append(out, fmt.Sprintf(
-			"radio: deliveries %d != handled %d + collisions %d + dead %d + in-flight %d",
-			st.Deliveries, st.Handled, st.Collisions, st.DeadDrops, ctx.Ch.InFlight()))
+			"radio: deliveries %d != handled %d + dead %d + in-flight %d",
+			st.Deliveries, st.Handled, st.DeadDrops, ctx.Ch.InFlight()))
 	}
 	if ctx.Meter == nil {
 		return out

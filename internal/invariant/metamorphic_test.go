@@ -30,7 +30,7 @@ type permRun struct {
 // The setup is engineered so that outcomes depend only on geometry, never
 // on node-ID tie-breaking: generic (non-grid) positions avoid equidistant
 // ties, replication and caching are off so every key has exactly one
-// answerer, and the channel is lossless and collision-free so no RNG is
+// answerer, and the channel is lossless so no RNG is
 // consumed. Under these conditions relabeling node IDs must leave every
 // aggregate observable bit-identical.
 func runPermuted(t *testing.T, perm []int) permRun {

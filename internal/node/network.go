@@ -239,7 +239,8 @@ func (n *Network) MsgPoolLive() uint64 {
 }
 
 // handleDrop settles ownership of a transmitted frame that will never
-// reach handleFrame: unicast send-time loss, dead receiver, collision.
+// reach handleFrame: unicast send-time loss, or a receiver that died
+// while the frame was in flight.
 func (n *Network) handleDrop(to radio.NodeID, f radio.Frame) {
 	if m, ok := f.Payload.(*message); ok {
 		n.releaseMsg(m)

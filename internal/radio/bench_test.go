@@ -309,7 +309,7 @@ func BenchmarkOutboxExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < batch; j++ {
 			to := NodeID(n/2 + j)
-			sender.scheduleDelivery(0.001, to, Frame{From: 0, To: to, Size: 64}, 0.0005)
+			sender.scheduleDelivery(0.001, to, Frame{From: 0, To: to, Size: 64})
 		}
 		box := sender.Outbox()
 		if len(box) != batch {

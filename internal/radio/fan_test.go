@@ -17,21 +17,21 @@ import (
 // same-shard receivers of a broadcast became one fan: one delivery box
 // and one scheduled event per receiver. They live in test code only, as
 // the reference the fan path is replayed against.
-func refScheduleDelivery(ch *Channel, delay float64, to NodeID, f Frame, air float64) bool {
+func refScheduleDelivery(ch *Channel, delay float64, to NodeID, f Frame) bool {
 	if ch.shardOf != nil && ch.shardOf[to] != ch.selfShard {
 		if f.Broadcast && ch.clonePayload != nil {
 			f.Payload = ch.clonePayload(f.Payload)
 		}
 		creator, cseq := ch.sched.ReserveKey()
 		ch.outbox = append(ch.outbox, RemoteDelivery{
-			At: ch.sched.Now() + delay, To: to, F: f, Air: air,
+			At: ch.sched.Now() + delay, To: to, F: f,
 			Creator: creator, Cseq: cseq,
 		})
 		return false
 	}
 	ch.inFlight++
 	d := ch.takeDelivery()
-	d.to, d.f, d.air = to, f, air
+	d.to, d.f = to, f
 	ch.sched.AfterCtxAs(delay, fireDelivery, d, int(to))
 	return true
 }
@@ -58,7 +58,7 @@ func refBroadcast(ch *Channel, from NodeID, size int, payload any) int {
 			continue
 		}
 		ch.stats.Deliveries++
-		if refScheduleDelivery(ch, delay, nb.ID, f, ch.airtime(size)) {
+		if refScheduleDelivery(ch, delay, nb.ID, f) {
 			delivered++
 		}
 	}
@@ -104,12 +104,12 @@ type fanWorld struct {
 }
 
 type fanVariant struct {
-	sharded, collisions bool
-	loss                float64
+	sharded bool
+	loss    float64
 }
 
 func (v fanVariant) String() string {
-	return fmt.Sprintf("sharded=%v/collisions=%v/loss=%v", v.sharded, v.collisions, v.loss)
+	return fmt.Sprintf("sharded=%v/loss=%v", v.sharded, v.loss)
 }
 
 const fanNodes = 36
@@ -131,7 +131,6 @@ func newFanWorld(t *testing.T, v fanVariant, reference bool) *fanWorld {
 	}
 	cfg := DefaultConfig()
 	cfg.LossRate = v.loss
-	cfg.Collisions = v.collisions
 	if v.sharded {
 		w.sched.SplitGlobal()
 	}
@@ -260,14 +259,13 @@ func (w *fanWorld) run() {
 // deliveries parked for the other shard under the same reserved keys; the
 // same counters and in-flight count after every event; the same loss
 // draws and energy; and every payload settled exactly once — with dead
-// receivers, collisions, loss and mixed local/remote neighborhoods.
+// receivers, loss and mixed local/remote neighborhoods.
 func TestBroadcastFanMatchesPerReceiverEvents(t *testing.T) {
 	for _, v := range []fanVariant{
 		{},
 		{sharded: true},
 		{loss: 0.3},
-		{collisions: true},
-		{sharded: true, collisions: true, loss: 0.2},
+		{sharded: true, loss: 0.2},
 	} {
 		t.Run(v.String(), func(t *testing.T) {
 			sub, ref := newFanWorld(t, v, false), newFanWorld(t, v, true)
@@ -282,7 +280,7 @@ func TestBroadcastFanMatchesPerReceiverEvents(t *testing.T) {
 				}
 			}
 			st := sub.ch.Stats()
-			if st.Handled == 0 || st.UnicastFrames == 0 || st.DeadDrops == 0 || (v.collisions && st.Collisions == 0) || (v.loss > 0 && st.Drops == 0) {
+			if st.Handled == 0 || st.UnicastFrames == 0 || st.DeadDrops == 0 || (v.loss > 0 && st.Drops == 0) {
 				t.Errorf("the traffic does not exercise every outcome: %+v", st)
 			}
 			if sub.sched.Executed() != ref.sched.Executed() {

@@ -521,7 +521,7 @@ func runBoth(grid, lin *Channel, at float64) {
 // point of it and read at every later point up to the slack bound, legs
 // and pauses that end inside it (where a record's leg no longer answers
 // and the query falls back to the epoch cache and the model), and
-// liveness flips with collisions on.
+// liveness flips.
 func TestCandidateListsWithinSnapshot(t *testing.T) {
 	t.Run("instants-to-slack", listsAcrossSnapshot)
 
@@ -551,13 +551,11 @@ func TestCandidateListsWithinSnapshot(t *testing.T) {
 		}
 	})
 
-	t.Run("liveness-flips-with-collisions", func(t *testing.T) {
+	t.Run("liveness-flips", func(t *testing.T) {
 		const n = 200
-		cfg := DefaultConfig()
-		cfg.Collisions = true
 		wcfg := mobility.DefaultWaypointConfig()
 		wcfg.MaxSpeed = 12
-		grid, lin := waypointPair(t, n, wcfg, cfg, 21)
+		grid, lin := waypointPair(t, n, wcfg, DefaultConfig(), 21)
 		rng := rand.New(rand.NewSource(5))
 		for step := 1; step <= 120; step++ {
 			runBoth(grid, lin, float64(step)*0.45)

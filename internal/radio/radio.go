@@ -55,7 +55,7 @@ type Handler func(to NodeID, f Frame)
 
 // DropHandler observes frames that were transmitted but will never reach
 // the Handler: unicast frames lost to injected loss at send time, and
-// any reception dropped mid-flight (dead receiver, collision). The node
+// any reception whose receiver died mid-flight. The node
 // layer uses it to release pooled message payloads exactly once per
 // delivery. Broadcast send-time losses are NOT reported — Broadcast's
 // return value already excludes them, so the caller never handed over
@@ -83,12 +83,6 @@ type Config struct {
 	// delivery and energy charge, still uses true positions. Zero gives
 	// perfect location knowledge.
 	BeaconInterval float64
-	// Collisions enables receiver-side collision losses: a frame whose
-	// reception overlaps another frame's reception at the same node is
-	// dropped. This is the cheapest interference model that makes
-	// broadcast storms self-damaging the way a shared 802.11 channel
-	// does.
-	Collisions bool
 }
 
 // DefaultConfig mirrors the paper's radio parameters.
@@ -132,7 +126,6 @@ type Stats struct {
 	UnicastFrames   uint64
 	Deliveries      uint64
 	Drops           uint64 // lost to injected loss
-	Collisions      uint64 // lost to overlapping receptions
 	Undeliverable   uint64 // unicast to a node out of range
 	BytesOnAir      uint64
 	Handled         uint64 // receptions that reached the frame handler
@@ -149,7 +142,6 @@ func (s Stats) Add(o Stats) Stats {
 		UnicastFrames:   s.UnicastFrames + o.UnicastFrames,
 		Deliveries:      s.Deliveries + o.Deliveries,
 		Drops:           s.Drops + o.Drops,
-		Collisions:      s.Collisions + o.Collisions,
 		Undeliverable:   s.Undeliverable + o.Undeliverable,
 		BytesOnAir:      s.BytesOnAir + o.BytesOnAir,
 		Handled:         s.Handled + o.Handled,
@@ -192,7 +184,6 @@ type Channel struct {
 	clonePayload func(any) any
 
 	txBusyUntil []float64
-	rxBusyUntil []float64
 	beaconPos   []geo.Point
 	beaconAt    []float64
 	stats       Stats
@@ -273,9 +264,6 @@ func New(cfg Config, sched *sim.Scheduler, mob mobility.Model, meter *energy.Met
 			ch.beaconAt[i] = -1
 		}
 	}
-	if cfg.Collisions {
-		ch.rxBusyUntil = make([]float64, mob.Len())
-	}
 	ch.grid = newGrid(mob.Len(), cfg.Range, mob.MaxSpeed())
 	return ch, nil
 }
@@ -298,28 +286,6 @@ func allAlive(n int) []bool {
 		live[i] = true
 	}
 	return live
-}
-
-// collided applies the receiver-side collision model at delivery time.
-// Delivery events fire when a reception *completes*, so the frame
-// occupied the receiver over [now-airtime, now]; it is lost when that
-// window overlaps an earlier reception. The medium stays garbled for the
-// union of the windows either way.
-func (ch *Channel) collided(to NodeID, airtime float64) bool {
-	if ch.rxBusyUntil == nil {
-		return false
-	}
-	const eps = 1e-9
-	now := ch.sched.Now()
-	start := now - airtime
-	busy := start < ch.rxBusyUntil[to]-eps
-	if now > ch.rxBusyUntil[to] {
-		ch.rxBusyUntil[to] = now
-	}
-	if busy {
-		ch.stats.Collisions++
-	}
-	return busy
 }
 
 // SetHandler installs the frame delivery upcall. It must be set before any
@@ -374,10 +340,9 @@ func (ch *Channel) PlanarKey() PlanarKey {
 // through the channel's freelist before the handler runs, so a handler
 // that transmits reuses the box it arrived in.
 type delivery struct {
-	ch  *Channel
-	to  NodeID
-	f   Frame
-	air float64
+	ch *Channel
+	to NodeID
+	f  Frame
 }
 
 // fireDelivery is the InjectAtCtx trampoline for scheduled receptions: a plain
@@ -408,17 +373,16 @@ type reception struct {
 	fan sim.Fan // Ctx is the reception itself
 	ch  *Channel
 	f   Frame
-	air float64
 }
 
 // fireReception is the AtFan trampoline, called once per receiver.
 func fireReception(x any) {
 	r := x.(*reception)
-	ch, to, f, air := r.ch, NodeID(r.fan.Fired().ExecAs), r.f, r.air
+	ch, to, f := r.ch, NodeID(r.fan.Fired().ExecAs), r.f
 	if r.fan.Done() {
 		ch.recycleReception(r)
 	}
-	ch.resolve(to, f, air)
+	ch.resolve(to, f)
 }
 
 func (ch *Channel) takeReception() *reception {
@@ -449,13 +413,13 @@ func (ch *Channel) remote(to NodeID) bool {
 // outbox, under a canonical key reserved here — broadcasts with a
 // deep-copied payload, since the local receivers share the original by
 // reference count.
-func (ch *Channel) park(delay float64, to NodeID, f Frame, air float64) {
+func (ch *Channel) park(delay float64, to NodeID, f Frame) {
 	if f.Broadcast && ch.clonePayload != nil {
 		f.Payload = ch.clonePayload(f.Payload)
 	}
 	creator, cseq := ch.sched.ReserveKey()
 	ch.outbox = append(ch.outbox, RemoteDelivery{
-		At: ch.sched.Now() + delay, To: to, F: f, Air: air,
+		At: ch.sched.Now() + delay, To: to, F: f,
 		Creator: creator, Cseq: cseq,
 	})
 }
@@ -463,14 +427,14 @@ func (ch *Channel) park(delay float64, to NodeID, f Frame, air float64) {
 // scheduleDelivery books a unicast frame's reception for `to` after
 // `delay`. The delivery event executes under the receiver's context, so
 // a sharded run can route it to the receiver's shard.
-func (ch *Channel) scheduleDelivery(delay float64, to NodeID, f Frame, air float64) {
+func (ch *Channel) scheduleDelivery(delay float64, to NodeID, f Frame) {
 	if ch.remote(to) {
-		ch.park(delay, to, f, air)
+		ch.park(delay, to, f)
 		return
 	}
 	ch.inFlight++
 	d := ch.takeDelivery()
-	d.to, d.f, d.air = to, f, air
+	d.to, d.f = to, f
 	ch.sched.AfterCtxAs(delay, fireDelivery, d, int(to))
 }
 
@@ -482,7 +446,6 @@ type RemoteDelivery struct {
 	At      float64
 	To      NodeID
 	F       Frame
-	Air     float64
 	Creator int32
 	Cseq    uint64
 }
@@ -524,7 +487,7 @@ func (ch *Channel) ResetOutbox() {
 func (ch *Channel) Inject(rd RemoteDelivery) {
 	ch.inFlight++
 	d := ch.takeDelivery()
-	d.to, d.f, d.air = rd.To, rd.F, rd.Air
+	d.to, d.f = rd.To, rd.F
 	ch.sched.InjectAtCtx(rd.At, fireDelivery, d, int(rd.To), rd.Creator, rd.Cseq)
 }
 
@@ -541,26 +504,18 @@ func (c Config) Lookahead() float64 {
 
 // fire recycles the box, then resolves the reception it carried.
 func (d *delivery) fire() {
-	ch, to, f, air := d.ch, d.to, d.f, d.air
+	ch, to, f := d.ch, d.to, d.f
 	ch.recycleDelivery(d)
-	ch.resolve(to, f, air)
+	ch.resolve(to, f)
 }
 
-// resolve settles a reception at its delivery time, preserving the exact
-// order of the pre-pooling closure: alive check first (collided is not
-// consulted for dead receivers — their radio is off, not garbled), then
-// the collision model, then the handler. Dropped frames are reported to
-// the drop handler so payload ownership is settled exactly once.
-func (ch *Channel) resolve(to NodeID, f Frame, air float64) {
+// resolve settles a reception at its delivery time: a dead receiver
+// drops it, reported to the drop handler so payload ownership is settled
+// exactly once; otherwise the handler gets it.
+func (ch *Channel) resolve(to NodeID, f Frame) {
 	ch.inFlight--
 	if !ch.live[to] {
 		ch.stats.DeadDrops++
-		if ch.onDrop != nil {
-			ch.onDrop(to, f)
-		}
-		return
-	}
-	if ch.collided(to, air) {
 		if ch.onDrop != nil {
 			ch.onDrop(to, f)
 		}
@@ -578,7 +533,7 @@ func (ch *Channel) Stats() Stats { return ch.stats }
 
 // InFlight returns the number of receptions scheduled but not yet
 // resolved. At any instant the channel satisfies the conservation law
-// Deliveries == Handled + Collisions + DeadDrops + InFlight; the
+// Deliveries == Handled + DeadDrops + InFlight; the
 // invariant checker asserts it every sweep.
 func (ch *Channel) InFlight() uint64 { return ch.inFlight }
 
@@ -738,7 +693,6 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 		ch.meter.Charge(int(from), energy.BroadcastSend, onAir)
 	}
 	delay := ch.txDelay(from, size) + ch.cfg.Propagation
-	air := ch.airtime(size)
 	f := Frame{From: from, Broadcast: true, Size: onAir, Payload: payload}
 	// Every receiver hears the frame at the same instant and draws its
 	// canonical key here, in neighbor order, whichever shard it lives on.
@@ -756,7 +710,7 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 		}
 		ch.stats.Deliveries++
 		if ch.remote(nb.ID) {
-			ch.park(delay, nb.ID, f, air)
+			ch.park(delay, nb.ID, f)
 			continue
 		}
 		if r == nil {
@@ -772,7 +726,7 @@ func (ch *Channel) Broadcast(from NodeID, size int, payload any) int {
 	// value: they share the payload by reference, while remote receivers
 	// got an owned deep copy via the outbox.
 	delivered := r.fan.Len()
-	r.f, r.air = f, air
+	r.f = f
 	ch.inFlight += uint64(delivered)
 	ch.sched.AtFan(ch.sched.Now()+delay, creator, fireReception, &r.fan)
 	return delivered
@@ -827,7 +781,7 @@ func (ch *Channel) Unicast(from, to NodeID, size int, payload any) bool {
 	delay := ch.txDelay(from, size) + ch.cfg.Propagation
 	f := Frame{From: from, To: to, Size: onAir, Payload: payload}
 	ch.stats.Deliveries++
-	ch.scheduleDelivery(delay, to, f, ch.airtime(size))
+	ch.scheduleDelivery(delay, to, f)
 	return true
 }
 

@@ -99,7 +99,7 @@ func compareModes(t *testing.T, s precinct.Scenario, shardCounts ...int) {
 
 // TestParallelEquivalence enforces the sharded-execution determinism
 // contract: for fuzz-generated scenarios across every mobility model,
-// retrieval scheme, consistency scheme, loss/collision setting, fault
+// retrieval scheme, consistency scheme, loss setting, fault
 // schedule and churn — including lossy large-N scale scenarios — a run
 // sharded over fuzzgen.ShardCounts goroutines (2, 3, 4, 5 and 8,
 // including counts that do not divide the node population) reports

@@ -70,10 +70,6 @@ type Scenario struct {
 	Bandwidth float64
 	// LossRate drops frames with this probability (0 = lossless).
 	LossRate float64
-	// Collisions enables receiver-side collision losses: overlapping
-	// receptions at a node destroy each other, so broadcast storms are
-	// self-damaging as on a real shared channel.
-	Collisions bool
 	// BeaconInterval makes GPSR's location table stale: peers observe
 	// each other's positions only every BeaconInterval seconds (0 =
 	// perfect location knowledge), and every GPSR next-hop choice reads
@@ -222,7 +218,8 @@ func DefaultScenario() Scenario {
 	}
 }
 
-// Validate checks the scenario without building it.
+// Validate checks the scenario by building it: every layer is assembled
+// and then discarded, so the cost is a run's setup without its events.
 func (s Scenario) Validate() error {
 	_, err := s.build()
 	return err
@@ -347,7 +344,6 @@ func (s Scenario) radioConfig() radio.Config {
 	cfg.Bandwidth = s.Bandwidth
 	cfg.LossRate = s.LossRate
 	cfg.BeaconInterval = s.BeaconInterval
-	cfg.Collisions = s.Collisions
 	return cfg
 }
 

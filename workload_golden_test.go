@@ -93,7 +93,7 @@ func policyCases() []goldenCase {
 // radioCases are small DefaultScenario runs that between them take every
 // branch of the neighbor query: both mobility models, network-wide
 // floods, beaconing (incremental maintenance of observed positions),
-// collisions, and node death.
+// and node death.
 func radioCases() []goldenCase {
 	var cases []goldenCase
 	add := func(name string, mut func(*precinct.Scenario)) {
@@ -119,7 +119,6 @@ func radioCases() []goldenCase {
 		}
 	}
 	add("waypoint/beacon/seed=1", func(s *precinct.Scenario) { s.BeaconInterval = 2 })
-	add("waypoint/collisions/seed=1", func(s *precinct.Scenario) { s.Collisions = true })
 	add("waypoint/faults/seed=2", func(s *precinct.Scenario) {
 		s.Seed = 2
 		s.Faults = []precinct.Fault{
