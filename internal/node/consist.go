@@ -79,17 +79,23 @@ func (n *Network) pushUpdateToRegion(p *Peer, k workload.Key, version uint64, ra
 	n.forwardWithRetry(p, m)
 }
 
-// applyUpdateMessage installs a pushed update into this peer's store (if
-// it is a holder) and freshens any cached copy.
-func (p *Peer) applyUpdateMessage(m *message) {
+// applyPush applies a pushed new version at a peer: a holder applies it
+// to its store, and a cached copy is refreshed in place, since the push
+// carries the new data. A pushed update's copy expires after the key's
+// holder TTR; under Plain-Push, whose invalidation flood carries the
+// data network-wide, it never expires.
+func (p *Peer) applyPush(m *message) {
 	now := p.net.sched.Now()
 	if _, ok := p.store.Get(m.Key); ok {
 		p.net.applyStoredUpdate(p, m.Key, m.Version, now)
 	}
 	if p.cache != nil {
 		if e, ok := p.cache.Peek(m.Key); ok && e.Version < m.Version {
-			ttr := p.net.holderTTR(p, m.Key)
-			p.cache.Update(m.Key, m.Version, now+ttr)
+			expires := cache.NeverExpires
+			if m.Kind == kindUpdateFlood {
+				expires = now + p.net.holderTTR(p, m.Key)
+			}
+			p.cache.Update(m.Key, m.Version, expires)
 		}
 	}
 }
@@ -127,22 +133,6 @@ func (n *Network) holderTTR(p *Peer, k workload.Key) float64 {
 		return it.TTR
 	}
 	return n.cfg.Consistency.InitialTTR
-}
-
-// applyInvalidation applies the Plain-Push network-wide update flood at
-// a peer: a holder applies the new version, a cached copy is freshened.
-func (p *Peer) applyInvalidation(m *message) {
-	now := p.net.sched.Now()
-	if _, ok := p.store.Get(m.Key); ok {
-		p.net.applyStoredUpdate(p, m.Key, m.Version, now)
-	}
-	if p.cache != nil {
-		if e, ok := p.cache.Peek(m.Key); ok && e.Version < m.Version {
-			// Plain-Push carries the new data, so the cached copy can
-			// be refreshed in place rather than dropped.
-			p.cache.Update(m.Key, m.Version, cache.NeverExpires)
-		}
-	}
 }
 
 // sendPoll routes a validation poll toward the key's home region. It

@@ -407,11 +407,8 @@ func (p *Peer) inScope(m *message) bool {
 // holder; an update or invalidation is applied and the flood goes on.
 func (p *Peer) serve(m *message) bool {
 	switch m.Kind {
-	case kindUpdateFlood:
-		p.applyUpdateMessage(m)
-		return false
-	case kindInvalidate:
-		p.applyInvalidation(m)
+	case kindUpdateFlood, kindInvalidate:
+		p.applyPush(m)
 		return false
 	case kindPollFlood:
 		return p.answerPoll(m)
