@@ -2,15 +2,17 @@ package precinct
 
 import (
 	"os"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// These tests read bench_figures.txt and EXPERIMENTS.md and run nothing:
-// the committed figure file is what `make figures-check` holds to the
-// code, and these hold the file to itself and the docs to the file.
+// These tests read bench_figures.txt, EXPERIMENTS.md and DESIGN.md and
+// run nothing: the committed figure file is what `make figures-check`
+// holds to the code, and these hold the file to itself and the docs to
+// the file and to Scenario.
 
 // readFigureCells parses bench_figures.txt into figure id → x (the first
 // field of a row: a number as the table prints it, or a row name) → the
@@ -145,5 +147,42 @@ func TestDocumentedFigures(t *testing.T) {
 	}
 	if tables == 0 {
 		t.Error("EXPERIMENTS.md has no table tagged <!-- fig:<id> -->")
+	}
+}
+
+// TestScenarioFieldTable holds DESIGN.md section 17's "Field → row" table
+// to Scenario: every field is named in the table's first column exactly
+// once, and the column names nothing else.
+func TestScenarioFieldTable(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(data), "**Field → row.**")
+	_, table, ok := strings.Cut(table, "| Field | Read by |\n|---|---|\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no Field → row table")
+	}
+	listed := map[string]int{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		for i, f := range strings.Split(strings.Split(line, "|")[1], "`") {
+			if i%2 == 1 { // between a pair of backticks
+				listed[f]++
+			}
+		}
+	}
+	fields := reflect.TypeOf(Scenario{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		if listed[name] != 1 {
+			t.Errorf("the Field → row table names Scenario.%s %d times, want once", name, listed[name])
+		}
+		delete(listed, name)
+	}
+	for name := range listed {
+		t.Errorf("the Field → row table names %s, which is not a Scenario field", name)
 	}
 }
