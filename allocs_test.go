@@ -17,9 +17,9 @@ import (
 //
 // Each limit is the lower of what the retired bench comparator enforced
 // (old: its August 2026 baseline × 1.15 + 0.05) and the latest reading
-// (head) with the same allowance. head was last lowered when flood dedup
-// moved from per-peer seen tables to per-flood records and the mobility
-// check's timer stopped allocating a closure per check.
+// (head) with the same allowance. head was last lowered when a flood
+// record's marks stopped carrying one expiry each and kept one group per
+// marking instant, so a record's arrays grow fewer times.
 //
 // Not parallel: runtime.MemStats.Mallocs counts the whole process. Not
 // under the race detector either: the limits were read without it, and
@@ -34,10 +34,10 @@ func TestAllocsPerEvent(t *testing.T) {
 		events        uint64
 		old, head     float64
 	}{
-		{500, 0, 0, 1202760, 0.324, 0.0780},
-		{500, 0, 0.1, 1140020, 0.313, 0.0754},
-		{500, 4, 0.1, 1140020, 0.359, 0.1409},
-		{10000, 0, 0.3, 12565619, 0.463, 0.0925},
+		{500, 0, 0, 1202760, 0.324, 0.0680},
+		{500, 0, 0.1, 1140020, 0.313, 0.0652},
+		{500, 4, 0.1, 1140020, 0.359, 0.1208},
+		{10000, 0, 0.3, 12565619, 0.463, 0.0828},
 	} {
 		t.Run(fmt.Sprintf("n=%d/loss=%g/shards=%d", c.nodes, c.loss, c.shards), func(t *testing.T) {
 			if c.nodes > 1000 && testing.Short() {

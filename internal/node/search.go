@@ -139,9 +139,11 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 	}
 }
 
-// ringWait scales the per-round timeout with the ring radius.
+// ringWait scales the per-round timeout with the ring radius. The
+// product is rounded here, so no target fuses it into the caller's
+// now+wait.
 func (n *Network) ringWait(ttl int) float64 {
-	return ringTimeout * float64(ttl)
+	return float64(ringTimeout * float64(ttl))
 }
 
 // startRegionalPhase broadcasts the request inside the requester's region.

@@ -366,15 +366,17 @@ func (g *grid) candidates(id NodeID, self geo.Point) []int32 {
 		return g.arena[l.start : l.start+l.n]
 	}
 	r := g.listRadius()
-	r2 := r * r
+	r2 := float64(r * r)
 	cy0 := max(int32(math.Floor((self.Y-r)*g.invCell)), g.minCy)
 	cy1 := min(int32(math.Floor((self.Y+r)*g.invCell)), g.minCy+g.h-1)
 	keys, recs, nodes, selfI := g.keys[:0], g.recs, g.nodes, int32(id)
 	for cy := cy0; cy <= cy1; cy++ {
 		// Half-width of the disk across this row, measured on the row's
-		// horizontal line nearest to self.
+		// horizontal line nearest to self. Each product is rounded on
+		// its own, here, in r2 and in the range tests, so no target
+		// fuses it into a sum.
 		dy := self.Y - clamp(self.Y, float64(cy)*g.cell, float64(cy+1)*g.cell)
-		hx := math.Sqrt(max(r2-dy*dy, 0))
+		hx := math.Sqrt(max(r2-float64(dy*dy), 0))
 		cx0 := max(int32(math.Floor((self.X-hx)*g.invCell)), g.minCx)
 		cx1 := min(int32(math.Floor((self.X+hx)*g.invCell)), g.minCx+g.w-1)
 		if cx0 > cx1 {
@@ -384,7 +386,7 @@ func (g *grid) candidates(id NodeID, self geo.Point) []int32 {
 		end := g.cellStart[rowBase+int(cx1)+1]
 		for slot := g.cellStart[rowBase+int(cx0)]; slot < end; slot++ {
 			sx, sy := self.X-float64(recs[slot].snap.x), self.Y-float64(recs[slot].snap.y)
-			if sx*sx+sy*sy > r2 {
+			if float64(sx*sx)+float64(sy*sy) > r2 {
 				continue
 			}
 			if i := nodes[slot]; i != selfI {
@@ -425,7 +427,7 @@ func (ch *Channel) appendNeighbors(buf []Neighbor, id NodeID, self geo.Point) []
 	for _, slot := range list {
 		rec := &recs[slot]
 		sx, sy := self.X-float64(rec.snap.x), self.Y-float64(rec.snap.y)
-		if sx*sx+sy*sy > r2cand {
+		if float64(sx*sx)+float64(sy*sy) > r2cand {
 			continue
 		}
 		i := nodes[slot]

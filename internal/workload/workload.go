@@ -101,9 +101,10 @@ func NewPoisson(meanInterval float64) (*Poisson, error) {
 // Mean returns the configured mean inter-arrival time.
 func (p *Poisson) Mean() float64 { return p.mean }
 
-// Next draws the gap to the next arrival in seconds.
+// Next draws the gap to the next arrival in seconds. The product is
+// rounded here, so no target fuses it into the caller's now+gap.
 func (p *Poisson) Next(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() * p.mean
+	return float64(rng.ExpFloat64() * p.mean)
 }
 
 // Key identifies a data item in the shared catalog.
