@@ -12,8 +12,13 @@ import (
 // TestAllocsPerEvent holds heap allocations per executed event on four
 // cells of the scale grid, and the event counts that say the cells still
 // are the workload the limits were read on. The simulation replays
-// exactly, so a sequential cell's allocation count is the same on any
-// host; a sharded one adds goroutine bookkeeping of order 1e-4 per event.
+// exactly, so its own allocations repeat from run to run, but
+// runtime.MemStats.Mallocs also counts what the runtime allocates beside
+// it (the garbage collector, timers, the test framework), and that moves
+// a sequential cell's reading in the fourth decimal from host to host
+// and run to run: 0.0785 against a committed 0.0780 on one. A sharded
+// cell adds goroutine bookkeeping of order 1e-4 per event. Each limit's
+// allowance below covers that drift many times over.
 //
 // Each limit is the lower of what the retired bench comparator enforced
 // (old: its August 2026 baseline × 1.15 + 0.05) and the latest reading

@@ -22,7 +22,6 @@
 //	precinct-sim -consistency push-adaptive-pull -update-interval 60
 //	precinct-sim -retrieval flooding -mobility static -area 600 -cache-frac 0
 //	precinct-sim -workload flash-crowd -nodes 60
-//	precinct-sim -workload trace -workload-trace internal/workload/testdata/sample_trace.csv
 //	precinct-sim -config scenario.json -seed 7
 //	precinct-sim -save-config scenario.json -nodes 120
 //	precinct-sim -check -nodes 40 -duration 300 -warmup 60
@@ -134,7 +133,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&s.RequestInterval, "request-interval", s.RequestInterval, "mean request gap per peer in s")
 	fs.Float64Var(&s.UpdateInterval, "update-interval", s.UpdateInterval, "mean update gap per peer in s (0 disables)")
 	fs.StringVar(&s.Workload, "workload", s.Workload, "request workload: "+strings.Join(precinct.WorkloadKinds(), " | "))
-	fs.StringVar(&s.TracePath, "workload-trace", s.TracePath, "cachelib-format trace CSV for -workload trace")
 	fs.StringVar(&s.Retrieval, "retrieval", s.Retrieval, "precinct | flooding | expanding-ring")
 	fs.StringVar(&s.Consistency, "consistency", s.Consistency, "none | plain-push | pull-every-time | push-adaptive-pull")
 	fs.Float64Var(&s.TTRAlpha, "ttr-alpha", s.TTRAlpha, "TTR smoothing factor in [0,1)")
@@ -368,11 +366,7 @@ func report(s precinct.Scenario, res precinct.Result, verbose bool) {
 		fmt.Printf("replicas:           %d regions per key\n", s.Replicas)
 	}
 	if s.Workload != "" && s.Workload != "default" {
-		if s.Workload == "trace" {
-			fmt.Printf("workload:           trace (%s)\n", s.TracePath)
-		} else {
-			fmt.Printf("workload:           %s\n", s.Workload)
-		}
+		fmt.Printf("workload:           %s\n", s.Workload)
 	}
 	fmt.Printf("requests:           %d (completed %d, failed %d)\n", r.Requests, r.Completed, r.Failures)
 	classes := make([]string, 0, len(r.ByClass))

@@ -82,13 +82,13 @@ func TestLoadScenarioRejectsTrailingData(t *testing.T) {
 // retired reference implementations or the retired load-probe shard
 // split, the three fields that duplicated MobilityModel, Replicas and
 // CacheFraction, the workload parameters that became constants, the
-// Voronoi and adaptive region partitions, and the receiver-collision
-// model are gone from Scenario, so a
+// Voronoi and adaptive region partitions, the receiver-collision
+// model and the trace replay's file path are gone from Scenario, so a
 // config file that still carries one fails by name instead of silently
 // running something else.
 func TestRetiredScenarioKeysRejected(t *testing.T) {
 	for _, key := range []string{"LinearRadio", "LinearCache", "NoPooling", "LegacyLayout", "ShardBalance", "Mobile", "Replication", "CacheBytes", "WorkloadCfg",
-		"VoronoiRegions", "AdaptiveRegions", "AdaptiveInterval", "AdaptiveSplitAbove", "AdaptiveMergeBelow", "Collisions"} {
+		"VoronoiRegions", "AdaptiveRegions", "AdaptiveInterval", "AdaptiveSplitAbove", "AdaptiveMergeBelow", "Collisions", "TracePath"} {
 		wantMsg := `unknown field "` + key + `"`
 		_, err := LoadScenario(strings.NewReader(`{"Nodes":10,"` + key + `":false}`))
 		if err == nil || !strings.Contains(err.Error(), wantMsg) {

@@ -3,13 +3,11 @@ package precinct
 import (
 	"fmt"
 	"math"
-	"os"
 	"strings"
 
 	"precinct/internal/analysis"
 	"precinct/internal/cache"
 	"precinct/internal/energy"
-	"precinct/internal/workload"
 )
 
 // Series is one labeled curve of a figure.
@@ -160,9 +158,6 @@ type grid struct {
 	cell    func(x float64, nodes int) Scenario
 	series  []gridSeries
 	metrics []gridMetric
-	// prepare runs once over the built cells before the sweep, for what
-	// a cell constructor cannot do (the workload lab's trace file).
-	prepare func(cells []Scenario) (cleanup func(), err error)
 }
 
 // gridSeries is one curve: what set changes on the cell, and optionally
@@ -205,8 +200,6 @@ var (
 		{label: "GD-LD", set: func(s *Scenario) { s.Policy = "gd-ld" }},
 		{label: "GD-Size", set: func(s *Scenario) { s.Policy = "gd-size" }},
 	}
-	// The workload lab's rows: stationary, non-stationary, trace replay.
-	workloadLabKinds = []string{"default", "flash-crowd", "diurnal", "hotspot", "rank-churn", "trace"}
 )
 
 // labMetrics are the columns the workload and policy labs report, the
@@ -320,15 +313,14 @@ var grids = []grid{
 		metrics: labMetrics("lab-policies", "Policy lab"),
 	},
 	{ // Workload lab (DESIGN.md section 15): every source at the same cell.
-		id: "workloads", xlabel: "workload", rows: workloadLabKinds, nodes: 1000,
+		id: "workloads", xlabel: "workload", rows: WorkloadKinds(), nodes: 1000,
 		cell: func(i float64, nodes int) Scenario {
 			s := scaleScenario(nodes)
-			s.Workload = workloadLabKinds[int(i)]
+			s.Workload = WorkloadKinds()[int(i)]
 			return s
 		},
 		series:  []gridSeries{{label: "PReCinCt"}},
 		metrics: labMetrics("lab-workloads", "Workload lab"),
-		prepare: writeLabTrace,
 	},
 	{ // Scale grid (DESIGN.md section 14): constant density, N x frame loss.
 		id: "scale", xlabel: "nodes", xs: []float64{250, 500, 1000, 2000, 10000}, nodeAxis: true,
@@ -474,36 +466,6 @@ func scaleScenario(n int) Scenario {
 	return s
 }
 
-// writeLabTrace materializes the synthetic cachelib-format trace the
-// workload lab's trace cell replays (catalog-sized key population,
-// paper-range skew and item sizes, a modest write mix, pinned seed), so
-// the lab does not depend on a multi-megabyte committed file.
-func writeLabTrace(cells []Scenario) (func(), error) {
-	f, err := os.CreateTemp("", "precinct-workloadlab-*.csv")
-	if err != nil {
-		return nil, err
-	}
-	cleanup := func() { os.Remove(f.Name()) }
-	err = workload.WriteSyntheticTrace(f, workload.SyntheticTraceConfig{
-		Ops: 50000, Keys: 1000, ZipfTheta: 0.8,
-		SetFraction: 0.1, DeleteFraction: 0.02,
-		MinSize: 1024, MaxSize: 10 * 1024, Seed: 1,
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	for i := range cells {
-		if cells[i].Workload == workload.KindTrace {
-			cells[i].TracePath = f.Name()
-		}
-	}
-	return cleanup, nil
-}
-
 // FigureIDs lists what Figures accepts, in evaluation order: the paper's
 // figures ("4-5", "6-8", "9a", "9b"), the extension sweeps ("ext",
 // "speed", "zipf"), the three labs ("policies", "workloads", "scale")
@@ -562,13 +524,6 @@ func (g grid) run(cfg ExperimentConfig) ([]Figure, error) {
 			cfg.apply(&s)
 			cells = append(cells, s)
 		}
-	}
-	if g.prepare != nil {
-		cleanup, err := g.prepare(cells)
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
 	}
 	results, err := Sweep(cells, cfg.Workers)
 	if err != nil {

@@ -38,9 +38,6 @@ func clampForFuzz(s *Scenario) {
 	if len(s.Faults) > 8 {
 		s.Faults = s.Faults[:8]
 	}
-	if s.TracePath != "" {
-		s.TracePath = "internal/workload/testdata/sample_trace.csv"
-	}
 }
 
 // FuzzScenario feeds arbitrary bytes through the scenario file path:

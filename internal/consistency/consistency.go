@@ -110,7 +110,7 @@ func (c Config) Validate() error {
 // SmoothTTR applies Equation 2: the new TTR after observing an update
 // interval.
 func SmoothTTR(alpha, prevTTR, updateInterval float64) float64 {
-	return alpha*prevTTR + (1-alpha)*updateInterval
+	return float64(alpha*prevTTR) + float64((1-alpha)*updateInterval)
 }
 
 // CheckSmoothingBound verifies that next is a valid result of Equation 2
@@ -135,7 +135,7 @@ func CheckSmoothingBound(alpha, prev, interval, next float64) error {
 		lo, hi = hi, lo
 	}
 	// Tolerate float rounding at the interval edges.
-	eps := 1e-9 * (1 + math.Abs(hi))
+	eps := float64(1e-9 * (1 + math.Abs(hi)))
 	if next < lo-eps || next > hi+eps {
 		return fmt.Errorf("consistency: smoothed TTR %v outside [%v, %v] (alpha %v, prev %v, interval %v)",
 			next, lo, hi, alpha, prev, interval)

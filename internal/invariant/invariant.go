@@ -320,7 +320,9 @@ func sweepTTR(ctx *Context) []string {
 // channel counts charges its sender once and at most one addressee, so
 // the meter never counts more sends than the channel sent frames, nor
 // more point-to-point receptions than sends. The warmup reset only
-// lowers the meter's counts, so the bounds hold across it.
+// lowers the meter's counts, so the bounds hold across it. Requests are
+// conserved too: every one issued is closed or still pending
+// (node.Network.CheckRequests).
 func sweepConservation(ctx *Context) []string {
 	var out []string
 	st := ctx.Ch.Stats()
@@ -328,6 +330,11 @@ func sweepConservation(ctx *Context) []string {
 		out = append(out, fmt.Sprintf(
 			"radio: deliveries %d != handled %d + dead %d + in-flight %d",
 			st.Deliveries, st.Handled, st.DeadDrops, ctx.Ch.InFlight()))
+	}
+	if ctx.Net != nil {
+		if err := ctx.Net.CheckRequests(); err != nil {
+			out = append(out, err.Error())
+		}
 	}
 	if ctx.Meter == nil {
 		return out

@@ -108,8 +108,8 @@ func NewUniformStatic(n int, area geo.Rect, rng *rand.Rand) (*Static, error) {
 	pos := make([]geo.Point, n)
 	for i := range pos {
 		pos[i] = geo.Pt(
-			area.Min.X+rng.Float64()*area.Width(),
-			area.Min.Y+rng.Float64()*area.Height(),
+			area.Min.X+float64(rng.Float64()*area.Width()),
+			area.Min.Y+float64(rng.Float64()*area.Height()),
 		)
 	}
 	return &Static{pos: pos}, nil
@@ -136,11 +136,15 @@ func NewGridStatic(n int, area geo.Rect, jitter float64, rng *rand.Rand) (*Stati
 	pos := make([]geo.Point, n)
 	for i := range pos {
 		r, c := i/cols, i%cols
-		cx := area.Min.X + (float64(c)+0.5)*cw
-		cy := area.Min.Y + (float64(r)+0.5)*ch
+		cx := area.Min.X + float64((float64(c)+0.5)*cw)
+		cy := area.Min.Y + float64((float64(r)+0.5)*ch)
 		if jitter > 0 {
-			cx += (rng.Float64()*2 - 1) * jitter * cw
-			cy += (rng.Float64()*2 - 1) * jitter * ch
+			// The conversions round each draw: the compiler turns u*2
+			// into u+u and would fuse it with Float64's own scaling.
+			u := float64(rng.Float64())*2 - 1
+			cx += float64(u * jitter * cw)
+			u = float64(rng.Float64())*2 - 1
+			cy += float64(u * jitter * ch)
 		}
 		pos[i] = area.Clamp(geo.Pt(cx, cy))
 	}
@@ -283,8 +287,8 @@ func NewWaypoint(n int, cfg WaypointConfig, rng *sim.RNG) (*Waypoint, error) {
 
 func (w *Waypoint) randomPoint(rng *rand.Rand) geo.Point {
 	return geo.Pt(
-		w.cfg.Area.Min.X+rng.Float64()*w.cfg.Area.Width(),
-		w.cfg.Area.Min.Y+rng.Float64()*w.cfg.Area.Height(),
+		w.cfg.Area.Min.X+float64(rng.Float64()*w.cfg.Area.Width()),
+		w.cfg.Area.Min.Y+float64(rng.Float64()*w.cfg.Area.Height()),
 	)
 }
 
@@ -297,7 +301,7 @@ func (w *Waypoint) newLeg(nd *waypointNode, rng *rand.Rand) {
 		dest := w.randomPoint(rng)
 		if dest.Dist(nd.pos) > 1e-9 {
 			nd.dest = dest
-			nd.speed = w.cfg.MinSpeed + rng.Float64()*(w.cfg.MaxSpeed-w.cfg.MinSpeed)
+			nd.speed = w.cfg.MinSpeed + float64(rng.Float64()*(w.cfg.MaxSpeed-w.cfg.MinSpeed))
 			nd.anchorLeg()
 			return
 		}

@@ -107,6 +107,64 @@ func TestLifecycleCrashQuiescence(t *testing.T) {
 	}
 }
 
+// TestRequestConservation: over a lossy run with crashed peers, every
+// issued request is closed or pending at each boundary, and a request
+// dropped from its pending list, or a close that skips its count, breaks
+// the law CheckRequests reports.
+func TestRequestConservation(t *testing.T) {
+	o := defaultHarnessOpts()
+	o.mobile = true
+	o.generator = true
+	o.updateInt = 60
+	o.loss = 0.1
+	h := build(t, o)
+	drivers := startDrivers(h)
+
+	sawPending := false
+	for at := 20.0; at <= 200; at += 20 {
+		h.net.Run(at)
+		if at == 100 {
+			for id := radio.NodeID(0); id < 12; id++ {
+				h.net.Crash(id)
+			}
+		}
+		if err := h.net.CheckRequests(); err != nil {
+			t.Fatalf("t=%v: %v", at, err)
+		}
+		sawPending = sawPending || h.net.PendingRequests() > 0
+	}
+	if !sawPending {
+		t.Fatal("no request was pending at any boundary; the pending term was never exercised")
+	}
+	drainTo(t, h, drivers, 300)
+	if err := h.net.CheckRequests(); err != nil {
+		t.Fatalf("after drain: %v", err)
+	}
+	if rep := h.net.Report(); rep.Failures == 0 || rep.Completed == 0 {
+		t.Fatalf("completed %d, failed %d: both close paths must run", rep.Completed, rep.Failures)
+	}
+
+	h.net.requestsClosed--
+	if err := h.net.CheckRequests(); err == nil {
+		t.Error("a close that skipped its count was not reported")
+	}
+	h.net.requestsClosed++
+
+	for at := 305.0; at <= 600; at += 5 {
+		h.net.Run(at)
+		for _, p := range h.net.peers {
+			if n := len(p.pending); n > 0 {
+				p.pending = p.pending[:n-1]
+				if err := h.net.CheckRequests(); err == nil {
+					t.Error("a request dropped from its pending list was not reported")
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no pending request to drop")
+}
+
 // TestLifecyclePoisonQuiescence re-runs the lossy scenario with released
 // messages poisoned: any handler touching a message after releasing it
 // dispatches on a scrambled kind and panics, so a clean completion is a

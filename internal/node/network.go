@@ -108,6 +108,12 @@ type Network struct {
 	// pass ran or was skipped on an unchanged mark. Skipping is not
 	// behaviour, so they stay out of Stats, which result digests cover.
 	rehomePasses, rehomeSkips uint64
+	// requestsIssued counts RequestFrom calls by a live peer and
+	// requestsClosed the finish and fail calls that close them, since the
+	// build (the warmup reset leaves them alone). CheckRequests holds them
+	// to the pending lists; like the re-homing counts they stay out of
+	// Stats.
+	requestsIssued, requestsClosed uint64
 
 	// clones lists every shard's Network replica (index = shard) in a
 	// sharded run; nil in sequential runs. The replicas share peers, the
@@ -384,6 +390,22 @@ func (n *Network) PendingRequests() int {
 		total += len(p.pending)
 	}
 	return total
+}
+
+// CheckRequests verifies request conservation: every request the peers
+// issued is closed, by a finish or a fail, or still pending. Each
+// replica counts the requests its own events issued and closed, so the
+// sums run over every replica.
+func (n *Network) CheckRequests() error {
+	var issued, closed uint64
+	for _, c := range n.replicas() {
+		issued += c.requestsIssued
+		closed += c.requestsClosed
+	}
+	if pending := n.PendingRequests(); issued != closed+uint64(pending) {
+		return fmt.Errorf("node: %d requests issued != %d closed + %d pending", issued, closed, pending)
+	}
+	return nil
 }
 
 // Table returns the region table.

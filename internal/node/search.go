@@ -70,6 +70,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 	if !p.Alive() {
 		return
 	}
+	n.requestsIssued++
 	now := n.sched.Now()
 	size := n.catalog.Size(k)
 	req := n.acquireReq()
@@ -250,6 +251,7 @@ func (n *Network) onTimeout(id uint64) {
 // fail closes a request unanswered. The box is dead afterwards (it
 // returns to the freelist); callers must not touch req again.
 func (n *Network) fail(req *pendingReq) {
+	n.requestsClosed++
 	n.peers[req.origin].pendingDelete(req.id)
 	if req.record {
 		n.coll.Request(0, req.size, metrics.Failure, false)
@@ -264,6 +266,7 @@ func (n *Network) finish(req *pendingReq, class metrics.HitClass, latency float6
 	if req.timeout != 0 {
 		n.sched.Cancel(req.timeout)
 	}
+	n.requestsClosed++
 	n.peers[req.origin].pendingDelete(req.id)
 	if req.record {
 		n.coll.Request(latency, req.size, class, stale)

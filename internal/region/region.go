@@ -62,8 +62,8 @@ type gridIndex struct {
 
 // gridBounds is the rectangle NewGrid gives the cell in row r, column c.
 func gridBounds(area geo.Rect, cw, ch float64, r, c int) geo.Rect {
-	lo := geo.Pt(area.Min.X+float64(c)*cw, area.Min.Y+float64(r)*ch)
-	hi := geo.Pt(area.Min.X+float64(c+1)*cw, area.Min.Y+float64(r+1)*ch)
+	lo := geo.Pt(area.Min.X+float64(float64(c)*cw), area.Min.Y+float64(float64(r)*ch))
+	hi := geo.Pt(area.Min.X+float64(float64(c+1)*cw), area.Min.Y+float64(float64(r+1)*ch))
 	return geo.NewRect(lo, hi)
 }
 
@@ -229,7 +229,7 @@ func (t *Table) HashLocation(k workload.Key) geo.Point {
 	h := workload.KeyHash(k)
 	fx := float64(uint32(h)) / float64(1<<32)
 	fy := float64(uint32(h>>32)) / float64(1<<32)
-	return geo.Pt(t.area.Min.X+fx*t.area.Width(), t.area.Min.Y+fy*t.area.Height())
+	return geo.Pt(t.area.Min.X+float64(fx*t.area.Width()), t.area.Min.Y+float64(fy*t.area.Height()))
 }
 
 // HomeRegion returns the region responsible for the key: the one whose

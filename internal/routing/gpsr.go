@@ -99,7 +99,7 @@ func AppendGabrielNeighbors(dst []radio.Neighbor, self geo.Point, nbrs []radio.N
 	}
 	for _, n := range nbrs {
 		mid := self.Midpoint(n.Pos)
-		r2 := self.Dist2(n.Pos) / 4
+		r2 := float64(self.Dist2(n.Pos) / 4)
 		keep := true
 		if w := nbrs[nearest]; w.ID != n.ID && w.Pos.Dist2(mid) < r2-1e-12 {
 			keep = false

@@ -38,7 +38,6 @@ type Source interface {
 // Source kind names, as they appear in Scenario.Workload.
 const (
 	KindDefault    = "default"
-	KindTrace      = "trace"
 	KindFlashCrowd = "flash-crowd"
 	KindDiurnal    = "diurnal"
 	KindHotspot    = "hotspot"

@@ -212,7 +212,7 @@ func (c *Catalog) Keys() []Key {
 // Arrivals is the one arrival process every workload shares: each peer's
 // requests, and its updates when they are enabled, are independent
 // Poisson processes. Sources choose keys only, so a flash crowd, a
-// diurnal drift or a trace replay changes what is asked for, never when.
+// diurnal drift or a moving hotspot changes what is asked for, never when.
 type Arrivals struct {
 	requests *Poisson
 	updates  *Poisson // nil when updates are disabled

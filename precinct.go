@@ -95,17 +95,12 @@ type Scenario struct {
 	// Workload selects which keys the requests and updates target
 	// (DESIGN.md section 15); every workload shares the Poisson arrival
 	// process above. "" or "default" is the stationary Zipf generator;
-	// "trace" replays the cachelib-format trace at TracePath;
 	// "flash-crowd", "diurnal", "hotspot" and "rank-churn" are the
 	// non-stationary sources, whose parameters are fixed and scale with
 	// Items and the measured window. Non-default workloads require a
 	// sequential run (Shards <= 1) — their sources mutate shared draw
 	// state.
 	Workload string
-	// TracePath is the trace file for Workload "trace" (CSV rows of
-	// op,key,key_size,size). The catalog is derived from the trace's
-	// distinct keys; Items/MinItemSize/MaxItemSize are ignored.
-	TracePath string
 
 	// Retrieval: "precinct", "flooding" or "expanding-ring".
 	Retrieval string
@@ -357,28 +352,6 @@ func (s Scenario) buildWorkload(rng *sim.RNG) (*workload.Catalog, workload.Sourc
 	if kind == "" {
 		kind = workload.KindDefault
 	}
-	if s.TracePath != "" && kind != workload.KindTrace {
-		return nil, nil, nil, fmt.Errorf("precinct: TracePath is set but the workload is %q, not %q", kind, workload.KindTrace)
-	}
-	if kind == workload.KindTrace {
-		if s.TracePath == "" {
-			return nil, nil, nil, fmt.Errorf("precinct: workload %q requires TracePath", kind)
-		}
-		arrivals, err := workload.NewArrivals(s.RequestInterval, s.UpdateInterval)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		tr, err := workload.ReadTraceFile(s.TracePath)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		src, err := workload.NewTraceSource(tr, s.Nodes, arrivals.UpdatesEnabled())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return src.Catalog(), src, arrivals, nil
-	}
-
 	catalog, err := workload.NewCatalog(workload.CatalogConfig{
 		Items: s.Items, MinSize: s.MinItemSize, MaxSize: s.MaxItemSize,
 	})
@@ -414,8 +387,8 @@ func (s Scenario) buildWorkload(rng *sim.RNG) (*workload.Catalog, workload.Sourc
 // first.
 func WorkloadKinds() []string {
 	return []string{
-		workload.KindDefault, workload.KindTrace, workload.KindFlashCrowd,
-		workload.KindDiurnal, workload.KindHotspot, workload.KindRankChurn,
+		workload.KindDefault, workload.KindFlashCrowd, workload.KindDiurnal,
+		workload.KindHotspot, workload.KindRankChurn,
 	}
 }
 

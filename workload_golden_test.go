@@ -130,11 +130,11 @@ func radioCases() []goldenCase {
 }
 
 // sourceCases run each non-default workload source over its own fuzzgen
-// seed (30 + its index in workloadKindsUnderTest).
+// seed (31 + its index in workloadKindsUnderTest).
 func sourceCases() []goldenCase {
 	var cases []goldenCase
 	for i, kind := range workloadKindsUnderTest() {
-		s := workloadScenario(int64(30+i), kind)
+		s := workloadScenario(int64(31+i), kind)
 		cases = append(cases, goldenCase{sub: s.Name, key: s.Name, s: s})
 	}
 	return cases

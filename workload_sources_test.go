@@ -8,7 +8,6 @@ package precinct_test
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,10 +15,6 @@ import (
 	"precinct"
 	"precinct/internal/invariant/fuzzgen"
 )
-
-// sampleTracePath is the committed cachelib-format fixture; see
-// internal/workload/gentrace for its provenance.
-const sampleTracePath = "internal/workload/testdata/sample_trace.csv"
 
 // workloadScenario builds a scenario running the given source kind,
 // derived from a fuzzgen seed so the suites sweep mobility models,
@@ -29,28 +24,18 @@ func workloadScenario(seed int64, kind string) precinct.Scenario {
 	s.Shards = 0
 	s.Workload = kind
 	s.Name = s.Name + "/" + kind
-	if kind == "trace" {
-		s.TracePath = sampleTracePath
-		// The sample trace carries SET rows; replay them whenever the
-		// expanded scenario did not already enable a write workload.
-		if s.UpdateInterval == 0 {
-			s.UpdateInterval = 45
-			s.Consistency = "push-adaptive-pull"
-		}
-	}
 	return s
 }
 
-func workloadKindsUnderTest() []string {
-	return []string{"trace", "flash-crowd", "diurnal", "hotspot", "rank-churn"}
-}
+// workloadKindsUnderTest lists the non-default sources.
+func workloadKindsUnderTest() []string { return precinct.WorkloadKinds()[1:] }
 
 // TestWorkloadSourceDeterminism runs every source twice under the same
 // seed: the trace streams must be byte-identical and the results
 // DeepEqual, or the source leaked nondeterminism into the run.
 func TestWorkloadSourceDeterminism(t *testing.T) {
 	for i, kind := range workloadKindsUnderTest() {
-		sc := workloadScenario(int64(20+i), kind)
+		sc := workloadScenario(int64(21+i), kind)
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			res1, trace1 := runTracedBytes(t, sc)
@@ -70,18 +55,17 @@ func TestWorkloadSourceDeterminism(t *testing.T) {
 }
 
 // TestWorkloadInvariants runs fuzzgen's workload variants (randomized
-// source parameters over randomized base scenarios) plus a trace run
-// under the full invariant catalog.
+// source parameters over randomized base scenarios) under the full
+// invariant catalog.
 func TestWorkloadInvariants(t *testing.T) {
 	n := 6
 	if testing.Short() {
 		n = 2
 	}
-	scs := make([]precinct.Scenario, 0, n+1)
+	scs := make([]precinct.Scenario, 0, n)
 	for seed := int64(1); seed <= int64(n); seed++ {
 		scs = append(scs, fuzzgen.WithWorkload(fuzzgen.Expand(seed), seed))
 	}
-	scs = append(scs, workloadScenario(40, "trace"))
 	for _, sc := range scs {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -100,49 +84,15 @@ func TestWorkloadInvariants(t *testing.T) {
 	}
 }
 
-// TestWorkloadScenarioValidation pins the wiring error paths: unknown
-// kinds and stray or missing trace paths. The sharded-run gate is a row
-// of TestParallelScenarioValidation.
+// TestWorkloadScenarioValidation pins the wiring error path: an
+// unknown kind, the retired trace replay among them. The sharded-run
+// gate is a row of TestParallelScenarioValidation.
 func TestWorkloadScenarioValidation(t *testing.T) {
-	base := fuzzgen.Expand(50)
-
-	s := base
-	s.Workload = "tidal"
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "unknown workload") {
-		t.Errorf("unknown workload: err = %v", err)
-	}
-
-	s = base
-	s.TracePath = sampleTracePath
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "TracePath") {
-		t.Errorf("stray TracePath: err = %v", err)
-	}
-
-	s = base
-	s.Workload = "trace"
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "TracePath") {
-		t.Errorf("missing TracePath: err = %v", err)
-	}
-
-	s = base
-	s.Workload = "trace"
-	s.TracePath = filepath.Join(t.TempDir(), "absent.csv")
-	if err := s.Validate(); err == nil {
-		t.Error("nonexistent trace file accepted")
-	}
-}
-
-// TestTraceWorkloadCatalogFromTrace checks the trace path derives its
-// catalog from the trace (60 distinct keys in the fixture), ignoring
-// the scenario's Items knob.
-func TestTraceWorkloadCatalogFromTrace(t *testing.T) {
-	sc := workloadScenario(60, "trace")
-	sc.Items = 5 // would be an absurd catalog if honored
-	res, err := precinct.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Requests == 0 {
-		t.Fatal("trace run issued no requests")
+	for _, kind := range []string{"tidal", "trace"} {
+		s := fuzzgen.Expand(50)
+		s.Workload = kind
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "unknown workload") {
+			t.Errorf("workload %q: err = %v", kind, err)
+		}
 	}
 }
