@@ -22,9 +22,10 @@ import (
 //
 // Each limit is the lower of what the retired bench comparator enforced
 // (old: its August 2026 baseline × 1.15 + 0.05) and the latest reading
-// (head) with the same allowance. head was last lowered when a flood
-// record's marks stopped carrying one expiry each and kept one group per
-// marking instant, so a record's arrays grow fewer times.
+// (head) with the same allowance. head was last lowered when the peer
+// caches started storing entries by value, one slot each in a dense
+// array, in place of a heap object per admitted entry, and Cache.Put's
+// argument stopped escaping to the heap.
 //
 // Not parallel: runtime.MemStats.Mallocs counts the whole process. Not
 // under the race detector either: the limits were read without it, and
@@ -39,10 +40,10 @@ func TestAllocsPerEvent(t *testing.T) {
 		events        uint64
 		old, head     float64
 	}{
-		{500, 0, 0, 1202760, 0.324, 0.0680},
-		{500, 0, 0.1, 1140020, 0.313, 0.0652},
-		{500, 4, 0.1, 1140020, 0.359, 0.1208},
-		{10000, 0, 0.3, 12565619, 0.463, 0.0828},
+		{500, 0, 0, 1202760, 0.324, 0.0603},
+		{500, 0, 0.1, 1140020, 0.313, 0.0604},
+		{500, 4, 0.1, 1140020, 0.359, 0.1126},
+		{10000, 0, 0.3, 12565619, 0.463, 0.0757},
 	} {
 		t.Run(fmt.Sprintf("n=%d/loss=%g/shards=%d", c.nodes, c.loss, c.shards), func(t *testing.T) {
 			if c.nodes > 1000 && testing.Short() {
@@ -70,15 +71,17 @@ func TestAllocsPerEvent(t *testing.T) {
 
 // buildBytesBudget is what one Scenario.Validate of flood_2k's shape
 // (2000 nodes at paper density) may allocate: the reading on linux/amd64
-// with Go 1.24 once flood dedup moved from a seen table per peer (two
-// 128 B slices each at build, and 72 B of Peer) to records opened by the
-// floods themselves, 2,259,744 B, rounded up by under 4 KB. An array of
-// even 4 B per node (8 KB) allocated at build therefore fails here. The budget matters
+// with Go 1.24 once a peer's dynamic cache was built at its first
+// admission instead of at setup (a Cache, its victim index and two map
+// headers per peer) and sim.RNG stopped keeping a name → stream map
+// (4000 entries here, peer/i and mobility/i), 1,272,848 B, rounded up by
+// under 4 KB. An array of even 4 B per node (8 KB) allocated at build
+// therefore fails here. The budget matters
 // because Go's minimum heap goal is 4 MB and the benchmark's setup_s
 // times this build in a loop: bytes past the goal buy a collection per
 // build (DESIGN.md section 8, "What it weighs"). Per-node state the run
 // needs only once it queries neighbors belongs to the first query.
-const buildBytesBudget = 2_263_000
+const buildBytesBudget = 1_276_000
 
 // TestBuildBytesBudget holds Scenario.Validate on flood_2k's shape to
 // buildBytesBudget. Not parallel and not under the race detector, for

@@ -17,6 +17,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -151,20 +152,22 @@ func (LFU) Aged() bool { return false }
 // Utility implements Policy.
 func (LFU) Utility(e *Entry) float64 { return float64(e.AccessCount) }
 
-// Cache is the dynamic cache space of one peer.
+// Cache is the dynamic cache space of one peer. Entries are stored by
+// value in items; keys maps a key to its slot, and heap (heap.go) orders
+// the slots for eviction. Removing an entry moves the last slot into the
+// hole, so items stays dense. A cache that never admitted anything holds
+// no map and no arrays, and a nil *Cache reads as an empty one.
 type Cache struct {
 	capacity int64
 	used     int64
-	entries  map[workload.Key]*Entry
+	keys     map[workload.Key]int32
+	items    []slot
+	heap     []int32
 	policy   Policy
 	inflate  float64 // greedy-dual L
 
 	evictions uint64
-	hits      uint64
-	misses    uint64
 
-	// index is the heap-based victim index (heap.go).
-	index *victimIndex
 	// evictScratch backs the slice Put returns, reused across calls so
 	// steady-state eviction does not allocate. Its contents are valid
 	// only until the next Put.
@@ -180,8 +183,14 @@ type Cache struct {
 	evictionDisabled bool
 }
 
+// slot is one cached entry and its position in the victim heap.
+type slot struct {
+	Entry
+	heapPos int32
+}
+
 // New returns an empty cache with the given byte capacity, using the
-// heap victim index (heap.go) to find eviction victims in O(log n).
+// victim heap (heap.go) to find eviction victims in O(log n).
 func New(capacity int64, policy Policy) (*Cache, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("cache: negative capacity %d", capacity)
@@ -189,12 +198,7 @@ func New(capacity int64, policy Policy) (*Cache, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("cache: nil policy")
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[workload.Key]*Entry),
-		policy:   policy,
-		index:    newVictimIndex(),
-	}, nil
+	return &Cache{capacity: capacity, policy: policy}, nil
 }
 
 // Capacity returns the configured capacity in bytes.
@@ -204,14 +208,17 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 func (c *Cache) Used() int64 { return c.used }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.items)
+}
 
 // Inflation returns the current greedy-dual L value.
 func (c *Cache) Inflation() float64 { return c.inflate }
 
-// Hits and Misses return the Get counters; Evictions the victim count.
-func (c *Cache) Hits() uint64      { return c.hits }
-func (c *Cache) Misses() uint64    { return c.misses }
+// Evictions returns the number of victims evicted.
 func (c *Cache) Evictions() uint64 { return c.evictions }
 
 // refresh re-ages an entry's utility after its bookkeeping changed.
@@ -223,27 +230,41 @@ func (c *Cache) refresh(e *Entry) {
 	e.Utility = u
 }
 
-// Get looks a key up, updating access bookkeeping and the utility value on
-// a hit (the paper: "The utility value of the data item is updated when
-// there is a hit").
-func (c *Cache) Get(k workload.Key, now float64) (*Entry, bool) {
-	e, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return nil, false
+// lookup returns the slot index of a key.
+func (c *Cache) lookup(k workload.Key) (int32, bool) {
+	if c == nil {
+		return 0, false
 	}
-	c.hits++
-	e.AccessCount++
-	e.LastAccess = now
-	c.refresh(e)
-	c.index.fix(e.Key)
-	return e, true
+	i, ok := c.keys[k]
+	return i, ok
 }
 
-// Peek looks a key up without touching any bookkeeping or counters.
+// Get looks a key up, updating access bookkeeping and the utility value on
+// a hit (the paper: "The utility value of the data item is updated when
+// there is a hit"). The pointer is into the cache's storage: it sees
+// later Gets and Updates, and it is valid only until the next Put on
+// this cache, which may move the entry.
+func (c *Cache) Get(k workload.Key, now float64) (*Entry, bool) {
+	i, ok := c.lookup(k)
+	if !ok {
+		return nil, false
+	}
+	s := &c.items[i]
+	s.AccessCount++
+	s.LastAccess = now
+	c.refresh(&s.Entry)
+	c.fix(s.heapPos)
+	return &s.Entry, true
+}
+
+// Peek looks a key up without touching any bookkeeping. The pointer is
+// valid only until the next Put on this cache, as Get's is.
 func (c *Cache) Peek(k workload.Key) (*Entry, bool) {
-	e, ok := c.entries[k]
-	return e, ok
+	i, ok := c.lookup(k)
+	if !ok {
+		return nil, false
+	}
+	return &c.items[i].Entry, true
 }
 
 // Put inserts an item, evicting minimum-utility entries until it fits.
@@ -252,49 +273,66 @@ func (c *Cache) Peek(k workload.Key) (*Entry, bool) {
 // cache are refused (ok == false) without disturbing current contents.
 // The evicted entries are returned for observability; the slice is
 // backed by a scratch buffer reused across calls, so it is valid only
-// until the next Put on this cache.
+// until the next Put on this cache. Put invalidates every pointer Get
+// or Peek returned.
 func (c *Cache) Put(e Entry, now float64) (evicted []Entry, ok bool) {
 	if int64(e.Size) > c.capacity || e.Size <= 0 {
 		return nil, false
 	}
+	if c.keys == nil {
+		c.keys = make(map[workload.Key]int32)
+	}
 	evicted = c.evictScratch[:0]
-	if old, exists := c.entries[e.Key]; exists {
+	if i, exists := c.keys[e.Key]; exists {
 		// Replacing an existing copy (e.g. a fresher version): keep
 		// accumulated popularity.
-		e.AccessCount += old.AccessCount
-		c.used -= int64(old.Size)
-		delete(c.entries, e.Key)
-		c.index.remove(old.Key)
+		e.AccessCount += c.items[i].AccessCount
+		c.used -= int64(c.items[i].Size)
+		c.remove(i)
 	}
-	for c.used+int64(e.Size) > c.capacity && !c.evictionDisabled {
-		victim := c.index.min()
-		if victim == nil {
-			break // cannot happen while used > 0; defensive
-		}
+	for c.used+int64(e.Size) > c.capacity && !c.evictionDisabled && len(c.heap) > 0 {
+		victim := c.heap[0]
+		v := &c.items[victim]
 		if c.policy.Aged() {
-			if victim.Utility < c.inflate {
+			if v.Utility < c.inflate {
 				c.inflateRegressed = true
 			}
-			c.inflate = victim.Utility
+			c.inflate = v.Utility
 		}
-		c.used -= int64(victim.Size)
-		delete(c.entries, victim.Key)
-		c.index.remove(victim.Key)
+		c.used -= int64(v.Size)
 		c.evictions++
-		evicted = append(evicted, *victim)
+		evicted = append(evicted, v.Entry)
+		c.remove(victim)
 	}
 	e.LastAccess = now
 	e.FetchedAt = now
-	c.refresh(&e)
-	stored := e
-	c.entries[e.Key] = &stored
+	// Age the stored copy, not e: a pointer to e would pass through the
+	// Policy interface and move every admitted entry to the heap.
+	s := int32(len(c.items))
+	c.keys[e.Key] = s
+	c.items = append(c.items, slot{Entry: e})
+	c.refresh(&c.items[s].Entry)
 	c.used += int64(e.Size)
-	c.index.push(&stored)
+	c.push(s)
 	c.evictScratch = evicted[:0]
 	if len(evicted) == 0 {
 		return nil, true
 	}
 	return evicted, true
+}
+
+// remove drops slot i from the heap and the key index, then moves the
+// last slot into the hole.
+func (c *Cache) remove(i int32) {
+	c.heapRemove(c.items[i].heapPos)
+	delete(c.keys, c.items[i].Key)
+	last := int32(len(c.items) - 1)
+	if i != last {
+		c.items[i] = c.items[last]
+		c.keys[c.items[i].Key] = i
+		c.heap[c.items[i].heapPos] = i
+	}
+	c.items = c.items[:last]
 }
 
 // SetEvictionDisabledForTest turns the eviction loop in Put off (or back
@@ -311,9 +349,10 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("cache: occupancy %d exceeds capacity %d", c.used, c.capacity)
 	}
 	var sum int64
-	for k, e := range c.entries {
+	for i := range c.items {
+		e := &c.items[i].Entry
 		if e.Size <= 0 {
-			return fmt.Errorf("cache: entry %d has non-positive size %d", k, e.Size)
+			return fmt.Errorf("cache: entry %d has non-positive size %d", e.Key, e.Size)
 		}
 		sum += int64(e.Size)
 	}
@@ -326,16 +365,17 @@ func (c *Cache) CheckInvariants() error {
 	if c.policy.Aged() && (math.IsNaN(c.inflate) || c.inflate < 0) {
 		return fmt.Errorf("cache: invalid aging floor L=%g", c.inflate)
 	}
-	return c.index.check(c.entries)
+	return c.checkIndex()
 }
 
 // Update applies a pushed update to a cached copy: new version, new TTR
 // expiry. It reports whether the key was cached.
 func (c *Cache) Update(k workload.Key, version uint64, ttrExpiry float64) bool {
-	e, ok := c.entries[k]
+	i, ok := c.lookup(k)
 	if !ok {
 		return false
 	}
+	e := &c.items[i]
 	e.Version = version
 	e.TTRExpiry = ttrExpiry
 	return true
@@ -343,9 +383,9 @@ func (c *Cache) Update(k workload.Key, version uint64, ttrExpiry float64) bool {
 
 // Keys returns the cached keys in ascending order.
 func (c *Cache) Keys() []workload.Key {
-	out := make([]workload.Key, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
+	out := make([]workload.Key, 0, c.Len())
+	for i := 0; i < c.Len(); i++ {
+		out = append(out, c.items[i].Key)
 	}
 	slices.Sort(out)
 	return out
@@ -353,10 +393,11 @@ func (c *Cache) Keys() []workload.Key {
 
 // Entries returns copies of all entries, ordered by key.
 func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, len(c.entries))
-	for _, k := range c.Keys() {
-		out = append(out, *c.entries[k])
+	out := make([]Entry, 0, c.Len())
+	for i := 0; i < c.Len(); i++ {
+		out = append(out, c.items[i].Entry)
 	}
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 

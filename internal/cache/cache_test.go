@@ -3,6 +3,7 @@ package cache
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -97,9 +98,6 @@ func TestGetPutBasics(t *testing.T) {
 	if _, ok := c.Get(workload.Key(1), 0); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if c.Misses() != 1 {
-		t.Error("miss not counted")
-	}
 	if _, ok := c.Put(Entry{Key: 1, Size: 400}, 1); !ok {
 		t.Fatal("Put failed")
 	}
@@ -109,9 +107,6 @@ func TestGetPutBasics(t *testing.T) {
 	}
 	if e.AccessCount != 1 || e.LastAccess != 2 {
 		t.Errorf("bookkeeping not updated: %+v", e)
-	}
-	if c.Hits() != 1 {
-		t.Error("hit not counted")
 	}
 	if c.Used() != 400 || c.Len() != 1 {
 		t.Errorf("Used=%d Len=%d", c.Used(), c.Len())
@@ -255,6 +250,42 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+// TestPeekPointerSeesUpdate: Peek's pointer is into the cache's own
+// storage, so an Update or a Get made after it shows through it, up to
+// the next Put.
+func TestPeekPointerSeesUpdate(t *testing.T) {
+	c := newCache(t, 1000, GDSize{})
+	c.Put(Entry{Key: 1, Size: 300, Version: 1}, 0)
+	c.Put(Entry{Key: 2, Size: 300, Version: 1}, 0)
+	e, ok := c.Peek(workload.Key(1))
+	if !ok {
+		t.Fatal("Peek missed a cached key")
+	}
+	c.Update(workload.Key(1), 7, 42)
+	c.Get(workload.Key(1), 5)
+	if e.Version != 7 || e.TTRExpiry != 42 || e.AccessCount != 1 || e.LastAccess != 5 {
+		t.Errorf("the Peek pointer reads %+v after an Update and a Get", *e)
+	}
+}
+
+// TestNilCacheReadsEmpty: a peer builds its cache at its first admission,
+// and until then its nil *Cache answers every read as an empty cache.
+func TestNilCacheReadsEmpty(t *testing.T) {
+	var c *Cache
+	if _, ok := c.Get(workload.Key(1), 0); ok {
+		t.Error("Get hit on a nil cache")
+	}
+	if _, ok := c.Peek(workload.Key(1)); ok {
+		t.Error("Peek hit on a nil cache")
+	}
+	if c.Update(workload.Key(1), 2, 3) {
+		t.Error("Update found a key in a nil cache")
+	}
+	if c.Len() != 0 || len(c.Keys()) != 0 {
+		t.Errorf("a nil cache has Len %d and keys %v", c.Len(), c.Keys())
+	}
+}
+
 func TestKeysAndEntriesSorted(t *testing.T) {
 	c := newCache(t, 10000, GDSize{})
 	for _, k := range []workload.Key{5, 1, 9, 3} {
@@ -286,9 +317,6 @@ func TestPeekDoesNotTouchBookkeeping(t *testing.T) {
 	after, _ := c.Peek(workload.Key(1))
 	if after.AccessCount != ac {
 		t.Error("Peek changed access count")
-	}
-	if c.Hits() != 0 && c.Misses() != 0 {
-		t.Error("Peek touched hit/miss counters")
 	}
 }
 
@@ -436,5 +464,42 @@ func TestStoreOverwrite(t *testing.T) {
 	it, _ := s.Get(workload.Key(1))
 	if it.Version != 2 {
 		t.Error("overwrite kept the old version")
+	}
+}
+
+// TestCacheBytes bounds what a peer cache retains once it holds one
+// entry and once it holds fifteen: the live heap a thousand such caches
+// add, after a collection, per cache. That is the Cache itself (144 B),
+// its slot and heap arrays with append's doubling (80 B and 4 B a
+// slot) and the key map. On linux/amd64 with Go 1.24 the readings are
+// 359-364 B and 1,863 B; an 80 B heap object per entry, a key → entry
+// map and a victim index with a key → position map of its own retained
+// about 600 B and 2,800 B. Not parallel: the readings are whole-process
+// heap figures.
+func TestCacheBytes(t *testing.T) {
+	for _, c := range []struct {
+		entries int
+		limit   uint64
+	}{{1, 384}, {15, 1900}} {
+		const n = 1000
+		policy := mustGDLD(t)
+		caches := make([]*Cache, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range caches {
+			cc, _ := New(64*1024, policy)
+			for k := 0; k < c.entries; k++ {
+				cc.Put(Entry{Key: workload.Key(k), Size: 1024, RegionDist: 400}, float64(k))
+			}
+			caches[i] = cc
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		got := (after.HeapAlloc - before.HeapAlloc) / n
+		runtime.KeepAlive(caches)
+		if got > c.limit {
+			t.Errorf("a cache of %d entries retains %d B, limit %d B", c.entries, got, c.limit)
+		}
 	}
 }

@@ -115,7 +115,7 @@ func TestPolicyContract(t *testing.T) {
 			for _, k := range []workload.Key{9, 3, 7, 5} {
 				tie.Put(Entry{Key: k, Size: 1024, RegionDist: 200}, 10)
 			}
-			if v := tie.index.min(); v == nil || v.Key != 3 {
+			if v := tie.min(); v == nil || v.Key != 3 {
 				t.Fatalf("victim among equal utilities is %+v, want key 3", v)
 			}
 		})
@@ -135,7 +135,7 @@ func seedOffset(name string) int {
 	return h % 1000
 }
 
-// TestPolicyContractHeapLinearVictimAgreement holds the heap index to
+// TestPolicyContractHeapLinearVictimAgreement holds the victim heap to
 // the linear scan (replay, heap_test.go) on the contract battery's own
 // stream, for every registered policy.
 func TestPolicyContractHeapLinearVictimAgreement(t *testing.T) {

@@ -104,7 +104,4 @@ func TestGDLDRegressionHandComputed(t *testing.T) {
 	if got := c.Evictions(); got != 2 {
 		t.Fatalf("Evictions = %d, want 2", got)
 	}
-	if c.Hits() != 2 || c.Misses() != 0 {
-		t.Fatalf("hits/misses = %d/%d, want 2/0", c.Hits(), c.Misses())
-	}
 }

@@ -1,6 +1,6 @@
 package cache
 
-// Victim index: a binary min-heap over the cache's entries ordered by
+// Victim heap: a binary min-heap over the cache's slots ordered by
 // (Utility, Key). Because keys are unique, that order is a strict total
 // order, so the heap minimum is always exactly the entry a linear scan
 // for the minimum would pick — the heap changes the cost of finding the
@@ -9,14 +9,10 @@ package cache
 // TestHeapLinearOpEquivalence holds min() to that scan after every
 // operation of fuzzed streams.
 //
-// Entry positions live in a side map rather than in Entry itself, so the
-// public Entry struct carries no index state.
+// The heap holds slot indices, and each slot keeps its own heap
+// position inline, so reordering needs no key → position map.
 
-import (
-	"fmt"
-
-	"precinct/internal/workload"
-)
+import "fmt"
 
 // victimLess is the eviction order: minimum utility first, ties broken
 // to the smaller key.
@@ -25,129 +21,110 @@ func victimLess(a, b *Entry) bool {
 		(a.Utility == b.Utility && a.Key < b.Key)
 }
 
-// victimIndex is the heap plus the key → heap-position map.
-type victimIndex struct {
-	heap []*Entry
-	pos  map[workload.Key]int
-}
-
-func newVictimIndex() *victimIndex {
-	return &victimIndex{pos: make(map[workload.Key]int)}
+// less orders heap positions i and j by their slots' entries.
+func (c *Cache) less(i, j int) bool {
+	return victimLess(&c.items[c.heap[i]].Entry, &c.items[c.heap[j]].Entry)
 }
 
 // min returns the current victim without removing it, or nil when empty.
-func (v *victimIndex) min() *Entry {
-	if len(v.heap) == 0 {
+func (c *Cache) min() *Entry {
+	if len(c.heap) == 0 {
 		return nil
 	}
-	return v.heap[0]
+	return &c.items[c.heap[0]].Entry
 }
 
-// push adds an entry that is not yet indexed.
-func (v *victimIndex) push(e *Entry) {
-	v.heap = append(v.heap, e)
-	v.pos[e.Key] = len(v.heap) - 1
-	v.up(len(v.heap) - 1)
+// push adds slot s, which is not yet in the heap.
+func (c *Cache) push(s int32) {
+	c.heap = append(c.heap, s)
+	c.items[s].heapPos = int32(len(c.heap) - 1)
+	c.up(len(c.heap) - 1)
 }
 
-// remove drops the entry for a key, if indexed.
-func (v *victimIndex) remove(k workload.Key) {
-	i, ok := v.pos[k]
-	if !ok {
-		return
-	}
-	last := len(v.heap) - 1
-	v.swap(i, last)
-	v.heap[last] = nil // keep the backing array from retaining the entry
-	v.heap = v.heap[:last]
-	delete(v.pos, k)
-	if i < last {
-		if !v.down(i) {
-			v.up(i)
-		}
+// heapRemove drops heap position i, moving the last position into it.
+func (c *Cache) heapRemove(i int32) {
+	last := len(c.heap) - 1
+	c.swap(int(i), last)
+	c.heap = c.heap[:last]
+	if int(i) < last {
+		c.fix(i)
 	}
 }
 
-// fix restores the heap order around a key whose Utility changed.
-func (v *victimIndex) fix(k workload.Key) {
-	i, ok := v.pos[k]
-	if !ok {
-		return
-	}
-	if !v.down(i) {
-		v.up(i)
+// fix restores the heap order around position i after its slot's
+// Utility changed.
+func (c *Cache) fix(i int32) {
+	if !c.down(int(i)) {
+		c.up(int(i))
 	}
 }
 
-func (v *victimIndex) swap(i, j int) {
+func (c *Cache) swap(i, j int) {
 	if i == j {
 		return
 	}
-	v.heap[i], v.heap[j] = v.heap[j], v.heap[i]
-	v.pos[v.heap[i].Key] = i
-	v.pos[v.heap[j].Key] = j
+	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
+	c.items[c.heap[i]].heapPos = int32(i)
+	c.items[c.heap[j]].heapPos = int32(j)
 }
 
-// up sifts index i toward the root.
-func (v *victimIndex) up(i int) {
+// up sifts position i toward the root.
+func (c *Cache) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !victimLess(v.heap[i], v.heap[parent]) {
+		if !c.less(i, parent) {
 			break
 		}
-		v.swap(i, parent)
+		c.swap(i, parent)
 		i = parent
 	}
 }
 
-// down sifts index i toward the leaves; it reports whether i moved.
-func (v *victimIndex) down(i int) bool {
+// down sifts position i toward the leaves; it reports whether i moved.
+func (c *Cache) down(i int) bool {
 	start := i
-	n := len(v.heap)
+	n := len(c.heap)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			break
 		}
 		least := left
-		if right := left + 1; right < n && victimLess(v.heap[right], v.heap[left]) {
+		if right := left + 1; right < n && c.less(right, left) {
 			least = right
 		}
-		if !victimLess(v.heap[least], v.heap[i]) {
+		if !c.less(least, i) {
 			break
 		}
-		v.swap(i, least)
+		c.swap(i, least)
 		i = least
 	}
 	return i > start
 }
 
-// check validates the index against the cache's entry map: same
-// membership, positions consistent, and the heap order invariant at
-// every edge. It is wired into Cache.CheckInvariants, so the whole
-// runtime invariant suite (DESIGN.md section 9) sweeps it.
-func (v *victimIndex) check(entries map[workload.Key]*Entry) error {
-	if len(v.heap) != len(entries) || len(v.pos) != len(entries) {
-		return fmt.Errorf("cache: victim index tracks %d/%d entries, cache holds %d",
-			len(v.heap), len(v.pos), len(entries))
+// checkIndex validates the key index and the heap against the slots:
+// same membership, every key and heap position pointing back at its
+// slot, and the heap order invariant at every edge. It is wired into
+// Cache.CheckInvariants, so the whole runtime invariant suite (DESIGN.md
+// section 9) sweeps it.
+func (c *Cache) checkIndex() error {
+	if len(c.heap) != len(c.items) || len(c.keys) != len(c.items) {
+		return fmt.Errorf("cache: victim heap tracks %d slots and the key index %d, cache holds %d",
+			len(c.heap), len(c.keys), len(c.items))
 	}
-	for i, e := range v.heap {
-		if e == nil {
-			return fmt.Errorf("cache: victim index slot %d is nil", i)
+	for i := range c.items {
+		s := &c.items[i]
+		if j, ok := c.keys[s.Key]; !ok || int(j) != i {
+			return fmt.Errorf("cache: key index says %d (present %v) for key %d at slot %d", j, ok, s.Key, i)
 		}
-		if entries[e.Key] != e {
-			return fmt.Errorf("cache: victim index entry %d is not the cached entry", e.Key)
+		if p := s.heapPos; p < 0 || int(p) >= len(c.heap) || int(c.heap[p]) != i {
+			return fmt.Errorf("cache: slot %d (key %d) records heap position %d, which does not hold it", i, s.Key, p)
 		}
-		if v.pos[e.Key] != i {
-			return fmt.Errorf("cache: victim index position map says %d for key %d at slot %d",
-				v.pos[e.Key], e.Key, i)
-		}
-		if i > 0 {
-			parent := (i - 1) / 2
-			if victimLess(e, v.heap[parent]) {
-				return fmt.Errorf("cache: victim heap order violated at slot %d (key %d under key %d)",
-					i, e.Key, v.heap[parent].Key)
-			}
+	}
+	for p := 1; p < len(c.heap); p++ {
+		if parent := (p - 1) / 2; c.less(p, parent) {
+			return fmt.Errorf("cache: victim heap order violated at position %d (key %d under key %d)",
+				p, c.items[c.heap[p]].Key, c.items[c.heap[parent]].Key)
 		}
 	}
 	return nil

@@ -59,11 +59,12 @@ func genOps(seed int64, n int) []cacheOp {
 	return ops
 }
 
-// minUtility is the O(n) victim scan the heap index replaced: the entry
+// minUtility is the O(n) victim scan the victim heap replaced: the entry
 // with the minimum utility, ties broken to the smaller key.
 func minUtility(c *Cache) *Entry {
 	var victim *Entry
-	for _, e := range c.entries {
+	for i := range c.items {
+		e := &c.items[i].Entry
 		if victim == nil {
 			victim = e
 			continue
@@ -76,7 +77,7 @@ func minUtility(c *Cache) *Entry {
 	return victim
 }
 
-// replay runs an operation stream on one cache and holds the heap index
+// replay runs an operation stream on one cache and holds the victim heap
 // to the linear scan throughout: after every operation both name the
 // same victim, and every entry a Put evicted preceded, in (Utility, Key)
 // order, everything that Put left behind.
@@ -92,8 +93,8 @@ func replay(t *testing.T, c *Cache, ops []cacheOp) {
 				if j > 0 && !victimLess(&ev[j-1], &ev[j]) {
 					t.Fatalf("op %d: evicted %+v before %+v", i, ev[j-1], ev[j])
 				}
-				for k, e := range c.entries {
-					if k != o.key && victimLess(e, &ev[j]) {
+				for s := range c.items {
+					if e := &c.items[s].Entry; e.Key != o.key && victimLess(e, &ev[j]) {
 						t.Fatalf("op %d: evicted %+v while %+v stayed", i, ev[j], *e)
 					}
 				}
@@ -106,7 +107,7 @@ func replay(t *testing.T, c *Cache, ops []cacheOp) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if heapMin, scanMin := c.index.min(), minUtility(c); heapMin != scanMin {
+		if heapMin, scanMin := c.min(), minUtility(c); heapMin != scanMin {
 			t.Fatalf("op %d: heap min %+v, linear scan %+v", i, heapMin, scanMin)
 		}
 	}
@@ -114,7 +115,7 @@ func replay(t *testing.T, c *Cache, ops []cacheOp) {
 
 // TestHeapLinearOpEquivalence replays fuzzed operation streams, for
 // every registered policy, under replay's per-operation comparison of
-// the heap index with the linear scan (DESIGN.md section 11). Iterating
+// the victim heap with the linear scan (DESIGN.md section 11). Iterating
 // Names() makes the suite self-extending: registering a policy enrolls
 // it here.
 func TestHeapLinearOpEquivalence(t *testing.T) {
@@ -160,11 +161,12 @@ func TestVictimIndexDetectsCorruption(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("healthy cache reported %v", err)
 	}
-	// Swap two heap slots without fixing positions: both the position
-	// map and (generally) the order invariant are now wrong.
-	h := c.index.heap
+	// Swap two heap positions without fixing the slots' recorded
+	// positions: both those and (generally) the order invariant are now
+	// wrong.
+	h := c.heap
 	if len(h) < 2 {
-		t.Fatal("expected at least 2 indexed entries")
+		t.Fatal("expected at least 2 entries in the heap")
 	}
 	h[0], h[1] = h[1], h[0]
 	if err := c.CheckInvariants(); err == nil {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"precinct/internal/workload"
@@ -40,7 +41,7 @@ func TestInvariantMetamorphicKeyRelabeling(t *testing.T) {
 		ops = append(ops, o)
 	}
 
-	run := func(relabel bool) (*Cache, []workload.Key) {
+	run := func(relabel bool) (*Cache, []workload.Key, []bool) {
 		pol, err := NewGDLD(DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
@@ -50,13 +51,15 @@ func TestInvariantMetamorphicKeyRelabeling(t *testing.T) {
 			t.Fatal(err)
 		}
 		var evictions []workload.Key
+		var hits []bool
 		for _, o := range ops {
 			k := o.key
 			if relabel {
 				k += shift
 			}
 			if o.get {
-				c.Get(k, o.now)
+				_, hit := c.Get(k, o.now)
+				hits = append(hits, hit)
 				continue
 			}
 			ev, ok := c.Put(Entry{Key: k, Size: o.size, RegionDist: o.dist}, o.now)
@@ -67,11 +70,11 @@ func TestInvariantMetamorphicKeyRelabeling(t *testing.T) {
 				evictions = append(evictions, e.Key)
 			}
 		}
-		return c, evictions
+		return c, evictions, hits
 	}
 
-	base, baseEv := run(false)
-	rel, relEv := run(true)
+	base, baseEv, baseHits := run(false)
+	rel, relEv, relHits := run(true)
 
 	if len(baseEv) == 0 {
 		t.Fatal("op sequence caused no evictions; the relation is vacuous")
@@ -85,9 +88,8 @@ func TestInvariantMetamorphicKeyRelabeling(t *testing.T) {
 				i, baseEv[i], baseEv[i]+shift, relEv[i])
 		}
 	}
-	if base.Hits() != rel.Hits() || base.Misses() != rel.Misses() {
-		t.Fatalf("hit/miss diverged: %d/%d vs %d/%d",
-			base.Hits(), base.Misses(), rel.Hits(), rel.Misses())
+	if !slices.Equal(baseHits, relHits) {
+		t.Fatalf("hit/miss sequences diverged:\n%v\n%v", baseHits, relHits)
 	}
 	if base.Inflation() != rel.Inflation() {
 		t.Fatalf("inflation floor diverged: %g vs %g", base.Inflation(), rel.Inflation())

@@ -55,7 +55,9 @@ type Linear struct {
 }
 
 // Cost evaluates the model for a message of the given size in bytes.
-func (l Linear) Cost(size int) float64 { return l.M*float64(size) + l.B }
+// The product is rounded on its own, so no target fuses it with the
+// addition into one multiply-add.
+func (l Linear) Cost(size int) float64 { return float64(l.M*float64(size)) + l.B }
 
 // Model bundles the coefficients of all traffic classes.
 type Model struct {

@@ -29,9 +29,7 @@ func (n *Network) UpdateFrom(origin radio.NodeID, k workload.Key) {
 	if _, ok := p.store.Get(k); ok {
 		n.applyStoredUpdate(p, k, newVersion, now)
 	}
-	if p.cache != nil {
-		p.cache.Update(k, newVersion, now+n.cfg.Consistency.InitialTTR)
-	}
+	p.cache.Update(k, newVersion, now+n.cfg.Consistency.InitialTTR)
 
 	switch n.cfg.Consistency.Scheme {
 	case consistency.PlainPush:
@@ -89,14 +87,12 @@ func (p *Peer) applyPush(m *message) {
 	if _, ok := p.store.Get(m.Key); ok {
 		p.net.applyStoredUpdate(p, m.Key, m.Version, now)
 	}
-	if p.cache != nil {
-		if e, ok := p.cache.Peek(m.Key); ok && e.Version < m.Version {
-			expires := cache.NeverExpires
-			if m.Kind == kindUpdateFlood {
-				expires = now + p.net.holderTTR(p, m.Key)
-			}
-			p.cache.Update(m.Key, m.Version, expires)
+	if e, ok := p.cache.Peek(m.Key); ok && e.Version < m.Version {
+		expires := cache.NeverExpires
+		if m.Kind == kindUpdateFlood {
+			expires = now + p.net.holderTTR(p, m.Key)
 		}
+		p.cache.Update(m.Key, m.Version, expires)
 	}
 }
 
@@ -201,9 +197,7 @@ func (p *Peer) onPollReply(m *message) {
 		return
 	}
 	now := n.sched.Now()
-	if p.cache != nil {
-		p.cache.Update(m.Key, m.Version, now+m.TTR)
-	}
+	p.cache.Update(m.Key, m.Version, now+m.TTR)
 	stale := m.Version < req.truthAtIssue
 	if req.pendingReply != nil {
 		// A cache-served answer was waiting on this validation.

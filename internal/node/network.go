@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"os"
+	"strconv"
 
 	"precinct/internal/cache"
 	"precinct/internal/energy"
@@ -71,6 +72,9 @@ type Network struct {
 	rng    *sim.RNG
 	tracer trace.Tracer
 	probe  Probe
+	// evictionDisabled is the invariant suite's sabotage hook, handed to
+	// every cache this network builds (SetEvictionDisabledForTest).
+	evictionDisabled bool
 
 	// router holds GPSR forwarding scratch so steady-state routing
 	// allocates nothing. The simulation core is single-threaded, so one
@@ -178,20 +182,14 @@ func New(opts Options) (*Network, error) {
 	// and peer headers stop being 100k scattered heap objects. n.peers
 	// hands out stable *Peer values into it.
 	slab := make([]Peer, n.ch.N())
+	name := append(make([]byte, 0, 32), "peer/"...)
 	for i := range n.peers {
 		p := &slab[i]
 		*p = Peer{
 			id:    radio.NodeID(i),
 			net:   n,
 			store: cache.NewStore(),
-			rng:   n.rng.Stream(fmt.Sprintf("peer/%d", i)),
-		}
-		if n.cfg.CacheBytes > 0 {
-			c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy)
-			if err != nil {
-				return nil, err
-			}
-			p.cache = c
+			rng:   n.rng.Stream(string(strconv.AppendInt(name, int64(i), 10))),
 		}
 		r, ok := n.table.Locate(n.ch.Position(p.id))
 		if !ok {
@@ -751,7 +749,8 @@ func (n *Network) Quit(id radio.NodeID) {
 	n.emit(trace.Event{Kind: trace.NodeQuit, Node: int(id)})
 }
 
-// Revive brings a crashed peer back with empty stores.
+// Revive brings a crashed peer back with empty stores. Its dynamic cache
+// goes back to nil, to be built again at its next admission.
 func (n *Network) Revive(id radio.NodeID) {
 	p := n.peers[id]
 	if p.Alive() {
@@ -762,13 +761,34 @@ func (n *Network) Revive(id radio.NodeID) {
 	if held := p.net.held; held != nil {
 		held[id] = 0
 	}
-	if p.cache != nil {
-		if c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy); err == nil {
-			p.cache = c
-		}
-	}
+	p.cache = nil
 	if r, ok := n.table.Locate(n.ch.Position(id)); ok {
 		p.regionID = r.ID
 	}
 	n.emit(trace.Event{Kind: trace.NodeRevived, Node: int(id)})
+}
+
+// newCache builds a peer's dynamic cache, at its first admission. The
+// capacity and policy passed Config.Validate in New, so cache.New cannot
+// refuse them.
+func (n *Network) newCache() *cache.Cache {
+	c, err := cache.New(n.cfg.CacheBytes, n.cfg.Policy)
+	if err != nil {
+		panic(fmt.Sprintf("node: %v", err))
+	}
+	c.SetEvictionDisabledForTest(n.evictionDisabled)
+	return c
+}
+
+// SetEvictionDisabledForTest turns eviction off (or back on) in every
+// peer cache, built or still to be built. It breaks the capacity bound
+// on purpose and exists only so tests can show that the invariant
+// checker detects the violation.
+func (n *Network) SetEvictionDisabledForTest(disabled bool) {
+	n.evictionDisabled = disabled
+	for _, p := range n.peers {
+		if p.cache != nil {
+			p.cache.SetEvictionDisabledForTest(disabled)
+		}
+	}
 }

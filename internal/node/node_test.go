@@ -791,6 +791,47 @@ func TestReviveRestoresPeer(t *testing.T) {
 	}
 }
 
+// admitRecorder is a Probe that records which peers admitted an item.
+type admitRecorder map[radio.NodeID]bool
+
+func (r admitRecorder) OnCacheAdmit(id radio.NodeID, _, _ region.ID, _ workload.Key)               { r[id] = true }
+func (admitRecorder) OnTTRSmoothed(radio.NodeID, workload.Key, float64, float64, float64, float64) {}
+func (admitRecorder) AfterRehome(*Peer, bool)                                                      {}
+
+// TestCacheBuiltAtFirstAdmission: a peer's dynamic cache is built by its
+// first admission, so after a run exactly the peers that admitted an
+// item hold one, and Revive drops it again.
+func TestCacheBuiltAtFirstAdmission(t *testing.T) {
+	o := defaultHarnessOpts()
+	o.generator = true
+	h := build(t, o)
+	admitted := admitRecorder{}
+	h.net.SetProbe(admitted)
+	h.net.Run(60)
+	never := 0
+	var cached *Peer
+	for i := 0; i < h.net.Peers(); i++ {
+		p := h.net.Peer(radio.NodeID(i))
+		if built := p.Cache() != nil; built != admitted[p.ID()] {
+			t.Errorf("peer %d: cache built %v, admitted an item %v", i, built, admitted[p.ID()])
+		}
+		switch {
+		case !admitted[p.ID()]:
+			never++
+		case cached == nil:
+			cached = p
+		}
+	}
+	if never == 0 || cached == nil {
+		t.Fatalf("%d of %d peers never admitted: the run must leave both kinds", never, h.net.Peers())
+	}
+	h.net.Crash(cached.ID())
+	h.net.Revive(cached.ID())
+	if cached.Cache() != nil {
+		t.Error("a revived peer kept its dynamic cache")
+	}
+}
+
 func TestEnRouteAnswering(t *testing.T) {
 	// With en-route caching on, a peer between requester and home region
 	// holding the item answers early. Construct this deterministically:

@@ -16,7 +16,9 @@ type Peer struct {
 	id  radio.NodeID
 	net *Network
 
-	// cache is the dynamic cache space (nil when disabled).
+	// cache is the dynamic cache space: nil until the peer first admits
+	// an item (never, when caching is disabled) and again after Revive.
+	// A nil cache reads as an empty one.
 	cache *cache.Cache
 	// store is the static space: authoritative copies of keys whose home
 	// (or replica) region this peer serves.
@@ -87,7 +89,8 @@ func (p *Peer) Alive() bool { return p.net.live[p.id] }
 // RegionID returns the peer's region as of its last mobility check.
 func (p *Peer) RegionID() region.ID { return p.regionID }
 
-// Cache exposes the dynamic cache (nil when disabled).
+// Cache exposes the dynamic cache: nil before the peer's first admission,
+// after a Revive, and always when caching is disabled.
 func (p *Peer) Cache() *cache.Cache { return p.cache }
 
 // Store exposes the static store.

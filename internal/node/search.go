@@ -93,23 +93,21 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 	}
 
 	// Dynamic cache.
-	if p.cache != nil {
-		if e, ok := p.cache.Get(k, now); ok {
-			if consistency.Fresh(n.cfg.Consistency.Scheme, e, now) {
-				n.finish(req, metrics.LocalHit, 0, e.Version < req.truthAtIssue)
-				return
-			}
-			// Stale-suspect copy: validate with the home region.
-			p.pending = append(p.pending, req)
-			req.phase = phasePoll
-			req.cachedVersion = e.Version
-			if n.sendPoll(p, req) {
-				n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
-				return
-			}
-			// No route to the home region: fall through to a search.
-			p.pendingDelete(req.id)
+	if e, ok := p.cache.Get(k, now); ok {
+		if consistency.Fresh(n.cfg.Consistency.Scheme, e, now) {
+			n.finish(req, metrics.LocalHit, 0, e.Version < req.truthAtIssue)
+			return
 		}
+		// Stale-suspect copy: validate with the home region.
+		p.pending = append(p.pending, req)
+		req.phase = phasePoll
+		req.cachedVersion = e.Version
+		if n.sendPoll(p, req) {
+			n.armReqTimeout(req, n.sched.Now()+remoteTimeout)
+			return
+		}
+		// No route to the home region: fall through to a search.
+		p.pendingDelete(req.id)
 	}
 
 	p.pending = append(p.pending, req)
@@ -118,7 +116,7 @@ func (n *Network) RequestFrom(origin radio.NodeID, k workload.Key) {
 		// Without cooperative caching there is nothing to find in the
 		// requester's region (Section 5.2.2's analysis setup), so the
 		// request goes straight to the home region.
-		if p.cache == nil {
+		if n.cfg.CacheBytes <= 0 {
 			if n.startRemote(p, req) {
 				return
 			}
@@ -319,10 +317,8 @@ func (n *Network) fillHeld() {
 		for _, k := range p.store.Keys() {
 			n.held[p.id] |= keyBit(k)
 		}
-		if p.cache != nil {
-			for _, k := range p.cache.Keys() {
-				n.held[p.id] |= keyBit(k)
-			}
+		for _, k := range p.cache.Keys() {
+			n.held[p.id] |= keyBit(k)
 		}
 	}
 }
@@ -340,9 +336,6 @@ func (p *Peer) lookupForAnswer(k workload.Key) (version uint64, ttr float64, fro
 	}
 	if it, found := p.store.Get(k); found {
 		return it.Version, it.TTR, true, true
-	}
-	if p.cache == nil {
-		return 0, 0, false, false
 	}
 	e, found := p.cache.Peek(k)
 	if !found {
@@ -546,10 +539,7 @@ func (n *Network) classify(p *Peer, m *message) metrics.HitClass {
 // reachable through the cumulative cache); everything else enters the
 // dynamic cache under the replacement policy.
 func (n *Network) admitToCache(p *Peer, m *message, now float64) {
-	if p.cache == nil {
-		return
-	}
-	if m.ServerRegion == p.regionID {
+	if n.cfg.CacheBytes <= 0 || m.ServerRegion == p.regionID {
 		return
 	}
 	var regDist float64
@@ -567,6 +557,9 @@ func (n *Network) admitToCache(p *Peer, m *message, now float64) {
 	}
 	if n.probe != nil {
 		n.probe.OnCacheAdmit(p.id, p.regionID, m.ServerRegion, m.Key)
+	}
+	if p.cache == nil {
+		p.cache = n.newCache()
 	}
 	p.cache.Put(cache.Entry{
 		Key: m.Key, Size: m.Size, Version: m.Version,

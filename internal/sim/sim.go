@@ -633,27 +633,23 @@ func (s *Scheduler) AdvanceTo(t float64) {
 	s.now = t
 }
 
-// RNG derives a deterministic random stream for a named component. Two
-// schedulers seeded identically hand out identical streams for the same
-// name, regardless of the order in which components ask for them — that is
-// what keeps scenario runs reproducible as the codebase grows.
+// RNG derives a deterministic random stream for a named component from
+// the root seed and the name alone. A stream therefore does not depend
+// on which other streams exist or on the order components ask for them,
+// which keeps scenario runs reproducible as the codebase grows. RNG
+// keeps no record of the streams it hands out: each component asks once
+// for its name and owns the stream it gets.
 type RNG struct {
-	seed    int64
-	streams map[string]*rand.Rand
+	seed int64
 }
 
 // NewRNG returns a stream factory rooted at seed.
-func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, streams: make(map[string]*rand.Rand)}
-}
+func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 
-// Stream returns the *rand.Rand for the component name, creating it on
-// first use. The stream seed mixes the root seed with an FNV-1a hash of
-// the name. Repeated calls with the same name return the same stream.
+// Stream returns a new *rand.Rand for the component name, seeded by the
+// root seed mixed with an FNV-1a hash of the name. Two calls with one
+// name return two streams in the same state, not one shared stream.
 func (r *RNG) Stream(name string) *rand.Rand {
-	if st, ok := r.streams[name]; ok {
-		return st
-	}
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -667,7 +663,5 @@ func (r *RNG) Stream(name string) *rand.Rand {
 	if mixed == 0 {
 		mixed = int64(prime64)
 	}
-	st := rand.New(NewSource(mixed))
-	r.streams[name] = st
-	return st
+	return rand.New(NewSource(mixed))
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"precinct/internal/invariant"
-	"precinct/internal/radio"
 )
 
 // InvariantViolation is one detected breach of a protocol invariant.
@@ -29,11 +28,7 @@ func debugBreakEnv(b *built) error {
 	case "":
 		return nil
 	case "no-evict":
-		for i := 0; i < b.network.Peers(); i++ {
-			if c := b.network.Peer(radio.NodeID(i)).Cache(); c != nil {
-				c.SetEvictionDisabledForTest(true)
-			}
-		}
+		b.network.SetEvictionDisabledForTest(true)
 		return nil
 	case "split-liveness":
 		own := make([]bool, b.network.Peers())

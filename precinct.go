@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 
 	"precinct/internal/cache"
 	"precinct/internal/consistency"
@@ -306,8 +307,9 @@ func (s Scenario) lossStreams(rng *sim.RNG) []*rand.Rand {
 		return nil
 	}
 	out := make([]*rand.Rand, s.Nodes)
+	name := append(make([]byte, 0, 32), "loss/"...)
 	for i := range out {
-		out[i] = rng.Stream(fmt.Sprintf("loss/%d", i))
+		out[i] = rng.Stream(string(strconv.AppendInt(name, int64(i), 10)))
 	}
 	return out
 }
