@@ -19,7 +19,10 @@ import (
 )
 
 // Expand grows a seed into a scenario. The generated scenario always
-// validates and runs in well under a second at test scale.
+// validates and runs in well under a second at test scale. Every scaled
+// draw rounds its product before the offset is added (float64(a*x)), so
+// no target fuses the two into one multiply-add and a seed expands to
+// the same scenario on every GOARCH; ExpandScale does the same.
 func Expand(seed int64) precinct.Scenario {
 	rng := rand.New(rand.NewSource(seed ^ 0x5deece66d))
 	s := precinct.DefaultScenario()
@@ -27,7 +30,7 @@ func Expand(seed int64) precinct.Scenario {
 	s.Seed = seed
 
 	s.Nodes = 16 + rng.Intn(25) // 16..40
-	s.AreaSide = 600 + 150*float64(rng.Intn(5))
+	s.AreaSide = 600 + float64(150*float64(rng.Intn(5)))
 	s.Regions = []int{4, 9, 16}[rng.Intn(3)]
 	// This draw once chose a Voronoi partition, and the model draw below
 	// once chose among four models. Both keep their place in the draw
@@ -35,25 +38,27 @@ func Expand(seed int64) precinct.Scenario {
 	rng.Float64()
 
 	s.MobilityModel = []string{"waypoint", "static"}[rng.Intn(4)%2]
-	s.MaxSpeed = 1 + 9*rng.Float64()
+	s.MaxSpeed = 1 + float64(9*rng.Float64())
 	s.Pause = 10 * rng.Float64()
 
-	s.Range = 200 + 100*rng.Float64()
+	s.Range = 200 + float64(100*rng.Float64())
 	if rng.Float64() < 0.3 {
 		s.LossRate = 0.1 * rng.Float64()
 	}
 	rng.Float64() // once drew the retired collision model; kept for the draw sequence
 	if rng.Float64() < 0.3 {
-		s.BeaconInterval = 1 + 2*rng.Float64()
+		// 2*u compiles to u+u, which fuses with Float64's own scaling
+		// unless the draw is rounded too.
+		s.BeaconInterval = 1 + float64(2*float64(rng.Float64()))
 	}
 
 	s.Items = 100 + rng.Intn(201)
 	s.ZipfTheta = rng.Float64()
-	s.RequestInterval = 10 + 20*rng.Float64()
+	s.RequestInterval = 10 + float64(20*rng.Float64())
 
 	s.Retrieval = []string{"precinct", "precinct", "flooding", "expanding-ring"}[rng.Intn(4)]
 	s.Policy = []string{"gd-ld", "gd-ld", "gd-size", "lru", "lfu"}[rng.Intn(5)]
-	s.CacheFraction = 0.005 + 0.02*rng.Float64()
+	s.CacheFraction = 0.005 + float64(0.02*rng.Float64())
 	s.EnRoute = rng.Float64() < 0.7
 	s.Replicas = 0
 	if rng.Float64() < 0.7 {
@@ -63,12 +68,12 @@ func Expand(seed int64) precinct.Scenario {
 	// Half the scenarios run a write workload so the consistency and TTR
 	// invariants get exercised; weight toward the paper's hybrid scheme.
 	if rng.Float64() < 0.5 {
-		s.UpdateInterval = 20 + 60*rng.Float64()
+		s.UpdateInterval = 20 + float64(60*rng.Float64())
 		s.UpdateZipfTheta = 0.8 * rng.Float64()
 		s.Consistency = []string{
 			"push-adaptive-pull", "push-adaptive-pull", "plain-push", "pull-every-time",
 		}[rng.Intn(4)]
-		s.TTRAlpha = 0.1 + 0.8*rng.Float64()
+		s.TTRAlpha = 0.1 + float64(0.8*rng.Float64())
 	} else {
 		s.Consistency = "none"
 	}
@@ -85,7 +90,7 @@ func Expand(seed int64) precinct.Scenario {
 		t := s.Warmup + 10
 		var revive []precinct.Fault
 		for i := 0; i < n; i++ {
-			t += 7 + 25*rng.Float64()
+			t += 7 + float64(25*rng.Float64())
 			kind := "crash"
 			if rng.Float64() < 0.5 {
 				kind = "quit"
@@ -96,7 +101,7 @@ func Expand(seed int64) precinct.Scenario {
 			}
 		}
 		for _, f := range revive {
-			t += 7 + 25*rng.Float64()
+			t += 7 + float64(25*rng.Float64())
 			f.At = t
 			s.Faults = append(s.Faults, f)
 		}
@@ -106,8 +111,8 @@ func Expand(seed int64) precinct.Scenario {
 	}
 
 	if rng.Float64() < 0.25 {
-		s.ChurnInterval = 40 + 40*rng.Float64()
-		s.ChurnDowntime = 20 + 20*rng.Float64()
+		s.ChurnInterval = 40 + float64(40*rng.Float64())
+		s.ChurnDowntime = 20 + float64(20*rng.Float64())
 		s.ChurnGraceful = rng.Float64()
 	}
 	return s
@@ -143,7 +148,7 @@ func ExpandScale(seed int64, maxNodes int) precinct.Scenario {
 	s.Regions = rows * rows
 
 	s.MobilityModel = []string{"waypoint", "static"}[rng.Intn(3)%2] // Intn(3) keeps the draw sequence
-	s.MaxSpeed = 2 + 8*rng.Float64()
+	s.MaxSpeed = 2 + float64(8*rng.Float64())
 	s.Pause = 5
 
 	s.LossRate = []float64{0.05, 0.1, 0.3}[rng.Intn(3)] // always lossy
@@ -151,13 +156,13 @@ func ExpandScale(seed int64, maxNodes int) precinct.Scenario {
 
 	s.Items = 500 + rng.Intn(501)
 	s.ZipfTheta = 0.8
-	s.RequestInterval = 20 + 20*rng.Float64()
+	s.RequestInterval = 20 + float64(20*rng.Float64())
 
 	s.Policy = []string{"gd-ld", "gd-ld", "gd-size"}[rng.Intn(3)]
-	s.CacheFraction = 0.005 + 0.02*rng.Float64()
+	s.CacheFraction = 0.005 + float64(0.02*rng.Float64())
 
 	if rng.Float64() < 0.5 {
-		s.UpdateInterval = 40 + 40*rng.Float64()
+		s.UpdateInterval = 40 + float64(40*rng.Float64())
 		s.Consistency = []string{
 			"push-adaptive-pull", "plain-push", "pull-every-time",
 		}[rng.Intn(3)]

@@ -92,6 +92,7 @@ func (n *Network) EnableSharding(shardOf []int32, clones []*Network) error {
 	for i, c := range clones {
 		c.clones = clones
 		c.shard = int32(i)
+		c.floods.timed = true // a cloned payload carries no reference to count
 		c.ch.EnableSharding(shardOf, int32(i), c.clonePayload)
 	}
 	for _, p := range n.peers {

@@ -22,8 +22,11 @@ package node
 type floodRec struct {
 	id  uint64
 	gen uint32 // bumped on recycling: a reference of an older generation is stale
+	// refs counts the message boxes that reference the record, in a
+	// counted index (see floodIndex).
+	refs int32
 	// latest is the last mark's expiry: once now reaches it, no mark
-	// counts and the record may be recycled.
+	// counts.
 	latest float64
 	nodes  []int32 // marking peers, in marking order
 	groups []markGroup
@@ -79,21 +82,48 @@ func (r *floodRec) mark(node int32, now float64) bool {
 	return false
 }
 
-// floodIndex holds one replica's flood records: by dedup ID, for copies
-// that arrive without a valid reference (a payload cloned across shards,
-// a reference outlived by its record), and in birth order for recycling.
+// recycle empties r for a new dedup ID, keeping its slices, and bumps its
+// generation so that references to the old wave go stale.
+func (r *floodRec) recycle() {
+	*r = floodRec{gen: r.gen + 1, nodes: r.nodes[:0], groups: r.groups[:0]}
+}
+
+// floodIndex holds one replica's flood records. A sequential Network's
+// index is counted: a record's refs are the message boxes that point at
+// it, and it goes on the freelist when the last of them is released, for
+// then no message can consult it again (its ID was drawn at one birth
+// site, and every copy of the birth message carries the reference). A
+// shard replica's index is timed, because a payload cloned across shards
+// carries no reference: it finds records by dedup ID (byID) and recycles
+// the oldest, in birth order, once its last mark has expired.
 type floodIndex struct {
+	timed bool
+	// free holds the counted index's released records, newest last.
+	free []*floodRec
+	// built counts the records the index has allocated. A counted index
+	// takes its freelist first, so this is also its peak number in use.
+	built int
+
 	byID  map[uint64]*floodRec
 	order []*floodRec // oldest first
 }
 
 // find returns the record of m's dedup ID, or nil when this replica has
-// none, and leaves m referencing what it found.
+// none, and leaves m referencing what it found. In a counted index a
+// message without a reference is at its birth site, and one whose
+// reference is stale is a lifecycle bug.
 func (f *floodIndex) find(m *message, id uint64) *floodRec {
-	if r := m.rec; r != nil && r.gen == m.recGen {
+	r := m.rec
+	if r != nil && r.gen == m.recGen {
 		return r
 	}
-	r := f.byID[id]
+	if !f.timed {
+		if r != nil {
+			panic("node: message references a recycled flood record")
+		}
+		return nil
+	}
+	r = f.byID[id]
 	if r != nil {
 		m.rec, m.recGen = r, r.gen
 	}
@@ -107,20 +137,41 @@ func (f *floodIndex) heard(m *message, id uint64, node int32, now float64) bool 
 	return r != nil && r.seen(node, now)
 }
 
-// open starts the record of a dedup ID that has none and points m at it.
-// It recycles the oldest record once every mark in it has expired: that
-// record answered "not seen" for every peer, and so does the empty one
-// that replaces it if its ID comes round again.
+// open starts the record of a dedup ID that has none and points m at it,
+// which holds the record's first reference in a counted index.
 func (f *floodIndex) open(m *message, id uint64, now float64) *floodRec {
+	if f.timed {
+		return f.openTimed(m, id, now)
+	}
+	var r *floodRec
+	if last := len(f.free) - 1; last >= 0 {
+		r = f.free[last]
+		f.free[last] = nil
+		f.free = f.free[:last]
+	} else {
+		r = &floodRec{}
+		f.built++
+	}
+	r.id, r.refs = id, 1
+	m.rec, m.recGen = r, r.gen
+	return r
+}
+
+// openTimed is open for a timed index. It recycles the oldest record
+// once every mark in it has expired: that record answered "not seen"
+// for every peer, and so does the empty one that replaces it if its ID
+// comes round again.
+func (f *floodIndex) openTimed(m *message, id uint64, now float64) *floodRec {
 	var r *floodRec
 	if len(f.order) > 0 && f.order[0].latest <= now {
 		r = f.order[0]
 		f.order[0] = nil
 		f.order = f.order[1:]
 		delete(f.byID, r.id)
-		*r = floodRec{gen: r.gen + 1, nodes: r.nodes[:0], groups: r.groups[:0]}
+		r.recycle()
 	} else {
 		r = &floodRec{}
+		f.built++
 	}
 	r.id = id
 	if f.byID == nil {
@@ -131,6 +182,36 @@ func (f *floodIndex) open(m *message, id uint64, now float64) *floodRec {
 	m.rec, m.recGen = r, r.gen
 	return r
 }
+
+// retain counts a new box's reference to r: a broadcast receiver's
+// header copy of the shared payload.
+func (f *floodIndex) retain(r *floodRec) {
+	if r != nil && !f.timed {
+		r.refs++
+	}
+}
+
+// release drops the reference of a box that held r at generation gen
+// and was just freed, recycling r onto the freelist with its last
+// reference. A stale reference or one too many is a lifecycle bug, as a
+// double release of the box is.
+func (f *floodIndex) release(r *floodRec, gen uint32) {
+	if f.timed {
+		return
+	}
+	if r.gen != gen || r.refs < 1 {
+		panic("node: flood record released with no outstanding reference")
+	}
+	r.refs--
+	if r.refs == 0 {
+		r.recycle()
+		f.free = append(f.free, r)
+	}
+}
+
+// inUse returns the number of records the index holds off its freelist:
+// in a timed index, every record it has built.
+func (f *floodIndex) inUse() int { return f.built - len(f.free) }
 
 // pendingGet returns the outstanding request with the given ID.
 func (p *Peer) pendingGet(id uint64) (*pendingReq, bool) {

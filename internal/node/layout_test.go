@@ -12,20 +12,20 @@ import (
 // against a per-peer model, swap-delete and the freelist — where a
 // scenario run would only exercise them implicitly.
 
-// TestFloodRecordsMatchSeenModel holds the flood records to the rule
-// they replace: each peer remembers each dedup ID it marked until the
-// mark is seenRetention old (a per-peer map from ID to expiry, a mark
-// counting while its expiry is strictly later than now). Fuzzed streams
-// over two replicas (peers 0-7 on one, 8-15 on the other) open floods,
-// deliver copies within a replica as header copies and across replicas
-// as cloned payloads, move the clock (onto exact expiries, to just
-// short of them, and past seenRetention) and release copies. Each
-// flood's first message is never released, so records recycle while old
-// references are still held. After every operation each valid reference
-// a message holds must name its own replica's record.
+// TestFloodRecordsMatchSeenModel holds the time-held records of a shard
+// replica to the rule they replace: each peer remembers each dedup ID it
+// marked until the mark is seenRetention old (a per-peer map from ID to
+// expiry, a mark counting while its expiry is strictly later than now).
+// Fuzzed streams over two replicas (peers 0-7 on one, 8-15 on the other)
+// open floods, deliver copies within a replica as header copies and
+// across replicas as cloned payloads, move the clock (onto exact
+// expiries, to just short of them, and past seenRetention) and release
+// copies. Each flood's first message is never released, so records
+// recycle while old references are still held. After every operation
+// each valid reference a message holds must name its own replica's
+// record.
 func TestFloodRecordsMatchSeenModel(t *testing.T) {
 	const peers = 16
-	kinds := []msgKind{kindSearchFlood, kindRegionalSearch, kindHomeFlood, kindUpdateFlood, kindInvalidate, kindPollFlood}
 	type held struct {
 		m   *message
 		net *Network
@@ -38,7 +38,7 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 	// a moment before its last mark expires.
 	{
 		sched := sim.NewScheduler()
-		net := &Network{sched: sched}
+		net := &Network{sched: sched, floods: floodIndex{timed: true}}
 		a, b := &Peer{id: 0, net: net}, &Peer{id: 1, net: net}
 		x := net.newMsg(message{Kind: kindSearchFlood})
 		x.FloodID = a.newID()
@@ -59,6 +59,9 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sched := sim.NewScheduler()
 		reps := []*Network{{sched: sched}, {sched: sched}}
+		for _, r := range reps {
+			r.floods.timed = true // as EnableSharding sets them
+		}
 		ps := make([]*Peer, peers)
 		for i := range ps {
 			ps[i] = &Peer{id: radio.NodeID(i), net: reps[i*len(reps)/peers]}
@@ -80,13 +83,7 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 10 || len(floods) == 0: // a birth site: new ID, marked by its origin
 				p := ps[rng.Intn(peers)]
-				m := p.net.newMsg(message{Kind: kinds[rng.Intn(len(kinds))]})
-				id := p.newID()
-				if m.Kind == kindRegionalSearch {
-					m.ID = id
-				} else {
-					m.FloodID = id
-				}
+				m, id := birth(rng, p)
 				if p.markSeen(m) {
 					t.Fatalf("seed %d op %d: peer %d had seen the new ID %#x", seed, op, p.id, id)
 				}
@@ -98,9 +95,8 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 				q := ps[rng.Intn(peers)]
 				var cp *message
 				if q.net == h.net {
-					cp = h.net.pool.acquire()
-					*cp = *h.m
-					cp.refs, cp.released = 1, false
+					h.m.refs++ // shared with one more receiver, which takes a copy
+					cp = h.net.headerCopy(h.m)
 				} else {
 					cp = h.net.clonePayload(h.m).(*message)
 					clones++
@@ -157,12 +153,164 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 	t.Logf("%d checks at an exact expiry, %d re-marks, %d stale references, %d cloned payloads", atExpiry, remarks, staleRefs, clones)
 }
 
+// birth starts a flood at p as a birth site does: a message of a random
+// flood kind carrying a fresh dedup ID, not yet marked.
+func birth(rng *rand.Rand, p *Peer) (*message, uint64) {
+	kinds := []msgKind{kindSearchFlood, kindRegionalSearch, kindHomeFlood, kindUpdateFlood, kindInvalidate, kindPollFlood}
+	m := p.net.newMsg(message{Kind: kinds[rng.Intn(len(kinds))]})
+	id := p.newID()
+	if m.Kind == kindRegionalSearch {
+		m.ID = id
+	} else {
+		m.FloodID = id
+	}
+	return m, id
+}
+
+// TestCountedFloodRecordsMatchSeenModel runs the same kind of stream on
+// one sequential replica, whose records are counted: any copy may be
+// released, the birth message too, and a flood whose last copy is gone
+// is never delivered again, as no message carries its ID any more. After
+// every operation a record must be on the freelist exactly when its
+// flood's last copy has been released, with as many references as the
+// flood has copies while it has any, and every peer's seen must match
+// the per-peer map model for every flood still in flight.
+func TestCountedFloodRecordsMatchSeenModel(t *testing.T) {
+	const peers = 12
+	type flood struct {
+		id   uint64
+		rec  *floodRec
+		msgs []*message // every copy still held
+	}
+	var recycled, remarks, reused int
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sched := sim.NewScheduler()
+		net := &Network{sched: sched}
+		ps := make([]*Peer, peers)
+		for i := range ps {
+			ps[i] = &Peer{id: radio.NodeID(i), net: net}
+		}
+		model := make([]map[uint64]float64, peers)
+		for i := range model {
+			model[i] = map[uint64]float64{}
+		}
+		var live []*flood
+		for op := 0; op < 3000; op++ {
+			now := sched.Now()
+			switch r := rng.Intn(100); {
+			case r < 12 || len(live) == 0: // a birth site
+				p := ps[rng.Intn(peers)]
+				if len(net.floods.free) > 0 {
+					reused++
+				}
+				m, id := birth(rng, p)
+				if p.markSeen(m) {
+					t.Fatalf("seed %d op %d: peer %d had seen the new ID %#x", seed, op, p.id, id)
+				}
+				model[p.id][id] = now + seenRetention
+				live = append(live, &flood{id: id, rec: m.rec, msgs: []*message{m}})
+			case r < 55: // a delivery
+				f := live[rng.Intn(len(live))]
+				h := f.msgs[rng.Intn(len(f.msgs))]
+				q := ps[rng.Intn(peers)]
+				h.refs++
+				cp := net.headerCopy(h)
+				exp, ok := model[q.id][f.id]
+				want := ok && exp > now
+				if ok && !want {
+					remarks++
+				}
+				if got := net.floods.heard(cp, f.id, int32(q.id), now); got != want {
+					t.Fatalf("seed %d op %d: peer %d heard %#x = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
+				}
+				if got := q.markSeen(cp); got != want {
+					t.Fatalf("seed %d op %d: peer %d markSeen(%#x) = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
+				}
+				if !want {
+					model[q.id][f.id] = now + seenRetention
+				}
+				f.msgs = append(f.msgs, cp)
+			case r < 75: // the clock moves, now and then past every mark
+				step := float64(rng.Intn(7))
+				if rng.Intn(20) == 0 {
+					step += seenRetention
+				}
+				sched.Run(now + step)
+			default: // a holder lets go of a copy, perhaps the last
+				k := rng.Intn(len(live))
+				f := live[k]
+				i := rng.Intn(len(f.msgs))
+				net.releaseMsg(f.msgs[i])
+				f.msgs = append(f.msgs[:i], f.msgs[i+1:]...)
+				if len(f.msgs) == 0 {
+					live = append(live[:k], live[k+1:]...)
+					recycled++
+				}
+			}
+			now = sched.Now()
+			free := map[*floodRec]bool{}
+			for _, r := range net.floods.free {
+				free[r] = true
+			}
+			if net.floods.inUse() != len(live) {
+				t.Fatalf("seed %d op %d: %d records in use, %d floods have a copy held", seed, op, net.floods.inUse(), len(live))
+			}
+			for _, f := range live {
+				if free[f.rec] {
+					t.Fatalf("seed %d op %d: flood %#x's record is on the freelist with %d copies held", seed, op, f.id, len(f.msgs))
+				}
+				if int(f.rec.refs) != len(f.msgs) {
+					t.Fatalf("seed %d op %d: flood %#x's record counts %d references, %d copies are held", seed, op, f.id, f.rec.refs, len(f.msgs))
+				}
+				for q := range ps {
+					exp, ok := model[q][f.id]
+					if got, want := f.rec.seen(int32(q), now), ok && exp > now; got != want {
+						t.Fatalf("seed %d op %d: peer %d seen(%#x) = %v at %v, the model says %v", seed, op, q, f.id, got, now, want)
+					}
+				}
+			}
+		}
+	}
+	if recycled == 0 || remarks == 0 || reused == 0 {
+		t.Fatalf("the streams missed a case: %d floods released, %d re-marks, %d births on a recycled record", recycled, remarks, reused)
+	}
+	t.Logf("%d floods released, %d re-marks, %d births on a recycled record", recycled, remarks, reused)
+}
+
+// TestFloodRecordLifecyclePanics: in a counted index a stale reference
+// and a reference released twice are lifecycle bugs, and panic as a
+// message released twice does, where a timed index would answer from
+// its IDs.
+func TestFloodRecordLifecyclePanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	f := &floodIndex{}
+	m := &message{}
+	r := f.open(m, 1, 0)
+	stale := *m
+	f.release(r, m.recGen)
+	mustPanic("finding a recycled record", func() { f.find(&stale, 1) })
+	mustPanic("releasing a recycled record", func() { f.release(r, stale.recGen) })
+	r2 := f.open(&message{}, 2, 0)
+	f.release(r2, r2.gen)
+	mustPanic("releasing a record below zero", func() { f.release(r2, r2.gen) })
+}
+
 // TestFloodRecordGroups walks the run-length encoding of a record's
 // expiries through its edge cases, which the fuzzed streams above reach
 // only by chance: several peers marking at one instant, a record whose
 // oldest marks have expired and whose newest have not (with a peer's
 // newest mark on either side of that line), a re-mark after expiry, and
-// recycling, which must leave no group or expiry behind.
+// recycling through the freelist, which must leave no group or expiry
+// behind.
 func TestFloodRecordGroups(t *testing.T) {
 	r := &floodRec{}
 	mark := func(now float64, nodes ...int32) {
@@ -221,21 +369,27 @@ func TestFloodRecordGroups(t *testing.T) {
 		}
 	}
 
-	// Recycling hands the record to a new ID empty, its slices kept.
+	// Releasing the last reference puts the record on the freelist:
+	// slices kept, latest zeroed, generation bumped. The next flood to
+	// open takes it.
 	f := &floodIndex{}
 	m := &message{}
 	r = f.open(m, 1, 0)
 	mark(0, 1, 2)
 	mark(30, 3)
-	nodes, groups := cap(r.nodes), cap(r.groups)
-	if got := f.open(m, 2, 200); got != r {
-		t.Fatal("a record whose marks had all expired was not recycled")
+	nodes, groups, gen := cap(r.nodes), cap(r.groups), r.gen
+	f.release(r, m.recGen)
+	if len(f.free) != 1 || f.free[0] != r {
+		t.Fatal("a record whose last reference was released is not on the freelist")
 	}
-	if r.latest != 0 || len(r.nodes) != 0 || len(r.groups) != 0 {
-		t.Fatalf("the recycled record kept latest %v, %d marks, groups %v", r.latest, len(r.nodes), r.groups)
+	if r.latest != 0 || len(r.nodes) != 0 || len(r.groups) != 0 || r.gen != gen+1 {
+		t.Fatalf("the recycled record kept latest %v, %d marks, groups %v, generation %d (was %d)", r.latest, len(r.nodes), r.groups, r.gen, gen)
 	}
 	if cap(r.nodes) != nodes || cap(r.groups) != groups {
 		t.Fatal("recycling dropped the record's slices")
+	}
+	if got := f.open(&message{}, 2, 200); got != r || len(f.free) != 0 || f.built != 1 {
+		t.Fatal("a flood opened beside a free record did not take it")
 	}
 	mark(200, 2)
 	if r.seen(1, 200) || !r.seen(2, 200) || len(r.groups) != 1 || r.groups[0] != (markGroup{320, 1}) {

@@ -14,7 +14,8 @@ import (
 // path a message can die on — delivery, send-time loss, mid-flight loss,
 // dead receivers, and the broadcast duplicate fast path. MsgPoolLive is
 // the probe: unref panics on a double release, so live == 0 at a
-// quiescent point proves exactly-once.
+// quiescent point proves exactly-once. Flood records follow their
+// messages (DESIGN.md section 14): at a quiescent point none is in use.
 
 // startDrivers arms the autonomous driver processes and returns how many
 // there are. Each is one pending event that re-arms itself whenever it
@@ -66,6 +67,9 @@ func TestLifecycleLossyQuiescence(t *testing.T) {
 					t.Fatalf("%d live pooled messages at quiescence (acquired %d, released %d)",
 						live, h.net.pool.acquired, h.net.pool.released)
 				}
+				if n := h.net.floods.inUse(); n != 0 {
+					t.Fatalf("%d flood records in use at quiescence", n)
+				}
 				if h.net.pool.acquired < 1000 {
 					t.Fatalf("only %d messages acquired; the run is too quiet to prove anything", h.net.pool.acquired)
 				}
@@ -102,9 +106,47 @@ func TestLifecycleCrashQuiescence(t *testing.T) {
 		t.Fatalf("%d live pooled messages at quiescence (acquired %d, released %d)",
 			live, h.net.pool.acquired, h.net.pool.released)
 	}
+	if n := h.net.floods.inUse(); n != 0 {
+		t.Fatalf("%d flood records in use at quiescence", n)
+	}
 	if h.net.pool.acquired < 1000 {
 		t.Fatalf("only %d messages acquired; the run is too quiet to prove anything", h.net.pool.acquired)
 	}
+}
+
+// TestFloodRecordsFollowTheirMessages steps a reduced run of flood_2k's
+// shape (500 peers at paper density, mobile, read-only, lossless, 180 s)
+// one event at a time. Between events no more records may be in use
+// than messages are live, for a record in use is referenced by a live
+// message; and the records ever built stay within twice the most in use
+// at once. A record held for seenRetention after its last mark would
+// keep every flood of the last 120 s: some 2,000 of the run's 2,900
+// requests' regional floods.
+func TestFloodRecordsFollowTheirMessages(t *testing.T) {
+	o := defaultHarnessOpts()
+	o.nodes = 500
+	o.areaSide = 3000
+	o.rows, o.cols = 8, 8
+	o.mobile = true
+	o.generator = true
+	h := build(t, o)
+	startDrivers(h)
+	peak := 0
+	for h.sched.Step(180) {
+		n := h.net.floods.inUse()
+		if live := h.net.MsgPoolLive(); uint64(n) > live {
+			t.Fatalf("t=%v: %d flood records in use, %d messages live", h.sched.Now(), n, live)
+		}
+		peak = max(peak, n)
+	}
+	built := h.net.floods.built
+	if built > 2*peak {
+		t.Fatalf("%d flood records built, at most %d in use at once", built, peak)
+	}
+	if h.net.pool.acquired < 100000 {
+		t.Fatalf("only %d messages acquired; the run is too quiet to prove anything", h.net.pool.acquired)
+	}
+	t.Logf("%d flood records built, at most %d in use between events, %d requests issued", built, peak, h.net.requestsIssued)
 }
 
 // TestRequestConservation: over a lossy run with crashed peers, every

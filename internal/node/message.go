@@ -163,7 +163,9 @@ type message struct {
 
 	// rec references the record of the message's flood in the replica
 	// that holds the message (see markSeen); it is valid while recGen
-	// matches the record's generation. Header copies inherit it.
+	// matches the record's generation. Header copies inherit it, and in
+	// a sequential run every box holding it counts towards the record's
+	// refs until the box is released.
 	rec    *floodRec
 	recGen uint32
 }
@@ -214,15 +216,16 @@ func (pl *msgPool) acquire() *message {
 }
 
 // unref drops one ownership reference, returning the box to the freelist
-// when the last reference is gone. Releasing an already-released message
-// panics — that is a lifecycle bug (double release), never load.
-func (pl *msgPool) unref(m *message) {
+// when the last reference is gone, and reports whether it did. Releasing
+// an already-released message panics — that is a lifecycle bug (double
+// release), never load.
+func (pl *msgPool) unref(m *message) bool {
 	if m.released {
 		panic("node: pooled message released twice")
 	}
 	if m.refs > 1 {
 		m.refs--
-		return
+		return false
 	}
 	if m.refs < 1 {
 		panic("node: pooled message released with no outstanding reference")
@@ -236,6 +239,7 @@ func (pl *msgPool) unref(m *message) {
 	}
 	pl.released++
 	pl.free = append(pl.free, m)
+	return true
 }
 
 // live returns the number of messages currently owned by the run: at a

@@ -222,8 +222,14 @@ func (n *Network) newMsg(proto message) *message {
 }
 
 // releaseMsg drops one ownership reference to m, returning the box to
-// the pool when the last reference is gone.
-func (n *Network) releaseMsg(m *message) { n.pool.unref(m) }
+// the pool when the last reference is gone, and with it the box's
+// reference to its flood record.
+func (n *Network) releaseMsg(m *message) {
+	r, gen := m.rec, m.recGen
+	if n.pool.unref(m) && r != nil {
+		n.floods.release(r, gen)
+	}
+}
 
 // MsgPoolLive returns the number of pooled messages currently owned by
 // the run. At a quiescent boundary it must equal the
@@ -591,17 +597,9 @@ func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 	}
 	p := n.peers[to]
 	if f.Broadcast {
-		// Broadcast payloads are shared: exchange this receiver's
-		// reference for a private header copy (Items, handoff-only and
-		// never broadcast, would ride along copy-on-write). A unicast's
-		// single reference came through the channel to this receiver and
-		// is mutated in place.
-		cp := n.pool.acquire()
-		*cp = *m
-		cp.refs = 1
-		cp.released = false
-		n.releaseMsg(m)
-		m = cp
+		// A unicast's single reference came through the channel to this
+		// receiver and is mutated in place.
+		m = n.headerCopy(m)
 	}
 	m.Hops++
 	n.account(m)
@@ -621,6 +619,20 @@ func (n *Network) handleFrame(to radio.NodeID, f radio.Frame) {
 	default:
 		panic(fmt.Sprintf("node: unknown message kind %v", m.Kind))
 	}
+}
+
+// headerCopy exchanges a receiver's reference to a shared broadcast
+// payload for a private header copy, which also references the flood's
+// record. Items, handoff-only and never broadcast, would ride along
+// copy-on-write.
+func (n *Network) headerCopy(m *message) *message {
+	cp := n.pool.acquire()
+	*cp = *m
+	cp.refs = 1
+	cp.released = false
+	n.floods.retain(cp.rec)
+	n.releaseMsg(m)
+	return cp
 }
 
 // Run starts the autonomous drivers (request/update processes and

@@ -76,8 +76,11 @@ func (p *Peer) newID() uint64 {
 // reqOrigin decodes the issuing peer from a request ID.
 func reqOrigin(id uint64) int { return int(id>>40) - 1 }
 
-// seenRetention is how long flood IDs are remembered, in seconds. Flood
-// waves (TTL-bounded broadcasts plus retries) die out well within this.
+// seenRetention is how long a peer's mark of a flood counts, in seconds:
+// a copy heard again after it marks again. Flood waves (TTL-bounded
+// broadcasts plus retries) die out well within this. It decides what
+// seen answers, not how long a record is kept: a sequential run recycles
+// a record when its last message is released (see floodIndex).
 const seenRetention = 120
 
 // ID returns the peer's node ID.
@@ -115,8 +118,9 @@ func dedupID(m *message) (uint64, bool) {
 
 // markSeen records that the peer has heard m's flood, reporting whether
 // it already had within seenRetention. The flood's record is found
-// through m's reference, else by dedup ID, else opened here; m is left
-// referencing it for every copy it is broadcast as.
+// through m's reference, else (in a shard replica) by dedup ID, else
+// opened here; m is left referencing it for every copy it is broadcast
+// as.
 func (p *Peer) markSeen(m *message) bool {
 	f := &p.net.floods
 	now := p.net.sched.Now()
