@@ -7,6 +7,12 @@
 // convention with the origin at the lower-left corner and axes increasing
 // right and up; nothing in the package depends on that orientation beyond
 // documentation.
+//
+// The Go spec lets a compiler fuse x*y + z into one rounding, and arm64
+// builds do, amd64 builds never. So every product here is rounded by an
+// explicit float64 conversion, and Dist and Dist2 round their operands
+// (a caller's product, or a midpoint's halving, inlined into them would
+// fuse too): the package computes the same bits on either.
 package geo
 
 import (
@@ -32,16 +38,18 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // Scale returns p with both coordinates multiplied by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
+func (p Point) Scale(k float64) Point { return Point{float64(p.X * k), float64(p.Y * k)} }
 
 // Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
+func (p Point) Dist(q Point) float64 {
+	return math.Hypot(float64(p.X)-float64(q.X), float64(p.Y)-float64(q.Y))
+}
 
 // Dist2 returns the squared Euclidean distance between p and q. It avoids
 // the square root on hot paths such as neighbor scans.
 func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	dx, dy := float64(p.X)-float64(q.X), float64(p.Y)-float64(q.Y)
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Midpoint returns the point halfway between p and q.
@@ -51,7 +59,7 @@ func (p Point) Midpoint(q Point) Point {
 
 // Cross returns the z component of the cross product of p and q treated as
 // vectors. Positive means q is counter-clockwise from p.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
+func (p Point) Cross(q Point) float64 { return float64(p.X*q.Y) - float64(p.Y*q.X) }
 
 // Angle returns the angle of the vector from p to q in radians, in
 // (-pi, pi], measured counter-clockwise from the positive x axis.

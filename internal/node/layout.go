@@ -11,81 +11,58 @@ package node
 // and until when. Every dedup ID is a fresh newID that exactly one birth
 // site marks, through the message it starts; every copy of that message
 // carries a reference to the record, so a receiver finds it without a
-// lookup. A mark counts while its expiry is strictly later than now;
-// marking again after expiry appends a newer mark.
+// lookup.
 //
-// The expiries are run-length encoded: a broadcast's receivers all mark
-// at one instant, so a record of some 26 marks holds three or four
-// distinct expiries. The replica's clock never runs backwards, so the
-// expiries never decrease in marking order, and each group covers the
-// marks from the previous group's end up to its own.
+// The record has one expiry, latest: seenRetention after its newest
+// mark. Its marks count while latest is strictly later than now, and the
+// first mark at or after latest empties the record before it appends,
+// so a wave heard again after that starts afresh. A per-mark expiry
+// would answer differently only where one wave's copies arrive more
+// than seenRetention apart, and a TTL-bounded broadcast dies out within
+// seconds.
 type floodRec struct {
 	id  uint64
 	gen uint32 // bumped on recycling: a reference of an older generation is stale
 	// refs counts the message boxes that reference the record, in a
 	// counted index (see floodIndex).
-	refs int32
-	// latest is the last mark's expiry: once now reaches it, no mark
-	// counts.
+	refs   int32
 	latest float64
 	nodes  []int32 // marking peers, in marking order
-	groups []markGroup
 }
 
-// markGroup is a run of marks made at one instant: nodes[prev.end:end]
-// of its record, all expiring at exp.
-type markGroup struct {
-	exp float64
-	end int32
-}
-
-// seen reports whether node holds a mark that has not expired.
+// seen reports whether node has marked the wave and latest is still
+// ahead of now.
 func (r *floodRec) seen(node int32, now float64) bool {
 	if r.latest <= now {
 		return false
 	}
-	// Newest first: a node's newest mark is its latest, and a duplicate
-	// arrives soon after its receiver marked.
+	// Newest first: a duplicate arrives soon after its receiver marked.
 	for i := len(r.nodes) - 1; i >= 0; i-- {
 		if r.nodes[i] == node {
-			// Before the first group's expiry every mark counts.
-			return r.groups[0].exp > now || r.expOf(int32(i)) > now
+			return true
 		}
 	}
 	return false
 }
 
-// expOf returns the expiry of mark i. seen asks only in the window where
-// a record's oldest marks have expired and its newest have not.
-func (r *floodRec) expOf(i int32) float64 {
-	g := 0
-	for r.groups[g].end <= i {
-		g++
-	}
-	return r.groups[g].exp
-}
-
-// mark records node's mark, reporting whether it already held one that
-// has not expired (then nothing changes).
+// mark records node's mark, reporting whether it had already seen the
+// wave (then nothing changes).
 func (r *floodRec) mark(node int32, now float64) bool {
 	if r.seen(node, now) {
 		return true
 	}
-	exp := now + seenRetention
-	r.nodes = append(r.nodes, node)
-	if last := len(r.groups) - 1; last >= 0 && r.groups[last].exp == exp {
-		r.groups[last].end++
-	} else {
-		r.groups = append(r.groups, markGroup{exp: exp, end: int32(len(r.nodes))})
+	if r.latest <= now {
+		r.nodes = r.nodes[:0]
 	}
-	r.latest = exp
+	r.nodes = append(r.nodes, node)
+	r.latest = now + seenRetention
 	return false
 }
 
-// recycle empties r for a new dedup ID, keeping its slices, and bumps its
+// recycle empties r for a new dedup ID, keeping its slice, and bumps its
 // generation so that references to the old wave go stale.
 func (r *floodRec) recycle() {
-	*r = floodRec{gen: r.gen + 1, nodes: r.nodes[:0], groups: r.groups[:0]}
+	*r = floodRec{gen: r.gen + 1, nodes: r.nodes[:0]}
 }
 
 // floodIndex holds one replica's flood records. A sequential Network's
@@ -95,7 +72,7 @@ func (r *floodRec) recycle() {
 // site, and every copy of the birth message carries the reference). A
 // shard replica's index is timed, because a payload cloned across shards
 // carries no reference: it finds records by dedup ID (byID) and recycles
-// the oldest, in birth order, once its last mark has expired.
+// the oldest, in birth order, once its latest has passed.
 type floodIndex struct {
 	timed bool
 	// free holds the counted index's released records, newest last.
@@ -130,8 +107,8 @@ func (f *floodIndex) find(m *message, id uint64) *floodRec {
 	return r
 }
 
-// heard reports whether node holds a mark of m's flood that has not
-// expired: the read half of markSeen, for the duplicate fast path.
+// heard reports whether node has seen m's flood: the read half of
+// markSeen, for the duplicate fast path.
 func (f *floodIndex) heard(m *message, id uint64, node int32, now float64) bool {
 	r := f.find(m, id)
 	return r != nil && r.seen(node, now)
@@ -158,9 +135,9 @@ func (f *floodIndex) open(m *message, id uint64, now float64) *floodRec {
 }
 
 // openTimed is open for a timed index. It recycles the oldest record
-// once every mark in it has expired: that record answered "not seen"
-// for every peer, and so does the empty one that replaces it if its ID
-// comes round again.
+// once its latest has passed: that record answered "not seen" for every
+// peer, and so does the empty one that replaces it if its ID comes round
+// again.
 func (f *floodIndex) openTimed(m *message, id uint64, now float64) *floodRec {
 	var r *floodRec
 	if len(f.order) > 0 && f.order[0].latest <= now {

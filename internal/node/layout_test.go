@@ -3,27 +3,79 @@ package node
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"precinct/internal/radio"
 	"precinct/internal/sim"
 )
 
 // The tests below pin the container semantics directly — flood records
-// against a per-peer model, swap-delete and the freelist — where a
-// scenario run would only exercise them implicitly.
+// against a model of the rule they implement, swap-delete and the
+// freelist — where a scenario run would only exercise them implicitly.
 
-// TestFloodRecordsMatchSeenModel holds the time-held records of a shard
-// replica to the rule they replace: each peer remembers each dedup ID it
-// marked until the mark is seenRetention old (a per-peer map from ID to
-// expiry, a mark counting while its expiry is strictly later than now).
-// Fuzzed streams over two replicas (peers 0-7 on one, 8-15 on the other)
-// open floods, deliver copies within a replica as header copies and
-// across replicas as cloned payloads, move the clock (onto exact
-// expiries, to just short of them, and past seenRetention) and release
-// copies. Each flood's first message is never released, so records
-// recycle while old references are still held. After every operation
-// each valid reference a message holds must name its own replica's
-// record.
+// waveModel is the rule a flood record implements, spelled out over a
+// set: a wave's marks count while latest, seenRetention after its newest
+// mark, is strictly later than now, and the first mark at or after
+// latest forgets the marks before it. forgot collects the peers a reset
+// forgot, so a stream can tell that it reached one.
+type waveModel struct {
+	latest         float64
+	marked, forgot map[int32]bool
+}
+
+func newWaveModel() *waveModel {
+	return &waveModel{marked: map[int32]bool{}, forgot: map[int32]bool{}}
+}
+
+func (w *waveModel) seen(node int32, now float64) bool { return w.latest > now && w.marked[node] }
+
+func (w *waveModel) mark(node int32, now float64) {
+	if w.latest <= now {
+		for n := range w.marked {
+			w.forgot[n] = true
+		}
+		clear(w.marked)
+	}
+	w.marked[node] = true
+	w.latest = now + seenRetention
+}
+
+// markModel is the rule the records replaced, kept as a reference: each
+// peer remembers each dedup ID it marked until that mark is
+// seenRetention old (a map from ID to expiry per peer, a mark counting
+// while its expiry is strictly later than now). The two rules agree on
+// every check made within seenRetention of a flood's first mark: no
+// mark has expired under either, and no reset has happened.
+type markModel []map[uint64]float64
+
+func newMarkModel(peers int) markModel {
+	m := make(markModel, peers)
+	for i := range m {
+		m[i] = map[uint64]float64{}
+	}
+	return m
+}
+
+func (m markModel) seen(node int32, id uint64, now float64) bool {
+	exp, ok := m[node][id]
+	return ok && exp > now
+}
+
+func (m markModel) mark(node int32, id uint64, now float64) {
+	m[node][id] = now + seenRetention
+}
+
+// TestFloodRecordsMatchSeenModel holds the time-held records of shard
+// replicas to the record-level rule (waveModel, one per flood per
+// replica), and to the per-mark reference wherever a check falls within
+// seenRetention of its flood's first mark. Fuzzed streams over two
+// replicas (peers 0-7 on one, 8-15 on the other) open floods, deliver
+// copies within a replica as header copies and across replicas as cloned
+// payloads, move the clock (onto a record's latest, to just short of it,
+// and past seenRetention) and release copies. Each flood's first message
+// is never released, so records recycle while old references are still
+// held. After every operation each valid reference a message holds must
+// name its own replica's record.
 func TestFloodRecordsMatchSeenModel(t *testing.T) {
 	const peers = 16
 	type held struct {
@@ -31,30 +83,32 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 		net *Network
 	}
 	type flood struct {
-		id   uint64
-		msgs []held // msgs[0] is the birth message
+		id    uint64
+		first float64
+		waves []*waveModel // by replica
+		msgs  []held       // msgs[0] is the birth message
 	}
 	// First a stream short enough to spell out: a record is not recycled
-	// a moment before its last mark expires.
+	// a moment before its latest.
 	{
 		sched := sim.NewScheduler()
 		net := &Network{sched: sched, floods: floodIndex{timed: true}}
 		a, b := &Peer{id: 0, net: net}, &Peer{id: 1, net: net}
 		x := net.newMsg(message{Kind: kindSearchFlood})
 		x.FloodID = a.newID()
-		a.markSeen(x) // expires at 120
+		a.markSeen(x) // latest 120
 		sched.Run(50)
-		b.markSeen(x) // expires at 170
+		b.markSeen(x) // latest 170
 		sched.Run(169.5)
 		y := net.newMsg(message{Kind: kindSearchFlood})
 		y.FloodID = a.newID()
 		a.markSeen(y) // opens a record: x's is the oldest, and still live
 		if !b.markSeen(x) {
-			t.Fatal("peer 1's mark of the first flood was lost half a second before it expired")
+			t.Fatal("peer 1's mark of the first flood was lost half a second before its record's latest")
 		}
 	}
 	// What the streams must have reached, summed over seeds.
-	var atExpiry, remarks, staleRefs, clones int
+	var atLatest, agreed, differed, forgotten, staleRefs, clones int
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sched := sim.NewScheduler()
@@ -63,13 +117,12 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 			r.floods.timed = true // as EnableSharding sets them
 		}
 		ps := make([]*Peer, peers)
+		rep := make([]int, peers)
 		for i := range ps {
-			ps[i] = &Peer{id: radio.NodeID(i), net: reps[i*len(reps)/peers]}
+			rep[i] = i * len(reps) / peers
+			ps[i] = &Peer{id: radio.NodeID(i), net: reps[rep[i]]}
 		}
-		model := make([]map[uint64]float64, peers)
-		for i := range model {
-			model[i] = map[uint64]float64{}
-		}
+		ref := newMarkModel(peers)
 		var floods []*flood
 		// pick favours the last 20 floods, which span about seenRetention.
 		pick := func() *flood {
@@ -87,12 +140,18 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 				if p.markSeen(m) {
 					t.Fatalf("seed %d op %d: peer %d had seen the new ID %#x", seed, op, p.id, id)
 				}
-				model[p.id][id] = now + seenRetention
-				floods = append(floods, &flood{id: id, msgs: []held{{m, p.net}}})
+				f := &flood{id: id, first: now, msgs: []held{{m, p.net}}}
+				for range reps {
+					f.waves = append(f.waves, newWaveModel())
+				}
+				f.waves[rep[p.id]].mark(int32(p.id), now)
+				ref.mark(int32(p.id), id, now)
+				floods = append(floods, f)
 			case r < 60: // a delivery
 				f := pick()
 				h := f.msgs[rng.Intn(len(f.msgs))]
 				q := ps[rng.Intn(peers)]
+				node, w := int32(q.id), f.waves[rep[q.id]]
 				var cp *message
 				if q.net == h.net {
 					h.m.refs++ // shared with one more receiver, which takes a copy
@@ -101,32 +160,43 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 					cp = h.net.clonePayload(h.m).(*message)
 					clones++
 				}
-				exp, ok := model[q.id][f.id]
-				want := ok && exp > now
-				if ok && exp == now {
-					atExpiry++
+				want, old := w.seen(node, now), ref.seen(node, f.id, now)
+				switch {
+				case now < f.first+seenRetention:
+					if want != old {
+						t.Fatalf("seed %d op %d: peer %d, %v after flood %#x's first mark: the record rule says %v, the per-mark rule %v", seed, op, q.id, now-f.first, f.id, want, old)
+					}
+					agreed++
+				case want != old:
+					differed++
 				}
-				if ok && !want {
-					remarks++
+				if len(w.marked) > 0 && w.latest == now {
+					atLatest++
+				}
+				if !want && w.latest > now && w.forgot[node] {
+					forgotten++
 				}
 				if cp.rec != nil && cp.rec.gen != cp.recGen {
 					staleRefs++
 				}
-				if got := q.net.floods.heard(cp, f.id, int32(q.id), now); got != want {
+				if got := q.net.floods.heard(cp, f.id, node, now); got != want {
 					t.Fatalf("seed %d op %d: peer %d heard %#x = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
 				}
 				if got := q.markSeen(cp); got != want {
 					t.Fatalf("seed %d op %d: peer %d markSeen(%#x) = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
 				}
 				if !want {
-					model[q.id][f.id] = now + seenRetention
+					w.mark(node, now)
+				}
+				if !old {
+					ref.mark(node, f.id, now)
 				}
 				f.msgs = append(f.msgs, held{cp, q.net})
 			case r < 80: // the clock moves a little
 				sched.Run(now + float64(rng.Intn(7)))
-			case r < 87: // onto, or to just short of, the expiry of a mark
-				if exp, ok := model[rng.Intn(peers)][pick().id]; ok && exp > now {
-					sched.Run(exp - float64(rng.Intn(2))/2)
+			case r < 87: // onto, or to just short of, a record's latest
+				if w := pick().waves[rng.Intn(len(reps))]; w.latest > now {
+					sched.Run(w.latest - float64(rng.Intn(2))/2)
 				}
 			case r < 88: // past every mark made so far
 				sched.Run(now + seenRetention + float64(rng.Intn(3)))
@@ -146,11 +216,12 @@ func TestFloodRecordsMatchSeenModel(t *testing.T) {
 			}
 		}
 	}
-	if atExpiry == 0 || remarks == 0 || staleRefs == 0 || clones == 0 {
-		t.Fatalf("the streams missed a case: %d checks at an exact expiry, %d re-marks, %d stale references, %d cloned payloads",
-			atExpiry, remarks, staleRefs, clones)
+	if atLatest == 0 || agreed == 0 || differed == 0 || forgotten == 0 || staleRefs == 0 || clones == 0 {
+		t.Fatalf("the streams missed a case: %d checks at a record's latest, %d within seenRetention of a first mark, %d where the rules differ, %d of a forgotten mark, %d stale references, %d cloned payloads",
+			atLatest, agreed, differed, forgotten, staleRefs, clones)
 	}
-	t.Logf("%d checks at an exact expiry, %d re-marks, %d stale references, %d cloned payloads", atExpiry, remarks, staleRefs, clones)
+	t.Logf("%d checks at a record's latest, %d within seenRetention of a first mark, %d where the rules differ, %d of a forgotten mark, %d stale references, %d cloned payloads",
+		atLatest, agreed, differed, forgotten, staleRefs, clones)
 }
 
 // birth starts a flood at p as a birth site does: a message of a random
@@ -174,15 +245,33 @@ func birth(rng *rand.Rand, p *Peer) (*message, uint64) {
 // every operation a record must be on the freelist exactly when its
 // flood's last copy has been released, with as many references as the
 // flood has copies while it has any, and every peer's seen must match
-// the per-peer map model for every flood still in flight.
+// the record-level model, and the per-mark reference within
+// seenRetention of the flood's first mark, for every flood still in
+// flight.
 func TestCountedFloodRecordsMatchSeenModel(t *testing.T) {
 	const peers = 12
-	type flood struct {
-		id   uint64
-		rec  *floodRec
-		msgs []*message // every copy still held
+	// First the case that tells the rule from membership and latest
+	// alone: a mark made once latest has passed forgets the marks before
+	// it, so peer 1 is fresh although the record's latest is ahead.
+	{
+		r := &floodRec{}
+		r.mark(1, 0)
+		r.mark(2, 0) // latest 120
+		if r.mark(2, 130) {
+			t.Fatal("peer 2's mark counted at 130, after the record's latest of 120")
+		}
+		if r.seen(1, 131) {
+			t.Fatal("peer 1's mark at 0 still counts at 131, after peer 2 marked afresh at 130")
+		}
 	}
-	var recycled, remarks, reused int
+	type flood struct {
+		id    uint64
+		first float64
+		wave  *waveModel
+		rec   *floodRec
+		msgs  []*message // every copy still held
+	}
+	var recycled, agreed, differed, forgotten, reused int
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sched := sim.NewScheduler()
@@ -191,10 +280,7 @@ func TestCountedFloodRecordsMatchSeenModel(t *testing.T) {
 		for i := range ps {
 			ps[i] = &Peer{id: radio.NodeID(i), net: net}
 		}
-		model := make([]map[uint64]float64, peers)
-		for i := range model {
-			model[i] = map[uint64]float64{}
-		}
+		ref := newMarkModel(peers)
 		var live []*flood
 		for op := 0; op < 3000; op++ {
 			now := sched.Now()
@@ -208,27 +294,31 @@ func TestCountedFloodRecordsMatchSeenModel(t *testing.T) {
 				if p.markSeen(m) {
 					t.Fatalf("seed %d op %d: peer %d had seen the new ID %#x", seed, op, p.id, id)
 				}
-				model[p.id][id] = now + seenRetention
-				live = append(live, &flood{id: id, rec: m.rec, msgs: []*message{m}})
+				f := &flood{id: id, first: now, wave: newWaveModel(), rec: m.rec, msgs: []*message{m}}
+				f.wave.mark(int32(p.id), now)
+				ref.mark(int32(p.id), id, now)
+				live = append(live, f)
 			case r < 55: // a delivery
 				f := live[rng.Intn(len(live))]
 				h := f.msgs[rng.Intn(len(f.msgs))]
-				q := ps[rng.Intn(peers)]
+				node := int32(rng.Intn(peers))
 				h.refs++
 				cp := net.headerCopy(h)
-				exp, ok := model[q.id][f.id]
-				want := ok && exp > now
-				if ok && !want {
-					remarks++
+				want, old := f.wave.seen(node, now), ref.seen(node, f.id, now)
+				if !want && f.wave.latest > now && f.wave.forgot[node] {
+					forgotten++
 				}
-				if got := net.floods.heard(cp, f.id, int32(q.id), now); got != want {
-					t.Fatalf("seed %d op %d: peer %d heard %#x = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
+				if got := net.floods.heard(cp, f.id, node, now); got != want {
+					t.Fatalf("seed %d op %d: peer %d heard %#x = %v at %v, the model says %v", seed, op, node, f.id, got, now, want)
 				}
-				if got := q.markSeen(cp); got != want {
-					t.Fatalf("seed %d op %d: peer %d markSeen(%#x) = %v at %v, the model says %v", seed, op, q.id, f.id, got, now, want)
+				if got := ps[node].markSeen(cp); got != want {
+					t.Fatalf("seed %d op %d: peer %d markSeen(%#x) = %v at %v, the model says %v", seed, op, node, f.id, got, now, want)
 				}
 				if !want {
-					model[q.id][f.id] = now + seenRetention
+					f.wave.mark(node, now)
+				}
+				if !old {
+					ref.mark(node, f.id, now)
 				}
 				f.msgs = append(f.msgs, cp)
 			case r < 75: // the clock moves, now and then past every mark
@@ -263,19 +353,30 @@ func TestCountedFloodRecordsMatchSeenModel(t *testing.T) {
 				if int(f.rec.refs) != len(f.msgs) {
 					t.Fatalf("seed %d op %d: flood %#x's record counts %d references, %d copies are held", seed, op, f.id, f.rec.refs, len(f.msgs))
 				}
-				for q := range ps {
-					exp, ok := model[q][f.id]
-					if got, want := f.rec.seen(int32(q), now), ok && exp > now; got != want {
+				for q := int32(0); q < peers; q++ {
+					want, old := f.wave.seen(q, now), ref.seen(q, f.id, now)
+					if got := f.rec.seen(q, now); got != want {
 						t.Fatalf("seed %d op %d: peer %d seen(%#x) = %v at %v, the model says %v", seed, op, q, f.id, got, now, want)
+					}
+					switch {
+					case now < f.first+seenRetention:
+						if want != old {
+							t.Fatalf("seed %d op %d: peer %d, %v after flood %#x's first mark: the record rule says %v, the per-mark rule %v", seed, op, q, now-f.first, f.id, want, old)
+						}
+						agreed++
+					case want != old:
+						differed++
 					}
 				}
 			}
 		}
 	}
-	if recycled == 0 || remarks == 0 || reused == 0 {
-		t.Fatalf("the streams missed a case: %d floods released, %d re-marks, %d births on a recycled record", recycled, remarks, reused)
+	if recycled == 0 || agreed == 0 || differed == 0 || forgotten == 0 || reused == 0 {
+		t.Fatalf("the streams missed a case: %d floods released, %d checks within seenRetention of a first mark, %d where the rules differ, %d deliveries of a forgotten mark, %d births on a recycled record",
+			recycled, agreed, differed, forgotten, reused)
 	}
-	t.Logf("%d floods released, %d re-marks, %d births on a recycled record", recycled, remarks, reused)
+	t.Logf("%d floods released, %d checks within seenRetention of a first mark, %d where the rules differ, %d deliveries of a forgotten mark, %d births on a recycled record",
+		recycled, agreed, differed, forgotten, reused)
 }
 
 // TestFloodRecordLifecyclePanics: in a counted index a stale reference
@@ -304,115 +405,50 @@ func TestFloodRecordLifecyclePanics(t *testing.T) {
 	mustPanic("releasing a record below zero", func() { f.release(r2, r2.gen) })
 }
 
-// TestFloodRecordGroups walks the run-length encoding of a record's
-// expiries through its edge cases, which the fuzzed streams above reach
-// only by chance: several peers marking at one instant, a record whose
-// oldest marks have expired and whose newest have not (with a peer's
-// newest mark on either side of that line), a re-mark after expiry, and
-// recycling through the freelist, which must leave no group or expiry
-// behind.
-func TestFloodRecordGroups(t *testing.T) {
-	r := &floodRec{}
-	mark := func(now float64, nodes ...int32) {
-		t.Helper()
-		for _, n := range nodes {
-			if r.mark(n, now) {
-				t.Fatalf("peer %d held a live mark at %v", n, now)
-			}
-		}
-	}
-	mark(0, 1, 2, 3) // expire at 120
-	mark(10, 4, 5)   // at 130
-	mark(20, 6)      // at 140
-	want := []markGroup{{120, 3}, {130, 5}, {140, 6}}
-	if len(r.groups) != len(want) || r.latest != 140 {
-		t.Fatalf("groups %v, latest %v; want %v, 140", r.groups, r.latest, want)
-	}
-	for i, g := range want {
-		if r.groups[i] != g {
-			t.Fatalf("group %d is %v, want %v", i, r.groups[i], g)
-		}
-	}
-	for _, c := range []struct {
-		node int32
-		now  float64
-		want bool
-	}{
-		{2, 119.5, true}, // before the first group's expiry: every mark counts
-		{2, 120, false},  // on the first group's expiry
-		{4, 120, true},   // first <= now < latest: a newer group still counts
-		{5, 129.5, true},
-		{5, 130, false},
-		{6, 139.5, true},
-		{6, 140, false}, // on the latest expiry: nothing counts
-		{7, 100, false}, // never marked
-	} {
-		if got := r.seen(c.node, c.now); got != c.want {
-			t.Errorf("seen(%d, %v) = %v, want %v", c.node, c.now, got, c.want)
-		}
-	}
-	// Peer 1 marks again after its mark expired; peer 4's mark still
-	// counts and is not repeated.
-	mark(125, 1) // at 245
-	if !r.mark(4, 125) {
-		t.Fatal("peer 4's live mark was lost at 125")
-	}
-	if len(r.nodes) != 7 || len(r.groups) != 4 || r.groups[0].exp != 120 || r.latest != 245 {
-		t.Fatalf("after the re-mark: %d marks, groups %v, latest %v", len(r.nodes), r.groups, r.latest)
-	}
-	for _, c := range []struct {
-		node int32
-		want bool
-	}{{1, true}, {2, false}, {4, false}, {6, true}} {
-		if got := r.seen(c.node, 135); got != c.want {
-			t.Errorf("after the re-mark, seen(%d, 135) = %v, want %v", c.node, got, c.want)
-		}
-	}
-
-	// Releasing the last reference puts the record on the freelist:
-	// slices kept, latest zeroed, generation bumped. The next flood to
-	// open takes it.
+// TestFloodRecordRecycling: releasing a record's last reference puts it
+// on the freelist, slice kept, latest zeroed, generation bumped, and the
+// next flood to open takes it and answers as a fresh record.
+func TestFloodRecordRecycling(t *testing.T) {
 	f := &floodIndex{}
 	m := &message{}
-	r = f.open(m, 1, 0)
-	mark(0, 1, 2)
-	mark(30, 3)
-	nodes, groups, gen := cap(r.nodes), cap(r.groups), r.gen
+	r := f.open(m, 1, 0)
+	for _, n := range []int32{1, 2, 3} {
+		r.mark(n, 0)
+	}
+	nodes, gen := cap(r.nodes), r.gen
 	f.release(r, m.recGen)
 	if len(f.free) != 1 || f.free[0] != r {
 		t.Fatal("a record whose last reference was released is not on the freelist")
 	}
-	if r.latest != 0 || len(r.nodes) != 0 || len(r.groups) != 0 || r.gen != gen+1 {
-		t.Fatalf("the recycled record kept latest %v, %d marks, groups %v, generation %d (was %d)", r.latest, len(r.nodes), r.groups, r.gen, gen)
+	if r.latest != 0 || len(r.nodes) != 0 || r.gen != gen+1 {
+		t.Fatalf("the recycled record kept latest %v, %d marks, generation %d (was %d)", r.latest, len(r.nodes), r.gen, gen)
 	}
-	if cap(r.nodes) != nodes || cap(r.groups) != groups {
-		t.Fatal("recycling dropped the record's slices")
+	if cap(r.nodes) != nodes {
+		t.Fatal("recycling dropped the record's slice")
 	}
 	if got := f.open(&message{}, 2, 200); got != r || len(f.free) != 0 || f.built != 1 {
 		t.Fatal("a flood opened beside a free record did not take it")
 	}
-	mark(200, 2)
-	if r.seen(1, 200) || !r.seen(2, 200) || len(r.groups) != 1 || r.groups[0] != (markGroup{320, 1}) {
-		t.Fatalf("the recycled record answers as its predecessor: groups %v", r.groups)
+	if r.mark(2, 200) || r.seen(1, 200) || !r.seen(2, 200) || r.latest != 320 {
+		t.Fatalf("the recycled record answers as its predecessor: marks %v, latest %v", r.nodes, r.latest)
 	}
 }
 
-// TestFloodRecordBytes pins what a wave's marks retain. A record of 27
-// marks made at 4 instants (records on the bench workloads average 25-27
-// marks at 3.4-3.7 instants) holds its peers at 4 B each and one 16 B
-// group per instant: 192 B with append's doubling, where a float64
-// expiry per mark would add 256 B to the peers' 128 B.
+// TestFloodRecordBytes pins what a wave's record retains: its peers at 4
+// B each, so 27 marks (records on the bench workloads average 25-27)
+// retain 128 B with append's doubling, and one expiry for the record,
+// which is 48 B.
 func TestFloodRecordBytes(t *testing.T) {
 	r := &floodRec{}
 	for i := int32(0); i < 27; i++ {
 		r.mark(i, float64(i*4/27))
 	}
-	if len(r.groups) != 4 {
-		t.Fatalf("27 marks at 4 instants made %d groups", len(r.groups))
+	const limit = 128
+	if got := cap(r.nodes) * 4; got > limit {
+		t.Errorf("27 marks retain %d B, limit %d B", got, limit)
 	}
-	const limit = 192
-	if got := cap(r.nodes)*4 + cap(r.groups)*16; got > limit {
-		t.Errorf("27 marks at 4 instants retain %d B, limit %d B", got, limit)
+	if got := unsafe.Sizeof(floodRec{}); got != 48 {
+		t.Errorf("a flood record is %d B, want 48", got)
 	}
 }
 

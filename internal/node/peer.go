@@ -76,11 +76,13 @@ func (p *Peer) newID() uint64 {
 // reqOrigin decodes the issuing peer from a request ID.
 func reqOrigin(id uint64) int { return int(id>>40) - 1 }
 
-// seenRetention is how long a peer's mark of a flood counts, in seconds:
-// a copy heard again after it marks again. Flood waves (TTL-bounded
-// broadcasts plus retries) die out well within this. It decides what
-// seen answers, not how long a record is kept: a sequential run recycles
-// a record when its last message is released (see floodIndex).
+// seenRetention is how long a flood record's marks count after its
+// newest mark, in seconds: a copy heard after that empties the record and
+// marks afresh. Flood waves (TTL-bounded broadcasts plus retries) die out
+// well within this, so one expiry per record answers as one per mark
+// would. It decides what seen answers, not how long a record is kept: a
+// sequential run recycles a record when its last message is released
+// (see floodIndex).
 const seenRetention = 120
 
 // ID returns the peer's node ID.
@@ -117,7 +119,7 @@ func dedupID(m *message) (uint64, bool) {
 }
 
 // markSeen records that the peer has heard m's flood, reporting whether
-// it already had within seenRetention. The flood's record is found
+// it already had (see floodRec). The flood's record is found
 // through m's reference, else (in a shard replica) by dedup ID, else
 // opened here; m is left referencing it for every copy it is broadcast
 // as.
